@@ -1,18 +1,47 @@
 #!/usr/bin/env bash
-# Build and run the unit-test suite under AddressSanitizer + UBSan in a
-# dedicated build tree (the SANITIZE CMake option). The benchmark harness
-# and examples are skipped: golden byte-identity and timing gates are
-# meaningless under sanitizer instrumentation — this run exists to catch
-# memory errors and UB in the simulator and queue implementations.
+# Build and run tests under sanitizers in a dedicated build tree (the
+# SANITIZE CMake option). Two modes:
 #
-# Usage: scripts/check_sanitizers.sh [build-dir]   (default: build-asan)
-# Env:   CTEST_PARALLEL_LEVEL (default 2), SBQ_SAN_JOBS (build jobs)
+#   default (SANITIZE unset or ON): the unit-test suite under AddressSanitizer
+#     + UBSan, default tree build-asan. The benchmark harness and examples are
+#     skipped: golden byte-identity and timing gates are meaningless under
+#     sanitizer instrumentation — this run exists to catch memory errors and
+#     UB in the simulator and queue implementations.
+#   SANITIZE=thread: the native concurrent tests (queues, baskets,
+#     reclamation, value queue) under ThreadSanitizer, default tree
+#     build-tsan. Any data-race report fails the run.
+#
+# Usage: scripts/check_sanitizers.sh [build-dir]
+#        SANITIZE=thread scripts/check_sanitizers.sh [build-dir]
+# Env:   CTEST_PARALLEL_LEVEL (default mode; default 2), SBQ_SAN_JOBS (build jobs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR=${1:-build-asan}
+MODE=${SANITIZE:-ON}
 JOBS=${SBQ_SAN_JOBS:-$(nproc 2>/dev/null || echo 2)}
 
+if [ "$MODE" = thread ]; then
+  BUILD_DIR=${1:-build-tsan}
+  TESTS=(basket_test treiber_basket_test striped_basket_test
+         retired_list_test hazard_pointers_test
+         ms_queue_test baskets_queue_test faa_queue_test cc_queue_test
+         sbq_queue_test queue_concurrent_test queue_param_test
+         queue_extra_test value_queue_test)
+  cmake -B "$BUILD_DIR" -S . \
+    -DSANITIZE=thread \
+    -DSBQ_BUILD_BENCH=OFF \
+    -DSBQ_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target "${TESTS[@]}"
+  export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}
+  for t in "${TESTS[@]}"; do
+    echo "== $t"
+    "$BUILD_DIR/tests/$t" --gtest_brief=1
+  done
+  echo "check_sanitizers: TSan native test run passed ($BUILD_DIR)"
+  exit 0
+fi
+
+BUILD_DIR=${1:-build-asan}
 cmake -B "$BUILD_DIR" -S . \
   -DSANITIZE=ON \
   -DSBQ_BUILD_BENCH=OFF \

@@ -57,14 +57,7 @@ class TreiberBasket {
     for (;;) {
       Cell* top = ptr(head);
       if (top == nullptr) {
-        // Empty: close the basket so later inserts fail (linearizability
-        // requirement from §5.2.2 "Linearizability").
-        if (is_closed(head)) return nullptr;
-        if (head_.compare_exchange_weak(head, head | kClosedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-          return nullptr;
-        }
+        if (try_close(head)) return nullptr;
         continue;
       }
       // Preserve the closed bit (it can only be set when the list is empty,
@@ -77,8 +70,15 @@ class TreiberBasket {
     }
   }
 
+  // An empty indication closes the basket too: the queue's dequeue skips a
+  // basket that reports empty, so an insert accepted afterwards would land
+  // behind head and be lost.
   bool empty() const {
-    return ptr(head_.load(std::memory_order_acquire)) == nullptr;
+    std::uintptr_t head = head_.load(std::memory_order_acquire);
+    for (;;) {
+      if (ptr(head) != nullptr) return false;
+      if (try_close(head)) return true;
+    }
   }
 
   void reset(int /*id*/) { head_.store(0, std::memory_order_relaxed); }
@@ -98,9 +98,20 @@ class TreiberBasket {
   }
   static bool is_closed(std::uintptr_t v) noexcept { return (v & kClosedBit) != 0; }
 
+  // `head` was read with an empty list. Closes the basket so later inserts
+  // fail (linearizability requirement from §5.2.2 "Linearizability"); true
+  // once closed, false (with `head` reloaded) if the head changed first.
+  bool try_close(std::uintptr_t& head) const {
+    return is_closed(head) ||
+           head_.compare_exchange_weak(head, head | kClosedBit,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire);
+  }
+
   const std::size_t capacity_;
   Cell* cells_;
-  std::atomic<std::uintptr_t> head_{0};
+  // Mutable: empty() is const in the Basket concept but closes the basket.
+  mutable std::atomic<std::uintptr_t> head_{0};
 };
 
 }  // namespace sbq

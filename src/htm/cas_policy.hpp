@@ -47,11 +47,13 @@ struct DelayedCas {
   }
 };
 
-// TxCAS policy wrapper (degrades to a delayed plain CAS without RTM).
-// The embedded TxCasConfig carries the full retry/fallback policy,
-// including max_nonconflict_aborts — set it to make the queue's appends
-// degrade to plain CAS under persistent capacity/interrupt aborts instead
-// of burning the whole transactional attempt budget.
+// TxCAS policy wrapper. Without RTM every attempt aborts at once, so a call
+// runs max_attempts (32) empty attempts, with no intra-transaction delay,
+// then one plain CAS. The embedded TxCasConfig carries the full
+// retry/fallback policy, including max_nonconflict_aborts — set it to make
+// the queue's appends degrade to plain CAS under persistent
+// capacity/interrupt aborts instead of burning the whole transactional
+// attempt budget.
 struct HtmCas {
   TxCasConfig config{};
 

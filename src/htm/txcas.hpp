@@ -20,8 +20,9 @@
 //     target; if it changed, fail; else retry.
 //
 // On hosts without RTM, htm::begin() always reports a non-conflict abort,
-// so attempts fall straight through to the bounded-retry fallback, making
-// TxCas semantically a (delayed) plain CAS — the paper's SBQ-CAS variant.
+// so a call runs max_attempts empty attempts, none of which reaches the
+// intra-transaction delay, and then the plain-CAS fallback: semantically a
+// plain CAS. (SBQ-CAS, DelayedCas in cas_policy.hpp, does delay.)
 #pragma once
 
 #include <atomic>

@@ -13,13 +13,25 @@
 // dequeue (Algorithm 5): walk from head to the first non-empty basket and
 // extract. advance_node (Algorithm 6) monotonically advances head/tail by
 // node index. Reclamation is the index-based scheme of Algorithm 7.
+//
+// Nodes are recycled, not freed: where Algorithm 7 would free a node, it goes
+// back to a pool of the enqueuer that allocated it (the paper runs on the
+// Memkind scalable allocator so that malloc never becomes the bottleneck).
+// Only ~Queue deletes nodes.
 #pragma once
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>  // no-op macros unless built with ASan
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "basket/basket.hpp"
 #include "common/cacheline.hpp"
@@ -34,12 +46,18 @@ template <typename T, typename BasketT, typename CasPolicyT>
 class Queue {
  public:
   struct Node {
-    Node(std::size_t basket_capacity, std::size_t live_inserters)
-        : basket(basket_capacity, live_inserters) {}
+    Node(std::size_t basket_capacity, std::size_t live_inserters, int owner_id)
+        : basket(basket_capacity, live_inserters), owner(owner_id) {}
 
     BasketT basket;
     std::atomic<Node*> next{nullptr};
-    std::uint64_t index = 0;
+    // Written only while the node is private. Atomic because Algorithm 7's
+    // reclaimer reads the index of whatever a protector slot holds, which
+    // may be a node announced just before its validation failed, already
+    // pooled and being reused; any value it reads there is harmless.
+    std::atomic<std::uint64_t> index{0};
+    const int owner;            // enqueuer whose pool the node returns to
+    Node* pool_next = nullptr;  // freelist link while pooled
   };
 
   struct Config {
@@ -54,11 +72,10 @@ class Queue {
   explicit Queue(Config cfg)
       : cfg_(cfg),
         live_(cfg.live_enqueuers == 0 ? cfg.max_enqueuers : cfg.live_enqueuers),
-        sentinel_(new Node(cfg.max_enqueuers,
-                           cfg.live_enqueuers == 0 ? cfg.max_enqueuers
-                                                   : cfg.live_enqueuers)),
-        reclaimer_(sentinel_, cfg.max_enqueuers + cfg.max_dequeuers),
-        reusable_(cfg.max_enqueuers, nullptr) {
+        pools_(std::make_unique<Pool[]>(cfg.max_enqueuers)),
+        sentinel_(new Node(cfg.max_enqueuers, live_, /*owner_id=*/0)),
+        reclaimer_(sentinel_, cfg.max_enqueuers + cfg.max_dequeuers,
+                   NodeRecycler{this}) {
     head_.store(sentinel_, std::memory_order_relaxed);
     tail_.store(sentinel_, std::memory_order_relaxed);
   }
@@ -67,22 +84,38 @@ class Queue {
   Queue& operator=(const Queue&) = delete;
 
   ~Queue() {
-    // Single-threaded teardown: free the whole list (retired prefix plus
-    // the live portion — they form one chain starting at `retired`).
+    // Single-threaded teardown: recycle the whole list (retired prefix plus
+    // the live portion — they form one chain starting at `retired`), then
+    // delete every pooled node.
     reclaimer_.drain_all();
-    for (Node* n : reusable_) delete n;
+    for (std::size_t i = 0; i < cfg_.max_enqueuers; ++i) {
+      Pool& pool = pools_[i];
+      delete pool.failed;
+      for (Node* n : {pool.local, pool.remote.load(std::memory_order_relaxed)}) {
+        while (n != nullptr) {
+          Node* next = n->pool_next;
+          ASAN_UNPOISON_MEMORY_REGION(n, sizeof(Node));
+          delete n;
+          n = next;
+        }
+      }
+    }
   }
 
   // Algorithm 3. `id` is the enqueuer id in [0, max_enqueuers).
   void enqueue(T* element, int id) {
     assert(id >= 0 && static_cast<std::size_t>(id) < cfg_.max_enqueuers);
-    Node* t = reclaimer_.protect(tail_, enq_tid(id));
+    // Prepare the node before protecting the tail: a thread stalled while
+    // protecting pins every node appended meanwhile, and an allocation can
+    // stall for a page fault.
     Node* new_node = take_reusable_or_allocate(id);
     bool inserted = new_node->basket.insert(element, id);
     assert(inserted);
     (void)inserted;
+    Node* t = reclaimer_.protect(tail_, enq_tid(id));
     for (;;) {
-      new_node->index = t->index + 1;
+      new_node->index.store(t->index.load(std::memory_order_relaxed) + 1,
+                            std::memory_order_relaxed);
       const AppendResult status = try_append(t, new_node);
       if (status == AppendResult::kSuccess) {
         advance_node(tail_, new_node);
@@ -96,7 +129,7 @@ class Queue {
           // Keep new_node for reuse by this thread's next enqueue; undo its
           // basket insertion (O(1), §5.2.2).
           new_node->basket.reset(id);
-          reusable_[static_cast<std::size_t>(id)] = new_node;
+          pools_[static_cast<std::size_t>(id)].failed = new_node;
           break;
         }
       }
@@ -138,6 +171,12 @@ class Queue {
     }
     return n;
   }
+  // Nodes enqueuers have allocated so far (the sentinel is not counted).
+  std::size_t nodes_allocated() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < cfg_.max_enqueuers; ++i) n += pools_[i].allocated;
+    return n;
+  }
   std::uint64_t head_index() const {
     return head_.load(std::memory_order_acquire)->index;
   }
@@ -146,26 +185,67 @@ class Queue {
   }
 
  private:
-  struct NodeDeleter {
-    void operator()(Node* n) const { delete n; }
+  // Per-enqueuer node pool. The owner alone uses the first cache line;
+  // reclaiming threads push onto `remote`, and the owner takes that whole
+  // list with one exchange. Nodes are pushed one at a time and only ever
+  // taken all at once, so the push CAS cannot suffer ABA (the same pattern
+  // as Arena::deallocate_remote/allocate).
+  struct alignas(kCacheLineSize) Pool {
+    Node* failed = nullptr;  // kept after a FAILURE (§5.2.2), basket reset
+    Node* local = nullptr;   // private freelist
+    std::size_t allocated = 0;
+    alignas(kCacheLineSize) std::atomic<Node*> remote{nullptr};
   };
-  using Reclaimer = RetiredList<Node, NodeDeleter>;
+
+  // Algorithm 7's deleter: hands each reclaimed node back to its owner.
+  struct NodeRecycler {
+    Queue* queue;
+    void operator()(Node* n) const noexcept { queue->recycle(n); }
+  };
+  using Reclaimer = RetiredList<Node, NodeRecycler>;
 
   int enq_tid(int id) const noexcept { return id; }
   int deq_tid(int id) const noexcept {
     return static_cast<int>(cfg_.max_enqueuers) + id;
   }
 
-  Node* make_node() { return new Node(cfg_.max_enqueuers, live_); }
-
   Node* take_reusable_or_allocate(int id) {
-    Node*& slot = reusable_[static_cast<std::size_t>(id)];
-    if (slot != nullptr) {
-      Node* n = slot;
-      slot = nullptr;
+    Pool& pool = pools_[static_cast<std::size_t>(id)];
+    if (Node* n = pool.failed) {
+      pool.failed = nullptr;
       return n;
     }
-    return make_node();
+    Node* n = pool.local;
+    if (n == nullptr) n = pool.remote.exchange(nullptr, std::memory_order_acquire);
+    if (n == nullptr) {
+      ++pool.allocated;
+      return new Node(cfg_.max_enqueuers, live_, id);
+    }
+    pool.local = n->pool_next;
+    // Make the reclaimed node look freshly constructed.
+    ASAN_UNPOISON_MEMORY_REGION(n, sizeof(Node));
+    for (std::size_t i = 0; i < cfg_.max_enqueuers; ++i) {
+      n->basket.reset(static_cast<int>(i));
+    }
+    n->next.store(nullptr, std::memory_order_relaxed);
+    return n;
+  }
+
+  // Called exactly where Algorithm 7 would free `n`, so its safety argument
+  // is unchanged: no thread can still reach the node. Under ASan the node
+  // stays poisoned until it is taken again, so a use after reclamation is
+  // still reported; only the freelist link and the index (see Node) stay
+  // readable.
+  void recycle(Node* n) noexcept {
+    std::atomic<Node*>& remote = pools_[static_cast<std::size_t>(n->owner)].remote;
+    ASAN_POISON_MEMORY_REGION(n, sizeof(Node));
+    ASAN_UNPOISON_MEMORY_REGION(&n->index, sizeof(n->index));
+    ASAN_UNPOISON_MEMORY_REGION(&n->pool_next, sizeof(n->pool_next));
+    Node* head = remote.load(std::memory_order_relaxed);
+    do {
+      n->pool_next = head;
+    } while (!remote.compare_exchange_weak(head, n, std::memory_order_release,
+                                           std::memory_order_relaxed));
   }
 
   // Algorithm 4 (basic try_append) with the CAS policy plugged in. The
@@ -184,7 +264,10 @@ class Queue {
   static void advance_node(std::atomic<Node*>& ptr, Node* new_node) {
     Node* old_node = ptr.load(std::memory_order_acquire);
     for (;;) {
-      if (old_node->index >= new_node->index) return;
+      if (old_node->index.load(std::memory_order_relaxed) >=
+          new_node->index.load(std::memory_order_relaxed)) {
+        return;
+      }
       if (ptr.compare_exchange_weak(old_node, new_node, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
         return;
@@ -194,11 +277,11 @@ class Queue {
 
   Config cfg_;
   std::size_t live_;
+  std::unique_ptr<Pool[]> pools_;  // indexed by enqueuer id
   Node* sentinel_;  // initial node; ownership passes to the list/reclaimer
   Reclaimer reclaimer_;
   alignas(kCacheLineSize) std::atomic<Node*> head_{nullptr};
   alignas(kCacheLineSize) std::atomic<Node*> tail_{nullptr};
-  std::vector<Node*> reusable_;  // per-enqueuer node recycled after FAILURE
 
   friend class QueueTestPeer;
 };

@@ -8,7 +8,13 @@
 // frees the retired prefix up to min(protected indices), in mutual
 // exclusion obtained by SWAPping `retired` with null.
 //
-// Node requirements: `Node* next` and `std::uint64_t index` members.
+// "Free" means handing the node to `Deleter`, which may delete it or recycle
+// it (sbq::Queue returns nodes to per-enqueuer pools).
+//
+// Node requirements: `Node* next` and `std::uint64_t index` members (or an
+// atomic index: a protector slot may briefly hold a node that was reclaimed
+// before its announcement was validated, and min_protected_index still reads
+// that node's index; see sbq::Queue::Node).
 #pragma once
 
 #include <atomic>
@@ -100,7 +106,9 @@ class RetiredList {
     std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t i = 0; i < max_threads_; ++i) {
       Node* p = protectors_[i].value.load(std::memory_order_acquire);
-      if (p != nullptr && p->index < min) min = p->index;
+      if (p == nullptr) continue;
+      const std::uint64_t index = p->index;
+      if (index < min) min = index;
     }
     return min;
   }

@@ -5,10 +5,15 @@
 //   BQ-mod   = Queue<T, TreiberBasket<T>, NativeCas>  (modular view of BQ)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "basket/sbq_basket.hpp"
 #include "basket/treiber_basket.hpp"
+#include "common/barrier.hpp"
 #include "htm/cas_policy.hpp"
 #include "queues/queue_traits.hpp"
 #include "queues/sbq.hpp"
@@ -118,6 +123,84 @@ TYPED_TEST(SbqTypedTest, ConsumerHeavy) {
   auto result =
       testutil::run_mpmc(*q, kProducers, kConsumers, kPerProducer, storage);
   testutil::verify_mpmc(result, kProducers, kPerProducer);
+}
+
+// Node recycling: a reclaimed node returns to its enqueuer's pool, so a
+// queue kept near empty allocates a bounded number of nodes however many
+// operations it serves.
+
+TYPED_TEST(SbqTypedTest, SingleThreadPairsAllocateAtMostTwoNodes) {
+  auto q = make_queue<TypeParam>(1, 1);
+  testutil::Element v;
+  for (int i = 0; i < 100000; ++i) {
+    q->enqueue(&v, 0);
+    ASSERT_EQ(q->dequeue(0), &v);
+  }
+  // The sentinel plus two nodes: the head, and the one appended behind it
+  // while the previous head still waits to be reclaimed.
+  EXPECT_LE(q->nodes_allocated(), 2u);
+}
+
+// One round of `threads` threads, each alternating enqueue and dequeue on
+// `q`. Checks that every element comes out exactly once.
+template <typename QueueT>
+void pairwise_round(QueueT& q, int threads, std::size_t pairs) {
+  std::vector<testutil::Element> storage(static_cast<std::size_t>(threads) * pairs);
+  std::vector<std::vector<testutil::Element*>> got(static_cast<std::size_t>(threads));
+  SpinBarrier barrier(static_cast<std::size_t>(threads));
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      auto& mine = got[static_cast<std::size_t>(t)];
+      mine.reserve(pairs);
+      barrier.arrive_and_wait();
+      for (std::size_t i = 0; i < pairs; ++i) {
+        q.enqueue(&storage[static_cast<std::size_t>(t) * pairs + i], t);
+        // Never NULL: this thread's own enqueue precedes the dequeue.
+        mine.push_back(q.dequeue(t));
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(q.dequeue(0), nullptr);
+
+  std::vector<std::uint8_t> seen(storage.size(), 0);
+  std::size_t nulls = 0;
+  for (const auto& mine : got) {
+    for (testutil::Element* e : mine) {
+      if (e == nullptr) {
+        ++nulls;
+      } else {
+        ++seen[static_cast<std::size_t>(e - storage.data())];
+      }
+    }
+  }
+  EXPECT_EQ(nulls, 0u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), std::uint8_t{1}),
+            static_cast<std::ptrdiff_t>(seen.size()));
+}
+
+TYPED_TEST(SbqTypedTest, PairwiseThreadsRecycleNodes) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPairs = 100000;
+  constexpr std::size_t kBound = kThreads * kPairs / 10;
+  // Without recycling nearly every enqueue appends a freshly allocated
+  // node, in every round. With it, a round allocates only while more nodes
+  // are unreclaimed at once than ever before in this queue. How many that
+  // is depends on the host: a thread descheduled inside an operation pins
+  // every node appended meanwhile (Algorithm 7 reclaims nothing past its
+  // protector). So the bound must hold once the pools have absorbed the
+  // worst such stall, in one of a few rounds; conservation holds in all.
+  auto q = make_queue<TypeParam>(kThreads, kThreads);
+  std::size_t total = 0;
+  std::size_t fewest = kThreads * kPairs;
+  for (int round = 0; round < 8 && fewest >= kBound; ++round) {
+    pairwise_round(*q, kThreads, kPairs);
+    if (::testing::Test::HasFailure()) return;
+    fewest = std::min(fewest, q->nodes_allocated() - total);
+    total = q->nodes_allocated();
+  }
+  EXPECT_LT(fewest, kBound);
 }
 
 // SBQ-specific structural tests (not typed: they peek at indices).

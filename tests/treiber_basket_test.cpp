@@ -48,12 +48,22 @@ TEST(TreiberBasket, EmptinessIndicationStable) {
   EXPECT_EQ(b.extract(0), nullptr);
 }
 
+// empty() is an emptiness indication like an empty extract: it must close
+// the basket, or the queue's dequeue could skip a basket that a late
+// inserter then fills behind head.
 TEST(TreiberBasket, EmptyPredicate) {
   TreiberBasket<int> b(2);
-  EXPECT_TRUE(b.empty());
-  int x = 1;
+  int x = 1, y = 2;
   EXPECT_TRUE(b.insert(&x, 0));
   EXPECT_FALSE(b.empty());
+  EXPECT_FALSE(b.closed());  // a non-empty answer leaves the basket open
+  EXPECT_EQ(b.extract(0), &x);
+  EXPECT_FALSE(b.closed());  // drained by extract, not yet indicated empty
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(b.closed());
+  EXPECT_FALSE(b.insert(&y, 1));
+  EXPECT_EQ(b.extract(0), nullptr);
+  EXPECT_TRUE(b.empty());  // stable
 }
 
 TEST(TreiberBasket, ResetReopens) {
