@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
         const int r = static_cast<int>(i % nrep);
         if (b < t) return;  // infeasible cell: B must cover the enqueuers
         const auto [mcfg, spec] = make(t, b, r);
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec,
-                                        {}, snapshot_cache_policy(opts));
+        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
       [&](std::size_t row) {
         const int b = basket_sizes[row];
@@ -102,10 +101,6 @@ int main(int argc, char** argv) {
                "amortized init; the B=T\n diagonal stays flat.)\n";
   if (!opts.json_path.empty()) {
     report.add_table("enq_latency_ns", table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(
-          cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   if (!opts.trace_path.empty()) {

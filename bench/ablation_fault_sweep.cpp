@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
         auto [mcfg, spec] = make(rates[i / threads.size()]);
         mcfg.cores = t;
         spec.producers = t;
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec,
-                                        {}, snapshot_cache_policy(opts));
+        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
       [&](std::size_t row) {
         const double rate = rates[row];
@@ -134,10 +133,6 @@ int main(int argc, char** argv) {
   table.print(std::cout, opts.csv);
   if (!opts.json_path.empty()) {
     report.add_table("fault_sweep", table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(
-          cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   if (!opts.trace_path.empty()) {

@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
         const int r = static_cast<int>((i % cells_per_row) / 2);
         const bool fix = (i % 2) != 0;
         const auto [mcfg, spec] = make(total, r, fix);
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec,
-                                        {}, snapshot_cache_policy(opts));
+        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
       [&](std::size_t row) {
         const int total = rows[row];
@@ -100,10 +99,6 @@ int main(int argc, char** argv) {
   table.print(std::cout, opts.csv);
   if (!opts.json_path.empty()) {
     report.add_table("uarch_fix_ablation", table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(
-          cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   if (!opts.trace_path.empty() && !rows.empty()) {

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
         lat_table.add_row(lat_row);
         thr_table.add_row(thr_row);
       },
-      effective_cold_start(opts), snapshot_cache_policy(opts));
+      effective_cold_start(opts));
   if (opts.csv) {
     std::cout << "\n## Enqueue latency [ns/op] (lower is better)\n";
     lat_table.print(std::cout, opts.csv);
@@ -83,9 +83,6 @@ int main(int argc, char** argv) {
   if (!opts.json_path.empty()) {
     report.add_table("enq_latency_ns", lat_table);
     report.add_table("throughput_mops", thr_table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   if (!opts.trace_path.empty()) {

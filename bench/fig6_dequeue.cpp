@@ -69,16 +69,13 @@ int main(int argc, char** argv) {
         }
         table.add_row(out);
       },
-      effective_cold_start(opts), snapshot_cache_policy(opts));
+      effective_cold_start(opts));
   if (opts.csv) {
     std::cout << "\n## Dequeue latency [ns/op] (lower is better)\n";
     table.print(std::cout, opts.csv);
   }
   if (!opts.json_path.empty()) {
     report.add_table("deq_latency_ns", table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   if (!opts.trace_path.empty()) {

@@ -155,21 +155,23 @@ class WarmedService {
  public:
   WarmedService() = default;
 
-  // Same load-or-build-and-store contract as WarmedWorkload, under the
-  // "service-quiesce" key flavor (the queue is snapshotted at quiescence,
-  // without a prefill phase).
   WarmedService(QueueKind kind, const sim::MachineConfig& mcfg,
-                const WorkloadSpec& qspec,
-                const SnapshotCachePolicy& policy = {CacheMode::kOff}) {
-    if (policy.mode != CacheMode::kOff && sim::snapshot_cacheable(mcfg)) {
-      const SnapshotCache cache(policy.mode, sim::kSnapshotSchemaVersion);
-      const std::uint64_t key =
-          snapshot_cache_key(kind, mcfg, qspec, "service-quiesce");
-      if (from_cache(kind, mcfg, qspec, cache, key)) return;
-      warm_cold(kind, mcfg, qspec, &cache, key);
-      return;
-    }
-    warm_cold(kind, mcfg, qspec, nullptr, 0);
+                const WorkloadSpec& qspec) {
+    auto warm = std::make_shared<sim::Machine>(mcfg);
+    with_queue(kind, *warm, qspec, [&](auto& q, int offset) {
+      using QueueT = std::remove_reference_t<decltype(q)>;
+      auto proto = std::make_shared<QueueT>(std::move(q));
+      auto snap =
+          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
+      run_ = [snap = std::move(snap), warm = std::move(warm),
+              proto = std::move(proto),
+              offset](const service::ServiceSpec& spec) {
+        auto m = sim::Machine::fork(*snap);
+        QueueT fq(*proto);
+        fq.rebind(*m);
+        return service::run_service(*m, fq, spec, offset);
+      };
+    });
   }
 
   service::ServiceResult run_repeat(const service::ServiceSpec& spec) const {
@@ -177,59 +179,6 @@ class WarmedService {
   }
 
  private:
-  template <typename QueueT>
-  void capture(std::shared_ptr<const sim::MachineSnapshot> snap,
-               std::shared_ptr<sim::Machine> warm,
-               std::shared_ptr<QueueT> proto, int offset) {
-    run_ = [snap = std::move(snap), warm = std::move(warm),
-            proto = std::move(proto),
-            offset](const service::ServiceSpec& spec) {
-      auto m = sim::Machine::fork(*snap);
-      QueueT fq(*proto);
-      fq.rebind(*m);
-      return service::run_service(*m, fq, spec, offset);
-    };
-  }
-
-  bool from_cache(QueueKind kind, const sim::MachineConfig& mcfg,
-                  const WorkloadSpec& qspec, const SnapshotCache& cache,
-                  std::uint64_t key) {
-    auto snap = std::make_shared<sim::MachineSnapshot>();
-    auto words = std::make_shared<std::vector<std::uint64_t>>();
-    if (!load_warm_snapshot(cache, key, mcfg, *snap, *words)) return false;
-    std::shared_ptr<sim::Machine> warm = sim::Machine::fork(*snap);
-    const simq::HostWords hw{words->data(), words->size()};
-    try {
-      with_queue(
-          kind, *warm, qspec,
-          [&](auto& q, int offset) {
-            using QueueT = std::remove_reference_t<decltype(q)>;
-            capture<QueueT>(std::shared_ptr<const sim::MachineSnapshot>(snap),
-                            std::move(warm),
-                            std::make_shared<QueueT>(std::move(q)), offset);
-          },
-          &hw);
-    } catch (const std::out_of_range&) {
-      return false;  // host words from a stale queue layout: warm up cold
-    }
-    return true;
-  }
-
-  void warm_cold(QueueKind kind, const sim::MachineConfig& mcfg,
-                 const WorkloadSpec& qspec, const SnapshotCache* cache,
-                 std::uint64_t key) {
-    auto warm = std::make_shared<sim::Machine>(mcfg);
-    with_queue(kind, *warm, qspec, [&](auto& q, int offset) {
-      using QueueT = std::remove_reference_t<decltype(q)>;
-      auto proto = std::make_shared<QueueT>(std::move(q));
-      auto snap =
-          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
-      if (cache != nullptr) store_warm_snapshot(*cache, key, *snap, *proto);
-      capture<QueueT>(std::move(snap), std::move(warm), std::move(proto),
-                      offset);
-    });
-  }
-
   std::function<service::ServiceResult(const service::ServiceSpec&)> run_;
 };
 
@@ -425,8 +374,7 @@ int main(int argc, char** argv) try {
           qspec.kind = Workload::kMixed;
           qspec.producers = sopts.producers;
           qspec.consumers = sopts.consumers;
-          warmed[g] = WarmedService(queues[g % n_queues], mcfg, qspec,
-                                    snapshot_cache_policy(opts));
+          warmed[g] = WarmedService(queues[g % n_queues], mcfg, qspec);
         },
         [&](std::size_t g, std::size_t c) {
           const std::size_t row = g / n_queues;
@@ -454,10 +402,6 @@ int main(int argc, char** argv) try {
     report.add_table("sojourn_p99_ns", p99_table);
     report.add_table("sojourn_p999_ns", p999_table);
     report.add_table("reject_fraction", reject_table);
-    if (!opts.snapshot_cache.empty()) {
-      report.set_snapshot_cache(
-          cache_mode_name(snapshot_cache_policy(opts).mode));
-    }
     if (!report.write(opts.json_path)) return 1;
   }
   return 0;

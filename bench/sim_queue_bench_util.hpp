@@ -25,11 +25,9 @@
 #include "benchsupport/metrics_json.hpp"
 #include "benchsupport/parallel_sweep.hpp"
 #include "benchsupport/sim_workload.hpp"
-#include "benchsupport/snapshot_cache.hpp"
 #include "benchsupport/table.hpp"
 #include "replay/op_trace.hpp"
 #include "replay/sim_replay.hpp"
-#include "sim/serialize.hpp"
 #include "simqueue/sim_baskets_queue.hpp"
 #include "simqueue/sim_cc_queue.hpp"
 #include "simqueue/sim_faa_queue.hpp"
@@ -189,52 +187,6 @@ inline std::uint64_t effective_prefill_seed(const WorkloadSpec& spec) {
   return spec.prefill_seed == 0 ? spec.seed : spec.prefill_seed;
 }
 
-// How a sweep talks to the persistent warm-start cache (docs/performance.md
-// "Warm-start cache"). The default is read-write: cached and cold warm-ups
-// are byte-identical by construction (checked by snapshot_serde_test and
-// rebaseline_golden.sh --check-cached), so the cache is always safe to use.
-struct SnapshotCachePolicy {
-  CacheMode mode = CacheMode::kReadWrite;
-};
-
-// Resolve --snapshot-cache=off|ro|rw (empty = the rw default).
-inline SnapshotCachePolicy snapshot_cache_policy(const BenchOptions& opts) {
-  SnapshotCachePolicy policy;
-  if (!opts.snapshot_cache.empty() &&
-      !parse_cache_mode(opts.snapshot_cache, policy.mode)) {
-    throw std::invalid_argument("--snapshot-cache needs off, ro or rw");
-  }
-  return policy;
-}
-
-// The one canonical cache-key derivation: schema version, the config's
-// encoded-bytes digest, the queue kind, and every WorkloadSpec field the
-// prefill schedule can observe. spec.seed is deliberately absent — it only
-// drives the measured phase, which is never part of the snapshot
-// (spec.ops_per_thread IS hashed: consumer-only prefill depth derives from
-// it). `flavor` namespaces warm-up recipes that share a spec but bake
-// different state — "prefill" (the figure sweeps: queue built AND prefill
-// phase run) vs service_latency's "service-quiesce" (queue built, no
-// prefill).
-inline std::uint64_t snapshot_cache_key(QueueKind kind,
-                                        const sim::MachineConfig& mcfg,
-                                        const WorkloadSpec& spec,
-                                        const char* flavor = "prefill") {
-  CacheKey k;
-  k.add_u64(sim::kSnapshotSchemaVersion);
-  k.add_str(flavor);
-  k.add_u64(sim::machine_config_digest(mcfg));
-  k.add_str(queue_kind_name(kind));
-  k.add_u64(static_cast<std::uint64_t>(spec.kind));
-  k.add_u64(static_cast<std::uint64_t>(spec.producers));
-  k.add_u64(static_cast<std::uint64_t>(spec.consumers));
-  k.add_u64(spec.ops_per_thread);
-  k.add_u64(spec.prefill);
-  k.add_u64(static_cast<std::uint64_t>(spec.basket_capacity));
-  k.add_u64(effective_prefill_seed(spec));
-  return k.value();
-}
-
 // Run `spec`'s un-measured prefill phase (no-op for producer-only) on
 // machine `m`, leaving it quiescent.
 template <typename QueueT>
@@ -356,90 +308,12 @@ decltype(auto) with_queue(QueueKind kind, sim::Machine& m,
   throw std::logic_error("bad QueueKind");
 }
 
-// Try to satisfy one warm-up from the cache: load, decode, and — pure
-// paranoia, the key already hashes the digest — check that the decoded
-// snapshot's config matches the requested one. Counts one hit or one miss.
-inline bool load_warm_snapshot(const SnapshotCache& cache, std::uint64_t key,
-                               const sim::MachineConfig& mcfg,
-                               sim::MachineSnapshot& snap,
-                               std::vector<std::uint64_t>& words) {
-  auto& stats = snapshot_cache_stats();
-  const auto blob = cache.load(key);
-  if (blob && sim::decode_snapshot_blob(*blob, key, snap, words) &&
-      sim::machine_config_digest(snap.cfg) ==
-          sim::machine_config_digest(mcfg)) {
-    stats.hits.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  stats.misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-// Encode the freshly warmed (machine, queue) pair and publish it under
-// `key` (read-write mode only; best-effort).
-template <typename QueueT>
-void store_warm_snapshot(const SnapshotCache& cache, std::uint64_t key,
-                         const sim::MachineSnapshot& snap, const QueueT& q) {
-  if (cache.mode() != CacheMode::kReadWrite) return;
-  std::vector<std::uint64_t> words;
-  q.save_host_state(words);
-  const std::vector<std::uint8_t> blob =
-      sim::encode_snapshot_blob(snap, words, key);
-  if (!blob.empty() && cache.store(key, blob)) {
-    snapshot_cache_stats().stores.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-// Cached analogue of the cold single cell: a hit replaces the prefill phase
-// with fork(decoded snapshot) + host-word restore — byte-identical to the
-// cold run by the same invariant the --cold-start golden checks pin down; a
-// miss warms cold and (rw) publishes the warmed state for the next run.
-inline SimRunResult run_queue_workload_cached(
-    QueueKind kind, const sim::MachineConfig& mcfg, const WorkloadSpec& spec,
-    const std::function<void(sim::Machine&)>& post_run,
-    const SnapshotCachePolicy& policy) {
-  const SnapshotCache cache(policy.mode, sim::kSnapshotSchemaVersion);
-  const std::uint64_t key = snapshot_cache_key(kind, mcfg, spec);
-  sim::MachineSnapshot snap;
-  std::vector<std::uint64_t> words;
-  if (load_warm_snapshot(cache, key, mcfg, snap, words)) {
-    try {
-      auto m = sim::Machine::fork(snap);
-      const simq::HostWords hw{words.data(), words.size()};
-      SimRunResult result = with_queue(
-          kind, *m, spec,
-          [&](auto& q, int offset) { return measure_spec(*m, q, spec, offset); },
-          &hw);
-      if (post_run) post_run(*m);
-      return result;
-    } catch (const std::out_of_range&) {
-      // Host words from a stale queue layout that still decoded: cold path.
-    }
-  }
-  sim::Machine m(mcfg);
-  SimRunResult result = with_queue(kind, m, spec, [&](auto& q, int offset) {
-    prefill_spec(m, q, spec);
-    store_warm_snapshot(cache, key, m.snapshot(), q);
-    return measure_spec(m, q, spec, offset);
-  });
-  if (post_run) post_run(m);
-  return result;
-}
-
 // `post_run`, when set, is called with the machine after the workload
 // completes (and before it is torn down) — used by --trace to export the
-// event ring of a representative cell. `cache_policy` (off at this API
-// level; drivers pass snapshot_cache_policy(opts), whose default is rw)
-// routes cells with a real prefill phase through the warm-start cache —
-// producer-only cells start empty, so there is nothing to skip.
+// event ring of a representative cell.
 inline SimRunResult run_queue_workload(
     QueueKind kind, const sim::MachineConfig& mcfg, const WorkloadSpec& spec,
-    const std::function<void(sim::Machine&)>& post_run = {},
-    const SnapshotCachePolicy& cache_policy = {CacheMode::kOff}) {
-  if (cache_policy.mode != CacheMode::kOff && sim::snapshot_cacheable(mcfg) &&
-      spec.kind != Workload::kProducerOnly) {
-    return run_queue_workload_cached(kind, mcfg, spec, post_run, cache_policy);
-  }
+    const std::function<void(sim::Machine&)>& post_run = {}) {
   sim::Machine m(mcfg);
   SimRunResult result = with_queue(kind, m, spec, [&](auto& q, int offset) {
     return run_spec(m, q, spec, offset);
@@ -460,21 +334,30 @@ class WarmedWorkload {
  public:
   WarmedWorkload() = default;
 
-  // With a cache policy (drivers pass snapshot_cache_policy(opts); the off
-  // default keeps library-level callers from writing .sbq-cache/ into their
-  // cwd unasked) the group's warm state is loaded from the persistent cache
-  // when present, and published to it after a cold warm-up otherwise.
   WarmedWorkload(QueueKind kind, const sim::MachineConfig& mcfg,
-                 const WorkloadSpec& warm_spec,
-                 const SnapshotCachePolicy& policy = {CacheMode::kOff}) {
-    if (policy.mode != CacheMode::kOff && sim::snapshot_cacheable(mcfg)) {
-      const SnapshotCache cache(policy.mode, sim::kSnapshotSchemaVersion);
-      const std::uint64_t key = snapshot_cache_key(kind, mcfg, warm_spec);
-      if (from_cache(kind, mcfg, warm_spec, cache, key)) return;
-      warm_cold(kind, mcfg, warm_spec, &cache, key);
-      return;
-    }
-    warm_cold(kind, mcfg, warm_spec, nullptr, 0);
+                 const WorkloadSpec& warm_spec) {
+    auto warm = std::make_shared<sim::Machine>(mcfg);
+    with_queue(kind, *warm, warm_spec, [&](auto& q, int offset) {
+      using QueueT = std::remove_reference_t<decltype(q)>;
+      auto proto = std::make_shared<QueueT>(std::move(q));
+      prefill_spec(*warm, *proto, warm_spec);
+      auto snap =
+          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
+      // `warm` stays captured: the prototype holds a Machine* into it (never
+      // dereferenced after capture — every fork rebinds its copy — but
+      // keeping it alive keeps the pointer valid by construction).
+      run_ = [snap = std::move(snap), warm = std::move(warm),
+              proto = std::move(proto),
+              offset](const WorkloadSpec& spec,
+                      const std::function<void(sim::Machine&)>& post_run) {
+        auto m = sim::Machine::fork(*snap);
+        QueueT fq(*proto);
+        fq.rebind(*m);
+        SimRunResult result = measure_spec(*m, fq, spec, offset);
+        if (post_run) post_run(*m);
+        return result;
+      };
+    });
   }
 
   // `spec` must match warm_spec in everything but `seed` (the prefill is
@@ -488,69 +371,6 @@ class WarmedWorkload {
   explicit operator bool() const noexcept { return static_cast<bool>(run_); }
 
  private:
-  template <typename QueueT>
-  void capture(std::shared_ptr<const sim::MachineSnapshot> snap,
-               std::shared_ptr<sim::Machine> warm,
-               std::shared_ptr<QueueT> proto, int offset) {
-    // `warm` stays captured: the prototype holds a Machine* into it (never
-    // dereferenced after capture — every fork rebinds its copy — but
-    // keeping it alive keeps the pointer valid by construction).
-    run_ = [snap = std::move(snap), warm = std::move(warm),
-            proto = std::move(proto),
-            offset](const WorkloadSpec& spec,
-                    const std::function<void(sim::Machine&)>& post_run) {
-      auto m = sim::Machine::fork(*snap);
-      QueueT q(*proto);
-      q.rebind(*m);
-      SimRunResult result = measure_spec(*m, q, spec, offset);
-      if (post_run) post_run(*m);
-      return result;
-    };
-  }
-
-  bool from_cache(QueueKind kind, const sim::MachineConfig& mcfg,
-                  const WorkloadSpec& spec, const SnapshotCache& cache,
-                  std::uint64_t key) {
-    auto snap = std::make_shared<sim::MachineSnapshot>();
-    auto words = std::make_shared<std::vector<std::uint64_t>>();
-    if (!load_warm_snapshot(cache, key, mcfg, *snap, *words)) return false;
-    // The prototype queue needs a live machine to point at; fork one from
-    // the decoded snapshot and keep it captured, exactly as the cold path
-    // keeps its warm machine.
-    std::shared_ptr<sim::Machine> warm = sim::Machine::fork(*snap);
-    const simq::HostWords hw{words->data(), words->size()};
-    try {
-      with_queue(
-          kind, *warm, spec,
-          [&](auto& q, int offset) {
-            using QueueT = std::remove_reference_t<decltype(q)>;
-            capture<QueueT>(std::shared_ptr<const sim::MachineSnapshot>(snap),
-                            std::move(warm),
-                            std::make_shared<QueueT>(std::move(q)), offset);
-          },
-          &hw);
-    } catch (const std::out_of_range&) {
-      return false;  // host words from a stale queue layout: warm up cold
-    }
-    return true;
-  }
-
-  void warm_cold(QueueKind kind, const sim::MachineConfig& mcfg,
-                 const WorkloadSpec& spec, const SnapshotCache* cache,
-                 std::uint64_t key) {
-    auto warm = std::make_shared<sim::Machine>(mcfg);
-    with_queue(kind, *warm, spec, [&](auto& q, int offset) {
-      using QueueT = std::remove_reference_t<decltype(q)>;
-      auto proto = std::make_shared<QueueT>(std::move(q));
-      prefill_spec(*warm, *proto, spec);
-      auto snap =
-          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
-      if (cache != nullptr) store_warm_snapshot(*cache, key, *snap, *proto);
-      capture<QueueT>(std::move(snap), std::move(warm), std::move(proto),
-                      offset);
-    });
-  }
-
   std::function<SimRunResult(const WorkloadSpec&,
                              const std::function<void(sim::Machine&)>&)>
       run_;
@@ -591,18 +411,12 @@ struct QueueSweepResults {
 // schedule depends only on spec.prefill_seed, which `make` must keep
 // constant across repeats. `cold_start` forces the old path (every cell
 // warms its own machine); drivers expose it as --cold-start so the
-// equivalence stays checkable from the command line. `cache_policy` routes
-// the groups' warm-ups through the persistent snapshot cache (off by
-// default at this API level; drivers pass snapshot_cache_policy(opts));
-// cold-start sweeps stay genuinely cold — they exist to check identity
-// against the fork paths, cached one included.
+// equivalence stays checkable from the command line.
 template <typename MakeSpec, typename RowDone>
 void run_queue_sweep(const std::vector<int>& rows,
                      const std::vector<QueueKind>& queues, int repeats,
                      int jobs, MakeSpec make, RowDone row_done,
-                     bool cold_start = false,
-                     const SnapshotCachePolicy& cache_policy = {
-                         CacheMode::kOff}) {
+                     bool cold_start = false) {
   QueueSweepResults res;
   res.queues = queues.size();
   res.repeats = static_cast<std::size_t>(repeats);
@@ -631,8 +445,7 @@ void run_queue_sweep(const std::vector<int>& rows,
       [&](std::size_t g) {
         const std::size_t row = g / res.queues;
         const auto [mcfg, spec] = make(rows[row], /*repeat=*/0);
-        warmed[g] =
-            WarmedWorkload(queues[g % res.queues], mcfg, spec, cache_policy);
+        warmed[g] = WarmedWorkload(queues[g % res.queues], mcfg, spec);
       },
       [&](std::size_t g, std::size_t c) {
         const std::size_t row = g / res.queues;

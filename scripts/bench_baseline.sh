@@ -53,15 +53,8 @@ def sim_config():
                        src).group(1) == "true"
     machine_threads = int(re.search(r"machine_threads\s*=\s*(\d+)",
                                     src).group(1))
-    # Warm-start cache defaults (docs/performance.md "Warm-start cache"):
-    # the drivers' default cache mode and the blob schema version, read
-    # from their sources of truth. The timed legs below pass
-    # --snapshot-cache=off regardless, so the figure timings stay
-    # comparable across builds and cache states.
-    cache_default = re.search(
-        r"mode = CacheMode::k(\w+)",
-        open("bench/sim_queue_bench_util.hpp").read()).group(1)
-    cache_schema = int(re.search(
+    # Snapshot blob schema version, read from its source of truth.
+    snapshot_schema = int(re.search(
         r"kSnapshotSchemaVersion = (\d+)",
         open("src/sim/serialize.hpp").read()).group(1))
     # Contention-policy default (docs/architecture.md "Contention policy
@@ -79,30 +72,23 @@ def sim_config():
             "check_invariants": invariants,
             "fault_injection_default": faults,
             "machine_threads": machine_threads,
-            "snapshot_cache_default":
-                {"ReadWrite": "rw", "ReadOnly": "ro", "Off": "off"}
-                [cache_default],
-            "snapshot_schema_version": cache_schema,
+            "snapshot_schema_version": snapshot_schema,
             # Load model of the timed service leg (docs/service.md), so the
             # baseline records what traffic its service numbers were taken
             # under.
             "service_arrival": SERVICE_ARRIVAL,
             "service_rates_per_kcycle": SERVICE_RATES}
 
-def run_checked(cmd, env=None):
+def run_checked(cmd):
     # A driver that dies mid-baseline must fail the whole capture loudly,
     # naming the culprit — a partial BENCH_sim.json is worse than none.
-    r = subprocess.run(cmd, stdout=subprocess.DEVNULL, env=env)
+    r = subprocess.run(cmd, stdout=subprocess.DEVNULL)
     if r.returncode != 0:
         sys.exit("bench_baseline: driver %s exited with status %d (args: %s)"
                  % (os.path.basename(cmd[0]), r.returncode,
                     " ".join(cmd[1:])))
-# --snapshot-cache=off on every timed leg: the drivers default to rw, and a
-# best-of-N timing that silently warmed from (or filled) a cache on disk
-# would not be comparable across builds. The cached-vs-cold pair below
-# measures the cache deliberately, against its own throwaway directory.
 FIG_ARGS = ["--threads", "2,4,8,16,32", "--ops", "100", "--repeats", "2",
-            "--jobs", "1", "--snapshot-cache=off"]
+            "--jobs", "1"]
 # ablation_fault_sweep rides along: its fault-injected cells stress the
 # TxCAS abort/retry machinery far harder than the clean figures, so its
 # wall-clock is the early-warning row for injection-path regressions.
@@ -125,7 +111,7 @@ SERVICE_ARRIVAL = "poisson"
 SERVICE_RATES = [2, 8, 32]
 SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
                 "--arrival", SERVICE_ARRIVAL, "--ops", "200",
-                "--repeats", "2", "--jobs", "1", "--snapshot-cache=off"]
+                "--repeats", "2", "--jobs", "1"]
 
 def run_service_leg():
     exe = os.path.join(build, "bench", "service_latency")
@@ -142,8 +128,7 @@ def run_service_leg():
 # the same --dir-slices/--sockets flags so both legs simulate the *same*
 # machine — the wall-clock ratio isolates the parallel engine.
 SHARD_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
-              "--dir-slices", "4", "--repeats", "1", "--jobs", "1",
-              "--snapshot-cache=off"]
+              "--dir-slices", "4", "--repeats", "1", "--jobs", "1"]
 
 def run_shard_sweep():
     exe = os.path.join(build, "bench", "fig5_enqueue")
@@ -167,7 +152,7 @@ def run_shard_sweep():
 # highest-contention cell — the adaptive policy earning its keep (or not)
 # is part of the baseline record.
 POLICY_ARGS = ["--threads", "2,8,16,32", "--ops", "100", "--jobs", "1",
-               "--policies", "fixed,adaptive-backoff", "--snapshot-cache=off"]
+               "--policies", "fixed,adaptive-backoff"]
 
 def run_policy_sweep():
     exe = os.path.join(build, "bench", "ablation_delay_sweep")
@@ -192,46 +177,6 @@ def run_policy_sweep():
             tput.get("adaptive-backoff", 0.0) / tput["fixed"], 2)
     return leg
 
-def run_cached_pair():
-    # Warm-start-cache payoff (docs/performance.md "Warm-start cache"):
-    # fig5 and fig6 timed cold (cache off), then twice against one fresh
-    # cache directory — the fill pass writes every warm group's snapshot,
-    # the warm pass loads them all back instead of replaying prefill. The
-    # warm pass's --json artifact supplies the hit/miss/store counters, so
-    # the speedup row is self-certifying: zero hits would mean the warm
-    # pass never actually used the cache.
-    legs = {}
-    with tempfile.TemporaryDirectory() as cache_dir:
-        env = dict(os.environ, SBQ_SNAPSHOT_CACHE=cache_dir)
-        base = [a for a in FIG_ARGS if a != "--snapshot-cache=off"]
-        for drv in ("fig5_enqueue", "fig6_dequeue"):
-            exe = os.path.join(build, "bench", drv)
-            cold = []
-            for _ in range(runs):
-                t0 = time.monotonic()
-                run_checked([exe, *base, "--snapshot-cache=off"])
-                cold.append(round(time.monotonic() - t0, 3))
-            # Fill pass (untimed): populate the cache for this driver.
-            run_checked([exe, *base, "--snapshot-cache=rw"], env)
-            warm = []
-            counters = {}
-            for _ in range(runs):
-                with tempfile.NamedTemporaryFile(suffix=".json") as f:
-                    t0 = time.monotonic()
-                    run_checked([exe, *base, "--snapshot-cache=rw",
-                                 "--json", f.name], env)
-                    warm.append(round(time.monotonic() - t0, 3))
-                    counters = json.load(open(f.name)).get(
-                        "snapshot_cache", {})
-            leg = {"args": " ".join(base),
-                   "cold_runs_s": cold, "cold_best_s": min(cold),
-                   "warm_runs_s": warm, "warm_best_s": min(warm),
-                   "counters": counters}
-            if min(warm) > 0:
-                leg["speedup_warm_vs_cold"] = round(min(cold) / min(warm), 2)
-            legs[drv] = leg
-    return legs
-
 def run_micro(drv, args):
     exe = os.path.join(build, "bench", drv)
     with tempfile.NamedTemporaryFile(suffix=".json") as f:
@@ -253,7 +198,6 @@ report = {
                 "cpus": os.cpu_count()},
     "sim_config": sim_config(),
     "figures": {d: run_timed(d) for d in FIGS},
-    "snapshot_cache": run_cached_pair(),
     "policy_sweep": run_policy_sweep(),
     "service_latency": run_service_leg(),
     "sharded_fig5_512c": run_shard_sweep(),

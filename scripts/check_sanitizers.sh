@@ -8,8 +8,8 @@
 #     sanitizer instrumentation — this run exists to catch memory errors and
 #     UB in the simulator and queue implementations.
 #   SANITIZE=thread: the native concurrent tests (queues, baskets,
-#     reclamation, value queue) under ThreadSanitizer, default tree
-#     build-tsan. Any data-race report fails the run.
+#     reclamation, value queue, native op recording) under ThreadSanitizer,
+#     default tree build-tsan. Any data-race report fails the run.
 #
 # Usage: scripts/check_sanitizers.sh [build-dir]
 #        SANITIZE=thread scripts/check_sanitizers.sh [build-dir]
@@ -26,7 +26,10 @@ if [ "$MODE" = thread ]; then
          retired_list_test hazard_pointers_test
          ms_queue_test baskets_queue_test faa_queue_test cc_queue_test
          sbq_queue_test queue_concurrent_test queue_param_test
-         queue_extra_test value_queue_test)
+         queue_extra_test value_queue_test replay_test)
+  # replay_test also holds single-threaded simulator and codec cases; only
+  # its native recording/replay cases run real threads.
+  declare -A FILTER=([replay_test]='NativeRecord.*:NativeReplay.*')
   cmake -B "$BUILD_DIR" -S . \
     -DSANITIZE=thread \
     -DSBQ_BUILD_BENCH=OFF \
@@ -35,7 +38,7 @@ if [ "$MODE" = thread ]; then
   export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}
   for t in "${TESTS[@]}"; do
     echo "== $t"
-    "$BUILD_DIR/tests/$t" --gtest_brief=1
+    "$BUILD_DIR/tests/$t" --gtest_brief=1 --gtest_filter="${FILTER[$t]:-*}"
   done
   echo "check_sanitizers: TSan native test run passed ($BUILD_DIR)"
   exit 0

@@ -22,14 +22,6 @@
 #       # re-run with fault injection explicitly disabled (--fault-rate 0
 #       # --fault-jitter 0 --fault-seed 1) and verify against the same
 #       # golden — the golden-safety gate for the fault-injection plumbing
-#   scripts/rebaseline_golden.sh --check-cached [drv...]
-#       # run each driver TWICE against one fresh snapshot-cache directory
-#       # (--snapshot-cache=rw, SBQ_SNAPSHOT_CACHE=<tmp>): the first pass
-#       # fills the cache, the second warms from it. Both passes' stdout
-#       # must match the golden byte-for-byte, the --json artifact must
-#       # match after dropping its snapshot_cache counter block, and the
-#       # second pass must report cache hits — the warm-start-cache
-#       # byte-identity gate (docs/performance.md "Warm-start cache")
 #
 # Env: BUILD_DIR (default: build).
 set -euo pipefail
@@ -69,10 +61,6 @@ case "${1:-}" in
     extra_args=(--fault-rate 0 --fault-jitter 0 --fault-seed 1)
     shift
     ;;
-  --check-cached)
-    mode=check_cached
-    shift
-    ;;
 esac
 
 drivers=("$@")
@@ -91,76 +79,19 @@ require_built() {
 # line says exactly what to look at instead of just "something diverged".
 failed=()
 
-# compare_golden <driver> <label> <stdout-file> <json-file> [strip-cache]
-# Byte-compares a run against tests/golden/<driver>.{stdout,json}; with
-# strip-cache the artifact's snapshot_cache block (counters depend on cache
-# occupancy) is dropped from BOTH sides before structural comparison.
+# compare_golden <driver> <label> <stdout-file> <json-file>
+# Byte-compares a run against tests/golden/<driver>.{stdout,json}.
 compare_golden() {
-  local drv=$1 label=$2 out=$3 json=$4 strip=${5:-}
+  local drv=$1 label=$2 out=$3 json=$4
   if ! diff -u "$GOLDEN_DIR/$drv.stdout" "$out"; then
     echo "rebaseline_golden: $label: stdout drifted from $GOLDEN_DIR/$drv.stdout" >&2
     failed+=("$label:stdout")
   fi
-  if [ -n "$strip" ]; then
-    if ! python3 - "$GOLDEN_DIR/$drv.json" "$json" <<'EOF'
-import json, sys
-golden = json.load(open(sys.argv[1]))
-got = json.load(open(sys.argv[2]))
-golden.pop("snapshot_cache", None)
-got.pop("snapshot_cache", None)
-sys.exit(0 if golden == got else 1)
-EOF
-    then
-      echo "rebaseline_golden: $label: --json drifted from $GOLDEN_DIR/$drv.json (snapshot_cache block ignored)" >&2
-      failed+=("$label:json")
-    fi
-  elif ! diff -u "$GOLDEN_DIR/$drv.json" "$json"; then
+  if ! diff -u "$GOLDEN_DIR/$drv.json" "$json"; then
     echo "rebaseline_golden: $label: --json drifted from $GOLDEN_DIR/$drv.json" >&2
     failed+=("$label:json")
   fi
 }
-
-if [ "$mode" = check_cached ]; then
-  # A caller-provided SBQ_SNAPSHOT_CACHE is used (and kept) as the shared
-  # cache directory — CI persists it across runs via actions/cache, so the
-  # first pass may already hit. Otherwise use a throwaway temp directory.
-  if [ -n "${SBQ_SNAPSHOT_CACHE:-}" ]; then
-    cache_dir=$SBQ_SNAPSHOT_CACHE
-    mkdir -p "$cache_dir"
-  else
-    cache_dir=$(mktemp -d)
-    trap 'rm -rf "$cache_dir"' EXIT
-  fi
-  for drv in "${drivers[@]}"; do
-    exe="$BUILD_DIR/bench/$drv"
-    require_built "$exe"
-    for pass in 1 2; do
-      label="$drv (cached pass $pass)"
-      tmp_out=$(mktemp)
-      tmp_json=$(mktemp)
-      if ! SBQ_SNAPSHOT_CACHE="$cache_dir" "$exe" "${SMOKE_ARGS[@]}" \
-          --snapshot-cache=rw --json "$tmp_json" > "$tmp_out"; then
-        echo "rebaseline_golden: $label: driver exited nonzero" >&2
-        exit 1
-      fi
-      compare_golden "$drv" "$label" "$tmp_out" "$tmp_json" strip-cache
-      if [ "$pass" = 2 ]; then
-        hits=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("snapshot_cache",{}).get("hits",0))' "$tmp_json")
-        if [ "$hits" -le 0 ]; then
-          echo "rebaseline_golden: $label: expected cache hits on the second pass, got $hits" >&2
-          failed+=("$label:hits")
-        fi
-      fi
-      rm -f "$tmp_out" "$tmp_json"
-    done
-  done
-  if [ ${#failed[@]} -ne 0 ]; then
-    echo "rebaseline_golden: FAILED (cached) — ${failed[*]}" >&2
-    exit 1
-  fi
-  echo "rebaseline_golden: ${#drivers[@]} driver(s) byte-identical through the snapshot cache"
-  exit 0
-fi
 
 for drv in "${drivers[@]}"; do
   exe="$BUILD_DIR/bench/$drv"

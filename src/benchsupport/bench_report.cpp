@@ -1,8 +1,5 @@
 #include "benchsupport/bench_report.hpp"
 
-#include "benchsupport/snapshot_cache.hpp"
-
-#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -66,16 +63,6 @@ void BenchReport::add_cell(Json cell) { cells_.push_back(std::move(cell)); }
 
 void BenchReport::set(const std::string& key, Json v) {
   extra_.set(key, std::move(v));
-}
-
-void BenchReport::set_snapshot_cache(const std::string& mode_name) {
-  const bench::SnapshotCacheStats& stats = bench::snapshot_cache_stats();
-  Json sc = Json::object();
-  sc.set("mode", Json(mode_name));
-  sc.set("hits", Json(stats.hits.load(std::memory_order_relaxed)));
-  sc.set("misses", Json(stats.misses.load(std::memory_order_relaxed)));
-  sc.set("stores", Json(stats.stores.load(std::memory_order_relaxed)));
-  extra_.set("snapshot_cache", std::move(sc));
 }
 
 Json BenchReport::root() const {

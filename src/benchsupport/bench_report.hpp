@@ -53,13 +53,6 @@ class BenchReport {
   // Extra top-level fields (e.g. "ns_per_cycle").
   void set(const std::string& key, Json v);
 
-  // Record the warm-start cache outcome: a top-level "snapshot_cache"
-  // object with the mode and the process-wide hit/miss/store counters as
-  // they stand at the call (so call it after the sweep). Drivers only emit
-  // it when --snapshot-cache was passed explicitly — the counters depend on
-  // cache occupancy, which would make default artifacts unstable.
-  void set_snapshot_cache(const std::string& mode_name);
-
   // Assemble the full document.
   Json root() const;
 

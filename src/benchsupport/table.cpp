@@ -119,10 +119,14 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.json_path = next_value();
     } else if (std::strncmp(a, "--json=", 7) == 0) {
       opts.json_path = a + 7;
-    } else if (std::strcmp(a, "--snapshot-cache") == 0) {
-      opts.snapshot_cache = next_value();
-    } else if (std::strncmp(a, "--snapshot-cache=", 17) == 0) {
-      opts.snapshot_cache = a + 17;
+    } else if (std::strcmp(a, "--snapshot-cache") == 0 ||
+               std::strncmp(a, "--snapshot-cache=", 17) == 0) {
+      const char* mode = a[16] == '=' ? a + 17 : next_value();
+      if (std::strcmp(mode, "off") != 0) {
+        throw std::invalid_argument(
+            std::string("--snapshot-cache=") + mode +
+            ": the on-disk snapshot cache was removed; only off is accepted");
+      }
     } else if (std::strcmp(a, "--from-snapshot") == 0) {
       opts.from_snapshot = true;
     } else if (std::strcmp(a, "--trace") == 0) {

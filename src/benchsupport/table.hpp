@@ -83,17 +83,13 @@ struct BenchOptions {
   int machine_threads = 1;
   int dir_slices = 0;
   int sockets = 0;
-  // Persistent warm-start cache (docs/performance.md "Warm-start cache"):
-  //   --snapshot-cache=off|ro|rw  cache mode; empty (flag absent) means the
-  //                               rw default AND suppresses the
-  //                               snapshot_cache block in --json artifacts,
-  //                               so default artifacts stay byte-stable.
-  //   --from-snapshot             sim_microbench only: run the measured
-  //                               phases on a machine forked from a
-  //                               serialize/deserialize round-trip of the
-  //                               warmed snapshot (the perf gate's third
-  //                               identity path).
-  std::string snapshot_cache;
+  //   --from-snapshot  sim_microbench only: run the measured phases on a
+  //                    machine forked from a serialize/deserialize
+  //                    round-trip of the warmed snapshot (the perf gate's
+  //                    third identity path).
+  //   --snapshot-cache=off  accepted and ignored, so scripts written for
+  //                    the removed on-disk snapshot cache keep working
+  //                    (docs/performance.md); any other value throws.
   bool from_snapshot = false;
   // TxCAS contention policy (sim drivers; see common/contention.hpp and
   // docs/architecture.md "Contention policy layer"):

@@ -87,8 +87,8 @@ inline constexpr std::uint32_t kDefaultNonconflictAbortBudget = 8;
 inline constexpr std::uint32_t kNativeNonconflictAbortOverride = 0;
 
 // Tuning parameters selecting and configuring a policy. Plumbed through
-// sim::MachineConfig (and thus into machine_config_digest / the snapshot
-// cache key) and native htm::TxCasConfig.
+// sim::MachineConfig (and thus into machine_config_digest) and native
+// htm::TxCasConfig.
 struct ContentionPolicyParams {
   ContentionPolicyKind kind = ContentionPolicyKind::kFixed;
 

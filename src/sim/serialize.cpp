@@ -329,8 +329,7 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   w.u64(cfg.prewarm_frames);
   w.u64(cfg.prewarm_event_nodes);
   // Contention policy: part of the canonical config bytes, so the policy
-  // kind and every tuning knob key machine_config_digest (and thus the
-  // snapshot cache) automatically.
+  // kind and every tuning knob key machine_config_digest automatically.
   w.u8(static_cast<std::uint8_t>(cfg.cas_policy.kind));
   w.u64(cfg.cas_policy.seed);
   w.u64(cfg.cas_policy.backoff_floor_shift);
@@ -538,10 +537,6 @@ bool decode_net(Reader& r, Interconnect::State& s) {
 }
 
 }  // namespace
-
-bool snapshot_cacheable(const MachineConfig& cfg) noexcept {
-  return !cfg.record_trace && cfg.machine_threads <= 1;
-}
 
 std::uint64_t machine_config_digest(const MachineConfig& cfg) {
   Writer w;

@@ -1,20 +1,21 @@
-// Stable binary serialization of MachineSnapshot — the durable half of the
-// warm-start story (docs/performance.md "Warm-start cache").
+// Stable binary serialization of MachineSnapshot.
 //
 // A snapshot captured by Machine::snapshot() is a plain value; this module
-// turns it into a versioned little-endian blob and back, so a warmed prefill
-// can be paid once per (config, workload) *ever* instead of once per
-// process. A forked machine built from a decoded snapshot replays
-// byte-identically to one forked from the in-memory snapshot (gated by
-// tests/snapshot_serde_test.cpp and the cached golden checks).
+// turns it into a versioned little-endian blob and back. A forked machine
+// built from a decoded snapshot replays byte-identically to one forked from
+// the in-memory snapshot (gated by tests/snapshot_serde_test.cpp and the
+// perf_sim_alloc_gate_snapshot leg of sim_microbench). Nothing persists the
+// blobs: sweeps fork repeats from the in-memory snapshot, and the codec's
+// cost is timed by the benchmark harness (docs/performance.md "Why there is
+// no on-disk snapshot cache").
 //
-// Format: magic + schema version + cache key, then u8-tagged sections
+// Format: magic + schema version + caller key, then u8-tagged sections
 // (config, engine checkpoint, interconnect, directories, cores, stats,
 // allocator cursors, queue host words), then an FNV-1a checksum over every
 // preceding byte. Explicit section tags plus the version stamp mean a
 // schema bump *rejects* old blobs instead of misreading them; decode never
 // throws — any structural problem (truncation, corruption, stale version,
-// foreign key) returns false and the caller warms up cold.
+// foreign key) returns false.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +27,13 @@ namespace sbq::sim {
 
 // Bump on ANY change to the encoding or to the schedule-visible state it
 // captures (new MachineConfig fields, State-struct layout changes, …).
-// Stale-version blobs are rejected at decode and garbage-collected by
-// scripts/snapshot_cache.sh --prune.
+// Stale-version blobs are rejected at decode.
 inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
 
-// True when a machine built from `cfg` produces snapshots this module can
-// round-trip: serial (sharded machines refuse to snapshot anyway) and no
-// trace ring (debug state, deliberately not captured).
-bool snapshot_cacheable(const MachineConfig& cfg) noexcept;
-
-// FNV-1a64 digest of `cfg`'s canonical encoding — the MachineConfig
-// component of snapshot-cache keys. Because it hashes the exact bytes the
-// blob's config section carries, any config field that affects the encoding
-// automatically affects the key; there is no second field list to drift.
+// FNV-1a64 digest of `cfg`'s canonical encoding: a config identity for
+// artifacts and blob keys. Because it hashes the exact bytes the blob's
+// config section carries, any config field that affects the encoding
+// automatically affects the digest; there is no second field list to drift.
 std::uint64_t machine_config_digest(const MachineConfig& cfg);
 
 // Encode `snap` (plus the owning queue's host-side words — see
@@ -51,8 +46,7 @@ std::vector<std::uint8_t> encode_snapshot_blob(
 // Decode a blob produced by encode_snapshot_blob under the same schema
 // version and `key`. On success fills `snap` + `host_words` and returns
 // true; on any mismatch (magic, version, key, checksum, truncation, section
-// shape) returns false without touching partial state into the outputs'
-// final values being trusted — callers treat false as a cache miss.
+// shape) returns false, and the outputs' contents must not be trusted.
 bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
                           std::uint64_t key, MachineSnapshot& snap,
                           std::vector<std::uint64_t>& host_words);

@@ -154,17 +154,17 @@ struct MachineConfig {
   // hits the heap.
   std::size_t prewarm_frames = 0;
   // Pre-fill the engine's event-node slab with at least this many nodes at
-  // construction. 0 (default) skips it. Machines forked from a *deserialized*
-  // snapshot set this (the in-memory fork path inherits the warmed engine's
-  // slabs for free, the on-disk path starts from a cold engine): the
-  // measured phase then never refills the slab, keeping the zero-alloc
-  // perf_smoke gates green on the cached warm-start path.
+  // construction. 0 (default) skips it. sim_microbench --from-snapshot sets
+  // it on a *deserialized* snapshot (the in-memory fork path inherits the
+  // warmed engine's slabs for free, a decoded snapshot starts from a cold
+  // engine): the measured phase then never refills the slab, keeping the
+  // perf_sim_alloc_gate_snapshot zero-alloc gate green.
   std::size_t prewarm_event_nodes = 0;
   // TxCAS contention policy (common/contention.hpp): fixed (default,
   // byte-identical goldens) or adaptive-backoff.
   // Machine-wide so it participates in machine_config_digest and thus in
-  // snapshot/cache identity; the persistent per-core policy state lives in
-  // each core's TxCasOp slot and is serialized alongside it.
+  // snapshot identity; the persistent per-core policy state lives in each
+  // core's TxCasOp slot and is serialized alongside it.
   ContentionPolicyParams cas_policy;
 };
 

@@ -41,8 +41,8 @@ using sim::Value;
 // queue is inside the machine state).
 //
 // at() is bounds-checked and throws std::out_of_range — a blob whose word
-// list is shorter than the config implies is treated by callers as a cache
-// miss (cold fallback), never silent truncation.
+// list is shorter than the config implies fails loudly, never by silent
+// truncation.
 struct HostWords {
   const std::uint64_t* words = nullptr;
   std::size_t count = 0;

@@ -93,8 +93,8 @@ class SimSbq {
   // machine state — no allocation, no poke. The per-enqueuer reuse cache
   // and the occupancy map are restored verbatim (both schedule-visible:
   // reuse decides fresh-alloc think time, the map feeds close occupancies).
-  // Snapshot-cacheable machines are serial, so the sharded effect handler
-  // is never needed on this path.
+  // Only serial machines snapshot, so the sharded effect handler is never
+  // needed on this path.
   SimSbq(Machine& m, Config cfg, const HostWords& w)
       : machine_(&m), cfg_(cfg),
         basket_cap_(cfg.basket_capacity == 0 ? cfg.enqueuers

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
@@ -72,8 +73,13 @@ TEST(BenchOptions, ParsesAllFlags) {
   char ops[] = "--ops", opsv[] = "1000";
   char rep[] = "--repeats", repv[] = "5";
   char thr[] = "--threads", thrv[] = "1,4,44";
-  char* argv[] = {prog, csv, seed, seedv, ops, opsv, rep, repv, thr, thrv};
-  const BenchOptions o = BenchOptions::parse(10, argv);
+  // The removed on-disk snapshot cache's "off" mode, in both spellings, is
+  // accepted as a no-op.
+  char cache_eq[] = "--snapshot-cache=off";
+  char cache[] = "--snapshot-cache", cachev[] = "off";
+  char* argv[] = {prog, csv,  seed, seedv,    ops,   opsv,  rep,
+                  repv, thr,  thrv, cache_eq, cache, cachev};
+  const BenchOptions o = BenchOptions::parse(13, argv);
   EXPECT_TRUE(o.csv);
   EXPECT_EQ(o.seed, 7ull);
   EXPECT_EQ(o.ops, 1000ull);
@@ -82,17 +88,34 @@ TEST(BenchOptions, ParsesAllFlags) {
 }
 
 TEST(BenchOptions, UnknownFlagThrows) {
+  for (const char* flag : {"--bogus", "--snapshot-cache=rw",
+                           "--snapshot-cache=ro", "--snapshot-cache=bogus"}) {
+    SCOPED_TRACE(flag);
+    char prog[] = "bench";
+    std::string bad = flag;
+    char* argv[] = {prog, bad.data()};
+    EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+  }
   char prog[] = "bench";
-  char bad[] = "--bogus";
-  char* argv[] = {prog, bad};
-  EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+  char cache[] = "--snapshot-cache", cachev[] = "rw";
+  char* argv[] = {prog, cache, cachev};
+  try {
+    BenchOptions::parse(3, argv);
+    ADD_FAILURE() << "--snapshot-cache rw parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BenchOptions, MissingValueThrows) {
-  char prog[] = "bench";
-  char seed[] = "--seed";
-  char* argv[] = {prog, seed};
-  EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+  for (const char* flag : {"--seed", "--snapshot-cache"}) {
+    SCOPED_TRACE(flag);
+    char prog[] = "bench";
+    std::string bad = flag;
+    char* argv[] = {prog, bad.data()};
+    EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+  }
 }
 
 TEST(Sweeps, SingleSocketCoversPaperRange) {

@@ -1,28 +1,18 @@
-// Snapshot serialization regressions (sim/serialize + SnapshotCache):
+// Snapshot serialization regressions (sim/serialize):
 //   1. a machine forked from an encode→decode round-trip of a warmed
 //      snapshot replays the measured phase byte-identically to a cold
 //      start, for every evaluated queue;
 //   2. truncated / corrupted / stale-version / foreign-key blobs are
-//      rejected by decode, and a corrupted on-disk cache entry degrades to
-//      a cold warm-up with identical results (the cache is an accelerator,
-//      never a correctness dependency);
-//   3. concurrent same-key writers never publish a torn blob — readers see
-//      a complete old or new entry, or none.
+//      rejected by decode.
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchsupport/metrics_json.hpp"
-#include "benchsupport/snapshot_cache.hpp"
 #include "sim/machine.hpp"
 #include "sim/serialize.hpp"
 #include "sim_queue_bench_util.hpp"
@@ -122,12 +112,10 @@ INSTANTIATE_TEST_SUITE_P(AllQueues, SnapshotSerdeAllQueues,
                          });
 
 // One warmed SBQ blob, reused by every rejection case below.
-std::vector<std::uint8_t> make_valid_blob(std::uint64_t key,
-                                          std::uint64_t prefill_seed = 99) {
+std::vector<std::uint8_t> make_valid_blob(std::uint64_t key) {
   sim::MachineConfig mcfg;
   mcfg.cores = 3;
-  WorkloadSpec spec = consumer_only_spec(5);
-  spec.prefill_seed = prefill_seed;
+  const WorkloadSpec spec = consumer_only_spec(5);
   sim::Machine m(mcfg);
   return with_queue(QueueKind::kSbqHtm, m, spec, [&](auto& q, int) {
     prefill_spec(m, q, spec);
@@ -196,9 +184,9 @@ TEST(SnapshotSerdeReject, ForeignKey) {
 // Contention-policy snapshot coverage (docs/architecture.md "Contention
 // policy layer"): the per-core policy State (jitter stream position +
 // failure level) rides in every snapshot, so adaptive-policy forks must
-// replay byte-identically; the config digest keys the policy params (stale
-// cache entries can't cross policies); and a blob claiming an unknown
-// policy kind is refused instead of misinterpreted.
+// replay byte-identically; the config digest keys the policy params (two
+// configs that differ only in policy never share a digest); and a blob
+// claiming an unknown policy kind is refused instead of misinterpreted.
 TEST(SnapshotSerdePolicy, AdaptiveBackoffRoundTripMatchesColdStart) {
   sim::MachineConfig mcfg;
   mcfg.cores = 3;
@@ -251,134 +239,6 @@ TEST(SnapshotSerdeReject, HostWordsPastEndThrow) {
   const simq::HostWords hw{w, 2};
   EXPECT_EQ(hw.at(1), 2u);
   EXPECT_THROW(hw.at(2), std::out_of_range);
-}
-
-// Points $SBQ_SNAPSHOT_CACHE at a fresh per-test directory and restores the
-// previous value (and removes the directory) on destruction, so cache tests
-// can't see — or pollute — a developer's real .sbq-cache.
-class ScopedCacheDir {
- public:
-  ScopedCacheDir() {
-    const char* old = getenv("SBQ_SNAPSHOT_CACHE");
-    if (old != nullptr) old_ = old;
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("sbq-serde-" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    std::filesystem::create_directories(dir_);
-    setenv("SBQ_SNAPSHOT_CACHE", dir_.c_str(), 1);
-  }
-  ~ScopedCacheDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-    if (old_.empty()) {
-      unsetenv("SBQ_SNAPSHOT_CACHE");
-    } else {
-      setenv("SBQ_SNAPSHOT_CACHE", old_.c_str(), 1);
-    }
-  }
-  const std::filesystem::path& dir() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-  std::string old_;
-};
-
-TEST(SnapshotCacheIntegration, HitReplaysIdenticallyAndCorruptionFallsCold) {
-  const ScopedCacheDir scoped;
-  sim::MachineConfig mcfg;
-  mcfg.cores = 3;
-  const WorkloadSpec spec = consumer_only_spec(7);
-  const SnapshotCachePolicy rw{CacheMode::kReadWrite};
-  auto& stats = snapshot_cache_stats();
-
-  // Pass 1: miss, cold warm-up, store.
-  const std::uint64_t stores0 = stats.stores.load();
-  const SimRunResult cold =
-      run_queue_workload(QueueKind::kSbqHtm, mcfg, spec, {}, rw);
-  EXPECT_EQ(stats.stores.load(), stores0 + 1);
-
-  // Pass 2: hit — the measured phase runs on a deserialized fork, and the
-  // result must be byte-identical.
-  const std::uint64_t hits0 = stats.hits.load();
-  expect_identical(cold,
-                   run_queue_workload(QueueKind::kSbqHtm, mcfg, spec, {}, rw));
-  EXPECT_EQ(stats.hits.load(), hits0 + 1);
-
-  // Corrupt the entry on disk: the checksum rejects it, the warm-up falls
-  // back to cold, and the result is still identical.
-  const SnapshotCache cache(CacheMode::kReadWrite, sim::kSnapshotSchemaVersion);
-  const std::string path =
-      cache.path_for(snapshot_cache_key(QueueKind::kSbqHtm, mcfg, spec));
-  ASSERT_TRUE(std::filesystem::exists(path));
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << "not a snapshot";
-  }
-  const std::uint64_t misses0 = stats.misses.load();
-  expect_identical(cold,
-                   run_queue_workload(QueueKind::kSbqHtm, mcfg, spec, {}, rw));
-  EXPECT_EQ(stats.misses.load(), misses0 + 1);
-}
-
-TEST(SnapshotCacheIntegration, ReadOnlyModeNeverStores) {
-  const ScopedCacheDir scoped;
-  sim::MachineConfig mcfg;
-  mcfg.cores = 3;
-  const WorkloadSpec spec = consumer_only_spec(9);
-  const SimRunResult cold = run_queue_workload(QueueKind::kWfQueue, mcfg, spec);
-  expect_identical(cold, run_queue_workload(QueueKind::kWfQueue, mcfg, spec, {},
-                                            {CacheMode::kReadOnly}));
-  const SnapshotCache cache(CacheMode::kReadWrite, sim::kSnapshotSchemaVersion);
-  EXPECT_FALSE(std::filesystem::exists(
-      cache.path_for(snapshot_cache_key(QueueKind::kWfQueue, mcfg, spec))));
-}
-
-TEST(SnapshotCacheConcurrency, SameKeyWritersNeverTearAnEntry) {
-  const ScopedCacheDir scoped;
-  const SnapshotCache cache(CacheMode::kReadWrite, sim::kSnapshotSchemaVersion);
-  // Two distinct valid blobs for the same key (different prefill seeds →
-  // different machine state, same stamped key).
-  const std::vector<std::uint8_t> a = make_valid_blob(kBlobKey, 99);
-  const std::vector<std::uint8_t> b = make_valid_blob(kBlobKey, 123);
-  ASSERT_FALSE(a.empty());
-  ASSERT_FALSE(b.empty());
-  ASSERT_NE(a, b);
-
-  std::atomic<bool> done{false};
-  std::atomic<int> torn{0};
-  std::thread reader([&] {
-    sim::MachineSnapshot snap;
-    std::vector<std::uint64_t> words;
-    while (!done.load(std::memory_order_acquire)) {
-      const auto blob = cache.load(kBlobKey);
-      if (!blob) continue;  // not yet published
-      // Whatever is visible must be one complete blob, bit-for-bit, and
-      // must decode cleanly.
-      if (*blob != a && *blob != b) {
-        torn.fetch_add(1);
-      } else {
-        EXPECT_TRUE(sim::decode_snapshot_blob(*blob, kBlobKey, snap, words));
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&, w] {
-      for (int i = 0; i < 50; ++i) {
-        EXPECT_TRUE(cache.store(kBlobKey, (w + i) % 2 == 0 ? a : b));
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0);
-  // No leftover temp files from any writer.
-  int temps = 0;
-  for (const auto& e : std::filesystem::directory_iterator(scoped.dir())) {
-    if (e.path().filename().string().rfind(".tmp.", 0) == 0) ++temps;
-  }
-  EXPECT_EQ(temps, 0);
 }
 
 }  // namespace
