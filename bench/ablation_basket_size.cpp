@@ -35,10 +35,7 @@ int main(int argc, char** argv) {
   const std::size_t nrep = static_cast<std::size_t>(repeats);
   const std::size_t cells_per_row = thread_counts.size() * nrep;
   auto make = [&](int t, int b, int r) {
-    sim::MachineConfig mcfg;
-    mcfg.cores = t;
-    apply_machine_options(mcfg, opts);
-    apply_cas_policy_options(mcfg, opts);
+    const sim::MachineConfig mcfg = sim_machine_config(opts, t);
     WorkloadSpec spec;
     spec.kind = Workload::kProducerOnly;
     spec.producers = t;
@@ -103,13 +100,8 @@ int main(int argc, char** argv) {
     report.add_table("enq_latency_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: the B = T diagonal at the smallest thread count.
-    const auto [mcfg, spec] =
-        make(thread_counts.front(), basket_sizes.front(), 0);
-    if (!write_traced_cell(opts.trace_path, QueueKind::kSbqHtm, mcfg, spec)) {
-      return 1;
-    }
-  }
-  return 0;
+  // Traced/recorded cell: the B = T diagonal at the smallest thread count.
+  const auto [mcfg, spec] =
+      make(thread_counts.front(), basket_sizes.front(), 0);
+  return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
 }

@@ -78,13 +78,11 @@ std::vector<std::string> strip_policies(int& argc, char** argv) {
 Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
            std::uint64_t seed, const std::string& trace_path = {},
            const ContentionPolicyParams* policy = nullptr) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = threads;
-  mcfg.record_trace = !trace_path.empty();
-  bench::apply_machine_options(mcfg, opts);
-  bench::apply_cas_policy_options(mcfg, opts);
+  sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
   if (policy != nullptr) mcfg.cas_policy = *policy;
-  if (mcfg.record_trace) mcfg.machine_threads = 1;  // tracing is serial-only
+  if (!trace_path.empty()) {
+    mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
+  }
   Machine m(mcfg);
   const Addr x = m.alloc();
   // Relaxed atomic integer accumulators: tasks may run on different machine

@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   if (opts.machine_threads > 1) {
-    std::cerr << "note: the fault sweep forces injection (which the sharded "
-                 "machine refuses); ignoring --machine-threads\n";
+    std::cerr << "ablation_fault_sweep: fault injection requires the serial "
+                 "engine (--machine-threads 1)\n";
+    return 1;
   }
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
   const simq::Value ops = opts.ops_or(200);
@@ -63,19 +64,17 @@ int main(int argc, char** argv) {
   Table table(std::move(columns));
   if (!opts.csv) table.stream_to(std::cout);
 
-  auto make = [&](double rate) {
-    sim::MachineConfig mcfg;
-    apply_cas_policy_options(mcfg, opts);
+  // The swept rate replaces --fault-rate; rate 0 runs without injection.
+  const std::uint64_t jitter = opts.fault_jitter == 0 ? 8 : opts.fault_jitter;
+  auto make = [&](int t, double rate) {
+    sim::MachineConfig mcfg = sim_machine_config(opts, t);
+    mcfg.fault_plan = rate > 0 ? fault_plan(rate, opts.fault_seed, jitter)
+                               : sim::FaultPlan{};
     WorkloadSpec spec;
     spec.kind = Workload::kProducerOnly;
+    spec.producers = t;
     spec.ops_per_thread = ops;
     spec.seed = opts.seed;
-    if (rate > 0) {
-      BenchOptions fopts = opts;
-      fopts.fault_rate = rate;
-      if (fopts.fault_jitter == 0) fopts.fault_jitter = 8;
-      apply_fault_options(mcfg, fopts);
-    }
     return std::pair(mcfg, spec);
   };
 
@@ -83,10 +82,8 @@ int main(int argc, char** argv) {
   run_sweep_cells(
       rates.size(), threads.size(), opts.effective_jobs(),
       [&](std::size_t i) {
-        const int t = threads[i % threads.size()];
-        auto [mcfg, spec] = make(rates[i / threads.size()]);
-        mcfg.cores = t;
-        spec.producers = t;
+        const auto [mcfg, spec] =
+            make(threads[i % threads.size()], rates[i / threads.size()]);
         results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
       [&](std::size_t row) {
@@ -135,30 +132,9 @@ int main(int argc, char** argv) {
     report.add_table("fault_sweep", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: a mid-sweep rate at the first thread count.
-    auto [mcfg, spec] = make(0.1);
-    mcfg.cores = threads.front();
-    spec.producers = threads.front();
-    if (!write_traced_cell(opts.trace_path, QueueKind::kSbqHtm, mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.record_ops.empty()) {
-    // Recorded cell: same mid-sweep rate as the traced cell, so a recorded
-    // fault-injected schedule can be replayed and bisected (docs/replay.md).
-    auto [mcfg, spec] = make(0.1);
-    mcfg.cores = threads.front();
-    spec.producers = threads.front();
-    if (!write_recorded_cell(opts.record_ops, QueueKind::kSbqHtm, mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.replay_ops.empty()) {
-    auto [mcfg, spec] = make(0.1);
-    mcfg.cores = threads.front();
-    (void)spec;
-    if (!replay_cell_from_options(opts, mcfg)) return 1;
-  }
-  return 0;
+  // Traced/recorded cell: a mid-sweep rate at the first thread count, so a
+  // recorded fault-injected schedule can be replayed and bisected
+  // (docs/replay.md).
+  const auto [mcfg, spec] = make(threads.front(), 0.1);
+  return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
 }

@@ -46,12 +46,10 @@ int main(int argc, char** argv) {
   const std::size_t cells_per_row = stripe_counts.size() * nrep;
   auto run_cell = [&](int t, int stripes, std::uint64_t r,
                       const std::string& trace_path = {}) {
-    sim::MachineConfig mcfg;
-    mcfg.cores = t;
-    mcfg.record_trace = !trace_path.empty();
-    bench::apply_machine_options(mcfg, opts);
-    bench::apply_cas_policy_options(mcfg, opts);
-    if (mcfg.record_trace) mcfg.machine_threads = 1;  // tracing is serial-only
+    sim::MachineConfig mcfg = bench::sim_machine_config(opts, t);
+    if (!trace_path.empty()) {
+      mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
+    }
     sim::Machine m(mcfg);
     SimSbq::Config qc;
     qc.enqueuers = t;

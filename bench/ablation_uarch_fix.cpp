@@ -35,12 +35,8 @@ int main(int argc, char** argv) {
   const std::size_t cells_per_row = nrep * 2;  // (repeat, fix off/on)
   auto make = [&](int total, int repeat, bool fix) {
     const int half = total / 2;
-    sim::MachineConfig mcfg;
-    mcfg.cores = total;
-    mcfg.sockets = 2;
+    sim::MachineConfig mcfg = sim_machine_config(opts, total, 2);
     mcfg.uarch_fix = fix;
-    apply_machine_options(mcfg, opts);
-    apply_cas_policy_options(mcfg, opts);
     WorkloadSpec spec;
     spec.kind = Workload::kMixed;
     spec.producers = half;
@@ -101,12 +97,8 @@ int main(int argc, char** argv) {
     report.add_table("uarch_fix_ablation", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty() && !rows.empty()) {
-    // Traced cell: smallest mixed workload with the fix off.
-    const auto [mcfg, spec] = make(rows.front(), 0, /*fix=*/false);
-    if (!write_traced_cell(opts.trace_path, QueueKind::kSbqHtm, mcfg, spec)) {
-      return 1;
-    }
-  }
-  return 0;
+  if (rows.empty()) return 0;
+  // Traced/recorded cell: smallest mixed workload with the fix off.
+  const auto [mcfg, spec] = make(rows.front(), 0, /*fix=*/false);
+  return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
 }

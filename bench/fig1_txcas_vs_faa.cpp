@@ -82,12 +82,10 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
                 std::uint64_t seed, double* success_rate,
                 sim::MetricsSnapshot* metrics = nullptr,
                 const std::string& trace_path = {}) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = threads;
-  mcfg.record_trace = !trace_path.empty();
-  bench::apply_machine_options(mcfg, opts);
-  bench::apply_cas_policy_options(mcfg, opts);
-  if (mcfg.record_trace) mcfg.machine_threads = 1;  // tracing is serial-only
+  sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
+  if (!trace_path.empty()) {
+    mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
+  }
   Machine m(mcfg);
   const Addr x = m.alloc();
   auto st = std::make_shared<LoopStats>();

@@ -34,11 +34,7 @@ int main(int argc, char** argv) {
     table.stream_to(std::cout);
   }
   auto make = [&](int t, int repeat) {
-    sim::MachineConfig mcfg;
-    mcfg.cores = t;
-    apply_fault_options(mcfg, opts);
-    apply_machine_options(mcfg, opts);
-    apply_cas_policy_options(mcfg, opts);
+    const sim::MachineConfig mcfg = sim_machine_config(opts, t);
     WorkloadSpec spec;
     spec.kind = Workload::kConsumerOnly;
     // The queue is pre-filled by `producers` concurrent enqueuers (the
@@ -78,22 +74,6 @@ int main(int argc, char** argv) {
     report.add_table("deq_latency_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    if (!write_traced_cell(opts.trace_path, queues.front(), mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.record_ops.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    if (!write_recorded_cell(opts.record_ops, queues.front(), mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.replay_ops.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    (void)spec;
-    if (!replay_cell_from_options(opts, mcfg)) return 1;
-  }
-  return 0;
+  const auto [mcfg, spec] = make(threads.front(), 0);
+  return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
 }

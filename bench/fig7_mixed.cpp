@@ -39,12 +39,7 @@ int main(int argc, char** argv) {
   }
   auto make = [&](int total, int repeat) {
     const int half = total / 2;
-    sim::MachineConfig mcfg;
-    mcfg.cores = total;
-    mcfg.sockets = 2;
-    apply_fault_options(mcfg, opts);
-    apply_machine_options(mcfg, opts);
-    apply_cas_policy_options(mcfg, opts);
+    const sim::MachineConfig mcfg = sim_machine_config(opts, total, 2);
     WorkloadSpec spec;
     spec.kind = Workload::kMixed;
     spec.producers = half;
@@ -88,22 +83,7 @@ int main(int argc, char** argv) {
     report.add_table("normalized_duration_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty() && !threads.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    if (!write_traced_cell(opts.trace_path, queues.front(), mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.record_ops.empty() && !threads.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    if (!write_recorded_cell(opts.record_ops, queues.front(), mcfg, spec)) {
-      return 1;
-    }
-  }
-  if (!opts.replay_ops.empty() && !threads.empty()) {
-    const auto [mcfg, spec] = make(threads.front(), 0);
-    (void)spec;
-    if (!replay_cell_from_options(opts, mcfg)) return 1;
-  }
-  return 0;
+  if (threads.empty()) return 0;
+  const auto [mcfg, spec] = make(threads.front(), 0);
+  return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
 }

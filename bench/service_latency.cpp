@@ -22,10 +22,8 @@
 //   --think N          consumer service time [cycles]  (default 16)
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -147,49 +145,12 @@ ServiceCell summarize(service::ServiceResult r) {
   return cell;
 }
 
-// The service analogue of WarmedWorkload: build the machine and queue once
-// per (rate, queue) group, snapshot at quiescence, and fork every repeat
-// from that snapshot (the per-repeat variation is the arrival seed, which
-// only run_service consumes).
-class WarmedService {
- public:
-  WarmedService() = default;
-
-  WarmedService(QueueKind kind, const sim::MachineConfig& mcfg,
-                const WorkloadSpec& qspec) {
-    auto warm = std::make_shared<sim::Machine>(mcfg);
-    with_queue(kind, *warm, qspec, [&](auto& q, int offset) {
-      using QueueT = std::remove_reference_t<decltype(q)>;
-      auto proto = std::make_shared<QueueT>(std::move(q));
-      auto snap =
-          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
-      run_ = [snap = std::move(snap), warm = std::move(warm),
-              proto = std::move(proto),
-              offset](const service::ServiceSpec& spec) {
-        auto m = sim::Machine::fork(*snap);
-        QueueT fq(*proto);
-        fq.rebind(*m);
-        return service::run_service(*m, fq, spec, offset);
-      };
-    });
-  }
-
-  service::ServiceResult run_repeat(const service::ServiceSpec& spec) const {
-    return run_(spec);
-  }
-
- private:
-  std::function<service::ServiceResult(const service::ServiceSpec&)> run_;
+// One service cell's spec: the queue sizing with_queue reads, plus the
+// broker's spec (the per-repeat variation is the arrival seed, which only
+// run_service consumes, so repeats fork from one constructed queue).
+struct ServiceCellSpec : WorkloadSpec {
+  service::ServiceSpec service;
 };
-
-service::ServiceResult run_cold(QueueKind kind, const sim::MachineConfig& mcfg,
-                                const WorkloadSpec& qspec,
-                                const service::ServiceSpec& spec) {
-  sim::Machine m(mcfg);
-  return with_queue(kind, m, qspec, [&](auto& q, int offset) {
-    return service::run_service(m, q, spec, offset);
-  });
-}
 
 Json service_cell_json(double rate, QueueKind kind, int repeat,
                        const ServiceOptions& sopts, const ServiceCell& cell) {
@@ -284,43 +245,35 @@ int main(int argc, char** argv) try {
     p50_table.stream_to(std::cout);
   }
 
-  auto make = [&](std::size_t row, int repeat) {
-    sim::MachineConfig mcfg;
-    mcfg.cores = sopts.producers + sopts.consumers;
-    apply_fault_options(mcfg, opts);
-    apply_machine_options(mcfg, opts);
-    apply_cas_policy_options(mcfg, opts);
-    WorkloadSpec qspec;  // queue sizing only; the broker runs the workload
-    qspec.kind = Workload::kMixed;
-    qspec.producers = sopts.producers;
-    qspec.consumers = sopts.consumers;
-    service::ServiceSpec spec;
-    spec.arrival = sopts.arrival;
-    spec.arrival.rate_per_kcycle = sopts.rates[row];
-    spec.arrival.seed = opts.seed + static_cast<std::uint64_t>(repeat) * 7919;
-    spec.admission = sopts.admission;
+  auto make = [&](double rate, int repeat) {
+    const sim::MachineConfig mcfg =
+        sim_machine_config(opts, sopts.producers + sopts.consumers);
+    ServiceCellSpec spec;
+    spec.kind = Workload::kMixed;
     spec.producers = sopts.producers;
     spec.consumers = sopts.consumers;
-    spec.total_ops = total_ops;
-    spec.batch = sopts.batch;
-    spec.consumer_think = sopts.consumer_think;
+    service::ServiceSpec& svc = spec.service;
+    svc.arrival = sopts.arrival;
+    svc.arrival.rate_per_kcycle = rate;
+    svc.arrival.seed = opts.seed + static_cast<std::uint64_t>(repeat) * 7919;
+    svc.admission = sopts.admission;
+    svc.producers = sopts.producers;
+    svc.consumers = sopts.consumers;
+    svc.total_ops = total_ops;
+    svc.batch = sopts.batch;
+    svc.consumer_think = sopts.consumer_think;
     return std::pair(mcfg, spec);
   };
 
   const std::size_t n_queues = queues.size();
   const std::size_t n_repeats = static_cast<std::size_t>(repeats);
-  std::vector<ServiceCell> cells(sopts.rates.size() * n_queues * n_repeats);
-  auto cell_at = [&](std::size_t row, std::size_t q,
-                     std::size_t r) -> ServiceCell& {
-    return cells[(row * n_queues + q) * n_repeats + r];
-  };
-  auto row_done = [&](std::size_t row) {
+  auto row_done = [&](std::size_t row, const QueueSweepGrid<ServiceCell>& res) {
     if (!opts.json_path.empty()) {
       for (std::size_t q = 0; q < n_queues; ++q) {
         for (std::size_t r = 0; r < n_repeats; ++r) {
           report.add_cell(service_cell_json(sopts.rates[row], queues[q],
                                             static_cast<int>(r), sopts,
-                                            cell_at(row, q, r)));
+                                            res.at(row, q, r)));
         }
       }
     }
@@ -331,7 +284,7 @@ int main(int argc, char** argv) try {
     for (std::size_t q = 0; q < n_queues; ++q) {
       Summary p50, p99, p999, rej;
       for (std::size_t r = 0; r < n_repeats; ++r) {
-        const ServiceCell& c = cell_at(row, q, r);
+        const ServiceCell& c = res.at(row, q, r);
         p50.add(c.sojourn_p50_ns);
         p99.add(c.sojourn_p99_ns);
         p999.add(c.sojourn_p999_ns);
@@ -348,44 +301,15 @@ int main(int argc, char** argv) try {
     reject_table.add_row(rej_row, /*precision=*/3);
   };
 
-  if (effective_cold_start(opts)) {
-    run_sweep_cells(
-        sopts.rates.size(), n_queues * n_repeats, opts.effective_jobs(),
-        [&](std::size_t i) {
-          const std::size_t row = i / (n_queues * n_repeats);
-          const std::size_t q = (i % (n_queues * n_repeats)) / n_repeats;
-          const int repeat = static_cast<int>(i % n_repeats);
-          const auto [mcfg, spec] = make(row, repeat);
-          WorkloadSpec qspec;
-          qspec.kind = Workload::kMixed;
-          qspec.producers = sopts.producers;
-          qspec.consumers = sopts.consumers;
-          cells[i] = summarize(run_cold(queues[q], mcfg, qspec, spec));
-        },
-        row_done);
-  } else {
-    std::vector<WarmedService> warmed(sopts.rates.size() * n_queues);
-    run_sweep_groups(
-        sopts.rates.size(), n_queues, n_repeats, opts.effective_jobs(),
-        [&](std::size_t g) {
-          const std::size_t row = g / n_queues;
-          const auto [mcfg, spec] = make(row, /*repeat=*/0);
-          WorkloadSpec qspec;
-          qspec.kind = Workload::kMixed;
-          qspec.producers = sopts.producers;
-          qspec.consumers = sopts.consumers;
-          warmed[g] = WarmedService(queues[g % n_queues], mcfg, qspec);
-        },
-        [&](std::size_t g, std::size_t c) {
-          const std::size_t row = g / n_queues;
-          const std::size_t q = g % n_queues;
-          const auto [mcfg, spec] = make(row, static_cast<int>(c));
-          (void)mcfg;
-          cell_at(row, q, c) = summarize(warmed[g].run_repeat(spec));
-          if (c + 1 == n_repeats) warmed[g] = WarmedService();
-        },
-        row_done);
-  }
+  // The queue is built empty (no warm phase); the broker runs the whole
+  // workload as the measured phase.
+  run_queue_sweep<ServiceCell>(
+      sopts.rates, queues, repeats, opts.effective_jobs(), make, row_done,
+      effective_cold_start(opts),
+      [](sim::Machine&, auto&, const ServiceCellSpec&) {},
+      [](sim::Machine& m, auto& q, const ServiceCellSpec& spec, int offset) {
+        return summarize(service::run_service(m, q, spec.service, offset));
+      });
 
   if (opts.csv) {
     std::cout << "\n## Sojourn p50 [ns] (lower is better)\n";

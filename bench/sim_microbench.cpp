@@ -201,8 +201,9 @@ int main(int argc, char** argv) {
   report.set_config("ops_per_producer_per_phase", Json(ops));
   report.set_config("steady_phases", Json(static_cast<std::uint64_t>(repeats)));
 
-  sim::MachineConfig mcfg;
-  mcfg.cores = 2 * producers;
+  // The shared fault, machine and policy options; the sliced leg below
+  // overrides the machine part with this gate's own slice derivation.
+  sim::MachineConfig mcfg = bench::sim_machine_config(opts, 2 * producers);
   // Counter increments are cheap but SimSbq's host-side occupancy
   // bookkeeping (filled_) grows with every basket — the gate measures the
   // simulator proper, so stats stay off.
@@ -211,7 +212,6 @@ int main(int argc, char** argv) {
   // paths: policy state lives inline in each core's TxCasOp slot, so a
   // steady phase under adaptive-backoff must be exactly as allocation-free
   // as under fixed (perf_sim_alloc_gate_policy in bench/CMakeLists.txt).
-  bench::apply_cas_policy_options(mcfg, opts);
   if (!opts.cas_policy.empty()) {
     report.set_config("cas_policy", Json(opts.cas_policy));
     // Adaptive delays reshape every phase's schedule (the persistent

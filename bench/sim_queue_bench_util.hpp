@@ -1,5 +1,8 @@
 // Shared dispatch for the figure benchmarks: construct one of the five
 // evaluated queues (§6.1) on a fresh simulated machine and run a workload.
+// Every simulated-queue driver takes one path through this header: its
+// machine from sim_machine_config, its sweep from run_queue_sweep, and its
+// --trace/--record-ops/--replay-ops tail from write_cell_artifacts.
 //
 // Queue selection is resolved once per sweep into a QueueKind enum (no
 // per-cell string validation), and sweep cells — each an independent,
@@ -86,76 +89,78 @@ inline const std::vector<std::string>& queue_names() {
   return names;
 }
 
-// Map the shared --fault-rate/--fault-seed/--fault-jitter options onto a
-// machine's fault plan (docs/robustness.md). A zero rate with zero jitter
-// leaves the plan disabled, so default invocations keep the byte-identical
-// golden schedule. The rate splits 25/50/25 across capacity / interrupt /
-// spurious — interrupts dominate real non-conflict abort profiles.
-inline void apply_fault_options(sim::MachineConfig& mcfg,
-                                const BenchOptions& opts) {
-  if (opts.fault_rate <= 0.0 && opts.fault_jitter == 0) return;
-  sim::FaultPlan& plan = mcfg.fault_plan;
+// The injected-fault mapping every sim run shares (docs/robustness.md):
+// `rate` splits 25/50/25 across capacity / interrupt / spurious aborts —
+// interrupts dominate real non-conflict abort profiles — and a nonzero
+// `jitter` adds bounded message jitter. A zero rate with zero jitter
+// returns the disabled plan, so default invocations keep the
+// byte-identical golden schedule.
+inline sim::FaultPlan fault_plan(double rate, std::uint64_t seed,
+                                 std::uint64_t jitter) {
+  sim::FaultPlan plan;
+  if (rate <= 0.0 && jitter == 0) return plan;
   plan.enabled = true;
-  plan.seed = opts.fault_seed;
-  plan.capacity_rate = opts.fault_rate * 0.25;
-  plan.interrupt_rate = opts.fault_rate * 0.50;
-  plan.spurious_rate = opts.fault_rate * 0.25;
-  if (opts.fault_jitter > 0) {
+  plan.seed = seed;
+  plan.capacity_rate = rate * 0.25;
+  plan.interrupt_rate = rate * 0.50;
+  plan.spurious_rate = rate * 0.25;
+  if (jitter > 0) {
     plan.message_jitter_rate = 0.5;
-    plan.max_message_jitter = opts.fault_jitter;
+    plan.max_message_jitter = jitter;
   }
+  return plan;
 }
 
-// Map the shared --machine-threads/--dir-slices/--sockets options onto a
-// machine config (docs/architecture.md "Parallel machine"). Defaults leave
-// the config untouched, so default invocations keep the classic serial
-// engine and its byte-identical goldens. When sharding is requested the
-// slice count defaults to the worker count (the finest legal slicing under
-// kFlat; kLink requires slices == sockets, so derive that instead), and
-// per-core allocation arenas switch on — also for the serial twin
-// (--dir-slices N with --machine-threads 1), which is therefore the exact
-// comparison baseline for a sharded run.
-inline void apply_machine_options(sim::MachineConfig& mcfg,
-                                  const BenchOptions& opts) {
-  if (opts.sockets > 0) mcfg.sockets = opts.sockets;
-  int slices = opts.dir_slices;
-  if (slices == 0) {
-    if (opts.machine_threads <= 1) return;
-    slices = mcfg.interconnect_model == sim::InterconnectModel::kLink
-                 ? mcfg.sockets
-                 : opts.machine_threads;
+// The machine every simulated-queue driver runs: `cores` split across
+// `sockets`, with the shared options applied in one place:
+//   --fault-rate/--fault-seed/--fault-jitter  the fault plan (fault_plan);
+//   --machine-threads/--dir-slices/--sockets  the sharded machine
+//       (docs/architecture.md "Parallel machine"). When sharding is
+//       requested the slice count defaults to the worker count (the finest
+//       legal slicing under the default kFlat interconnect), and per-core
+//       allocation arenas switch on — also for the serial twin
+//       (--dir-slices N with --machine-threads 1), which is therefore the
+//       exact comparison baseline for a sharded run;
+//   --cas-policy/--policy-seed  the TxCAS contention policy
+//       (common/contention.hpp). An unknown name throws: sweeps must not
+//       silently fall back to fixed.
+// Default options leave everything else at MachineConfig{}, so default
+// invocations keep the byte-identical golden schedule.
+inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
+                                             int cores, int sockets = 1) {
+  sim::MachineConfig mcfg;
+  mcfg.cores = cores;
+  mcfg.sockets = opts.sockets > 0 ? opts.sockets : sockets;
+  mcfg.fault_plan =
+      fault_plan(opts.fault_rate, opts.fault_seed, opts.fault_jitter);
+  if (opts.dir_slices > 0 || opts.machine_threads > 1) {
+    const int slices = opts.dir_slices > 0 ? opts.dir_slices
+                                           : opts.machine_threads;
+    mcfg.dir_slices = std::min(slices, mcfg.cores);
+    mcfg.machine_threads = opts.machine_threads;
+    mcfg.alloc_arenas = mcfg.dir_slices > 1;
   }
-  mcfg.dir_slices = std::min(slices, mcfg.cores);
-  mcfg.machine_threads = opts.machine_threads;
-  mcfg.alloc_arenas = mcfg.dir_slices > 1;
-}
-
-// Map the shared --cas-policy/--policy-seed/--policy-decay options onto a
-// machine's TxCAS contention policy (common/contention.hpp;
-// docs/architecture.md "Contention policy layer"). An empty --cas-policy
-// leaves the default fixed policy in place, so default invocations keep the
-// byte-identical golden schedule. An unknown name throws — sweeps must not
-// silently fall back to fixed.
-inline void apply_cas_policy_options(sim::MachineConfig& mcfg,
-                                     const BenchOptions& opts) {
-  if (!opts.policy_decay.empty()) {
-    if (opts.policy_decay == "linear") {
-      mcfg.cas_policy.commit_decay = ContentionPolicyParams::kCommitDecayLinear;
-    } else if (opts.policy_decay == "half-life") {
-      mcfg.cas_policy.commit_decay =
-          ContentionPolicyParams::kCommitDecayHalfLife;
-    } else {
-      throw std::invalid_argument("--policy-decay needs linear or half-life");
+  if (!opts.cas_policy.empty()) {
+    if (!contention_policy_from_name(opts.cas_policy.c_str(),
+                                     mcfg.cas_policy.kind)) {
+      throw std::invalid_argument(
+          "--cas-policy needs fixed or adaptive-backoff");
     }
+    mcfg.cas_policy.seed = opts.policy_seed;
   }
-  if (opts.cas_policy.empty()) return;
-  ContentionPolicyKind kind;
-  if (!contention_policy_from_name(opts.cas_policy.c_str(), kind)) {
-    throw std::invalid_argument(
-        "--cas-policy needs fixed or adaptive-backoff");
-  }
-  mcfg.cas_policy.kind = kind;
-  mcfg.cas_policy.seed = opts.policy_seed;
+  return mcfg;
+}
+
+// The one-off re-run behind --trace, --record-ops and --replay-ops runs on
+// the serial engine: event tracing (`trace`) and op recording need the
+// single global event order only it produces (the sharded constructor
+// refuses record_trace). A single re-run outside the sweep loses nothing
+// by dropping to one machine thread.
+inline sim::MachineConfig serial_rerun_config(sim::MachineConfig mcfg,
+                                              bool trace) {
+  mcfg.record_trace = trace;
+  mcfg.machine_threads = 1;
+  return mcfg;
 }
 
 // Snapshots (and thus the shared-warm-snapshot fork path) are refused by
@@ -308,116 +313,128 @@ decltype(auto) with_queue(QueueKind kind, sim::Machine& m,
   throw std::logic_error("bad QueueKind");
 }
 
-// `post_run`, when set, is called with the machine after the workload
-// completes (and before it is torn down) — used by --trace to export the
-// event ring of a representative cell.
-inline SimRunResult run_queue_workload(
-    QueueKind kind, const sim::MachineConfig& mcfg, const WorkloadSpec& spec,
-    const std::function<void(sim::Machine&)>& post_run = {}) {
+// The figure cells' two phases, the default of the runners below: the
+// un-measured prefill, then the measured workload. A driver with other
+// phases passes its own callables with the same shapes:
+//   warm(machine, queue, spec)                   runs once per warm-up;
+//   measure(machine, queue, spec, offset) -> R   runs once per repeat.
+struct PrefillPhase {
+  template <typename QueueT>
+  void operator()(sim::Machine& m, QueueT& q, const WorkloadSpec& spec) const {
+    prefill_spec(m, q, spec);
+  }
+};
+
+struct MeasurePhase {
+  template <typename QueueT>
+  SimRunResult operator()(sim::Machine& m, QueueT& q, const WorkloadSpec& spec,
+                          int consumer_id_offset) const {
+    return measure_spec(m, q, spec, consumer_id_offset);
+  }
+};
+
+// Cold start: one fresh machine runs both phases of one cell. `spec` sizes
+// the queue, so it is a WorkloadSpec or derives from one.
+template <typename Spec, typename Warm = PrefillPhase,
+          typename Measure = MeasurePhase>
+auto run_queue_workload(QueueKind kind, const sim::MachineConfig& mcfg,
+                        const Spec& spec, Warm warm = {},
+                        Measure measure = {}) {
   sim::Machine m(mcfg);
-  SimRunResult result = with_queue(kind, m, spec, [&](auto& q, int offset) {
-    return run_spec(m, q, spec, offset);
+  return with_queue(kind, m, spec, [&](auto& q, int offset) {
+    warm(m, q, spec);
+    return measure(m, q, spec, offset);
   });
-  if (post_run) post_run(m);
-  return result;
 }
 
-// A workload warmed once, forkable many times: builds a machine, constructs
-// the queue, runs the (repeat-independent) prefill phase, and takes a
+// A cell warmed once, forkable many times: builds a machine, constructs
+// the queue, runs the (repeat-independent) warm phase, and takes a
 // Machine::snapshot. Each run_repeat() forks a machine from the snapshot,
 // copies the prototype queue's host-side state, rebinds the copy to the
-// fork, and runs the measured phase — byte-identical to cold-starting the
-// same cell, at a fraction of the warm-up cost. Const access is
+// fork, and runs the measured phase — byte-identical to run_queue_workload
+// on the same cell, at a fraction of the warm-up cost. Const access is
 // thread-safe: run_repeat only reads the captured snapshot and prototype,
 // so sweep workers can fork repeats of one group concurrently.
+template <typename Result = SimRunResult, typename Spec = WorkloadSpec>
 class WarmedWorkload {
  public:
   WarmedWorkload() = default;
 
+  template <typename Warm = PrefillPhase, typename Measure = MeasurePhase>
   WarmedWorkload(QueueKind kind, const sim::MachineConfig& mcfg,
-                 const WorkloadSpec& warm_spec) {
-    auto warm = std::make_shared<sim::Machine>(mcfg);
-    with_queue(kind, *warm, warm_spec, [&](auto& q, int offset) {
+                 const Spec& warm_spec, Warm warm = {}, Measure measure = {}) {
+    auto machine = std::make_shared<sim::Machine>(mcfg);
+    with_queue(kind, *machine, warm_spec, [&](auto& q, int offset) {
       using QueueT = std::remove_reference_t<decltype(q)>;
       auto proto = std::make_shared<QueueT>(std::move(q));
-      prefill_spec(*warm, *proto, warm_spec);
+      warm(*machine, *proto, warm_spec);
       auto snap =
-          std::make_shared<const sim::MachineSnapshot>(warm->snapshot());
-      // `warm` stays captured: the prototype holds a Machine* into it (never
-      // dereferenced after capture — every fork rebinds its copy — but
-      // keeping it alive keeps the pointer valid by construction).
-      run_ = [snap = std::move(snap), warm = std::move(warm),
-              proto = std::move(proto),
-              offset](const WorkloadSpec& spec,
-                      const std::function<void(sim::Machine&)>& post_run) {
+          std::make_shared<const sim::MachineSnapshot>(machine->snapshot());
+      // `machine` stays captured: the prototype holds a Machine* into it
+      // (never dereferenced after capture — every fork rebinds its copy —
+      // but keeping it alive keeps the pointer valid by construction).
+      run_ = [snap = std::move(snap), machine = std::move(machine),
+              proto = std::move(proto), offset,
+              measure = std::move(measure)](const Spec& spec) {
         auto m = sim::Machine::fork(*snap);
         QueueT fq(*proto);
         fq.rebind(*m);
-        SimRunResult result = measure_spec(*m, fq, spec, offset);
-        if (post_run) post_run(*m);
-        return result;
+        return measure(*m, fq, spec, offset);
       };
     });
   }
 
-  // `spec` must match warm_spec in everything but `seed` (the prefill is
-  // already baked into the snapshot; only the measured phase runs).
-  SimRunResult run_repeat(
-      const WorkloadSpec& spec,
-      const std::function<void(sim::Machine&)>& post_run = {}) const {
-    return run_(spec, post_run);
-  }
-
-  explicit operator bool() const noexcept { return static_cast<bool>(run_); }
+  // `spec` must match warm_spec in everything the warm phase reads (it is
+  // already baked into the snapshot); only the measured phase runs.
+  Result run_repeat(const Spec& spec) const { return run_(spec); }
 
  private:
-  std::function<SimRunResult(const WorkloadSpec&,
-                             const std::function<void(sim::Machine&)>&)>
-      run_;
+  std::function<Result(const Spec&)> run_;
 };
 
-// Name-based shim for callers outside the sweep hot path (resolves the
-// name on every call; sweeps should resolve once and pass QueueKind).
-inline SimRunResult run_queue_workload(const std::string& name,
-                                       sim::MachineConfig mcfg,
-                                       const WorkloadSpec& spec) {
-  return run_queue_workload(queue_kind_from_name(name), mcfg, spec);
-}
-
-// (threads-row × queue × repeat) sweep grid executed on the parallel pool.
+// (row × queue × repeat) sweep grid executed on the parallel pool.
 // Results are keyed by cell index — at(row, queue, repeat) — so downstream
 // aggregation is independent of completion order.
-struct QueueSweepResults {
-  std::vector<SimRunResult> cells;
+template <typename Result>
+struct QueueSweepGrid {
+  std::vector<Result> cells;
   std::size_t queues = 0;
   std::size_t repeats = 0;
 
-  const SimRunResult& at(std::size_t row, std::size_t queue,
-                         std::size_t repeat) const {
+  const Result& at(std::size_t row, std::size_t queue,
+                   std::size_t repeat) const {
     return cells[(row * queues + queue) * repeats + repeat];
   }
 };
+using QueueSweepResults = QueueSweepGrid<SimRunResult>;
 
-// Runs the standard figure grid: for each thread count in `rows`, each
-// queue in `queues`, and each repeat, one cell. `make` maps
-// (thread_count, repeat) -> {MachineConfig, WorkloadSpec} (the queue kind
-// is applied by the runner). `row_done(row, results)` is called on the
+// Runs the standard figure grid: for each row value in `rows` (a thread
+// count, an arrival rate, ...), each queue in `queues`, and each repeat,
+// one cell. `make` maps (row value, repeat) -> {MachineConfig, spec} (the
+// queue kind is applied by the runner); `warm` and `measure` are the
+// cell's phases (PrefillPhase / MeasurePhase unless given), and `Result`
+// is what `measure` returns. `row_done(row, results)` is called on the
 // calling thread, in row order, as soon as a row's cells all finish —
 // drivers use it to stream finished table rows.
 //
 // By default repeats of one (row, queue) group share a warmed snapshot:
-// the group's prefill runs once, and each repeat forks a machine from it
-// (WarmedWorkload) — byte-identical to a cold start because the prefill
-// schedule depends only on spec.prefill_seed, which `make` must keep
-// constant across repeats. `cold_start` forces the old path (every cell
-// warms its own machine); drivers expose it as --cold-start so the
-// equivalence stays checkable from the command line.
-template <typename MakeSpec, typename RowDone>
-void run_queue_sweep(const std::vector<int>& rows,
+// the group's warm phase runs once, and each repeat forks a machine from
+// it (WarmedWorkload) — byte-identical to a cold start because the warm
+// phase reads only repeat-independent spec fields (spec.prefill_seed,
+// which `make` must keep constant across repeats). `cold_start` forces
+// every cell to warm its own machine; drivers expose it as --cold-start so
+// the equivalence stays checkable from the command line.
+template <typename Result = SimRunResult, typename Row, typename MakeSpec,
+          typename RowDone, typename Warm = PrefillPhase,
+          typename Measure = MeasurePhase>
+void run_queue_sweep(const std::vector<Row>& rows,
                      const std::vector<QueueKind>& queues, int repeats,
                      int jobs, MakeSpec make, RowDone row_done,
-                     bool cold_start = false) {
-  QueueSweepResults res;
+                     bool cold_start = false, Warm warm = {},
+                     Measure measure = {}) {
+  using Spec = typename std::invoke_result_t<MakeSpec&, const Row&,
+                                             int>::second_type;
+  QueueSweepGrid<Result> res;
   res.queues = queues.size();
   res.repeats = static_cast<std::size_t>(repeats);
   const std::size_t cells_per_row = res.queues * res.repeats;
@@ -430,7 +447,8 @@ void run_queue_sweep(const std::vector<int>& rows,
           const std::size_t queue = (i % cells_per_row) / res.repeats;
           const int repeat = static_cast<int>(i % res.repeats);
           const auto [mcfg, spec] = make(rows[row], repeat);
-          res.cells[i] = run_queue_workload(queues[queue], mcfg, spec);
+          res.cells[i] =
+              run_queue_workload(queues[queue], mcfg, spec, warm, measure);
         },
         [&](std::size_t row) { row_done(row, res); });
     return;
@@ -439,13 +457,14 @@ void run_queue_sweep(const std::vector<int>& rows,
   // `warmed` is touched by exactly one worker (run_sweep_groups contract),
   // and is released after the group's last repeat to bound live snapshots
   // to in-flight groups.
-  std::vector<WarmedWorkload> warmed(rows.size() * res.queues);
+  std::vector<WarmedWorkload<Result, Spec>> warmed(rows.size() * res.queues);
   run_sweep_groups(
       rows.size(), res.queues, res.repeats, jobs,
       [&](std::size_t g) {
         const std::size_t row = g / res.queues;
         const auto [mcfg, spec] = make(rows[row], /*repeat=*/0);
-        warmed[g] = WarmedWorkload(queues[g % res.queues], mcfg, spec);
+        warmed[g] = WarmedWorkload<Result, Spec>(queues[g % res.queues], mcfg,
+                                                 spec, warm, measure);
       },
       [&](std::size_t g, std::size_t c) {
         const std::size_t row = g / res.queues;
@@ -453,7 +472,7 @@ void run_queue_sweep(const std::vector<int>& rows,
         const auto [mcfg, spec] = make(rows[row], static_cast<int>(c));
         res.cells[(row * res.queues + queue) * res.repeats + c] =
             warmed[g].run_repeat(spec);
-        if (c + 1 == res.repeats) warmed[g] = WarmedWorkload();
+        if (c + 1 == res.repeats) warmed[g] = WarmedWorkload<Result, Spec>();
       },
       [&](std::size_t row) { row_done(row, res); });
 }
@@ -496,39 +515,6 @@ inline void add_row_cells(BenchReport& report, std::size_t row, int threads,
   }
 }
 
-// --record-ops: re-run one representative cell with op recording enabled
-// and write the versioned trace to `path` (docs/replay.md). Like --trace,
-// the recorded re-run is a one-off outside the sweep: recording needs the
-// single global event order only the serial engine produces, and the
-// host-side log append is schedule-invisible, so the recorded run's
-// metrics equal the plain cell's. Returns false on I/O failure.
-inline bool write_recorded_cell(const std::string& path, QueueKind kind,
-                                sim::MachineConfig mcfg,
-                                const WorkloadSpec& spec) {
-  if (path.empty()) return true;
-  mcfg.machine_threads = 1;
-  replay::OpTrace trace;
-  trace.source = replay::TraceSource::kSim;
-  trace.queue = queue_kind_name(kind);
-  trace.workload = static_cast<std::uint8_t>(spec.kind);
-  trace.producers = static_cast<std::uint32_t>(spec.producers);
-  trace.consumers = static_cast<std::uint32_t>(spec.consumers);
-  trace.ops_per_thread = spec.ops_per_thread;
-  trace.prefill = spec.prefill;
-  trace.seed = spec.seed;
-  trace.prefill_seed = spec.prefill_seed;
-  trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
-  sim::Machine m(mcfg);
-  with_queue(kind, m, spec, [&](auto& q, int offset) {
-    return replay::run_recorded_workload(m, q, trace, offset);
-  });
-  if (!replay::write_op_trace_file(path, trace)) {
-    std::cerr << "--record-ops: cannot write " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
 // Rebuild the WorkloadSpec a trace header describes (native traces map to
 // the mixed shape: every thread is both a producer and a consumer).
 inline WorkloadSpec spec_from_trace(const replay::OpTrace& trace) {
@@ -564,10 +550,10 @@ struct ReplaySummary {
 };
 
 // --replay-ops: feed a recorded trace back as a sim workload under `mcfg`
-// (cores bumped to the trace's need, serial engine forced). The queue kind
-// and workload shape come from the trace header, the machine model from
-// the driver's flags — that is the point: the same logical history under
-// any MachineConfig.
+// (cores bumped to the trace's need; `mcfg` must be serial, see
+// serial_rerun_config). The queue kind and workload shape come from the
+// trace header, the machine model from the driver's flags — that is the
+// point: the same logical history under any MachineConfig.
 inline ReplaySummary run_replay_file(const std::string& path,
                                      sim::MachineConfig mcfg) {
   replay::OpTrace trace;
@@ -576,7 +562,6 @@ inline ReplaySummary run_replay_file(const std::string& path,
   }
   const QueueKind kind = queue_kind_from_name(trace.queue);
   const WorkloadSpec spec = spec_from_trace(trace);
-  mcfg.machine_threads = 1;
   mcfg.cores = std::max(mcfg.cores, replay_min_cores(spec));
   ReplaySummary summary;
   summary.trace_records = trace.records.size();
@@ -587,47 +572,69 @@ inline ReplaySummary run_replay_file(const std::string& path,
   return summary;
 }
 
-// Shared driver tail for --replay-ops: run, print a deterministic one-line
-// summary, return false on error (drivers exit 1).
-inline bool replay_cell_from_options(const BenchOptions& opts,
-                                     sim::MachineConfig mcfg) {
-  if (opts.replay_ops.empty()) return true;
-  try {
-    const ReplaySummary s = run_replay_file(opts.replay_ops, mcfg);
-    std::cout << "replay: " << s.trace_records << " trace records, "
-              << s.outcome.run.enq_ops << " enqueues, "
-              << s.outcome.run.deq_ops << " dequeues replayed, "
-              << s.outcome.value_mismatches << " value mismatches\n";
-    return true;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return false;
-  }
-}
-
-// --trace: re-run one representative cell with the event ring enabled and
-// write its JSONL trace to `path`. Returns false on I/O failure.
-inline bool write_traced_cell(const std::string& path, QueueKind kind,
-                              sim::MachineConfig mcfg,
-                              const WorkloadSpec& spec) {
-  if (path.empty()) return true;
-  mcfg.record_trace = true;
-  // Tracing needs the single global event order only the serial engine
-  // produces (the sharded ctor refuses record_trace); the traced re-run is
-  // a one-off outside the sweep, so dropping to one machine thread is free.
-  mcfg.machine_threads = 1;
-  bool ok = false;
-  run_queue_workload(kind, mcfg, spec, [&](sim::Machine& m) {
-    std::ofstream out(path);
+// The shared driver tail: --trace, --record-ops and --replay-ops each
+// re-run one representative cell (`kind` on `mcfg` with `spec`) outside the
+// sweep, on the serial engine:
+//   --trace FILE       the cell with the event ring on, written as JSONL;
+//   --record-ops FILE  the cell with op recording on, written as a
+//                      versioned op trace (docs/replay.md). The host-side
+//                      log append is schedule-invisible, so the recorded
+//                      run's metrics equal the plain cell's;
+//   --replay-ops FILE  the trace in FILE fed back under `mcfg`, with a
+//                      deterministic one-line summary on stdout.
+// Returns false on error (drivers exit 1).
+inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
+                                 const sim::MachineConfig& mcfg,
+                                 const WorkloadSpec& spec) {
+  if (!opts.trace_path.empty()) {
+    sim::Machine m(serial_rerun_config(mcfg, /*trace=*/true));
+    with_queue(kind, m, spec,
+               [&](auto& q, int offset) { run_spec(m, q, spec, offset); });
+    std::ofstream out(opts.trace_path);
     if (!out) {
-      std::cerr << "--trace: cannot open " << path << " for writing\n";
-      return;
+      std::cerr << "--trace: cannot open " << opts.trace_path
+                << " for writing\n";
+      return false;
     }
     m.trace().write_jsonl(out);
     out.flush();
-    ok = static_cast<bool>(out);
-  });
-  return ok;
+    if (!out) return false;
+  }
+  if (!opts.record_ops.empty()) {
+    replay::OpTrace trace;
+    trace.source = replay::TraceSource::kSim;
+    trace.queue = queue_kind_name(kind);
+    trace.workload = static_cast<std::uint8_t>(spec.kind);
+    trace.producers = static_cast<std::uint32_t>(spec.producers);
+    trace.consumers = static_cast<std::uint32_t>(spec.consumers);
+    trace.ops_per_thread = spec.ops_per_thread;
+    trace.prefill = spec.prefill;
+    trace.seed = spec.seed;
+    trace.prefill_seed = spec.prefill_seed;
+    trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
+    sim::Machine m(serial_rerun_config(mcfg, /*trace=*/false));
+    with_queue(kind, m, spec, [&](auto& q, int offset) {
+      return replay::run_recorded_workload(m, q, trace, offset);
+    });
+    if (!replay::write_op_trace_file(opts.record_ops, trace)) {
+      std::cerr << "--record-ops: cannot write " << opts.record_ops << "\n";
+      return false;
+    }
+  }
+  if (!opts.replay_ops.empty()) {
+    try {
+      const ReplaySummary s = run_replay_file(
+          opts.replay_ops, serial_rerun_config(mcfg, /*trace=*/false));
+      std::cout << "replay: " << s.trace_records << " trace records, "
+                << s.outcome.run.enq_ops << " enqueues, "
+                << s.outcome.run.deq_ops << " dequeues replayed, "
+                << s.outcome.value_mismatches << " value mismatches\n";
+    } catch (const std::exception& e) {
+      std::cerr << e.what() << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace sbq::bench

@@ -137,10 +137,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.cas_policy = next_value();
     } else if (std::strncmp(a, "--cas-policy=", 13) == 0) {
       opts.cas_policy = a + 13;
-    } else if (std::strcmp(a, "--policy-decay") == 0) {
-      opts.policy_decay = next_value();
-    } else if (std::strncmp(a, "--policy-decay=", 15) == 0) {
-      opts.policy_decay = a + 15;
     } else if (std::strcmp(a, "--record-ops") == 0) {
       opts.record_ops = next_value();
     } else if (std::strncmp(a, "--record-ops=", 13) == 0) {

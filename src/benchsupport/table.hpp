@@ -99,11 +99,6 @@ struct BenchOptions {
   //   --policy-seed N     seed of the per-core policy jitter streams.
   std::string cas_policy;
   unsigned long long policy_seed = 1;
-  //   --policy-decay MODE adaptive-backoff failure-level decay on commit:
-  //                       linear (default, level - 1) | half-life
-  //                       (level / 2). Empty keeps the schedule-identical
-  //                       linear default.
-  std::string policy_decay;
   // Op-level trace record/replay (docs/replay.md):
   //   --record-ops FILE  re-run one representative cell with op recording
   //                      and write the versioned trace to FILE.

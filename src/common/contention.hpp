@@ -102,21 +102,11 @@ struct ContentionPolicyParams {
   std::uint32_t backoff_floor_shift = 3;
   std::uint32_t backoff_ceil_mult = 2;
 
-  // adaptive-backoff hysteresis: how the failure level decays on commit.
-  // 0 = linear (level - 1, the original DHM step), 1 = half-life
-  // (level / 2 — a thread that just won under heavy contention sheds its
-  // pessimism geometrically instead of one rung per commit). The default
-  // keeps the golden schedules byte-identical.
-  std::uint8_t commit_decay = kCommitDecayLinear;
-  static constexpr std::uint8_t kCommitDecayLinear = 0;
-  static constexpr std::uint8_t kCommitDecayHalfLife = 1;
-
   friend bool operator==(const ContentionPolicyParams& a,
                          const ContentionPolicyParams& b) noexcept {
     return a.kind == b.kind && a.seed == b.seed &&
            a.backoff_floor_shift == b.backoff_floor_shift &&
-           a.backoff_ceil_mult == b.backoff_ceil_mult &&
-           a.commit_decay == b.commit_decay;
+           a.backoff_ceil_mult == b.backoff_ceil_mult;
   }
 };
 
@@ -233,15 +223,10 @@ class ContentionPolicy {
     }
   }
 
-  // Record a transactional commit (decays the failure history per
-  // params.commit_decay — the ROADMAP "policy hysteresis" knob; the decay
-  // schedules are pinned by contention_policy_test).
+  // Record a transactional commit: the failure history decays one rung
+  // (the DHM step).
   void on_commit(State& s) const noexcept {
-    if (params_.commit_decay == ContentionPolicyParams::kCommitDecayHalfLife) {
-      s.failure_level /= 2;
-    } else if (s.failure_level > 0) {
-      --s.failure_level;
-    }
+    if (s.failure_level > 0) --s.failure_level;
   }
 
   std::uint32_t attempts() const noexcept { return attempts_; }

@@ -334,7 +334,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   w.u64(cfg.cas_policy.seed);
   w.u64(cfg.cas_policy.backoff_floor_shift);
   w.u64(cfg.cas_policy.backoff_ceil_mult);
-  w.u8(cfg.cas_policy.commit_decay);
 }
 
 bool decode_config(Reader& r, MachineConfig& cfg) {
@@ -392,10 +391,6 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
   }
   cfg.cas_policy.backoff_floor_shift = static_cast<std::uint32_t>(floor_shift);
   cfg.cas_policy.backoff_ceil_mult = static_cast<std::uint32_t>(ceil_mult);
-  std::uint8_t decay;
-  if (!r.u8(decay)) return false;
-  if (decay > ContentionPolicyParams::kCommitDecayHalfLife) return false;
-  cfg.cas_policy.commit_decay = decay;
   return true;
 }
 

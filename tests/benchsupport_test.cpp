@@ -88,13 +88,29 @@ TEST(BenchOptions, ParsesAllFlags) {
 }
 
 TEST(BenchOptions, UnknownFlagThrows) {
-  for (const char* flag : {"--bogus", "--snapshot-cache=rw",
-                           "--snapshot-cache=ro", "--snapshot-cache=bogus"}) {
+  for (const char* flag :
+       {"--bogus", "--snapshot-cache=rw", "--snapshot-cache=ro",
+        "--snapshot-cache=bogus", "--policy-decay=half-life"}) {
     SCOPED_TRACE(flag);
     char prog[] = "bench";
     std::string bad = flag;
     char* argv[] = {prog, bad.data()};
     EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+  }
+  {
+    // The removed commit-decay knob is an unknown option, not a flag that
+    // swallows its value.
+    char prog[] = "bench";
+    char decay[] = "--policy-decay", decayv[] = "half-life";
+    char* argv[] = {prog, decay, decayv};
+    try {
+      BenchOptions::parse(3, argv);
+      ADD_FAILURE() << "--policy-decay parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown option"),
+                std::string::npos)
+          << e.what();
+    }
   }
   char prog[] = "bench";
   char cache[] = "--snapshot-cache", cachev[] = "rw";

@@ -295,25 +295,8 @@ TEST(AdaptiveBackoff, PostAbortDelayIsSeededDeterministicJitter) {
   EXPECT_TRUE(differ);
 }
 
-// ---------------------------------------------------------------------------
-// Satellite: commit-decay hysteresis (ROADMAP "policy hysteresis" follow-up).
-// The decay mode is a ContentionPolicyParams knob so it keys config digests
-// and snapshots like every other tuning field.
-// ---------------------------------------------------------------------------
-
-ContentionPolicy make_decay(std::uint8_t decay) {
-  ContentionPolicyParams p;
-  p.kind = ContentionPolicyKind::kAdaptiveBackoff;
-  p.commit_decay = decay;
-  return ContentionPolicy(
-      p, ContentionKnobs{675, 130, 64, kDefaultNonconflictAbortBudget});
-}
-
-TEST(CommitDecay, LinearIsTheDefaultAndDecrementsByOne) {
-  ContentionPolicyParams defaults;
-  EXPECT_EQ(defaults.commit_decay, ContentionPolicyParams::kCommitDecayLinear);
-
-  ContentionPolicy p = make_decay(ContentionPolicyParams::kCommitDecayLinear);
+TEST(AdaptiveBackoff, CommitDecrementsFailureLevelByOne) {
+  ContentionPolicy p = make(ContentionPolicyKind::kAdaptiveBackoff);
   ContentionPolicy::State s = ContentionPolicy::seeded_state(1, 0);
   s.failure_level = 5;
   const std::uint32_t expected[] = {4, 3, 2, 1, 0, 0};
@@ -321,47 +304,6 @@ TEST(CommitDecay, LinearIsTheDefaultAndDecrementsByOne) {
     p.on_commit(s);
     EXPECT_EQ(s.failure_level, want);
   }
-}
-
-TEST(CommitDecay, HalfLifeHalvesPerCommit) {
-  ContentionPolicy p = make_decay(ContentionPolicyParams::kCommitDecayHalfLife);
-  ContentionPolicy::State s = ContentionPolicy::seeded_state(1, 0);
-  s.failure_level = 5;
-  const std::uint32_t expected[] = {2, 1, 0, 0};
-  for (std::uint32_t want : expected) {
-    p.on_commit(s);
-    EXPECT_EQ(s.failure_level, want);
-  }
-  // From the ladder's saturation point the half-life schedule relaxes in
-  // log time: 16 -> 8 -> 4 -> 2 -> 1 -> 0.
-  s.failure_level = ContentionPolicy::kMaxFailureLevel;
-  const std::uint32_t from_max[] = {8, 4, 2, 1, 0};
-  for (std::uint32_t want : from_max) {
-    p.on_commit(s);
-    EXPECT_EQ(s.failure_level, want);
-  }
-}
-
-TEST(CommitDecay, EscalationIsUnaffectedByDecayMode) {
-  ContentionPolicy lin = make_decay(ContentionPolicyParams::kCommitDecayLinear);
-  ContentionPolicy half =
-      make_decay(ContentionPolicyParams::kCommitDecayHalfLife);
-  ContentionPolicy::State s1 = ContentionPolicy::seeded_state(1, 0);
-  ContentionPolicy::State s2 = ContentionPolicy::seeded_state(1, 0);
-  for (int i = 0; i < 6; ++i) {
-    lin.on_abort(s1, CasAbort::kWriteConflict);
-    half.on_abort(s2, CasAbort::kWriteConflict);
-    EXPECT_EQ(s1.failure_level, s2.failure_level);
-  }
-}
-
-TEST(CommitDecay, ParamsEqualityIncludesDecayMode) {
-  ContentionPolicyParams a, b;
-  EXPECT_TRUE(a == b);
-  b.commit_decay = ContentionPolicyParams::kCommitDecayHalfLife;
-  EXPECT_FALSE(a == b);
-  a.commit_decay = ContentionPolicyParams::kCommitDecayHalfLife;
-  EXPECT_TRUE(a == b);
 }
 
 TEST(AdaptiveBackoff, NonconflictAbortsDoNotEscalate) {

@@ -103,13 +103,12 @@ TEST(MachineShard, ShardedRunIsDeterministic) {
 }
 
 TEST(MachineShard, SnapshotRefusedWhenSharded) {
-  bool checked = false;
-  run_queue_workload(QueueKind::kSbqHtm, shard_config(2), shard_spec(5),
-                     [&](sim::Machine& m) {
-                       EXPECT_THROW(m.snapshot(), std::runtime_error);
-                       checked = true;
-                     });
-  EXPECT_TRUE(checked);
+  const WorkloadSpec spec = shard_spec(5);
+  sim::Machine m(shard_config(2));
+  with_queue(QueueKind::kSbqHtm, m, spec, [&](auto& q, int offset) {
+    return run_spec(m, q, spec, offset);
+  });
+  EXPECT_THROW(m.snapshot(), std::runtime_error);
 }
 
 TEST(MachineShard, SerialTwinForksByteIdenticallyToColdStart) {

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "benchsupport/parallel_sweep.hpp"
+#include "sim/serialize.hpp"
 #include "sim_queue_bench_util.hpp"
 
 namespace sbq::bench {
@@ -115,6 +117,93 @@ TEST(QueueFactory, NamesRoundTrip) {
   }
   EXPECT_THROW(queue_kind_from_name("No-Such-Queue"), std::invalid_argument);
   EXPECT_EQ(queue_names().size(), evaluated_queue_kinds().size());
+}
+
+// sim_machine_config is the one place the shared flags reach a machine, so
+// each flag family must land in the config and the defaults must not.
+BenchOptions parse_flags(std::vector<std::string> flags) {
+  std::vector<char*> argv;
+  std::string prog = "bench";
+  argv.push_back(prog.data());
+  for (std::string& f : flags) argv.push_back(f.data());
+  return BenchOptions::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(SimMachineConfig, DefaultOptionsOnlySetCoresAndSockets) {
+  const BenchOptions opts = parse_flags({});
+  for (const auto& [cores, sockets] : {std::pair(1, 1), std::pair(4, 2)}) {
+    sim::MachineConfig expected;
+    expected.cores = cores;
+    expected.sockets = sockets;
+    const sim::MachineConfig got = sim_machine_config(opts, cores, sockets);
+    // The digest hashes every field's canonical encoding.
+    EXPECT_EQ(sim::machine_config_digest(got),
+              sim::machine_config_digest(expected));
+    EXPECT_FALSE(got.fault_plan.enabled);
+  }
+}
+
+TEST(SimMachineConfig, FaultFlagsLandInTheFaultPlan) {
+  const sim::MachineConfig mcfg = sim_machine_config(
+      parse_flags({"--fault-rate", "0.4", "--fault-seed", "9",
+                   "--fault-jitter", "5"}),
+      4);
+  const sim::FaultPlan& plan = mcfg.fault_plan;
+  EXPECT_TRUE(plan.enabled);
+  EXPECT_EQ(plan.seed, 9u);
+  EXPECT_DOUBLE_EQ(plan.capacity_rate, 0.1);
+  EXPECT_DOUBLE_EQ(plan.interrupt_rate, 0.2);
+  EXPECT_DOUBLE_EQ(plan.spurious_rate, 0.1);
+  EXPECT_DOUBLE_EQ(plan.message_jitter_rate, 0.5);
+  EXPECT_EQ(plan.max_message_jitter, 5u);
+  // Nothing else changes, and the plan is the shared mapping the fault
+  // sweep and the bisector call directly.
+  sim::MachineConfig expected;
+  expected.cores = 4;
+  expected.fault_plan = fault_plan(0.4, 9, 5);
+  EXPECT_EQ(sim::machine_config_digest(mcfg),
+            sim::machine_config_digest(expected));
+  EXPECT_FALSE(fault_plan(0.0, 9, 0).enabled);
+}
+
+TEST(SimMachineConfig, MachineFlagsLandInTheConfig) {
+  const sim::MachineConfig sharded =
+      sim_machine_config(parse_flags({"--machine-threads", "2"}), 4);
+  EXPECT_EQ(sharded.machine_threads, 2);
+  EXPECT_EQ(sharded.dir_slices, 2);
+  EXPECT_TRUE(sharded.alloc_arenas);
+
+  // --dir-slices alone builds the serial twin; slices are capped at cores.
+  const sim::MachineConfig twin =
+      sim_machine_config(parse_flags({"--dir-slices", "8"}), 4);
+  EXPECT_EQ(twin.machine_threads, 1);
+  EXPECT_EQ(twin.dir_slices, 4);
+  EXPECT_TRUE(twin.alloc_arenas);
+
+  const sim::MachineConfig sockets =
+      sim_machine_config(parse_flags({"--sockets", "2"}), 4, /*sockets=*/1);
+  EXPECT_EQ(sockets.sockets, 2);
+  EXPECT_EQ(sockets.dir_slices, 1);
+}
+
+TEST(SimMachineConfig, CasPolicyLandsInTheConfig) {
+  const sim::MachineConfig mcfg = sim_machine_config(
+      parse_flags({"--cas-policy", "adaptive-backoff", "--policy-seed", "7"}),
+      4);
+  EXPECT_EQ(mcfg.cas_policy.kind, ContentionPolicyKind::kAdaptiveBackoff);
+  EXPECT_EQ(mcfg.cas_policy.seed, 7u);
+  EXPECT_THROW(sim_machine_config(parse_flags({"--cas-policy", "bogus"}), 4),
+               std::invalid_argument);
+}
+
+TEST(SimMachineConfig, SerialRerunDropsToOneMachineThread) {
+  const sim::MachineConfig sharded =
+      sim_machine_config(parse_flags({"--machine-threads", "2"}), 4);
+  const sim::MachineConfig traced = serial_rerun_config(sharded, true);
+  EXPECT_TRUE(traced.record_trace);
+  EXPECT_EQ(traced.machine_threads, 1);
+  EXPECT_EQ(traced.dir_slices, sharded.dir_slices);  // the serial twin
+  EXPECT_FALSE(serial_rerun_config(sharded, false).record_trace);
 }
 
 }  // namespace

@@ -127,16 +127,8 @@ sim::MachineConfig side_machine_config(const Options& o, const SideConfig& s,
   mcfg.collect_stats = false;
   mcfg.interconnect_model = s.link_model ? sim::InterconnectModel::kLink
                                          : sim::InterconnectModel::kFlat;
-  if (s.fault_rate > 0.0) {
-    // Same 25/50/25 capacity/interrupt/spurious split as the drivers'
-    // --fault-rate (bench::apply_fault_options).
-    sim::FaultPlan& plan = mcfg.fault_plan;
-    plan.enabled = true;
-    plan.seed = s.fault_seed;
-    plan.capacity_rate = s.fault_rate * 0.25;
-    plan.interrupt_rate = s.fault_rate * 0.50;
-    plan.spurious_rate = s.fault_rate * 0.25;
-  }
+  mcfg.fault_plan =
+      bench::fault_plan(s.fault_rate, s.fault_seed, /*jitter=*/0);
   if (!s.cas_policy.empty()) {
     if (!sbq::contention_policy_from_name(s.cas_policy.c_str(),
                                           mcfg.cas_policy.kind)) {
