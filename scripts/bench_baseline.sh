@@ -194,8 +194,11 @@ def run_micro(drv, args):
 
 report = {
     "schema": "sbq.bench-baseline/1",
+    # cpus is the host's CPU count; nproc is how many of them this process
+    # may run on (what `nproc` prints), the bound on any parallel speedup.
     "machine": {"platform": platform.platform(),
-                "cpus": os.cpu_count()},
+                "cpus": os.cpu_count(),
+                "nproc": len(os.sched_getaffinity(0))},
     "sim_config": sim_config(),
     "figures": {d: run_timed(d) for d in FIGS},
     "policy_sweep": run_policy_sweep(),

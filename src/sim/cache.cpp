@@ -196,6 +196,7 @@ void Core::answer_fwd_getm(const Message& msg) {
 }
 
 void Core::maybe_txn_conflict_on_loss(Addr a, bool losing_all_permissions) {
+  if (losing_all_permissions && poll_.parked && poll_.addr == a) poll_wake();
   if (!txn_.active || txn_.addr != a) return;
   if (txn_.in_write_phase) {
     // Conflict in the outer transaction: immediate retry (Algorithm 1

@@ -1,6 +1,8 @@
 // Core operation plumbing and the TxCAS state machine.
 #include "sim/core.hpp"
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "sim/trace.hpp"
 
@@ -238,6 +240,82 @@ void Core::start_rmw(Rmw kind, Addr a, Value arg0, Value arg1, DoneValFn done) {
       done(result);
     });
   }));
+}
+
+// ---------------------------------------------------------------------------
+// poll_until: the plain spin loop `v = load(a); if (pred(v)) break;
+// think(gap);` with the same schedule, minus the events of its hits. A hit
+// on a valid line whose value fails pred parks the core instead of
+// scheduling the load's completion and the think: the line's value cannot
+// change while this core holds it, so every later poll would hit too and
+// see the same value. The poll instants stay implicit — `next`, `next +
+// period`, ... with period = hit_latency + gap — until a loss of the line
+// (maybe_txn_conflict_on_loss) wakes the core at the first instant whose
+// load misses. Only CoreStats::loads counts the skipped hits; it is
+// credited in bulk on wake, so every counter except engine events matches
+// the plain loop.
+// ---------------------------------------------------------------------------
+
+void Core::start_poll(Addr a, PollPredFn pred, Time gap, DoneValFn done) {
+  assert(!poll_.active && "one poll_until per core");
+  poll_.active = true;
+  poll_.addr = a;
+  poll_.gap = gap == 0 ? 1 : gap;  // think(0) still takes a cycle
+  poll_.pred = std::move(pred);
+  poll_.done = std::move(done);
+  poll_step();
+}
+
+void Core::poll_step() {
+  const Addr a = poll_.addr;
+  // Parking needs gap < every message latency: a loss of the line is a
+  // message sent at least that long ago, so it then always precedes, in
+  // engine order, the plain loop's poll event of the same cycle (scheduled
+  // `gap` cycles before it). Longer gaps run the plain loop.
+  const bool can_park =
+      poll_.gap < std::min(cfg_.intra_latency, cfg_.inter_latency);
+  if (can_park && pending_.count(a) == 0) {
+    auto it = lines_.find(a);
+    if (it != lines_.end() && it->second.state != LineState::kInvalid) {
+      // A hit, exactly as start_load's: count it, read the value now.
+      ++stats_.loads;
+      const Value v = it->second.value;
+      if (!poll_.pred(v)) {
+        poll_.parked = true;
+        poll_.next = engine_.now() + cfg_.hit_latency + poll_.gap;
+        return;
+      }
+      engine_.schedule(cfg_.hit_latency, [this, v] { poll_finish(v); });
+      return;
+    }
+  }
+  // A miss (or a gap too long to park with): the plain loop's load.
+  start_load(a, DoneValFn([this](Value v) {
+    if (poll_.pred(v)) {
+      poll_finish(v);
+    } else {
+      engine_.schedule(poll_.gap, [this] { poll_step(); });
+    }
+  }));
+}
+
+void Core::poll_wake() {
+  // Poll instants before now hit (they ran ahead of this loss); one at
+  // exactly now misses (see can_park in poll_step).
+  poll_.parked = false;
+  const Time now = engine_.now();
+  const Time period = cfg_.hit_latency + poll_.gap;
+  Time at = poll_.next;
+  if (at < now) at += (now - at + period - 1) / period * period;
+  stats_.loads += (at - poll_.next) / period;
+  poll_.next = at;
+  engine_.schedule(at - now, [this] { poll_step(); });
+}
+
+void Core::poll_finish(Value v) {
+  poll_.active = false;
+  auto done = std::move(poll_.done);
+  done(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,6 +668,13 @@ void Core::TxCasAwaiter::await_suspend(std::coroutine_handle<> h) {
   core->start_txcas(addr, expected, desired, cfg,
                     DoneBoolFn([this, h](bool ok) {
     result = ok;
+    h.resume();
+  }));
+}
+
+void Core::PollAwaiter::await_suspend(std::coroutine_handle<> h) {
+  core->start_poll(addr, std::move(pred), gap, DoneValFn([this, h](Value v) {
+    result = v;
     h.resume();
   }));
 }

@@ -13,6 +13,10 @@
 //                       post-abort delay + re-check; bounded retries with a
 //                       plain-CAS fallback (wait-freedom)
 //   think             — local computation (no memory traffic)
+//   poll_until        — the plain `load; test; think(gap)` spin loop, with
+//                       the hits skipped: while the polled line stays valid
+//                       its value cannot change, so the core parks on it
+//                       and schedules nothing until the line is lost
 //
 // Protocol reactions implemented in cache.cpp:
 //   * Inv on a transactionally read line → concurrent abort (Figure 2b)
@@ -53,6 +57,8 @@ using DoneVoidFn = InlineFunction<void(), 32>;
 using DoneBoolFn = InlineFunction<void(bool), 32>;
 using ContFn = InlineFunction<void(), 104>;
 using WaiterFn = InlineFunction<void(), 192>;
+// poll_until's exit test on the polled value.
+using PollPredFn = InlineFunction<bool(Value), 16>;
 
 struct CoreStats {
   std::uint64_t loads = 0;
@@ -74,6 +80,8 @@ struct CoreStats {
   // Graceful degradation: plain-CAS taken after K non-conflict aborts
   // (TxCasConfig::max_nonconflict_aborts) — disjoint from `fallbacks`.
   std::uint64_t fallback_cas = 0;
+
+  bool operator==(const CoreStats&) const = default;
 };
 
 class Core {
@@ -115,6 +123,11 @@ class Core {
   void start_rmw(Rmw kind, Addr a, Value arg0, Value arg1, DoneValFn done);
   void start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
                    DoneBoolFn done);
+  // Spin on `a` until pred(value); completes with the value that passed.
+  // Same schedule as the plain loop `for (;;) { v = load(a); if (pred(v))
+  // break; think(gap); }`, minus the engine events of its hits (see
+  // poll_step / poll_wake).
+  void start_poll(Addr a, PollPredFn pred, Time gap, DoneValFn done);
 
   // Network entry point (registered with the interconnect).
   void handle(const Message& msg);
@@ -156,6 +169,16 @@ class Core {
     void await_suspend(std::coroutine_handle<> h);
     bool await_resume() const noexcept { return result; }
   };
+  struct PollAwaiter {
+    Core* core;
+    Addr addr;
+    PollPredFn pred;
+    Time gap;
+    Value result = 0;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    Value await_resume() const noexcept { return result; }
+  };
 
   ValueAwaiter load(Addr a) { return {this, 0, a, 0, 0}; }
   ValueAwaiter cas(Addr a, Value expected, Value desired) {
@@ -169,6 +192,9 @@ class Core {
                      TxCasConfig cfg = {}) {
     return {this, a, expected, desired, cfg};
   }
+  PollAwaiter poll_until(Addr a, PollPredFn pred, Time gap) {
+    return {this, a, std::move(pred), gap};
+  }
 
   // Pre-size the private-cache line table for `n` distinct lines (the
   // pending/waiter tables stay small: their churn is tombstone-cleaned).
@@ -179,6 +205,11 @@ class Core {
   enum class LineState : std::uint8_t { kInvalid, kShared, kModified, kOwned };
   LineState line_state(Addr a) const;
   bool has_pending(Addr a) const { return pending_.count(a) != 0; }
+  // A parked poll_until: the line it waits on and the plain loop's next
+  // poll instant (for debug dumps and tests).
+  bool poll_parked() const noexcept { return poll_.parked; }
+  Addr poll_addr() const noexcept { return poll_.addr; }
+  Time poll_next() const noexcept { return poll_.next; }
 
  private:
   friend struct ValueAwaiter;
@@ -190,12 +221,12 @@ class Core {
 
  public:
   // True when the core holds no in-flight protocol or transaction state:
-  // no pending request, no parked waiters, no active TxCAS. Only a
-  // quiescent core can be snapshotted — everything else (cache lines,
-  // stats, the delay-jitter PRNG) is plain value state.
+  // no pending request, no parked waiters, no active TxCAS, no poll_until
+  // (parked or not). Only a quiescent core can be snapshotted — everything
+  // else (cache lines, stats, the delay-jitter PRNG) is plain value state.
   bool quiescent() const noexcept {
     return pending_.empty() && waiters_.empty() && !txn_.active &&
-           txn_op_ == nullptr;
+           txn_op_ == nullptr && !poll_.active;
   }
 
   // Schedule-visible state for Machine::snapshot()/fork(); valid only at
@@ -283,6 +314,26 @@ class Core {
   // one). Maps FaultKind to AbortCause and counts per kind.
   void deliver_injected_fault(FaultKind kind);
 
+  // -- poll_until (core.cpp) --
+  // One poll_until per core (cores run one thread), kept in a per-core slot
+  // like the TxCAS record, so parking and waking allocate nothing.
+  struct PollOp {
+    bool active = false;
+    bool parked = false;   // line valid, pred false: no event scheduled
+    Addr addr = 0;
+    Time gap = 1;          // think cycles between polls (>= 1)
+    Time next = 0;         // parked: the plain loop's next poll instant
+    PollPredFn pred;
+    DoneValFn done;
+  };
+  // One poll of the plain loop (its load starts now): park on a hit whose
+  // value fails pred, else run the plain load.
+  void poll_step();
+  // The parked line was lost: credit the skipped hits and schedule the
+  // first poll that misses.
+  void poll_wake();
+  void poll_finish(Value v);
+
   // -- protocol message handling (cache.cpp) --
   void on_data(const Message& msg);
   void on_inv_ack(const Message& msg);
@@ -293,7 +344,9 @@ class Core {
   void answer_fwd_getm(const Message& msg);
   bool fwd_predates_pending_request(Addr a, const Pending& p) const;
   // True if the message concerns a line in the transaction's footprint and
-  // the transaction must abort (requester-wins).
+  // the transaction must abort (requester-wins). Every path that takes all
+  // permissions away (Inv, Fwd-GetM, deferred Inv) comes through here, so
+  // this is also where a parked poll_until wakes.
   void maybe_txn_conflict_on_loss(Addr a, bool losing_all_permissions);
 
   CoreId id_;
@@ -319,6 +372,7 @@ class Core {
   std::uint32_t fault_spur_t_ = 0;
   TxCasOp txcas_op_;          // per-core operation slot
   TxCasOp* txn_op_ = nullptr; // points at txcas_op_ while a txn is active
+  PollOp poll_;               // per-core poll_until slot
   CoreStats stats_;
 };
 

@@ -860,6 +860,13 @@ void Machine::dump_debug_state(const char* why) {
       slices_[s].ring->dump(std::cerr);
     }
   }
+  for (const auto& c : cores_) {
+    if (c->poll_parked()) {
+      std::cerr << "core " << c->id() << " parked in poll_until on addr "
+                << c->poll_addr() << ", next poll at t=" << c->poll_next()
+                << "\n";
+    }
+  }
   if (trace_.enabled()) {
     std::cerr << "--- trace tail ---\n";
     trace_.print(std::cerr);

@@ -4,7 +4,9 @@
 // executes everyone's pending operations on a combiner-private sequential
 // queue. Waiters spin locally on their own record's line; the combiner's
 // completion store invalidates it and wakes them — exactly the two-message
-// hand-off CC-Synch is designed around.
+// hand-off CC-Synch is designed around. The spin is Core::poll_until (a
+// load every 1 + 12 cycles): the waiter parks on its valid line and costs
+// no engine events until that invalidation arrives.
 //
 // Record layout: [0] op (1=enq, 2=deq), [1] argument, [2] result,
 //                [3] status (0=pending, 1=completed, 2=lock passed),
@@ -111,12 +113,8 @@ class SimCcQueue {
     co_await c.store(rec_next(cur), next_dummy);
 
     // Local spin on our own record's status word.
-    Value status;
-    for (;;) {
-      status = co_await c.load(rec_status(cur));
-      if (status != 0) break;
-      co_await c.think(12);
-    }
+    const Value status = co_await c.poll_until(
+        rec_status(cur), [](Value s) { return s != 0; }, 12);
     if (status == 1) {
       // Combined by someone else.
       const Value result = co_await c.load(rec_result(cur));

@@ -59,16 +59,6 @@ inline constexpr Value kEmptyMark = 1;   // SBQ basket: cell closed by extract
 inline constexpr Value kTakenMark = 1;   // FAA queue: cell poisoned
 inline constexpr Value kFirstElement = 16;
 
-// Spin on a simulated location until it holds `until_value`, re-reading
-// with a small backoff so the spin does not flood the interconnect.
-inline Task<void> spin_until_equals(Core& c, Addr a, Value until_value,
-                                    Time poll_gap = 8) {
-  for (;;) {
-    if (co_await c.load(a) == until_value) co_return;
-    co_await c.think(poll_gap);
-  }
-}
-
 // advance_node (Algorithm 6): advance *ptr at least to `node`, comparing by
 // the index stored at offset `index_off` within each node.
 inline Task<void> advance_node(Core& c, Addr ptr, Addr node, int index_off) {
