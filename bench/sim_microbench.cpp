@@ -11,8 +11,9 @@
 //     pool warm up, so allocs/event is nonzero.
 //   * steady — subsequent identical rounds: every allocation source must be
 //     warm (engine slab, frame pool, flat maps pre-sized via
-//     Machine::reserve_lines, inline callables/vectors, inline sharer-set
-//     storage), so allocs/event MUST be exactly 0.
+//     Machine::reserve_lines, inline vectors, inline sharer-set storage;
+//     each core's memory operations run on its one operation record), so
+//     allocs/event MUST be exactly 0.
 //
 // The process exits nonzero if any steady phase allocates — this is the
 // regression gate that keeps the simulator's hot path allocation-free

@@ -6,7 +6,9 @@
 #     + UBSan, default tree build-asan. The benchmark harness and examples are
 #     skipped: golden byte-identity and timing gates are meaningless under
 #     sanitizer instrumentation — this run exists to catch memory errors and
-#     UB in the simulator and queue implementations.
+#     UB in the simulator and queue implementations. It also turns assertions
+#     on: the RelWithDebInfo default adds -DNDEBUG, so this is the one run in
+#     which the simulator's protocol-state asserts execute.
 #   SANITIZE=thread: the native concurrent tests (queues, baskets,
 #     reclamation, value queue, native op recording) under ThreadSanitizer,
 #     default tree build-tsan. Any data-race report fails the run.
@@ -47,6 +49,8 @@ fi
 BUILD_DIR=${1:-build-asan}
 cmake -B "$BUILD_DIR" -S . \
   -DSANITIZE=ON \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DSBQ_BUILD_BENCH=OFF \
   -DSBQ_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -59,4 +63,4 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -j "${CTEST_PARALLEL_LEVEL:-2}" \
   -LE "bench|golden_rebaseline|perf_smoke|docs"
 
-echo "check_sanitizers: ASan+UBSan test run passed ($BUILD_DIR)"
+echo "check_sanitizers: ASan+UBSan test run (assertions on) passed ($BUILD_DIR)"

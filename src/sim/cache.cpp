@@ -35,7 +35,7 @@ void Core::on_data(const Message& msg) {
   p.got_data = true;
   p.data = msg.value;
   p.acks_expected = msg.ack_count;
-  if (!p.want_m || p.acks_got >= p.acks_expected) finish_request(msg.addr);
+  if (!p.want_m || p.acks_got >= p.acks_expected) finish_request(msg.addr, p);
 }
 
 void Core::on_inv_ack(const Message& msg) {
@@ -45,7 +45,7 @@ void Core::on_inv_ack(const Message& msg) {
   Pending& p = it->second;
   ++p.acks_got;
   if (p.got_data && p.acks_got >= p.acks_expected && !p.locked) {
-    finish_request(msg.addr);
+    finish_request(msg.addr, p);
   }
 }
 
@@ -196,7 +196,7 @@ void Core::answer_fwd_getm(const Message& msg) {
 }
 
 void Core::maybe_txn_conflict_on_loss(Addr a, bool losing_all_permissions) {
-  if (losing_all_permissions && poll_.parked && poll_.addr == a) poll_wake();
+  if (losing_all_permissions && poll_.parked && op_.addr == a) poll_wake();
   if (!txn_.active || txn_.addr != a) return;
   if (txn_.in_write_phase) {
     // Conflict in the outer transaction: immediate retry (Algorithm 1

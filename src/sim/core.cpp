@@ -2,6 +2,7 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "sim/trace.hpp"
@@ -45,15 +46,12 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net,
   // never perturbs any other stream.
   txcas_op_.policy_state = ContentionPolicy::seeded_state(
       cfg_.cas_policy.seed, static_cast<std::uint64_t>(id_));
-  // Pre-size the small request-path tables to their minimum capacity now.
-  // Both are bounded by concurrent in-flight requests (a handful), but a
-  // core whose first parked waiter lands mid-run would otherwise pay the
-  // table's lazy first rehash inside a measured phase — observed under
-  // adaptive contention policies, whose reshaped retry schedules can make
-  // a retry acquire overlap the same core's background abort-GetM for the
-  // first time phases after warm-up (sim_microbench zero-alloc gate).
+  // Pre-size the pending table to its minimum capacity now. It is bounded
+  // by concurrent in-flight requests (a handful), but a core that issues
+  // its first request inside a measured phase would otherwise pay the
+  // table's lazy first allocation there (sim_microbench zero-alloc gate).
+  // The waiter list is inline and needs no such step.
   pending_.reserve(1);
-  waiters_.reserve(1);
 }
 
 Core::LineState Core::line_state(Addr a) const {
@@ -77,45 +75,78 @@ void Core::restore_state(const State& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Generic acquire: ensure the line is present with the needed permission,
-// then run `cont` (synchronously within the completing event).
+// The operation record and the generic acquire. An acquire ensures the line
+// is present with the needed permission, then resumes its continuation
+// (synchronously within the completing event): the record's access, or a
+// TxCAS attempt's read or write step.
 // ---------------------------------------------------------------------------
 
-void Core::acquire(Addr a, bool want_m, ContFn cont) {
+void Core::begin_op(OpKind kind, Addr a, Value a0, Value a1,
+                    std::coroutine_handle<> thread) {
+  assert(!op_.thread && "one operation in flight per core");
+  op_.kind = kind;
+  op_.addr = a;
+  op_.a0 = a0;
+  op_.a1 = a1;
+  op_.thread = thread;
+}
+
+void Core::start_access(OpKind kind, Addr a, Value a0, Value a1,
+                        std::coroutine_handle<> thread) {
+  begin_op(kind, a, a0, a1, thread);
+  switch (kind) {
+    case OpKind::kLoad: ++stats_.loads; break;
+    case OpKind::kStore: ++stats_.stores; break;
+    default: ++stats_.rmws; break;
+  }
+  acquire(a, /*want_m=*/kind != OpKind::kLoad, Cont::kAccess, 0);
+}
+
+void Core::finish_op(Value result) {
+  op_.result = result;
+  // The thread may start its next operation on this record right away.
+  const std::coroutine_handle<> thread = std::exchange(op_.thread, nullptr);
+  thread.resume();
+}
+
+void Core::acquire(Addr a, bool want_m, Cont cont, std::uint64_t token) {
   if (pending_.count(a) != 0) {
     // Our own request on this line is in flight (e.g. the background GetM of
     // an aborted transaction). Wait for it to settle, then try again.
-    waiters_[a].push_back(
-        WaiterFn([this, a, want_m, cont = std::move(cont)]() mutable {
-          acquire(a, want_m, std::move(cont));
-        }));
+    waiters_.push_back({a, want_m, cont, token});
     return;
   }
   auto it = lines_.find(a);
-  const bool hit =
-      it != lines_.end() &&
+  if (it != lines_.end() &&
       (it->second.state == LineState::kModified ||
-       (!want_m && (it->second.state == LineState::kShared ||
-                    it->second.state == LineState::kOwned)));
-  if (hit) {
-    cont();
+       (!want_m && it->second.state != LineState::kInvalid))) {
+    resume(cont, token, a, it->second, /*was_miss=*/false);
     return;
   }
-  issue_request(a, want_m, std::move(cont));
+  issue_request(a, want_m, cont, token);
 }
 
-void Core::issue_request(Addr a, bool want_m, ContFn cont) {
+void Core::resume(Cont cont, std::uint64_t token, Addr a, Line& line,
+                  bool was_miss) {
+  switch (cont) {
+    case Cont::kAccess: access(line, was_miss); return;
+    case Cont::kTxRead: txcas_on_read_ready(a, token, was_miss); return;
+    case Cont::kTxWrite: txcas_on_write_ready(a, token, was_miss); return;
+  }
+}
+
+void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
   if (metrics_) metrics_->on_request(id_, a, want_m);
   Pending& p = pending_[a];
   p.want_m = want_m;
-  p.on_complete = std::move(cont);
+  p.cont = cont;
+  p.token = token;
   Message req{want_m ? MsgType::kGetM : MsgType::kGetS, a, id_, id_, 0, 0};
   net_.send(id_, dir_node(a), req);
 }
 
-void Core::finish_request(Addr a) {
+void Core::finish_request(Addr a, Pending& p) {
   Line& line = lines_[a];
-  Pending& p = pending_.at(a);
   // Owned-to-Modified upgrade: our copy is the authoritative one; the
   // directory's response only carried the ack count (its value is stale).
   const bool keep_own_value =
@@ -130,13 +161,7 @@ void Core::finish_request(Addr a) {
   }
   // Hand control to the operation that issued the request. It must call
   // release_request(a) when its atomic step is done.
-  auto cont = std::move(p.on_complete);
-  if (cont) {
-    cont();
-  } else {
-    // Operation no longer cares (aborted transaction): release immediately.
-    release_request(a);
-  }
+  resume(p.cont, p.token, a, line, /*was_miss=*/true);
 }
 
 void Core::release_request(Addr a) {
@@ -169,77 +194,70 @@ void Core::release_request(Addr a) {
 }
 
 void Core::run_waiters(Addr a) {
-  auto it = waiters_.find(a);
-  if (it == waiters_.end()) return;
-  InlineVec<WaiterFn, 4> ws = std::move(it->second);
-  waiters_.erase(it);
-  for (auto& w : ws) w();
+  if (waiters_.empty()) return;
+  // Take this line's waiters out first: a re-acquire may park again behind
+  // a request an earlier one just issued, and then waits for its release.
+  InlineVec<Waiter, 8> parked = std::move(waiters_);
+  InlineVec<Waiter, 8> ready;
+  for (const Waiter& w : parked) (w.addr == a ? ready : waiters_).push_back(w);
+  for (const Waiter& w : ready) acquire(w.addr, w.want_m, w.cont, w.token);
 }
 
 // ---------------------------------------------------------------------------
-// Plain operations.
+// Plain accesses: the record's load, store or read-modify-write, performed
+// once its line is held, completing hit_latency (rmw_latency) later.
 // ---------------------------------------------------------------------------
 
-void Core::start_load(Addr a, DoneValFn done) {
-  ++stats_.loads;
-  acquire(a, /*want_m=*/false, ContFn([this, a, done = std::move(done)]() mutable {
-    const Value v = lines_.at(a).value;
-    const bool was_miss = pending_.count(a) != 0;
-    engine_.schedule(cfg_.hit_latency,
-                     [this, a, v, was_miss, done = std::move(done)]() mutable {
-      if (was_miss) release_request(a);
-      done(v);
-    });
-  }));
-}
-
-void Core::start_store(Addr a, Value v, DoneVoidFn done) {
-  ++stats_.stores;
-  acquire(a, /*want_m=*/true,
-          ContFn([this, a, v, done = std::move(done)]() mutable {
-    lines_.at(a).value = v;
-    const bool was_miss = pending_.count(a) != 0;
-    engine_.schedule(cfg_.hit_latency,
-                     [this, a, was_miss, done = std::move(done)]() mutable {
-      if (was_miss) release_request(a);
-      done();
-    });
-  }));
-}
-
-void Core::start_rmw(Rmw kind, Addr a, Value arg0, Value arg1, DoneValFn done) {
-  ++stats_.rmws;
-  acquire(a, /*want_m=*/true,
-          ContFn([this, kind, a, arg0, arg1, done = std::move(done)]() mutable {
+void Core::access(Line& line, bool was_miss) {
+  op_.was_miss = was_miss;
+  Time latency = cfg_.hit_latency;
+  switch (op_.kind) {
+    case OpKind::kLoad:
+    case OpKind::kTxLoad:
+    case OpKind::kPoll:
+      op_.result = line.value;
+      break;
+    case OpKind::kStore:
+      line.value = op_.a0;
+      break;
     // We own the line: perform the read-modify-write atomically. Incoming
     // forwards are stalled (pending entry is locked) until rmw_latency has
     // elapsed — the §3.2 stall that serializes contended RMWs.
-    Line& line = lines_.at(a);
-    const Value old = line.value;
-    Value result = old;
-    switch (kind) {
-      case Rmw::kCas:
-        if (old == arg0) {
-          line.value = arg1;
-          result = 1;
-        } else {
-          result = 0;
-        }
-        break;
-      case Rmw::kFaa:
-        line.value = old + arg0;
-        break;
-      case Rmw::kSwap:
-        line.value = arg0;
-        break;
-    }
-    const bool was_miss = pending_.count(a) != 0;
-    engine_.schedule(cfg_.rmw_latency,
-                     [this, a, was_miss, result, done = std::move(done)]() mutable {
-      if (was_miss) release_request(a);
-      done(result);
-    });
-  }));
+    case OpKind::kCas:
+    case OpKind::kTxFallback:
+      latency = cfg_.rmw_latency;
+      if (line.value == op_.a0) {
+        line.value = op_.a1;
+        op_.result = 1;
+      } else {
+        op_.result = 0;
+      }
+      break;
+    case OpKind::kFaa:
+      latency = cfg_.rmw_latency;
+      op_.result = line.value;
+      line.value += op_.a0;
+      break;
+    case OpKind::kSwap:
+      latency = cfg_.rmw_latency;
+      op_.result = line.value;
+      line.value = op_.a0;
+      break;
+    case OpKind::kTxCas:
+      assert(false && "a TxCAS attempt acquires through kTxRead/kTxWrite");
+      break;
+  }
+  engine_.schedule(latency, [this] { complete_access(); });
+}
+
+void Core::complete_access() {
+  if (op_.was_miss) release_request(op_.addr);
+  switch (op_.kind) {
+    case OpKind::kTxLoad: txcas_post_abort_loaded(); return;
+    case OpKind::kTxFallback: txcas_fallback_done(); return;
+    case OpKind::kPoll: poll_loaded(); return;
+    default: finish_op(op_.result); return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -256,18 +274,18 @@ void Core::start_rmw(Rmw kind, Addr a, Value arg0, Value arg1, DoneValFn done) {
 // the plain loop.
 // ---------------------------------------------------------------------------
 
-void Core::start_poll(Addr a, PollPredFn pred, Time gap, DoneValFn done) {
+void Core::start_poll(Addr a, PollPredFn pred, Time gap,
+                      std::coroutine_handle<> thread) {
   assert(!poll_.active && "one poll_until per core");
+  begin_op(OpKind::kPoll, a, 0, 0, thread);
   poll_.active = true;
-  poll_.addr = a;
   poll_.gap = gap == 0 ? 1 : gap;  // think(0) still takes a cycle
   poll_.pred = std::move(pred);
-  poll_.done = std::move(done);
   poll_step();
 }
 
 void Core::poll_step() {
-  const Addr a = poll_.addr;
+  const Addr a = op_.addr;
   // Parking needs gap < every message latency: a loss of the line is a
   // message sent at least that long ago, so it then always precedes, in
   // engine order, the plain loop's poll event of the same cycle (scheduled
@@ -277,26 +295,29 @@ void Core::poll_step() {
   if (can_park && pending_.count(a) == 0) {
     auto it = lines_.find(a);
     if (it != lines_.end() && it->second.state != LineState::kInvalid) {
-      // A hit, exactly as start_load's: count it, read the value now.
+      // A hit, exactly as a plain load's: count it, read the value now.
       ++stats_.loads;
-      const Value v = it->second.value;
-      if (!poll_.pred(v)) {
+      op_.result = it->second.value;
+      if (!poll_.pred(op_.result)) {
         poll_.parked = true;
         poll_.next = engine_.now() + cfg_.hit_latency + poll_.gap;
         return;
       }
-      engine_.schedule(cfg_.hit_latency, [this, v] { poll_finish(v); });
+      engine_.schedule(cfg_.hit_latency, [this] { poll_finish(); });
       return;
     }
   }
   // A miss (or a gap too long to park with): the plain loop's load.
-  start_load(a, DoneValFn([this](Value v) {
-    if (poll_.pred(v)) {
-      poll_finish(v);
-    } else {
-      engine_.schedule(poll_.gap, [this] { poll_step(); });
-    }
-  }));
+  ++stats_.loads;
+  acquire(a, /*want_m=*/false, Cont::kAccess, 0);
+}
+
+void Core::poll_loaded() {
+  if (poll_.pred(op_.result)) {
+    poll_finish();
+  } else {
+    engine_.schedule(poll_.gap, [this] { poll_step(); });
+  }
 }
 
 void Core::poll_wake() {
@@ -312,99 +333,88 @@ void Core::poll_wake() {
   engine_.schedule(at - now, [this] { poll_step(); });
 }
 
-void Core::poll_finish(Value v) {
+void Core::poll_finish() {
   poll_.active = false;
-  auto done = std::move(poll_.done);
-  done(v);
+  finish_op(op_.result);
 }
 
 // ---------------------------------------------------------------------------
-// TxCAS (§4, Algorithm 1) as an explicit state machine. One live TxCAS per
-// core (each core runs one simulated thread), so the operation record is a
-// per-core slot (txcas_op_) reused across calls. Callbacks belonging to a
-// finished attempt may still fire (a stale GetS/GetM completing); they must
-// not read the possibly-reused slot, so they carry the addr and the
-// attempt's txn token by value and bail out on a token mismatch. Tokens are
-// monotonically increasing across attempts and operations, which makes the
-// token check equivalent to the old shared_ptr identity + token pair.
+// TxCAS (§4, Algorithm 1) as an explicit state machine over the operation
+// record (op_: addr, a0 = expected, a1 = desired) and the per-core TxCAS
+// slot. Continuations belonging to a finished attempt may still run (a
+// stale GetS/GetM completing); they carry the addr and the attempt's txn
+// token and bail out on a token mismatch, touching neither op_ nor the
+// slot, which may already describe a newer attempt or operation. Tokens
+// increase monotonically across attempts and operations.
 // ---------------------------------------------------------------------------
 
 void Core::start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
-                       DoneBoolFn done) {
+                       std::coroutine_handle<> thread) {
+  begin_op(OpKind::kTxCas, a, expected, desired, thread);
   ++stats_.txcas_calls;
   if (metrics_) metrics_->on_txcas_call(id_);
-  TxCasOp* op = &txcas_op_;
-  op->addr = a;
-  op->expected = expected;
-  op->desired = desired;
-  op->cfg = cfg;
+  TxCasOp& op = txcas_op_;
+  op.cfg = cfg;
   // Re-arm the retry brain for this call: machine-wide policy params, this
   // op's §4 knobs. The persistent policy_state is deliberately untouched.
-  op->policy = make_contention_policy(cfg_.cas_policy, cfg);
-  op->policy.begin_call();
-  op->done = std::move(done);
-  txcas_attempt(op);
+  op.policy = make_contention_policy(cfg_.cas_policy, cfg);
+  op.policy.begin_call();
+  txcas_attempt();
 }
 
-void Core::txcas_attempt(TxCasOp* op) {
+void Core::txcas_attempt() {
+  TxCasOp& op = txcas_op_;
   // The policy decides: retry transactionally, fall back on attempt-budget
   // exhaustion, or degrade after persistent non-conflict aborts (capacity,
   // interrupt, spurious — retrying those buys nothing).
-  const CasStep step = op->policy.next_step();
+  const CasStep step = op.policy.next_step();
   if (metrics_) metrics_->on_policy_step(id_, static_cast<int>(step));
   if (step != CasStep::kTxn) {
-    txcas_fallback(op, /*degraded=*/step == CasStep::kFallbackDegraded);
+    txcas_fallback(/*degraded=*/step == CasStep::kFallbackDegraded);
     return;
   }
-  op->policy.note_attempt();
+  op.policy.note_attempt();
   ++stats_.txcas_attempts;
   if (metrics_) metrics_->on_txn_attempt(id_);
+  op_.kind = OpKind::kTxCas;
   txn_.active = true;
   txn_.in_write_phase = false;
-  txn_.addr = op->addr;
+  txn_.addr = op_.addr;
   txn_.read_marked = false;
   ++txn_.token;
-  txn_op_ = op;
   // Transactional read: needs the line in S (or M). The read itself is a
   // plain GetS if we miss.
-  acquire(op->addr, /*want_m=*/false,
-          ContFn([this, op, a = op->addr, token = txn_.token] {
-            txcas_on_read_ready(op, a, token);
-          }));
+  acquire(op_.addr, /*want_m=*/false, Cont::kTxRead, txn_.token);
 }
 
-void Core::txcas_on_read_ready(TxCasOp* op, Addr a, std::uint64_t token) {
+void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
   // The acquire may complete after an asynchronous abort already tore the
-  // transaction down (e.g. deferred Inv) — or, with the per-core slot,
-  // after the whole operation finished. Detect via the token; the stale
-  // path must use the captured addr (the slot may describe a newer op).
+  // transaction down (e.g. deferred Inv) — or after the whole operation
+  // finished. Detect via the token; the stale path must use the acquired
+  // addr (op_ may describe a newer op).
   if (!txn_.active || txn_.token != token) {
-    if (pending_.count(a) != 0) release_request(a);
+    if (was_miss) release_request(a);
     return;
   }
+  TxCasOp& op = txcas_op_;
   const Value v = lines_.at(a).value;
   txn_.read_marked = true;
-  const bool was_miss = pending_.count(a) != 0;
   if (was_miss) release_request(a);
   if (!txn_.active || txn_.token != token) {
     return;  // releasing answered a deferred Inv that aborted us
   }
 
-  if (v != op->expected) {
+  if (v != op_.a0) {
     // Self-abort (_xabort(1) in Algorithm 1): the CAS fails outright.
     ++stats_.self_aborts;
     ++stats_.txcas_fail;
     if (metrics_) {
       metrics_->on_txn_abort(id_, AbortCause::kExplicit);
-      metrics_->on_txcas_done(id_, static_cast<int>(op->policy.attempts()),
+      metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
                               false);
     }
     txn_ = Txn{.token = txn_.token};
-    txn_op_ = nullptr;
-    engine_.schedule(cfg_.hit_latency, [op] {
-      auto done = std::move(op->done);
-      done(false);
-    });
+    engine_.schedule(cfg_.hit_latency, [this] { finish_op(0); });
     return;
   }
 
@@ -424,16 +434,16 @@ void Core::txcas_on_read_ready(TxCasOp* op, Addr a, std::uint64_t token) {
   // fixed policy; failure-history-scaled under adaptive-backoff). The
   // schedule jitter keeps drawing from the core's own LCG stream either
   // way, so switching policies never desynchronizes other draws.
-  const Time delay_base = op->policy.intra_delay(op->policy_state);
+  const Time delay_base = op.policy.intra_delay(op.policy_state);
   delay_jitter_state_ = delay_jitter_state_ * 6364136223846793005ULL +
                         1442695040888963407ULL +
                         static_cast<std::uint64_t>(id_);
   const Time jitter_range = delay_base / 2 + 16;
   const Time jitter = (delay_jitter_state_ >> 33) % jitter_range;
   if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/true, delay_base + jitter);
-  engine_.schedule(delay_base + jitter, [this, op, token] {
+  engine_.schedule(delay_base + jitter, [this, token] {
     if (!txn_.active || txn_.token != token) return;
-    txcas_enter_write(op);
+    txcas_enter_write();
   });
 
   // Rate-based fault injection (MachineConfig::fault_plan): one draw per
@@ -462,16 +472,16 @@ void Core::txcas_on_read_ready(TxCasOp* op, Addr a, std::uint64_t token) {
   }
 }
 
-void Core::txcas_enter_write(TxCasOp* op) {
+void Core::txcas_enter_write() {
   txn_.in_write_phase = true;
+  const Addr a = op_.addr;
   const std::uint64_t token = txn_.token;
-  if (pending_.count(op->addr) == 0 &&
-      line_state(op->addr) == LineState::kModified) {
+  if (pending_.count(a) == 0 && line_state(a) == LineState::kModified) {
     // Already own the line: the write hits and the transaction commits with
     // (almost) no vulnerability window.
-    engine_.schedule(cfg_.hit_latency, [this, op, token] {
+    engine_.schedule(cfg_.hit_latency, [this, token] {
       if (!txn_.active || txn_.token != token) return;
-      txcas_commit(op);
+      txcas_commit();
     });
     return;
   }
@@ -480,44 +490,42 @@ void Core::txcas_enter_write(TxCasOp* op) {
   // so the cache side can detect tripped-writer forwards. The token guard
   // matters: if this attempt aborts and the op retries, the stale GetM
   // completion must release the line instead of committing the new attempt.
-  acquire(op->addr, /*want_m=*/true,
-          ContFn([this, op, a = op->addr, token] {
-    if (!txn_.active || txn_.token != token) {
-      // Aborted while the GetM was in flight: ownership still arrives; the
-      // buffered write is discarded. Release to answer stalled forwards.
-      if (pending_.count(a) != 0) release_request(a);
-      return;
-    }
-    txcas_commit(op);
-  }));
-  auto it = pending_.find(op->addr);
+  acquire(a, /*want_m=*/true, Cont::kTxWrite, token);
+  auto it = pending_.find(a);
   if (it != pending_.end()) it->second.txn_write = true;
 }
 
-void Core::txcas_commit(TxCasOp* op) {
+void Core::txcas_on_write_ready(Addr a, std::uint64_t token, bool was_miss) {
+  if (!txn_.active || txn_.token != token) {
+    // Aborted while the GetM was in flight: ownership still arrives; the
+    // buffered write is discarded. Release to answer stalled forwards.
+    if (was_miss) release_request(a);
+    return;
+  }
+  txcas_commit();
+}
+
+void Core::txcas_commit() {
+  TxCasOp& op = txcas_op_;
+  const Addr a = op_.addr;
   // _xend: all transactional writes propagate to the cache.
-  lines_.at(op->addr).value = op->desired;
+  lines_.at(a).value = op_.a1;
   ++stats_.txcas_success;
-  op->policy.on_commit(op->policy_state);
+  op.policy.on_commit(op.policy_state);
   if (metrics_) {
     metrics_->on_txn_commit(id_);
-    metrics_->on_txcas_done(id_, static_cast<int>(op->policy.attempts()),
+    metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
                             true);
   }
   txn_ = Txn{.token = txn_.token};
-  txn_op_ = nullptr;
   if (trace_ && trace_->enabled()) {
-    trace_->record(engine_.now(), id_, "txcas commit", op->addr,
-                   static_cast<std::int64_t>(op->desired));
+    trace_->record(engine_.now(), id_, "txcas commit", a,
+                   static_cast<std::int64_t>(op_.a1));
   }
-  const bool was_miss = pending_.count(op->addr) != 0;
-  engine_.schedule(cfg_.hit_latency, [this, op, was_miss] {
-    // done() resumes the simulated thread, which may start a new TxCAS in
-    // the same slot — move the callback out before invoking, and touch no
-    // op field afterwards.
-    if (was_miss) release_request(op->addr);
-    auto done = std::move(op->done);
-    done(true);
+  const bool was_miss = pending_.count(a) != 0;
+  engine_.schedule(cfg_.hit_latency, [this, a, was_miss] {
+    if (was_miss) release_request(a);
+    finish_op(1);
   });
 }
 
@@ -526,16 +534,15 @@ void Core::txcas_commit(TxCasOp* op) {
 // phase, 1 = conflict that tripped the write.
 void Core::txcas_abort(int kind, AbortCause cause) {
   assert(txn_.active);
-  TxCasOp* op = txn_op_;
+  TxCasOp& op = txcas_op_;
   if (metrics_) metrics_->on_txn_abort(id_, cause);
   txn_.active = false;
   txn_.read_marked = false;
   ++txn_.token;  // cancels any scheduled delay timer
-  txn_op_ = nullptr;
   if (trace_ && trace_->enabled()) {
     trace_->record(engine_.now(), id_,
                    kind == 0 ? "txcas abort (nested)" : "txcas abort (tripped)",
-                   op->addr, static_cast<std::int64_t>(op->policy.attempts()));
+                   op_.addr, static_cast<std::int64_t>(op.policy.attempts()));
   }
   // Feed the abort-cause taxonomy into the policy: injected causes are
   // non-conflict (they spend the degradation budget), real conflicts split
@@ -544,12 +551,12 @@ void Core::txcas_abort(int kind, AbortCause cause) {
   const bool nonconflict = cause == AbortCause::kCapacity ||
                            cause == AbortCause::kInterrupt ||
                            cause == AbortCause::kSpurious;
-  op->policy.on_abort(op->policy_state,
-                      nonconflict ? CasAbort::kNonConflict
-                      : kind == 0 ? CasAbort::kReadConflict
-                                  : CasAbort::kWriteConflict);
-  // The op has not completed (done not yet called), so the slot stays valid
-  // until the scheduled retry/post-abort step runs.
+  op.policy.on_abort(op.policy_state,
+                     nonconflict ? CasAbort::kNonConflict
+                     : kind == 0 ? CasAbort::kReadConflict
+                                 : CasAbort::kWriteConflict);
+  // The op has not completed (the thread is not resumed yet), so the
+  // record stays valid until the scheduled retry/post-abort step runs.
   if (kind == 0) {
     ++stats_.nested_aborts;
     // Conflict during the read step: a writer's GetM is in flight. Delay so
@@ -557,31 +564,34 @@ void Core::txcas_abort(int kind, AbortCause cause) {
     // (Algorithm 1 lines 19–20). The delay length is the policy's call
     // (== cfg.post_abort_delay under fixed; scaled + jittered from the
     // serialized per-core stream under adaptive-backoff).
-    const Time post = op->policy.post_abort_delay(op->policy_state);
+    const Time post = op.policy.post_abort_delay(op.policy_state);
     if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/false, post);
-    engine_.schedule(post, [this, op] { txcas_post_abort(op); });
+    engine_.schedule(post, [this] { txcas_post_abort(); });
   } else {
     // Conflict after the nested transaction (we may be the tripped writer):
     // retry immediately (Algorithm 1 lines 16–18). The caller attributes
     // the abort (tripped_aborts for Fwd-GetS, plain retry otherwise).
-    engine_.schedule(1, [this, op] { txcas_attempt(op); });
+    engine_.schedule(1, [this] { txcas_attempt(); });
   }
 }
 
-void Core::txcas_post_abort(TxCasOp* op) {
-  start_load(op->addr, DoneValFn([this, op](Value v) {
-    if (v != op->expected) {
-      ++stats_.txcas_fail;
-      if (metrics_) {
-        metrics_->on_txcas_done(id_, static_cast<int>(op->policy.attempts()),
-                                false);
-      }
-      auto done = std::move(op->done);
-      done(false);
-    } else {
-      txcas_attempt(op);
+void Core::txcas_post_abort() {
+  ++stats_.loads;
+  op_.kind = OpKind::kTxLoad;
+  acquire(op_.addr, /*want_m=*/false, Cont::kAccess, 0);
+}
+
+void Core::txcas_post_abort_loaded() {
+  if (op_.result != op_.a0) {
+    ++stats_.txcas_fail;
+    if (metrics_) {
+      metrics_->on_txcas_done(
+          id_, static_cast<int>(txcas_op_.policy.attempts()), false);
     }
-  }));
+    finish_op(0);
+  } else {
+    txcas_attempt();
+  }
 }
 
 void Core::inject_fault(FaultKind kind) { deliver_injected_fault(kind); }
@@ -603,9 +613,8 @@ void Core::deliver_injected_fault(FaultKind kind) {
       ++stats_.injected_spurious;
       break;
   }
-  TxCasOp* op = txn_op_;
-  if (trace_ && trace_->enabled() && op) {
-    trace_->record(engine_.now(), id_, "txcas fault injected", op->addr,
+  if (trace_ && trace_->enabled()) {
+    trace_->record(engine_.now(), id_, "txcas fault injected", op_.addr,
                    static_cast<std::int64_t>(kind));
   }
   // Tear the attempt down like a write-phase conflict: no post-abort
@@ -614,7 +623,7 @@ void Core::deliver_injected_fault(FaultKind kind) {
   txcas_abort(/*kind=*/1, cause);
 }
 
-void Core::txcas_fallback(TxCasOp* op, bool degraded) {
+void Core::txcas_fallback(bool degraded) {
   if (degraded) {
     ++stats_.fallback_cas;
     if (metrics_) metrics_->on_fallback_cas(id_);
@@ -622,61 +631,23 @@ void Core::txcas_fallback(TxCasOp* op, bool degraded) {
     ++stats_.fallbacks;
     if (metrics_) metrics_->on_txn_fallback(id_);
   }
-  start_rmw(Rmw::kCas, op->addr, op->expected, op->desired,
-            DoneValFn([this, op](Value ok) {
-    if (ok != 0) {
-      ++stats_.txcas_success;
-    } else {
-      ++stats_.txcas_fail;
-    }
-    if (metrics_) {
-      metrics_->on_txcas_done(id_, static_cast<int>(op->policy.attempts()),
-                              ok != 0);
-    }
-    auto done = std::move(op->done);
-    done(ok != 0);
-  }));
+  ++stats_.rmws;
+  op_.kind = OpKind::kTxFallback;
+  acquire(op_.addr, /*want_m=*/true, Cont::kAccess, 0);
 }
 
-// ---------------------------------------------------------------------------
-// Awaitable glue.
-// ---------------------------------------------------------------------------
-
-void Core::ValueAwaiter::await_suspend(std::coroutine_handle<> h) {
-  DoneValFn done([this, h](Value v) {
-    result = v;
-    h.resume();
-  });
-  switch (kind) {
-    case 0: core->start_load(addr, std::move(done)); break;
-    case 1: core->start_rmw(Rmw::kCas, addr, a0, a1, std::move(done)); break;
-    case 2: core->start_rmw(Rmw::kFaa, addr, a0, a1, std::move(done)); break;
-    case 3: core->start_rmw(Rmw::kSwap, addr, a0, a1, std::move(done)); break;
-    default: assert(false);
-  }
-}
-
-void Core::VoidAwaiter::await_suspend(std::coroutine_handle<> h) {
-  if (kind == 0) {
-    core->start_store(addr, v, DoneVoidFn([h] { h.resume(); }));
+void Core::txcas_fallback_done() {
+  const bool ok = op_.result != 0;
+  if (ok) {
+    ++stats_.txcas_success;
   } else {
-    core->engine_.schedule(cycles == 0 ? 1 : cycles, [h] { h.resume(); });
+    ++stats_.txcas_fail;
   }
-}
-
-void Core::TxCasAwaiter::await_suspend(std::coroutine_handle<> h) {
-  core->start_txcas(addr, expected, desired, cfg,
-                    DoneBoolFn([this, h](bool ok) {
-    result = ok;
-    h.resume();
-  }));
-}
-
-void Core::PollAwaiter::await_suspend(std::coroutine_handle<> h) {
-  core->start_poll(addr, std::move(pred), gap, DoneValFn([this, h](Value v) {
-    result = v;
-    h.resume();
-  }));
+  if (metrics_) {
+    metrics_->on_txcas_done(
+        id_, static_cast<int>(txcas_op_.policy.attempts()), ok);
+  }
+  finish_op(ok ? 1 : 0);
 }
 
 }  // namespace sbq::sim

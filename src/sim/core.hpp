@@ -25,6 +25,13 @@
 //     commit instead (§3.4.1)
 //   * Fwd-GetM during any pending request → stalled until the request and
 //     its operation complete (the §3.2 stall that serializes RMWs)
+//
+// The thread issues its operations one at a time, so the core keeps one
+// operation record (op_): the awaiters fill it, a hit resolves with one
+// pending-table check and one line lookup, and completion events capture
+// only the core. A request, or an acquire parked behind one, names what it
+// resumes with a continuation tag (plus a TxCAS attempt's token) instead
+// of a closure.
 #pragma once
 
 #include <cassert>
@@ -44,19 +51,6 @@ namespace sbq::sim {
 
 class Trace;
 
-// Inline callables for the request path (no heap allocation; a capture
-// that outgrows its capacity is a compile error, not a silent box). The
-// capacities are sized for the largest current capture with headroom:
-//   Done*Fn  — operation-completion callbacks (awaiter pointer + handle).
-//   ContFn   — acquire() continuations; the largest captures a Done*Fn
-//              plus the operation's arguments.
-//   WaiterFn — re-acquire closures parked on a pending line; each wraps a
-//              full ContFn.
-using DoneValFn = InlineFunction<void(Value), 32>;
-using DoneVoidFn = InlineFunction<void(), 32>;
-using DoneBoolFn = InlineFunction<void(bool), 32>;
-using ContFn = InlineFunction<void(), 104>;
-using WaiterFn = InlineFunction<void(), 192>;
 // poll_until's exit test on the polled value.
 using PollPredFn = InlineFunction<bool(Value), 16>;
 
@@ -113,22 +107,6 @@ class Core {
                : dir_;
   }
 
-  // ---- callback-style operation starters (cache/core internals) ----
-  void start_load(Addr a, DoneValFn done);
-  void start_store(Addr a, Value v, DoneVoidFn done);
-  enum class Rmw : std::uint8_t { kCas, kFaa, kSwap };
-  // CAS: arg0 = expected, arg1 = desired, completes with 1/0.
-  // FAA: arg0 = addend, completes with the old value.
-  // SWAP: arg0 = new value, completes with the old value.
-  void start_rmw(Rmw kind, Addr a, Value arg0, Value arg1, DoneValFn done);
-  void start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
-                   DoneBoolFn done);
-  // Spin on `a` until pred(value); completes with the value that passed.
-  // Same schedule as the plain loop `for (;;) { v = load(a); if (pred(v))
-  // break; think(gap); }`, minus the engine events of its hits (see
-  // poll_step / poll_wake).
-  void start_poll(Addr a, PollPredFn pred, Time gap, DoneValFn done);
-
   // Network entry point (registered with the interconnect).
   void handle(const Message& msg);
 
@@ -139,24 +117,47 @@ class Core {
   void inject_fault(FaultKind kind);
 
   // ---- awaitables for coroutine programs ----
+  // Each awaiter fills the operation record (op_) and starts it;
+  // await_resume reads the result off the record.
+  enum class OpKind : std::uint8_t {
+    kLoad,
+    kStore,
+    kCas,         // a0 = expected, a1 = desired; result 1/0
+    kFaa,         // a0 = addend; result = old value
+    kSwap,        // a0 = new value; result = old value
+    kTxCas,       // a0 = expected, a1 = desired; result 1/0
+    kTxLoad,      // TxCAS's post-abort re-read of its line
+    kTxFallback,  // TxCAS's plain-CAS fallback (a CAS on a0/a1)
+    kPoll,        // poll_until's load of its line
+  };
   struct ValueAwaiter {
     Core* core;
-    int kind;  // 0=load, 1=cas, 2=faa, 3=swap
+    OpKind kind;
     Addr addr;
     Value a0, a1;
-    Value result = 0;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    Value await_resume() const noexcept { return result; }
+    void await_suspend(std::coroutine_handle<> h) {
+      core->start_access(kind, addr, a0, a1, h);
+    }
+    Value await_resume() const noexcept { return core->op_.result; }
   };
-  struct VoidAwaiter {
+  struct StoreAwaiter {
     Core* core;
-    int kind;  // 0=store, 1=think
     Addr addr;
     Value v;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      core->start_access(OpKind::kStore, addr, v, 0, h);
+    }
+    void await_resume() const noexcept {}
+  };
+  struct ThinkAwaiter {
+    Core* core;
     Time cycles;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
+    void await_suspend(std::coroutine_handle<> h) {
+      core->engine_.schedule(cycles == 0 ? 1 : cycles, [h] { h.resume(); });
+    }
     void await_resume() const noexcept {}
   };
   struct TxCasAwaiter {
@@ -164,40 +165,48 @@ class Core {
     Addr addr;
     Value expected, desired;
     TxCasConfig cfg;
-    bool result = false;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    bool await_resume() const noexcept { return result; }
+    void await_suspend(std::coroutine_handle<> h) {
+      core->start_txcas(addr, expected, desired, cfg, h);
+    }
+    bool await_resume() const noexcept { return core->op_.result != 0; }
   };
   struct PollAwaiter {
     Core* core;
     Addr addr;
     PollPredFn pred;
     Time gap;
-    Value result = 0;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    Value await_resume() const noexcept { return result; }
+    void await_suspend(std::coroutine_handle<> h) {
+      core->start_poll(addr, std::move(pred), gap, h);
+    }
+    Value await_resume() const noexcept { return core->op_.result; }
   };
 
-  ValueAwaiter load(Addr a) { return {this, 0, a, 0, 0}; }
+  ValueAwaiter load(Addr a) { return {this, OpKind::kLoad, a, 0, 0}; }
   ValueAwaiter cas(Addr a, Value expected, Value desired) {
-    return {this, 1, a, expected, desired};
+    return {this, OpKind::kCas, a, expected, desired};
   }
-  ValueAwaiter faa(Addr a, Value delta) { return {this, 2, a, delta, 0}; }
-  ValueAwaiter swap(Addr a, Value v) { return {this, 3, a, v, 0}; }
-  VoidAwaiter store(Addr a, Value v) { return {this, 0, a, v, 0}; }
-  VoidAwaiter think(Time cycles) { return {this, 1, 0, 0, cycles}; }
+  ValueAwaiter faa(Addr a, Value delta) {
+    return {this, OpKind::kFaa, a, delta, 0};
+  }
+  ValueAwaiter swap(Addr a, Value v) { return {this, OpKind::kSwap, a, v, 0}; }
+  StoreAwaiter store(Addr a, Value v) { return {this, a, v}; }
+  ThinkAwaiter think(Time cycles) { return {this, cycles}; }
   TxCasAwaiter txcas(Addr a, Value expected, Value desired,
                      TxCasConfig cfg = {}) {
     return {this, a, expected, desired, cfg};
   }
+  // Spin on `a` until pred(value); completes with the value that passed.
+  // Same schedule as the plain loop `for (;;) { v = load(a); if (pred(v))
+  // break; think(gap); }`, minus the engine events of its hits (see
+  // poll_step / poll_wake).
   PollAwaiter poll_until(Addr a, PollPredFn pred, Time gap) {
     return {this, a, std::move(pred), gap};
   }
 
   // Pre-size the private-cache line table for `n` distinct lines (the
-  // pending/waiter tables stay small: their churn is tombstone-cleaned).
+  // pending table stays small: its churn is tombstone-cleaned).
   // Setup-time allocation; see Machine::reserve_lines.
   void reserve_lines(std::size_t n) { lines_.reserve(n); }
 
@@ -208,12 +217,10 @@ class Core {
   // A parked poll_until: the line it waits on and the plain loop's next
   // poll instant (for debug dumps and tests).
   bool poll_parked() const noexcept { return poll_.parked; }
-  Addr poll_addr() const noexcept { return poll_.addr; }
+  Addr poll_addr() const noexcept { return op_.addr; }
   Time poll_next() const noexcept { return poll_.next; }
 
  private:
-  friend struct ValueAwaiter;
-
   struct Line {
     LineState state = LineState::kInvalid;
     Value value = 0;
@@ -221,12 +228,13 @@ class Core {
 
  public:
   // True when the core holds no in-flight protocol or transaction state:
-  // no pending request, no parked waiters, no active TxCAS, no poll_until
-  // (parked or not). Only a quiescent core can be snapshotted — everything
-  // else (cache lines, stats, the delay-jitter PRNG) is plain value state.
+  // no pending request, no parked re-acquire, no active TxCAS, no
+  // poll_until (parked or not). Only a quiescent core can be snapshotted —
+  // everything else (cache lines, stats, the delay-jitter PRNG) is plain
+  // value state.
   bool quiescent() const noexcept {
     return pending_.empty() && waiters_.empty() && !txn_.active &&
-           txn_op_ == nullptr && !poll_.active;
+           !poll_.active;
   }
 
   // Schedule-visible state for Machine::snapshot()/fork(); valid only at
@@ -247,6 +255,23 @@ class Core {
   void restore_state(const State& s);
 
  private:
+  // The thread's current operation. Plain accesses run on it directly;
+  // TxCAS and poll_until keep their extra state in txcas_op_ / poll_ and
+  // switch `kind` to their own load or CAS while one is in flight.
+  struct Op {
+    OpKind kind = OpKind::kLoad;
+    bool was_miss = false;  // the access completed a request of its own
+    Addr addr = 0;
+    Value a0 = 0, a1 = 0;
+    Value result = 0;
+    std::coroutine_handle<> thread;  // resumed when the operation completes
+  };
+
+  // What an acquired line resumes: the record's access, or one step of a
+  // TxCAS attempt. The TxCAS steps carry their attempt's token, since a
+  // request of an aborted attempt still completes (and must only release
+  // the line) after the record has moved on.
+  enum class Cont : std::uint8_t { kAccess, kTxRead, kTxWrite };
 
   // One outstanding coherence request (GetS or GetM) of this core.
   struct Pending {
@@ -259,8 +284,20 @@ class Core {
     bool inv_after_data = false;    // Inv arrived while GetS in flight
     CoreId deferred_inv_requester = -1;
     bool txn_write = false;         // this GetM carries a transactional write
+    Cont cont = Cont::kAccess;
+    std::uint64_t token = 0;
     InlineVec<Message, 16> stalled_fwds;
-    ContFn on_complete;
+  };
+
+  // An acquire that found its line's own request still in flight (e.g. the
+  // background GetM of an aborted transaction); it re-runs, in parking
+  // order, once that request is released. A stale write-acquire and a
+  // retry's read-acquire can both wait on one line.
+  struct Waiter {
+    Addr addr = 0;
+    bool want_m = false;
+    Cont cont = Cont::kAccess;
+    std::uint64_t token = 0;
   };
 
   // TxCAS transaction bookkeeping (one per core; cores run one thread).
@@ -273,22 +310,30 @@ class Core {
   };
 
   // -- op plumbing (core.cpp) --
-  void acquire(Addr a, bool want_m, ContFn cont);
-  void issue_request(Addr a, bool want_m, ContFn cont);
-  void finish_request(Addr a);       // data+acks all in: install the line
+  void begin_op(OpKind kind, Addr a, Value a0, Value a1,
+                std::coroutine_handle<> thread);
+  void start_access(OpKind kind, Addr a, Value a0, Value a1,
+                    std::coroutine_handle<> thread);
+  // Store `result` in the record and resume the thread.
+  void finish_op(Value result);
+  // Ensure the line is present with the needed permission, then run `cont`
+  // (synchronously within the completing event).
+  void acquire(Addr a, bool want_m, Cont cont, std::uint64_t token);
+  void resume(Cont cont, std::uint64_t token, Addr a, Line& line,
+              bool was_miss);
+  void issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token);
+  // Data and acks all in: install the line, resume the continuation.
+  void finish_request(Addr a, Pending& p);
   void release_request(Addr a);      // op done: answer stalls, wake waiters
   void run_waiters(Addr a);
+  // The record's access on its acquired line, then its completion event.
+  void access(Line& line, bool was_miss);
+  void complete_access();
 
   // -- txcas state machine (core.cpp) --
-  // One live TxCAS per core (each core runs one simulated thread), so the
-  // operation record lives in a per-core slot instead of a shared_ptr.
-  // Completion callbacks that may fire after the op finished (stale GetS /
-  // GetM completions of aborted attempts) carry the addr and attempt token
-  // by value and validate the token before touching the slot.
+  // The operands live in op_ (a0 = expected, a1 = desired); the rest of
+  // the operation sits in this per-core slot.
   struct TxCasOp {
-    Addr addr = 0;
-    Value expected = 0;
-    Value desired = 0;
     TxCasConfig cfg;
     // The retry brain (common/contention.hpp): per-call counters (attempt
     // number, non-conflict aborts) live inside `policy`, re-armed by
@@ -297,42 +342,47 @@ class Core {
     // through snapshot/fork via Core::State.
     ContentionPolicy policy;
     ContentionPolicy::State policy_state;
-    DoneBoolFn done;
   };
-  void txcas_attempt(TxCasOp* op);
-  void txcas_on_read_ready(TxCasOp* op, Addr a, std::uint64_t token);
-  void txcas_enter_write(TxCasOp* op);
-  void txcas_commit(TxCasOp* op);
+  void start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
+                   std::coroutine_handle<> thread);
+  void txcas_attempt();
+  void txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss);
+  void txcas_enter_write();
+  void txcas_on_write_ready(Addr a, std::uint64_t token, bool was_miss);
+  void txcas_commit();
   // Called from message handling on conflicts; `cause` attributes the abort
   // in the metrics registry (kind 0 = read/delay phase, 1 = write phase).
   void txcas_abort(int kind, AbortCause cause);
-  void txcas_post_abort(TxCasOp* op);
+  void txcas_post_abort();
+  void txcas_post_abort_loaded();
   // Plain-CAS fallback; `degraded` distinguishes the non-conflict-abort
   // degradation path (fallback_cas) from the attempt-budget one (fallbacks).
-  void txcas_fallback(TxCasOp* op, bool degraded);
+  void txcas_fallback(bool degraded);
+  void txcas_fallback_done();
   // Deliver an injected abort to the in-flight transaction (no-op without
   // one). Maps FaultKind to AbortCause and counts per kind.
   void deliver_injected_fault(FaultKind kind);
 
   // -- poll_until (core.cpp) --
-  // One poll_until per core (cores run one thread), kept in a per-core slot
-  // like the TxCAS record, so parking and waking allocate nothing.
+  // The polled address is op_.addr; the loop's own state sits here.
   struct PollOp {
     bool active = false;
     bool parked = false;   // line valid, pred false: no event scheduled
-    Addr addr = 0;
     Time gap = 1;          // think cycles between polls (>= 1)
     Time next = 0;         // parked: the plain loop's next poll instant
     PollPredFn pred;
-    DoneValFn done;
   };
+  void start_poll(Addr a, PollPredFn pred, Time gap,
+                  std::coroutine_handle<> thread);
   // One poll of the plain loop (its load starts now): park on a hit whose
   // value fails pred, else run the plain load.
   void poll_step();
+  // The plain load completed with op_.result.
+  void poll_loaded();
   // The parked line was lost: credit the skipped hits and schedule the
   // first poll that misses.
   void poll_wake();
-  void poll_finish(Value v);
+  void poll_finish();
 
   // -- protocol message handling (cache.cpp) --
   void on_data(const Message& msg);
@@ -359,7 +409,7 @@ class Core {
 
   FlatMap<Line> lines_;
   FlatMap<Pending> pending_;
-  FlatMap<InlineVec<WaiterFn, 4>> waiters_;
+  InlineVec<Waiter, 8> waiters_;
   Txn txn_;
   std::uint64_t delay_jitter_state_ = 0x9e3779b97f4a7c15ULL;
   // Rate-based fault injection: per-core SplitMix64 stream seeded from
@@ -370,9 +420,9 @@ class Core {
   std::uint32_t fault_cap_t_ = 0;
   std::uint32_t fault_int_t_ = 0;
   std::uint32_t fault_spur_t_ = 0;
-  TxCasOp txcas_op_;          // per-core operation slot
-  TxCasOp* txn_op_ = nullptr; // points at txcas_op_ while a txn is active
-  PollOp poll_;               // per-core poll_until slot
+  Op op_;                     // the thread's current operation
+  TxCasOp txcas_op_;          // TxCAS state of op_ (kind kTxCas)
+  PollOp poll_;               // poll_until state of op_ (kind kPoll)
   CoreStats stats_;
 };
 

@@ -235,9 +235,9 @@ class Engine {
   }
 
  private:
-  // Inline payload: the largest callable the simulator schedules today is
-  // ~80 bytes (core-op completions capturing an inline continuation);
-  // 96 leaves headroom without bloating the per-node footprint.
+  // Inline payload: the largest callables the simulator schedules are
+  // message deliveries (a handler pointer plus the Message); 96 bytes
+  // leaves headroom without bloating the per-node footprint.
   static constexpr std::size_t kInlineCapacity = 96;
   static constexpr std::size_t kSlabNodes = 256;
 

@@ -1,7 +1,7 @@
 // FlatMap — open-addressing hash table keyed on Addr.
 //
 // The simulator's per-line tables (directory lines, core-side lines,
-// pending requests, waiters, per-line stats) all key on Addr and share the
+// pending requests, per-line stats) all key on Addr and share the
 // same access pattern: a small, dense, known set of lines (queue head/tail
 // words, node cells) hit millions of times. std::unordered_map pays a
 // node allocation per entry and a pointer chase per lookup; FlatMap keeps
@@ -162,7 +162,9 @@ class FlatMap {
   }
 
   std::size_t find_index(Addr key) const noexcept {
-    if (state_.empty()) return kNotFound;
+    // An empty table answers without hashing (the pending-request table is
+    // empty on most cache hits).
+    if (size_ == 0) return kNotFound;
     const std::size_t mask = state_.size() - 1;
     for (std::size_t i = slot_hash(key) & mask;; i = (i + 1) & mask) {
       if (state_[i] == kEmpty) return kNotFound;
@@ -177,9 +179,9 @@ class FlatMap {
     ++dead_;
     // A tombstone directly before an empty slot terminates every probe
     // chain that crosses it, so it (and any tombstone run ending there) can
-    // revert to empty. This keeps erase-heavy churn (pending requests,
-    // waiter lists) from reaching the compaction threshold in the common
-    // case; runs pinned against a live slot are handled by the occasional
+    // revert to empty. This keeps erase-heavy churn (pending requests)
+    // from reaching the compaction threshold in the common case; runs
+    // pinned against a live slot are handled by the occasional
     // allocation-free compact_in_place().
     const std::size_t mask = state_.size() - 1;
     if (state_[(i + 1) & mask] == kEmpty) {

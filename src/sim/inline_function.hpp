@@ -1,14 +1,15 @@
 // InlineFunction — a move-only callable wrapper that never heap-allocates.
 //
-// The simulator's request path used to carry continuations in
-// std::function, whose small-buffer capacity (16 bytes on libstdc++) is
-// exceeded by almost every protocol continuation, so steady-state traffic
-// paid one heap allocation per hop. InlineFunction stores the callable in
+// std::function's small-buffer capacity (16 bytes on libstdc++) is
+// exceeded by most simulator captures, so steady-state traffic would pay
+// one heap allocation per call site. InlineFunction stores the callable in
 // an in-object buffer sized by the template parameter and *refuses to
 // compile* when a capture does not fit: growth of a hot-path capture is a
 // build error, not a silent allocation (the same design as the engine's
 // event nodes, which the whole-machine gate in sim_microbench enforces at
-// run time).
+// run time). Interconnect delivery handlers, poll_until predicates and root
+// tasks' completion hooks use it; the memory-operation path itself carries
+// no callables (Core's per-core operation record).
 //
 // Semantics: move-only (captures may own move-only state), nullable,
 // invocable via operator(). Moved-from objects are empty. Unlike

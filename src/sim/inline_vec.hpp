@@ -1,8 +1,8 @@
 // InlineVec — a small vector with inline storage for the common case.
 //
-// Stall queues and waiter lists on the core request path hold at most a
-// handful of entries (one stalled forward per contending core round, one
-// waiter per simulated thread per line), but std::vector heap-allocates on
+// Stall queues and the waiter list on the core request path hold at most
+// a handful of entries (one stalled forward per contending core round, a
+// parked re-acquire or two per core), but std::vector heap-allocates on
 // the first push_back and re-allocates as protocol bursts churn the list.
 // InlineVec keeps the first N elements in the object; longer bursts spill
 // to a doubling heap buffer (counted by the sim_microbench global-alloc

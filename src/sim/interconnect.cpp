@@ -43,25 +43,26 @@ Interconnect::Interconnect(Engine& engine, const MachineConfig& cfg,
     const auto nodes = handlers_.size();
     last_arrival_.assign(nodes * nodes, 0);
   }
+  // Node -> socket, once: cores fill the sockets in contiguous blocks, and
+  // directory slice s is homed on the socket of the first core it is
+  // co-located with (slice 0 => socket 0, matching the single-directory
+  // layout when dir_slices == 1).
+  const int per_socket = (cfg_.cores + cfg_.sockets - 1) / cfg_.sockets;
+  const int slices = cfg_.dir_slices > 1 ? cfg_.dir_slices : 1;
+  const int cores_per_slice = (cfg_.cores + slices - 1) / slices;
+  socket_of_.resize(handlers_.size());
+  for (CoreId node = 0; node < static_cast<CoreId>(handlers_.size()); ++node) {
+    const CoreId home =
+        node < cfg_.cores
+            ? node
+            : std::min((node - cfg_.cores) * cores_per_slice, cfg_.cores - 1);
+    socket_of_[static_cast<std::size_t>(node)] = home / per_socket;
+  }
 }
 
 void Interconnect::set_handler(CoreId node, MessageHandlerFn handler) {
   assert(node >= 0 && static_cast<std::size_t>(node) < handlers_.size());
   handlers_[static_cast<std::size_t>(node)] = std::move(handler);
-}
-
-int Interconnect::socket_of(CoreId node) const noexcept {
-  const int per_socket = (cfg_.cores + cfg_.sockets - 1) / cfg_.sockets;
-  if (node >= cfg_.cores) {
-    // Directory slice s is homed on the socket of the first core it is
-    // co-located with (slice 0 => socket 0, matching the single-directory
-    // layout when dir_slices == 1).
-    const int slices = cfg_.dir_slices > 1 ? cfg_.dir_slices : 1;
-    const int cps = (cfg_.cores + slices - 1) / slices;
-    const int first = std::min((node - cfg_.cores) * cps, cfg_.cores - 1);
-    return first / per_socket;
-  }
-  return node / per_socket;
 }
 
 Time Interconnect::latency(CoreId src, CoreId dst) const noexcept {
@@ -78,10 +79,10 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
     trace_->record_send(engine_.now(), src, dst, msg.type, msg.addr,
                         msg.requester);
   }
-  Time delay;
+  Time delay = cfg_.intra_latency;  // on-chip: flat under either model
   const int ss = socket_of(src);
   const int ds = socket_of(dst);
-  if (cfg_.interconnect_model == InterconnectModel::kLink && ss != ds) {
+  if (ss != ds && cfg_.interconnect_model == InterconnectModel::kLink) {
     // Occupancy queue: depart when the link frees up, hold it for
     // link_occupancy cycles, then traverse the hop. busy_until advancing
     // monotonically per link is exactly a FIFO queue of earlier senders.
@@ -93,8 +94,8 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
     delay = wait + cfg_.link_occupancy + cfg_.inter_latency;
     ++link_msgs_;
     link_wait_cycles_ += wait;
-  } else {
-    delay = latency(src, dst);
+  } else if (ss != ds) {
+    delay = cfg_.inter_latency;
   }
   if (jitter_on_) {
     // Draw jitter per message; then clamp EVERY arrival (jittered or not)

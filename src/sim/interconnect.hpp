@@ -90,7 +90,9 @@ class Interconnect {
   };
   std::vector<ChannelEntry>& channel() noexcept { return channel_; }
 
-  int socket_of(CoreId node) const noexcept;
+  int socket_of(CoreId node) const noexcept {
+    return socket_of_[static_cast<std::size_t>(node)];
+  }
   // Uncontended hop cost (the full kLink delay additionally depends on the
   // link's occupancy queue at send time).
   Time latency(CoreId src, CoreId dst) const noexcept;
@@ -143,6 +145,7 @@ class Interconnect {
   SendObserverFn send_observer_ = nullptr;
   void* send_observer_ctx_ = nullptr;
   std::vector<MessageHandlerFn> handlers_;
+  std::vector<int> socket_of_;  // node id -> socket, built once
   std::vector<Link> links_;  // empty under kFlat
   std::uint64_t sent_ = 0;
   std::uint64_t link_msgs_ = 0;

@@ -105,7 +105,7 @@ void DebugRing::dump(std::ostream& os) const {
      << " interconnect messages (oldest first)\n";
   const std::uint64_t first = recorded_ - n;
   for (std::uint64_t i = first; i < recorded_; ++i) {
-    const DebugRingEntry& e = ring_[i % cap];
+    const DebugRingEntry& e = ring_[i & mask_];
     os << "  t=" << std::setw(8) << e.time << "  " << std::setw(3) << e.src
        << " -> " << std::setw(3) << e.dst << "  " << msg_type_name(e.type)
        << "  addr=" << e.addr << "  value=" << e.value << "\n";

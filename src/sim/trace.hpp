@@ -19,6 +19,7 @@
 // docs/observability.md.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -117,12 +118,15 @@ class DebugRing {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
+  // The capacity rounds up to a power of two, so a send indexes the ring
+  // with a mask.
   explicit DebugRing(std::size_t capacity = kDefaultCapacity)
-      : ring_(capacity == 0 ? 1 : capacity) {}
+      : ring_(std::bit_ceil(capacity == 0 ? std::size_t{1} : capacity)),
+        mask_(ring_.size() - 1) {}
 
   void record(Time t, CoreId src, CoreId dst, MsgType type, Addr addr,
               Value value) noexcept {
-    DebugRingEntry& e = ring_[recorded_ % ring_.size()];
+    DebugRingEntry& e = ring_[recorded_ & mask_];
     e.time = t;
     e.src = src;
     e.dst = dst;
@@ -133,12 +137,14 @@ class DebugRing {
   }
 
   std::uint64_t recorded() const noexcept { return recorded_; }
+  std::size_t capacity() const noexcept { return ring_.size(); }
 
   // Human-readable dump of the retained tail, oldest first.
   void dump(std::ostream& os) const;
 
  private:
   std::vector<DebugRingEntry> ring_;
+  std::uint64_t mask_;
   std::uint64_t recorded_ = 0;
 };
 

@@ -114,7 +114,7 @@ TEST(FlatMap, ReferencesStableWithoutRehash) {
 
 TEST(FlatMap, ChurnWithFreshKeysIsAllocationFree) {
   // Insert/erase churn over an unbounded fresh-key stream with a tiny live
-  // set — the simulator's pending/waiter table pattern. Tombstone-run
+  // set — the simulator's pending-request table pattern. Tombstone-run
   // cleanup in erase plus allocation-free in-place compaction must keep
   // the table at its initial capacity without ever touching the heap
   // (this is what keeps the whole-machine sim_microbench gate at zero
@@ -204,6 +204,21 @@ TEST(FlatMap, DifferentialFuzzAgainstUnorderedMap) {
   std::unordered_map<Addr, std::uint64_t> got;
   for (const auto& [k, v] : m) got[k] = v;
   EXPECT_EQ(got, ref);
+
+  // Erase every key, then look keys up: the emptied table (all tombstones
+  // or empty slots, nothing live) must find nothing, then take keys again.
+  for (Addr key = 1; key <= 512; ++key) {
+    EXPECT_EQ(m.erase(key), ref.erase(key));
+  }
+  ASSERT_TRUE(m.empty());
+  for (Addr key = 0; key <= 600; ++key) {
+    EXPECT_EQ(m.find(key), m.end());
+    EXPECT_EQ(m.count(key), 0u);
+  }
+  m[7] = 70;
+  ASSERT_NE(m.find(7), m.end());
+  EXPECT_EQ(m.find(7)->second, 70u);
+  EXPECT_EQ(m.find(8), m.end());
 }
 
 }  // namespace

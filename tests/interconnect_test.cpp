@@ -4,6 +4,7 @@
 // whole kFlat model) is unaffected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,48 @@ TEST(InterconnectLink, SaveRestoreRoundTripsBusyHorizon) {
   net.send(0, 2, probe(4));
   EXPECT_EQ(net.link_wait_cycles(),
             static_cast<std::uint64_t>(cfg.link_occupancy));
+}
+
+// The node -> socket table built at construction against the closed-form
+// layout: cores fill sockets in blocks of ceil(cores / sockets), and
+// directory slice s sits on the socket of core min(s * ceil(cores /
+// slices), cores - 1).
+int closed_form_socket(const MachineConfig& cfg, CoreId node) {
+  const int per_socket = (cfg.cores + cfg.sockets - 1) / cfg.sockets;
+  if (node < cfg.cores) return node / per_socket;
+  const int slices = cfg.dir_slices > 1 ? cfg.dir_slices : 1;
+  const int per_slice = (cfg.cores + slices - 1) / slices;
+  return std::min((node - cfg.cores) * per_slice, cfg.cores - 1) / per_socket;
+}
+
+TEST(InterconnectTopology, SocketTableMatchesClosedForm) {
+  for (const int cores : {4, 44, 512}) {
+    for (const int sockets : {1, 2}) {
+      for (const int dir_slices : {1, 4}) {
+        MachineConfig cfg;
+        cfg.cores = cores;
+        cfg.sockets = sockets;
+        cfg.dir_slices = dir_slices;
+        Engine e;
+        Interconnect net(e, cfg, nullptr);
+        const CoreId nodes = cores + dir_slices;
+        const std::vector<CoreId> probes = {0, cores / 2, cores - 1,
+                                            net.directory_id(), nodes - 1};
+        for (CoreId node = 0; node < nodes; ++node) {
+          SCOPED_TRACE(::testing::Message()
+                       << "cores=" << cores << " sockets=" << sockets
+                       << " dir_slices=" << dir_slices << " node=" << node);
+          ASSERT_EQ(net.socket_of(node), closed_form_socket(cfg, node));
+          for (const CoreId other : probes) {
+            const bool same = closed_form_socket(cfg, node) ==
+                              closed_form_socket(cfg, other);
+            ASSERT_EQ(net.latency(node, other),
+                      same ? cfg.intra_latency : cfg.inter_latency);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -18,13 +18,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "verify/history_checker.hpp"
 #include "simqueue/sim_faa_queue.hpp"
 #include "simqueue/sim_ms_queue.hpp"
 #include "simqueue/sim_sbq.hpp"
+#include "sim/trace.hpp"
 
 namespace sbq::simq {
 namespace {
@@ -275,6 +278,40 @@ TEST(SimFault, DebugRingRecordsWithoutTraceFlag) {
   }(m, a));
   m.run();
   EXPECT_GT(m.debug_ring().recorded(), 0u);
+}
+
+// A capacity that is not a power of two rounds up to one (a send indexes
+// the ring with a mask); the dump still lists the retained tail oldest
+// first, before and after the ring wraps.
+TEST(SimFault, DebugRingRoundsCapacityUpAndDumpsOldestFirst) {
+  sim::DebugRing ring(5);
+  ASSERT_EQ(ring.capacity(), 8u);
+  const auto record = [&ring](int i) {
+    ring.record(static_cast<sim::Time>(i), 0, 1, sim::MsgType::kGetS,
+                static_cast<sim::Addr>(100 + i), 0);
+  };
+  const auto dump = [&ring] {
+    std::ostringstream os;
+    ring.dump(os);
+    return os.str();
+  };
+  for (int i = 0; i < 3; ++i) record(i);
+  std::string out = dump();
+  EXPECT_NE(out.find("last 3 of 3 "), std::string::npos) << out;
+  EXPECT_LT(out.find("addr=100 "), out.find("addr=102 "));
+
+  for (int i = 3; i < 20; ++i) record(i);
+  out = dump();
+  EXPECT_NE(out.find("last 8 of 20 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("addr=111 "), std::string::npos) << out;
+  std::size_t prev = 0;
+  for (int i = 12; i < 20; ++i) {
+    const std::size_t at = out.find("addr=" + std::to_string(100 + i) + " ");
+    ASSERT_NE(at, std::string::npos) << out;
+    EXPECT_GT(at, prev);
+    prev = at;
+  }
+  EXPECT_EQ(sim::DebugRing().capacity(), sim::DebugRing::kDefaultCapacity);
 }
 
 }  // namespace
