@@ -6,7 +6,6 @@
 // just add latency. We sweep the delay at several thread counts and report
 // mean TxCAS latency plus the pre-write-abort fraction (aborts that
 // happened before the write issued, which is what the delay buys).
-#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -80,23 +79,20 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
            const ContentionPolicyParams* policy = nullptr) {
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
   if (policy != nullptr) mcfg.cas_policy = *policy;
-  if (!trace_path.empty()) {
-    mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
-  }
+  mcfg.record_trace = !trace_path.empty();
   Machine m(mcfg);
   const Addr x = m.alloc();
-  // Relaxed atomic integer accumulators: tasks may run on different machine
-  // workers under sharding, and integer cycle sums convert to the exact
-  // doubles the old sequential accumulation produced (totals < 2^53).
-  auto lat = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto n = std::make_shared<std::atomic<std::uint64_t>>(0);
+  // Integer cycle sums convert to the exact doubles the old sequential
+  // accumulation produced (totals < 2^53).
+  auto lat = std::make_shared<std::uint64_t>(0);
+  auto n = std::make_shared<std::uint64_t>(0);
   sim::TxCasConfig tx;
   tx.intra_txn_delay = delay;
   for (int c = 0; c < threads; ++c) {
     m.spawn(
         [](Machine& m, int c, Addr x, sim::TxCasConfig tx, Value ops,
-           std::uint64_t seed, std::shared_ptr<std::atomic<std::uint64_t>> lat,
-           std::shared_ptr<std::atomic<std::uint64_t>> n) -> Task<void> {
+           std::uint64_t seed, std::shared_ptr<std::uint64_t> lat,
+           std::shared_ptr<std::uint64_t> n) -> Task<void> {
           Xoshiro256 rng(seed);
           auto& core = m.core(c);
           co_await core.think(1 + rng.next_below(32));
@@ -104,12 +100,11 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
             const Value v = co_await core.load(x);
             const Time t0 = core.now();
             co_await core.txcas(x, v, v + 1, tx);
-            lat->fetch_add(core.now() - t0, std::memory_order_relaxed);
-            n->fetch_add(1, std::memory_order_relaxed);
+            *lat += core.now() - t0;
+            ++*n;
             co_await core.think(1 + rng.next_below(8));
           }
-        }(m, c, x, tx, ops, seed + static_cast<std::uint64_t>(c), lat, n),
-        c);
+        }(m, c, x, tx, ops, seed + static_cast<std::uint64_t>(c), lat, n));
   }
   m.run();
   std::uint64_t nested = 0, tripped = 0, write_conflicts = 0;
@@ -123,14 +118,10 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
   }
   Result r;
   r.mean_latency_ns =
-      static_cast<double>(lat->load(std::memory_order_relaxed)) /
-      static_cast<double>(n->load(std::memory_order_relaxed)) * ns_per_cycle();
+      static_cast<double>(*lat) / static_cast<double>(*n) * ns_per_cycle();
   const double makespan_ns = static_cast<double>(m.now()) * ns_per_cycle();
   r.throughput_mops =
-      makespan_ns > 0
-          ? static_cast<double>(n->load(std::memory_order_relaxed)) /
-                makespan_ns * 1e3
-          : 0.0;
+      makespan_ns > 0 ? static_cast<double>(*n) / makespan_ns * 1e3 : 0.0;
   const double aborts =
       static_cast<double>(nested) + static_cast<double>(write_conflicts);
   r.pre_write_abort_fraction =

@@ -26,11 +26,6 @@ int main(int argc, char** argv) {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  if (opts.machine_threads > 1) {
-    std::cerr << "ablation_fault_sweep: fault injection requires the serial "
-                 "engine (--machine-threads 1)\n";
-    return 1;
-  }
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
   const simq::Value ops = opts.ops_or(200);
   // Top rate 0.8 models "HTM effectively broken": with the default

@@ -125,10 +125,6 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
 int main(int argc, char** argv) {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  if (opts.machine_threads > 1) {
-    std::cerr << "note: the NUMA ablation's kLink sweeps poll host-side "
-                 "state; ignoring --machine-threads\n";
-  }
   const sim::Value ops = opts.ops_or(400);
 
   // Every interconnect parameter the swept machines use goes in the header

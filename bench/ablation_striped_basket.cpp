@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
   auto run_cell = [&](int t, int stripes, std::uint64_t r,
                       const std::string& trace_path = {}) {
     sim::MachineConfig mcfg = bench::sim_machine_config(opts, t);
-    if (!trace_path.empty()) {
-      mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
-    }
+    mcfg.record_trace = !trace_path.empty();
     sim::Machine m(mcfg);
     SimSbq::Config qc;
     qc.enqueuers = t;

@@ -36,68 +36,6 @@ struct PhaseResult {
   double allocs_per_event = 0;
 };
 
-// Drives `ops` events through a window-logging engine the way a machine
-// slice is driven: bounded run_until() windows, each followed by the merge
-// barrier's bookkeeping (patch every birth to a final seq, clear the log).
-// Gates the logging path's allocation behaviour — the log vectors and the
-// slab must stay warm across windows.
-PhaseResult drive_logged(sim::Engine& e, std::uint64_t ops, int width,
-                         std::uint64_t* global_seq) {
-  const sim::Engine::AllocStats before = e.alloc_stats();
-  const std::uint64_t processed_before = e.events_processed();
-
-  struct Cascade {
-    sim::Engine& e;
-    std::uint64_t remaining;
-    std::uint64_t payload = 0;
-    void fire() {
-      payload = payload * 6364136223846793005ULL + 1442695040888963407ULL;
-      if (remaining == 0) return;
-      --remaining;
-      e.schedule(1 + (payload & 7), [this] { fire(); });
-    }
-  };
-  std::vector<Cascade> lanes;
-  lanes.reserve(static_cast<std::size_t>(width));
-  const std::uint64_t per_lane = ops / static_cast<std::uint64_t>(width);
-  for (int w = 0; w < width; ++w) {
-    lanes.push_back(Cascade{e, per_lane, static_cast<std::uint64_t>(w)});
-  }
-  constexpr sim::Time kWindow = 64;  // sharded windows are tens of cycles
-  const auto t0 = std::chrono::steady_clock::now();
-  for (Cascade& lane : lanes) {
-    e.schedule(1, [&lane] { lane.fire(); });
-  }
-  sim::Time t;
-  while (e.peek_next_time(&t)) {
-    e.run_until(t + kWindow - 1);
-    // Stand-in for the merge barrier: every birth gets its final global
-    // seq (log order is execution order on a single engine), then the
-    // window log resets for the next window.
-    for (const sim::Engine::CallRecord& c : e.window_calls()) {
-      if (c.kind == sim::Engine::CallKind::kBirth) {
-        e.patch_birth(c.payload, (*global_seq)++);
-      }
-    }
-    e.clear_window_log();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  PhaseResult r;
-  r.events = e.events_processed() - processed_before;
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  r.events_per_sec = secs > 0 ? static_cast<double>(r.events) / secs : 0;
-  const sim::Engine::AllocStats after = e.alloc_stats();
-  r.slab_refills = after.slab_refills - before.slab_refills;
-  r.boxed_allocs = after.boxed_allocs - before.boxed_allocs;
-  r.allocs_per_event =
-      r.events == 0
-          ? 0
-          : static_cast<double>(r.slab_refills + r.boxed_allocs) /
-                static_cast<double>(r.events);
-  return r;
-}
-
 // Drives `ops` events through `e` and reports throughput plus the alloc
 // counters accumulated *during this phase* (deltas against phase start).
 PhaseResult drive(sim::Engine& e, std::uint64_t ops, int width) {
@@ -190,43 +128,10 @@ int main(int argc, char** argv) {
       report.add_cell(std::move(cj));
     }
   }
-  // Same cascade through a window-logging engine driven in sharded-style
-  // run_until windows (schedule logs a birth, dispatch logs a record, the
-  // per-window patch/clear stands in for the merge barrier). The logging
-  // path reuses the same slab and keeps its log vectors' capacity across
-  // clear_window_log(), so its steady phases must be equally clean.
-  sim::Engine logged;
-  logged.enable_window_logging();
-  std::uint64_t global_seq = 0;
-  for (int r = 0; r < repeats + 1; ++r) {
-    const PhaseResult res = drive_logged(logged, ops, width, &global_seq);
-    const std::string phase =
-        r == 0 ? "log-cold" : "log-steady-" + std::to_string(r);
-    if (r > 0 && res.slab_refills + res.boxed_allocs != 0) {
-      steady_clean = false;
-    }
-    char rate[32], apev[32];
-    std::snprintf(rate, sizeof rate, "%.2f", res.events_per_sec / 1e6);
-    std::snprintf(apev, sizeof apev, "%.6f", res.allocs_per_event);
-    table.add_row({phase, std::to_string(res.events), rate,
-                   std::to_string(res.slab_refills),
-                   std::to_string(res.boxed_allocs), apev});
-    if (!opts.json_path.empty()) {
-      Json cj = Json::object();
-      cj.set("phase", Json(phase));
-      cj.set("events", Json(res.events));
-      cj.set("events_per_sec", Json(res.events_per_sec));
-      cj.set("slab_refills", Json(res.slab_refills));
-      cj.set("boxed_allocs", Json(res.boxed_allocs));
-      cj.set("allocs_per_event", Json(res.allocs_per_event));
-      report.add_cell(std::move(cj));
-    }
-  }
   table.print(std::cout, opts.csv);
   std::cout << "\n(cold pays the slab/heap warm-up; every steady phase must "
                "report 0 slab\n refills and 0 boxed allocs — schedule() is "
-               "allocation-free once warm;\n log-* phases gate the sharded "
-               "engines' window-logging path the same way.)\n";
+               "allocation-free once warm.)\n";
   if (!opts.json_path.empty()) {
     report.add_table("phases", table);
     if (!report.write(opts.json_path)) return 1;

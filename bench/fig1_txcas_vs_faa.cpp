@@ -9,7 +9,6 @@
 //
 // Output columns: threads, FAA ns/op, TxCAS ns/op (and TxCAS success rate
 // for context; the paper plots only the latencies).
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -34,16 +33,13 @@ using sim::Task;
 using sim::Time;
 using sim::Value;
 
-// Loop tasks may run on different machine-worker threads under sharding, so
-// the shared accumulators are relaxed atomics over integer cycle counts.
-// Integer addition commutes, the totals stay far below 2^53, and every
-// per-op delta is an exact double, so converting the final sums reproduces
-// the old sequential double accumulation bit-for-bit — the serial goldens
-// are unchanged.
+// Integer cycle counts: the totals stay far below 2^53 and every per-op
+// delta is an exact double, so converting the final sums reproduces the old
+// sequential double accumulation bit-for-bit — the goldens are unchanged.
 struct LoopStats {
-  std::atomic<std::uint64_t> latency_cycles{0};
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> success{0};
+  std::uint64_t latency_cycles = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t success = 0;
 };
 
 Task<void> faa_loop(Machine& m, int core, Addr x, Value ops,
@@ -54,9 +50,9 @@ Task<void> faa_loop(Machine& m, int core, Addr x, Value ops,
   for (Value i = 0; i < ops; ++i) {
     const Time start = c.now();
     co_await c.faa(x, 1);
-    st->latency_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    st->ops.fetch_add(1, std::memory_order_relaxed);
-    st->success.fetch_add(1, std::memory_order_relaxed);
+    st->latency_cycles += c.now() - start;
+    ++st->ops;
+    ++st->success;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -71,9 +67,9 @@ Task<void> txcas_loop(Machine& m, int core, Addr x, Value ops,
     const Value v = co_await c.load(x);
     const Time start = c.now();
     const bool ok = co_await c.txcas(x, v, v + 1, cfg);
-    st->latency_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    st->ops.fetch_add(1, std::memory_order_relaxed);
-    if (ok) st->success.fetch_add(1, std::memory_order_relaxed);
+    st->latency_cycles += c.now() - start;
+    ++st->ops;
+    if (ok) ++st->success;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -83,19 +79,16 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
                 sim::MetricsSnapshot* metrics = nullptr,
                 const std::string& trace_path = {}) {
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
-  if (!trace_path.empty()) {
-    mcfg = bench::serial_rerun_config(mcfg, /*trace=*/true);
-  }
+  mcfg.record_trace = !trace_path.empty();
   Machine m(mcfg);
   const Addr x = m.alloc();
   auto st = std::make_shared<LoopStats>();
   for (int t = 0; t < threads; ++t) {
     if (txcas) {
-      m.spawn(txcas_loop(m, t, x, ops, seed + static_cast<std::uint64_t>(t), st),
-              t);
+      m.spawn(
+          txcas_loop(m, t, x, ops, seed + static_cast<std::uint64_t>(t), st));
     } else {
-      m.spawn(faa_loop(m, t, x, ops, seed + static_cast<std::uint64_t>(t), st),
-              t);
+      m.spawn(faa_loop(m, t, x, ops, seed + static_cast<std::uint64_t>(t), st));
     }
   }
   m.run();
@@ -108,14 +101,14 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
       std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
     }
   }
-  const std::uint64_t nops = st->ops.load(std::memory_order_relaxed);
+  const std::uint64_t nops = st->ops;
   if (success_rate != nullptr) {
     *success_rate =
-        nops ? static_cast<double>(st->success.load(std::memory_order_relaxed)) /
+        nops ? static_cast<double>(st->success) /
                    static_cast<double>(nops)
              : 0.0;
   }
-  return static_cast<double>(st->latency_cycles.load(std::memory_order_relaxed)) /
+  return static_cast<double>(st->latency_cycles) /
          static_cast<double>(nops) * ns_per_cycle();
 }
 

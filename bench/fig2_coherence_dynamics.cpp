@@ -133,10 +133,6 @@ double spread(const Round& r) {
 int main(int argc, char** argv) {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  if (opts.machine_threads > 1) {
-    std::cerr << "note: fig2 always records the event trace, which needs the "
-                 "serial engine; ignoring --machine-threads\n";
-  }
   const int cores = opts.first_thread_or(8);
 
   std::cout << "# Figure 2: coherence dynamics of one contended CAS round ("

@@ -99,10 +99,6 @@ Outcome run_scenario(Time reader_offset, bool fix,
 int main(int argc, char** argv) {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  if (opts.machine_threads > 1) {
-    std::cerr << "note: fig3's host-side probe state needs the serial "
-                 "engine; ignoring --machine-threads\n";
-  }
 
   std::cout << "# Figure 3: tripped writer — remote reader's GetS arriving "
                "inside the writer's\n# cross-socket commit window, without "

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         lat_table.add_row(lat_row);
         thr_table.add_row(thr_row);
       },
-      effective_cold_start(opts));
+      opts.cold_start);
   if (opts.csv) {
     std::cout << "\n## Enqueue latency [ns/op] (lower is better)\n";
     lat_table.print(std::cout, opts.csv);

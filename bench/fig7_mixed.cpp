@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
         }
         table.add_row(out);
       },
-      effective_cold_start(opts));
+      opts.cold_start);
   if (opts.csv) {
     std::cout << "\n## Normalized duration [ns/op] (lower is better)\n";
     table.print(std::cout, opts.csv);

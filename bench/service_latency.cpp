@@ -193,13 +193,6 @@ int main(int argc, char** argv) try {
     std::cerr << "service_latency sweeps --rates, not --threads\n";
     return 1;
   }
-  if (opts.machine_threads > 1) {
-    // run_service reads host-side admission state mid-run, which is only
-    // deterministic under the serial engine.
-    std::cerr << "service_latency requires the serial engine "
-                 "(--machine-threads 1)\n";
-    return 1;
-  }
   const std::size_t total_ops = static_cast<std::size_t>(opts.ops_or(400));
   const int repeats = opts.repeats_or(2);
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();
@@ -305,7 +298,7 @@ int main(int argc, char** argv) try {
   // workload as the measured phase.
   run_queue_sweep<ServiceCell>(
       sopts.rates, queues, repeats, opts.effective_jobs(), make, row_done,
-      effective_cold_start(opts),
+      opts.cold_start,
       [](sim::Machine&, auto&, const ServiceCellSpec&) {},
       [](sim::Machine& m, auto& q, const ServiceCellSpec& spec, int offset) {
         return summarize(service::run_service(m, q, spec.service, offset));

@@ -40,10 +40,9 @@
 #include "simqueue/sim_sbq.hpp"
 
 // ---------------------------------------------------------------------------
-// Global allocation counters. Relaxed atomics: under --machine-threads > 1
-// the slice workers allocate concurrently (cold phase only, if the gate
-// holds), and the counters are only read between phases. Every form of
-// operator new funnels through count_alloc.
+// Global allocation counters. Relaxed atomics, because a replaced global
+// operator new must be safe on any thread; the counters are only read
+// between phases. Every form of operator new funnels through count_alloc.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -164,17 +163,13 @@ PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
   const std::uint64_t allocs_before = g_alloc_calls.load();
   const std::uint64_t bytes_before = g_alloc_bytes.load();
   const auto t0 = std::chrono::steady_clock::now();
-  // Pin each root to the core it runs on: a sharded machine needs the
-  // owning slice up front, and on a serial machine the pin is a no-op.
   for (int p = 0; p < producers; ++p) {
     m.spawn(producer(m, q, p, p, ops,
-                     seed * 1000003 + static_cast<std::uint64_t>(p), &acc),
-            static_cast<sim::CoreId>(p));
+                     seed * 1000003 + static_cast<std::uint64_t>(p), &acc));
   }
   for (int ci = 0; ci < producers; ++ci) {
     m.spawn(consumer(m, q, producers + ci, ci, ops,
-                     seed * 2000003 + static_cast<std::uint64_t>(ci), &acc),
-            static_cast<sim::CoreId>(producers + ci));
+                     seed * 2000003 + static_cast<std::uint64_t>(ci), &acc));
   }
   m.run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -202,8 +197,7 @@ int main(int argc, char** argv) {
   report.set_config("ops_per_producer_per_phase", Json(ops));
   report.set_config("steady_phases", Json(static_cast<std::uint64_t>(repeats)));
 
-  // The shared fault, machine and policy options; the sliced leg below
-  // overrides the machine part with this gate's own slice derivation.
+  // The shared fault, machine and policy options.
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, 2 * producers);
   // Counter increments are cheap but SimSbq's host-side occupancy
   // bookkeeping (filled_) grows with every basket — the gate measures the
@@ -218,43 +212,16 @@ int main(int argc, char** argv) {
     // Adaptive delays reshape every phase's schedule (the persistent
     // failure history keeps evolving across phases), so a steady phase can
     // exceed the cold phase's live-frame and in-flight-event high-water.
-    // Prewarm both pools past any plausible depth for this workload size,
-    // exactly like the sharded leg below.
+    // Prewarm both pools past any plausible depth for this workload size.
     mcfg.prewarm_frames = static_cast<std::size_t>(4 * mcfg.cores) + 32;
     mcfg.prewarm_event_nodes = std::size_t{1} << 12;
   }
-  // --machine-threads > 1 points the same gate at the sliced path: the
-  // per-slice engines, cross-slice channel buffers, and the window-merge
-  // scratch must be equally allocation-free once warm
-  // (perf_sim_alloc_gate_sharded in bench/CMakeLists.txt).
-  if (opts.machine_threads > 1) {
-    mcfg.sockets = opts.sockets > 0 ? opts.sockets : 2;
-    mcfg.dir_slices =
-        opts.dir_slices > 0 ? opts.dir_slices : opts.machine_threads;
-    mcfg.machine_threads = opts.machine_threads;
-    mcfg.alloc_arenas = true;
-    // Steady phases are seeded differently from the cold phase, so their
-    // live-coroutine high-water can exceed what cold warmed up; prewarm
-    // the frame pools past any plausible depth for this workload size.
-    mcfg.prewarm_frames =
-        static_cast<std::size_t>(4 * mcfg.cores) + 32;
-    report.set_config("machine_threads", Json(static_cast<std::uint64_t>(
-                                             opts.machine_threads)));
-    report.set_config(
-        "dir_slices", Json(static_cast<std::uint64_t>(mcfg.dir_slices)));
-  }
-
   // --trace keeps the event ring ON through the measured phases. TraceEvent
   // stores interned literals (no per-event strings) and the ring is reserved
   // to capacity at construction, so recording must not cost a single
   // steady-phase allocation (perf_sim_alloc_gate_traced in
   // bench/CMakeLists.txt). The ring's JSONL is written after the phases.
   if (!opts.trace_path.empty()) {
-    if (opts.machine_threads > 1) {
-      std::cerr << "sim_microbench: --trace requires the serial engine "
-                   "(tracing needs the single global event order)\n";
-      return 1;
-    }
     if (opts.from_snapshot) {
       std::cerr << "sim_microbench: --trace and --from-snapshot are "
                    "mutually exclusive (the trace ring is debug state and "
@@ -333,11 +300,6 @@ int main(int argc, char** argv) {
     // like the machine it replaces — never refills mid-phase; line-table
     // capacities ride along inside the blob.
     if (r == 0 && opts.from_snapshot) {
-      if (mcfg.machine_threads > 1) {
-        std::cerr << "sim_microbench: --from-snapshot requires the serial "
-                     "engine (sharded machines refuse snapshots)\n";
-        return 1;
-      }
       const std::uint64_t key = 0x5ea15ea15ea15ea1ULL;
       std::vector<std::uint64_t> words;
       q.save_host_state(words);

@@ -114,13 +114,9 @@ inline sim::FaultPlan fault_plan(double rate, std::uint64_t seed,
 // The machine every simulated-queue driver runs: `cores` split across
 // `sockets`, with the shared options applied in one place:
 //   --fault-rate/--fault-seed/--fault-jitter  the fault plan (fault_plan);
-//   --machine-threads/--dir-slices/--sockets  the sharded machine
-//       (docs/architecture.md "Parallel machine"). When sharding is
-//       requested the slice count defaults to the worker count (the finest
-//       legal slicing under the default kFlat interconnect), and per-core
-//       allocation arenas switch on — also for the serial twin
-//       (--dir-slices N with --machine-threads 1), which is therefore the
-//       exact comparison baseline for a sharded run;
+//   --dir-slices/--sockets  the machine shape. Slices are capped at the
+//       core count, and with more than one slice per-core allocation
+//       arenas switch on (MachineConfig::alloc_arenas);
 //   --cas-policy/--policy-seed  the TxCAS contention policy
 //       (common/contention.hpp). An unknown name throws: sweeps must not
 //       silently fall back to fixed.
@@ -133,11 +129,8 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
   mcfg.sockets = opts.sockets > 0 ? opts.sockets : sockets;
   mcfg.fault_plan =
       fault_plan(opts.fault_rate, opts.fault_seed, opts.fault_jitter);
-  if (opts.dir_slices > 0 || opts.machine_threads > 1) {
-    const int slices = opts.dir_slices > 0 ? opts.dir_slices
-                                           : opts.machine_threads;
-    mcfg.dir_slices = std::min(slices, mcfg.cores);
-    mcfg.machine_threads = opts.machine_threads;
+  if (opts.dir_slices > 0) {
+    mcfg.dir_slices = std::min(opts.dir_slices, mcfg.cores);
     mcfg.alloc_arenas = mcfg.dir_slices > 1;
   }
   if (!opts.cas_policy.empty()) {
@@ -149,25 +142,6 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
     mcfg.cas_policy.seed = opts.policy_seed;
   }
   return mcfg;
-}
-
-// The one-off re-run behind --trace, --record-ops and --replay-ops runs on
-// the serial engine: event tracing (`trace`) and op recording need the
-// single global event order only it produces (the sharded constructor
-// refuses record_trace). A single re-run outside the sweep loses nothing
-// by dropping to one machine thread.
-inline sim::MachineConfig serial_rerun_config(sim::MachineConfig mcfg,
-                                              bool trace) {
-  mcfg.record_trace = trace;
-  mcfg.machine_threads = 1;
-  return mcfg;
-}
-
-// Snapshots (and thus the shared-warm-snapshot fork path) are refused by
-// sharded machines, so sweeps must cold-start every cell under
-// --machine-threads > 1.
-inline bool effective_cold_start(const BenchOptions& opts) {
-  return opts.cold_start || opts.machine_threads > 1;
 }
 
 enum class Workload { kProducerOnly, kConsumerOnly, kMixed };
@@ -550,10 +524,9 @@ struct ReplaySummary {
 };
 
 // --replay-ops: feed a recorded trace back as a sim workload under `mcfg`
-// (cores bumped to the trace's need; `mcfg` must be serial, see
-// serial_rerun_config). The queue kind and workload shape come from the
-// trace header, the machine model from the driver's flags — that is the
-// point: the same logical history under any MachineConfig.
+// (cores bumped to the trace's need). The queue kind and workload shape
+// come from the trace header, the machine model from the driver's flags —
+// that is the point: the same logical history under any MachineConfig.
 inline ReplaySummary run_replay_file(const std::string& path,
                                      sim::MachineConfig mcfg) {
   replay::OpTrace trace;
@@ -574,7 +547,7 @@ inline ReplaySummary run_replay_file(const std::string& path,
 
 // The shared driver tail: --trace, --record-ops and --replay-ops each
 // re-run one representative cell (`kind` on `mcfg` with `spec`) outside the
-// sweep, on the serial engine:
+// sweep:
 //   --trace FILE       the cell with the event ring on, written as JSONL;
 //   --record-ops FILE  the cell with op recording on, written as a
 //                      versioned op trace (docs/replay.md). The host-side
@@ -587,7 +560,9 @@ inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
                                  const sim::MachineConfig& mcfg,
                                  const WorkloadSpec& spec) {
   if (!opts.trace_path.empty()) {
-    sim::Machine m(serial_rerun_config(mcfg, /*trace=*/true));
+    sim::MachineConfig traced = mcfg;
+    traced.record_trace = true;
+    sim::Machine m(traced);
     with_queue(kind, m, spec,
                [&](auto& q, int offset) { run_spec(m, q, spec, offset); });
     std::ofstream out(opts.trace_path);
@@ -612,7 +587,7 @@ inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
     trace.seed = spec.seed;
     trace.prefill_seed = spec.prefill_seed;
     trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
-    sim::Machine m(serial_rerun_config(mcfg, /*trace=*/false));
+    sim::Machine m(mcfg);
     with_queue(kind, m, spec, [&](auto& q, int offset) {
       return replay::run_recorded_workload(m, q, trace, offset);
     });
@@ -623,8 +598,7 @@ inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
   }
   if (!opts.replay_ops.empty()) {
     try {
-      const ReplaySummary s = run_replay_file(
-          opts.replay_ops, serial_rerun_config(mcfg, /*trace=*/false));
+      const ReplaySummary s = run_replay_file(opts.replay_ops, mcfg);
       std::cout << "replay: " << s.trace_records << " trace records, "
                 << s.outcome.run.enq_ops << " enqueues, "
                 << s.outcome.run.deq_ops << " dequeues replayed, "

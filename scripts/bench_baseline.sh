@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Capture the simulator performance baseline into BENCH_sim.json.
 #
-# Runs the two allocation-gated microbenches (engine_microbench,
-# sim_microbench) at their gate sizes and wall-clock-times the three
-# queue-sweep drivers the paper's headline figures use (fig5/fig6/fig7,
-# canonical args: --threads 2,4,8,16,32 --ops 100 --repeats 2 --jobs 1,
-# best of $RUNS runs) plus the open-loop service_latency driver
-# (docs/service.md). Results land in BENCH_sim.json at the repo root.
+# Records what benchmark/ does not cover: the wall-clock of one 512-core
+# fig5 cell, the contention-policy sweep and the open-loop service_latency
+# driver (docs/service.md), best of $RUNS runs each, plus the steady-phase
+# rates of the two allocation-gated microbenches (engine_microbench,
+# sim_microbench) at their gate sizes. The fig5/fig6/fig7 sweeps are timed
+# by benchmark/ (sim-enqueue, sim-dequeue-prefilled), which has a
+# regression rule. Results land in BENCH_sim.json at the repo root.
 #
 # Usage:
 #   scripts/bench_baseline.sh [before.json]
 #
-#   before.json — optional timings of an earlier build in the same format
-#                 (a prior BENCH_sim.json, or a bare {driver: {best_s}}
-#                 map); embedded under "before" with per-driver speedups.
+#   before.json — optional earlier BENCH_sim.json; embedded verbatim under
+#                 "before", with a speedup for every leg both files time.
 #
 # Env: BUILD_DIR (default: build), RUNS (default: 3).
 set -euo pipefail
@@ -23,8 +23,8 @@ BUILD_DIR=${BUILD_DIR:-build}
 RUNS=${RUNS:-3}
 BEFORE=${1:-}
 
-for bin in fig5_enqueue fig6_dequeue fig7_mixed ablation_fault_sweep \
-           service_latency engine_microbench sim_microbench; do
+for bin in fig5_enqueue ablation_delay_sweep service_latency \
+           engine_microbench sim_microbench; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "bench_baseline: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR)" >&2
     exit 1
@@ -51,8 +51,6 @@ def sim_config():
                            src).group(1) == "true"
     faults = re.search(r"bool enabled\s*=\s*(true|false)",
                        src).group(1) == "true"
-    machine_threads = int(re.search(r"machine_threads\s*=\s*(\d+)",
-                                    src).group(1))
     # Snapshot blob schema version, read from its source of truth.
     snapshot_schema = int(re.search(
         r"kSnapshotSchemaVersion = (\d+)",
@@ -71,7 +69,6 @@ def sim_config():
             "link_occupancy": occupancy,
             "check_invariants": invariants,
             "fault_injection_default": faults,
-            "machine_threads": machine_threads,
             "snapshot_schema_version": snapshot_schema,
             # Load model of the timed service leg (docs/service.md), so the
             # baseline records what traffic its service numbers were taken
@@ -87,70 +84,36 @@ def run_checked(cmd):
         sys.exit("bench_baseline: driver %s exited with status %d (args: %s)"
                  % (os.path.basename(cmd[0]), r.returncode,
                     " ".join(cmd[1:])))
-FIG_ARGS = ["--threads", "2,4,8,16,32", "--ops", "100", "--repeats", "2",
-            "--jobs", "1"]
-# ablation_fault_sweep rides along: its fault-injected cells stress the
-# TxCAS abort/retry machinery far harder than the clean figures, so its
-# wall-clock is the early-warning row for injection-path regressions.
-FIGS = ["fig5_enqueue", "fig6_dequeue", "fig7_mixed", "ablation_fault_sweep"]
 
-def run_timed(drv):
+def run_timed(drv, args):
     exe = os.path.join(build, "bench", drv)
     samples = []
     for _ in range(runs):
         t0 = time.monotonic()
-        run_checked([exe, *FIG_ARGS])
+        run_checked([exe, *args])
         samples.append(round(time.monotonic() - t0, 3))
-    return {"args": " ".join(FIG_ARGS), "runs_s": samples,
+    return {"args": " ".join(args), "runs_s": samples,
             "best_s": min(samples)}
 
 # Open-loop service leg (docs/service.md): poisson arrivals across an
 # underloaded / near-capacity / overloaded rate triple, default 4p/2c
-# broker with a depth-64 drop gate. Timed like the figure drivers.
+# broker with a depth-64 drop gate.
 SERVICE_ARRIVAL = "poisson"
 SERVICE_RATES = [2, 8, 32]
 SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
                 "--arrival", SERVICE_ARRIVAL, "--ops", "200",
                 "--repeats", "2", "--jobs", "1"]
 
-def run_service_leg():
-    exe = os.path.join(build, "bench", "service_latency")
-    samples = []
-    for _ in range(runs):
-        t0 = time.monotonic()
-        run_checked([exe, *SERVICE_ARGS])
-        samples.append(round(time.monotonic() - t0, 3))
-    return {"args": " ".join(SERVICE_ARGS), "runs_s": samples,
-            "best_s": min(samples)}
-
-# Sharded-machine headline: one 512-core fig5-style cell (2 sockets, 4
-# directory slices), serial vs --machine-threads 4. The serial leg passes
-# the same --dir-slices/--sockets flags so both legs simulate the *same*
-# machine — the wall-clock ratio isolates the parallel engine.
-SHARD_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
-              "--dir-slices", "4", "--repeats", "1", "--jobs", "1"]
-
-def run_shard_sweep():
-    exe = os.path.join(build, "bench", "fig5_enqueue")
-    legs = {}
-    for name, extra in (("serial", []), ("mt4", ["--machine-threads", "4"])):
-        samples = []
-        for _ in range(runs):
-            t0 = time.monotonic()
-            run_checked([exe, *SHARD_ARGS, *extra])
-            samples.append(round(time.monotonic() - t0, 3))
-        legs[name] = {"args": " ".join(SHARD_ARGS + extra),
-                      "runs_s": samples, "best_s": min(samples)}
-    legs["speedup_mt4_vs_serial"] = round(
-        legs["serial"]["best_s"] / legs["mt4"]["best_s"], 2)
-    return legs
+# The largest machine any driver builds: one fig5-style row at 512
+# simulated cores (2 sockets x 256, 4 directory slices).
+FIG5_512C_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
+                  "--dir-slices", "4", "--repeats", "1", "--jobs", "1"]
 
 # Contention-policy leg: the delay-sweep ablation's opt-in policy
 # dimension, adaptive-backoff vs the fixed default at the paper's optimal
-# intra-txn delay (675 cycles). Timed like the figure drivers; the JSON
-# artifact additionally supplies the throughput comparison at the
-# highest-contention cell — the adaptive policy earning its keep (or not)
-# is part of the baseline record.
+# intra-txn delay (675 cycles). The JSON artifact additionally supplies the
+# throughput comparison at the highest-contention cell — the adaptive
+# policy earning its keep (or not) is part of the baseline record.
 POLICY_ARGS = ["--threads", "2,8,16,32", "--ops", "100", "--jobs", "1",
                "--policies", "fixed,adaptive-backoff"]
 
@@ -200,10 +163,9 @@ report = {
                 "cpus": os.cpu_count(),
                 "nproc": len(os.sched_getaffinity(0))},
     "sim_config": sim_config(),
-    "figures": {d: run_timed(d) for d in FIGS},
+    "fig5_512c": run_timed("fig5_enqueue", FIG5_512C_ARGS),
     "policy_sweep": run_policy_sweep(),
-    "service_latency": run_service_leg(),
-    "sharded_fig5_512c": run_shard_sweep(),
+    "service_latency": run_timed("service_latency", SERVICE_ARGS),
     "microbench": {
         "engine_microbench": run_micro(
             "engine_microbench", ["--ops", "200000", "--repeats", "2"]),
@@ -215,16 +177,18 @@ report = {
 
 if before_path:
     before = json.load(open(before_path))
-    before_figs = before.get("figures", before)  # bare map accepted
-    report["before"] = before_figs
-    for d in FIGS:
-        if d in before_figs and "best_s" in before_figs[d]:
-            report["figures"][d]["speedup_vs_before"] = round(
-                before_figs[d]["best_s"] / report["figures"][d]["best_s"], 2)
+    report["before"] = before
+    for leg in ("fig5_512c", "policy_sweep", "service_latency"):
+        old = before.get(leg)
+        if old and "best_s" in old:
+            report[leg]["speedup_vs_before"] = round(
+                old["best_s"] / report[leg]["best_s"], 2)
 
 with open("BENCH_sim.json", "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
-print(json.dumps(report["figures"], indent=2))
+print(json.dumps({leg: report[leg]["best_s"]
+                  for leg in ("fig5_512c", "policy_sweep", "service_latency")},
+                 indent=2))
 EOF
 echo "bench_baseline: wrote BENCH_sim.json"

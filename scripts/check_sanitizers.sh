@@ -28,7 +28,7 @@ if [ "$MODE" = thread ]; then
          retired_list_test hazard_pointers_test
          ms_queue_test baskets_queue_test faa_queue_test cc_queue_test
          sbq_queue_test queue_concurrent_test queue_param_test
-         queue_extra_test value_queue_test replay_test)
+         queue_extra_test replay_test)
   # replay_test also holds single-threaded simulator and codec cases; only
   # its native recording/replay cases run real threads.
   declare -A FILTER=([replay_test]='NativeRecord.*:NativeReplay.*')

@@ -42,13 +42,8 @@ void BenchReport::set_sweep_config(const BenchOptions& opts,
   Json jt = Json::array();
   for (int t : threads) jt.push_back(Json(t));
   config_.set("threads", std::move(jt));
-  // Only recorded when the sharded machine is in play, so default artifacts
-  // stay byte-identical to pre-sharding baselines.
-  if (opts.machine_threads > 1) {
-    config_.set("machine_threads", Json(opts.machine_threads));
-  }
-  // Likewise gated: only non-default --cas-policy runs record the policy,
-  // so default fixed-policy artifacts match the goldens byte-for-byte.
+  // Only non-default --cas-policy runs record the policy, so default
+  // fixed-policy artifacts match the goldens byte-for-byte.
   if (!opts.cas_policy.empty()) {
     config_.set("cas_policy", Json(opts.cas_policy));
     config_.set("policy_seed", Json(static_cast<std::uint64_t>(opts.policy_seed)));

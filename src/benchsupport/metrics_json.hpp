@@ -78,17 +78,6 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
     faults.set("jitter_cycles", Json(m.faults.jitter_cycles));
     out.set("faults", std::move(faults));
   }
-  // Sharded-machine block: only present when the run actually used worker
-  // threads, so serial artifacts (and the goldens) stay byte-identical.
-  if (m.machine_threads > 1) {
-    Json parallel = Json::object();
-    parallel.set("machine_threads",
-                 Json(static_cast<std::uint64_t>(m.machine_threads)));
-    Json per_slice = Json::array();
-    for (std::uint64_t e : m.per_slice_events) per_slice.push_back(Json(e));
-    parallel.set("per_slice_events", std::move(per_slice));
-    out.set("parallel", std::move(parallel));
-  }
   // Contention-policy block: gated on a non-fixed policy kind (like the
   // fault block), so default fixed-policy artifacts stay byte-identical.
   // Under a non-fixed policy, fallback_cas is carried here even without

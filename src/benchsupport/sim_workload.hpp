@@ -8,7 +8,6 @@
 // deterministic per-op think-time jitter avoids artificial lockstep.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -44,28 +43,15 @@ struct SimRunResult {
 
 namespace detail {
 
-// Latency sums are kept as integer cycle counts in relaxed atomics so that
-// sharded runs (threads on different worker threads) accumulate without
-// races AND without order-dependence — integer addition commutes, unlike
-// floating-point. The totals stay far below 2^53, so the final
-// double(cycle_sum) equals the value the old sequential double
-// accumulation produced — serial artifacts stay byte-identical.
+// Latency sums are kept as integer cycle counts. The totals stay far below
+// 2^53, so the final double(cycle_sum) equals the value the old sequential
+// double accumulation produced — artifacts stay byte-identical.
 struct Accum {
-  std::atomic<std::uint64_t> enq_lat_cycles{0}, deq_lat_cycles{0};
-  std::atomic<std::uint64_t> enq{0}, deq{0};
+  std::uint64_t enq_lat_cycles = 0, deq_lat_cycles = 0;
+  std::uint64_t enq = 0, deq = 0;
 
-  double enq_lat() const {
-    return static_cast<double>(enq_lat_cycles.load(std::memory_order_relaxed));
-  }
-  double deq_lat() const {
-    return static_cast<double>(deq_lat_cycles.load(std::memory_order_relaxed));
-  }
-  std::uint64_t enq_count() const {
-    return enq.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deq_count() const {
-    return deq.load(std::memory_order_relaxed);
-  }
+  double enq_lat() const { return static_cast<double>(enq_lat_cycles); }
+  double deq_lat() const { return static_cast<double>(deq_lat_cycles); }
 };
 
 template <typename QueueT>
@@ -77,11 +63,11 @@ Task<void> producer_thread(Machine& m, QueueT& q, int core, int id,
   Core& c = m.core(core);
   co_await c.think(1 + rng.next_below(32));
   for (Value i = 0; i < ops; ++i) {
-    const Time start = c.now();  // slice-local clock: valid under sharding
+    const Time start = c.now();
     co_await q.enqueue(c, kFirstElement + (static_cast<Value>(id) << 32 | i),
                        id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -98,8 +84,8 @@ Task<void> consumer_thread(Machine& m, QueueT& q, int core, int id, Value ops,
     const Time start = c.now();
     const Value e = co_await q.dequeue(c, id);
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       ++got;
     } else {
       co_await c.think(64);  // transiently empty; back off briefly
@@ -130,8 +116,7 @@ void run_prefill(Machine& m, QueueT& q, int producers, Value per_producer,
   for (int p = 0; p < producers; ++p) {
     m.spawn(detail::producer_thread(
                 m, q, p, p, per_producer,
-                prefill_seed * 7 + static_cast<std::uint64_t>(p), fill_acc),
-            p);
+                prefill_seed * 7 + static_cast<std::uint64_t>(p), fill_acc));
   }
   m.run();  // un-measured fill phase
 }
@@ -165,12 +150,11 @@ SimRunResult run_producer_only(Machine& m, QueueT& q, int producers,
   for (int p = 0; p < producers; ++p) {
     m.spawn(detail::producer_thread(m, q, p, p, ops_per_thread,
                                     seed * 1000003 + static_cast<std::uint64_t>(p),
-                                    acc),
-            p);
+                                    acc));
   }
   m.run();
   SimRunResult r;
-  r.enq_ops = acc->enq_count();
+  r.enq_ops = acc->enq;
   r.enq_latency_cycles =
       r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
   r.duration_cycles = static_cast<double>(m.now() - start);
@@ -193,12 +177,11 @@ SimRunResult measure_consumer_only(Machine& m, QueueT& q, int consumers,
     m.spawn(detail::consumer_thread(m, q, ci, consumer_id_offset + ci,
                                     ops_per_thread,
                                     seed * 2000003 + static_cast<std::uint64_t>(ci),
-                                    acc),
-            ci);
+                                    acc));
   }
   m.run();
   SimRunResult r;
-  r.deq_ops = acc->deq_count();
+  r.deq_ops = acc->deq;
   r.deq_latency_cycles =
       r.deq_ops ? acc->deq_lat() / static_cast<double>(r.deq_ops) : 0;
   r.duration_cycles = static_cast<double>(m.now() - start);
@@ -218,20 +201,18 @@ SimRunResult measure_mixed(Machine& m, QueueT& q, int producers, int consumers,
   for (int p = 0; p < producers; ++p) {
     m.spawn(detail::producer_thread(m, q, p, p, ops_per_thread,
                                     seed * 1000003 + static_cast<std::uint64_t>(p),
-                                    acc),
-            p);
+                                    acc));
   }
   for (int ci = 0; ci < consumers; ++ci) {
     m.spawn(detail::consumer_thread(m, q, consumer_core0 + ci,
                                     consumer_id_offset + ci, ops_per_thread,
                                     seed * 2000003 + static_cast<std::uint64_t>(ci),
-                                    acc),
-            consumer_core0 + ci);
+                                    acc));
   }
   m.run();
   SimRunResult r;
-  r.enq_ops = acc->enq_count();
-  r.deq_ops = acc->deq_count();
+  r.enq_ops = acc->enq;
+  r.deq_ops = acc->deq;
   r.enq_latency_cycles =
       r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
   r.deq_latency_cycles =

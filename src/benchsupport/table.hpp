@@ -73,14 +73,9 @@ struct BenchOptions {
   double fault_rate = 0.0;
   unsigned long long fault_seed = 1;
   unsigned long long fault_jitter = 0;
-  // Sharded-machine execution (sim drivers only; see docs/architecture.md
-  // "Parallel machine"):
-  //   --machine-threads N  worker threads driving the sliced machine
-  //                        (1 = the classic serial engine, the default).
-  //   --dir-slices N       directory slices (0 = derived: machine_threads
-  //                        when sharding, 1 otherwise).
+  // Machine shape (sim drivers only):
+  //   --dir-slices N       directory slices (0 = the default, one slice).
   //   --sockets N          override the driver's socket count.
-  int machine_threads = 1;
   int dir_slices = 0;
   int sockets = 0;
   //   --from-snapshot  sim_microbench only: run the measured phases on a

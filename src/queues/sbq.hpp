@@ -188,8 +188,7 @@ class Queue {
   // Per-enqueuer node pool. The owner alone uses the first cache line;
   // reclaiming threads push onto `remote`, and the owner takes that whole
   // list with one exchange. Nodes are pushed one at a time and only ever
-  // taken all at once, so the push CAS cannot suffer ABA (the same pattern
-  // as Arena::deallocate_remote/allocate).
+  // taken all at once, so the push CAS cannot suffer ABA.
   struct alignas(kCacheLineSize) Pool {
     Node* failed = nullptr;  // kept after a FAILURE (§5.2.2), basket reset
     Node* local = nullptr;   // private freelist

@@ -35,8 +35,8 @@
 
 namespace sbq::replay {
 
-// Host-side single-threaded op log (recording requires the serial engine's
-// single global event order; callers force machine_threads = 1).
+// Host-side single-threaded op log, appended in the engine's global event
+// order.
 struct SimOpLog {
   std::vector<OpRecord> records;
 };
@@ -61,8 +61,8 @@ Task<void> recording_producer(Machine& m, QueueT& q, int core, int id,
     const Value v = simq::kFirstElement + (static_cast<Value>(id) << 32 | i);
     const Time start = c.now();
     co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
     co_await c.think(1 + rng.next_below(8));
   }
@@ -84,8 +84,8 @@ Task<void> recording_consumer(Machine& m, QueueT& q, int core, int id,
     const Value e = co_await q.dequeue(c, id);
     log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       ++got;
     } else {
       co_await c.think(64);  // transiently empty; back off briefly
@@ -108,8 +108,8 @@ Task<void> replay_producer(Machine& m, QueueT& q, int core, int id,
     const Value v = (*values)[i];
     const Time start = c.now();
     co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     if (log != nullptr) {
       log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
     }
@@ -137,8 +137,8 @@ Task<void> replay_consumer(Machine& m, QueueT& q, int core, int id,
       log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
     }
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       if (e != (*expected)[static_cast<std::size_t>(got)]) ++*mismatches;
       ++got;
     } else {
@@ -166,9 +166,8 @@ Task<void> replay_native_thread(Machine& m, QueueT& q, int core, int enq_id,
     const Time start = c.now();
     if (rec.op == kOpEnqueue) {
       co_await q.enqueue(c, rec.value, enq_id);
-      acc->enq_lat_cycles.fetch_add(c.now() - start,
-                                    std::memory_order_relaxed);
-      acc->enq.fetch_add(1, std::memory_order_relaxed);
+      acc->enq_lat_cycles += c.now() - start;
+      ++acc->enq;
       if (log != nullptr) {
         log->records.push_back(
             {log_thread, kOpEnqueue, rec.value, start, c.now(), 1});
@@ -176,9 +175,8 @@ Task<void> replay_native_thread(Machine& m, QueueT& q, int core, int enq_id,
     } else {
       const Value e = co_await q.dequeue(c, deq_id);
       if (e != 0) {
-        acc->deq_lat_cycles.fetch_add(c.now() - start,
-                                      std::memory_order_relaxed);
-        acc->deq.fetch_add(1, std::memory_order_relaxed);
+        acc->deq_lat_cycles += c.now() - start;
+        ++acc->deq;
       }
       if (log != nullptr) {
         log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
@@ -211,9 +209,9 @@ inline simq::Value trace_prefill_per_producer(const OpTrace& t) {
 
 // Runs the workload described by `trace`'s header on (m, q), recording
 // every op (prefill included) into trace.records. The caller fills the
-// header fields and owns machine/queue construction; `m` must be serial
-// (machine_threads == 1). Returns the measured-phase result, which is
-// byte-identical to the same spec run unrecorded.
+// header fields and owns machine/queue construction. Returns the
+// measured-phase result, which is byte-identical to the same spec run
+// unrecorded.
 template <typename QueueT>
 simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
                                          OpTrace& trace,
@@ -232,8 +230,7 @@ simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
     for (int p = 0; p < producers; ++p) {
       m.spawn(detail::recording_producer(
                   m, q, p, p, -(p + 1), per_producer,
-                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log),
-              p);
+                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log));
     }
     m.run();
   }
@@ -245,8 +242,7 @@ simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
       m.spawn(detail::recording_producer(
                   m, q, p, p, p, trace.ops_per_thread,
                   trace.seed * 1000003 + static_cast<std::uint64_t>(p), acc,
-                  &log),
-              p);
+                  &log));
     }
   }
   if (trace.workload == 1 || trace.workload == 2) {
@@ -256,15 +252,14 @@ simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
                   m, q, consumer_core0 + ci, consumer_id_offset + ci,
                   producers + ci, trace.ops_per_thread,
                   trace.seed * 2000003 + static_cast<std::uint64_t>(ci), acc,
-                  &log),
-              consumer_core0 + ci);
+                  &log));
     }
   }
   m.run();
 
   simq::SimRunResult r;
-  r.enq_ops = acc->enq_count();
-  r.deq_ops = acc->deq_count();
+  r.enq_ops = acc->enq;
+  r.deq_ops = acc->deq;
   r.enq_latency_cycles =
       r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
   r.deq_latency_cycles =
@@ -319,12 +314,11 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
                   m, q, t, t, deq_id, t,
                   &per_thread[static_cast<std::size_t>(t)],
                   trace.seed * 3000003 + static_cast<std::uint64_t>(t), acc,
-                  &log),
-              t);
+                  &log));
     }
     m.run();
-    out.run.enq_ops = acc->enq_count();
-    out.run.deq_ops = acc->deq_count();
+    out.run.enq_ops = acc->enq;
+    out.run.deq_ops = acc->deq;
     out.run.duration_cycles = static_cast<double>(m.now() - start);
     out.run.metrics = m.metrics();
     out.observed = std::move(log.records);
@@ -368,8 +362,7 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
       m.spawn(detail::replay_producer(
                   m, q, p, p, -(p + 1),
                   &prefill_values[static_cast<std::size_t>(p)],
-                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log),
-              p);
+                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log));
     }
     m.run();
   }
@@ -380,8 +373,7 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
       m.spawn(detail::replay_producer(
                   m, q, p, p, p, &enq_values[static_cast<std::size_t>(p)],
                   trace.seed * 1000003 + static_cast<std::uint64_t>(p), acc,
-                  &log),
-              p);
+                  &log));
     }
   }
   if (trace.workload == 1 || trace.workload == 2) {
@@ -391,14 +383,13 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
                   m, q, consumer_core0 + ci, consumer_id_offset + ci,
                   producers + ci, &deq_values[static_cast<std::size_t>(ci)],
                   trace.seed * 2000003 + static_cast<std::uint64_t>(ci), acc,
-                  &log, &out.value_mismatches),
-              consumer_core0 + ci);
+                  &log, &out.value_mismatches));
     }
   }
   m.run();
 
-  out.run.enq_ops = acc->enq_count();
-  out.run.deq_ops = acc->deq_count();
+  out.run.enq_ops = acc->enq;
+  out.run.deq_ops = acc->deq;
   out.run.enq_latency_cycles =
       out.run.enq_ops ? acc->enq_lat() / static_cast<double>(out.run.enq_ops)
                       : 0;

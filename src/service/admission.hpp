@@ -7,12 +7,9 @@
 // depth — ops admitted but not yet dequeued — on the host side, so it works
 // unchanged over every queue implementation.
 //
-// The gate is plain (non-atomic) state: the service harness runs on the
-// serial simulator engine only (run_service enforces machine_threads == 1),
-// where all coroutines execute on one host thread in deterministic event
-// order. That is also what makes the admission decision itself
-// deterministic — under a sharded machine the decision would depend on
-// which slice's window observed the depth first.
+// The gate is plain (non-atomic) state: the simulator runs all coroutines
+// on one host thread in deterministic event order, which is also what
+// makes the admission decision itself deterministic.
 #pragma once
 
 #include <cstdint>

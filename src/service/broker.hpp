@@ -22,9 +22,8 @@
 // reported on). Samples land in preallocated LatencyRings (no allocation
 // inside the measured phase).
 //
-// Serial-engine only: the broker's host-side gate/accounting state is read
-// mid-run, which is only deterministic under the single global event order
-// of the serial engine — run_service throws on a sharded machine.
+// The broker's host-side gate/accounting state is read mid-run; that is
+// deterministic because the engine runs every event in one global order.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +78,7 @@ struct ServiceResult {
 namespace detail {
 
 // Host-side state shared by the workers of one run. Plain (non-atomic)
-// members: serial engine only, one host thread.
+// members: the simulator runs on one host thread.
 struct BrokerState {
   explicit BrokerState(const ServiceSpec& spec,
                        std::vector<sim::Time> arrival_times)
@@ -175,11 +174,6 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   if (m.core_count() < spec.producers + spec.consumers) {
     throw std::invalid_argument("machine too small for the service spec");
   }
-  if (m.core(0).sharded()) {
-    throw std::invalid_argument(
-        "run_service requires the serial engine (machine_threads == 1): "
-        "admission decisions read host state mid-run");
-  }
   auto st = std::make_unique<detail::BrokerState>(
       spec, generate_arrivals(spec.arrival, spec.total_ops));
   const auto schedules =
@@ -187,13 +181,11 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   const sim::Time start = m.now();
   for (int p = 0; p < spec.producers; ++p) {
     m.spawn(detail::load_worker(m, q, p, p, &schedules[static_cast<std::size_t>(p)],
-                                &spec, st.get()),
-            static_cast<sim::CoreId>(p));
+                                &spec, st.get()));
   }
   for (int ci = 0; ci < spec.consumers; ++ci) {
     m.spawn(detail::drain_worker(m, q, spec.producers + ci,
-                                 consumer_id_offset + ci, &spec, st.get()),
-            static_cast<sim::CoreId>(spec.producers + ci));
+                                 consumer_id_offset + ci, &spec, st.get()));
   }
   m.run();
 

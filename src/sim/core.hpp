@@ -89,16 +89,8 @@ class Core {
   CoreId id() const noexcept { return id_; }
   Time now() const noexcept { return engine_.now(); }
   const CoreStats& stats() const noexcept { return stats_; }
-  // Metrics registry this core reports into (the machine-wide instance on
-  // a serial machine, the owning slice's instance on a sharded one).
+  // Metrics registry this core reports into (null when stats are off).
   Stats* metrics() const noexcept { return metrics_; }
-  // True on a sharded (machine_threads > 1) machine: host-side state that
-  // other slices also read must go through the ordered effects log
-  // (log_effect) instead of being mutated inline.
-  bool sharded() const noexcept { return cfg_.machine_threads > 1; }
-  // Append an ordered host effect to this slice's window log; the Machine
-  // replays effects in merged global order at the next barrier.
-  void log_effect(std::uint64_t a, std::uint64_t b) { engine_.log_effect(a, b); }
   // Home directory node for `a` (the single directory when dir_slices==1).
   CoreId dir_node(Addr a) const noexcept {
     return cfg_.dir_slices > 1

@@ -29,47 +29,16 @@ namespace detail {
 // traffic creates and destroys one frame per operation; recycling frames
 // through size-class freelists removes that heap churn (the whole-machine
 // allocs/event = 0 gate in sim_microbench). Each thread owns a pool because
-// the parallel sweep runner drives one machine per thread. A sharded machine
-// runs a slice on whichever thread the window schedule picks (the
-// coordinator for a solo window, a worker otherwise), so it gives every
-// slice a pool of its own and routes the slice's frames there while it runs
-// (FramePool::Use): a frame then returns to the pool it came from, and no
-// pool drains into another over repeated phases.
+// the parallel sweep runner drives one machine per thread.
 class FramePool {
  public:
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kClasses = 32;  // pool frames up to 2 KiB
 
-  struct Pools {
-    Pools() = default;
-    Pools(const Pools&) = delete;
-    Pools& operator=(const Pools&) = delete;
-    ~Pools() {
-      for (auto& bucket : by_class) {
-        for (void* p : bucket) ::operator delete(p);
-      }
-    }
-    std::array<std::vector<void*>, kClasses> by_class;
-  };
-
-  // Routes the calling thread's frame traffic to `pools` for the scope's
-  // lifetime (nests; the previous pool is restored on exit).
-  class Use {
-   public:
-    explicit Use(Pools& pools)
-        : prev_(std::exchange(thread_pools().routed, &pools)) {}
-    ~Use() { thread_pools().routed = prev_; }
-    Use(const Use&) = delete;
-    Use& operator=(const Use&) = delete;
-
-   private:
-    Pools* prev_;
-  };
-
   static void* allocate(std::size_t n) {
     const std::size_t cls = (n + kGranularity - 1) / kGranularity;
     if (cls < kClasses) {
-      auto& bucket = current().by_class[cls];
+      auto& bucket = pool().by_class[cls];
       if (!bucket.empty()) {
         void* p = bucket.back();
         bucket.pop_back();
@@ -83,13 +52,13 @@ class FramePool {
   static void deallocate(void* p, std::size_t n) noexcept {
     const std::size_t cls = (n + kGranularity - 1) / kGranularity;
     if (cls < kClasses) {
-      current().by_class[cls].push_back(p);
+      pool().by_class[cls].push_back(p);
       return;
     }
     ::operator delete(p);
   }
 
-  // Fill every size class of the current pool to at least
+  // Fill every size class of the calling thread's pool to at least
   // `frames_per_class` free frames (and reserve the freelist vectors), so
   // later phases never allocate as long as the number of live frames per
   // class stays under the floor. The cold phase only warms the pool to its
@@ -97,7 +66,7 @@ class FramePool {
   // exceed — the allocation gates (sim_microbench) prewarm instead of
   // relying on that (MachineConfig::prewarm_frames).
   static void prewarm(std::size_t frames_per_class) {
-    auto& ps = current();
+    auto& ps = pool();
     for (std::size_t cls = 1; cls < kClasses; ++cls) {
       auto& bucket = ps.by_class[cls];
       bucket.reserve(frames_per_class);
@@ -108,18 +77,20 @@ class FramePool {
   }
 
  private:
-  // The calling thread's own pool, and the pool a Use scope routes it to.
-  struct ThreadPools {
-    Pools own;
-    Pools* routed = nullptr;
+  struct Pool {
+    Pool() = default;
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+    ~Pool() {
+      for (auto& bucket : by_class) {
+        for (void* p : bucket) ::operator delete(p);
+      }
+    }
+    std::array<std::vector<void*>, kClasses> by_class;
   };
-  static ThreadPools& thread_pools() {
-    static thread_local ThreadPools tp;
-    return tp;
-  }
-  static Pools& current() {
-    ThreadPools& tp = thread_pools();
-    return tp.routed != nullptr ? *tp.routed : tp.own;
+  static Pool& pool() {
+    static thread_local Pool p;
+    return p;
   }
 };
 

@@ -121,37 +121,10 @@ void Engine::step_at(std::size_t idx) {
   --wheel_count_;
   now_ = n->time;
   ++processed_;
-  if (logging_) {
-    // Record the dispatch and the range of calls the callable makes.
-    // Dispatch is not reentrant, so back() stays valid across the run.
-    dispatches_.push_back(
-        {n->time, n->seq, static_cast<std::uint32_t>(calls_.size()), 0});
-    if (n->seq >= kProvisionalSeqBase) {
-      // Born and consumed within this window: drop the patch target (the
-      // node is recycled the moment the callable returns).
-      birth_node_[n->seq - kProvisionalSeqBase] = nullptr;
-    }
-    n->run_and_destroy(n, /*run=*/true);
-    dispatches_.back().ncalls =
-        static_cast<std::uint32_t>(calls_.size()) - dispatches_.back().first_call;
-    release_node(n);
-    return;
-  }
   // The callable may re-enter schedule(); the node is already off its slot
   // list and is recycled only after the callable finishes.
   n->run_and_destroy(n, /*run=*/true);
   release_node(n);
-}
-
-void Engine::enable_window_logging() {
-  logging_ = true;
-  // Warm the log vectors so typical windows never grow them; growth past
-  // these sizes is geometric and one-time, so the steady-state alloc gates
-  // still pass after the first (cold) phase.
-  dispatches_.reserve(std::size_t{1} << 12);
-  calls_.reserve(std::size_t{1} << 13);
-  effects_.reserve(std::size_t{1} << 10);
-  birth_node_.reserve(std::size_t{1} << 13);
 }
 
 Engine::Checkpoint Engine::save_checkpoint() const {

@@ -57,42 +57,10 @@ class Engine {
   void schedule(Time delay, F fn) {
     Node* n = make_node(std::move(fn));
     n->time = now_ + delay;
-    if (logging_) {
-      // Window-logged (sharded) mode: the global (time, seq) order is only
-      // decided at the next merge barrier, so new events carry a provisional
-      // key — larger than every materialized seq (so equal-time ordering
-      // against pre-window events is already final) and monotone in birth
-      // order (so patching to the merged seqs is order-preserving).
-      n->seq = kProvisionalSeqBase + births_;
-      calls_.push_back({CallKind::kBirth, births_});
-      birth_node_.push_back(n);
-      ++births_;
-    } else {
-      n->seq = next_seq_++;
-    }
+    n->seq = next_seq_++;
     n->next = nullptr;
     if (delay < kWheelSlots) {
       append_slot(n);
-    } else {
-      ++alloc_.overflow_events;
-      overflow_.push_back(n);
-      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    }
-  }
-
-  // Insert an event at an absolute time with an externally assigned seq
-  // (cross-slice channel deliveries and the sharded machine's root/one-shot
-  // injection). Pre: time >= now() and, when the target slot is occupied,
-  // the window invariant (time - now() < wheel span keeps same-slot times
-  // equal) — both hold for conservative-lookahead deliveries.
-  template <typename F>
-  void insert_external(Time time, std::uint64_t seq, F fn) {
-    Node* n = make_node(std::move(fn));
-    n->time = time;
-    n->seq = seq;
-    n->next = nullptr;
-    if (time - now_ < kWheelSlots) {
-      insert_slot_by_seq(n);
     } else {
       ++alloc_.overflow_events;
       overflow_.push_back(n);
@@ -160,79 +128,6 @@ class Engine {
   };
   Checkpoint save_checkpoint() const;   // pre: idle()
   void restore_checkpoint(const Checkpoint& c);  // pre: idle()
-
-  // --- Window logging (sharded machine) -------------------------------
-  //
-  // A slice engine in a parallel Machine runs in logging mode: every
-  // dispatched event is recorded together with the ordered list of calls
-  // it made (local schedules, cross-slice channel sends, host effects).
-  // At the merge barrier the Machine replays the per-slice logs in global
-  // (time, key) order, assigns the definitive seqs, and patches the still-
-  // pending provisionally-keyed nodes — reproducing the serial engine's
-  // (time, seq) stream exactly. Keys at/above kProvisionalSeqBase are
-  // provisional (assigned in schedule() while logging); patching them to
-  // the merged seqs is a monotone remap, so slot lists and the overflow
-  // heap stay ordered without a re-sort.
-  static constexpr std::uint64_t kProvisionalSeqBase = std::uint64_t{1}
-                                                       << 63;
-
-  enum class CallKind : std::uint8_t { kBirth, kChannel, kEffect };
-  struct CallRecord {
-    CallKind kind;
-    std::uint64_t payload;  // birth id / channel index / effect index
-  };
-  struct DispatchRecord {
-    Time time = 0;
-    std::uint64_t key = 0;  // seq (provisional when born in this window)
-    std::uint32_t first_call = 0;
-    std::uint32_t ncalls = 0;
-  };
-  struct EffectRecord {
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-  };
-
-  void enable_window_logging();
-  bool window_logging() const noexcept { return logging_; }
-  // Record a cross-slice channel send (payload index assigned by the
-  // caller, which owns the channel buffer) / an ordered host effect.
-  void log_channel(std::uint64_t index) {
-    calls_.push_back({CallKind::kChannel, index});
-  }
-  void log_effect(std::uint64_t a, std::uint64_t b) {
-    calls_.push_back({CallKind::kEffect, effects_.size()});
-    effects_.push_back({a, b});
-  }
-  const std::vector<DispatchRecord>& window_dispatches() const noexcept {
-    return dispatches_;
-  }
-  const std::vector<CallRecord>& window_calls() const noexcept {
-    return calls_;
-  }
-  const EffectRecord& window_effect(std::uint64_t index) const noexcept {
-    return effects_[index];
-  }
-  std::uint64_t window_births() const noexcept { return births_; }
-  // Rewrite a still-pending in-window node's provisional key to its merged
-  // seq (no-op if the node already dispatched inside the window).
-  void patch_birth(std::uint64_t birth, std::uint64_t seq) noexcept {
-    Node* n = birth_node_[birth];
-    if (n != nullptr) n->seq = seq;
-  }
-  void clear_window_log() {
-    dispatches_.clear();
-    calls_.clear();
-    effects_.clear();
-    birth_node_.clear();
-    births_ = 0;
-  }
-  // Time of the earliest pending event without advancing the clock.
-  // Returns false when idle.
-  bool peek_next_time(Time* t) {
-    if (idle()) return false;
-    *t = next_event_time();
-    return true;
-  }
 
  private:
   // Inline payload: the largest callables the simulator schedules are
@@ -367,16 +262,6 @@ class Engine {
   Node* free_head_ = nullptr;
   std::vector<std::unique_ptr<Node[]>> slabs_;
   AllocStats alloc_;
-
-  // Window log (sharded mode only; empty and untouched otherwise). The
-  // vectors keep their capacity across clear_window_log(), so a warmed
-  // slice engine logs allocation-free.
-  bool logging_ = false;
-  std::uint64_t births_ = 0;
-  std::vector<DispatchRecord> dispatches_;
-  std::vector<CallRecord> calls_;
-  std::vector<EffectRecord> effects_;
-  std::vector<Node*> birth_node_;  // birth id -> pending node (or null)
 };
 
 }  // namespace sbq::sim

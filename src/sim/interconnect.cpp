@@ -129,14 +129,6 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
   if (send_observer_ != nullptr) {
     send_observer_(send_observer_ctx_, engine_.now(), src, dst, msg);
   }
-  if (node_slice_ != nullptr && node_slice_[dst] != my_slice_) {
-    // Cross-slice: buffer as a time-stamped channel send; the Machine
-    // forwards it into the destination slice at the merge barrier, with
-    // the merged seq deciding equal-time ordering exactly as in serial.
-    engine_.log_channel(channel_.size());
-    channel_.push_back({dst, msg, engine_.now() + delay});
-    return;
-  }
   auto& handler = handlers_[static_cast<std::size_t>(dst)];
   assert(handler);
   engine_.schedule(delay, [&handler, msg] { handler(msg); });

@@ -52,11 +52,6 @@ class Interconnect {
                DebugRing* debug_ring = nullptr);
 
   void set_handler(CoreId node, MessageHandlerFn handler);
-  // Registered delivery handler for `node` (stable address for the machine
-  // to capture in cross-slice delivery closures).
-  MessageHandlerFn* handler(CoreId node) noexcept {
-    return &handlers_[static_cast<std::size_t>(node)];
-  }
 
   void send(CoreId src, CoreId dst, Message msg);
 
@@ -71,24 +66,6 @@ class Interconnect {
     send_observer_ = fn;
     send_observer_ctx_ = ctx;
   }
-
-  // Sharded machine: this interconnect instance belongs to slice
-  // `my_slice`; `node_slice` maps every node id (cores + directory slices)
-  // to its owning slice. A send whose destination lives on another slice
-  // is computed (delay, link accounting) as usual but buffered in
-  // channel() instead of scheduled; the Machine forwards it at the next
-  // merge barrier with its merged seq.
-  void enable_sharding(int my_slice, const int* node_slice) noexcept {
-    my_slice_ = my_slice;
-    node_slice_ = node_slice;
-    channel_.reserve(std::size_t{1} << 10);
-  }
-  struct ChannelEntry {
-    CoreId dst = -1;
-    Message msg;
-    Time arrival = 0;
-  };
-  std::vector<ChannelEntry>& channel() noexcept { return channel_; }
 
   int socket_of(CoreId node) const noexcept {
     return socket_of_[static_cast<std::size_t>(node)];
@@ -150,10 +127,6 @@ class Interconnect {
   std::uint64_t sent_ = 0;
   std::uint64_t link_msgs_ = 0;
   std::uint64_t link_wait_cycles_ = 0;
-  // Sharding (null/-1 on a serial machine).
-  int my_slice_ = -1;
-  const int* node_slice_ = nullptr;
-  std::vector<ChannelEntry> channel_;
   // Bounded message-latency jitter (fault_plan.jitter_active() only).
   // Jitter only ever *adds* delay, and every send clamps its arrival to
   // the pair's previous arrival, so the protocol's per-(src,dst) FIFO

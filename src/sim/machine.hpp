@@ -1,36 +1,13 @@
 // Machine: assembles engine + interconnect + directory + cores, provides a
 // word allocator for simulated data structures, and runs simulated-thread
-// coroutines to completion.
-//
-// Two execution modes share one protocol implementation:
-//
-//   * Serial (machine_threads == 1, the default): one Engine drives every
-//     component, exactly as before. The directory may still be sliced
-//     (dir_slices > 1): home(addr) = addr % dir_slices picks one of
-//     dir_slices independent directory instances, each its own interconnect
-//     node — the serial twin of a sharded run.
-//
-//   * Sharded (machine_threads > 1): the machine is partitioned into
-//     dir_slices execution slices, each owning one directory slice, a
-//     contiguous block of cores, and a private Engine + Interconnect. A
-//     persistent worker pool runs the slices in parallel in conservative
-//     lookahead windows: with T the earliest pending event across slices
-//     and L the minimum cross-slice message latency, every slice may safely
-//     run through T + L - 1 — a message sent at t >= T arrives at
-//     t + L > T + L - 1, i.e. beyond the window. At the window barrier the
-//     per-slice event logs are merged into the single global (time, seq)
-//     order the serial engine would have produced: provisional sequence
-//     numbers are patched to globally ordered ones, cross-slice messages
-//     are materialized into their destination slice, and host-side effects
-//     (queue bookkeeping) are replayed in merged order. Given the same
-//     MachineConfig, a sharded run therefore delivers every event in the
-//     same (time, seq) order as the serial engine — metrics are identical.
+// coroutines to completion. One Engine drives every component. The
+// directory may be sliced (dir_slices > 1): home(addr) = addr % dir_slices
+// picks one of dir_slices independent directory instances, each its own
+// interconnect node.
 #pragma once
 
-#include <atomic>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -51,8 +28,7 @@ namespace sbq::sim {
 // directory lines, per-core caches, counters, trace ring, allocator cursors.
 // A snapshot is a plain value: copyable, and safe to fork from concurrently
 // (fork only reads it), so one warmed prefill can seed every repeat of a
-// sweep cell across worker threads. Sharded machines refuse to snapshot
-// (Machine::snapshot throws); capture the serial twin instead.
+// sweep cell across worker threads.
 struct MachineSnapshot {
   MachineConfig cfg;
   Engine::Checkpoint engine;
@@ -88,45 +64,27 @@ class Machine {
   // mid-simulation. Simulated memory contents (directory lines + caches)
   // carry over, so a queue prefilled before snapshot() is prefilled in
   // every fork. Throws std::runtime_error (always compiled, not an assert)
-  // when called on a non-quiescent machine, while scheduled fault one-shots
-  // are pending or in flight, or on a sharded machine (per-slice engine
-  // state is not captured; warm the serial twin instead).
+  // when called on a non-quiescent machine, or while scheduled fault
+  // one-shots are pending or in flight.
   MachineSnapshot snapshot() const;
   static std::unique_ptr<Machine> fork(const MachineSnapshot& snap) {
     return std::make_unique<Machine>(snap);
   }
 
-  // Serial engine. Meaningful only on a serial machine; sharded workloads
-  // read time via now() / Core::now() instead.
   Engine& engine() noexcept { return engine_; }
-  // Machine-wide event total: the serial engine's counter, or the sum over
-  // slice engines. Allocation-free (unlike metrics()), so the microbench
-  // gates can sample it inside a counted phase.
+  // Machine-wide event total. Allocation-free (unlike metrics()), so the
+  // microbench gates can sample it inside a counted phase.
   std::uint64_t events_processed() const noexcept {
-    if (slices_.empty()) return engine_.events_processed();
-    std::uint64_t sum = 0;
-    for (const Slice& sl : slices_) sum += sl.engine->events_processed();
-    return sum;
+    return engine_.events_processed();
   }
-  // Current simulated time: engine clock (serial) or the maximum slice
-  // clock (sharded — slices only rejoin at window barriers, and the
-  // machine is only observed between run() phases where all clocks agree).
-  Time now() const noexcept;
+  Time now() const noexcept { return engine_.now(); }
   Trace& trace() noexcept { return trace_; }
-  // Metrics registry; null when MachineConfig::collect_stats is false. On a
-  // sharded machine this is slice 0's registry — use metrics() for merged
-  // machine-wide totals.
-  Stats* stats() noexcept {
-    return slices_.empty() ? stats_.get() : slices_[0].stats.get();
-  }
-  const Stats* stats() const noexcept {
-    return slices_.empty() ? stats_.get() : slices_[0].stats.get();
-  }
+  // Metrics registry; null when MachineConfig::collect_stats is false.
+  Stats* stats() noexcept { return stats_.get(); }
+  const Stats* stats() const noexcept { return stats_.get(); }
   // Flattened counter snapshot (all-zero blocks when stats are disabled)
   // plus engine/interconnect totals — what sweep cells put into
-  // BENCH_*.json. Callable at any point; counters are cumulative. On a
-  // sharded machine, per-slice counters are merged (sums; occupancy
-  // min/max combined) so the result matches the serial twin.
+  // BENCH_*.json. Callable at any point; counters are cumulative.
   MetricsSnapshot metrics() const;
   // Directory slice 0 — the whole directory when dir_slices == 1 (the
   // default). Sliced configs address lines via poke()/peek() instead.
@@ -146,41 +104,21 @@ class Machine {
   // no-argument form allocates from the shared setup region.
   Addr alloc(std::uint64_t words = 1);
   // Core-attributed allocation: with MachineConfig::alloc_arenas each core
-  // owns a disjoint 2^30-word arena, so mid-run allocations are both
-  // thread-safe under sharding and address-deterministic regardless of
-  // which order cores reach their allocation sites. Without arenas this is
-  // the shared cursor (serial machines only; sharded machines require
-  // arenas). Throws std::runtime_error on arena exhaustion.
+  // owns a disjoint 2^30-word arena, so mid-run allocations are
+  // address-deterministic regardless of which order cores reach their
+  // allocation sites. Without arenas this is the shared cursor. Throws
+  // std::runtime_error on arena exhaustion.
   Addr alloc(std::uint64_t words, CoreId core);
   // Reserve a dedicated 2^30-word static region (e.g. the FAA queue's cell
   // array) whose addresses are independent of allocation order.
   Addr alloc_region();
 
-  // Register a simulated thread; it starts when run() is called. The
-  // unpinned form is serial-only (throws std::logic_error when sharded):
-  // a sharded machine must know which slice executes the root coroutine.
+  // Register a simulated thread; it starts when run() is called.
   void spawn(Task<void> task);
-  // Pin the root to `core`: its resume events run on (and its simulated
-  // time advances with) that core's slice. On a serial machine the pin is
-  // recorded but changes nothing — serial twins stay byte-identical.
-  void spawn(Task<void> task, CoreId core);
-
-  // Host-side effect replay (sharded determinism): host containers fed
-  // from simulated threads (e.g. SimSbq's filled-cell map) register a
-  // handler here and route mutations through Core::log_effect; the machine
-  // replays them in the merged global event order at each window barrier.
-  // Serial machines apply effects inline and never invoke the handler.
-  void set_effect_handler(std::function<void(std::uint64_t, std::uint64_t)> fn) {
-    effect_handler_ = std::move(fn);
-  }
-  bool sharded() const noexcept { return !slices_.empty(); }
 
   // Pre-size the root-task table (spawn() otherwise grows it, which the
   // sim_microbench allocation gate would count against the steady state).
-  void reserve_tasks(std::size_t n) {
-    roots_.reserve(n);
-    root_pins_.reserve(n);
-  }
+  void reserve_tasks(std::size_t n) { roots_.reserve(n); }
 
   // Pre-size every directory slice's and every core's line table for `n`
   // distinct lines. Bounded-address-range runs (the sim_microbench
@@ -205,9 +143,7 @@ class Machine {
   // Cumulative across the machine's lifetime (run() recycles the frames of
   // finished root tasks, so these do not track the live roots_ table).
   std::size_t spawned() const noexcept { return spawned_; }
-  std::size_t finished() const noexcept {
-    return finished_.load(std::memory_order_relaxed);
-  }
+  std::size_t finished() const noexcept { return finished_; }
 
   // Always-on bounded ring of the last interconnect messages, for
   // post-mortem dumps (watchdog / invariant checker). Not part of
@@ -215,74 +151,33 @@ class Machine {
   const DebugRing& debug_ring() const noexcept { return debug_ring_; }
 
  private:
-  // One execution slice of a sharded machine: a private engine (window
-  // logging enabled), interconnect, debug ring, metrics registry, and
-  // coroutine frame pool. The slice's directory lives in dirs_[s]; its
-  // cores in cores_ (owner = core / cores_per_slice).
-  struct Slice {
-    std::unique_ptr<Engine> engine;
-    std::unique_ptr<DebugRing> ring;
-    std::unique_ptr<Interconnect> net;
-    std::unique_ptr<Stats> stats;
-    std::unique_ptr<detail::FramePool::Pools> frames;
-
-    // Run the slice's events up to `horizon` on the calling thread, with
-    // the frames its coroutines create and destroy kept in its own pool.
-    void run_until(Time horizon) {
-      detail::FramePool::Use use(*frames);
-      engine->run_until(horizon);
-    }
-  };
-  struct Pool;  // persistent worker pool (defined in machine.cpp)
-  // A cross-slice message materialized at the window barrier, carrying the
-  // globally ordered sequence number assigned during the merge.
-  struct PendingDelivery {
-    CoreId dst;
-    Message msg;
-    Time arrival;
-    std::uint64_t seq;
-  };
-
   int home_slice(Addr a) const noexcept {
     return cfg_.dir_slices > 1
                ? static_cast<int>(a % static_cast<Addr>(cfg_.dir_slices))
                : 0;
   }
-  int slice_of_core(CoreId c) const noexcept {
-    return static_cast<int>(c) / cores_per_slice_;
-  }
 
   // First-run setup: resume the spawned roots and schedule the fault
   // plan's one-shots.
   void start();
-  // Sharded event loop: repeat {find T = min pending time; run every slice
-  // to T + lookahead - 1 in parallel; merge}. Returns true when all slices
-  // drained, false when the next event lies beyond `limit`.
-  bool advance_windows(Time limit);
-  // Window barrier: k-way merge of the per-slice dispatch logs by
-  // (time, resolved seq); assigns global seqs to births and cross-slice
-  // sends, replays host effects, forwards deliveries, clears the logs.
-  void merge_window();
   // Verify SWMR + directory/cache consistency; on violation dump the debug
   // ring to stderr and throw std::logic_error. Wired behind every message
-  // handler when cfg_.check_invariants (serial engine only; every slice's
-  // line table is checked against the full core set).
+  // handler when cfg_.check_invariants.
   void check_invariants_now();
-  // Dump the debug ring(s) and (when enabled) the trace tail to stderr.
+  // Dump the debug ring and (when enabled) the trace tail to stderr.
   void dump_debug_state(const char* why);
 
   MachineConfig cfg_;
-  Engine engine_;  // serial mode's engine (idle under sharding)
+  Engine engine_;
   Trace trace_;
   DebugRing debug_ring_;
   std::unique_ptr<Stats> stats_;
-  std::unique_ptr<Interconnect> net_;  // serial mode's interconnect
+  std::unique_ptr<Interconnect> net_;
   std::vector<std::unique_ptr<Directory>> dirs_;  // one per dir slice
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::coroutine_handle<Task<void>::promise_type>> roots_;
-  std::vector<CoreId> root_pins_;  // -1 = unpinned (serial only)
   std::size_t spawned_ = 0;
-  std::atomic<std::size_t> finished_{0};
+  std::size_t finished_ = 0;
   Addr next_addr_ = 1;  // 0 is NULL
   std::vector<Addr> arena_next_;  // per-core cursors (alloc_arenas)
   Addr region_next_ = 0;          // static regions handed out
@@ -290,26 +185,11 @@ class Machine {
   // Fault one-shots (cfg_.fault_plan.one_shots) are scheduled lazily at the
   // first run() so forked machines (which inherit started_ = true) do not
   // re-fire them; pending counts configured-but-unfired one-shots.
-  std::atomic<std::size_t> one_shots_pending_{0};
-  std::atomic<std::uint64_t> one_shots_fired_{0};
-
-  // ---- sharded-mode state (empty/idle on a serial machine) ----
-  std::vector<Slice> slices_;
-  std::vector<int> node_slice_;  // node id (core or dir) -> owning slice
-  int cores_per_slice_ = 1;
-  Time lookahead_ = 1;  // min cross-slice latency; window = [T, T+L-1]
-  std::uint64_t global_seq_ = 0;
-  std::function<void(std::uint64_t, std::uint64_t)> effect_handler_;
-  std::unique_ptr<Pool> pool_;
-  // Merge scratch, reused across windows (no steady-state allocation).
-  std::vector<std::vector<std::uint64_t>> resolved_;
-  std::vector<std::size_t> cursor_;
-  std::vector<PendingDelivery> deliveries_;
+  std::size_t one_shots_pending_ = 0;
+  std::uint64_t one_shots_fired_ = 0;
 };
 
 // Barrier for simulated threads: all parties must arrive before any proceeds.
-// Serial-only: it schedules wakeups on one engine, so all parties must live
-// on the same slice (use a serial machine, or pin all parties to one core).
 class SimBarrier {
  public:
   SimBarrier(Engine& engine, int parties)

@@ -324,7 +324,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   }
   w.b(cfg.check_invariants);
   w.u64(static_cast<std::uint64_t>(cfg.dir_slices));
-  w.u64(static_cast<std::uint64_t>(cfg.machine_threads));
   w.b(cfg.alloc_arenas);
   w.u64(cfg.prewarm_frames);
   w.u64(cfg.prewarm_event_nodes);
@@ -371,7 +370,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
     shot.kind = static_cast<FaultKind>(kind);
   }
   if (!(r.b(cfg.check_invariants) && r.i(cfg.dir_slices) &&
-        r.i(cfg.machine_threads) && r.b(cfg.alloc_arenas))) {
+        r.b(cfg.alloc_arenas))) {
     return false;
   }
   std::uint64_t frames, nodes;

@@ -170,11 +170,6 @@ struct MetricsSnapshot {
   // runs serialize exactly as before (golden byte-identity).
   bool fault_injection = false;
   FaultCounters faults;
-  // Parallel (sharded) machine: worker-thread count and per-slice engine
-  // event totals. machine_threads stays 1 (and per_slice_events empty) on
-  // a serial machine, gating the extra JSON fields.
-  int machine_threads = 1;
-  std::vector<std::uint64_t> per_slice_events;
   // Contention policy the machine ran (ContentionPolicyKind as int).
   // Non-fixed kinds gate the extra "cas_policy" JSON block.
   int cas_policy_kind = 0;

@@ -129,29 +129,21 @@ struct MachineConfig {
   // ring to stderr and throws std::logic_error instead of silently
   // simulating on corrupt state.
   bool check_invariants = false;
-  // --- Sharded (parallel) machine -------------------------------------
-  // The directory is split into `dir_slices` independent slices; a line
-  // with address A is homed on slice A % dir_slices. With dir_slices > 1
-  // the machine can additionally run each slice (its cores, their private
-  // caches, the slice's directory and timing-wheel engine) on a worker
-  // thread: `machine_threads` > 1 enables the conservative-lookahead
-  // parallel run loop (docs/architecture.md "Parallel machine"). Results
-  // are deterministic and identical to a serial run of the same config;
-  // the defaults keep every golden byte-identical.
+  // Directory slicing: the directory is split into `dir_slices`
+  // independent slices, each its own interconnect node; a line with
+  // address A is homed on slice A % dir_slices. The default (1) keeps
+  // every golden byte-identical.
   int dir_slices = 1;
-  int machine_threads = 1;
   // Deterministic per-core allocation arenas: Machine::alloc(words, core)
   // carves from a fixed 2^30-word region per core instead of the shared
   // bump cursor, so mid-run allocations get schedule-independent
-  // addresses. Required (and enabled by the drivers) whenever
-  // dir_slices > 1 so the serial twin and the sharded run allocate the
-  // same addresses.
+  // addresses (and therefore schedule-independent home slices). The
+  // drivers enable it whenever dir_slices > 1.
   bool alloc_arenas = false;
-  // Pre-fill the coroutine FramePool of the constructing thread and, when
-  // sharded, of each slice with this many free frames per size class.
-  // 0 (default) skips the prewarm; the allocation-gate benches set it so a
-  // steady phase whose live-frame high-water exceeds the cold phase's never
-  // hits the heap.
+  // Pre-fill the coroutine FramePool of the constructing thread with this
+  // many free frames per size class. 0 (default) skips the prewarm; the
+  // allocation-gate benches set it so a steady phase whose live-frame
+  // high-water exceeds the cold phase's never hits the heap.
   std::size_t prewarm_frames = 0;
   // Pre-fill the engine's event-node slab with at least this many nodes at
   // construction. 0 (default) skips it. sim_microbench --from-snapshot sets

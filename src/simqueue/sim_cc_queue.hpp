@@ -96,8 +96,8 @@ class SimCcQueue {
       slot = 0;
       return r;
     }
-    // Mid-run allocation: core-attributed so arena machines (and their
-    // sharded runs) hand out schedule-independent addresses.
+    // Mid-run allocation: core-attributed so arena machines hand out
+    // schedule-independent addresses.
     return machine_->alloc(5, c.id());
   }
 

@@ -34,8 +34,7 @@ class SimFaaQueue {
     if (m.config().alloc_arenas) {
       // Arena mode: the whole cell array lives in one dedicated region, so
       // cell addresses depend only on the ticket — not on which core first
-      // touched a chunk (which is schedule-dependent and, under sharding,
-      // raced by worker threads).
+      // touched a chunk (which is schedule-dependent).
       region_ = m.alloc_region();
     }
   }

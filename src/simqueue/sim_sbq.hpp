@@ -73,19 +73,6 @@ class SimSbq {
     m.poke(head_addr(), sentinel);
     m.poke(tail_addr(), sentinel);
     m.poke(node_link(sentinel), pack_link(0, 0));
-    if (m.sharded() && m.stats() != nullptr) {
-      // Sharded: the host-side occupancy map must be mutated in the global
-      // event order, not whichever worker thread gets there first. Fills
-      // and closes are logged as engine effects and replayed here — in the
-      // merged serial-equivalent order — at each window barrier.
-      m.set_effect_handler([this](std::uint64_t node, std::uint64_t kind) {
-        if (kind == kEffFill) {
-          ++filled_[static_cast<Addr>(node)];
-        } else {
-          machine_->stats()->on_basket_close(filled_[static_cast<Addr>(node)]);
-        }
-      });
-    }
   }
 
   // Rebuild around a machine forked from a deserialized snapshot (see
@@ -93,8 +80,6 @@ class SimSbq {
   // machine state — no allocation, no poke. The per-enqueuer reuse cache
   // and the occupancy map are restored verbatim (both schedule-visible:
   // reuse decides fresh-alloc think time, the map feeds close occupancies).
-  // Only serial machines snapshot, so the sharded effect handler is never
-  // needed on this path.
   SimSbq(Machine& m, Config cfg, const HostWords& w)
       : machine_(&m), cfg_(cfg),
         basket_cap_(cfg.basket_capacity == 0 ? cfg.enqueuers
@@ -193,7 +178,7 @@ class SimSbq {
       if (status == kSuccess) {
         if (auto* st = c.metrics()) {
           st->on_basket_append(/*won=*/true);
-          note_fill(c, new_node);  // the winner's own cell, stored above
+          ++filled_[new_node];  // the winner's own cell, stored above
         }
         co_await c.cas(tail_addr(), t, new_node);
         break;
@@ -204,7 +189,7 @@ class SimSbq {
         t = link_next(co_await c.load(node_link(t)));
         if (co_await c.cas(node_cell(t, static_cast<Value>(id)), kInsertMark,
                            element) != 0) {
-          if (c.metrics() != nullptr) note_fill(c, t);  // joined the basket
+          if (c.metrics() != nullptr) ++filled_[t];  // joined the basket
           // Keep our node for reuse; undo its single insertion (O(1)).
           co_await c.store(node_cell(new_node, static_cast<Value>(id)),
                            kInsertMark);
@@ -260,34 +245,11 @@ class SimSbq {
   static constexpr int kFailure = 1;
   static constexpr int kBadTail = 2;
 
-  // Effect-log payloads (sharded occupancy replay; see the constructor).
-  static constexpr std::uint64_t kEffFill = 0;
-  static constexpr std::uint64_t kEffClose = 1;
-
   Addr node_words() const {
     return static_cast<Addr>(basket_cap_) + static_cast<Addr>(stripes_) + 3;
   }
 
   Addr alloc_node_raw() { return machine_->alloc(node_words()); }
-
-  // Occupancy bookkeeping: inline on a serial machine; an ordered engine
-  // effect on a sharded one (replayed at the window barrier so the map sees
-  // fills and closes in the global event order). Callers gate on
-  // c.metrics() — with stats off there is nothing to account.
-  void note_fill(Core& c, Addr node) {
-    if (c.sharded()) {
-      c.log_effect(node, kEffFill);
-    } else {
-      ++filled_[node];
-    }
-  }
-  void note_close(Core& c, Addr node) {
-    if (c.sharded()) {
-      c.log_effect(node, kEffClose);
-    } else {
-      c.metrics()->on_basket_close(filled_[node]);
-    }
-  }
 
   Task<Addr> take_or_allocate(Core& c, int id) {
     Addr& slot = reusable_[static_cast<std::size_t>(id)];
@@ -339,7 +301,7 @@ class SimSbq {
         const Value index = co_await c.faa(node_counter(node), 1);
         if (index >= live) co_return 0;
         if (index == live - 1) {
-          if (c.metrics() != nullptr) note_close(c, node);
+          if (auto* stats = c.metrics()) stats->on_basket_close(filled_[node]);
           co_await c.store(node_empty(node), 1);
         }
         const Value v = co_await c.swap(node_cell(node, index), kEmptyMark);
@@ -359,7 +321,9 @@ class SimSbq {
         if (index == size - 1) {
           const Value drained = co_await c.faa(node_drained(node), 1);
           if (drained + 1 == static_cast<Value>(n)) {
-            if (c.metrics() != nullptr) note_close(c, node);
+            if (auto* stats = c.metrics()) {
+              stats->on_basket_close(filled_[node]);
+            }
             co_await c.store(node_empty(node), 1);
           }
         }

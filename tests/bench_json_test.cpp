@@ -110,36 +110,6 @@ TEST(MetricsJson, SnapshotSchema) {
             static_cast<std::size_t>(sim::HtmCounters::kRetryBuckets));
 }
 
-TEST(MetricsJson, ParallelBlock) {
-  // Default (serial) snapshots must NOT serialize the block — that's what
-  // keeps the golden artifacts byte-identical.
-  sim::MetricsSnapshot serial;
-  EXPECT_FALSE(metrics_to_json(serial).contains("parallel"));
-
-  sim::MetricsSnapshot snap;
-  snap.machine_threads = 4;
-  snap.per_slice_events = {10, 20, 30, 40};
-  const Json j = metrics_to_json(snap);
-  EXPECT_EQ(j["parallel"]["machine_threads"].as_int(), 4);
-  ASSERT_EQ(j["parallel"]["per_slice_events"].size(), 4u);
-  EXPECT_EQ(j["parallel"]["per_slice_events"].at(2).as_int(), 30);
-}
-
-TEST(BenchReport, SweepConfigRecordsMachineThreads) {
-  // machine_threads lands in the sweep config only when sharding is on —
-  // default artifacts stay byte-identical.
-  BenchOptions opts;
-  {
-    BenchReport report("serial_sweep");
-    report.set_sweep_config(opts, {1}, 10, 1);
-    EXPECT_FALSE(report.root()["config"].contains("machine_threads"));
-  }
-  opts.machine_threads = 4;
-  BenchReport report("sharded_sweep");
-  report.set_sweep_config(opts, {1}, 10, 1);
-  EXPECT_EQ(report.root()["config"]["machine_threads"].as_int(), 4);
-}
-
 TEST(BenchReport, WriteAndReparseTinySweep) {
   const std::string path =
       testing::TempDir() + "/bench_json_test_artifact.json";

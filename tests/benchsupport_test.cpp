@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
@@ -97,15 +98,18 @@ TEST(BenchOptions, UnknownFlagThrows) {
     char* argv[] = {prog, bad.data()};
     EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
   }
-  {
-    // The removed commit-decay knob is an unknown option, not a flag that
-    // swallows its value.
+  // Removed flags (the commit-decay knob, the sharded machine's worker
+  // count) are unknown options, not flags that swallow their value.
+  for (const auto& [flag, value] :
+       {std::pair<const char*, const char*>{"--policy-decay", "half-life"},
+        {"--machine-threads", "2"}}) {
+    SCOPED_TRACE(flag);
     char prog[] = "bench";
-    char decay[] = "--policy-decay", decayv[] = "half-life";
-    char* argv[] = {prog, decay, decayv};
+    std::string f = flag, v = value;
+    char* argv[] = {prog, f.data(), v.data()};
     try {
       BenchOptions::parse(3, argv);
-      ADD_FAILURE() << "--policy-decay parsed";
+      ADD_FAILURE() << flag << " parsed";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("unknown option"),
                 std::string::npos)

@@ -1,7 +1,8 @@
 // Checkpoint/fork regressions: a sweep repeat forked from a warmed
 // Machine::snapshot must replay byte-identically to cold-starting the same
 // cell (prefill + measure on a fresh machine), for every queue and for
-// every workload shape the figure drivers sweep.
+// every workload shape the figure drivers sweep, including a sliced
+// directory.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -138,6 +139,49 @@ TEST(MachineFork, SnapshotRestoresClockAndCounters) {
   }(*fork, a));
   fork->run();
   EXPECT_EQ(fork->metrics().messages, msgs_before);
+}
+
+// A sliced directory with per-core arenas, the shape of the 512-core fig5
+// cell: 2 sockets, 4 directory slices (one per pair of cores), and a mixed
+// workload so both the enqueue and dequeue paths reach every slice.
+sim::MachineConfig sliced_config() {
+  sim::MachineConfig mcfg;
+  mcfg.cores = 8;
+  mcfg.sockets = 2;
+  mcfg.dir_slices = 4;
+  mcfg.alloc_arenas = true;
+  return mcfg;
+}
+
+WorkloadSpec sliced_spec(std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.kind = Workload::kMixed;
+  spec.producers = 4;
+  spec.consumers = 4;
+  spec.ops_per_thread = 25;
+  spec.prefill = 16;
+  spec.seed = seed;
+  return spec;
+}
+
+TEST(SlicedDirectory, ForkMatchesColdStart) {
+  for (QueueKind kind : {QueueKind::kSbqHtm, QueueKind::kBqOriginal}) {
+    SCOPED_TRACE(queue_kind_name(kind));
+    const WorkloadSpec spec = sliced_spec(/*seed=*/31);
+    const SimRunResult cold = run_queue_workload(kind, sliced_config(), spec);
+    const WarmedWorkload warmed(kind, sliced_config(), spec);
+    expect_identical(cold, warmed.run_repeat(spec));
+  }
+}
+
+TEST(SlicedDirectory, InvariantCheckerPassesOnEverySlice) {
+  // The checker walks every directory slice's line table; a run with it
+  // enabled must complete without tripping.
+  sim::MachineConfig mcfg = sliced_config();
+  mcfg.check_invariants = true;
+  const SimRunResult checked =
+      run_queue_workload(QueueKind::kSbqCas, mcfg, sliced_spec(7));
+  EXPECT_GT(checked.enq_ops, 0u);
 }
 
 }  // namespace

@@ -167,18 +167,11 @@ TEST(SimMachineConfig, FaultFlagsLandInTheFaultPlan) {
 }
 
 TEST(SimMachineConfig, MachineFlagsLandInTheConfig) {
-  const sim::MachineConfig sharded =
-      sim_machine_config(parse_flags({"--machine-threads", "2"}), 4);
-  EXPECT_EQ(sharded.machine_threads, 2);
-  EXPECT_EQ(sharded.dir_slices, 2);
-  EXPECT_TRUE(sharded.alloc_arenas);
-
-  // --dir-slices alone builds the serial twin; slices are capped at cores.
-  const sim::MachineConfig twin =
+  // Slices are capped at cores and switch the per-core arenas on.
+  const sim::MachineConfig sliced =
       sim_machine_config(parse_flags({"--dir-slices", "8"}), 4);
-  EXPECT_EQ(twin.machine_threads, 1);
-  EXPECT_EQ(twin.dir_slices, 4);
-  EXPECT_TRUE(twin.alloc_arenas);
+  EXPECT_EQ(sliced.dir_slices, 4);
+  EXPECT_TRUE(sliced.alloc_arenas);
 
   const sim::MachineConfig sockets =
       sim_machine_config(parse_flags({"--sockets", "2"}), 4, /*sockets=*/1);
@@ -194,16 +187,6 @@ TEST(SimMachineConfig, CasPolicyLandsInTheConfig) {
   EXPECT_EQ(mcfg.cas_policy.seed, 7u);
   EXPECT_THROW(sim_machine_config(parse_flags({"--cas-policy", "bogus"}), 4),
                std::invalid_argument);
-}
-
-TEST(SimMachineConfig, SerialRerunDropsToOneMachineThread) {
-  const sim::MachineConfig sharded =
-      sim_machine_config(parse_flags({"--machine-threads", "2"}), 4);
-  const sim::MachineConfig traced = serial_rerun_config(sharded, true);
-  EXPECT_TRUE(traced.record_trace);
-  EXPECT_EQ(traced.machine_threads, 1);
-  EXPECT_EQ(traced.dir_slices, sharded.dir_slices);  // the serial twin
-  EXPECT_FALSE(serial_rerun_config(sharded, false).record_trace);
 }
 
 }  // namespace

@@ -209,26 +209,6 @@ TEST(ServiceBroker, RunsAreDeterministic) {
   EXPECT_EQ(sa.percentile(99), sb.percentile(99));
 }
 
-TEST(ServiceBroker, RefusesShardedMachine) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = 4;
-  mcfg.dir_slices = 2;
-  mcfg.machine_threads = 2;
-  mcfg.alloc_arenas = true;
-  sim::Machine m(mcfg);
-  WorkloadSpec qspec;
-  qspec.kind = sbq::bench::Workload::kMixed;
-  qspec.producers = 2;
-  qspec.consumers = 2;
-  ServiceSpec spec;
-  spec.producers = 2;
-  spec.consumers = 2;
-  spec.total_ops = 10;
-  with_queue(QueueKind::kSbqHtm, m, qspec, [&](auto& q, int offset) {
-    EXPECT_THROW(run_service(m, q, spec, offset), std::invalid_argument);
-  });
-}
-
 TEST(ServiceBroker, UnderloadDeliversEverythingWithoutRejects) {
   ServiceSpec spec;
   spec.arrival.rate_per_kcycle = 1.0;  // well under one consumer's capacity

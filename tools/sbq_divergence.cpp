@@ -123,7 +123,6 @@ sim::MachineConfig side_machine_config(const Options& o, const SideConfig& s,
   sim::MachineConfig mcfg;
   mcfg.cores = cores;
   mcfg.sockets = 2;
-  mcfg.machine_threads = 1;  // the bisector needs the single global order
   mcfg.collect_stats = false;
   mcfg.interconnect_model = s.link_model ? sim::InterconnectModel::kLink
                                          : sim::InterconnectModel::kFlat;
