@@ -32,7 +32,6 @@ struct PhaseResult {
   double events_per_sec = 0;
   std::uint64_t events = 0;
   std::uint64_t slab_refills = 0;
-  std::uint64_t boxed_allocs = 0;
   double allocs_per_event = 0;
 };
 
@@ -72,12 +71,10 @@ PhaseResult drive(sim::Engine& e, std::uint64_t ops, int width) {
   r.events_per_sec = secs > 0 ? static_cast<double>(r.events) / secs : 0;
   const sim::Engine::AllocStats after = e.alloc_stats();
   r.slab_refills = after.slab_refills - before.slab_refills;
-  r.boxed_allocs = after.boxed_allocs - before.boxed_allocs;
   r.allocs_per_event =
-      r.events == 0
-          ? 0
-          : static_cast<double>(r.slab_refills + r.boxed_allocs) /
-                static_cast<double>(r.events);
+      r.events == 0 ? 0
+                    : static_cast<double>(r.slab_refills) /
+                          static_cast<double>(r.events);
   return r;
 }
 
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
             << ops << " events/phase, " << width
             << " concurrent event lanes; steady-state allocs/event must be "
                "0)\n";
-  Table table({"phase", "events", "Mevents/s", "slab_refills", "boxed_allocs",
+  Table table({"phase", "events", "Mevents/s", "slab_refills",
                "allocs_per_event"});
   sim::Engine engine;
   bool steady_clean = true;
@@ -108,30 +105,26 @@ int main(int argc, char** argv) {
     const PhaseResult res = drive(engine, ops, width);
     const std::string phase =
         r == 0 ? "cold" : "steady-" + std::to_string(r);
-    if (r > 0 && res.slab_refills + res.boxed_allocs != 0) {
-      steady_clean = false;
-    }
+    if (r > 0 && res.slab_refills != 0) steady_clean = false;
     char rate[32], apev[32];
     std::snprintf(rate, sizeof rate, "%.2f", res.events_per_sec / 1e6);
     std::snprintf(apev, sizeof apev, "%.6f", res.allocs_per_event);
     table.add_row({phase, std::to_string(res.events), rate,
-                   std::to_string(res.slab_refills),
-                   std::to_string(res.boxed_allocs), apev});
+                   std::to_string(res.slab_refills), apev});
     if (!opts.json_path.empty()) {
       Json cj = Json::object();
       cj.set("phase", Json(phase));
       cj.set("events", Json(res.events));
       cj.set("events_per_sec", Json(res.events_per_sec));
       cj.set("slab_refills", Json(res.slab_refills));
-      cj.set("boxed_allocs", Json(res.boxed_allocs));
       cj.set("allocs_per_event", Json(res.allocs_per_event));
       report.add_cell(std::move(cj));
     }
   }
   table.print(std::cout, opts.csv);
   std::cout << "\n(cold pays the slab/heap warm-up; every steady phase must "
-               "report 0 slab\n refills and 0 boxed allocs — schedule() is "
-               "allocation-free once warm.)\n";
+               "report 0 slab\n refills — schedule() is allocation-free once "
+               "warm.)\n";
   if (!opts.json_path.empty()) {
     report.add_table("phases", table);
     if (!report.write(opts.json_path)) return 1;

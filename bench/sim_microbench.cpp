@@ -207,14 +207,16 @@ int main(int argc, char** argv) {
   // paths: policy state lives inline in each core's TxCasOp slot, so a
   // steady phase under adaptive-backoff must be exactly as allocation-free
   // as under fixed (perf_sim_alloc_gate_policy in bench/CMakeLists.txt).
-  if (!opts.cas_policy.empty()) {
+  // Adaptive delays reshape every phase's schedule (the persistent failure
+  // history keeps evolving across phases), so a steady phase can exceed the
+  // cold phase's live-frame and in-flight-event high-water: both pools are
+  // prewarmed past any plausible depth for this workload size (frames
+  // here, event nodes once the machine exists).
+  const bool prewarm = !opts.cas_policy.empty();
+  if (prewarm) {
     report.set_config("cas_policy", Json(opts.cas_policy));
-    // Adaptive delays reshape every phase's schedule (the persistent
-    // failure history keeps evolving across phases), so a steady phase can
-    // exceed the cold phase's live-frame and in-flight-event high-water.
-    // Prewarm both pools past any plausible depth for this workload size.
-    mcfg.prewarm_frames = static_cast<std::size_t>(4 * mcfg.cores) + 32;
-    mcfg.prewarm_event_nodes = std::size_t{1} << 12;
+    sim::detail::FramePool::prewarm(static_cast<std::size_t>(4 * mcfg.cores) +
+                                    32);
   }
   // --trace keeps the event ring ON through the measured phases. TraceEvent
   // stores interned literals (no per-event strings) and the ring is reserved
@@ -233,6 +235,7 @@ int main(int argc, char** argv) {
   }
 
   sim::Machine m(mcfg);
+  if (prewarm) m.engine().prewarm_nodes(std::size_t{1} << 12);
   simq::SimSbq::Config qcfg;
   qcfg.enqueuers = producers;
   qcfg.dequeuers = producers;
@@ -295,10 +298,10 @@ int main(int argc, char** argv) {
     // --from-snapshot: serialize the machine the cold phase just warmed,
     // decode the blob, and run every steady phase on a fork of the DECODED
     // snapshot — the allocation gate's deserialized-warm-start leg
-    // (perf_sim_alloc_gate_snapshot). The decoded config prewarns the
-    // fork's event-node slab to the warm machine's capacity, so the fork —
-    // like the machine it replaces — never refills mid-phase; line-table
-    // capacities ride along inside the blob.
+    // (perf_sim_alloc_gate_snapshot). The fork's event-node slab is
+    // prewarmed to the warm machine's capacity, so the fork — like the
+    // machine it replaces — never refills mid-phase; line-table capacities
+    // ride along inside the blob.
     if (r == 0 && opts.from_snapshot) {
       const std::uint64_t key = 0x5ea15ea15ea15ea1ULL;
       std::vector<std::uint64_t> words;
@@ -313,8 +316,8 @@ int main(int argc, char** argv) {
                      "rejected\n";
         return 1;
       }
-      decoded.cfg.prewarm_event_nodes = m.engine().node_capacity();
       forked = sim::Machine::fork(decoded);
+      forked->engine().prewarm_nodes(m.engine().node_capacity());
       forked->reserve_tasks(static_cast<std::size_t>(2 * producers));
       try {
         forked_q.emplace(*forked, qcfg,

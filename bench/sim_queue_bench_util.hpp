@@ -115,8 +115,7 @@ inline sim::FaultPlan fault_plan(double rate, std::uint64_t seed,
 // `sockets`, with the shared options applied in one place:
 //   --fault-rate/--fault-seed/--fault-jitter  the fault plan (fault_plan);
 //   --dir-slices/--sockets  the machine shape. Slices are capped at the
-//       core count, and with more than one slice per-core allocation
-//       arenas switch on (MachineConfig::alloc_arenas);
+//       core count;
 //   --cas-policy/--policy-seed  the TxCAS contention policy
 //       (common/contention.hpp). An unknown name throws: sweeps must not
 //       silently fall back to fixed.
@@ -131,7 +130,6 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
       fault_plan(opts.fault_rate, opts.fault_seed, opts.fault_jitter);
   if (opts.dir_slices > 0) {
     mcfg.dir_slices = std::min(opts.dir_slices, mcfg.cores);
-    mcfg.alloc_arenas = mcfg.dir_slices > 1;
   }
   if (!opts.cas_policy.empty()) {
     if (!contention_policy_from_name(opts.cas_policy.c_str(),

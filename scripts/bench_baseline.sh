@@ -150,8 +150,7 @@ def run_micro(drv, args):
     out = {"args": " ".join(args),
            "steady_mevents_per_s":
                round(max(c["events_per_sec"] for c in steady) / 1e6, 2)}
-    alloc_keys = [k for k in ("allocs", "slab_refills", "boxed_allocs")
-                  if k in steady[0]]
+    alloc_keys = [k for k in ("allocs", "slab_refills") if k in steady[0]]
     out["steady_allocs"] = sum(int(c[k]) for c in steady for k in alloc_keys)
     return out
 

@@ -39,7 +39,7 @@ void Core::on_data(const Message& msg) {
 }
 
 void Core::on_inv_ack(const Message& msg) {
-  if (metrics_) metrics_->on_inv_ack(id_, msg.addr);
+  if (metrics_) metrics_->on_inv_ack(id_);
   auto it = pending_.find(msg.addr);
   assert(it != pending_.end() && "Inv-Ack with no pending request");
   Pending& p = it->second;
@@ -51,7 +51,7 @@ void Core::on_inv_ack(const Message& msg) {
 
 void Core::on_inv(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_inv(id_, a);
+  if (metrics_) metrics_->on_inv(id_);
   auto it = pending_.find(a);
   if (it != pending_.end() && !it->second.want_m && !it->second.got_data) {
     // Inv raced ahead of the data for our GetS (the data is coming from an
@@ -88,7 +88,7 @@ bool Core::fwd_predates_pending_request(Addr a, const Pending& p) const {
 
 void Core::on_fwd_gets(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_fwd(id_, a, /*getm=*/false);
+  if (metrics_) metrics_->on_fwd(id_, /*getm=*/false);
   auto it = pending_.find(a);
   if (it != pending_.end()) {
     if (fwd_predates_pending_request(a, it->second)) {
@@ -134,7 +134,7 @@ void Core::on_fwd_gets(const Message& msg) {
 
 void Core::on_fwd_getm(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_fwd(id_, a, /*getm=*/true);
+  if (metrics_) metrics_->on_fwd(id_, /*getm=*/true);
   auto it = pending_.find(a);
   if (it != pending_.end()) {
     if (fwd_predates_pending_request(a, it->second)) {
@@ -176,7 +176,7 @@ void Core::answer_fwd_gets(const Message& msg) {
   Message data{MsgType::kData, a, id_, msg.requester, line.value, 0};
   net_.send(id_, msg.requester, data);
   if (first_downgrade) {
-    if (metrics_) metrics_->on_wb(id_, a);
+    if (metrics_) metrics_->on_wb(id_);
     Message wb{MsgType::kWbData, a, id_, id_, line.value, 0};
     net_.send(id_, dir_node(a), wb);
   }

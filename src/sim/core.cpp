@@ -136,7 +136,7 @@ void Core::resume(Cont cont, std::uint64_t token, Addr a, Line& line,
 }
 
 void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
-  if (metrics_) metrics_->on_request(id_, a, want_m);
+  if (metrics_) metrics_->on_request(id_, want_m);
   Pending& p = pending_[a];
   p.want_m = want_m;
   p.cont = cont;
@@ -261,26 +261,26 @@ void Core::complete_access() {
 }
 
 // ---------------------------------------------------------------------------
-// poll_until: the plain spin loop `v = load(a); if (pred(v)) break;
+// poll_until: the plain spin loop `v = load(a); if (v >= at_least) break;
 // think(gap);` with the same schedule, minus the events of its hits. A hit
-// on a valid line whose value fails pred parks the core instead of
-// scheduling the load's completion and the think: the line's value cannot
-// change while this core holds it, so every later poll would hit too and
-// see the same value. The poll instants stay implicit — `next`, `next +
-// period`, ... with period = hit_latency + gap — until a loss of the line
-// (maybe_txn_conflict_on_loss) wakes the core at the first instant whose
-// load misses. Only CoreStats::loads counts the skipped hits; it is
+// on a valid line whose value is below the threshold parks the core
+// instead of scheduling the load's completion and the think: the line's
+// value cannot change while this core holds it, so every later poll would
+// hit too and see the same value. The poll instants stay implicit —
+// `next`, `next + period`, ... with period = hit_latency + gap — until a
+// loss of the line (maybe_txn_conflict_on_loss) wakes the core at the
+// first instant whose load misses. Only CoreStats::loads counts the skipped hits; it is
 // credited in bulk on wake, so every counter except engine events matches
 // the plain loop.
 // ---------------------------------------------------------------------------
 
-void Core::start_poll(Addr a, PollPredFn pred, Time gap,
+void Core::start_poll(Addr a, Value at_least, Time gap,
                       std::coroutine_handle<> thread) {
   assert(!poll_.active && "one poll_until per core");
   begin_op(OpKind::kPoll, a, 0, 0, thread);
   poll_.active = true;
   poll_.gap = gap == 0 ? 1 : gap;  // think(0) still takes a cycle
-  poll_.pred = std::move(pred);
+  poll_.at_least = at_least;
   poll_step();
 }
 
@@ -298,7 +298,7 @@ void Core::poll_step() {
       // A hit, exactly as a plain load's: count it, read the value now.
       ++stats_.loads;
       op_.result = it->second.value;
-      if (!poll_.pred(op_.result)) {
+      if (op_.result < poll_.at_least) {
         poll_.parked = true;
         poll_.next = engine_.now() + cfg_.hit_latency + poll_.gap;
         return;
@@ -313,7 +313,7 @@ void Core::poll_step() {
 }
 
 void Core::poll_loaded() {
-  if (poll_.pred(op_.result)) {
+  if (op_.result >= poll_.at_least) {
     poll_finish();
   } else {
     engine_.schedule(poll_.gap, [this] { poll_step(); });

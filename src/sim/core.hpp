@@ -40,7 +40,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/inline_function.hpp"
 #include "sim/inline_vec.hpp"
 #include "sim/interconnect.hpp"
 #include "sim/message.hpp"
@@ -50,9 +49,6 @@
 namespace sbq::sim {
 
 class Trace;
-
-// poll_until's exit test on the polled value.
-using PollPredFn = InlineFunction<bool(Value), 16>;
 
 struct CoreStats {
   std::uint64_t loads = 0;
@@ -166,11 +162,11 @@ class Core {
   struct PollAwaiter {
     Core* core;
     Addr addr;
-    PollPredFn pred;
+    Value at_least;
     Time gap;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      core->start_poll(addr, std::move(pred), gap, h);
+      core->start_poll(addr, at_least, gap, h);
     }
     Value await_resume() const noexcept { return core->op_.result; }
   };
@@ -189,12 +185,12 @@ class Core {
                      TxCasConfig cfg = {}) {
     return {this, a, expected, desired, cfg};
   }
-  // Spin on `a` until pred(value); completes with the value that passed.
-  // Same schedule as the plain loop `for (;;) { v = load(a); if (pred(v))
-  // break; think(gap); }`, minus the engine events of its hits (see
-  // poll_step / poll_wake).
-  PollAwaiter poll_until(Addr a, PollPredFn pred, Time gap) {
-    return {this, a, std::move(pred), gap};
+  // Spin on `a` until its value is at least `at_least`; completes with the
+  // value that passed. Same schedule as the plain loop `for (;;) { v =
+  // load(a); if (v >= at_least) break; think(gap); }`, minus the engine
+  // events of its hits (see poll_step / poll_wake).
+  PollAwaiter poll_until(Addr a, Value at_least, Time gap) {
+    return {this, a, at_least, gap};
   }
 
   // Pre-size the private-cache line table for `n` distinct lines (the
@@ -359,15 +355,15 @@ class Core {
   // The polled address is op_.addr; the loop's own state sits here.
   struct PollOp {
     bool active = false;
-    bool parked = false;   // line valid, pred false: no event scheduled
+    bool parked = false;   // line valid, value too low: no event scheduled
     Time gap = 1;          // think cycles between polls (>= 1)
     Time next = 0;         // parked: the plain loop's next poll instant
-    PollPredFn pred;
+    Value at_least = 0;    // exit threshold on the polled value
   };
-  void start_poll(Addr a, PollPredFn pred, Time gap,
+  void start_poll(Addr a, Value at_least, Time gap,
                   std::coroutine_handle<> thread);
   // One poll of the plain loop (its load starts now): park on a hit whose
-  // value fails pred, else run the plain load.
+  // value is below the threshold, else run the plain load.
   void poll_step();
   // The plain load completed with op_.result.
   void poll_loaded();

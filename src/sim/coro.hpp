@@ -15,8 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/inline_function.hpp"
-
 namespace sbq::sim {
 
 template <typename T>
@@ -64,7 +62,7 @@ class FramePool {
   // class stays under the floor. The cold phase only warms the pool to its
   // own high-water mark, which a differently-seeded steady phase can
   // exceed — the allocation gates (sim_microbench) prewarm instead of
-  // relying on that (MachineConfig::prewarm_frames).
+  // relying on that: they call this before building the machine.
   static void prewarm(std::size_t frames_per_class) {
     auto& ps = pool();
     for (std::size_t cls = 1; cls < kClasses; ++cls) {
@@ -96,8 +94,9 @@ class FramePool {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
-  // Set on root tasks by the machine ([this] capture — never allocates).
-  InlineFunction<void(), 16> on_done;
+  // Set on root tasks by the machine: its finished-task counter, bumped
+  // when the task reaches its final suspend point.
+  std::size_t* finished = nullptr;
 
   // Coroutine frames are allocated through the promise: route them to the
   // per-thread frame pool.
@@ -112,7 +111,7 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<Promise> h) noexcept {
       PromiseBase& p = h.promise();
-      if (p.on_done) p.on_done();
+      if (p.finished != nullptr) ++*p.finished;
       return p.continuation ? p.continuation : std::noop_coroutine();
     }
     void await_resume() const noexcept {}

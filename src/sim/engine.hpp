@@ -21,9 +21,8 @@
 // schedule() moves the callable into a fixed-size event node drawn from a
 // per-engine slab + freelist, so steady-state scheduling performs zero
 // heap allocations (nodes are recycled as events run). The node's inline
-// buffer fits every callable the simulator schedules; an oversized
-// callable falls back to one boxed heap allocation, which is counted in
-// alloc_stats() so regressions surface in engine_microbench.
+// buffer fits every callable the simulator schedules; a larger callable
+// does not compile.
 #pragma once
 
 #include <algorithm>
@@ -90,22 +89,20 @@ class Engine {
 
   // Allocation accounting for the engine microbench: in steady state
   // (freelist warm, overflow untouched) schedule() allocates nothing, so
-  // `slab_refills` and `boxed_allocs` stay flat while `scheduled` grows.
+  // `slab_refills` stays flat while `scheduled` grows.
   struct AllocStats {
     std::uint64_t scheduled = 0;        // total schedule() calls
     std::uint64_t slab_refills = 0;     // node-slab growths (kSlabNodes each)
-    std::uint64_t boxed_allocs = 0;     // callables too big for a node
     std::uint64_t overflow_events = 0;  // events beyond the wheel window
   };
   const AllocStats& alloc_stats() const noexcept { return alloc_; }
 
   // Grow the node slab until at least `n` nodes exist (free or in use).
   // Slab warmth is wall-clock state, not schedule state (it is excluded
-  // from Checkpoint), so prewarming is always schedule-invisible. Machines
-  // forked from a deserialized snapshot use this
-  // (MachineConfig::prewarm_event_nodes) to keep the measured phase off the
-  // heap — the in-memory fork path inherits a warm process, the on-disk
-  // path starts cold.
+  // from Checkpoint), so prewarming is always schedule-invisible. The
+  // allocation gates call this on a machine forked from a deserialized
+  // snapshot to keep the measured phase off the heap — the in-memory fork
+  // path inherits a warm process, the decoded one starts cold.
   void prewarm_nodes(std::size_t n);
   // Total nodes backed by the slab (free + live).
   std::size_t node_capacity() const noexcept {
@@ -131,8 +128,8 @@ class Engine {
 
  private:
   // Inline payload: the largest callables the simulator schedules are
-  // message deliveries (a handler pointer plus the Message); 96 bytes
-  // leaves headroom without bloating the per-node footprint.
+  // message deliveries (the interconnect, a node id and the Message);
+  // 96 bytes leaves headroom without bloating the per-node footprint.
   static constexpr std::size_t kInlineCapacity = 96;
   static constexpr std::size_t kSlabNodes = 256;
 
@@ -169,34 +166,22 @@ class Engine {
     return n;
   }
 
-  // Allocate a node and move `fn` into it (inline when it fits, boxed
-  // otherwise). Time/seq/linkage are the caller's responsibility.
+  // Allocate a node and move `fn` into its payload. Time/seq/linkage are
+  // the caller's responsibility.
   template <typename F>
   Node* make_node(F fn) {
     static_assert(std::is_invocable_v<F&>, "event callable must be nullary");
+    static_assert(sizeof(F) <= kInlineCapacity,
+                  "event capture exceeds the node payload (kInlineCapacity)");
+    static_assert(alignof(F) <= alignof(std::max_align_t));
     ++alloc_.scheduled;
     Node* n = acquire_node();
-    if constexpr (sizeof(F) <= kInlineCapacity &&
-                  alignof(F) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(n->payload)) F(std::move(fn));
-      n->run_and_destroy = [](Node* node, bool run) {
-        F* f = std::launder(reinterpret_cast<F*>(node->payload));
-        if (run) (*f)();
-        f->~F();
-      };
-    } else {
-      // Callable too big for the inline buffer: box it. Rare by design —
-      // the microbench alloc counter flags any callable that grows past
-      // the node payload.
-      ++alloc_.boxed_allocs;
-      F* boxed = new F(std::move(fn));
-      ::new (static_cast<void*>(n->payload)) (F*)(boxed);
-      n->run_and_destroy = [](Node* node, bool run) {
-        F* f = *std::launder(reinterpret_cast<F**>(node->payload));
-        if (run) (*f)();
-        delete f;
-      };
-    }
+    ::new (static_cast<void*>(n->payload)) F(std::move(fn));
+    n->run_and_destroy = [](Node* node, bool run) {
+      F* f = std::launder(reinterpret_cast<F*>(node->payload));
+      if (run) (*f)();
+      f->~F();
+    };
     return n;
   }
   void release_node(Node* n) noexcept {

@@ -25,9 +25,8 @@ const char* msg_type_name(MsgType t) noexcept {
 Interconnect::Interconnect(Engine& engine, const MachineConfig& cfg,
                            Trace* trace, DebugRing* debug_ring)
     : engine_(engine), cfg_(cfg), trace_(trace), debug_ring_(debug_ring),
-      handlers_(static_cast<std::size_t>(cfg.cores) +
-                static_cast<std::size_t>(cfg.dir_slices > 1 ? cfg.dir_slices
-                                                            : 1)) {
+      nodes_(static_cast<std::size_t>(cfg.cores) +
+             static_cast<std::size_t>(cfg.dir_slices)) {
   if (cfg_.interconnect_model == InterconnectModel::kLink) {
     links_.resize(static_cast<std::size_t>(cfg_.sockets) *
                   static_cast<std::size_t>(cfg_.sockets));
@@ -40,29 +39,23 @@ Interconnect::Interconnect(Engine& engine, const MachineConfig& cfg,
     jitter_threshold_ =
         r >= 1.0 ? 0xffffffffu
                  : static_cast<std::uint32_t>(r <= 0.0 ? 0 : r * 4294967296.0);
-    const auto nodes = handlers_.size();
-    last_arrival_.assign(nodes * nodes, 0);
+    last_arrival_.assign(nodes_ * nodes_, 0);
   }
   // Node -> socket, once: cores fill the sockets in contiguous blocks, and
   // directory slice s is homed on the socket of the first core it is
   // co-located with (slice 0 => socket 0, matching the single-directory
   // layout when dir_slices == 1).
   const int per_socket = (cfg_.cores + cfg_.sockets - 1) / cfg_.sockets;
-  const int slices = cfg_.dir_slices > 1 ? cfg_.dir_slices : 1;
-  const int cores_per_slice = (cfg_.cores + slices - 1) / slices;
-  socket_of_.resize(handlers_.size());
-  for (CoreId node = 0; node < static_cast<CoreId>(handlers_.size()); ++node) {
+  const int cores_per_slice =
+      (cfg_.cores + cfg_.dir_slices - 1) / cfg_.dir_slices;
+  socket_of_.resize(nodes_);
+  for (CoreId node = 0; node < static_cast<CoreId>(nodes_); ++node) {
     const CoreId home =
         node < cfg_.cores
             ? node
             : std::min((node - cfg_.cores) * cores_per_slice, cfg_.cores - 1);
     socket_of_[static_cast<std::size_t>(node)] = home / per_socket;
   }
-}
-
-void Interconnect::set_handler(CoreId node, MessageHandlerFn handler) {
-  assert(node >= 0 && static_cast<std::size_t>(node) < handlers_.size());
-  handlers_[static_cast<std::size_t>(node)] = std::move(handler);
 }
 
 Time Interconnect::latency(CoreId src, CoreId dst) const noexcept {
@@ -111,8 +104,7 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
       ++jittered_msgs_;
       jitter_cycles_ += extra;
     }
-    const auto nodes = handlers_.size();
-    Time& last = last_arrival_[static_cast<std::size_t>(src) * nodes +
+    Time& last = last_arrival_[static_cast<std::size_t>(src) * nodes_ +
                               static_cast<std::size_t>(dst)];
     const Time now = engine_.now();
     Time arrival = now + delay;
@@ -129,9 +121,9 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
   if (send_observer_ != nullptr) {
     send_observer_(send_observer_ctx_, engine_.now(), src, dst, msg);
   }
-  auto& handler = handlers_[static_cast<std::size_t>(dst)];
-  assert(handler);
-  engine_.schedule(delay, [&handler, msg] { handler(msg); });
+  assert(sink_ != nullptr);
+  assert(dst >= 0 && static_cast<std::size_t>(dst) < nodes_);
+  engine_.schedule(delay, [this, dst, msg] { sink_(sink_ctx_, dst, msg); });
 }
 
 Interconnect::State Interconnect::save_state() const {

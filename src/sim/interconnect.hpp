@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/inline_function.hpp"
 #include "sim/message.hpp"
 #include "sim/types.hpp"
 
@@ -36,22 +35,26 @@ namespace sbq::sim {
 class Trace;
 class DebugRing;
 
-// Delivery handlers capture at most a couple of pointers ([this] of a core
-// or directory, a test probe's references); keeping them inline removes
-// the std::function indirection from every message hop.
-using MessageHandlerFn = InlineFunction<void(const Message&), 32>;
-
 class Interconnect {
  public:
-  // Node ids 0..cores-1 are cores; id `cores` is the directory/LLC, which
-  // is homed on socket 0.
+  // Node ids 0..cores-1 are cores; ids cores..cores+dir_slices-1 are the
+  // directory slices (slice 0, the whole directory/LLC by default, is
+  // homed on socket 0).
   // `debug_ring`, when non-null, records every send into a small
   // preallocated POD ring for post-mortem dumps (watchdog / invariant
   // checker) independent of the opt-in Trace.
   Interconnect(Engine& engine, const MachineConfig& cfg, Trace* trace,
                DebugRing* debug_ring = nullptr);
 
-  void set_handler(CoreId node, MessageHandlerFn handler);
+  // Message sink: every delivery calls it with the destination node, at
+  // the message's arrival time. Machine::deliver routes to the core or
+  // directory slice; tests install probes. Must be set before the first
+  // send.
+  using SinkFn = void (*)(void* ctx, CoreId dst, const Message& msg);
+  void set_sink(SinkFn fn, void* ctx) noexcept {
+    sink_ = fn;
+    sink_ctx_ = ctx;
+  }
 
   void send(CoreId src, CoreId dst, Message msg);
 
@@ -119,9 +122,11 @@ class Interconnect {
   MachineConfig cfg_;
   Trace* trace_;
   DebugRing* debug_ring_;
+  SinkFn sink_ = nullptr;
+  void* sink_ctx_ = nullptr;
   SendObserverFn send_observer_ = nullptr;
   void* send_observer_ctx_ = nullptr;
-  std::vector<MessageHandlerFn> handlers_;
+  std::size_t nodes_;           // cores + directory slices
   std::vector<int> socket_of_;  // node id -> socket, built once
   std::vector<Link> links_;  // empty under kFlat
   std::uint64_t sent_ = 0;
@@ -131,7 +136,7 @@ class Interconnect {
   // Jitter only ever *adds* delay, and every send clamps its arrival to
   // the pair's previous arrival, so the protocol's per-(src,dst) FIFO
   // assumption survives any jitter draw. The clamp table is preallocated
-  // [(cores+1)²] and only consulted when jitter is active.
+  // [nodes²] and only consulted when jitter is active.
   bool jitter_on_ = false;
   std::uint64_t jitter_rng_state_ = 0;
   std::uint32_t jitter_threshold_ = 0;

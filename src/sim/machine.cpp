@@ -10,13 +10,6 @@ namespace sbq::sim {
 
 namespace {
 
-// Per-core allocation arenas carve the 40-bit packed-pointer address space
-// (see SimSbq's pack_link) into 2^30-word regions: region 0 is the shared
-// setup cursor, regions 1..cores belong to the cores, and regions beyond
-// are handed out by alloc_region().
-constexpr int kArenaBits = 30;
-constexpr Addr kMaxRegions = Addr{1} << 10;  // 2^40 / 2^30
-
 MachineConfig normalized(MachineConfig cfg) {
   if (cfg.cores < 1) cfg.cores = 1;
   if (cfg.sockets < 1) cfg.sockets = 1;
@@ -29,56 +22,20 @@ MachineConfig normalized(MachineConfig cfg) {
 
 Machine::Machine(MachineConfig cfg)
     : cfg_(normalized(cfg)), trace_(cfg_.record_trace, cfg_.trace_capacity) {
-  if (cfg_.prewarm_frames > 0) {
-    detail::FramePool::prewarm(cfg_.prewarm_frames);
-  }
-  if (cfg_.prewarm_event_nodes > 0) {
-    engine_.prewarm_nodes(cfg_.prewarm_event_nodes);
-  }
-  if (cfg_.alloc_arenas && cfg_.cores > 1000) {
-    throw std::runtime_error(
-        "Machine: alloc_arenas needs a 2^30-word region per core and the "
-        "packed-pointer format caps the machine at 2^40 words (~1000 cores)");
-  }
   if (cfg_.collect_stats) {
-    stats_ = std::make_unique<Stats>(cfg_.cores, cfg_.track_lines);
-  }
-  if (cfg_.alloc_arenas) {
-    arena_next_.resize(static_cast<std::size_t>(cfg_.cores));
-    for (int i = 0; i < cfg_.cores; ++i) {
-      arena_next_[static_cast<std::size_t>(i)] = (Addr{1} + static_cast<Addr>(i))
-                                                 << kArenaBits;
-    }
+    stats_ = std::make_unique<Stats>(cfg_.cores);
   }
   net_ = std::make_unique<Interconnect>(engine_, cfg_, &trace_, &debug_ring_);
+  net_->set_sink(&Machine::deliver, this);
   dirs_.reserve(static_cast<std::size_t>(cfg_.dir_slices));
   for (int s = 0; s < cfg_.dir_slices; ++s) {
-    const CoreId node = static_cast<CoreId>(cfg_.cores + s);
-    dirs_.push_back(
-        std::make_unique<Directory>(engine_, *net_, cfg_, &trace_, node));
-    Directory* d = dirs_.back().get();
-    if (cfg_.check_invariants) {
-      net_->set_handler(node, [this, d](const Message& m) {
-        d->handle(m);
-        check_invariants_now();
-      });
-    } else {
-      net_->set_handler(node, [d](const Message& m) { d->handle(m); });
-    }
+    dirs_.push_back(std::make_unique<Directory>(
+        engine_, *net_, cfg_, &trace_, static_cast<CoreId>(cfg_.cores + s)));
   }
   cores_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int i = 0; i < cfg_.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, engine_, *net_, cfg_, &trace_,
                                             stats_.get()));
-    Core* c = cores_.back().get();
-    if (cfg_.check_invariants) {
-      net_->set_handler(i, [this, c](const Message& m) {
-        c->handle(m);
-        check_invariants_now();
-      });
-    } else {
-      net_->set_handler(i, [c](const Message& m) { c->handle(m); });
-    }
   }
   if (cfg_.fault_plan.enabled) {
     one_shots_pending_ = cfg_.fault_plan.one_shots.size();
@@ -99,8 +56,6 @@ Machine::Machine(const MachineSnapshot& snap) : Machine(snap.cfg) {
   trace_ = snap.trace;
   if (stats_ && snap.stats) *stats_ = *snap.stats;
   next_addr_ = snap.next_addr;
-  arena_next_ = snap.arena_next;
-  region_next_ = snap.region_next;
   spawned_ = snap.spawned;
   finished_ = snap.finished;
   started_ = snap.started;
@@ -143,8 +98,6 @@ MachineSnapshot Machine::snapshot() const {
   snap.trace = trace_;
   if (stats_) snap.stats.emplace(*stats_);
   snap.next_addr = next_addr_;
-  snap.arena_next = arena_next_;
-  snap.region_next = region_next_;
   snap.spawned = spawned_;
   snap.finished = finished();
   snap.started = started_;
@@ -189,43 +142,23 @@ Machine::~Machine() {
 Addr Machine::alloc(std::uint64_t words) {
   const Addr base = next_addr_;
   next_addr_ += words;
-  if (cfg_.alloc_arenas && next_addr_ > (Addr{1} << kArenaBits)) {
-    throw std::runtime_error(
-        "Machine::alloc: shared setup region exhausted (2^30 words); use "
-        "the per-core overload for data-path allocations");
-  }
   return base;
 }
 
-Addr Machine::alloc(std::uint64_t words, CoreId core) {
-  if (!cfg_.alloc_arenas) return alloc(words);
-  Addr& cur = arena_next_.at(static_cast<std::size_t>(core));
-  const Addr base = cur;
-  cur += words;
-  if (cur > (static_cast<Addr>(core) + 2) << kArenaBits) {
-    throw std::runtime_error("Machine::alloc: per-core arena exhausted");
+void Machine::deliver(void* ctx, CoreId dst, const Message& msg) {
+  Machine& m = *static_cast<Machine*>(ctx);
+  if (dst < m.cfg_.cores) {
+    m.cores_[static_cast<std::size_t>(dst)]->handle(msg);
+  } else {
+    m.dirs_[static_cast<std::size_t>(dst - m.cfg_.cores)]->handle(msg);
   }
-  return base;
-}
-
-Addr Machine::alloc_region() {
-  if (!cfg_.alloc_arenas) {
-    throw std::runtime_error(
-        "Machine::alloc_region: requires MachineConfig::alloc_arenas");
-  }
-  const Addr idx = static_cast<Addr>(cfg_.cores) + 1 + region_next_;
-  if (idx >= kMaxRegions) {
-    throw std::runtime_error(
-        "Machine::alloc_region: 40-bit address budget exhausted");
-  }
-  ++region_next_;
-  return idx << kArenaBits;
+  if (m.cfg_.check_invariants) m.check_invariants_now();
 }
 
 void Machine::spawn(Task<void> task) {
   assert(task.valid());
   auto h = task.release();
-  h.promise().on_done = [this] { ++finished_; };
+  h.promise().finished = &finished_;
   roots_.push_back(h);
   ++spawned_;
   if (started_) {

@@ -25,7 +25,7 @@ namespace sbq::sim {
 
 // Checkpoint of a quiescent machine (see Machine::snapshot): every piece of
 // schedule-visible state — clock/seq stream, interconnect link horizons,
-// directory lines, per-core caches, counters, trace ring, allocator cursors.
+// directory lines, per-core caches, counters, trace ring, allocator cursor.
 // A snapshot is a plain value: copyable, and safe to fork from concurrently
 // (fork only reads it), so one warmed prefill can seed every repeat of a
 // sweep cell across worker threads.
@@ -38,8 +38,6 @@ struct MachineSnapshot {
   Trace trace;
   std::optional<Stats> stats;
   Addr next_addr = 1;
-  std::vector<Addr> arena_next;  // per-core arena cursors (alloc_arenas)
-  Addr region_next = 0;          // static regions handed out (alloc_arenas)
   std::size_t spawned = 0;
   std::size_t finished = 0;
   bool started = false;
@@ -99,19 +97,11 @@ class Machine {
   int core_count() const noexcept { return cfg_.cores; }
   const MachineConfig& config() const noexcept { return cfg_; }
 
-  // Allocate `words` consecutive simulated words (each its own line);
-  // returns the address of the first. Word 0 is reserved as NULL. The
-  // no-argument form allocates from the shared setup region.
+  // Allocate `words` consecutive simulated words (each its own line) from
+  // one bump cursor; returns the address of the first. Word 0 is reserved
+  // as NULL. The one engine runs a deterministic schedule, so mid-run
+  // allocations get the same addresses on every run and every fork.
   Addr alloc(std::uint64_t words = 1);
-  // Core-attributed allocation: with MachineConfig::alloc_arenas each core
-  // owns a disjoint 2^30-word arena, so mid-run allocations are
-  // address-deterministic regardless of which order cores reach their
-  // allocation sites. Without arenas this is the shared cursor. Throws
-  // std::runtime_error on arena exhaustion.
-  Addr alloc(std::uint64_t words, CoreId core);
-  // Reserve a dedicated 2^30-word static region (e.g. the FAA queue's cell
-  // array) whose addresses are independent of allocation order.
-  Addr alloc_region();
 
   // Register a simulated thread; it starts when run() is called.
   void spawn(Task<void> task);
@@ -157,12 +147,16 @@ class Machine {
                : 0;
   }
 
+  // The interconnect's message sink: node ids below cores are cores, the
+  // rest are directory slices. Runs the invariant checker after each
+  // delivery when cfg_.check_invariants.
+  static void deliver(void* ctx, CoreId dst, const Message& msg);
   // First-run setup: resume the spawned roots and schedule the fault
   // plan's one-shots.
   void start();
   // Verify SWMR + directory/cache consistency; on violation dump the debug
-  // ring to stderr and throw std::logic_error. Wired behind every message
-  // handler when cfg_.check_invariants.
+  // ring to stderr and throw std::logic_error. Run after every delivered
+  // message when cfg_.check_invariants.
   void check_invariants_now();
   // Dump the debug ring and (when enabled) the trace tail to stderr.
   void dump_debug_state(const char* why);
@@ -179,8 +173,6 @@ class Machine {
   std::size_t spawned_ = 0;
   std::size_t finished_ = 0;
   Addr next_addr_ = 1;  // 0 is NULL
-  std::vector<Addr> arena_next_;  // per-core cursors (alloc_arenas)
-  Addr region_next_ = 0;          // static regions handed out
   bool started_ = false;
   // Fault one-shots (cfg_.fault_plan.one_shots) are scheduled lazily at the
   // first run() so forked machines (which inherit started_ = true) do not

@@ -256,7 +256,6 @@ struct SnapshotSerde {
   }
 
   static void encode_stats(Writer& w, const Stats& s) {
-    w.b(s.track_lines_);
     encode_protocol(w, s.protocol_);
     encode_htm(w, s.htm_);
     encode_basket(w, s.basket_);
@@ -264,15 +263,11 @@ struct SnapshotSerde {
     w.u64(s.per_core_protocol_.size());
     for (const auto& c : s.per_core_protocol_) encode_protocol(w, c);
     for (const auto& c : s.per_core_htm_) encode_htm(w, c);
-    encode_flat_map(w, s.lines_, [](Writer& ww, const ProtocolCounters& c) {
-      encode_protocol(ww, c);
-    });
   }
 
-  // `stats` was emplaced from (cores, track_lines), so the per-core tables
-  // are already sized; the blob's count must agree with the config.
+  // `stats` was emplaced from the config's core count, so the per-core
+  // tables are already sized; the blob's count must agree with the config.
   static bool decode_stats(Reader& r, Stats& s, int cores) {
-    if (!r.b(s.track_lines_)) return false;
     if (!decode_protocol(r, s.protocol_)) return false;
     if (!decode_htm(r, s.htm_)) return false;
     if (!decode_basket(r, s.basket_)) return false;
@@ -286,9 +281,7 @@ struct SnapshotSerde {
     for (auto& c : s.per_core_htm_) {
       if (!decode_htm(r, c)) return false;
     }
-    return decode_flat_map(r, s.lines_, [](Reader& rr, ProtocolCounters& c) {
-      return decode_protocol(rr, c);
-    });
+    return true;
   }
 };
 
@@ -308,7 +301,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   w.b(cfg.record_trace);
   w.u64(cfg.trace_capacity);
   w.b(cfg.collect_stats);
-  w.b(cfg.track_lines);
   w.b(cfg.fault_plan.enabled);
   w.u64(cfg.fault_plan.seed);
   w.f64(cfg.fault_plan.capacity_rate);
@@ -324,9 +316,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   }
   w.b(cfg.check_invariants);
   w.u64(static_cast<std::uint64_t>(cfg.dir_slices));
-  w.b(cfg.alloc_arenas);
-  w.u64(cfg.prewarm_frames);
-  w.u64(cfg.prewarm_event_nodes);
   // Contention policy: part of the canonical config bytes, so the policy
   // kind and every tuning knob key machine_config_digest automatically.
   w.u8(static_cast<std::uint8_t>(cfg.cas_policy.kind));
@@ -351,7 +340,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
   std::uint64_t cap;
   if (!r.u64(cap)) return false;
   cfg.trace_capacity = static_cast<std::size_t>(cap);
-  if (!(r.b(cfg.collect_stats) && r.b(cfg.track_lines))) return false;
+  if (!r.b(cfg.collect_stats)) return false;
   if (!(r.b(cfg.fault_plan.enabled) && r.u64(cfg.fault_plan.seed) &&
         r.f64(cfg.fault_plan.capacity_rate) &&
         r.f64(cfg.fault_plan.interrupt_rate) &&
@@ -369,14 +358,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
     if (kind >= kFaultKindCount) return false;
     shot.kind = static_cast<FaultKind>(kind);
   }
-  if (!(r.b(cfg.check_invariants) && r.i(cfg.dir_slices) &&
-        r.b(cfg.alloc_arenas))) {
-    return false;
-  }
-  std::uint64_t frames, nodes;
-  if (!(r.u64(frames) && r.u64(nodes))) return false;
-  cfg.prewarm_frames = static_cast<std::size_t>(frames);
-  cfg.prewarm_event_nodes = static_cast<std::size_t>(nodes);
+  if (!(r.b(cfg.check_invariants) && r.i(cfg.dir_slices))) return false;
   std::uint8_t policy_kind;
   if (!r.u8(policy_kind)) return false;
   // Unknown policy kinds are rejected, not misread: a blob from a future
@@ -560,7 +542,6 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w.u64(snap.engine.processed);
   w.u64(snap.engine.alloc.scheduled);
   w.u64(snap.engine.alloc.slab_refills);
-  w.u64(snap.engine.alloc.boxed_allocs);
   w.u64(snap.engine.alloc.overflow_events);
 
   w.u8(kTagNet);
@@ -580,12 +561,9 @@ std::vector<std::uint8_t> encode_snapshot_blob(
 
   w.u8(kTagCursors);
   w.u64(snap.next_addr);
-  w.u64(snap.region_next);
   w.u64(snap.spawned);
   w.u64(snap.finished);
   w.b(snap.started);
-  w.u64(snap.arena_next.size());
-  for (Addr a : snap.arena_next) w.u64(a);
 
   w.u8(kTagHostWords);
   w.u64(host_words.size());
@@ -623,7 +601,6 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   if (!(r.u64(snap.engine.now) && r.u64(snap.engine.next_seq) &&
         r.u64(snap.engine.processed) && r.u64(snap.engine.alloc.scheduled) &&
         r.u64(snap.engine.alloc.slab_refills) &&
-        r.u64(snap.engine.alloc.boxed_allocs) &&
         r.u64(snap.engine.alloc.overflow_events))) {
     return false;
   }
@@ -651,7 +628,7 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   if (!r.tag(kTagStats) || !r.b(have_stats)) return false;
   snap.stats.reset();
   if (have_stats) {
-    snap.stats.emplace(snap.cfg.cores, snap.cfg.track_lines);
+    snap.stats.emplace(snap.cfg.cores);
     if (!SnapshotSerde::decode_stats(r, *snap.stats, snap.cfg.cores)) {
       return false;
     }
@@ -659,23 +636,12 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
 
   if (!r.tag(kTagCursors)) return false;
   std::uint64_t spawned, finished;
-  if (!(r.u64(snap.next_addr) && r.u64(snap.region_next) && r.u64(spawned) &&
-        r.u64(finished) && r.b(snap.started))) {
+  if (!(r.u64(snap.next_addr) && r.u64(spawned) && r.u64(finished) &&
+        r.b(snap.started))) {
     return false;
   }
   snap.spawned = static_cast<std::size_t>(spawned);
   snap.finished = static_cast<std::size_t>(finished);
-  if (!r.u64(n) || !plausible(r, n, 8)) return false;
-  snap.arena_next.resize(static_cast<std::size_t>(n));
-  for (Addr& a : snap.arena_next) {
-    if (!r.u64(a)) return false;
-  }
-  // The machine restores arenas only when configured; a count mismatch
-  // would desynchronize alloc() addressing.
-  if (snap.cfg.alloc_arenas &&
-      n != static_cast<std::uint64_t>(snap.cfg.cores)) {
-    return false;
-  }
 
   if (!r.tag(kTagHostWords) || !r.u64(n) || !plausible(r, n, 8)) return false;
   host_words.resize(static_cast<std::size_t>(n));

@@ -14,53 +14,45 @@ const char* abort_cause_name(AbortCause c) noexcept {
   return "?";
 }
 
-Stats::Stats(int cores, bool track_lines)
-    : track_lines_(track_lines),
-      per_core_protocol_(static_cast<std::size_t>(cores < 0 ? 0 : cores)),
+Stats::Stats(int cores)
+    : per_core_protocol_(static_cast<std::size_t>(cores < 0 ? 0 : cores)),
       per_core_htm_(static_cast<std::size_t>(cores < 0 ? 0 : cores)) {}
 
-void Stats::on_request(CoreId core, Addr a, bool want_m) {
+void Stats::on_request(CoreId core, bool want_m) {
   auto& cc = per_core_protocol_.at(static_cast<std::size_t>(core));
   if (want_m) {
     ++protocol_.getm;
     ++cc.getm;
-    if (ProtocolCounters* l = line_slot(a)) ++l->getm;
   } else {
     ++protocol_.gets;
     ++cc.gets;
-    if (ProtocolCounters* l = line_slot(a)) ++l->gets;
   }
 }
 
-void Stats::on_fwd(CoreId owner, Addr a, bool getm) {
+void Stats::on_fwd(CoreId owner, bool getm) {
   auto& cc = per_core_protocol_.at(static_cast<std::size_t>(owner));
   if (getm) {
     ++protocol_.fwd_getm;
     ++cc.fwd_getm;
-    if (ProtocolCounters* l = line_slot(a)) ++l->fwd_getm;
   } else {
     ++protocol_.fwd_gets;
     ++cc.fwd_gets;
-    if (ProtocolCounters* l = line_slot(a)) ++l->fwd_gets;
   }
 }
 
-void Stats::on_inv(CoreId sharer, Addr a) {
+void Stats::on_inv(CoreId sharer) {
   ++protocol_.inv;
   ++per_core_protocol_.at(static_cast<std::size_t>(sharer)).inv;
-  if (ProtocolCounters* l = line_slot(a)) ++l->inv;
 }
 
-void Stats::on_inv_ack(CoreId requester, Addr a) {
+void Stats::on_inv_ack(CoreId requester) {
   ++protocol_.inv_ack;
   ++per_core_protocol_.at(static_cast<std::size_t>(requester)).inv_ack;
-  if (ProtocolCounters* l = line_slot(a)) ++l->inv_ack;
 }
 
-void Stats::on_wb(CoreId owner, Addr a) {
+void Stats::on_wb(CoreId owner) {
   ++protocol_.wb_data;
   ++per_core_protocol_.at(static_cast<std::size_t>(owner)).wb_data;
-  if (ProtocolCounters* l = line_slot(a)) ++l->wb_data;
 }
 
 void Stats::on_txcas_call(CoreId c) {
@@ -156,12 +148,6 @@ void Stats::on_basket_node(bool reused) {
   } else {
     ++basket_.fresh_allocs;
   }
-}
-
-const ProtocolCounters& Stats::line(Addr a) const {
-  static const ProtocolCounters kZero{};
-  auto it = lines_.find(a);
-  return it == lines_.end() ? kZero : it->second;
 }
 
 }  // namespace sbq::sim

@@ -2,7 +2,7 @@
 //
 // One Stats instance per Machine collects, while the simulation runs:
 //   * protocol counters (GetS/GetM issues, Fwd-GetS/Fwd-GetM, Inv, Inv-Ack,
-//     write-backs), machine-wide, per-core, and (optionally) per cache line;
+//     write-backs), machine-wide and per-core;
 //   * HTM counters: transactional attempts, commits, abort causes broken
 //     down by the paper's §3 taxonomy (conflict, capacity, tripped writer,
 //     explicit), the §3.4.1 fix engaging, fallbacks, and a retry histogram
@@ -10,16 +10,14 @@
 //   * queue-level basket counters fed by the simulated SBQ (append
 //     won/lost, basket close events with occupancy, extraction outcomes).
 //
-// Every hook is attributed to the acting core and the affected line, so a
+// Every protocol and HTM hook is attributed to the acting core, so a
 // figure's claim ("the losers abort on back-to-back invalidations") can be
 // traced to exact event counts — see docs/observability.md for the full
 // taxonomy and how each counter maps to the paper's terminology.
 //
 // Overhead: collection is plain counter increments behind a null-check on
 // the owning component's `Stats*` (disabled ⇒ no Stats object ⇒ one
-// predictable branch). Per-line counters add a hash-map lookup per protocol
-// event and are therefore off by default (MachineConfig::track_lines). The
-// discrete-event engine itself has no hooks at all — its fast path is
+// predictable branch). The discrete-event engine itself has no hooks at all — its fast path is
 // byte-for-byte the one engine_microbench gates.
 #pragma once
 
@@ -27,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/flat_map.hpp"
 #include "sim/types.hpp"
 
 namespace sbq::sim {
@@ -178,19 +175,15 @@ struct MetricsSnapshot {
 
 class Stats {
  public:
-  // `cores` sizes the per-core tables; `track_lines` additionally keys
-  // protocol counters by cache line (hash lookup per event — off by
-  // default, see MachineConfig::track_lines).
-  explicit Stats(int cores, bool track_lines = false);
-
-  bool track_lines() const noexcept { return track_lines_; }
+  // `cores` sizes the per-core tables.
+  explicit Stats(int cores);
 
   // ---- protocol hooks (called from the core/cache layer) ----
-  void on_request(CoreId core, Addr a, bool want_m);  // GetS / GetM issued
-  void on_fwd(CoreId owner, Addr a, bool getm);       // Fwd-Get[S|M] received
-  void on_inv(CoreId sharer, Addr a);                 // Inv received
-  void on_inv_ack(CoreId requester, Addr a);          // Inv-Ack received
-  void on_wb(CoreId owner, Addr a);                   // WB-Data sent
+  void on_request(CoreId core, bool want_m);  // GetS / GetM issued
+  void on_fwd(CoreId owner, bool getm);       // Fwd-Get[S|M] received
+  void on_inv(CoreId sharer);                 // Inv received
+  void on_inv_ack(CoreId requester);          // Inv-Ack received
+  void on_wb(CoreId owner);                   // WB-Data sent
 
   // ---- HTM hooks (called from the TxCAS state machine) ----
   void on_txcas_call(CoreId c);
@@ -228,10 +221,6 @@ class Stats {
   }
   const BasketCounters& basket() const noexcept { return basket_; }
   const PolicyCounters& policy() const noexcept { return policy_; }
-  // Per-line counters (empty unless track_lines). line(a) returns a zero
-  // block for lines that saw no events.
-  const FlatMap<ProtocolCounters>& lines() const noexcept { return lines_; }
-  const ProtocolCounters& line(Addr a) const;
 
   int core_count() const noexcept {
     return static_cast<int>(per_core_protocol_.size());
@@ -239,21 +228,15 @@ class Stats {
 
  private:
   // Snapshot serialization (sim/serialize.cpp) restores the registry
-  // member-by-member into an instance emplaced from (cores, track_lines).
+  // member-by-member into an instance emplaced from its core count.
   friend struct SnapshotSerde;
 
-  ProtocolCounters* line_slot(Addr a) {
-    return track_lines_ ? &lines_[a] : nullptr;
-  }
-
-  bool track_lines_;
   ProtocolCounters protocol_;
   HtmCounters htm_;
   BasketCounters basket_;
   PolicyCounters policy_;
   std::vector<ProtocolCounters> per_core_protocol_;
   std::vector<HtmCounters> per_core_htm_;
-  FlatMap<ProtocolCounters> lines_;
 };
 
 }  // namespace sbq::sim

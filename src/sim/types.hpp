@@ -117,9 +117,6 @@ struct MachineConfig {
   // Metrics registry (sim::Stats): machine-wide + per-core counters. Plain
   // increments — keep on unless a microbenchmark needs the last percent.
   bool collect_stats = true;
-  // Additionally key protocol counters by cache line (a hash lookup per
-  // protocol event; off by default).
-  bool track_lines = false;
   // Fault injection (docs/robustness.md). Disabled by default: with the
   // default plan every driver's output is byte-identical to tests/golden/.
   FaultPlan fault_plan;
@@ -134,24 +131,6 @@ struct MachineConfig {
   // address A is homed on slice A % dir_slices. The default (1) keeps
   // every golden byte-identical.
   int dir_slices = 1;
-  // Deterministic per-core allocation arenas: Machine::alloc(words, core)
-  // carves from a fixed 2^30-word region per core instead of the shared
-  // bump cursor, so mid-run allocations get schedule-independent
-  // addresses (and therefore schedule-independent home slices). The
-  // drivers enable it whenever dir_slices > 1.
-  bool alloc_arenas = false;
-  // Pre-fill the coroutine FramePool of the constructing thread with this
-  // many free frames per size class. 0 (default) skips the prewarm; the
-  // allocation-gate benches set it so a steady phase whose live-frame
-  // high-water exceeds the cold phase's never hits the heap.
-  std::size_t prewarm_frames = 0;
-  // Pre-fill the engine's event-node slab with at least this many nodes at
-  // construction. 0 (default) skips it. sim_microbench --from-snapshot sets
-  // it on a *deserialized* snapshot (the in-memory fork path inherits the
-  // warmed engine's slabs for free, a decoded snapshot starts from a cold
-  // engine): the measured phase then never refills the slab, keeping the
-  // perf_sim_alloc_gate_snapshot zero-alloc gate green.
-  std::size_t prewarm_event_nodes = 0;
   // TxCAS contention policy (common/contention.hpp): fixed (default,
   // byte-identical goldens) or adaptive-backoff.
   // Machine-wide so it participates in machine_config_digest and thus in

@@ -65,7 +65,7 @@ class SimBasketsQueue {
 
   Task<void> enqueue(Core& c, Value element, int /*id*/) {
     assert(element >= kFirstElement && element < kDeletedBit);
-    const Addr node = machine_->alloc(2, c.id());
+    const Addr node = machine_->alloc(2);
     co_await c.store(node_value(node), element);
     // A failed basket attempt leaves node.next pointing back into the list
     // (the succ_w stored before the lost CAS). The original algorithm's E7

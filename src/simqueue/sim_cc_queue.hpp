@@ -89,20 +89,18 @@ class SimCcQueue {
 
   Addr alloc_record() { return machine_->alloc(5); }
 
-  Addr take_spare(Core& c, int id) {
+  Addr take_spare(int id) {
     Addr& slot = spare_[static_cast<std::size_t>(id)];
     if (slot != 0) {
       const Addr r = slot;
       slot = 0;
       return r;
     }
-    // Mid-run allocation: core-attributed so arena machines hand out
-    // schedule-independent addresses.
-    return machine_->alloc(5, c.id());
+    return alloc_record();
   }
 
   Task<Value> apply(Core& c, Value op, Value arg, int id) {
-    const Addr next_dummy = take_spare(c, id);
+    const Addr next_dummy = take_spare(id);
     co_await c.store(rec_next(next_dummy), 0);
     co_await c.store(rec_status(next_dummy), 0);
 
@@ -114,7 +112,7 @@ class SimCcQueue {
 
     // Local spin on our own record's status word.
     const Value status = co_await c.poll_until(
-        rec_status(cur), [](Value s) { return s != 0; }, 12);
+        rec_status(cur), /*at_least=*/1, 12);
     if (status == 1) {
       // Combined by someone else.
       const Value result = co_await c.load(rec_result(cur));
@@ -146,7 +144,7 @@ class SimCcQueue {
   Task<void> execute(Core& c, Addr record) {
     const Value op = co_await c.load(rec_op(record));
     if (op == 1) {
-      const Addr n = machine_->alloc(2, c.id());
+      const Addr n = machine_->alloc(2);
       co_await c.store(n, co_await c.load(rec_arg(record)));
       const Addr tail = co_await c.load(seq_tail());
       co_await c.store(tail + 1, n);

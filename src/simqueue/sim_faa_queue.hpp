@@ -31,12 +31,6 @@ class SimFaaQueue {
 
   SimFaaQueue(Machine& m, Config cfg) : machine_(&m), cfg_(cfg) {
     counters_ = m.alloc(2);
-    if (m.config().alloc_arenas) {
-      // Arena mode: the whole cell array lives in one dedicated region, so
-      // cell addresses depend only on the ticket — not on which core first
-      // touched a chunk (which is schedule-dependent).
-      region_ = m.alloc_region();
-    }
   }
 
   // Rebuild around a machine forked from a deserialized snapshot (see
@@ -44,8 +38,8 @@ class SimFaaQueue {
   // verbatim: cell addressing and the hint-gated counter polls are both
   // schedule-visible.
   SimFaaQueue(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg), counters_(w.at(0)), region_(w.at(1)) {
-    std::size_t i = 2;
+      : machine_(&m), cfg_(cfg), counters_(w.at(0)) {
+    std::size_t i = 1;
     chunks_.assign(static_cast<std::size_t>(w.at(i++)), 0);
     for (Addr& c : chunks_) c = w.at(i++);
     empty_hint_.assign(static_cast<std::size_t>(w.at(i++)), 0);
@@ -54,7 +48,6 @@ class SimFaaQueue {
 
   void save_host_state(std::vector<std::uint64_t>& out) const {
     out.push_back(counters_);
-    out.push_back(region_);
     out.push_back(chunks_.size());
     out.insert(out.end(), chunks_.begin(), chunks_.end());
     out.push_back(empty_hint_.size());
@@ -120,9 +113,6 @@ class SimFaaQueue {
   static constexpr Value kChunk = 4096;
 
   Addr cell_addr(Value ticket) {
-    if (region_ != 0) {
-      return region_ + static_cast<Addr>(ticket);
-    }
     const std::size_t chunk = static_cast<std::size_t>(ticket / kChunk);
     while (chunks_.size() <= chunk) chunks_.push_back(machine_->alloc(kChunk));
     return chunks_[chunk] + (ticket % kChunk);
@@ -131,7 +121,6 @@ class SimFaaQueue {
   Machine* machine_;
   Config cfg_;
   Addr counters_ = 0;
-  Addr region_ = 0;  // fixed cell-array base in arena mode
   std::vector<Addr> chunks_;
   // Host-side per-dequeuer empty hints (each slot used by one thread).
   std::vector<char> empty_hint_ = std::vector<char>(256, 0);

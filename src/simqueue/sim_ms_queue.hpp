@@ -46,7 +46,7 @@ class SimMsQueue {
 
   Task<void> enqueue(Core& c, Value element, int /*id*/) {
     assert(element >= kFirstElement);
-    const Addr node = machine_->alloc(2, c.id());
+    const Addr node = machine_->alloc(2);
     co_await c.store(node_value(node), element);
     for (;;) {
       const Addr tail = co_await c.load(tail_addr());

@@ -260,11 +260,9 @@ class SimSbq {
       co_return node;
     }
     if (auto* st = c.metrics()) st->on_basket_node(/*reused=*/false);
-    // Fresh allocation: model the basket initialization as local work. The
-    // core-attributed overload keeps mid-run addresses deterministic (and
-    // race-free) when the machine runs with per-core arenas.
+    // Fresh allocation: model the basket initialization as local work.
     co_await c.think(static_cast<Time>(kInitCyclesPerCell * basket_cap_));
-    co_return machine_->alloc(node_words(), c.id());
+    co_return machine_->alloc(node_words());
   }
 
   // Algorithm 4 with the pluggable CAS (TxCAS or delayed plain CAS). The

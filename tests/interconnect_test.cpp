@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -24,6 +23,33 @@ MachineConfig link_cfg() {
 
 Message probe(Addr a) { return Message{MsgType::kData, a, 0, 0, 0, 0}; }
 
+// The interconnect's message sink for these tests: records every delivery
+// as (time, dst, msg).
+struct Recorder {
+  struct Delivery {
+    Time t;
+    CoreId dst;
+    Message msg;
+  };
+  Recorder(Engine& e, Interconnect& net) : e(e) {
+    net.set_sink(&Recorder::sink, this);
+  }
+  static void sink(void* ctx, CoreId dst, const Message& m) {
+    auto* r = static_cast<Recorder*>(ctx);
+    r->got.push_back({r->e.now(), dst, m});
+  }
+  // Arrival times at `dst`, in delivery order.
+  std::vector<Time> arrivals(CoreId dst) const {
+    std::vector<Time> out;
+    for (const Delivery& d : got) {
+      if (d.dst == dst) out.push_back(d.t);
+    }
+    return out;
+  }
+  Engine& e;
+  std::vector<Delivery> got;
+};
+
 TEST(InterconnectLink, UncontendedLatencyIncludesOccupancy) {
   const MachineConfig cfg = link_cfg();
   Engine e;
@@ -38,19 +64,22 @@ TEST(InterconnectLink, BackToBackCrossSocketMessagesQueue) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<std::pair<Time, Addr>> got;
-  net.set_handler(2, [&](const Message& m) { got.emplace_back(e.now(), m.addr); });
+  Recorder rec(e, net);
   net.send(0, 2, probe(1));
   net.send(0, 2, probe(2));
   e.run();
+  const std::vector<Recorder::Delivery>& got = rec.got;
   ASSERT_EQ(got.size(), 2u);
   // First message: link free, departs immediately, arrives after
   // occupancy + inter_latency.
-  EXPECT_EQ(got[0], std::pair(cfg.link_occupancy + cfg.inter_latency, Addr{1}));
+  EXPECT_EQ(got[0].t, cfg.link_occupancy + cfg.inter_latency);
+  EXPECT_EQ(got[0].dst, 2);
+  EXPECT_EQ(got[0].msg.addr, Addr{1});
   // Second: finds the link busy for link_occupancy cycles and waits them
   // out in the FIFO before paying the same hop cost.
-  EXPECT_EQ(got[1],
-            std::pair(2 * cfg.link_occupancy + cfg.inter_latency, Addr{2}));
+  EXPECT_EQ(got[1].t, 2 * cfg.link_occupancy + cfg.inter_latency);
+  EXPECT_EQ(got[1].dst, 2);
+  EXPECT_EQ(got[1].msg.addr, Addr{2});
   EXPECT_EQ(net.link_messages(), 2u);
   EXPECT_EQ(net.link_wait_cycles(),
             static_cast<std::uint64_t>(cfg.link_occupancy));
@@ -60,11 +89,11 @@ TEST(InterconnectLink, IntraSocketMessagesDoNotQueue) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Time> arrivals;
-  net.set_handler(1, [&](const Message&) { arrivals.push_back(e.now()); });
+  Recorder rec(e, net);
   net.send(0, 1, probe(1));
   net.send(0, 1, probe(2));
   e.run();
+  const std::vector<Time> arrivals = rec.arrivals(1);
   ASSERT_EQ(arrivals.size(), 2u);
   // Both arrive after the flat intra-socket latency: the on-chip mesh has
   // no occupancy queue.
@@ -78,14 +107,14 @@ TEST(InterconnectLink, DirectedLinksAreIndependent) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Time> fwd, rev;
-  net.set_handler(2, [&](const Message&) { fwd.push_back(e.now()); });
-  net.set_handler(0, [&](const Message&) { rev.push_back(e.now()); });
+  Recorder rec(e, net);
   // Opposite directions at the same instant: neither queues behind the
   // other (one link per *directed* socket pair).
   net.send(0, 2, probe(1));
   net.send(2, 0, probe(2));
   e.run();
+  const std::vector<Time> fwd = rec.arrivals(2);
+  const std::vector<Time> rev = rec.arrivals(0);
   const Time uncontended = cfg.link_occupancy + cfg.inter_latency;
   ASSERT_EQ(fwd.size(), 1u);
   ASSERT_EQ(rev.size(), 1u);
@@ -98,14 +127,14 @@ TEST(InterconnectLink, LinkFreesUpAfterIdleGap) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Time> arrivals;
-  net.set_handler(2, [&](const Message&) { arrivals.push_back(e.now()); });
+  Recorder rec(e, net);
   net.send(0, 2, probe(1));
   e.run();  // drain: link is idle again well past its busy horizon
   const Time t1 = e.now();
   ASSERT_GE(t1, cfg.link_occupancy);
   net.send(0, 2, probe(2));
   e.run();
+  const std::vector<Time> arrivals = rec.arrivals(2);
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1] - t1, cfg.link_occupancy + cfg.inter_latency);
   EXPECT_EQ(net.link_wait_cycles(), 0u);
@@ -116,11 +145,11 @@ TEST(InterconnectFlat, CrossSocketHasNoOccupancyQueue) {
   cfg.interconnect_model = InterconnectModel::kFlat;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Time> arrivals;
-  net.set_handler(2, [&](const Message&) { arrivals.push_back(e.now()); });
+  Recorder rec(e, net);
   net.send(0, 2, probe(1));
   net.send(0, 2, probe(2));
   e.run();
+  const std::vector<Time> arrivals = rec.arrivals(2);
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], cfg.inter_latency);
   EXPECT_EQ(arrivals[1], cfg.inter_latency);
@@ -132,8 +161,7 @@ TEST(InterconnectLink, SaveRestoreRoundTripsBusyHorizon) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Time> arrivals;
-  net.set_handler(2, [&](const Message&) { arrivals.push_back(e.now()); });
+  Recorder rec(e, net);
   net.send(0, 2, probe(1));
   const Interconnect::State s = net.save_state();
   EXPECT_EQ(s.link_msgs, 1u);

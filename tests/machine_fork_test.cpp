@@ -141,15 +141,14 @@ TEST(MachineFork, SnapshotRestoresClockAndCounters) {
   EXPECT_EQ(fork->metrics().messages, msgs_before);
 }
 
-// A sliced directory with per-core arenas, the shape of the 512-core fig5
-// cell: 2 sockets, 4 directory slices (one per pair of cores), and a mixed
-// workload so both the enqueue and dequeue paths reach every slice.
+// A sliced directory, the shape of the 512-core fig5 cell: 2 sockets, 4
+// directory slices (one per pair of cores), and a mixed workload so both
+// the enqueue and dequeue paths reach every slice.
 sim::MachineConfig sliced_config() {
   sim::MachineConfig mcfg;
   mcfg.cores = 8;
   mcfg.sockets = 2;
   mcfg.dir_slices = 4;
-  mcfg.alloc_arenas = true;
   return mcfg;
 }
 
@@ -165,7 +164,7 @@ WorkloadSpec sliced_spec(std::uint64_t seed) {
 }
 
 TEST(SlicedDirectory, ForkMatchesColdStart) {
-  for (QueueKind kind : {QueueKind::kSbqHtm, QueueKind::kBqOriginal}) {
+  for (QueueKind kind : evaluated_queue_kinds()) {
     SCOPED_TRACE(queue_kind_name(kind));
     const WorkloadSpec spec = sliced_spec(/*seed=*/31);
     const SimRunResult cold = run_queue_workload(kind, sliced_config(), spec);

@@ -167,11 +167,10 @@ TEST(SimMachineConfig, FaultFlagsLandInTheFaultPlan) {
 }
 
 TEST(SimMachineConfig, MachineFlagsLandInTheConfig) {
-  // Slices are capped at cores and switch the per-core arenas on.
+  // Slices are capped at cores.
   const sim::MachineConfig sliced =
       sim_machine_config(parse_flags({"--dir-slices", "8"}), 4);
   EXPECT_EQ(sliced.dir_slices, 4);
-  EXPECT_TRUE(sliced.alloc_arenas);
 
   const sim::MachineConfig sockets =
       sim_machine_config(parse_flags({"--sockets", "2"}), 4, /*sockets=*/1);

@@ -93,11 +93,11 @@ TEST(Coro, NestedTasksAndAwaitables) {
   int out = 0;
   Task<void> t = driver(e, &out);
   auto h = t.release();
-  bool done = false;
-  h.promise().on_done = [&] { done = true; };
+  std::size_t finished = 0;
+  h.promise().finished = &finished;
   e.schedule(0, [h] { h.resume(); });
   e.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(finished, 1u);
   EXPECT_EQ(out, 43);
   EXPECT_EQ(e.now(), 15u);
   h.destroy();

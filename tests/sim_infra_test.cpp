@@ -1,6 +1,6 @@
 // Unit tests for the simulator infrastructure pieces not covered by the
 // protocol tests: the trace recorder, the interconnect (latency matrix,
-// FIFO delivery, handler dispatch), and directory statistics.
+// FIFO delivery, sink dispatch), and directory statistics.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -74,22 +74,40 @@ TEST(Interconnect, LatencyMatrix) {
   EXPECT_EQ(net.latency(2, net.directory_id()), cfg.inter_latency);
 }
 
+// The interconnect's message sink for these tests: records every delivery
+// as (time, dst, msg).
+struct Recorder {
+  struct Delivery {
+    Time t;
+    CoreId dst;
+    Message msg;
+  };
+  Recorder(Engine& e, Interconnect& net) : e(e) {
+    net.set_sink(&Recorder::sink, this);
+  }
+  static void sink(void* ctx, CoreId dst, const Message& m) {
+    auto* r = static_cast<Recorder*>(ctx);
+    r->got.push_back({r->e.now(), dst, m});
+  }
+  Engine& e;
+  std::vector<Delivery> got;
+};
+
 TEST(Interconnect, DeliversToHandlerWithLatency) {
   MachineConfig cfg;
   cfg.cores = 2;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<std::pair<Time, MsgType>> received;
-  net.set_handler(1, [&](const Message& m) {
-    received.emplace_back(e.now(), m.type);
-  });
-  net.set_handler(0, [](const Message&) {});
+  Recorder rec(e, net);
   Message m{MsgType::kInv, 5, 0, 0, 0, 0};
   net.send(0, 1, m);
   e.run();
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received[0].first, cfg.intra_latency);
-  EXPECT_EQ(received[0].second, MsgType::kInv);
+  ASSERT_EQ(rec.got.size(), 1u);
+  EXPECT_EQ(rec.got[0].t, cfg.intra_latency);
+  EXPECT_EQ(rec.got[0].dst, 1);
+  EXPECT_EQ(rec.got[0].msg.type, MsgType::kInv);
+  EXPECT_EQ(rec.got[0].msg.addr, Addr{5});
+  EXPECT_EQ(rec.got[0].msg.src, 0);
   EXPECT_EQ(net.messages_sent(), 1u);
 }
 
@@ -98,13 +116,17 @@ TEST(Interconnect, FifoPerPair) {
   cfg.cores = 2;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  std::vector<Addr> order;
-  net.set_handler(1, [&](const Message& m) { order.push_back(m.addr); });
+  Recorder rec(e, net);
   for (Addr a = 1; a <= 5; ++a) {
     Message m{MsgType::kData, a, 0, 0, 0, 0};
     net.send(0, 1, m);
   }
   e.run();
+  std::vector<Addr> order;
+  for (const Recorder::Delivery& d : rec.got) {
+    EXPECT_EQ(d.dst, 1);
+    order.push_back(d.msg.addr);
+  }
   EXPECT_EQ(order, (std::vector<Addr>{1, 2, 3, 4, 5}));
 }
 

@@ -33,7 +33,6 @@ TEST(StatsRegistry, StandardCasRoundExactCounts) {
   constexpr int kCores = 4;
   MachineConfig mcfg;
   mcfg.cores = kCores;
-  mcfg.track_lines = true;
   Machine m(mcfg);
   ASSERT_NE(m.stats(), nullptr);
   const Addr x = m.alloc();
@@ -57,13 +56,6 @@ TEST(StatsRegistry, StandardCasRoundExactCounts) {
   EXPECT_EQ(p.inv_ack, kCores - 1);   // ...and collects their acks
   EXPECT_EQ(p.fwd_getm, kCores - 1);  // later writers: owner hand-offs
   EXPECT_EQ(p.fwd_gets, 0u);
-
-  // Per-line view matches the machine-wide one (single line in play).
-  const ProtocolCounters& lp = m.stats()->line(x);
-  EXPECT_EQ(lp.getm, kCores);
-  EXPECT_EQ(lp.inv, kCores - 1);
-  // Untouched lines read as zero.
-  EXPECT_EQ(m.stats()->line(x + 1).getm, 0u);
 
   // The snapshot flattens the same counters.
   const MetricsSnapshot snap = m.metrics();
