@@ -29,36 +29,36 @@ void Core::handle(const Message& msg) {
 }
 
 void Core::on_data(const Message& msg) {
-  auto it = pending_.find(msg.addr);
-  assert(it != pending_.end() && "Data with no pending request");
-  Pending& p = it->second;
-  p.got_data = true;
-  p.data = msg.value;
-  p.acks_expected = msg.ack_count;
-  if (!p.want_m || p.acks_got >= p.acks_expected) finish_request(msg.addr, p);
+  Pending* p = pending(msg.addr);
+  assert(p != nullptr && "Data with no pending request");
+  p->got_data = true;
+  p->data = msg.value;
+  p->acks_expected = msg.ack_count;
+  if (!p->want_m || p->acks_got >= p->acks_expected) {
+    finish_request(msg.addr, *p);
+  }
 }
 
 void Core::on_inv_ack(const Message& msg) {
   if (metrics_) metrics_->on_inv_ack(id_);
-  auto it = pending_.find(msg.addr);
-  assert(it != pending_.end() && "Inv-Ack with no pending request");
-  Pending& p = it->second;
-  ++p.acks_got;
-  if (p.got_data && p.acks_got >= p.acks_expected && !p.locked) {
-    finish_request(msg.addr, p);
+  Pending* p = pending(msg.addr);
+  assert(p != nullptr && "Inv-Ack with no pending request");
+  ++p->acks_got;
+  if (p->got_data && p->acks_got >= p->acks_expected && !p->locked) {
+    finish_request(msg.addr, *p);
   }
 }
 
 void Core::on_inv(const Message& msg) {
   const Addr a = msg.addr;
   if (metrics_) metrics_->on_inv(id_);
-  auto it = pending_.find(a);
-  if (it != pending_.end() && !it->second.want_m && !it->second.got_data) {
+  Pending* p = pending(a);
+  if (p != nullptr && !p->want_m && !p->got_data) {
     // Inv raced ahead of the data for our GetS (the data is coming from an
     // owner, the Inv straight from the directory): observe the data once,
     // then invalidate and ack when the load releases the line.
-    it->second.inv_after_data = true;
-    it->second.deferred_inv_requester = msg.requester;
+    p->inv_after_data = true;
+    p->deferred_inv_requester = msg.requester;
     return;
   }
   // Invalidate our shared copy (if any) and ack the requesting writer.
@@ -89,9 +89,8 @@ bool Core::fwd_predates_pending_request(Addr a, const Pending& p) const {
 void Core::on_fwd_gets(const Message& msg) {
   const Addr a = msg.addr;
   if (metrics_) metrics_->on_fwd(id_, /*getm=*/false);
-  auto it = pending_.find(a);
-  if (it != pending_.end()) {
-    if (fwd_predates_pending_request(a, it->second)) {
+  if (Pending* p = pending(a)) {
+    if (fwd_predates_pending_request(a, *p)) {
       // The read was ordered before our own upgrade: serve it from the
       // valid Owned copy right away, with no transactional conflict — a
       // transactional write is still store-buffered (invisible), and the
@@ -100,9 +99,9 @@ void Core::on_fwd_gets(const Message& msg) {
       answer_fwd_gets(msg);
       return;
     }
-    const bool txn_window = it->second.txn_write && txn_.active &&
+    const bool txn_window = p->txn_write && txn_.active &&
                             txn_.in_write_phase && txn_.addr == a &&
-                            !it->second.locked;
+                            !p->locked;
     if (txn_window && cfg_.uarch_fix) {
       // §3.4.1: the core is blocked in _xend with a single pending GetM and
       // the conflicting request is a read — stall it until commit. (Safe:
@@ -113,7 +112,7 @@ void Core::on_fwd_gets(const Message& msg) {
         trace_->record(engine_.now(), id_, "uarch-fix stall Fwd-GetS", a,
                        msg.requester);
       }
-      it->second.stalled_fwds.push_back(msg);
+      stall_fwd(msg);
       return;
     }
     if (txn_window) {
@@ -121,12 +120,12 @@ void Core::on_fwd_gets(const Message& msg) {
       ++stats_.tripped_aborts;
       txcas_abort(/*kind=*/1, AbortCause::kTrippedWriter);
     }
-    if (fwd_predates_pending_request(a, it->second)) {
+    if (fwd_predates_pending_request(a, *p)) {
       // Ordered before our upgrade: serve from the valid Owned copy now.
       answer_fwd_gets(msg);
       return;
     }
-    it->second.stalled_fwds.push_back(msg);
+    stall_fwd(msg);
     return;
   }
   answer_fwd_gets(msg);
@@ -135,9 +134,8 @@ void Core::on_fwd_gets(const Message& msg) {
 void Core::on_fwd_getm(const Message& msg) {
   const Addr a = msg.addr;
   if (metrics_) metrics_->on_fwd(id_, /*getm=*/true);
-  auto it = pending_.find(a);
-  if (it != pending_.end()) {
-    if (fwd_predates_pending_request(a, it->second)) {
+  if (const Pending* p = pending(a)) {
+    if (fwd_predates_pending_request(a, *p)) {
       // Ordered before our upgrade: the writer takes our Owned copy now
       // (requester-wins: this also aborts a transaction using the line —
       // handled inside answer_fwd_getm).
@@ -149,10 +147,16 @@ void Core::on_fwd_getm(const Message& msg) {
     // serialized hand-off chain of Figure 2a. Transactional writers are
     // not aborted by stalled writes — in line with the paper's observation
     // that write-phase conflicts are overwhelmingly caused by reads.
-    it->second.stalled_fwds.push_back(msg);
+    stall_fwd(msg);
     return;
   }
   answer_fwd_getm(msg);
+}
+
+void Core::stall_fwd(const Message& msg) {
+  assert(stalled_fwds_.size() + 1 < static_cast<std::size_t>(cfg_.cores) &&
+         "a forward from each other core at most");
+  stalled_fwds_.push_back(msg);
 }
 
 void Core::answer_fwd_gets(const Message& msg) {
@@ -160,7 +164,7 @@ void Core::answer_fwd_gets(const Message& msg) {
   Line& line = lines_.at(a);
   assert(line.state == LineState::kModified || line.state == LineState::kOwned);
   if (txn_.active && txn_.addr == a && txn_.in_write_phase &&
-      pending_.count(a) == 0) {
+      pending(a) == nullptr) {
     // Rare hit-window case: transaction writing an already-owned line when
     // the read arrives. Requester-wins: abort (the commit had not applied).
     ++stats_.tripped_aborts;

@@ -46,12 +46,11 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net,
   // never perturbs any other stream.
   txcas_op_.policy_state = ContentionPolicy::seeded_state(
       cfg_.cas_policy.seed, static_cast<std::uint64_t>(id_));
-  // Pre-size the pending table to its minimum capacity now. It is bounded
-  // by concurrent in-flight requests (a handful), but a core that issues
-  // its first request inside a measured phase would otherwise pay the
-  // table's lazy first allocation there (sim_microbench zero-alloc gate).
-  // The waiter list is inline and needs no such step.
-  pending_.reserve(1);
+  // Sized for the stall bound (see stalled_fwds_), so a measured phase
+  // never allocates here (sim_microbench zero-alloc gate).
+  const auto cores = static_cast<std::size_t>(cfg_.cores);
+  stalled_fwds_.reserve(cores);
+  answering_.reserve(cores);
 }
 
 Core::LineState Core::line_state(Addr a) const {
@@ -110,7 +109,7 @@ void Core::finish_op(Value result) {
 }
 
 void Core::acquire(Addr a, bool want_m, Cont cont, std::uint64_t token) {
-  if (pending_.count(a) != 0) {
+  if (pending(a) != nullptr) {
     // Our own request on this line is in flight (e.g. the background GetM of
     // an aborted transaction). Wait for it to settle, then try again.
     waiters_.push_back({a, want_m, cont, token});
@@ -136,11 +135,11 @@ void Core::resume(Cont cont, std::uint64_t token, Addr a, Line& line,
 }
 
 void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
+  assert(!req_live_ && "one request in flight per core");
   if (metrics_) metrics_->on_request(id_, want_m);
-  Pending& p = pending_[a];
-  p.want_m = want_m;
-  p.cont = cont;
-  p.token = token;
+  req_ = Pending{.want_m = want_m, .cont = cont, .token = token};
+  req_addr_ = a;
+  req_live_ = true;
   Message req{want_m ? MsgType::kGetM : MsgType::kGetS, a, id_, id_, 0, 0};
   net_.send(id_, dir_node(a), req);
 }
@@ -165,31 +164,30 @@ void Core::finish_request(Addr a, Pending& p) {
 }
 
 void Core::release_request(Addr a) {
-  auto it = pending_.find(a);
-  assert(it != pending_.end());
+  assert(pending(a) != nullptr && answering_.empty());
+  req_live_ = false;
   // Answer forwards stalled behind this request, in arrival order. Each may
   // change the line's state (downgrade/invalidate).
-  InlineVec<Message, 16> stalls = std::move(it->second.stalled_fwds);
-  const bool deferred_inv = it->second.inv_after_data;
-  const CoreId inv_req = it->second.deferred_inv_requester;
-  pending_.erase(it);
+  answering_.swap(stalled_fwds_);
 
-  if (deferred_inv) {
+  if (req_.inv_after_data) {
     // An Inv raced with our GetS: the load observed the data once; the line
     // is invalid from now on and the invalidating writer gets its ack.
+    const CoreId inv_req = req_.deferred_inv_requester;
     Line& line = lines_[a];
     line.state = LineState::kInvalid;
     maybe_txn_conflict_on_loss(a, true);
     Message ack{MsgType::kInvAck, a, id_, inv_req, 0, 0};
     net_.send(id_, inv_req, ack);
   }
-  for (const Message& fwd : stalls) {
+  for (const Message& fwd : answering_) {
     if (fwd.type == MsgType::kFwdGetS) {
       answer_fwd_gets(fwd);
     } else {
       answer_fwd_getm(fwd);
     }
   }
+  answering_.clear();
   run_waiters(a);
 }
 
@@ -221,7 +219,7 @@ void Core::access(Line& line, bool was_miss) {
       line.value = op_.a0;
       break;
     // We own the line: perform the read-modify-write atomically. Incoming
-    // forwards are stalled (pending entry is locked) until rmw_latency has
+    // forwards are stalled (the request is locked) until rmw_latency has
     // elapsed — the §3.2 stall that serializes contended RMWs.
     case OpKind::kCas:
     case OpKind::kTxFallback:
@@ -292,7 +290,7 @@ void Core::poll_step() {
   // `gap` cycles before it). Longer gaps run the plain loop.
   const bool can_park =
       poll_.gap < std::min(cfg_.intra_latency, cfg_.inter_latency);
-  if (can_park && pending_.count(a) == 0) {
+  if (can_park && pending(a) == nullptr) {
     auto it = lines_.find(a);
     if (it != lines_.end() && it->second.state != LineState::kInvalid) {
       // A hit, exactly as a plain load's: count it, read the value now.
@@ -476,7 +474,7 @@ void Core::txcas_enter_write() {
   txn_.in_write_phase = true;
   const Addr a = op_.addr;
   const std::uint64_t token = txn_.token;
-  if (pending_.count(a) == 0 && line_state(a) == LineState::kModified) {
+  if (pending(a) == nullptr && line_state(a) == LineState::kModified) {
     // Already own the line: the write hits and the transaction commits with
     // (almost) no vulnerability window.
     engine_.schedule(cfg_.hit_latency, [this, token] {
@@ -491,8 +489,7 @@ void Core::txcas_enter_write() {
   // matters: if this attempt aborts and the op retries, the stale GetM
   // completion must release the line instead of committing the new attempt.
   acquire(a, /*want_m=*/true, Cont::kTxWrite, token);
-  auto it = pending_.find(a);
-  if (it != pending_.end()) it->second.txn_write = true;
+  if (Pending* p = pending(a)) p->txn_write = true;
 }
 
 void Core::txcas_on_write_ready(Addr a, std::uint64_t token, bool was_miss) {
@@ -522,7 +519,7 @@ void Core::txcas_commit() {
     trace_->record(engine_.now(), id_, "txcas commit", a,
                    static_cast<std::int64_t>(op_.a1));
   }
-  const bool was_miss = pending_.count(a) != 0;
+  const bool was_miss = pending(a) != nullptr;
   engine_.schedule(cfg_.hit_latency, [this, a, was_miss] {
     if (was_miss) release_request(a);
     finish_op(1);

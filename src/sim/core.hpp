@@ -28,15 +28,18 @@
 //
 // The thread issues its operations one at a time, so the core keeps one
 // operation record (op_): the awaiters fill it, a hit resolves with one
-// pending-table check and one line lookup, and completion events capture
-// only the core. A request, or an acquire parked behind one, names what it
-// resumes with a continuation tag (plus a TxCAS attempt's token) instead
-// of a closure.
+// request-slot check and one line lookup, and completion events capture
+// only the core. Every request of an operation is on its address, so the
+// core also keeps one request slot (req_): a second acquire of that line
+// parks as a waiter until the request is released. A request, or an
+// acquire parked behind one, names what it resumes with a continuation tag
+// (plus a TxCAS attempt's token) instead of a closure.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
@@ -193,15 +196,14 @@ class Core {
     return {this, a, at_least, gap};
   }
 
-  // Pre-size the private-cache line table for `n` distinct lines (the
-  // pending table stays small: its churn is tombstone-cleaned).
+  // Pre-size the private-cache line table for `n` distinct lines.
   // Setup-time allocation; see Machine::reserve_lines.
   void reserve_lines(std::size_t n) { lines_.reserve(n); }
 
   // Test/bench introspection.
   enum class LineState : std::uint8_t { kInvalid, kShared, kModified, kOwned };
   LineState line_state(Addr a) const;
-  bool has_pending(Addr a) const { return pending_.count(a) != 0; }
+  bool has_pending(Addr a) const { return pending(a) != nullptr; }
   // A parked poll_until: the line it waits on and the plain loop's next
   // poll instant (for debug dumps and tests).
   bool poll_parked() const noexcept { return poll_.parked; }
@@ -221,8 +223,7 @@ class Core {
   // everything else (cache lines, stats, the delay-jitter PRNG) is plain
   // value state.
   bool quiescent() const noexcept {
-    return pending_.empty() && waiters_.empty() && !txn_.active &&
-           !poll_.active;
+    return !req_live_ && waiters_.empty() && !txn_.active && !poll_.active;
   }
 
   // Schedule-visible state for Machine::snapshot()/fork(); valid only at
@@ -261,7 +262,8 @@ class Core {
   // the line) after the record has moved on.
   enum class Cont : std::uint8_t { kAccess, kTxRead, kTxWrite };
 
-  // One outstanding coherence request (GetS or GetM) of this core.
+  // The core's outstanding coherence request (GetS or GetM). Forwards
+  // stalled behind it wait in stalled_fwds_.
   struct Pending {
     bool want_m = false;
     bool got_data = false;
@@ -274,7 +276,6 @@ class Core {
     bool txn_write = false;         // this GetM carries a transactional write
     Cont cont = Cont::kAccess;
     std::uint64_t token = 0;
-    InlineVec<Message, 16> stalled_fwds;
   };
 
   // An acquire that found its line's own request still in flight (e.g. the
@@ -310,6 +311,13 @@ class Core {
   void resume(Cont cont, std::uint64_t token, Addr a, Line& line,
               bool was_miss);
   void issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token);
+  // The in-flight request on `a`, or null.
+  Pending* pending(Addr a) noexcept {
+    return req_live_ && req_addr_ == a ? &req_ : nullptr;
+  }
+  const Pending* pending(Addr a) const noexcept {
+    return req_live_ && req_addr_ == a ? &req_ : nullptr;
+  }
   // Data and acks all in: install the line, resume the continuation.
   void finish_request(Addr a, Pending& p);
   void release_request(Addr a);      // op done: answer stalls, wake waiters
@@ -378,6 +386,8 @@ class Core {
   void on_inv(const Message& msg);
   void on_fwd_gets(const Message& msg);
   void on_fwd_getm(const Message& msg);
+  // Park a forward behind req_ until release_request answers it.
+  void stall_fwd(const Message& msg);
   void answer_fwd_gets(const Message& msg);
   void answer_fwd_getm(const Message& msg);
   bool fwd_predates_pending_request(Addr a, const Pending& p) const;
@@ -396,7 +406,15 @@ class Core {
   CoreId dir_;
 
   FlatMap<Line> lines_;
-  FlatMap<Pending> pending_;
+  Pending req_;          // the one in-flight request, on req_addr_
+  Addr req_addr_ = kNullAddr;
+  bool req_live_ = false;
+  // Forwards stalled behind req_, in arrival order, and the list being
+  // answered by release_request. Each other core has at most one request
+  // in flight, so both hold fewer than cfg.cores messages; they are
+  // reserved to that at construction and never allocate afterwards.
+  std::vector<Message> stalled_fwds_;
+  std::vector<Message> answering_;
   InlineVec<Waiter, 8> waiters_;
   Txn txn_;
   std::uint64_t delay_jitter_state_ = 0x9e3779b97f4a7c15ULL;

@@ -119,14 +119,16 @@ bool plausible(const Reader& r, std::uint64_t count, std::size_t min_entry) {
 // capacity profile; exact restore keeps the two paths bit-for-bit equal,
 // including the zero-alloc behavior the perf_smoke gates measure).
 struct SnapshotSerde {
+  // A line table is its capacity, then one byte per slot (0 empty, 1
+  // full), each full slot followed by its key and value.
   template <typename V, typename EncodeV>
   static void encode_flat_map(Writer& w, const FlatMap<V>& m, EncodeV enc) {
-    w.u64(m.state_.size());
-    for (std::size_t i = 0; i < m.state_.size(); ++i) {
-      w.u8(m.state_[i]);
-      if (m.state_[i] == FlatMap<V>::kFull) {
-        w.u64(m.slots_[i].first);
-        enc(w, m.slots_[i].second);
+    w.u64(m.slots_.size());
+    for (const auto& [key, value] : m.slots_) {
+      w.b(key != kNullAddr);
+      if (key != kNullAddr) {
+        w.u64(key);
+        enc(w, value);
       }
     }
   }
@@ -143,23 +145,19 @@ struct SnapshotSerde {
     }
     if (!plausible(r, cap, 1)) return false;
     m.slots_ = std::vector<typename FlatMap<V>::Slot>(cap);
-    m.state_.assign(cap, FlatMap<V>::kEmpty);
+    m.shift_ = 64 - std::countr_zero(cap);
     m.size_ = 0;
-    m.dead_ = 0;
-    for (std::uint64_t i = 0; i < cap; ++i) {
-      std::uint8_t s;
-      if (!r.u8(s)) return false;
-      if (s > FlatMap<V>::kTomb) return false;  // kUnplaced is transient
-      m.state_[i] = s;
-      if (s == FlatMap<V>::kFull) {
-        if (!r.u64(m.slots_[i].first)) return false;
-        if (!dec(r, m.slots_[i].second)) return false;
-        ++m.size_;
-      } else if (s == FlatMap<V>::kTomb) {
-        ++m.dead_;
-      }
+    for (auto& [key, value] : m.slots_) {
+      bool full;
+      if (!r.b(full)) return false;  // refuses state bytes above 1
+      if (!full) continue;
+      if (!r.u64(key) || key == kNullAddr) return false;
+      if (!dec(r, value)) return false;
+      ++m.size_;
     }
-    return true;
+    // A real table keeps an empty slot (load <= 7/8), which is what ends
+    // every probe of an absent key.
+    return m.size_ * 8 <= cap * 7;
   }
 
   static void encode_sharers(Writer& w, const SharerSet& s) {

@@ -3,6 +3,7 @@
 // atomicity of RMWs, and the stall behaviour contended RMW chains rely on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -243,6 +244,68 @@ TEST(SimProtocol, MachineRunDetectsCompletion) {
   m.run();
   EXPECT_EQ(m.finished(), 1u);
   EXPECT_GE(m.engine().now(), 100u);
+}
+
+Task<void> txcas_program(Machine& m, Addr x, Time* done, bool* ok) {
+  *ok = co_await m.core(0).txcas(x, 0, 1);
+  *done = m.engine().now();
+}
+
+// A core holds one request at a time. Its edge path: a TxCAS write-phase
+// abort lands while the attempt's GetM is in flight, so the retry's
+// read-acquire finds that stale request and parks as a waiter. When the
+// GetM completes, the stale attempt only releases the line; the waiter
+// then re-runs, hits the now-owned line, and the retry commits.
+TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
+  MachineConfig cfg = small_machine(2);
+  cfg.check_invariants = true;
+
+  // The uninterrupted run times the GetM: it completes one hit before the
+  // operation does, and its Data spends intra_latency on the wire.
+  Time done = 0;
+  bool ok = false;
+  {
+    Machine m(cfg);
+    const Addr x = m.alloc();
+    m.spawn(txcas_program(m, x, &done, &ok));
+    m.run();
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(m.core(0).stats().txcas_attempts, 1u);
+  }
+  const Time getm_done = done - cfg.hit_latency;
+  const Time fault_at = getm_done - cfg.intra_latency;
+
+  cfg.fault_plan.enabled = true;
+  cfg.fault_plan.one_shots.push_back(
+      {.time = fault_at, .core = 0, .kind = FaultKind::kInterrupt});
+  Machine m(cfg);
+  const Addr x = m.alloc();
+  m.spawn(txcas_program(m, x, &done, &ok));
+  // The abort schedules the retry one cycle later; look a cycle after that.
+  bool pending_at_probe = false;
+  bool quiescent_at_probe = true;
+  std::uint64_t attempts_at_probe = 0;
+  m.engine().schedule(fault_at + 2, [&m, x, &pending_at_probe,
+                                     &quiescent_at_probe, &attempts_at_probe] {
+    pending_at_probe = m.core(0).has_pending(x);
+    quiescent_at_probe = m.core(0).quiescent();
+    attempts_at_probe = m.core(0).stats().txcas_attempts;
+  });
+  m.run();
+
+  EXPECT_EQ(attempts_at_probe, 2u) << "the retry had not started";
+  EXPECT_TRUE(pending_at_probe) << "the aborted attempt's GetM had landed";
+  EXPECT_FALSE(quiescent_at_probe);
+  EXPECT_TRUE(ok);
+  EXPECT_GT(done, getm_done);
+  const CoreStats& s = m.core(0).stats();
+  EXPECT_EQ(s.injected_interrupt, 1u);
+  EXPECT_EQ(s.txcas_attempts, 2u);
+  EXPECT_EQ(s.txcas_success, 1u);
+  EXPECT_EQ(s.fallbacks + s.fallback_cas, 0u);
+  EXPECT_TRUE(m.core(0).quiescent());
+  EXPECT_FALSE(m.core(0).has_pending(x));
+  EXPECT_EQ(m.core(0).line_state(x), CoreState::kModified);
 }
 
 }  // namespace

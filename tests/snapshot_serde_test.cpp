@@ -2,10 +2,11 @@
 //   1. a machine forked from an encode→decode round-trip of a warmed
 //      snapshot replays the measured phase byte-identically to a cold
 //      start, for every evaluated queue;
-//   2. truncated / corrupted / stale-version / foreign-key blobs are
-//      rejected by decode.
+//   2. truncated / corrupted / stale-version / foreign-key blobs, and line
+//      tables with slots no FlatMap can hold, are rejected by decode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -125,6 +126,30 @@ std::vector<std::uint8_t> make_valid_blob(std::uint64_t key) {
   });
 }
 
+// Rewrite the trailing FNV-1a checksum over the edited body, so an edit
+// reaches the version check and the section decoders instead of failing
+// the checksum.
+void reseal(std::vector<std::uint8_t>& blob) {
+  const std::size_t body = blob.size() - 8;
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < body; ++i) {
+    h ^= blob[i];
+    h *= 1099511628211ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    blob[body + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(h >> (8 * i));
+  }
+}
+
+bool decodes(const std::vector<std::uint8_t>& blob) {
+  sim::MachineSnapshot snap;
+  std::vector<std::uint64_t> words;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = sim::decode_snapshot_blob(blob, kBlobKey, snap, words));
+  return ok;
+}
+
 TEST(SnapshotSerdeReject, TruncatedBlobs) {
   const std::vector<std::uint8_t> blob = make_valid_blob(kBlobKey);
   ASSERT_FALSE(blob.empty());
@@ -158,7 +183,8 @@ TEST(SnapshotSerdeReject, StaleSchemaVersion) {
   const std::vector<std::uint8_t> blob = make_valid_blob(kBlobKey);
   ASSERT_GE(blob.size(), 8u);
   // Bytes [4,8) hold the little-endian schema version; a blob from the
-  // previous schema (or a future one) must be refused rather than misread.
+  // previous schema (or a future one) must be refused rather than misread,
+  // even with a valid checksum.
   for (const std::uint32_t version :
        {sim::kSnapshotSchemaVersion - 1, sim::kSnapshotSchemaVersion + 1}) {
     SCOPED_TRACE("version " + std::to_string(version));
@@ -167,10 +193,64 @@ TEST(SnapshotSerdeReject, StaleSchemaVersion) {
       bad[4 + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(version >> (8 * i));
     }
-    sim::MachineSnapshot snap;
-    std::vector<std::uint64_t> words;
-    EXPECT_FALSE(sim::decode_snapshot_blob(bad, kBlobKey, snap, words));
+    reseal(bad);
+    EXPECT_FALSE(decodes(bad));
   }
+}
+
+// A line table slot is one state byte (0 empty, 1 full), then, when full,
+// its key and value. Mark one core line's value so the test can find its
+// slot: state byte, u64 key, u8 line state, u64 value.
+TEST(SnapshotSerdeReject, LineTableSlotsNoFlatMapHolds) {
+  constexpr std::uint64_t kMarker = 0x6d61726b65724c4eULL;
+  sim::MachineConfig mcfg;
+  mcfg.cores = 3;
+  const WorkloadSpec spec = consumer_only_spec(5);
+  sim::Machine m(mcfg);
+  const std::vector<std::uint8_t> blob =
+      with_queue(QueueKind::kSbqHtm, m, spec, [&](auto& q, int) {
+        prefill_spec(m, q, spec);
+        std::vector<std::uint64_t> words;
+        q.save_host_state(words);
+        sim::MachineSnapshot snap = m.snapshot();
+        bool marked = false;
+        for (sim::Core::State& c : snap.cores) {
+          if (c.lines.empty()) continue;
+          c.lines.begin()->second.value = kMarker;
+          marked = true;
+          break;
+        }
+        EXPECT_TRUE(marked) << "no core holds a line";
+        return sim::encode_snapshot_blob(snap, words, kBlobKey);
+      });
+  std::vector<std::uint8_t> needle(8);
+  for (int i = 0; i < 8; ++i) {
+    needle[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(kMarker >> (8 * i));
+  }
+  const auto at = std::search(blob.begin(), blob.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, blob.end());
+  ASSERT_EQ(std::search(at + 1, blob.end(), needle.begin(), needle.end()),
+            blob.end());
+  const auto value_pos = static_cast<std::size_t>(at - blob.begin());
+  ASSERT_GE(value_pos, 10u);
+  const std::size_t state_pos = value_pos - 10;
+  const std::size_t key_pos = value_pos - 9;
+  ASSERT_EQ(blob[state_pos], 1u);
+  EXPECT_TRUE(decodes(blob));
+
+  // State byte 2 was the tombstone of schema 7; no slot carries it now.
+  std::vector<std::uint8_t> tomb = blob;
+  tomb[state_pos] = 2;
+  reseal(tomb);
+  EXPECT_FALSE(decodes(tomb));
+
+  // Key 0 marks an empty slot, so a full slot cannot hold it.
+  std::vector<std::uint8_t> null_key = blob;
+  std::fill_n(null_key.begin() + static_cast<std::ptrdiff_t>(key_pos), 8, 0);
+  reseal(null_key);
+  EXPECT_FALSE(decodes(null_key));
 }
 
 TEST(SnapshotSerdeReject, ForeignKey) {
