@@ -114,8 +114,7 @@ inline sim::FaultPlan fault_plan(double rate, std::uint64_t seed,
 // The machine every simulated-queue driver runs: `cores` split across
 // `sockets`, with the shared options applied in one place:
 //   --fault-rate/--fault-seed/--fault-jitter  the fault plan (fault_plan);
-//   --dir-slices/--sockets  the machine shape. Slices are capped at the
-//       core count;
+//   --sockets  the machine's socket count;
 //   --cas-policy/--policy-seed  the TxCAS contention policy
 //       (common/contention.hpp). An unknown name throws: sweeps must not
 //       silently fall back to fixed.
@@ -128,9 +127,6 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
   mcfg.sockets = opts.sockets > 0 ? opts.sockets : sockets;
   mcfg.fault_plan =
       fault_plan(opts.fault_rate, opts.fault_seed, opts.fault_jitter);
-  if (opts.dir_slices > 0) {
-    mcfg.dir_slices = std::min(opts.dir_slices, mcfg.cores);
-  }
   if (!opts.cas_policy.empty()) {
     if (!contention_policy_from_name(opts.cas_policy.c_str(),
                                      mcfg.cas_policy.kind)) {

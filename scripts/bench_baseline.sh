@@ -105,9 +105,9 @@ SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
                 "--repeats", "2", "--jobs", "1"]
 
 # The largest machine any driver builds: one fig5-style row at 512
-# simulated cores (2 sockets x 256, 4 directory slices).
+# simulated cores (2 sockets x 256).
 FIG5_512C_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
-                  "--dir-slices", "4", "--repeats", "1", "--jobs", "1"]
+                  "--repeats", "1", "--jobs", "1"]
 
 # Contention-policy leg: the delay-sweep ablation's opt-in policy
 # dimension, adaptive-backoff vs the fixed default at the paper's optimal
@@ -179,7 +179,8 @@ if before_path:
     report["before"] = before
     for leg in ("fig5_512c", "policy_sweep", "service_latency"):
         old = before.get(leg)
-        if old and "best_s" in old:
+        # A leg whose arguments changed times a different run.
+        if old and "best_s" in old and old.get("args") == report[leg]["args"]:
             report[leg]["speedup_vs_before"] = round(
                 old["best_s"] / report[leg]["best_s"], 2)
 

@@ -156,11 +156,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.fault_seed = std::strtoull(next_value(), nullptr, 10);
     } else if (std::strcmp(a, "--fault-jitter") == 0) {
       opts.fault_jitter = std::strtoull(next_value(), nullptr, 10);
-    } else if (std::strcmp(a, "--dir-slices") == 0) {
-      opts.dir_slices = static_cast<int>(std::strtol(next_value(), nullptr, 10));
-      if (opts.dir_slices < 0) {
-        throw std::invalid_argument("--dir-slices needs a non-negative count");
-      }
     } else if (std::strcmp(a, "--sockets") == 0) {
       opts.sockets = static_cast<int>(std::strtol(next_value(), nullptr, 10));
       if (opts.sockets < 0) {

@@ -74,9 +74,7 @@ struct BenchOptions {
   unsigned long long fault_seed = 1;
   unsigned long long fault_jitter = 0;
   // Machine shape (sim drivers only):
-  //   --dir-slices N       directory slices (0 = the default, one slice).
   //   --sockets N          override the driver's socket count.
-  int dir_slices = 0;
   int sockets = 0;
   //   --from-snapshot  sim_microbench only: run the measured phases on a
   //                    machine forked from a serialize/deserialize

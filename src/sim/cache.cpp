@@ -182,7 +182,7 @@ void Core::answer_fwd_gets(const Message& msg) {
   if (first_downgrade) {
     if (metrics_) metrics_->on_wb(id_);
     Message wb{MsgType::kWbData, a, id_, id_, line.value, 0};
-    net_.send(id_, dir_node(a), wb);
+    net_.send(id_, dir_, wb);
   }
 }
 

@@ -141,7 +141,7 @@ void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
   req_addr_ = a;
   req_live_ = true;
   Message req{want_m ? MsgType::kGetM : MsgType::kGetS, a, id_, id_, 0, 0};
-  net_.send(id_, dir_node(a), req);
+  net_.send(id_, dir_, req);
 }
 
 void Core::finish_request(Addr a, Pending& p) {

@@ -90,13 +90,6 @@ class Core {
   const CoreStats& stats() const noexcept { return stats_; }
   // Metrics registry this core reports into (null when stats are off).
   Stats* metrics() const noexcept { return metrics_; }
-  // Home directory node for `a` (the single directory when dir_slices==1).
-  CoreId dir_node(Addr a) const noexcept {
-    return cfg_.dir_slices > 1
-               ? dir_ + static_cast<CoreId>(a %
-                                            static_cast<Addr>(cfg_.dir_slices))
-               : dir_;
-  }
 
   // Network entry point (registered with the interconnect).
   void handle(const Message& msg);

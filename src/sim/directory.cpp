@@ -7,9 +7,9 @@
 namespace sbq::sim {
 
 Directory::Directory(Engine& engine, Interconnect& net, const MachineConfig& cfg,
-                     Trace* trace, CoreId self)
+                     Trace* trace)
     : engine_(engine), net_(net), cfg_(cfg), trace_(trace),
-      self_(self >= 0 ? self : net.directory_id()) {}
+      self_(net.directory_id()) {}
 
 Value Directory::peek(Addr addr) const {
   auto it = lines_.find(addr);

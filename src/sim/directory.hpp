@@ -42,12 +42,9 @@ class Trace;
 
 class Directory {
  public:
-  // `self` is this directory's node id on the interconnect; -1 (the
-  // default) means net.directory_id(), i.e. the single-directory layout.
-  // A sliced machine constructs one Directory per slice with self =
-  // directory_id() + slice.
+  // The directory's interconnect node is net.directory_id().
   Directory(Engine& engine, Interconnect& net, const MachineConfig& cfg,
-            Trace* trace, CoreId self = -1);
+            Trace* trace);
 
   // Entry point registered with the interconnect.
   void handle(const Message& msg);

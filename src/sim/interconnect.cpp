@@ -25,8 +25,7 @@ const char* msg_type_name(MsgType t) noexcept {
 Interconnect::Interconnect(Engine& engine, const MachineConfig& cfg,
                            Trace* trace, DebugRing* debug_ring)
     : engine_(engine), cfg_(cfg), trace_(trace), debug_ring_(debug_ring),
-      nodes_(static_cast<std::size_t>(cfg.cores) +
-             static_cast<std::size_t>(cfg.dir_slices)) {
+      nodes_(static_cast<std::size_t>(cfg.cores) + 1) {
   if (cfg_.interconnect_model == InterconnectModel::kLink) {
     links_.resize(static_cast<std::size_t>(cfg_.sockets) *
                   static_cast<std::size_t>(cfg_.sockets));
@@ -42,19 +41,11 @@ Interconnect::Interconnect(Engine& engine, const MachineConfig& cfg,
     last_arrival_.assign(nodes_ * nodes_, 0);
   }
   // Node -> socket, once: cores fill the sockets in contiguous blocks, and
-  // directory slice s is homed on the socket of the first core it is
-  // co-located with (slice 0 => socket 0, matching the single-directory
-  // layout when dir_slices == 1).
+  // the directory sits on socket 0.
   const int per_socket = (cfg_.cores + cfg_.sockets - 1) / cfg_.sockets;
-  const int cores_per_slice =
-      (cfg_.cores + cfg_.dir_slices - 1) / cfg_.dir_slices;
-  socket_of_.resize(nodes_);
-  for (CoreId node = 0; node < static_cast<CoreId>(nodes_); ++node) {
-    const CoreId home =
-        node < cfg_.cores
-            ? node
-            : std::min((node - cfg_.cores) * cores_per_slice, cfg_.cores - 1);
-    socket_of_[static_cast<std::size_t>(node)] = home / per_socket;
+  socket_of_.assign(nodes_, 0);
+  for (CoreId core = 0; core < cfg_.cores; ++core) {
+    socket_of_[static_cast<std::size_t>(core)] = core / per_socket;
   }
 }
 

@@ -37,9 +37,8 @@ class DebugRing;
 
 class Interconnect {
  public:
-  // Node ids 0..cores-1 are cores; ids cores..cores+dir_slices-1 are the
-  // directory slices (slice 0, the whole directory/LLC by default, is
-  // homed on socket 0).
+  // Node ids 0..cores-1 are cores; id cores is the directory/LLC, homed
+  // on socket 0.
   // `debug_ring`, when non-null, records every send into a small
   // preallocated POD ring for post-mortem dumps (watchdog / invariant
   // checker) independent of the opt-in Trace.
@@ -48,7 +47,7 @@ class Interconnect {
 
   // Message sink: every delivery calls it with the destination node, at
   // the message's arrival time. Machine::deliver routes to the core or
-  // directory slice; tests install probes. Must be set before the first
+  // the directory; tests install probes. Must be set before the first
   // send.
   using SinkFn = void (*)(void* ctx, CoreId dst, const Message& msg);
   void set_sink(SinkFn fn, void* ctx) noexcept {
@@ -126,7 +125,7 @@ class Interconnect {
   void* sink_ctx_ = nullptr;
   SendObserverFn send_observer_ = nullptr;
   void* send_observer_ctx_ = nullptr;
-  std::size_t nodes_;           // cores + directory slices
+  std::size_t nodes_;           // cores + the directory
   std::vector<int> socket_of_;  // node id -> socket, built once
   std::vector<Link> links_;  // empty under kFlat
   std::uint64_t sent_ = 0;

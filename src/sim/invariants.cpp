@@ -112,14 +112,4 @@ std::string check_swmr_invariants(
   return violation;
 }
 
-std::string check_swmr_invariants(
-    const std::vector<std::unique_ptr<Directory>>& dirs,
-    const std::vector<std::unique_ptr<Core>>& cores) {
-  for (const auto& d : dirs) {
-    std::string v = check_swmr_invariants(*d, cores);
-    if (!v.empty()) return v;
-  }
-  return {};
-}
-
 }  // namespace sbq::sim

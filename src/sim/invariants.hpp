@@ -39,11 +39,4 @@ class Directory;
 std::string check_swmr_invariants(
     const Directory& dir, const std::vector<std::unique_ptr<Core>>& cores);
 
-// Multi-slice overload: each address is homed in exactly one directory
-// slice (home_slice(a) = a % dir_slices), so checking every slice's line
-// table against the full core set covers the whole address space.
-std::string check_swmr_invariants(
-    const std::vector<std::unique_ptr<Directory>>& dirs,
-    const std::vector<std::unique_ptr<Core>>& cores);
-
 }  // namespace sbq::sim

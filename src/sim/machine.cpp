@@ -13,25 +13,21 @@ namespace {
 MachineConfig normalized(MachineConfig cfg) {
   if (cfg.cores < 1) cfg.cores = 1;
   if (cfg.sockets < 1) cfg.sockets = 1;
-  if (cfg.dir_slices < 1) cfg.dir_slices = 1;
-  if (cfg.dir_slices > cfg.cores) cfg.dir_slices = cfg.cores;
   return cfg;
 }
 
 }  // namespace
 
 Machine::Machine(MachineConfig cfg)
-    : cfg_(normalized(cfg)), trace_(cfg_.record_trace, cfg_.trace_capacity) {
+    : cfg_(normalized(cfg)),
+      trace_(cfg_.record_trace, cfg_.trace_capacity),
+      net_(std::make_unique<Interconnect>(engine_, cfg_, &trace_,
+                                          &debug_ring_)),
+      dir_(engine_, *net_, cfg_, &trace_) {
   if (cfg_.collect_stats) {
     stats_ = std::make_unique<Stats>(cfg_.cores);
   }
-  net_ = std::make_unique<Interconnect>(engine_, cfg_, &trace_, &debug_ring_);
   net_->set_sink(&Machine::deliver, this);
-  dirs_.reserve(static_cast<std::size_t>(cfg_.dir_slices));
-  for (int s = 0; s < cfg_.dir_slices; ++s) {
-    dirs_.push_back(std::make_unique<Directory>(
-        engine_, *net_, cfg_, &trace_, static_cast<CoreId>(cfg_.cores + s)));
-  }
   cores_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int i = 0; i < cfg_.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, engine_, *net_, cfg_, &trace_,
@@ -45,10 +41,7 @@ Machine::Machine(MachineConfig cfg)
 Machine::Machine(const MachineSnapshot& snap) : Machine(snap.cfg) {
   engine_.restore_checkpoint(snap.engine);
   net_->restore_state(snap.net);
-  assert(snap.directories.size() == dirs_.size());
-  for (std::size_t i = 0; i < dirs_.size(); ++i) {
-    dirs_[i]->restore_state(snap.directories[i]);
-  }
+  dir_.restore_state(snap.directory);
   assert(snap.cores.size() == cores_.size());
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     cores_[i]->restore_state(snap.cores[i]);
@@ -91,8 +84,7 @@ MachineSnapshot Machine::snapshot() const {
   snap.cfg = cfg_;
   snap.engine = engine_.save_checkpoint();
   snap.net = net_->save_state();
-  snap.directories.reserve(dirs_.size());
-  for (const auto& d : dirs_) snap.directories.push_back(d->save_state());
+  snap.directory = dir_.save_state();
   snap.cores.reserve(cores_.size());
   for (const auto& c : cores_) snap.cores.push_back(c->save_state());
   snap.trace = trace_;
@@ -150,7 +142,7 @@ void Machine::deliver(void* ctx, CoreId dst, const Message& msg) {
   if (dst < m.cfg_.cores) {
     m.cores_[static_cast<std::size_t>(dst)]->handle(msg);
   } else {
-    m.dirs_[static_cast<std::size_t>(dst - m.cfg_.cores)]->handle(msg);
+    m.dir_.handle(msg);
   }
   if (m.cfg_.check_invariants) m.check_invariants_now();
 }
@@ -222,7 +214,7 @@ bool Machine::run_until(Time limit) {
 }
 
 void Machine::check_invariants_now() {
-  std::string violation = check_swmr_invariants(dirs_, cores_);
+  std::string violation = check_swmr_invariants(dir_, cores_);
   if (violation.empty()) return;
   dump_debug_state(violation.c_str());
   throw std::logic_error("coherence invariant violated: " + violation);

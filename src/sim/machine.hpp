@@ -1,9 +1,7 @@
 // Machine: assembles engine + interconnect + directory + cores, provides a
 // word allocator for simulated data structures, and runs simulated-thread
-// coroutines to completion. One Engine drives every component. The
-// directory may be sliced (dir_slices > 1): home(addr) = addr % dir_slices
-// picks one of dir_slices independent directory instances, each its own
-// interconnect node.
+// coroutines to completion. One Engine drives every component, and one
+// directory homes every line.
 #pragma once
 
 #include <coroutine>
@@ -33,7 +31,7 @@ struct MachineSnapshot {
   MachineConfig cfg;
   Engine::Checkpoint engine;
   Interconnect::State net;
-  std::vector<Directory::State> directories;  // one per dir slice
+  Directory::State directory;
   std::vector<Core::State> cores;
   Trace trace;
   std::optional<Stats> stats;
@@ -84,14 +82,9 @@ class Machine {
   // plus engine/interconnect totals — what sweep cells put into
   // BENCH_*.json. Callable at any point; counters are cumulative.
   MetricsSnapshot metrics() const;
-  // Directory slice 0 — the whole directory when dir_slices == 1 (the
-  // default). Sliced configs address lines via poke()/peek() instead.
-  Directory& directory() noexcept { return *dirs_[0]; }
-  // Home-routed simulated-memory access: addr % dir_slices picks the slice.
-  Directory& home(Addr a) noexcept { return *dirs_[home_slice(a)]; }
-  void poke(Addr a, Value v) { home(a).poke(a, v); }
-  Value peek(Addr a) noexcept { return home(a).peek(a); }
-  int dir_slice_count() const noexcept { return static_cast<int>(dirs_.size()); }
+  Directory& directory() noexcept { return dir_; }
+  void poke(Addr a, Value v) { dir_.poke(a, v); }
+  Value peek(Addr a) noexcept { return dir_.peek(a); }
   Interconnect& interconnect() noexcept { return *net_; }
   Core& core(int i) { return *cores_.at(static_cast<std::size_t>(i)); }
   int core_count() const noexcept { return cfg_.cores; }
@@ -110,12 +103,12 @@ class Machine {
   // sim_microbench allocation gate would count against the steady state).
   void reserve_tasks(std::size_t n) { roots_.reserve(n); }
 
-  // Pre-size every directory slice's and every core's line table for `n`
+  // Pre-size the directory's and every core's line table for `n`
   // distinct lines. Bounded-address-range runs (the sim_microbench
   // zero-alloc gate) call this once at setup so no line-table rehash lands
   // mid-run.
   void reserve_lines(std::size_t n) {
-    for (auto& d : dirs_) d->reserve_lines(n);
+    dir_.reserve_lines(n);
     for (auto& c : cores_) c->reserve_lines(n);
   }
 
@@ -141,14 +134,8 @@ class Machine {
   const DebugRing& debug_ring() const noexcept { return debug_ring_; }
 
  private:
-  int home_slice(Addr a) const noexcept {
-    return cfg_.dir_slices > 1
-               ? static_cast<int>(a % static_cast<Addr>(cfg_.dir_slices))
-               : 0;
-  }
-
   // The interconnect's message sink: node ids below cores are cores, the
-  // rest are directory slices. Runs the invariant checker after each
+  // last one is the directory. Runs the invariant checker after each
   // delivery when cfg_.check_invariants.
   static void deliver(void* ctx, CoreId dst, const Message& msg);
   // First-run setup: resume the spawned roots and schedule the fault
@@ -167,7 +154,7 @@ class Machine {
   DebugRing debug_ring_;
   std::unique_ptr<Stats> stats_;
   std::unique_ptr<Interconnect> net_;
-  std::vector<std::unique_ptr<Directory>> dirs_;  // one per dir slice
+  Directory dir_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::coroutine_handle<Task<void>::promise_type>> roots_;
   std::size_t spawned_ = 0;

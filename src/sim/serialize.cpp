@@ -313,7 +313,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
     w.u8(static_cast<std::uint8_t>(shot.kind));
   }
   w.b(cfg.check_invariants);
-  w.u64(static_cast<std::uint64_t>(cfg.dir_slices));
   // Contention policy: part of the canonical config bytes, so the policy
   // kind and every tuning knob key machine_config_digest automatically.
   w.u8(static_cast<std::uint8_t>(cfg.cas_policy.kind));
@@ -356,7 +355,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
     if (kind >= kFaultKindCount) return false;
     shot.kind = static_cast<FaultKind>(kind);
   }
-  if (!(r.b(cfg.check_invariants) && r.i(cfg.dir_slices))) return false;
+  if (!r.b(cfg.check_invariants)) return false;
   std::uint8_t policy_kind;
   if (!r.u8(policy_kind)) return false;
   // Unknown policy kinds are rejected, not misread: a blob from a future
@@ -546,8 +545,7 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   encode_net(w, snap.net);
 
   w.u8(kTagDirs);
-  w.u64(snap.directories.size());
-  for (const Directory::State& d : snap.directories) encode_dir_line(w, d);
+  encode_dir_line(w, snap.directory);
 
   w.u8(kTagCores);
   w.u64(snap.cores.size());
@@ -593,7 +591,7 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   if (stored_key != key) return false;
 
   if (!r.tag(kTagConfig) || !decode_config(r, snap.cfg)) return false;
-  if (snap.cfg.cores < 1 || snap.cfg.dir_slices < 1) return false;
+  if (snap.cfg.cores < 1) return false;
 
   if (!r.tag(kTagEngine)) return false;
   if (!(r.u64(snap.engine.now) && r.u64(snap.engine.next_seq) &&
@@ -605,15 +603,9 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
 
   if (!r.tag(kTagNet) || !decode_net(r, snap.net)) return false;
 
-  std::uint64_t n;
-  if (!r.tag(kTagDirs) || !r.u64(n)) return false;
-  if (n != static_cast<std::uint64_t>(snap.cfg.dir_slices)) return false;
-  snap.directories.clear();
-  snap.directories.resize(static_cast<std::size_t>(n));
-  for (Directory::State& d : snap.directories) {
-    if (!decode_dir_line(r, d)) return false;
-  }
+  if (!r.tag(kTagDirs) || !decode_dir_line(r, snap.directory)) return false;
 
+  std::uint64_t n;
   if (!r.tag(kTagCores) || !r.u64(n)) return false;
   if (n != static_cast<std::uint64_t>(snap.cfg.cores)) return false;
   snap.cores.clear();

@@ -126,11 +126,6 @@ struct MachineConfig {
   // ring to stderr and throws std::logic_error instead of silently
   // simulating on corrupt state.
   bool check_invariants = false;
-  // Directory slicing: the directory is split into `dir_slices`
-  // independent slices, each its own interconnect node; a line with
-  // address A is homed on slice A % dir_slices. The default (1) keeps
-  // every golden byte-identical.
-  int dir_slices = 1;
   // TxCAS contention policy (common/contention.hpp): fixed (default,
   // byte-identical goldens) or adaptive-backoff.
   // Machine-wide so it participates in machine_config_digest and thus in

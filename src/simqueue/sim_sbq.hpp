@@ -67,8 +67,8 @@ class SimSbq {
     assert(cfg_.enqueuers <= basket_cap_);
     queue_ = m.alloc(2 + static_cast<Addr>(cfg.enqueuers + cfg.dequeuers));
     const Addr sentinel = alloc_node_raw();
-    // Initial state set directly in the LLC (home-routed when the directory
-    // is sliced): the queue is constructed before the simulation starts.
+    // Initial state set directly in the LLC: the queue is constructed
+    // before the simulation starts.
     // Sentinel has index 0 and next NULL.
     m.poke(head_addr(), sentinel);
     m.poke(tail_addr(), sentinel);

@@ -99,10 +99,12 @@ TEST(BenchOptions, UnknownFlagThrows) {
     EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
   }
   // Removed flags (the commit-decay knob, the sharded machine's worker
-  // count) are unknown options, not flags that swallow their value.
+  // count, directory slicing) are unknown options, not flags that swallow
+  // their value.
   for (const auto& [flag, value] :
        {std::pair<const char*, const char*>{"--policy-decay", "half-life"},
-        {"--machine-threads", "2"}}) {
+        {"--machine-threads", "2"},
+        {"--dir-slices", "4"}}) {
     SCOPED_TRACE(flag);
     char prog[] = "bench";
     std::string f = flag, v = value;

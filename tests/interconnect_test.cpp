@@ -4,7 +4,6 @@
 // whole kFlat model) is unaffected.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -181,41 +180,32 @@ TEST(InterconnectLink, SaveRestoreRoundTripsBusyHorizon) {
 }
 
 // The node -> socket table built at construction against the closed-form
-// layout: cores fill sockets in blocks of ceil(cores / sockets), and
-// directory slice s sits on the socket of core min(s * ceil(cores /
-// slices), cores - 1).
+// layout: cores fill sockets in blocks of ceil(cores / sockets), and the
+// directory sits on socket 0.
 int closed_form_socket(const MachineConfig& cfg, CoreId node) {
   const int per_socket = (cfg.cores + cfg.sockets - 1) / cfg.sockets;
-  if (node < cfg.cores) return node / per_socket;
-  const int slices = cfg.dir_slices > 1 ? cfg.dir_slices : 1;
-  const int per_slice = (cfg.cores + slices - 1) / slices;
-  return std::min((node - cfg.cores) * per_slice, cfg.cores - 1) / per_socket;
+  return node < cfg.cores ? node / per_socket : 0;
 }
 
 TEST(InterconnectTopology, SocketTableMatchesClosedForm) {
   for (const int cores : {4, 44, 512}) {
     for (const int sockets : {1, 2}) {
-      for (const int dir_slices : {1, 4}) {
-        MachineConfig cfg;
-        cfg.cores = cores;
-        cfg.sockets = sockets;
-        cfg.dir_slices = dir_slices;
-        Engine e;
-        Interconnect net(e, cfg, nullptr);
-        const CoreId nodes = cores + dir_slices;
-        const std::vector<CoreId> probes = {0, cores / 2, cores - 1,
-                                            net.directory_id(), nodes - 1};
-        for (CoreId node = 0; node < nodes; ++node) {
-          SCOPED_TRACE(::testing::Message()
-                       << "cores=" << cores << " sockets=" << sockets
-                       << " dir_slices=" << dir_slices << " node=" << node);
-          ASSERT_EQ(net.socket_of(node), closed_form_socket(cfg, node));
-          for (const CoreId other : probes) {
-            const bool same = closed_form_socket(cfg, node) ==
-                              closed_form_socket(cfg, other);
-            ASSERT_EQ(net.latency(node, other),
-                      same ? cfg.intra_latency : cfg.inter_latency);
-          }
+      MachineConfig cfg;
+      cfg.cores = cores;
+      cfg.sockets = sockets;
+      Engine e;
+      Interconnect net(e, cfg, nullptr);
+      const std::vector<CoreId> probes = {0, cores / 2, cores - 1,
+                                          net.directory_id()};
+      for (CoreId node = 0; node <= net.directory_id(); ++node) {
+        SCOPED_TRACE(::testing::Message() << "cores=" << cores << " sockets="
+                                          << sockets << " node=" << node);
+        ASSERT_EQ(net.socket_of(node), closed_form_socket(cfg, node));
+        for (const CoreId other : probes) {
+          const bool same = closed_form_socket(cfg, node) ==
+                            closed_form_socket(cfg, other);
+          ASSERT_EQ(net.latency(node, other),
+                    same ? cfg.intra_latency : cfg.inter_latency);
         }
       }
     }

@@ -167,15 +167,9 @@ TEST(SimMachineConfig, FaultFlagsLandInTheFaultPlan) {
 }
 
 TEST(SimMachineConfig, MachineFlagsLandInTheConfig) {
-  // Slices are capped at cores.
-  const sim::MachineConfig sliced =
-      sim_machine_config(parse_flags({"--dir-slices", "8"}), 4);
-  EXPECT_EQ(sliced.dir_slices, 4);
-
   const sim::MachineConfig sockets =
       sim_machine_config(parse_flags({"--sockets", "2"}), 4, /*sockets=*/1);
   EXPECT_EQ(sockets.sockets, 2);
-  EXPECT_EQ(sockets.dir_slices, 1);
 }
 
 TEST(SimMachineConfig, CasPolicyLandsInTheConfig) {
