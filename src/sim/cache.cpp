@@ -65,12 +65,12 @@ void Core::on_inv(const Message& msg) {
   // This is the concurrent-abort path of Figure 2b: every transactional
   // reader of the line receives its Inv back-to-back and aborts without
   // any serialization.
-  auto lit = lines_.find(a);
-  if (lit != lines_.end() && (lit->second.state == LineState::kShared ||
-                              lit->second.state == LineState::kOwned)) {
+  LineRecord* line = lines_.find(a);
+  if (line != nullptr && (line->cores.get(id_) == LineState::kShared ||
+                          line->cores.get(id_) == LineState::kOwned)) {
     // An Owned copy can be invalidated too: after its write-back landed the
     // directory treats the ex-owner as an ordinary sharer.
-    lit->second.state = LineState::kInvalid;
+    line->cores.set(id_, LineState::kInvalid);
   }
   maybe_txn_conflict_on_loss(a, /*losing_all_permissions=*/true);
   Message ack{MsgType::kInvAck, a, id_, msg.requester, 0, 0};
@@ -81,9 +81,7 @@ void Core::on_inv(const Message& msg) {
 // response has not arrived — i.e. the incoming forward belongs to a request
 // ordered before ours and must be served right away.
 bool Core::fwd_predates_pending_request(Addr a, const Pending& p) const {
-  if (p.got_data) return false;
-  auto it = lines_.find(a);
-  return it != lines_.end() && it->second.state == LineState::kOwned;
+  return !p.got_data && line_state(a) == LineState::kOwned;
 }
 
 void Core::on_fwd_gets(const Message& msg) {
@@ -161,8 +159,9 @@ void Core::stall_fwd(const Message& msg) {
 
 void Core::answer_fwd_gets(const Message& msg) {
   const Addr a = msg.addr;
-  Line& line = lines_.at(a);
-  assert(line.state == LineState::kModified || line.state == LineState::kOwned);
+  LineRecord& line = lines_.at(a);
+  const LineState held = line.cores.get(id_);
+  assert(held == LineState::kModified || held == LineState::kOwned);
   if (txn_.active && txn_.addr == a && txn_.in_write_phase &&
       pending(a) == nullptr) {
     // Rare hit-window case: transaction writing an already-owned line when
@@ -175,8 +174,8 @@ void Core::answer_fwd_gets(const Message& msg) {
   // flips the line to Shared and the LLC serves subsequent reads — the
   // MESIF-style behaviour of Intel parts (forwarding + inclusive LLC copy),
   // with no directory blocking.
-  const bool first_downgrade = line.state == LineState::kModified;
-  line.state = LineState::kOwned;
+  const bool first_downgrade = held == LineState::kModified;
+  line.cores.set(id_, LineState::kOwned);
   Message data{MsgType::kData, a, id_, msg.requester, line.value, 0};
   net_.send(id_, msg.requester, data);
   if (first_downgrade) {
@@ -188,10 +187,11 @@ void Core::answer_fwd_gets(const Message& msg) {
 
 void Core::answer_fwd_getm(const Message& msg) {
   const Addr a = msg.addr;
-  Line& line = lines_.at(a);
-  assert(line.state == LineState::kModified || line.state == LineState::kOwned);
+  LineRecord& line = lines_.at(a);
+  assert(line.cores.get(id_) == LineState::kModified ||
+         line.cores.get(id_) == LineState::kOwned);
   maybe_txn_conflict_on_loss(a, /*losing_all_permissions=*/true);
-  line.state = LineState::kInvalid;
+  line.cores.set(id_, LineState::kInvalid);
   // The Fwd-GetM carries the invalidation-ack count the new owner expects
   // (non-zero when the directory invalidated sharers of an Owned line).
   Message data{MsgType::kData, a, id_, msg.requester, line.value,

@@ -19,10 +19,10 @@ std::uint32_t rate_to_threshold(double rate) noexcept {
 }
 }  // namespace
 
-Core::Core(CoreId id, Engine& engine, Interconnect& net,
+Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
            const MachineConfig& cfg, Trace* trace, Stats* metrics)
     : id_(id), engine_(engine), net_(net), cfg_(cfg), trace_(trace),
-      metrics_(metrics), dir_(net.directory_id()) {
+      metrics_(metrics), dir_(net.directory_id()), lines_(lines) {
   const FaultPlan& plan = cfg_.fault_plan;
   if (plan.rates_active()) {
     // Per-core stream: decorrelate cores by mixing the id into the seed.
@@ -53,20 +53,14 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net,
   answering_.reserve(cores);
 }
 
-Core::LineState Core::line_state(Addr a) const {
-  auto it = lines_.find(a);
-  return it == lines_.end() ? LineState::kInvalid : it->second.state;
-}
-
 Core::State Core::save_state() const {
   assert(quiescent() && "cannot snapshot a core with in-flight state");
-  return State{lines_, stats_, delay_jitter_state_, fault_rng_state_,
+  return State{stats_, delay_jitter_state_, fault_rng_state_,
                txcas_op_.policy_state};
 }
 
 void Core::restore_state(const State& s) {
   assert(quiescent() && "cannot restore onto a core with in-flight state");
-  lines_ = s.lines;
   stats_ = s.stats;
   delay_jitter_state_ = s.delay_jitter_state;
   fault_rng_state_ = s.fault_rng_state;
@@ -115,17 +109,17 @@ void Core::acquire(Addr a, bool want_m, Cont cont, std::uint64_t token) {
     waiters_.push_back({a, want_m, cont, token});
     return;
   }
-  auto it = lines_.find(a);
-  if (it != lines_.end() &&
-      (it->second.state == LineState::kModified ||
-       (!want_m && it->second.state != LineState::kInvalid))) {
-    resume(cont, token, a, it->second, /*was_miss=*/false);
-    return;
+  if (LineRecord* line = lines_.find(a)) {
+    const LineState s = line->cores.get(id_);
+    if (s == LineState::kModified || (!want_m && s != LineState::kInvalid)) {
+      resume(cont, token, a, *line, /*was_miss=*/false);
+      return;
+    }
   }
   issue_request(a, want_m, cont, token);
 }
 
-void Core::resume(Cont cont, std::uint64_t token, Addr a, Line& line,
+void Core::resume(Cont cont, std::uint64_t token, Addr a, LineRecord& line,
                   bool was_miss) {
   switch (cont) {
     case Cont::kAccess: access(line, was_miss); return;
@@ -145,13 +139,20 @@ void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
 }
 
 void Core::finish_request(Addr a, Pending& p) {
-  Line& line = lines_[a];
+  // The directory made the record when it processed our request.
+  LineRecord& line = lines_.at(a);
   // Owned-to-Modified upgrade: our copy is the authoritative one; the
   // directory's response only carried the ack count (its value is stale).
   const bool keep_own_value =
-      p.want_m && line.state == LineState::kOwned;
-  line.state = p.want_m ? LineState::kModified : LineState::kShared;
-  if (!keep_own_value) line.value = p.data;
+      p.want_m && line.cores.get(id_) == LineState::kOwned;
+  if (!keep_own_value) {
+    // The data equals every valid copy, so the line's one cached value
+    // serves them all (line_table.hpp).
+    assert((!line.cores.valid_except(id_) || line.value == p.data) &&
+           "installed data differs from another core's valid copy");
+    line.value = p.data;
+  }
+  line.cores.set(id_, p.want_m ? LineState::kModified : LineState::kShared);
   p.locked = true;  // forwards stay stalled until the op releases the line
   if (trace_ && trace_->enabled()) {
     trace_->record(engine_.now(), id_,
@@ -174,8 +175,7 @@ void Core::release_request(Addr a) {
     // An Inv raced with our GetS: the load observed the data once; the line
     // is invalid from now on and the invalidating writer gets its ack.
     const CoreId inv_req = req_.deferred_inv_requester;
-    Line& line = lines_[a];
-    line.state = LineState::kInvalid;
+    lines_.at(a).cores.set(id_, LineState::kInvalid);
     maybe_txn_conflict_on_loss(a, true);
     Message ack{MsgType::kInvAck, a, id_, inv_req, 0, 0};
     net_.send(id_, inv_req, ack);
@@ -206,7 +206,7 @@ void Core::run_waiters(Addr a) {
 // once its line is held, completing hit_latency (rmw_latency) later.
 // ---------------------------------------------------------------------------
 
-void Core::access(Line& line, bool was_miss) {
+void Core::access(LineRecord& line, bool was_miss) {
   op_.was_miss = was_miss;
   Time latency = cfg_.hit_latency;
   switch (op_.kind) {
@@ -291,11 +291,11 @@ void Core::poll_step() {
   const bool can_park =
       poll_.gap < std::min(cfg_.intra_latency, cfg_.inter_latency);
   if (can_park && pending(a) == nullptr) {
-    auto it = lines_.find(a);
-    if (it != lines_.end() && it->second.state != LineState::kInvalid) {
+    const LineRecord* line = lines_.find(a);
+    if (line != nullptr && line->cores.get(id_) != LineState::kInvalid) {
       // A hit, exactly as a plain load's: count it, read the value now.
       ++stats_.loads;
-      op_.result = it->second.value;
+      op_.result = line->value;
       if (op_.result < poll_.at_least) {
         poll_.parked = true;
         poll_.next = engine_.now() + cfg_.hit_latency + poll_.gap;

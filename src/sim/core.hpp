@@ -42,9 +42,9 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/inline_vec.hpp"
 #include "sim/interconnect.hpp"
+#include "sim/line_table.hpp"
 #include "sim/message.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -79,8 +79,9 @@ struct CoreStats {
 
 class Core {
  public:
-  Core(CoreId id, Engine& engine, Interconnect& net, const MachineConfig& cfg,
-       Trace* trace, Stats* metrics = nullptr);
+  // The core's cached copies live in `lines`, the machine's line table.
+  Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
+       const MachineConfig& cfg, Trace* trace, Stats* metrics = nullptr);
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -189,13 +190,9 @@ class Core {
     return {this, a, at_least, gap};
   }
 
-  // Pre-size the private-cache line table for `n` distinct lines.
-  // Setup-time allocation; see Machine::reserve_lines.
-  void reserve_lines(std::size_t n) { lines_.reserve(n); }
-
   // Test/bench introspection.
-  enum class LineState : std::uint8_t { kInvalid, kShared, kModified, kOwned };
-  LineState line_state(Addr a) const;
+  using LineState = sim::LineState;
+  LineState line_state(Addr a) const { return lines_.core_state(a, id_); }
   bool has_pending(Addr a) const { return pending(a) != nullptr; }
   // A parked poll_until: the line it waits on and the plain loop's next
   // poll instant (for debug dumps and tests).
@@ -203,18 +200,11 @@ class Core {
   Addr poll_addr() const noexcept { return op_.addr; }
   Time poll_next() const noexcept { return poll_.next; }
 
- private:
-  struct Line {
-    LineState state = LineState::kInvalid;
-    Value value = 0;
-  };
-
- public:
   // True when the core holds no in-flight protocol or transaction state:
   // no pending request, no parked re-acquire, no active TxCAS, no
   // poll_until (parked or not). Only a quiescent core can be snapshotted —
-  // everything else (cache lines, stats, the delay-jitter PRNG) is plain
-  // value state.
+  // everything else (stats, the delay-jitter PRNG) is plain value state,
+  // and its cached copies are the machine's line table.
   bool quiescent() const noexcept {
     return !req_live_ && waiters_.empty() && !txn_.active && !poll_.active;
   }
@@ -223,7 +213,6 @@ class Core {
   // quiescent(). The jitter PRNG is included because think()-delay jitter
   // draws from it in program order.
   struct State {
-    FlatMap<Line> lines;
     CoreStats stats;
     std::uint64_t delay_jitter_state = 0;
     // Rate-based fault-injection PRNG (draws once per transactional
@@ -301,7 +290,7 @@ class Core {
   // Ensure the line is present with the needed permission, then run `cont`
   // (synchronously within the completing event).
   void acquire(Addr a, bool want_m, Cont cont, std::uint64_t token);
-  void resume(Cont cont, std::uint64_t token, Addr a, Line& line,
+  void resume(Cont cont, std::uint64_t token, Addr a, LineRecord& line,
               bool was_miss);
   void issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token);
   // The in-flight request on `a`, or null.
@@ -316,7 +305,7 @@ class Core {
   void release_request(Addr a);      // op done: answer stalls, wake waiters
   void run_waiters(Addr a);
   // The record's access on its acquired line, then its completion event.
-  void access(Line& line, bool was_miss);
+  void access(LineRecord& line, bool was_miss);
   void complete_access();
 
   // -- txcas state machine (core.cpp) --
@@ -398,7 +387,7 @@ class Core {
   Stats* metrics_;  // machine-wide registry; may be null
   CoreId dir_;
 
-  FlatMap<Line> lines_;
+  LineTable& lines_;     // shared with the directory and every core
   Pending req_;          // the one in-flight request, on req_addr_
   Addr req_addr_ = kNullAddr;
   bool req_live_ = false;

@@ -6,43 +6,45 @@
 
 namespace sbq::sim {
 
-Directory::Directory(Engine& engine, Interconnect& net, const MachineConfig& cfg,
-                     Trace* trace)
+Directory::Directory(Engine& engine, Interconnect& net, LineTable& lines,
+                     const MachineConfig& cfg, Trace* trace)
     : engine_(engine), net_(net), cfg_(cfg), trace_(trace),
-      self_(net.directory_id()) {}
+      self_(net.directory_id()), lines_(lines) {}
 
 Value Directory::peek(Addr addr) const {
-  auto it = lines_.find(addr);
-  return it == lines_.end() ? 0 : it->second.value;
+  const LineRecord* line = lines_.find(addr);
+  return line == nullptr ? 0 : line->llc;
 }
 
 void Directory::poke(Addr addr, Value value) {
-  Line& line = lines_[addr];
+  LineRecord& line = lines_[addr];
   assert(line.state == LineState::kInvalid || line.state == LineState::kShared);
-  line.value = value;
+  // A cached copy would keep the old value: the line's one cached value
+  // must stay equal to every valid copy.
+  assert(!line.cores.any_valid() && "poke of a line a core holds");
+  line.llc = value;
 }
 
 Directory::LineState Directory::line_state(Addr addr) const {
-  auto it = lines_.find(addr);
-  return it == lines_.end() ? LineState::kInvalid : it->second.state;
+  const LineRecord* line = lines_.find(addr);
+  return line == nullptr ? LineState::kInvalid : line->state;
 }
 
 CoreId Directory::line_owner(Addr addr) const {
-  auto it = lines_.find(addr);
-  return it == lines_.end() ? -1 : it->second.owner;
+  const LineRecord* line = lines_.find(addr);
+  return line == nullptr ? -1 : line->owner;
 }
 
 std::size_t Directory::sharer_count(Addr addr) const {
-  auto it = lines_.find(addr);
-  return it == lines_.end() ? 0 : it->second.sharers.size();
+  const LineRecord* line = lines_.find(addr);
+  return line == nullptr ? 0 : line->sharers.size();
 }
 
 Directory::State Directory::save_state() const {
-  return State{lines_, busy_until_, stats_};
+  return State{busy_until_, stats_};
 }
 
 void Directory::restore_state(const State& s) {
-  lines_ = s.lines;
   busy_until_ = s.busy_until;
   stats_ = s.stats;
 }
@@ -60,7 +62,7 @@ void Directory::handle(const Message& msg) {
 }
 
 void Directory::process(const Message& msg) {
-  Line& line = lines_[msg.addr];
+  LineRecord& line = lines_[msg.addr];
   switch (msg.type) {
     case MsgType::kGetS:
       ++stats_.gets;
@@ -77,7 +79,7 @@ void Directory::process(const Message& msg) {
       // write-back is stale and dropped.
       if (line.state == LineState::kOwned && line.owner == msg.src) {
         ++stats_.wb_accepted;
-        line.value = msg.value;
+        line.llc = msg.value;
         line.sharers.insert(line.owner);
         line.owner = -1;
         line.state = LineState::kShared;
@@ -90,14 +92,14 @@ void Directory::process(const Message& msg) {
   }
 }
 
-void Directory::process_gets(Line& line, const Message& msg) {
+void Directory::process_gets(LineRecord& line, const Message& msg) {
   const CoreId req = msg.requester;
   switch (line.state) {
     case LineState::kInvalid:
     case LineState::kShared: {
       line.state = LineState::kShared;
       line.sharers.insert(req);
-      Message data{MsgType::kData, msg.addr, self_, req, line.value, 0};
+      Message data{MsgType::kData, msg.addr, self_, req, line.llc, 0};
       net_.send(self_, req, data);
       return;
     }
@@ -116,7 +118,7 @@ void Directory::process_gets(Line& line, const Message& msg) {
   }
 }
 
-int Directory::invalidate_sharers(Line& line, Addr addr, CoreId req) {
+int Directory::invalidate_sharers(LineRecord& line, Addr addr, CoreId req) {
   int acks = 0;
   // Back-to-back Invs in ascending core-id order (the bitmask walk).
   for (CoreId sharer : line.sharers) {
@@ -130,13 +132,13 @@ int Directory::invalidate_sharers(Line& line, Addr addr, CoreId req) {
   return acks;
 }
 
-void Directory::process_getm(Line& line, const Message& msg) {
+void Directory::process_getm(LineRecord& line, const Message& msg) {
   const CoreId req = msg.requester;
   switch (line.state) {
     case LineState::kInvalid: {
       line.state = LineState::kModified;
       line.owner = req;
-      Message data{MsgType::kData, msg.addr, self_, req, line.value, 0};
+      Message data{MsgType::kData, msg.addr, self_, req, line.llc, 0};
       net_.send(self_, req, data);
       return;
     }
@@ -145,7 +147,7 @@ void Directory::process_getm(Line& line, const Message& msg) {
       // every other sharer, which ack directly to the requester. This is
       // the concurrent-abort shower of Figure 2b.
       const int acks = invalidate_sharers(line, msg.addr, req);
-      Message data{MsgType::kData, msg.addr, self_, req, line.value, acks};
+      Message data{MsgType::kData, msg.addr, self_, req, line.llc, acks};
       net_.send(self_, req, data);
       line.state = LineState::kModified;
       line.owner = req;

@@ -25,15 +25,17 @@
 //
 // Value ownership: the LLC value is authoritative in I and S; in M and O
 // the owner core holds the current value and all data flows through it.
+//
+// The directory keeps its per-line fields in the machine's line table
+// (line_table.hpp), in the same record as the cores' copies.
 #pragma once
 
 #include <cstdint>
 
 #include "sim/engine.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/interconnect.hpp"
+#include "sim/line_table.hpp"
 #include "sim/message.hpp"
-#include "sim/sharer_set.hpp"
 #include "sim/types.hpp"
 
 namespace sbq::sim {
@@ -42,22 +44,19 @@ class Trace;
 
 class Directory {
  public:
-  // The directory's interconnect node is net.directory_id().
-  Directory(Engine& engine, Interconnect& net, const MachineConfig& cfg,
-            Trace* trace);
+  // The directory's interconnect node is net.directory_id(); its lines
+  // are the records of `lines`.
+  Directory(Engine& engine, Interconnect& net, LineTable& lines,
+            const MachineConfig& cfg, Trace* trace);
 
   // Entry point registered with the interconnect.
   void handle(const Message& msg);
 
   // Backing-store access for machine setup/teardown and debugging. Note:
-  // valid only while the line is in I or S state.
+  // valid only while the line is in I or S state; poke requires that no
+  // core holds a valid copy.
   Value peek(Addr addr) const;
   void poke(Addr addr, Value value);
-
-  // Pre-size the line table for `n` distinct lines (setup-time allocation,
-  // so a bounded run's steady state never rehashes it — see
-  // Machine::reserve_lines).
-  void reserve_lines(std::size_t n) { lines_.reserve(n); }
 
   struct Stats {
     std::uint64_t gets = 0;
@@ -71,34 +70,14 @@ class Directory {
   const Stats& stats() const noexcept { return stats_; }
 
   // Test introspection.
-  enum class LineState : std::uint8_t { kInvalid, kShared, kModified, kOwned };
+  using LineState = sim::LineState;
   LineState line_state(Addr addr) const;
   CoreId line_owner(Addr addr) const;
   std::size_t sharer_count(Addr addr) const;
 
-  // Invariant-checker visitor: fn(addr, state, owner, sharers) for every
-  // tracked line. Read-only; `sharers` excludes the owner.
-  template <typename Fn>
-  void visit_lines(Fn&& fn) const {
-    for (const auto& [addr, line] : lines_) {
-      fn(addr, line.state, line.owner, line.sharers);
-    }
-  }
-
- private:
-  struct Line {
-    LineState state = LineState::kInvalid;
-    CoreId owner = -1;
-    SharerSet sharers;  // excludes the owner
-    Value value = 0;    // authoritative in I/S only
-  };
-
- public:
-  // Schedule-visible state for Machine::snapshot()/fork(): the line table
-  // (states, owners, sharer bitmasks, LLC values), the occupancy horizon,
-  // and the protocol counters.
+  // Schedule-visible state for Machine::snapshot()/fork() besides the line
+  // table: the occupancy horizon and the protocol counters.
   struct State {
-    FlatMap<Line> lines;
     Time busy_until = 0;
     Stats stats;
   };
@@ -107,10 +86,10 @@ class Directory {
 
  private:
   void process(const Message& msg);
-  void process_gets(Line& line, const Message& msg);
-  void process_getm(Line& line, const Message& msg);
+  void process_gets(LineRecord& line, const Message& msg);
+  void process_getm(LineRecord& line, const Message& msg);
   // Invalidate all sharers except `req`; returns the ack count.
-  int invalidate_sharers(Line& line, Addr addr, CoreId req);
+  int invalidate_sharers(LineRecord& line, Addr addr, CoreId req);
 
   Engine& engine_;
   Interconnect& net_;
@@ -118,7 +97,7 @@ class Directory {
   Trace* trace_;
   CoreId self_;
   Time busy_until_ = 0;
-  FlatMap<Line> lines_;
+  LineTable& lines_;
   Stats stats_;
 };
 

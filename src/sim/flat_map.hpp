@@ -1,9 +1,10 @@
 // FlatMap — insert-only open-addressing hash table keyed on Addr.
 //
-// The simulator's line tables (directory lines, core-side lines) key on
-// Addr and share one access pattern: a known set of lines (queue head/tail
-// words, node cells) hit millions of times, and an entry, once made, lives
-// as long as the machine (a lost line turns Invalid; nothing erases it).
+// The simulator's line table (line_table.hpp: one record per line, holding
+// the directory's fields and every core's copy) keys on Addr with one
+// access pattern: a known set of lines (queue head/tail words, node cells)
+// hit millions of times, and a record, once made, lives as long as the
+// machine (a lost copy turns Invalid; nothing erases a record).
 // std::unordered_map pays a node allocation per entry and a pointer chase
 // per lookup; FlatMap keeps entries in one contiguous slot array with
 // linear probing, so the hot lookup is typically one cache line.
@@ -18,11 +19,11 @@
 //  * Insert-only: no erase, so no tombstones. The table doubles when an
 //    insertion would fill more than 7/8 of it. Growth moves values: like
 //    unordered_map::rehash it invalidates references, so callers must not
-//    hold a mapped reference across an insertion (the simulator's call
-//    sites are audited for this; the flat_map unit test covers reference
-//    stability within a reserved capacity).
+//    hold a mapped reference across an insertion (only the directory
+//    inserts, and no record reference outlives a delivery; the flat_map
+//    unit test covers reference stability within a reserved capacity).
 //  * Iteration yields std::pair<Addr, V>& in slot order. Nothing on an
-//    output path iterates these tables, so slot order is not
+//    output path iterates the table, so slot order is not
 //    schedule-visible (asserted by the byte-identical driver check).
 #pragma once
 
@@ -115,8 +116,8 @@ class FlatMap {
   }
 
   // Pre-size so `n` entries fit without rehashing (like unordered_map::
-  // reserve). The sim_microbench zero-alloc gate pre-sizes the directory
-  // and core line tables for a run's whole address range this way.
+  // reserve). The sim_microbench zero-alloc gate pre-sizes the line table
+  // for a run's whole address range this way.
   void reserve(std::size_t n) {
     if ((n + 1) * 8 > slots_.size() * 7) grow(n + 1);
   }

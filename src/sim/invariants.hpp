@@ -23,6 +23,10 @@
 // (the directory clears its sharer set when it sends the Invs, before the
 // sharers drop their copies).
 //
+// Both views live in the line table's records (line_table.hpp): the
+// directory's fields and one 2-bit state per core, so a record can still
+// show two M holders.
+//
 // check_swmr_invariants returns an empty string when every invariant
 // holds, else a human-readable description of the first violation.
 #pragma once
@@ -34,9 +38,9 @@
 namespace sbq::sim {
 
 class Core;
-class Directory;
+class LineTable;
 
 std::string check_swmr_invariants(
-    const Directory& dir, const std::vector<std::unique_ptr<Core>>& cores);
+    const LineTable& lines, const std::vector<std::unique_ptr<Core>>& cores);
 
 }  // namespace sbq::sim

@@ -23,15 +23,15 @@ Machine::Machine(MachineConfig cfg)
       trace_(cfg_.record_trace, cfg_.trace_capacity),
       net_(std::make_unique<Interconnect>(engine_, cfg_, &trace_,
                                           &debug_ring_)),
-      dir_(engine_, *net_, cfg_, &trace_) {
+      dir_(engine_, *net_, lines_, cfg_, &trace_) {
   if (cfg_.collect_stats) {
     stats_ = std::make_unique<Stats>(cfg_.cores);
   }
   net_->set_sink(&Machine::deliver, this);
   cores_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int i = 0; i < cfg_.cores; ++i) {
-    cores_.push_back(std::make_unique<Core>(i, engine_, *net_, cfg_, &trace_,
-                                            stats_.get()));
+    cores_.push_back(std::make_unique<Core>(i, engine_, *net_, lines_, cfg_,
+                                            &trace_, stats_.get()));
   }
   if (cfg_.fault_plan.enabled) {
     one_shots_pending_ = cfg_.fault_plan.one_shots.size();
@@ -41,6 +41,7 @@ Machine::Machine(MachineConfig cfg)
 Machine::Machine(const MachineSnapshot& snap) : Machine(snap.cfg) {
   engine_.restore_checkpoint(snap.engine);
   net_->restore_state(snap.net);
+  lines_ = snap.lines;
   dir_.restore_state(snap.directory);
   assert(snap.cores.size() == cores_.size());
   for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -84,6 +85,7 @@ MachineSnapshot Machine::snapshot() const {
   snap.cfg = cfg_;
   snap.engine = engine_.save_checkpoint();
   snap.net = net_->save_state();
+  snap.lines = lines_;
   snap.directory = dir_.save_state();
   snap.cores.reserve(cores_.size());
   for (const auto& c : cores_) snap.cores.push_back(c->save_state());
@@ -214,7 +216,7 @@ bool Machine::run_until(Time limit) {
 }
 
 void Machine::check_invariants_now() {
-  std::string violation = check_swmr_invariants(dir_, cores_);
+  std::string violation = check_swmr_invariants(lines_, cores_);
   if (violation.empty()) return;
   dump_debug_state(violation.c_str());
   throw std::logic_error("coherence invariant violated: " + violation);

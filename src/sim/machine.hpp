@@ -1,7 +1,8 @@
 // Machine: assembles engine + interconnect + directory + cores, provides a
 // word allocator for simulated data structures, and runs simulated-thread
-// coroutines to completion. One Engine drives every component, and one
-// directory homes every line.
+// coroutines to completion. One Engine drives every component, one
+// directory homes every line, and one line table holds every line's
+// directory fields and cached copies (line_table.hpp).
 #pragma once
 
 #include <coroutine>
@@ -15,6 +16,7 @@
 #include "sim/directory.hpp"
 #include "sim/engine.hpp"
 #include "sim/interconnect.hpp"
+#include "sim/line_table.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
@@ -23,7 +25,8 @@ namespace sbq::sim {
 
 // Checkpoint of a quiescent machine (see Machine::snapshot): every piece of
 // schedule-visible state — clock/seq stream, interconnect link horizons,
-// directory lines, per-core caches, counters, trace ring, allocator cursor.
+// the line table (directory lines and cached copies), counters, trace ring,
+// allocator cursor.
 // A snapshot is a plain value: copyable, and safe to fork from concurrently
 // (fork only reads it), so one warmed prefill can seed every repeat of a
 // sweep cell across worker threads.
@@ -31,6 +34,7 @@ struct MachineSnapshot {
   MachineConfig cfg;
   Engine::Checkpoint engine;
   Interconnect::State net;
+  LineTable lines;
   Directory::State directory;
   std::vector<Core::State> cores;
   Trace trace;
@@ -103,14 +107,10 @@ class Machine {
   // sim_microbench allocation gate would count against the steady state).
   void reserve_tasks(std::size_t n) { roots_.reserve(n); }
 
-  // Pre-size the directory's and every core's line table for `n`
-  // distinct lines. Bounded-address-range runs (the sim_microbench
-  // zero-alloc gate) call this once at setup so no line-table rehash lands
-  // mid-run.
-  void reserve_lines(std::size_t n) {
-    dir_.reserve_lines(n);
-    for (auto& c : cores_) c->reserve_lines(n);
-  }
+  // Pre-size the line table for `n` distinct lines. Bounded-address-range
+  // runs (the sim_microbench zero-alloc gate) call this once at setup so
+  // no line-table rehash lands mid-run.
+  void reserve_lines(std::size_t n) { lines_.reserve(n); }
 
   // Run the event loop until every spawned task finishes and the queue
   // drains. Returns the final simulated time. If the queue drains with
@@ -154,6 +154,7 @@ class Machine {
   DebugRing debug_ring_;
   std::unique_ptr<Stats> stats_;
   std::unique_ptr<Interconnect> net_;
+  LineTable lines_;
   Directory dir_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::coroutine_handle<Task<void>::promise_type>> roots_;

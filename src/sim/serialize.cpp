@@ -17,7 +17,7 @@ enum Tag : std::uint8_t {
   kTagConfig = 1,
   kTagEngine = 2,
   kTagNet = 3,
-  kTagDirs = 4,
+  kTagLines = 4,  // the line table, then the directory's own state
   kTagCores = 5,
   kTagStats = 6,
   kTagCursors = 7,
@@ -111,13 +111,14 @@ bool plausible(const Reader& r, std::uint64_t count, std::size_t min_entry) {
 
 }  // namespace
 
-// Serialization backdoor: the one friend FlatMap / SharerSet / Stats grant,
-// so the encoder can persist their exact slot layout (FlatMap iteration
-// order is not schedule-visible, but slot indices feed probe chains — an
-// "equivalent" reinsertion could place keys differently and change nothing
-// observable *today* while silently diverging from the in-memory fork's
-// capacity profile; exact restore keeps the two paths bit-for-bit equal,
-// including the zero-alloc behavior the perf_smoke gates measure).
+// Serialization backdoor: the one friend FlatMap / LineTable / SharerSet /
+// CoreStates / Stats grant, so the encoder can persist their exact slot
+// layout (FlatMap iteration order is not schedule-visible, but slot
+// indices feed probe chains — an "equivalent" reinsertion could place keys
+// differently and change nothing observable *today* while silently
+// diverging from the in-memory fork's capacity profile; exact restore
+// keeps the two paths bit-for-bit equal, including the zero-alloc behavior
+// the perf_smoke gates measure).
 struct SnapshotSerde {
   // A line table is its capacity, then one byte per slot (0 empty, 1
   // full), each full slot followed by its key and value.
@@ -160,23 +161,57 @@ struct SnapshotSerde {
     return m.size_ * 8 <= cap * 7;
   }
 
-  static void encode_sharers(Writer& w, const SharerSet& s) {
-    w.u64(s.words_.size());
-    for (std::size_t i = 0; i < s.words_.size(); ++i) w.u64(s.words_[i]);
+  // A bit-set word array (a SharerSet's or a CoreStates'): its length,
+  // then the words. Decode refuses more words than `max_words`, the most
+  // a machine of the config's core count can store.
+  template <std::size_t N>
+  static void encode_words(Writer& w,
+                           const detail::SmallBuf<std::uint64_t, N>& b) {
+    w.u64(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) w.u64(b[i]);
   }
 
-  static bool decode_sharers(Reader& r, SharerSet& s) {
-    std::uint64_t nwords;
-    if (!r.u64(nwords)) return false;
-    if (!plausible(r, nwords, 8)) return false;
-    s.words_.assign(static_cast<std::size_t>(nwords), 0);
-    s.size_ = 0;
-    for (std::uint64_t i = 0; i < nwords; ++i) {
-      if (!r.u64(s.words_[static_cast<std::size_t>(i)])) return false;
-      s.size_ += static_cast<std::size_t>(
-          std::popcount(s.words_[static_cast<std::size_t>(i)]));
+  template <std::size_t N>
+  static bool decode_words(Reader& r, detail::SmallBuf<std::uint64_t, N>& b,
+                           std::uint64_t max_words) {
+    std::uint64_t n;
+    if (!r.u64(n) || n > max_words) return false;
+    b.assign(static_cast<std::size_t>(n), 0);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (!r.u64(b[i])) return false;
     }
     return true;
+  }
+
+  // A line record: the cached value first, then the cores' states, then
+  // the directory's fields.
+  static void encode_lines(Writer& w, const LineTable& t) {
+    encode_flat_map(w, t.map_, [](Writer& ww, const LineRecord& line) {
+      ww.u64(line.value);
+      encode_words(ww, line.cores.words_);
+      ww.u8(static_cast<std::uint8_t>(line.state));
+      ww.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(line.owner)));
+      encode_words(ww, line.sharers.words_);
+      ww.u64(line.llc);
+    });
+  }
+
+  static bool decode_lines(Reader& r, LineTable& t, int cores) {
+    const auto n = static_cast<std::uint64_t>(cores);
+    return decode_flat_map(r, t.map_, [n](Reader& rr, LineRecord& line) {
+      std::uint8_t state;
+      std::uint64_t owner;
+      if (!(rr.u64(line.value) &&
+            decode_words(rr, line.cores.words_, (n + 31) / 32) &&
+            rr.u8(state) && rr.u64(owner))) {
+        return false;
+      }
+      if (state > static_cast<std::uint8_t>(LineState::kOwned)) return false;
+      line.state = static_cast<LineState>(state);
+      line.owner = static_cast<CoreId>(static_cast<std::int64_t>(owner));
+      return decode_words(rr, line.sharers.words_, (n + 63) / 64) &&
+             rr.u64(line.llc);
+    });
   }
 
   static void encode_protocol(Writer& w, const ProtocolCounters& c) {
@@ -372,15 +407,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
   return true;
 }
 
-void encode_dir_line(Writer& w, const Directory::State& d) {
-  SnapshotSerde::encode_flat_map(
-      w, d.lines, [](Writer& ww, const auto& line) {
-        ww.u8(static_cast<std::uint8_t>(line.state));
-        ww.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(line.owner)));
-        SnapshotSerde::encode_sharers(ww, line.sharers);
-        ww.u64(line.value);
-      });
+void encode_directory(Writer& w, const Directory::State& d) {
   w.u64(d.busy_until);
   w.u64(d.stats.gets);
   w.u64(d.stats.getm);
@@ -391,21 +418,8 @@ void encode_dir_line(Writer& w, const Directory::State& d) {
   w.u64(d.stats.wb_dropped);
 }
 
-bool decode_dir_line(Reader& r, Directory::State& d) {
-  const bool ok = SnapshotSerde::decode_flat_map(
-      r, d.lines, [](Reader& rr, auto& line) {
-        std::uint8_t state;
-        std::uint64_t owner;
-        if (!(rr.u8(state) && rr.u64(owner))) return false;
-        if (state > static_cast<std::uint8_t>(Directory::LineState::kOwned)) {
-          return false;
-        }
-        line.state = static_cast<Directory::LineState>(state);
-        line.owner = static_cast<CoreId>(static_cast<std::int64_t>(owner));
-        return SnapshotSerde::decode_sharers(rr, line.sharers) &&
-               rr.u64(line.value);
-      });
-  return ok && r.u64(d.busy_until) && r.u64(d.stats.gets) &&
+bool decode_directory(Reader& r, Directory::State& d) {
+  return r.u64(d.busy_until) && r.u64(d.stats.gets) &&
          r.u64(d.stats.getm) && r.u64(d.stats.invalidations) &&
          r.u64(d.stats.fwd_gets) && r.u64(d.stats.fwd_getm) &&
          r.u64(d.stats.wb_accepted) && r.u64(d.stats.wb_dropped);
@@ -442,10 +456,6 @@ bool decode_core_stats(Reader& r, CoreStats& s) {
 }
 
 void encode_core(Writer& w, const Core::State& c) {
-  SnapshotSerde::encode_flat_map(w, c.lines, [](Writer& ww, const auto& line) {
-    ww.u8(static_cast<std::uint8_t>(line.state));
-    ww.u64(line.value);
-  });
   encode_core_stats(w, c.stats);
   w.u64(c.delay_jitter_state);
   w.u64(c.fault_rng_state);
@@ -454,17 +464,7 @@ void encode_core(Writer& w, const Core::State& c) {
 }
 
 bool decode_core(Reader& r, Core::State& c) {
-  const bool ok = SnapshotSerde::decode_flat_map(
-      r, c.lines, [](Reader& rr, auto& line) {
-        std::uint8_t state;
-        if (!rr.u8(state)) return false;
-        if (state > static_cast<std::uint8_t>(Core::LineState::kOwned)) {
-          return false;
-        }
-        line.state = static_cast<Core::LineState>(state);
-        return rr.u64(line.value);
-      });
-  if (!(ok && decode_core_stats(r, c.stats) && r.u64(c.delay_jitter_state) &&
+  if (!(decode_core_stats(r, c.stats) && r.u64(c.delay_jitter_state) &&
         r.u64(c.fault_rng_state) && r.u64(c.policy_state.rng))) {
     return false;
   }
@@ -544,8 +544,9 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w.u8(kTagNet);
   encode_net(w, snap.net);
 
-  w.u8(kTagDirs);
-  encode_dir_line(w, snap.directory);
+  w.u8(kTagLines);
+  SnapshotSerde::encode_lines(w, snap.lines);
+  encode_directory(w, snap.directory);
 
   w.u8(kTagCores);
   w.u64(snap.cores.size());
@@ -603,7 +604,11 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
 
   if (!r.tag(kTagNet) || !decode_net(r, snap.net)) return false;
 
-  if (!r.tag(kTagDirs) || !decode_dir_line(r, snap.directory)) return false;
+  if (!r.tag(kTagLines) ||
+      !SnapshotSerde::decode_lines(r, snap.lines, snap.cfg.cores) ||
+      !decode_directory(r, snap.directory)) {
+    return false;
+  }
 
   std::uint64_t n;
   if (!r.tag(kTagCores) || !r.u64(n)) return false;

@@ -10,9 +10,9 @@
 // no on-disk snapshot cache").
 //
 // Format: magic + schema version + caller key, then u8-tagged sections
-// (config, engine checkpoint, interconnect, directory, cores, stats,
-// allocator cursor, queue host words), then an FNV-1a checksum over every
-// preceding byte. Explicit section tags plus the version stamp mean a
+// (config, engine checkpoint, interconnect, line table + directory, cores,
+// stats, allocator cursor, queue host words), then an FNV-1a checksum over
+// every preceding byte. Explicit section tags plus the version stamp mean a
 // schema bump *rejects* old blobs instead of misreading them; decode never
 // throws — any structural problem (truncation, corruption, stale version,
 // foreign key) returns false.
@@ -28,7 +28,7 @@ namespace sbq::sim {
 // Bump on ANY change to the encoding or to the schedule-visible state it
 // captures (new MachineConfig fields, State-struct layout changes, …).
 // Stale-version blobs are rejected at decode.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 9;
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 10;
 
 // FNV-1a64 digest of `cfg`'s canonical encoding: a config identity for
 // artifacts and blob keys. Because it hashes the exact bytes the blob's

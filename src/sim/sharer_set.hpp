@@ -2,7 +2,7 @@
 // iteration.
 //
 // Membership lives in uint64_t words indexed by core id, so contains() is
-// one bit test and size() is a counter: the §3.3 invalidate-all-sharers
+// one bit test and size() a popcount: the §3.3 invalidate-all-sharers
 // broadcast never hashes per sharer. Iteration — which decides the Inv
 // delivery order the directory produces, and through per-core abort/retry
 // timing is *schedule-visible* — walks the bitmask in ascending core-id
@@ -30,12 +30,15 @@ namespace sbq::sim {
 namespace detail {
 
 // Fixed-fill resizable buffer of a trivial T with N elements inline.
-// Covers exactly what the sharer structures need (resize-with-fill,
+// Covers exactly what the per-line bit sets need (resize-with-fill,
 // assign-with-fill, indexing); spills to the heap beyond N and never
-// shrinks.
+// shrinks. The inline array shares its bytes with the heap pointer, so a
+// buffer is N elements plus two 32-bit counts: the line table keeps one
+// or two of these in every record.
 template <typename T, std::size_t N>
 class SmallBuf {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(N >= 1);
 
  public:
   SmallBuf() noexcept = default;
@@ -58,59 +61,64 @@ class SmallBuf {
   ~SmallBuf() { release(); }
 
   std::size_t size() const noexcept { return size_; }
-  T& operator[](std::size_t i) noexcept { return data_[i]; }
-  const T& operator[](std::size_t i) const noexcept { return data_[i]; }
+  T& operator[](std::size_t i) noexcept { return data()[i]; }
+  const T& operator[](std::size_t i) const noexcept { return data()[i]; }
 
   // Grow to `n` elements, new slots set to `fill` (no-op shrink excluded:
-  // the sharer structures only ever grow these buffers).
+  // the bit sets only ever grow these buffers).
   void resize(std::size_t n, T fill) {
     ensure(n);
-    for (std::size_t i = size_; i < n; ++i) data_[i] = fill;
-    size_ = n;
+    T* d = data();
+    for (std::size_t i = size_; i < n; ++i) d[i] = fill;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   void assign(std::size_t n, T fill) {
     ensure(n);
-    for (std::size_t i = 0; i < n; ++i) data_[i] = fill;
-    size_ = n;
+    std::fill_n(data(), n, fill);
+    size_ = static_cast<std::uint32_t>(n);
   }
 
  private:
+  bool on_heap() const noexcept { return cap_ > N; }
+  T* data() noexcept { return on_heap() ? heap_ : inline_; }
+  const T* data() const noexcept { return on_heap() ? heap_ : inline_; }
+
   void ensure(std::size_t n) {
     if (n <= cap_) return;
-    const std::size_t cap = std::max(n, cap_ * 2);
+    const std::size_t cap = std::max<std::size_t>(n, std::size_t{cap_} * 2);
     T* heap = new T[cap];
-    std::copy(data_, data_ + size_, heap);
+    std::copy(data(), data() + size_, heap);
     release();
-    data_ = heap;
-    cap_ = cap;
+    heap_ = heap;
+    cap_ = static_cast<std::uint32_t>(cap);
   }
   void release() noexcept {
-    if (data_ != inline_) delete[] data_;
-    data_ = inline_;
+    if (on_heap()) delete[] heap_;
     cap_ = N;
   }
   void copy_from(const SmallBuf& o) {
     ensure(o.size_);
-    std::copy(o.data_, o.data_ + o.size_, data_);
+    std::copy(o.data(), o.data() + o.size_, data());
     size_ = o.size_;
   }
+  // Requires an inline (released) buffer.
   void steal(SmallBuf& o) noexcept {
-    if (o.data_ == o.inline_) {
-      std::copy(o.inline_, o.inline_ + o.size_, inline_);
-      size_ = o.size_;
+    if (o.on_heap()) {
+      heap_ = o.heap_;
+      cap_ = std::exchange(o.cap_, static_cast<std::uint32_t>(N));
     } else {
-      data_ = std::exchange(o.data_, o.inline_);
-      cap_ = std::exchange(o.cap_, N);
-      size_ = o.size_;
+      std::copy(o.inline_, o.inline_ + o.size_, inline_);
     }
-    o.size_ = 0;
+    size_ = std::exchange(o.size_, 0);
   }
 
-  T inline_[N];
-  T* data_ = inline_;
-  std::size_t size_ = 0;
-  std::size_t cap_ = N;
+  union {
+    T inline_[N] = {};
+    T* heap_;
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;  // above N: the elements live at heap_
 };
 
 }  // namespace detail
@@ -129,8 +137,14 @@ class SharerSet {
            (words_[w] >> (static_cast<std::size_t>(id) & 63)) & 1;
   }
 
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      n += static_cast<std::size_t>(std::popcount(words_[i]));
+    }
+    return n;
+  }
+  bool empty() const noexcept { return size() == 0; }
 
   // One word per 64 cores, bit = core id.
   const detail::SmallBuf<std::uint64_t, kInlineWords>& words() const noexcept {
@@ -144,21 +158,16 @@ class SharerSet {
     if (words_.size() < need_words) words_.resize(need_words, 0);
     words_[static_cast<std::size_t>(id) >> 6] |=
         std::uint64_t{1} << (static_cast<std::size_t>(id) & 63);
-    ++size_;
   }
 
   std::size_t erase(CoreId id) {
     if (!contains(id)) return 0;
     words_[static_cast<std::size_t>(id) >> 6] &=
         ~(std::uint64_t{1} << (static_cast<std::size_t>(id) & 63));
-    --size_;
     return 1;
   }
 
-  void clear() noexcept {
-    words_.assign(words_.size(), 0);
-    size_ = 0;
-  }
+  void clear() noexcept { words_.assign(words_.size(), 0); }
 
   // Iteration in ascending core-id order (the canonical Inv order): a
   // word-by-word bit scan, no per-sharer hashing or chain chasing.
@@ -205,12 +214,11 @@ class SharerSet {
 
  private:
   // Snapshot serialization (sim/serialize.cpp) restores the word array
-  // verbatim and recomputes size_ by popcount.
+  // verbatim.
   friend struct SnapshotSerde;
 
   // membership bitmask, bit = core id
   detail::SmallBuf<std::uint64_t, kInlineWords> words_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace sbq::sim

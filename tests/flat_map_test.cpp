@@ -1,7 +1,8 @@
 // FlatMap unit tests: insert-only open-addressing semantics, key 0 as the
 // empty-slot marker, growth under strided keys, reference stability and
 // allocation freedom within a reserved capacity, move-only values, and a
-// differential fuzz against std::unordered_map.
+// differential fuzz against std::unordered_map. Then the line table built
+// on it: per-core 2-bit states across the word boundaries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "sim/flat_map.hpp"
+#include "sim/line_table.hpp"
 
 // TU-local allocation counter so the reserve test can assert that
 // insertions within a reserved capacity never allocate (the property the
@@ -202,6 +204,66 @@ TEST(FlatMap, DifferentialFuzzAgainstUnorderedMap) {
   // Keys the stream never drew, and those past its range, are absent.
   for (Addr key = 0; key <= 4200; ++key) {
     EXPECT_EQ(m.count(key), ref.count(key));
+  }
+}
+
+// Every core's state round-trips through the 2-bit fields, at core counts
+// on both sides of each 32-core word boundary and of the 64-core inline
+// limit; a line nothing has touched reads Invalid for every core.
+TEST(LineTable, CoreStatesRoundTripAcrossWordBoundaries) {
+  constexpr LineState kStates[] = {LineState::kInvalid, LineState::kShared,
+                                   LineState::kModified, LineState::kOwned};
+  for (const int cores : {1, 32, 44, 64, 65, 88, 512}) {
+    SCOPED_TRACE("cores " + std::to_string(cores));
+    LineTable t;
+    t.reserve(4);
+    const Addr a = 64, b = 128;
+    for (CoreId c = 0; c < cores; ++c) {
+      ASSERT_EQ(t.core_state(a, c), LineState::kInvalid);
+    }
+    EXPECT_EQ(t.find(a), nullptr);
+
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    LineRecord& line = t[a];
+    for (CoreId c = 0; c < cores; ++c) line.cores.set(c, kStates[(c + 1) % 4]);
+    if (cores <= 64) {
+      EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u)
+          << "per-core states allocated on a machine of <= 64 cores";
+    }
+    for (CoreId c = 0; c < cores; ++c) {
+      ASSERT_EQ(t.core_state(a, c), kStates[(c + 1) % 4]) << "core " << c;
+    }
+    // Rewriting one core's field leaves its neighbours alone.
+    for (CoreId c = 0; c < cores; ++c) {
+      line.cores.set(c, kStates[(c + 3) % 4]);
+      if (c > 0) {
+        ASSERT_EQ(line.cores.get(c - 1), kStates[(c + 2) % 4]);
+      }
+      ASSERT_EQ(line.cores.get(c), kStates[(c + 3) % 4]);
+      if (c + 1 < cores) {
+        ASSERT_EQ(line.cores.get(c + 1), kStates[(c + 2) % 4]);
+      }
+    }
+
+    // Only the last core holds a copy: every other core sees it elsewhere.
+    LineRecord& other = t[b];
+    EXPECT_FALSE(other.cores.any_valid());
+    const CoreId last = cores - 1;
+    other.cores.set(last, LineState::kShared);
+    EXPECT_TRUE(other.cores.any_valid());
+    EXPECT_FALSE(other.cores.valid_except(last));
+    if (cores > 1) {
+      EXPECT_TRUE(other.cores.valid_except(0));
+    }
+    other.cores.set(last, LineState::kInvalid);
+    EXPECT_FALSE(other.cores.any_valid());
+    EXPECT_EQ(t.core_state(b, last), LineState::kInvalid);
+
+    // A copy of the table (a snapshot) keeps every state.
+    const LineTable copy = t;
+    for (CoreId c = 0; c < cores; ++c) {
+      ASSERT_EQ(copy.core_state(a, c), kStates[(c + 3) % 4]);
+    }
   }
 }
 

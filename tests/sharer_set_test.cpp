@@ -107,7 +107,7 @@ TEST(SharerSet, DifferentialFuzzAgainstSortedSet) {
 }
 
 TEST(SharerSet, CopyAndMovePreserveContents) {
-  // Directory lines live in a FlatMap, which moves them on rehash; the
+  // Line records live in a FlatMap, which moves them on rehash; the
   // SmallBuf-backed bitmask must survive copy/move in both the inline and
   // the heap-spilled regime.
   for (int count : {5, 130}) {

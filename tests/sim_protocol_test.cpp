@@ -308,5 +308,137 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
   EXPECT_EQ(m.core(0).line_state(x), CoreState::kModified);
 }
 
+// Every message a run sends, in send order (an Interconnect send observer).
+struct Send {
+  Time t;
+  CoreId src, dst;
+  Message msg;
+};
+void record_send(void* ctx, Time t, CoreId src, CoreId dst,
+                 const Message& msg) {
+  static_cast<std::vector<Send>*>(ctx)->push_back({t, src, dst, msg});
+}
+
+// Core 1's GetS reaches the directory just ahead of core 2's GetM, so its
+// data comes from the owner (core 0) while the Inv comes straight from the
+// directory and arrives first. The load still returns the value before the
+// write: the Inv is deferred until the load has observed the data, and the
+// writer cannot complete before it gets that Inv's ack.
+TEST(SimProtocol, InvOvertakingGetSDataStillReturnsPreWriteValue) {
+  MachineConfig cfg = small_machine(3);
+  cfg.check_invariants = true;
+  Machine m(cfg);
+  const Addr x = m.alloc();
+  m.spawn([](Machine& m, Addr x) -> Task<void> {
+    co_await m.core(0).store(x, 5);
+  }(m, x));
+  m.run();
+
+  std::vector<Send> sends;
+  m.interconnect().set_send_observer(record_send, &sends);
+  Value loaded = 0;
+  m.spawn([](Machine& m, Addr x, Value* out) -> Task<void> {
+    *out = co_await m.core(1).load(x);
+  }(m, x, &loaded));
+  m.spawn([](Machine& m, Addr x) -> Task<void> {
+    co_await m.core(2).store(x, 9);
+  }(m, x));
+  m.run();
+
+  const CoreId dir = m.interconnect().directory_id();
+  const auto sent_at = [&](MsgType type, CoreId src, CoreId dst) {
+    for (const Send& s : sends) {
+      if (s.msg.type == type && s.src == src && s.dst == dst) return s.t;
+    }
+    ADD_FAILURE() << msg_type_name(type) << " " << src << "->" << dst
+                  << " never sent";
+    return Time{0};
+  };
+  // Same hop latency, so the earlier send arrives first.
+  EXPECT_LT(sent_at(MsgType::kInv, dir, 1), sent_at(MsgType::kData, 0, 1));
+  EXPECT_EQ(loaded, 5u);
+  EXPECT_EQ(m.core(1).line_state(x), CoreState::kInvalid);
+  EXPECT_EQ(m.core(2).line_state(x), CoreState::kModified);
+
+  Value after = 0;
+  m.spawn([](Machine& m, Addr x, Value* out) -> Task<void> {
+    *out = co_await m.core(0).load(x);
+  }(m, x, &after));
+  m.run();
+  EXPECT_EQ(after, 9u);
+}
+
+// The directory answers an owner's O->M upgrade with a Data that carries
+// only the ack count (value 0: the LLC copy is stale in O), and the
+// upgrader keeps its own value. On FIFO links the owner's write-back
+// always lands before its upgrade and turns the line Shared first, so a
+// probe sink holds that write-back back until the upgrade has completed.
+TEST(SimProtocol, OwnerUpgradeDataCarriesZeroAndUpgraderKeepsItsValue) {
+  Machine m(small_machine(3));
+  const Addr x = m.alloc();
+  m.spawn([](Machine& m, Addr x) -> Task<void> {
+    co_await m.core(0).store(x, 1111);
+  }(m, x));
+  m.run();
+
+  // The machine's own routing, except that core 0's write-backs are held.
+  struct Probe {
+    Machine* m;
+    std::vector<Message> held;
+    void deliver(CoreId dst, const Message& msg) {
+      if (dst < m->core_count()) {
+        m->core(dst).handle(msg);
+      } else {
+        m->directory().handle(msg);
+      }
+    }
+  } probe{&m, {}};
+  m.interconnect().set_sink(
+      [](void* ctx, CoreId dst, const Message& msg) {
+        Probe& p = *static_cast<Probe*>(ctx);
+        if (msg.type == MsgType::kWbData && msg.src == 0) {
+          p.held.push_back(msg);
+        } else {
+          p.deliver(dst, msg);
+        }
+      },
+      &probe);
+  std::vector<Send> sends;
+  m.interconnect().set_send_observer(record_send, &sends);
+
+  Value old = 0;
+  m.spawn([](Machine& m, Addr x, Value* old) -> Task<void> {
+    co_await m.core(1).load(x);  // core 0 -> O, its write-back held
+    EXPECT_EQ(m.directory().line_state(x), DirState::kOwned);
+    EXPECT_EQ(m.directory().line_owner(x), 0);
+    *old = co_await m.core(0).faa(x, 1);  // O -> M upgrade
+  }(m, x, &old));
+  m.run();
+  EXPECT_EQ(old, 1111u);
+  EXPECT_EQ(m.core(0).line_state(x), CoreState::kModified);
+  EXPECT_EQ(m.core(1).line_state(x), CoreState::kInvalid);
+
+  const CoreId dir = m.interconnect().directory_id();
+  int upgrade_data = 0;
+  for (const Send& s : sends) {
+    if (s.msg.type != MsgType::kData || s.src != dir || s.dst != 0) continue;
+    ++upgrade_data;
+    EXPECT_EQ(s.msg.value, 0u);
+    EXPECT_EQ(s.msg.ack_count, 1);
+  }
+  EXPECT_EQ(upgrade_data, 1);
+
+  // The held write-back is stale by now (the line is M): dropped.
+  ASSERT_EQ(probe.held.size(), 1u);
+  probe.deliver(dir, probe.held.front());
+  Value seen = 0;
+  m.spawn([](Machine& m, Addr x, Value* out) -> Task<void> {
+    *out = co_await m.core(2).load(x);
+  }(m, x, &seen));
+  m.run();
+  EXPECT_EQ(m.directory().stats().wb_dropped, 1u);
+  EXPECT_EQ(seen, 1112u);
+}
+
 }  // namespace
 }  // namespace sbq::sim

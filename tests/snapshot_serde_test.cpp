@@ -199,8 +199,9 @@ TEST(SnapshotSerdeReject, StaleSchemaVersion) {
 }
 
 // A line table slot is one state byte (0 empty, 1 full), then, when full,
-// its key and value. Mark one core line's value so the test can find its
-// slot: state byte, u64 key, u8 line state, u64 value.
+// its key and record. Mark one record's cached value, which the record
+// encodes first, so the test can find its slot: state byte, u64 key, u64
+// cached value.
 TEST(SnapshotSerdeReject, LineTableSlotsNoFlatMapHolds) {
   constexpr std::uint64_t kMarker = 0x6d61726b65724c4eULL;
   sim::MachineConfig mcfg;
@@ -214,9 +215,9 @@ TEST(SnapshotSerdeReject, LineTableSlotsNoFlatMapHolds) {
         q.save_host_state(words);
         sim::MachineSnapshot snap = m.snapshot();
         bool marked = false;
-        for (sim::Core::State& c : snap.cores) {
-          if (c.lines.empty()) continue;
-          c.lines.begin()->second.value = kMarker;
+        for (auto& [addr, line] : snap.lines) {
+          if (!line.cores.any_valid()) continue;
+          line.value = kMarker;
           marked = true;
           break;
         }
@@ -234,9 +235,9 @@ TEST(SnapshotSerdeReject, LineTableSlotsNoFlatMapHolds) {
   ASSERT_EQ(std::search(at + 1, blob.end(), needle.begin(), needle.end()),
             blob.end());
   const auto value_pos = static_cast<std::size_t>(at - blob.begin());
-  ASSERT_GE(value_pos, 10u);
-  const std::size_t state_pos = value_pos - 10;
-  const std::size_t key_pos = value_pos - 9;
+  ASSERT_GE(value_pos, 9u);
+  const std::size_t state_pos = value_pos - 9;
+  const std::size_t key_pos = value_pos - 8;
   ASSERT_EQ(blob[state_pos], 1u);
   EXPECT_TRUE(decodes(blob));
 
