@@ -4,8 +4,9 @@
 # Records what benchmark/ does not cover: the wall-clock of one 512-core
 # fig5 cell, the contention-policy sweep and the open-loop service_latency
 # driver (docs/service.md), best of $RUNS runs each, plus the steady-phase
-# rates of the two allocation-gated microbenches (engine_microbench,
-# sim_microbench) at their gate sizes. The fig5/fig6/fig7 sweeps are timed
+# rates of the two allocation-gated microbenches (engine_microbench, both
+# its closure and its typed-event leg, and sim_microbench) at their gate
+# sizes. The fig5/fig6/fig7 sweeps are timed
 # by benchmark/ (sim-enqueue, sim-dequeue-prefilled), which has a
 # regression rule. Results land in BENCH_sim.json at the repo root.
 #
@@ -147,9 +148,14 @@ def run_micro(drv, args):
         run_checked([exe, *args, "--json", f.name])
         cells = json.load(open(f.name))["cells"]
     steady = [c for c in cells if str(c.get("phase", "")).startswith("steady")]
-    out = {"args": " ".join(args),
-           "steady_mevents_per_s":
-               round(max(c["events_per_sec"] for c in steady) / 1e6, 2)}
+    out = {"args": " ".join(args)}
+    # engine_microbench runs a closure leg and a typed-event leg; the
+    # closure leg keeps the unprefixed key so it stays comparable with
+    # baselines taken before the typed leg existed.
+    for leg in dict.fromkeys(c.get("leg", "closure") for c in steady):
+        key = ("" if leg == "closure" else leg + "_") + "steady_mevents_per_s"
+        out[key] = round(max(c["events_per_sec"] for c in steady
+                             if c.get("leg", "closure") == leg) / 1e6, 2)
     alloc_keys = [k for k in ("allocs", "slab_refills") if k in steady[0]]
     out["steady_allocs"] = sum(int(c[k]) for c in steady for k in alloc_keys)
     return out

@@ -73,7 +73,8 @@ void Core::on_inv(const Message& msg) {
     line->cores.set(id_, LineState::kInvalid);
   }
   maybe_txn_conflict_on_loss(a, /*losing_all_permissions=*/true);
-  Message ack{MsgType::kInvAck, a, id_, msg.requester, 0, 0};
+  Message ack{.addr = a, .src = id_, .requester = msg.requester,
+              .type = MsgType::kInvAck};
   net_.send(id_, msg.requester, ack);
 }
 
@@ -176,11 +177,13 @@ void Core::answer_fwd_gets(const Message& msg) {
   // with no directory blocking.
   const bool first_downgrade = held == LineState::kModified;
   line.cores.set(id_, LineState::kOwned);
-  Message data{MsgType::kData, a, id_, msg.requester, line.value, 0};
+  Message data{.addr = a, .value = line.value, .src = id_,
+               .requester = msg.requester, .type = MsgType::kData};
   net_.send(id_, msg.requester, data);
   if (first_downgrade) {
     if (metrics_) metrics_->on_wb(id_);
-    Message wb{MsgType::kWbData, a, id_, id_, line.value, 0};
+    Message wb{.addr = a, .value = line.value, .src = id_, .requester = id_,
+               .type = MsgType::kWbData};
     net_.send(id_, dir_, wb);
   }
 }
@@ -194,8 +197,9 @@ void Core::answer_fwd_getm(const Message& msg) {
   line.cores.set(id_, LineState::kInvalid);
   // The Fwd-GetM carries the invalidation-ack count the new owner expects
   // (non-zero when the directory invalidated sharers of an Owned line).
-  Message data{MsgType::kData, a, id_, msg.requester, line.value,
-               msg.ack_count};
+  Message data{.addr = a, .value = line.value, .src = id_,
+               .requester = msg.requester, .ack_count = msg.ack_count,
+               .type = MsgType::kData};
   net_.send(id_, msg.requester, data);
 }
 

@@ -134,7 +134,8 @@ void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
   req_ = Pending{.want_m = want_m, .cont = cont, .token = token};
   req_addr_ = a;
   req_live_ = true;
-  Message req{want_m ? MsgType::kGetM : MsgType::kGetS, a, id_, id_, 0, 0};
+  Message req{.addr = a, .src = id_, .requester = id_,
+              .type = want_m ? MsgType::kGetM : MsgType::kGetS};
   net_.send(id_, dir_, req);
 }
 
@@ -177,7 +178,8 @@ void Core::release_request(Addr a) {
     const CoreId inv_req = req_.deferred_inv_requester;
     lines_.at(a).cores.set(id_, LineState::kInvalid);
     maybe_txn_conflict_on_loss(a, true);
-    Message ack{MsgType::kInvAck, a, id_, inv_req, 0, 0};
+    Message ack{.addr = a, .src = id_, .requester = inv_req,
+                .type = MsgType::kInvAck};
     net_.send(id_, inv_req, ack);
   }
   for (const Message& fwd : answering_) {
@@ -245,7 +247,7 @@ void Core::access(LineRecord& line, bool was_miss) {
       assert(false && "a TxCAS attempt acquires through kTxRead/kTxWrite");
       break;
   }
-  engine_.schedule(latency, [this] { complete_access(); });
+  engine_.schedule_typed(latency, EventKind::kAccessDone, id_);
 }
 
 void Core::complete_access() {

@@ -28,8 +28,8 @@
 //
 // The thread issues its operations one at a time, so the core keeps one
 // operation record (op_): the awaiters fill it, a hit resolves with one
-// request-slot check and one line lookup, and completion events capture
-// only the core. Every request of an operation is on its address, so the
+// request-slot check and one line lookup, and a completion event is a
+// typed kAccessDone that carries only the core id. Every request of an operation is on its address, so the
 // core also keeps one request slot (req_): a second acquire of that line
 // parks as a waiter until the request is released. A request, or an
 // acquire parked behind one, names what it resumes with a continuation tag
@@ -92,8 +92,11 @@ class Core {
   // Metrics registry this core reports into (null when stats are off).
   Stats* metrics() const noexcept { return metrics_; }
 
-  // Network entry point (registered with the interconnect).
+  // Message arrival (a kDeliver event).
   void handle(const Message& msg);
+  // The record's access completes (a kAccessDone event, scheduled by
+  // access()): release the line's request, then resume what waits on it.
+  void complete_access();
 
   // Fault injection entry point (Machine one-shots; rate-based injection is
   // internal). Aborts the in-flight transaction with the given cause — a
@@ -306,7 +309,6 @@ class Core {
   void run_waiters(Addr a);
   // The record's access on its acquired line, then its completion event.
   void access(LineRecord& line, bool was_miss);
-  void complete_access();
 
   // -- txcas state machine (core.cpp) --
   // The operands live in op_ (a0 = expected, a1 = desired); the rest of

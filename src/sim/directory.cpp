@@ -57,7 +57,7 @@ void Directory::handle(const Message& msg) {
   if (wait == 0) {
     process(msg);
   } else {
-    engine_.schedule(wait, [this, msg] { process(msg); });
+    engine_.schedule_typed(wait, EventKind::kDirProcess, self_, msg);
   }
 }
 
@@ -99,7 +99,8 @@ void Directory::process_gets(LineRecord& line, const Message& msg) {
     case LineState::kShared: {
       line.state = LineState::kShared;
       line.sharers.insert(req);
-      Message data{MsgType::kData, msg.addr, self_, req, line.llc, 0};
+      Message data{.addr = msg.addr, .value = line.llc, .src = self_,
+                   .requester = req, .type = MsgType::kData};
       net_.send(self_, req, data);
       return;
     }
@@ -109,7 +110,8 @@ void Directory::process_gets(LineRecord& line, const Message& msg) {
       // Owned state, so subsequent reads keep flowing without any
       // write-back or directory blocking (MOESI behaviour).
       ++stats_.fwd_gets;
-      Message fwd{MsgType::kFwdGetS, msg.addr, self_, req, 0, 0};
+      Message fwd{.addr = msg.addr, .src = self_, .requester = req,
+                  .type = MsgType::kFwdGetS};
       net_.send(self_, line.owner, fwd);
       line.sharers.insert(req);
       line.state = LineState::kOwned;
@@ -125,7 +127,8 @@ int Directory::invalidate_sharers(LineRecord& line, Addr addr, CoreId req) {
     if (sharer == req) continue;
     ++acks;
     ++stats_.invalidations;
-    Message inv{MsgType::kInv, addr, self_, req, 0, 0};
+    Message inv{.addr = addr, .src = self_, .requester = req,
+                .type = MsgType::kInv};
     net_.send(self_, sharer, inv);
   }
   line.sharers.clear();
@@ -138,7 +141,8 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
     case LineState::kInvalid: {
       line.state = LineState::kModified;
       line.owner = req;
-      Message data{MsgType::kData, msg.addr, self_, req, line.llc, 0};
+      Message data{.addr = msg.addr, .value = line.llc, .src = self_,
+                   .requester = req, .type = MsgType::kData};
       net_.send(self_, req, data);
       return;
     }
@@ -147,7 +151,8 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
       // every other sharer, which ack directly to the requester. This is
       // the concurrent-abort shower of Figure 2b.
       const int acks = invalidate_sharers(line, msg.addr, req);
-      Message data{MsgType::kData, msg.addr, self_, req, line.llc, acks};
+      Message data{.addr = msg.addr, .value = line.llc, .src = self_,
+                   .requester = req, .ack_count = acks, .type = MsgType::kData};
       net_.send(self_, req, data);
       line.state = LineState::kModified;
       line.owner = req;
@@ -160,7 +165,8 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
         // Data message only carries the ack count (the core keeps its own
         // valid copy — the LLC value is stale in Owned state).
         const int acks = invalidate_sharers(line, msg.addr, req);
-        Message data{MsgType::kData, msg.addr, self_, req, 0, acks};
+        Message data{.addr = msg.addr, .src = self_, .requester = req,
+                     .ack_count = acks, .type = MsgType::kData};
         net_.send(self_, req, data);
       } else {
         // Data comes from the previous owner (Fwd-GetM carries the ack
@@ -169,7 +175,8 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
         line.sharers.erase(owner);  // owner is not in sharers, but be safe
         const int acks = invalidate_sharers(line, msg.addr, req);
         ++stats_.fwd_getm;
-        Message fwd{MsgType::kFwdGetM, msg.addr, self_, req, 0, acks};
+        Message fwd{.addr = msg.addr, .src = self_, .requester = req,
+                    .ack_count = acks, .type = MsgType::kFwdGetM};
         net_.send(self_, owner, fwd);
       }
       line.state = LineState::kModified;
@@ -181,7 +188,8 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
       // forward; the data travels previous-owner -> new owner. Chains of
       // these are the serialized hand-offs of Figure 2a.
       ++stats_.fwd_getm;
-      Message fwd{MsgType::kFwdGetM, msg.addr, self_, req, 0, 0};
+      Message fwd{.addr = msg.addr, .src = self_, .requester = req,
+                  .type = MsgType::kFwdGetM};
       net_.send(self_, line.owner, fwd);
       line.owner = req;
       return;

@@ -49,8 +49,11 @@ class Directory {
   Directory(Engine& engine, Interconnect& net, LineTable& lines,
             const MachineConfig& cfg, Trace* trace);
 
-  // Entry point registered with the interconnect.
+  // Message arrival (a kDeliver event): processes the request now, or
+  // schedules a kDirProcess event once the occupancy wait has passed.
   void handle(const Message& msg);
+  // Process a request (a kDirProcess event, or handle() directly).
+  void process(const Message& msg);
 
   // Backing-store access for machine setup/teardown and debugging. Note:
   // valid only while the line is in I or S state; poke requires that no
@@ -85,7 +88,6 @@ class Directory {
   void restore_state(const State& s);
 
  private:
-  void process(const Message& msg);
   void process_gets(LineRecord& line, const Message& msg);
   void process_getm(LineRecord& line, const Message& msg);
   // Invalidate all sharers except `req`; returns the ack count.

@@ -7,66 +7,73 @@ namespace sbq::sim {
 Engine::Engine() : wheel_(std::make_unique<Slot[]>(kWheelSlots)) {}
 
 Engine::~Engine() {
-  // Destroy (without running) any events still pending; slab storage is
-  // reclaimed by the slabs_ vector.
+  // Destroy (without running) the captures of closure events still
+  // pending; typed payloads are trivially destructible, and slab storage
+  // is reclaimed by the slabs_ vector.
+  auto discard = [](Event* e) {
+    if (e->kind == EventKind::kClosure) e->closure.fn(e, /*run=*/false);
+  };
   for (std::size_t w = 0; w < kOccWords; ++w) {
     std::uint64_t bits = occ_[w];
     while (bits != 0) {
       const std::size_t idx = (w << 6) + std::countr_zero(bits);
       bits &= bits - 1;
-      for (Node* n = wheel_[idx].head; n != nullptr; n = n->next)
-        n->run_and_destroy(n, /*run=*/false);
+      for (Event* e = wheel_[idx].head; e != nullptr;) {
+        Event* next = e->next;
+        discard(e);
+        e = next;
+      }
     }
   }
-  for (Node* n : overflow_) n->run_and_destroy(n, /*run=*/false);
+  for (Event* e : overflow_) discard(e);
 }
 
 void Engine::refill_slab() {
   ++alloc_.slab_refills;
-  slabs_.push_back(std::make_unique<Node[]>(kSlabNodes));
-  Node* chunk = slabs_.back().get();
-  for (std::size_t i = 0; i < kSlabNodes; ++i) release_node(&chunk[i]);
+  slabs_.push_back(std::make_unique<Event[]>(kSlabNodes));
+  Event* chunk = slabs_.back().get();
+  for (std::size_t i = 0; i < kSlabNodes; ++i) release_event(&chunk[i]);
 }
 
 void Engine::prewarm_nodes(std::size_t n) {
   while (node_capacity() < n) refill_slab();
 }
 
-void Engine::insert_slot_by_seq(Node* n) noexcept {
-  const std::size_t idx = static_cast<std::size_t>(n->time) & kWheelMask;
+void Engine::insert_slot_by_seq(Event* e) noexcept {
+  const std::size_t idx = static_cast<std::size_t>(e->time) & kWheelMask;
   Slot& s = wheel_[idx];
   ++wheel_count_;
   if (s.head == nullptr) {
-    n->next = nullptr;
-    s.head = s.tail = n;
+    e->next = nullptr;
+    s.head = s.tail = e;
     mark(idx);
     return;
   }
   // Same slot => same time (window invariant), so order purely by seq.
-  assert(s.head->time == n->time);
-  if (n->seq < s.head->seq) {
-    n->next = s.head;
-    s.head = n;
+  assert(s.head->time == e->time);
+  if (e->seq < s.head->seq) {
+    e->next = s.head;
+    s.head = e;
     return;
   }
-  if (s.tail->seq < n->seq) {
-    n->next = nullptr;
-    s.tail->next = n;
-    s.tail = n;
+  if (s.tail->seq < e->seq) {
+    e->next = nullptr;
+    s.tail->next = e;
+    s.tail = e;
     return;
   }
-  Node* p = s.head;
-  while (p->next->seq < n->seq) p = p->next;
-  n->next = p->next;
-  p->next = n;
+  Event* p = s.head;
+  while (p->next->seq < e->seq) p = p->next;
+  e->next = p->next;
+  p->next = e;
 }
 
 void Engine::drain_overflow(Time base) {
   while (!overflow_.empty() && overflow_.front()->time < base + kWheelSlots) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Node* n = overflow_.back();
+    Event* e = overflow_.back();
     overflow_.pop_back();
-    insert_slot_by_seq(n);
+    insert_slot_by_seq(e);
   }
 }
 
@@ -87,44 +94,51 @@ std::size_t Engine::first_occupied(std::size_t from) const noexcept {
   return (w0 << 6) + static_cast<std::size_t>(std::countr_zero(low));
 }
 
-Time Engine::next_event_time() {
-  drain_overflow(now_);
-  if (wheel_count_ != 0) {
-    next_idx_ = first_occupied(static_cast<std::size_t>(now_) & kWheelMask);
-    return wheel_[next_idx_].head->time;
-  }
-  // Every pending event is >= now_ + kWheelSlots: report the overflow
-  // minimum without advancing the window (run_until must not move the
-  // clock when it bails out at the limit).
-  return overflow_.front()->time;
-}
-
-void Engine::dispatch_at(Time t) {
-  if (wheel_count_ == 0) {
-    // Far-future hop: nothing lies in (now_, t), so sliding the window
-    // straight to `t` preserves the (time, seq) dispatch order.
-    now_ = t;
+inline Event* Engine::pop_next(Time limit) {
+  if (!overflow_.empty()) [[unlikely]] {
     drain_overflow(now_);
-    next_idx_ = first_occupied(static_cast<std::size_t>(now_) & kWheelMask);
+    if (wheel_count_ == 0) {
+      // Every pending event is >= now_ + kWheelSlots. Nothing lies in
+      // (now_, t), so sliding the window straight to the overflow minimum
+      // preserves the (time, seq) order; past the limit the clock must
+      // not move.
+      const Time t = overflow_.front()->time;
+      if (t > limit) return nullptr;
+      now_ = t;
+      drain_overflow(now_);
+    }
+  } else if (wheel_count_ == 0) {
+    return nullptr;
   }
-  step_at(next_idx_);
-}
-
-void Engine::step_at(std::size_t idx) {
+  const std::size_t from = static_cast<std::size_t>(now_) & kWheelMask;
+  const std::uint64_t word = occ_[from >> 6] >> (from & 63);
+  const std::size_t idx =
+      word != 0 ? from + static_cast<std::size_t>(std::countr_zero(word))
+                : first_occupied(from);
   Slot& s = wheel_[idx];
-  Node* n = s.head;
-  s.head = n->next;
+  Event* e = s.head;
+  if (e->time > limit) return nullptr;
+  s.head = e->next;
   if (s.head == nullptr) {
     s.tail = nullptr;
     clear_mark(idx);
   }
   --wheel_count_;
-  now_ = n->time;
+  now_ = e->time;
   ++processed_;
-  // The callable may re-enter schedule(); the node is already off its slot
-  // list and is recycled only after the callable finishes.
-  n->run_and_destroy(n, /*run=*/true);
-  release_node(n);
+  return e;
+}
+
+inline void Engine::fire(Event* e) {
+  // The event may re-enter schedule(); its record is already off its slot
+  // list and is recycled only after it has run.
+  if (e->kind == EventKind::kClosure) {
+    e->closure.fn(e, /*run=*/true);
+  } else {
+    assert(handler_ != nullptr && "typed event with no handler installed");
+    handler_(handler_ctx_, *e);
+  }
+  release_event(e);
 }
 
 Engine::Checkpoint Engine::save_checkpoint() const {
@@ -134,27 +148,22 @@ Engine::Checkpoint Engine::save_checkpoint() const {
 
 void Engine::restore_checkpoint(const Checkpoint& c) {
   assert(idle() && "restore requires a drained event queue");
+  // Wheel and occupancy bitmap are empty at idle; slot lookup is keyed on
+  // absolute time, so restoring now_ fully re-anchors the window.
   now_ = c.now;
   next_seq_ = c.next_seq;
   processed_ = c.processed;
   alloc_ = c.alloc;
-  // Wheel and occupancy bitmap are empty at idle; slot lookup is keyed on
-  // absolute time, so restoring now_ fully re-anchors the window.
-  next_idx_ = static_cast<std::size_t>(now_) & kWheelMask;
 }
 
 Time Engine::run() {
-  while (!idle()) dispatch_at(next_event_time());
+  while (Event* e = pop_next(std::numeric_limits<Time>::max())) fire(e);
   return now_;
 }
 
 bool Engine::run_until(Time limit) {
-  while (!idle()) {
-    const Time t = next_event_time();
-    if (t > limit) return false;
-    dispatch_at(t);
-  }
-  return true;
+  while (Event* e = pop_next(limit)) fire(e);
+  return idle();
 }
 
 }  // namespace sbq::sim

@@ -18,26 +18,65 @@
 //     overflow drains insert at the (time, seq) position, so equal-time
 //     events run in scheduling order — runs stay fully deterministic.
 //
-// schedule() moves the callable into a fixed-size event node drawn from a
-// per-engine slab + freelist, so steady-state scheduling performs zero
-// heap allocations (nodes are recycled as events run). The node's inline
-// buffer fits every callable the simulator schedules; a larger callable
-// does not compile.
+// Each pending event is one 64-byte Event record drawn from a per-engine
+// slab + freelist, so steady-state scheduling performs zero heap
+// allocations (records are recycled as events run). A record is typed by
+// its `kind`: the protocol's hot events (message deliveries, directory
+// processing steps, access completions) carry a Message or just a target
+// id and run through the one handler the owner installs (set_handler);
+// every other event is a closure whose function pointer and ≤ 24-byte
+// capture sit in the record. A larger capture does not compile.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/message.hpp"
 #include "sim/types.hpp"
 
 namespace sbq::sim {
+
+// What a pending event runs. kClosure calls the callable stored in the
+// record; every other kind goes to the engine's handler (Machine::on_event
+// in a machine), which switches on it.
+enum class EventKind : std::uint8_t {
+  kClosure,     // closure.fn runs the capture
+  kDeliver,     // a message arrives at node `target`
+  kDirProcess,  // the directory processes `msg` after its occupancy wait
+  kAccessDone,  // core `target`'s memory access completes
+};
+
+// One pending event: 64 bytes, one cache line.
+struct Event {
+  static constexpr std::size_t kCaptureBytes = 24;
+  struct Closure {
+    // Runs (when `run`) and destroys the capture.
+    void (*fn)(Event*, bool run);
+    alignas(8) unsigned char capture[kCaptureBytes];
+  };
+
+  Event() noexcept : closure{} {}
+
+  Event* next = nullptr;  // slot-list link / freelist link
+  Time time = 0;
+  std::uint64_t seq = 0;
+  EventKind kind = EventKind::kClosure;
+  CoreId target = -1;
+  union {
+    Message msg;  // kDeliver, kDirProcess
+    Closure closure;
+  };
+};
+static_assert(sizeof(Message) == 32, "Message must fill the event payload");
+static_assert(sizeof(Event) == 64, "an event record is one cache line");
 
 class Engine {
  public:
@@ -54,22 +93,43 @@ class Engine {
   // deterministic.
   template <typename F>
   void schedule(Time delay, F fn) {
-    Node* n = make_node(std::move(fn));
-    n->time = now_ + delay;
-    n->seq = next_seq_++;
-    n->next = nullptr;
-    if (delay < kWheelSlots) {
-      append_slot(n);
-    } else {
-      ++alloc_.overflow_events;
-      overflow_.push_back(n);
-      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    }
+    static_assert(std::is_invocable_v<F&>, "event callable must be nullary");
+    static_assert(sizeof(F) <= Event::kCaptureBytes,
+                  "event capture exceeds the record (Event::kCaptureBytes)");
+    static_assert(alignof(F) <= 8);
+    Event* e = acquire_event(EventKind::kClosure, -1);
+    ::new (static_cast<void*>(e->closure.capture)) F(std::move(fn));
+    e->closure.fn = [](Event* ev, bool run) {
+      F* f = std::launder(reinterpret_cast<F*>(ev->closure.capture));
+      if (run) (*f)();
+      f->~F();
+    };
+    enqueue(e, delay);
+  }
+
+  // Schedule a typed event for the installed handler: `kind` on `target`,
+  // carrying `msg` (kDeliver, kDirProcess) or nothing (kAccessDone). Same
+  // (time, seq) order as schedule().
+  void schedule_typed(Time delay, EventKind kind, CoreId target,
+                      const Message& msg) {
+    Event* e = acquire_event(kind, target);
+    e->msg = msg;
+    enqueue(e, delay);
+  }
+  void schedule_typed(Time delay, EventKind kind, CoreId target) {
+    enqueue(acquire_event(kind, target), delay);
+  }
+
+  // The handler every typed event runs through. Install it before the
+  // first typed event is scheduled; tests install probes here.
+  using HandlerFn = void (*)(void* ctx, const Event& ev);
+  void set_handler(HandlerFn fn, void* ctx) noexcept {
+    handler_ = fn;
+    handler_ctx_ = ctx;
   }
 
   // Run events until the queue drains. Returns the final time.
   Time run();
-
   // Run until the queue drains or `limit` is reached (safety valve for
   // tests; hitting the limit indicates livelock in the modeled protocol).
   // Returns true if the queue drained.
@@ -92,19 +152,20 @@ class Engine {
   // `slab_refills` stays flat while `scheduled` grows.
   struct AllocStats {
     std::uint64_t scheduled = 0;        // total schedule() calls
-    std::uint64_t slab_refills = 0;     // node-slab growths (kSlabNodes each)
+    std::uint64_t slab_refills = 0;     // slab growths (kSlabNodes records each)
     std::uint64_t overflow_events = 0;  // events beyond the wheel window
   };
   const AllocStats& alloc_stats() const noexcept { return alloc_; }
 
-  // Grow the node slab until at least `n` nodes exist (free or in use).
+  // Grow the record slab until at least `n` event records exist (free or
+  // in use).
   // Slab warmth is wall-clock state, not schedule state (it is excluded
   // from Checkpoint), so prewarming is always schedule-invisible. The
   // allocation gates call this on a machine forked from a deserialized
   // snapshot to keep the measured phase off the heap — the in-memory fork
   // path inherits a warm process, the decoded one starts cold.
   void prewarm_nodes(std::size_t n);
-  // Total nodes backed by the slab (free + live).
+  // Total event records backed by the slab (free + live).
   std::size_t node_capacity() const noexcept {
     return slabs_.size() * kSlabNodes;
   }
@@ -113,7 +174,7 @@ class Engine {
   // (no pending events — nothing in the wheel or overflow heap to capture).
   // Restoring onto an idle engine resumes the (time, seq) stream exactly
   // where the checkpointed engine left it: slot indexing is absolute-time
-  // based, so now_ alone re-anchors the wheel window. The node slab and
+  // based, so now_ alone re-anchors the wheel window. The record slab and
   // freelist are deliberately NOT part of the checkpoint — warmth is a
   // wall-clock property, not a schedule-visible one (a forked machine
   // re-warms its slab on first use; see Machine::fork).
@@ -127,10 +188,6 @@ class Engine {
   void restore_checkpoint(const Checkpoint& c);  // pre: idle()
 
  private:
-  // Inline payload: the largest callables the simulator schedules are
-  // message deliveries (the interconnect, a node id and the Message);
-  // 96 bytes leaves headroom without bloating the per-node footprint.
-  static constexpr std::size_t kInlineCapacity = 96;
   static constexpr std::size_t kSlabNodes = 256;
 
   // Wheel geometry: 8192 slots × 16-byte Slot = 128 KiB, heap-allocated
@@ -139,56 +196,48 @@ class Engine {
   static constexpr std::size_t kWheelMask = kWheelSlots - 1;
   static constexpr std::size_t kOccWords = kWheelSlots / 64;  // 128
 
-  struct Node {
-    // Runs (when `run`) and destroys the payload. Set per schedule() call.
-    void (*run_and_destroy)(Node*, bool run) = nullptr;
-    Node* next = nullptr;  // slot-list link / freelist link
-    Time time = 0;
-    std::uint64_t seq = 0;
-    alignas(std::max_align_t) unsigned char payload[kInlineCapacity];
-  };
-
   struct Slot {
-    Node* head = nullptr;
-    Node* tail = nullptr;
+    Event* head = nullptr;
+    Event* tail = nullptr;
   };
 
   struct Later {
-    bool operator()(const Node* a, const Node* b) const noexcept {
+    bool operator()(const Event* a, const Event* b) const noexcept {
       return a->time != b->time ? a->time > b->time : a->seq > b->seq;
     }
   };
 
-  Node* acquire_node() {
-    if (free_head_ == nullptr) refill_slab();
-    Node* n = free_head_;
-    free_head_ = n->next;
-    return n;
-  }
-
-  // Allocate a node and move `fn` into its payload. Time/seq/linkage are
-  // the caller's responsibility.
-  template <typename F>
-  Node* make_node(F fn) {
-    static_assert(std::is_invocable_v<F&>, "event callable must be nullary");
-    static_assert(sizeof(F) <= kInlineCapacity,
-                  "event capture exceeds the node payload (kInlineCapacity)");
-    static_assert(alignof(F) <= alignof(std::max_align_t));
+  // A free record with its kind and target set; the caller fills the
+  // payload and enqueues it.
+  Event* acquire_event(EventKind kind, CoreId target) {
     ++alloc_.scheduled;
-    Node* n = acquire_node();
-    ::new (static_cast<void*>(n->payload)) F(std::move(fn));
-    n->run_and_destroy = [](Node* node, bool run) {
-      F* f = std::launder(reinterpret_cast<F*>(node->payload));
-      if (run) (*f)();
-      f->~F();
-    };
-    return n;
+    if (free_head_ == nullptr) refill_slab();
+    Event* e = free_head_;
+    free_head_ = e->next;
+    e->kind = kind;
+    e->target = target;
+    return e;
   }
-  void release_node(Node* n) noexcept {
-    n->next = free_head_;
-    free_head_ = n;
+  void release_event(Event* e) noexcept {
+    e->next = free_head_;
+    free_head_ = e;
   }
   void refill_slab();
+
+  // Stamp `e` with its time and seq and put it in the wheel, or in the
+  // overflow heap when it lies beyond the wheel window.
+  void enqueue(Event* e, Time delay) {
+    e->time = now_ + delay;
+    e->seq = next_seq_++;
+    e->next = nullptr;
+    if (delay < kWheelSlots) {
+      append_slot(e);
+    } else {
+      ++alloc_.overflow_events;
+      overflow_.push_back(e);
+      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+    }
+  }
 
   void mark(std::size_t idx) noexcept {
     occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
@@ -199,24 +248,25 @@ class Engine {
 
   // Append at the slot tail: direct schedules arrive in seq order, so the
   // slot list stays sorted by seq.
-  void append_slot(Node* n) noexcept {
-    Slot& s = wheel_[n->time & kWheelMask];
+  void append_slot(Event* e) noexcept {
+    const std::size_t idx = static_cast<std::size_t>(e->time) & kWheelMask;
+    Slot& s = wheel_[idx];
     if (s.head == nullptr) {
-      s.head = s.tail = n;
-      mark(static_cast<std::size_t>(n->time) & kWheelMask);
+      s.head = s.tail = e;
+      mark(idx);
     } else {
-      s.tail->next = n;
-      s.tail = n;
+      s.tail->next = e;
+      s.tail = e;
     }
     ++wheel_count_;
   }
 
-  // Insert a drained overflow node at its seq position (overflow events
+  // Insert a drained overflow event at its seq position (overflow events
   // carry seqs that may precede already-slotted ones).
-  void insert_slot_by_seq(Node* n) noexcept;
+  void insert_slot_by_seq(Event* e) noexcept;
 
   // Move every overflow event with time < base + kWheelSlots into the
-  // wheel. Cheap no-op (one compare) when nothing is drainable.
+  // wheel.
   void drain_overflow(Time base);
 
   // Index of the first occupied slot at/after `from`, cyclic. Worst case
@@ -225,27 +275,27 @@ class Engine {
   // `now`. Precondition: wheel_count_ > 0.
   std::size_t first_occupied(std::size_t from) const noexcept;
 
-  // Time of the next pending event; caches its slot in next_idx_ when it
-  // is already in the wheel. Does not advance now_. Pre: !idle().
-  Time next_event_time();
+  // Unlink the next event in (time, seq) order and advance the clock to
+  // it, or return null when the queue is idle or that event lies after
+  // `limit` (the clock then stays put). Inlined into run(): the common
+  // case is an empty overflow heap and a hit in the first bitmap word.
+  inline Event* pop_next(Time limit);
 
-  // Run the next event (time `t` as returned by next_event_time()); hops
-  // the window forward first when the event is still in overflow.
-  void dispatch_at(Time t);
-
-  // Pop the head of slot `idx`, advance time, run it, recycle the node.
-  void step_at(std::size_t idx);
+  // Run `e` (its closure, or the handler for a typed kind), then recycle
+  // its record.
+  inline void fire(Event* e);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t wheel_count_ = 0;
-  std::size_t next_idx_ = 0;
   std::unique_ptr<Slot[]> wheel_;
   std::uint64_t occ_[kOccWords] = {};  // bit per slot: list nonempty
-  std::vector<Node*> overflow_;        // min-heap on (time, seq) via Later
-  Node* free_head_ = nullptr;
-  std::vector<std::unique_ptr<Node[]>> slabs_;
+  std::vector<Event*> overflow_;       // min-heap on (time, seq) via Later
+  Event* free_head_ = nullptr;
+  std::vector<std::unique_ptr<Event[]>> slabs_;
+  HandlerFn handler_ = nullptr;
+  void* handler_ctx_ = nullptr;
   AllocStats alloc_;
 };
 

@@ -112,9 +112,8 @@ void Interconnect::send(CoreId src, CoreId dst, Message msg) {
   if (send_observer_ != nullptr) {
     send_observer_(send_observer_ctx_, engine_.now(), src, dst, msg);
   }
-  assert(sink_ != nullptr);
   assert(dst >= 0 && static_cast<std::size_t>(dst) < nodes_);
-  engine_.schedule(delay, [this, dst, msg] { sink_(sink_ctx_, dst, msg); });
+  engine_.schedule_typed(delay, EventKind::kDeliver, dst, msg);
 }
 
 Interconnect::State Interconnect::save_state() const {

@@ -45,16 +45,10 @@ class Interconnect {
   Interconnect(Engine& engine, const MachineConfig& cfg, Trace* trace,
                DebugRing* debug_ring = nullptr);
 
-  // Message sink: every delivery calls it with the destination node, at
-  // the message's arrival time. Machine::deliver routes to the core or
-  // the directory; tests install probes. Must be set before the first
-  // send.
-  using SinkFn = void (*)(void* ctx, CoreId dst, const Message& msg);
-  void set_sink(SinkFn fn, void* ctx) noexcept {
-    sink_ = fn;
-    sink_ctx_ = ctx;
-  }
-
+  // Send `msg` from `src` to `dst`: schedules a kDeliver event for `dst`
+  // at the message's arrival time. The engine's handler delivers it
+  // (Machine::on_event routes to the core or the directory; tests install
+  // probes there).
   void send(CoreId src, CoreId dst, Message msg);
 
   // Divergence-bisector hook (src/replay/divergence.cpp): called on every
@@ -121,8 +115,6 @@ class Interconnect {
   MachineConfig cfg_;
   Trace* trace_;
   DebugRing* debug_ring_;
-  SinkFn sink_ = nullptr;
-  void* sink_ctx_ = nullptr;
   SendObserverFn send_observer_ = nullptr;
   void* send_observer_ctx_ = nullptr;
   std::size_t nodes_;           // cores + the directory

@@ -27,7 +27,7 @@ Machine::Machine(MachineConfig cfg)
   if (cfg_.collect_stats) {
     stats_ = std::make_unique<Stats>(cfg_.cores);
   }
-  net_->set_sink(&Machine::deliver, this);
+  engine_.set_handler(&Machine::on_event, this);
   cores_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int i = 0; i < cfg_.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, engine_, *net_, lines_, cfg_,
@@ -139,14 +139,27 @@ Addr Machine::alloc(std::uint64_t words) {
   return base;
 }
 
-void Machine::deliver(void* ctx, CoreId dst, const Message& msg) {
+void Machine::on_event(void* ctx, const Event& ev) {
   Machine& m = *static_cast<Machine*>(ctx);
-  if (dst < m.cfg_.cores) {
-    m.cores_[static_cast<std::size_t>(dst)]->handle(msg);
-  } else {
-    m.dir_.handle(msg);
+  switch (ev.kind) {
+    case EventKind::kDeliver:
+      if (ev.target < m.cfg_.cores) {
+        m.cores_[static_cast<std::size_t>(ev.target)]->handle(ev.msg);
+      } else {
+        m.dir_.handle(ev.msg);
+      }
+      if (m.cfg_.check_invariants) m.check_invariants_now();
+      return;
+    case EventKind::kDirProcess:
+      m.dir_.process(ev.msg);
+      return;
+    case EventKind::kAccessDone:
+      m.cores_[static_cast<std::size_t>(ev.target)]->complete_access();
+      return;
+    case EventKind::kClosure:
+      break;
   }
-  if (m.cfg_.check_invariants) m.check_invariants_now();
+  assert(false && "closure events run without the handler");
 }
 
 void Machine::spawn(Task<void> task) {

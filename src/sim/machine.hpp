@@ -133,11 +133,14 @@ class Machine {
   // snapshots: it is debug state, not schedule state.
   const DebugRing& debug_ring() const noexcept { return debug_ring_; }
 
+  // The engine's handler for typed events, installed at construction
+  // (`ctx` is the machine). A kDeliver goes to core `target`, or to the
+  // directory when `target` is the last node id, and is followed by the
+  // invariant checker when cfg_.check_invariants. Public so a test probe
+  // installed on the engine can pass through the events it does not hold.
+  static void on_event(void* ctx, const Event& ev);
+
  private:
-  // The interconnect's message sink: node ids below cores are cores, the
-  // last one is the directory. Runs the invariant checker after each
-  // delivery when cfg_.check_invariants.
-  static void deliver(void* ctx, CoreId dst, const Message& msg);
   // First-run setup: resume the spawned roots and schedule the fault
   // plan's one-shots.
   void start();

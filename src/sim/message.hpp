@@ -23,13 +23,15 @@ enum class MsgType : std::uint8_t {
 
 const char* msg_type_name(MsgType t) noexcept;
 
+// 32 bytes, the payload of an engine event record: the 8-byte fields
+// first and `type` last, so no padding sits between them.
 struct Message {
-  MsgType type{};
   Addr addr = 0;
+  Value value = 0;        // payload for kData
   CoreId src = -1;        // sending node (core id, or directory)
   CoreId requester = -1;  // the core this transaction is on behalf of
-  Value value = 0;        // payload for kData
   int ack_count = 0;      // for kData on a GetM: invalidations to expect
+  MsgType type{};
 };
 
 }  // namespace sbq::sim

@@ -20,22 +20,24 @@ MachineConfig link_cfg() {
   return cfg;
 }
 
-Message probe(Addr a) { return Message{MsgType::kData, a, 0, 0, 0, 0}; }
+Message probe(Addr a) { return Message{.addr = a, .src = 0, .requester = 0,
+                                       .type = MsgType::kData}; }
 
-// The interconnect's message sink for these tests: records every delivery
-// as (time, dst, msg).
+// The engine handler for these tests: records every delivery (the only
+// typed event a bare interconnect schedules) as (time, dst, msg).
 struct Recorder {
   struct Delivery {
     Time t;
     CoreId dst;
     Message msg;
   };
-  Recorder(Engine& e, Interconnect& net) : e(e) {
-    net.set_sink(&Recorder::sink, this);
+  explicit Recorder(Engine& e) : e(e) {
+    e.set_handler(&Recorder::on_event, this);
   }
-  static void sink(void* ctx, CoreId dst, const Message& m) {
+  static void on_event(void* ctx, const Event& ev) {
     auto* r = static_cast<Recorder*>(ctx);
-    r->got.push_back({r->e.now(), dst, m});
+    EXPECT_EQ(ev.kind, EventKind::kDeliver);
+    r->got.push_back({r->e.now(), ev.target, ev.msg});
   }
   // Arrival times at `dst`, in delivery order.
   std::vector<Time> arrivals(CoreId dst) const {
@@ -63,7 +65,7 @@ TEST(InterconnectLink, BackToBackCrossSocketMessagesQueue) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   net.send(0, 2, probe(1));
   net.send(0, 2, probe(2));
   e.run();
@@ -88,7 +90,7 @@ TEST(InterconnectLink, IntraSocketMessagesDoNotQueue) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   net.send(0, 1, probe(1));
   net.send(0, 1, probe(2));
   e.run();
@@ -106,7 +108,7 @@ TEST(InterconnectLink, DirectedLinksAreIndependent) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   // Opposite directions at the same instant: neither queues behind the
   // other (one link per *directed* socket pair).
   net.send(0, 2, probe(1));
@@ -126,7 +128,7 @@ TEST(InterconnectLink, LinkFreesUpAfterIdleGap) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   net.send(0, 2, probe(1));
   e.run();  // drain: link is idle again well past its busy horizon
   const Time t1 = e.now();
@@ -144,7 +146,7 @@ TEST(InterconnectFlat, CrossSocketHasNoOccupancyQueue) {
   cfg.interconnect_model = InterconnectModel::kFlat;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   net.send(0, 2, probe(1));
   net.send(0, 2, probe(2));
   e.run();
@@ -160,7 +162,7 @@ TEST(InterconnectLink, SaveRestoreRoundTripsBusyHorizon) {
   const MachineConfig cfg = link_cfg();
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   net.send(0, 2, probe(1));
   const Interconnect::State s = net.save_state();
   EXPECT_EQ(s.link_msgs, 1u);

@@ -9,6 +9,11 @@
 // checks the executed order against an independent reference model: a
 // stable sort of the scheduled (time, seq) pairs.
 //
+// Typed events (the protocol's deliveries, directory steps and access
+// completions, which run through the engine's handler instead of a
+// closure) share the same order: one test interleaves them with closures
+// at equal timestamps and through the overflow heap.
+//
 // Also pins down the run_until boundary semantics documented in
 // engine.hpp: the limit is inclusive, and a false return leaves now() at
 // the last-run event's time (no clock fast-forward).
@@ -27,11 +32,26 @@ namespace {
 // expected order = stable sort of (absolute time, schedule order).
 class GoldenHarness {
  public:
-  explicit GoldenHarness(Engine& e) : e_(e) {}
+  explicit GoldenHarness(Engine& e) : e_(e) {
+    e_.set_handler(&GoldenHarness::on_event, this);
+  }
 
   void sched(Time delay, int id) {
     expected_.push_back(Ref{e_.now() + delay, seq_++, id});
     e_.schedule(delay, [this, id] { log_.push_back(id); });
+  }
+
+  // A typed event that logs `id` from the handler: a delivery carrying it
+  // in its message, or a payload-less access completion carrying it as
+  // the target.
+  void sched_typed(Time delay, int id) {
+    expected_.push_back(Ref{e_.now() + delay, seq_++, id});
+    if (id % 2 == 0) {
+      e_.schedule_typed(delay, EventKind::kDeliver, 0,
+                        Message{.addr = static_cast<Addr>(id)});
+    } else {
+      e_.schedule_typed(delay, EventKind::kAccessDone, id);
+    }
   }
 
   // Schedule an event that runs `fn` (which may schedule more) and logs.
@@ -57,6 +77,13 @@ class GoldenHarness {
   const std::vector<int>& log() const { return log_; }
 
  private:
+  static void on_event(void* ctx, const Event& ev) {
+    auto* h = static_cast<GoldenHarness*>(ctx);
+    h->log_.push_back(ev.kind == EventKind::kDeliver
+                          ? static_cast<int>(ev.msg.addr)
+                          : ev.target);
+  }
+
   struct Ref {
     Time time;
     std::uint64_t seq;
@@ -162,6 +189,48 @@ TEST(EngineGolden, MixedStressAllPaths) {
   d.fire();
   e.run();
   EXPECT_EQ(h.log(), h.expected_order());
+}
+
+TEST(EngineGolden, TypedAndClosureEventsShareOneOrder) {
+  Engine e;
+  GoldenHarness h(e);
+  // A driver lane whose every firing emits same-time bursts that alternate
+  // typed and closure events, near events of both sorts, and far-future
+  // typed and closure events that go through the overflow heap and merge
+  // by seq into slots that already hold the other sort.
+  struct Driver {
+    GoldenHarness& h;
+    int remaining;
+    std::uint64_t state;
+    int next_id = 0;
+    void fire() {
+      if (remaining-- == 0) return;
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const Time burst = state & 15;
+      for (int i = 0; i < 4; ++i) {
+        if ((i + (state >> 8)) % 2 == 0) {
+          h.sched_typed(burst, next_id++);
+        } else {
+          h.sched(burst, next_id++);
+        }
+      }
+      h.sched_typed(0, next_id++);
+      if ((state & 3) == 0) {
+        const Time far = 8192 + ((state >> 16) & 63);
+        h.sched_typed(far, next_id++);
+        h.sched(far, next_id++);
+        h.sched_typed(far, next_id++);
+      }
+      h.sched_action(1 + (state & 7), next_id++, [this] { fire(); });
+    }
+  };
+  Driver d{h, 3000, 7};
+  d.fire();
+  e.run();
+  EXPECT_GT(e.now(), 8192u * 2);  // the wheel wrapped
+  EXPECT_GE(e.alloc_stats().overflow_events, 500u);
+  EXPECT_EQ(h.log(), h.expected_order());
+  EXPECT_EQ(e.events_processed(), h.expected_order().size());
 }
 
 TEST(EngineGolden, RunUntilLimitIsInclusive) {

@@ -63,6 +63,54 @@ TEST(Engine, ZeroDelayRunsAtCurrentTime) {
   EXPECT_EQ(seen, 7u);
 }
 
+// Destroying an engine with events still pending destroys each pending
+// closure's capture once, without running it, and skips the typed events
+// (trivial payloads). Each capture below counts its own destruction; a
+// moved-from capture does not count.
+TEST(Engine, DestructorDestroysPendingClosuresOnce) {
+  struct Tracked {
+    std::vector<int>* destroyed;
+    int id;
+    Tracked(std::vector<int>* d, int i) : destroyed(d), id(i) {}
+    Tracked(Tracked&& o) noexcept : destroyed(o.destroyed), id(o.id) {
+      o.id = -1;
+    }
+    Tracked(const Tracked&) = delete;
+    ~Tracked() {
+      if (id >= 0) ++(*destroyed)[static_cast<std::size_t>(id)];
+    }
+  };
+  constexpr int kClosures = 40;
+  std::vector<int> destroyed(kClosures, 0);
+  int ran = 0;
+  int typed_ran = 0;
+  {
+    Engine e;
+    e.set_handler([](void* ctx, const Event&) { ++*static_cast<int*>(ctx); },
+                  &typed_ran);
+    for (int i = 0; i < kClosures; ++i) {
+      // Near, far (the overflow heap) and in-between delays; the first
+      // ten run before the engine is destroyed.
+      const Time t = static_cast<Time>(i);
+      const Time delay = i < 10 ? 1 : i % 3 == 0 ? 9000 + t : 100 + t;
+      e.schedule(delay, [tracked = Tracked(&destroyed, i), &ran] { ++ran; });
+      e.schedule_typed(delay, EventKind::kDeliver, 0, Message{});
+      e.schedule_typed(delay + 20000, EventKind::kAccessDone, 1);
+    }
+    EXPECT_FALSE(e.run_until(1));
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(typed_ran, 10);
+    for (std::size_t i = 0; i < destroyed.size(); ++i) {
+      EXPECT_EQ(destroyed[i], i < 10 ? 1 : 0) << i;
+    }
+  }
+  EXPECT_EQ(ran, 10);  // pending closures were destroyed, not run
+  EXPECT_EQ(typed_ran, 10);
+  for (std::size_t i = 0; i < destroyed.size(); ++i) {
+    EXPECT_EQ(destroyed[i], 1) << i;
+  }
+}
+
 // --- coroutine Task tests ---
 
 Task<int> answer() { co_return 42; }

@@ -1,6 +1,6 @@
 // Unit tests for the simulator infrastructure pieces not covered by the
 // protocol tests: the trace recorder, the interconnect (latency matrix,
-// FIFO delivery, sink dispatch), and directory statistics.
+// FIFO delivery, handler dispatch), and directory statistics.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -74,20 +74,21 @@ TEST(Interconnect, LatencyMatrix) {
   EXPECT_EQ(net.latency(2, net.directory_id()), cfg.inter_latency);
 }
 
-// The interconnect's message sink for these tests: records every delivery
-// as (time, dst, msg).
+// The engine handler for these tests: records every delivery (the only
+// typed event a bare interconnect schedules) as (time, dst, msg).
 struct Recorder {
   struct Delivery {
     Time t;
     CoreId dst;
     Message msg;
   };
-  Recorder(Engine& e, Interconnect& net) : e(e) {
-    net.set_sink(&Recorder::sink, this);
+  explicit Recorder(Engine& e) : e(e) {
+    e.set_handler(&Recorder::on_event, this);
   }
-  static void sink(void* ctx, CoreId dst, const Message& m) {
+  static void on_event(void* ctx, const Event& ev) {
     auto* r = static_cast<Recorder*>(ctx);
-    r->got.push_back({r->e.now(), dst, m});
+    EXPECT_EQ(ev.kind, EventKind::kDeliver);
+    r->got.push_back({r->e.now(), ev.target, ev.msg});
   }
   Engine& e;
   std::vector<Delivery> got;
@@ -98,8 +99,8 @@ TEST(Interconnect, DeliversToHandlerWithLatency) {
   cfg.cores = 2;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
-  Message m{MsgType::kInv, 5, 0, 0, 0, 0};
+  Recorder rec(e);
+  Message m{.addr = 5, .src = 0, .requester = 0, .type = MsgType::kInv};
   net.send(0, 1, m);
   e.run();
   ASSERT_EQ(rec.got.size(), 1u);
@@ -116,9 +117,9 @@ TEST(Interconnect, FifoPerPair) {
   cfg.cores = 2;
   Engine e;
   Interconnect net(e, cfg, nullptr);
-  Recorder rec(e, net);
+  Recorder rec(e);
   for (Addr a = 1; a <= 5; ++a) {
-    Message m{MsgType::kData, a, 0, 0, 0, 0};
+    Message m{.addr = a, .src = 0, .requester = 0, .type = MsgType::kData};
     net.send(0, 1, m);
   }
   e.run();

@@ -282,20 +282,21 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
   const Addr x = m.alloc();
   m.spawn(txcas_program(m, x, &done, &ok));
   // The abort schedules the retry one cycle later; look a cycle after that.
-  bool pending_at_probe = false;
-  bool quiescent_at_probe = true;
-  std::uint64_t attempts_at_probe = 0;
-  m.engine().schedule(fault_at + 2, [&m, x, &pending_at_probe,
-                                     &quiescent_at_probe, &attempts_at_probe] {
-    pending_at_probe = m.core(0).has_pending(x);
-    quiescent_at_probe = m.core(0).quiescent();
-    attempts_at_probe = m.core(0).stats().txcas_attempts;
+  struct ProbeResult {
+    bool pending = false;
+    bool quiescent = true;
+    std::uint64_t attempts = 0;
+  } at_probe;
+  m.engine().schedule(fault_at + 2, [&m, x, &at_probe] {
+    at_probe.pending = m.core(0).has_pending(x);
+    at_probe.quiescent = m.core(0).quiescent();
+    at_probe.attempts = m.core(0).stats().txcas_attempts;
   });
   m.run();
 
-  EXPECT_EQ(attempts_at_probe, 2u) << "the retry had not started";
-  EXPECT_TRUE(pending_at_probe) << "the aborted attempt's GetM had landed";
-  EXPECT_FALSE(quiescent_at_probe);
+  EXPECT_EQ(at_probe.attempts, 2u) << "the retry had not started";
+  EXPECT_TRUE(at_probe.pending) << "the aborted attempt's GetM had landed";
+  EXPECT_FALSE(at_probe.quiescent);
   EXPECT_TRUE(ok);
   EXPECT_GT(done, getm_done);
   const CoreStats& s = m.core(0).stats();
@@ -372,7 +373,7 @@ TEST(SimProtocol, InvOvertakingGetSDataStillReturnsPreWriteValue) {
 // only the ack count (value 0: the LLC copy is stale in O), and the
 // upgrader keeps its own value. On FIFO links the owner's write-back
 // always lands before its upgrade and turns the line Shared first, so a
-// probe sink holds that write-back back until the upgrade has completed.
+// probe handler holds that write-back back until the upgrade has completed.
 TEST(SimProtocol, OwnerUpgradeDataCarriesZeroAndUpgraderKeepsItsValue) {
   Machine m(small_machine(3));
   const Addr x = m.alloc();
@@ -381,25 +382,20 @@ TEST(SimProtocol, OwnerUpgradeDataCarriesZeroAndUpgraderKeepsItsValue) {
   }(m, x));
   m.run();
 
-  // The machine's own routing, except that core 0's write-backs are held.
+  // The machine's own event handler, except that core 0's write-backs are
+  // held.
   struct Probe {
     Machine* m;
     std::vector<Message> held;
-    void deliver(CoreId dst, const Message& msg) {
-      if (dst < m->core_count()) {
-        m->core(dst).handle(msg);
-      } else {
-        m->directory().handle(msg);
-      }
-    }
   } probe{&m, {}};
-  m.interconnect().set_sink(
-      [](void* ctx, CoreId dst, const Message& msg) {
+  m.engine().set_handler(
+      [](void* ctx, const Event& ev) {
         Probe& p = *static_cast<Probe*>(ctx);
-        if (msg.type == MsgType::kWbData && msg.src == 0) {
-          p.held.push_back(msg);
+        if (ev.kind == EventKind::kDeliver &&
+            ev.msg.type == MsgType::kWbData && ev.msg.src == 0) {
+          p.held.push_back(ev.msg);
         } else {
-          p.deliver(dst, msg);
+          Machine::on_event(p.m, ev);
         }
       },
       &probe);
@@ -430,7 +426,7 @@ TEST(SimProtocol, OwnerUpgradeDataCarriesZeroAndUpgraderKeepsItsValue) {
 
   // The held write-back is stale by now (the line is M): dropped.
   ASSERT_EQ(probe.held.size(), 1u);
-  probe.deliver(dir, probe.held.front());
+  m.directory().handle(probe.held.front());
   Value seen = 0;
   m.spawn([](Machine& m, Addr x, Value* out) -> Task<void> {
     *out = co_await m.core(2).load(x);
