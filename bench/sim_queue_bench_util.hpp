@@ -7,7 +7,7 @@
 // Queue selection is resolved once per sweep into a QueueKind enum (no
 // per-cell string validation), and sweep cells — each an independent,
 // deterministic simulation — are executed on the benchsupport parallel
-// sweep pool (--jobs / --serial), keyed by (row, column, repeat) so the
+// sweep pool (--jobs), keyed by (row, column, repeat) so the
 // emitted tables are byte-identical to a serial run.
 #pragma once
 

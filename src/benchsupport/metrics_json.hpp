@@ -1,7 +1,9 @@
 // JSON encoding of a sim::MetricsSnapshot — the "counters" block every
 // per-cell record in a BENCH_*.json artifact carries (docs/observability.md
-// documents each field). Header-only so that non-sim binaries linking
-// sbq_benchsupport do not pull in the simulator.
+// documents each field). The protocol, basket, faults and cas_policy keys
+// are the counter structs' field names (sim/stats.hpp). Header-only so
+// that non-sim binaries linking sbq_benchsupport do not pull in the
+// simulator.
 #pragma once
 
 #include "benchsupport/json.hpp"
@@ -10,15 +12,22 @@
 
 namespace sbq {
 
+// Sets one key per field of `counters`, in its field list's order
+// (sim/types.hpp "Field lists"); every listed field is a u64 counter.
+template <class Counters>
+void set_fields(Json& obj, const Counters& counters) {
+  struct Setter {
+    Json& obj;
+    void operator()(const char* name, std::uint64_t v) {
+      obj.set(name, Json(v));
+    }
+  } setter{obj};
+  sim::visit_fields(counters, setter);
+}
+
 inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
   Json protocol = Json::object();
-  protocol.set("gets", Json(m.protocol.gets));
-  protocol.set("getm", Json(m.protocol.getm));
-  protocol.set("fwd_gets", Json(m.protocol.fwd_gets));
-  protocol.set("fwd_getm", Json(m.protocol.fwd_getm));
-  protocol.set("inv", Json(m.protocol.inv));
-  protocol.set("inv_ack", Json(m.protocol.inv_ack));
-  protocol.set("wb_data", Json(m.protocol.wb_data));
+  set_fields(protocol, m.protocol);
 
   // The base §3 abort taxonomy is always serialized; the injected causes
   // (interrupt, spurious) and the fault block only appear when the machine
@@ -33,6 +42,7 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
   }
   Json retry = Json::array();
   for (std::uint64_t b : m.htm.retry_histogram) retry.push_back(Json(b));
+  // Not the field list: the JSON puts aborts after commits.
   Json htm = Json::object();
   htm.set("calls", Json(m.htm.calls));
   htm.set("attempts", Json(m.htm.attempts));
@@ -46,18 +56,9 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
   htm.set("retry_histogram", std::move(retry));
 
   Json basket = Json::object();
-  basket.set("appends_won", Json(m.basket.appends_won));
-  basket.set("appends_lost", Json(m.basket.appends_lost));
-  basket.set("stale_tails", Json(m.basket.stale_tails));
-  basket.set("closes", Json(m.basket.closes));
-  basket.set("occupancy_sum", Json(m.basket.occupancy_sum));
-  basket.set("occupancy_min",
-             Json(m.basket.closes == 0 ? 0 : m.basket.occupancy_min));
-  basket.set("occupancy_max", Json(m.basket.occupancy_max));
-  basket.set("extracted", Json(m.basket.extracted));
-  basket.set("empty_swaps", Json(m.basket.empty_swaps));
-  basket.set("node_reuses", Json(m.basket.node_reuses));
-  basket.set("fresh_allocs", Json(m.basket.fresh_allocs));
+  set_fields(basket, m.basket);
+  // With no closes the minimum is still UINT64_MAX; report 0.
+  if (m.basket.closes == 0) basket.set("occupancy_min", Json(std::uint64_t{0}));
 
   Json out = Json::object();
   out.set("protocol", std::move(protocol));
@@ -70,12 +71,7 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
   out.set("final_time", Json(static_cast<std::uint64_t>(m.final_time)));
   if (m.fault_injection) {
     Json faults = Json::object();
-    faults.set("injected_capacity", Json(m.faults.injected_capacity));
-    faults.set("injected_interrupt", Json(m.faults.injected_interrupt));
-    faults.set("injected_spurious", Json(m.faults.injected_spurious));
-    faults.set("one_shots_fired", Json(m.faults.one_shots_fired));
-    faults.set("jittered_messages", Json(m.faults.jittered_messages));
-    faults.set("jitter_cycles", Json(m.faults.jitter_cycles));
+    set_fields(faults, m.faults);
     out.set("faults", std::move(faults));
   }
   // Contention-policy block: gated on a non-fixed policy kind (like the
@@ -87,11 +83,7 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
     Json policy = Json::object();
     policy.set("kind", Json(contention_policy_name(static_cast<
                                 ContentionPolicyKind>(m.cas_policy_kind))));
-    policy.set("txn_steps", Json(m.policy.txn_steps));
-    policy.set("budget_fallbacks", Json(m.policy.budget_fallbacks));
-    policy.set("degraded_fallbacks", Json(m.policy.degraded_fallbacks));
-    policy.set("intra_delay_cycles", Json(m.policy.intra_delay_cycles));
-    policy.set("post_delay_cycles", Json(m.policy.post_delay_cycles));
+    set_fields(policy, m.policy);
     policy.set("fallback_cas", Json(m.htm.fallback_cas));
     out.set("cas_policy", std::move(policy));
   }

@@ -111,8 +111,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       if (opts.jobs < 1) {
         throw std::invalid_argument("--jobs needs a positive thread count");
       }
-    } else if (std::strcmp(a, "--serial") == 0) {
-      opts.serial = true;
     } else if (std::strcmp(a, "--cold-start") == 0) {
       opts.cold_start = true;
     } else if (std::strcmp(a, "--json") == 0) {
@@ -176,7 +174,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
 }
 
 int BenchOptions::effective_jobs() const {
-  if (serial) return 1;
   return jobs > 0 ? jobs : default_sweep_jobs();
 }
 

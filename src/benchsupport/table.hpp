@@ -46,7 +46,7 @@ class Table {
 
 // Shared CLI parsing for bench binaries: recognizes --csv, --seed N,
 // --threads LIST (comma separated), --ops N, --repeats N, --jobs N,
-// --serial, --cold-start, --json FILE (BenchReport artifact) and --trace
+// --cold-start, --json FILE (BenchReport artifact) and --trace
 // FILE (JSONL coherence-event trace); --json/--trace also accept the
 // --opt=FILE form.
 struct BenchOptions {
@@ -56,7 +56,6 @@ struct BenchOptions {
   unsigned long long ops = 0;     // 0 => binary default
   int repeats = 0;                // 0 => binary default
   int jobs = 0;                   // 0 => default_sweep_jobs()
-  bool serial = false;            // force single-threaded cell execution
   // Warm every sweep cell from scratch instead of forking repeats from a
   // shared warmed snapshot. Output must be byte-identical either way (the
   // golden tests run fig6 both ways against one baseline); this flag exists
@@ -103,8 +102,8 @@ struct BenchOptions {
   std::string replay_ops;
   static BenchOptions parse(int argc, char** argv);
 
-  // Worker threads for the sweep pool: 1 under --serial, --jobs N when
-  // given, otherwise hardware_concurrency.
+  // Worker threads for the sweep pool: --jobs N when given, otherwise
+  // hardware_concurrency.
   int effective_jobs() const;
 
   // Per-driver default fallbacks — the one place the "N means the binary's

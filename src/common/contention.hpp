@@ -102,11 +102,16 @@ struct ContentionPolicyParams {
   std::uint32_t backoff_floor_shift = 3;
   std::uint32_t backoff_ceil_mult = 2;
 
-  friend bool operator==(const ContentionPolicyParams& a,
-                         const ContentionPolicyParams& b) noexcept {
-    return a.kind == b.kind && a.seed == b.seed &&
-           a.backoff_floor_shift == b.backoff_floor_shift &&
-           a.backoff_ceil_mult == b.backoff_ceil_mult;
+  bool operator==(const ContentionPolicyParams&) const = default;
+
+  // Field list (sim/types.hpp "Field lists"): part of the canonical config
+  // bytes, so the kind and every knob key machine_config_digest.
+  template <class V>
+  void fields(V& v) {
+    v("kind", kind, kContentionPolicyKindCount);
+    v("seed", seed);
+    v("backoff_floor_shift", backoff_floor_shift);
+    v("backoff_ceil_mult", backoff_ceil_mult);
   }
 };
 
@@ -152,6 +157,12 @@ class ContentionPolicy {
   struct State {
     std::uint64_t rng = 0;          // SplitMix64 stream position
     std::uint32_t failure_level = 0;  // DHM failure history (bounded)
+
+    template <class V>
+    void fields(V& v) {
+      v("rng", rng);
+      v("failure_level", failure_level);
+    }
   };
 
   static constexpr std::uint32_t kMaxFailureLevel = 16;

@@ -75,6 +75,26 @@ struct CoreStats {
   std::uint64_t fallback_cas = 0;
 
   bool operator==(const CoreStats&) const = default;
+
+  template <class V>
+  void fields(V& v) {
+    v("loads", loads);
+    v("stores", stores);
+    v("rmws", rmws);
+    v("txcas_calls", txcas_calls);
+    v("txcas_success", txcas_success);
+    v("txcas_fail", txcas_fail);
+    v("txcas_attempts", txcas_attempts);
+    v("nested_aborts", nested_aborts);
+    v("tripped_aborts", tripped_aborts);
+    v("uarch_fix_stalls", uarch_fix_stalls);
+    v("self_aborts", self_aborts);
+    v("fallbacks", fallbacks);
+    v("injected_capacity", injected_capacity);
+    v("injected_interrupt", injected_interrupt);
+    v("injected_spurious", injected_spurious);
+    v("fallback_cas", fallback_cas);
+  }
 };
 
 class Core {
@@ -224,6 +244,14 @@ class Core {
     // Persistent contention-policy history (adaptive policies draw delays
     // from it in program order); carried for the same reason.
     ContentionPolicy::State policy_state;
+
+    template <class V>
+    void fields(V& v) {
+      v("stats", stats);
+      v("delay_jitter_state", delay_jitter_state);
+      v("fault_rng_state", fault_rng_state);
+      v("policy_state", policy_state);
+    }
   };
   State save_state() const;
   void restore_state(const State& s);

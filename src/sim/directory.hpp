@@ -69,6 +69,17 @@ class Directory {
     std::uint64_t fwd_getm = 0;
     std::uint64_t wb_accepted = 0;  // owner write-back flipped the line O->S
     std::uint64_t wb_dropped = 0;   // stale write-back (a writer intervened)
+
+    template <class V>
+    void fields(V& v) {
+      v("gets", gets);
+      v("getm", getm);
+      v("invalidations", invalidations);
+      v("fwd_gets", fwd_gets);
+      v("fwd_getm", fwd_getm);
+      v("wb_accepted", wb_accepted);
+      v("wb_dropped", wb_dropped);
+    }
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -83,6 +94,12 @@ class Directory {
   struct State {
     Time busy_until = 0;
     Stats stats;
+
+    template <class V>
+    void fields(V& v) {
+      v("busy_until", busy_until);
+      v("stats", stats);
+    }
   };
   State save_state() const;
   void restore_state(const State& s);

@@ -154,6 +154,13 @@ class Engine {
     std::uint64_t scheduled = 0;        // total schedule() calls
     std::uint64_t slab_refills = 0;     // slab growths (kSlabNodes records each)
     std::uint64_t overflow_events = 0;  // events beyond the wheel window
+
+    template <class V>
+    void fields(V& v) {
+      v("scheduled", scheduled);
+      v("slab_refills", slab_refills);
+      v("overflow_events", overflow_events);
+    }
   };
   const AllocStats& alloc_stats() const noexcept { return alloc_; }
 
@@ -183,6 +190,14 @@ class Engine {
     std::uint64_t next_seq = 0;
     std::uint64_t processed = 0;
     AllocStats alloc;
+
+    template <class V>
+    void fields(V& v) {
+      v("now", now);
+      v("next_seq", next_seq);
+      v("processed", processed);
+      v("alloc", alloc);
+    }
   };
   Checkpoint save_checkpoint() const;   // pre: idle()
   void restore_checkpoint(const Checkpoint& c);  // pre: idle()

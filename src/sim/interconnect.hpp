@@ -71,44 +71,57 @@ class Interconnect {
   Time latency(CoreId src, CoreId dst) const noexcept;
   CoreId directory_id() const noexcept { return cfg_.cores; }
 
-  std::uint64_t messages_sent() const noexcept { return sent_; }
+  std::uint64_t messages_sent() const noexcept { return state_.sent; }
   // kLink counters: messages that crossed a socket link, and the total
   // cycles those messages spent queued behind earlier link traffic (zero
   // under kFlat).
-  std::uint64_t link_messages() const noexcept { return link_msgs_; }
-  std::uint64_t link_wait_cycles() const noexcept { return link_wait_cycles_; }
+  std::uint64_t link_messages() const noexcept { return state_.link_msgs; }
+  std::uint64_t link_wait_cycles() const noexcept {
+    return state_.link_wait_cycles;
+  }
   // Fault-plan message jitter (zero unless fault_plan.jitter_active()).
-  std::uint64_t jittered_messages() const noexcept { return jittered_msgs_; }
-  std::uint64_t jitter_cycles() const noexcept { return jitter_cycles_; }
+  std::uint64_t jittered_messages() const noexcept {
+    return state_.jittered_msgs;
+  }
+  std::uint64_t jitter_cycles() const noexcept { return state_.jitter_cycles; }
 
-  // Schedule-visible state for Machine::snapshot()/fork(). Restore is only
-  // valid against an Interconnect built from the same MachineConfig (link
-  // array shape must match).
+  // Schedule-visible state for Machine::snapshot()/fork(), and the live
+  // state send() works on. Restore is only valid against an Interconnect
+  // built from the same MachineConfig (link array shape must match).
   struct State {
     std::uint64_t sent = 0;
     std::uint64_t link_msgs = 0;
     std::uint64_t link_wait_cycles = 0;
-    std::vector<Time> link_busy_until;  // row-major [src_socket][dst_socket]
+    // One directed link per socket pair, row-major [src_socket][dst_socket]:
+    // the cycle at which the link frees up. Empty under kFlat; diagonal
+    // entries exist but are never used (intra-socket is flat).
+    std::vector<Time> link_busy_until;
     // Jitter machinery (empty/zero unless jitter is active).
     std::uint64_t jitter_rng_state = 0;
     std::uint64_t jittered_msgs = 0;
     std::uint64_t jitter_cycles = 0;
     std::vector<Time> last_arrival;  // row-major [src_node][dst_node]
+
+    template <class V>
+    void fields(V& v) {
+      v("sent", sent);
+      v("link_msgs", link_msgs);
+      v("link_wait_cycles", link_wait_cycles);
+      v("link_busy_until", link_busy_until);
+      v("jitter_rng_state", jitter_rng_state);
+      v("jittered_msgs", jittered_msgs);
+      v("jitter_cycles", jitter_cycles);
+      v("last_arrival", last_arrival);
+    }
   };
-  State save_state() const;
+  State save_state() const { return state_; }
   void restore_state(const State& s);
 
  private:
-  // One directed link per socket pair, row-major [src_socket][dst_socket].
-  // Diagonal entries exist but are never used (intra-socket is flat).
-  struct Link {
-    Time busy_until = 0;  // cycle at which the link frees up
-  };
-
-  Link& link(int src_socket, int dst_socket) noexcept {
-    return links_[static_cast<std::size_t>(src_socket) *
-                      static_cast<std::size_t>(cfg_.sockets) +
-                  static_cast<std::size_t>(dst_socket)];
+  Time& link_busy_until(int src_socket, int dst_socket) noexcept {
+    return state_.link_busy_until[static_cast<std::size_t>(src_socket) *
+                                      static_cast<std::size_t>(cfg_.sockets) +
+                                  static_cast<std::size_t>(dst_socket)];
   }
 
   Engine& engine_;
@@ -119,21 +132,15 @@ class Interconnect {
   void* send_observer_ctx_ = nullptr;
   std::size_t nodes_;           // cores + the directory
   std::vector<int> socket_of_;  // node id -> socket, built once
-  std::vector<Link> links_;  // empty under kFlat
-  std::uint64_t sent_ = 0;
-  std::uint64_t link_msgs_ = 0;
-  std::uint64_t link_wait_cycles_ = 0;
   // Bounded message-latency jitter (fault_plan.jitter_active() only).
   // Jitter only ever *adds* delay, and every send clamps its arrival to
   // the pair's previous arrival, so the protocol's per-(src,dst) FIFO
-  // assumption survives any jitter draw. The clamp table is preallocated
-  // [nodes²] and only consulted when jitter is active.
+  // assumption survives any jitter draw. The clamp table
+  // (state_.last_arrival) is preallocated [nodes²] and only consulted
+  // when jitter is active.
   bool jitter_on_ = false;
-  std::uint64_t jitter_rng_state_ = 0;
   std::uint32_t jitter_threshold_ = 0;
-  std::uint64_t jittered_msgs_ = 0;
-  std::uint64_t jitter_cycles_ = 0;
-  std::vector<Time> last_arrival_;  // row-major [src_node][dst_node]
+  State state_;
 };
 
 }  // namespace sbq::sim

@@ -1,7 +1,7 @@
 #include "sim/serialize.hpp"
 
+#include <array>
 #include <bit>
-#include <cstring>
 #include <limits>
 
 namespace sbq::sim {
@@ -37,6 +37,13 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n) noexcept {
   return h;
 }
 
+// A struct with a field list (sim/types.hpp "Field lists").
+template <class T, class V>
+concept HasFields = requires(T& t, V& v) { t.fields(v); };
+
+// Little-endian encoder: the raw primitives the blob frame uses, plus one
+// field-list visitor overload per field type. An int goes out as its u64
+// two's complement, a u32 widens to u64, an enum is one byte.
 struct Writer {
   std::vector<std::uint8_t> buf;
 
@@ -47,16 +54,59 @@ struct Writer {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void b(bool v) { u8(v ? 1 : 0); }
+
+  void operator()(const char*, std::uint64_t v) { u64(v); }
+  void operator()(const char*, std::uint32_t v) { u64(v); }
+  void operator()(const char*, int v) { u64(static_cast<std::uint64_t>(v)); }
+  void operator()(const char*, bool v) { u8(v ? 1 : 0); }
+  void operator()(const char*, double v) {
+    u64(std::bit_cast<std::uint64_t>(v));
+  }
+  template <class E>
+  void operator()(const char*, E v, int /*count*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  template <class T, std::size_t N>
+  void operator()(const char* name, const std::array<T, N>& a) {
+    for (const T& x : a) (*this)(name, x);
+  }
+  // A vector is its length, then its elements.
+  template <class T>
+  void operator()(const char* name, const std::vector<T>& v) {
+    u64(v.size());
+    for (const T& x : v) (*this)(name, x);
+  }
+  template <class T>
+    requires HasFields<T, Writer>
+  void operator()(const char*, const T& s) {
+    visit_fields(s, *this);
+  }
 };
 
-// Bounds-checked little-endian reader: every accessor returns false instead
-// of reading past the end, so truncated blobs fail cleanly.
+// The fewest bytes a T encodes to (a default T: its vectors empty), the
+// per-entry bound a decoded vector length is checked against.
+template <class T>
+std::size_t min_encoded_size() {
+  static const std::size_t n = [] {
+    Writer w;
+    w(nullptr, T{});
+    return w.buf.size();
+  }();
+  return n;
+}
+
+// Bounds-checked little-endian decoder. The primitives return false
+// instead of reading past the end, so truncated blobs fail cleanly. The
+// field-list overloads mirror Writer's and clear `ok` on the first field
+// that is truncated or that no encoder could have written: a bool byte
+// above 1, an int or u32 out of range, an enum value at or above its
+// count, or a vector longer than the remaining bytes can hold. tag()
+// fails once `ok` is clear, so each section's tag checks the one before.
 struct Reader {
   const std::uint8_t* p;
   std::size_t n;
   std::size_t pos = 0;
+  bool ok = true;
 
   bool u8(std::uint8_t& v) {
     if (pos + 1 > n) return false;
@@ -75,39 +125,62 @@ struct Reader {
     for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[pos++]} << (8 * i);
     return true;
   }
-  bool f64(double& v) {
-    std::uint64_t bits;
-    if (!u64(bits)) return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool b(bool& v) {
-    std::uint8_t byte;
-    if (!u8(byte)) return false;
-    if (byte > 1) return false;
-    v = byte != 0;
-    return true;
-  }
-  bool i(int& v) {
-    std::uint64_t raw;
-    if (!u64(raw)) return false;
-    if (raw > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      return false;
-    }
-    v = static_cast<int>(raw);
-    return true;
-  }
   bool tag(Tag expected) {
-    std::uint8_t t;
-    return u8(t) && t == expected;
+    std::uint8_t t = 0;
+    return ok && u8(t) && t == expected;
+  }
+  // Count limits: a blob that claims more entries than could possibly fit
+  // in the remaining bytes is corrupt — reject before allocating for it.
+  bool plausible(std::uint64_t count, std::size_t min_entry) const {
+    return count <= (n - pos) / (min_entry == 0 ? 1 : min_entry);
+  }
+
+  void operator()(const char*, std::uint64_t& v) { ok = ok && u64(v); }
+  void operator()(const char*, std::uint32_t& v) {
+    std::uint64_t raw = 0;
+    ok = ok && u64(raw) && raw <= std::numeric_limits<std::uint32_t>::max();
+    v = static_cast<std::uint32_t>(raw);
+  }
+  void operator()(const char*, int& v) {
+    std::uint64_t raw = 0;
+    ok = ok && u64(raw) &&
+         raw <= static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    v = static_cast<int>(raw);
+  }
+  void operator()(const char*, bool& v) {
+    std::uint8_t byte = 0;
+    ok = ok && u8(byte) && byte <= 1;
+    v = byte != 0;
+  }
+  void operator()(const char*, double& v) {
+    std::uint64_t bits = 0;
+    ok = ok && u64(bits);
+    v = std::bit_cast<double>(bits);
+  }
+  template <class E>
+  void operator()(const char*, E& v, int count) {
+    std::uint8_t raw = 0;
+    ok = ok && u8(raw) && raw < count;
+    v = static_cast<E>(raw);
+  }
+  template <class T, std::size_t N>
+  void operator()(const char* name, std::array<T, N>& a) {
+    for (T& x : a) (*this)(name, x);
+  }
+  template <class T>
+  void operator()(const char* name, std::vector<T>& v) {
+    std::uint64_t count = 0;
+    ok = ok && u64(count) && plausible(count, min_encoded_size<T>());
+    if (!ok) return;
+    v.assign(static_cast<std::size_t>(count), T{});
+    for (T& x : v) (*this)(name, x);
+  }
+  template <class T>
+    requires HasFields<T, Reader>
+  void operator()(const char*, T& s) {
+    s.fields(*this);
   }
 };
-
-// Count limits: a blob that claims more entries than could possibly fit in
-// the remaining bytes is corrupt — reject before allocating for it.
-bool plausible(const Reader& r, std::uint64_t count, std::size_t min_entry) {
-  return count <= (r.n - r.pos) / (min_entry == 0 ? 1 : min_entry);
-}
 
 }  // namespace
 
@@ -126,7 +199,7 @@ struct SnapshotSerde {
   static void encode_flat_map(Writer& w, const FlatMap<V>& m, EncodeV enc) {
     w.u64(m.slots_.size());
     for (const auto& [key, value] : m.slots_) {
-      w.b(key != kNullAddr);
+      w(nullptr, key != kNullAddr);
       if (key != kNullAddr) {
         w.u64(key);
         enc(w, value);
@@ -144,13 +217,14 @@ struct SnapshotSerde {
         (cap < FlatMap<V>::kMinCapacity || (cap & (cap - 1)) != 0)) {
       return false;
     }
-    if (!plausible(r, cap, 1)) return false;
+    if (!r.plausible(cap, 1)) return false;
     m.slots_ = std::vector<typename FlatMap<V>::Slot>(cap);
     m.shift_ = 64 - std::countr_zero(cap);
     m.size_ = 0;
     for (auto& [key, value] : m.slots_) {
-      bool full;
-      if (!r.b(full)) return false;  // refuses state bytes above 1
+      bool full = false;
+      r(nullptr, full);  // refuses state bytes above 1
+      if (!r.ok) return false;
       if (!full) continue;
       if (!r.u64(key) || key == kNullAddr) return false;
       if (!dec(r, value)) return false;
@@ -162,8 +236,8 @@ struct SnapshotSerde {
   }
 
   // A bit-set word array (a SharerSet's or a CoreStates'): its length,
-  // then the words. Decode refuses more words than `max_words`, the most
-  // a machine of the config's core count can store.
+  // then the words. Decode refuses a word, or a set bit, at or past
+  // `bits`, the most bits a machine of the config's core count uses.
   template <std::size_t N>
   static void encode_words(Writer& w,
                            const detail::SmallBuf<std::uint64_t, N>& b) {
@@ -173,24 +247,28 @@ struct SnapshotSerde {
 
   template <std::size_t N>
   static bool decode_words(Reader& r, detail::SmallBuf<std::uint64_t, N>& b,
-                           std::uint64_t max_words) {
-    std::uint64_t n;
+                           std::uint64_t bits) {
+    const std::uint64_t max_words = (bits + 63) / 64;
+    std::uint64_t n = 0;
     if (!r.u64(n) || n > max_words) return false;
     b.assign(static_cast<std::size_t>(n), 0);
     for (std::size_t i = 0; i < b.size(); ++i) {
       if (!r.u64(b[i])) return false;
     }
-    return true;
+    return n < max_words || bits % 64 == 0 || b[n - 1] >> (bits % 64) == 0;
   }
 
-  // A line record: the cached value first, then the cores' states, then
-  // the directory's fields.
+  // A line record: the cached value first, then the cores' states (two
+  // bits per core), then the directory's fields. Decode refuses an owner
+  // outside [-1, cores) and any state or sharer bit of a core id at or
+  // above `cores`: a forked machine would index its per-core tables with
+  // them.
   static void encode_lines(Writer& w, const LineTable& t) {
     encode_flat_map(w, t.map_, [](Writer& ww, const LineRecord& line) {
       ww.u64(line.value);
       encode_words(ww, line.cores.words_);
       ww.u8(static_cast<std::uint8_t>(line.state));
-      ww.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(line.owner)));
+      ww(nullptr, line.owner);
       encode_words(ww, line.sharers.words_);
       ww.u64(line.llc);
     });
@@ -198,322 +276,54 @@ struct SnapshotSerde {
 
   static bool decode_lines(Reader& r, LineTable& t, int cores) {
     const auto n = static_cast<std::uint64_t>(cores);
-    return decode_flat_map(r, t.map_, [n](Reader& rr, LineRecord& line) {
-      std::uint8_t state;
-      std::uint64_t owner;
-      if (!(rr.u64(line.value) &&
-            decode_words(rr, line.cores.words_, (n + 31) / 32) &&
+    return decode_flat_map(r, t.map_, [n, cores](Reader& rr, LineRecord& line) {
+      std::uint8_t state = 0;
+      std::uint64_t owner = 0;
+      if (!(rr.u64(line.value) && decode_words(rr, line.cores.words_, 2 * n) &&
             rr.u8(state) && rr.u64(owner))) {
         return false;
       }
       if (state > static_cast<std::uint8_t>(LineState::kOwned)) return false;
       line.state = static_cast<LineState>(state);
-      line.owner = static_cast<CoreId>(static_cast<std::int64_t>(owner));
-      return decode_words(rr, line.sharers.words_, (n + 63) / 64) &&
-             rr.u64(line.llc);
+      const auto signed_owner = static_cast<std::int64_t>(owner);
+      if (signed_owner < -1 || signed_owner >= cores) return false;
+      line.owner = static_cast<CoreId>(signed_owner);
+      return decode_words(rr, line.sharers.words_, n) && rr.u64(line.llc);
     });
   }
 
-  static void encode_protocol(Writer& w, const ProtocolCounters& c) {
-    w.u64(c.gets);
-    w.u64(c.getm);
-    w.u64(c.fwd_gets);
-    w.u64(c.fwd_getm);
-    w.u64(c.inv);
-    w.u64(c.inv_ack);
-    w.u64(c.wb_data);
-  }
-  static bool decode_protocol(Reader& r, ProtocolCounters& c) {
-    return r.u64(c.gets) && r.u64(c.getm) && r.u64(c.fwd_gets) &&
-           r.u64(c.fwd_getm) && r.u64(c.inv) && r.u64(c.inv_ack) &&
-           r.u64(c.wb_data);
-  }
-
-  static void encode_htm(Writer& w, const HtmCounters& c) {
-    w.u64(c.calls);
-    w.u64(c.attempts);
-    w.u64(c.commits);
-    w.u64(c.fallbacks);
-    w.u64(c.fallback_cas);
-    w.u64(c.uarch_fix_stalls);
-    for (std::uint64_t a : c.aborts) w.u64(a);
-    for (std::uint64_t b : c.retry_histogram) w.u64(b);
-  }
-  static bool decode_htm(Reader& r, HtmCounters& c) {
-    if (!(r.u64(c.calls) && r.u64(c.attempts) && r.u64(c.commits) &&
-          r.u64(c.fallbacks) && r.u64(c.fallback_cas) &&
-          r.u64(c.uarch_fix_stalls))) {
-      return false;
-    }
-    for (std::uint64_t& a : c.aborts) {
-      if (!r.u64(a)) return false;
-    }
-    for (std::uint64_t& b : c.retry_histogram) {
-      if (!r.u64(b)) return false;
-    }
-    return true;
-  }
-
-  static void encode_basket(Writer& w, const BasketCounters& c) {
-    w.u64(c.appends_won);
-    w.u64(c.appends_lost);
-    w.u64(c.stale_tails);
-    w.u64(c.closes);
-    w.u64(c.occupancy_sum);
-    w.u64(c.occupancy_min);
-    w.u64(c.occupancy_max);
-    w.u64(c.extracted);
-    w.u64(c.empty_swaps);
-    w.u64(c.node_reuses);
-    w.u64(c.fresh_allocs);
-  }
-  static bool decode_basket(Reader& r, BasketCounters& c) {
-    return r.u64(c.appends_won) && r.u64(c.appends_lost) &&
-           r.u64(c.stale_tails) && r.u64(c.closes) && r.u64(c.occupancy_sum) &&
-           r.u64(c.occupancy_min) && r.u64(c.occupancy_max) &&
-           r.u64(c.extracted) && r.u64(c.empty_swaps) && r.u64(c.node_reuses) &&
-           r.u64(c.fresh_allocs);
-  }
-
-  static void encode_policy(Writer& w, const PolicyCounters& c) {
-    w.u64(c.txn_steps);
-    w.u64(c.budget_fallbacks);
-    w.u64(c.degraded_fallbacks);
-    w.u64(c.intra_delay_cycles);
-    w.u64(c.post_delay_cycles);
-  }
-  static bool decode_policy(Reader& r, PolicyCounters& c) {
-    return r.u64(c.txn_steps) && r.u64(c.budget_fallbacks) &&
-           r.u64(c.degraded_fallbacks) && r.u64(c.intra_delay_cycles) &&
-           r.u64(c.post_delay_cycles);
-  }
-
+  // The machine-wide counters, then one count for both per-core tables,
+  // then each table's entries.
   static void encode_stats(Writer& w, const Stats& s) {
-    encode_protocol(w, s.protocol_);
-    encode_htm(w, s.htm_);
-    encode_basket(w, s.basket_);
-    encode_policy(w, s.policy_);
+    w("protocol", s.protocol_);
+    w("htm", s.htm_);
+    w("basket", s.basket_);
+    w("policy", s.policy_);
     w.u64(s.per_core_protocol_.size());
-    for (const auto& c : s.per_core_protocol_) encode_protocol(w, c);
-    for (const auto& c : s.per_core_htm_) encode_htm(w, c);
+    for (const auto& c : s.per_core_protocol_) w("protocol", c);
+    for (const auto& c : s.per_core_htm_) w("htm", c);
   }
 
   // `stats` was emplaced from the config's core count, so the per-core
   // tables are already sized; the blob's count must agree with the config.
   static bool decode_stats(Reader& r, Stats& s, int cores) {
-    if (!decode_protocol(r, s.protocol_)) return false;
-    if (!decode_htm(r, s.htm_)) return false;
-    if (!decode_basket(r, s.basket_)) return false;
-    if (!decode_policy(r, s.policy_)) return false;
-    std::uint64_t n;
-    if (!r.u64(n)) return false;
-    if (n != static_cast<std::uint64_t>(cores)) return false;
-    for (auto& c : s.per_core_protocol_) {
-      if (!decode_protocol(r, c)) return false;
+    r("protocol", s.protocol_);
+    r("htm", s.htm_);
+    r("basket", s.basket_);
+    r("policy", s.policy_);
+    std::uint64_t n = 0;
+    if (!r.ok || !r.u64(n) || n != static_cast<std::uint64_t>(cores)) {
+      return false;
     }
-    for (auto& c : s.per_core_htm_) {
-      if (!decode_htm(r, c)) return false;
-    }
-    return true;
+    for (auto& c : s.per_core_protocol_) r("protocol", c);
+    for (auto& c : s.per_core_htm_) r("htm", c);
+    return r.ok;
   }
 };
 
-namespace {
-
-void encode_config(Writer& w, const MachineConfig& cfg) {
-  w.u64(static_cast<std::uint64_t>(cfg.cores));
-  w.u64(static_cast<std::uint64_t>(cfg.sockets));
-  w.u64(cfg.intra_latency);
-  w.u64(cfg.inter_latency);
-  w.u8(static_cast<std::uint8_t>(cfg.interconnect_model));
-  w.u64(cfg.link_occupancy);
-  w.u64(cfg.dir_occupancy);
-  w.u64(cfg.hit_latency);
-  w.u64(cfg.rmw_latency);
-  w.b(cfg.uarch_fix);
-  w.b(cfg.record_trace);
-  w.u64(cfg.trace_capacity);
-  w.b(cfg.collect_stats);
-  w.b(cfg.fault_plan.enabled);
-  w.u64(cfg.fault_plan.seed);
-  w.f64(cfg.fault_plan.capacity_rate);
-  w.f64(cfg.fault_plan.interrupt_rate);
-  w.f64(cfg.fault_plan.spurious_rate);
-  w.f64(cfg.fault_plan.message_jitter_rate);
-  w.u64(cfg.fault_plan.max_message_jitter);
-  w.u64(cfg.fault_plan.one_shots.size());
-  for (const FaultOneShot& shot : cfg.fault_plan.one_shots) {
-    w.u64(shot.time);
-    w.u64(static_cast<std::uint64_t>(shot.core));
-    w.u8(static_cast<std::uint8_t>(shot.kind));
-  }
-  w.b(cfg.check_invariants);
-  // Contention policy: part of the canonical config bytes, so the policy
-  // kind and every tuning knob key machine_config_digest automatically.
-  w.u8(static_cast<std::uint8_t>(cfg.cas_policy.kind));
-  w.u64(cfg.cas_policy.seed);
-  w.u64(cfg.cas_policy.backoff_floor_shift);
-  w.u64(cfg.cas_policy.backoff_ceil_mult);
-}
-
-bool decode_config(Reader& r, MachineConfig& cfg) {
-  std::uint8_t model;
-  if (!(r.i(cfg.cores) && r.i(cfg.sockets) && r.u64(cfg.intra_latency) &&
-        r.u64(cfg.inter_latency) && r.u8(model))) {
-    return false;
-  }
-  if (model > static_cast<std::uint8_t>(InterconnectModel::kLink)) return false;
-  cfg.interconnect_model = static_cast<InterconnectModel>(model);
-  if (!(r.u64(cfg.link_occupancy) && r.u64(cfg.dir_occupancy) &&
-        r.u64(cfg.hit_latency) && r.u64(cfg.rmw_latency) &&
-        r.b(cfg.uarch_fix) && r.b(cfg.record_trace))) {
-    return false;
-  }
-  std::uint64_t cap;
-  if (!r.u64(cap)) return false;
-  cfg.trace_capacity = static_cast<std::size_t>(cap);
-  if (!r.b(cfg.collect_stats)) return false;
-  if (!(r.b(cfg.fault_plan.enabled) && r.u64(cfg.fault_plan.seed) &&
-        r.f64(cfg.fault_plan.capacity_rate) &&
-        r.f64(cfg.fault_plan.interrupt_rate) &&
-        r.f64(cfg.fault_plan.spurious_rate) &&
-        r.f64(cfg.fault_plan.message_jitter_rate) &&
-        r.u64(cfg.fault_plan.max_message_jitter))) {
-    return false;
-  }
-  std::uint64_t nshots;
-  if (!r.u64(nshots) || !plausible(r, nshots, 17)) return false;
-  cfg.fault_plan.one_shots.resize(static_cast<std::size_t>(nshots));
-  for (FaultOneShot& shot : cfg.fault_plan.one_shots) {
-    std::uint8_t kind;
-    if (!(r.u64(shot.time) && r.i(shot.core) && r.u8(kind))) return false;
-    if (kind >= kFaultKindCount) return false;
-    shot.kind = static_cast<FaultKind>(kind);
-  }
-  if (!r.b(cfg.check_invariants)) return false;
-  std::uint8_t policy_kind;
-  if (!r.u8(policy_kind)) return false;
-  // Unknown policy kinds are rejected, not misread: a blob from a future
-  // schema cannot silently decode into the wrong retry behavior.
-  if (policy_kind >= kContentionPolicyKindCount) return false;
-  cfg.cas_policy.kind = static_cast<ContentionPolicyKind>(policy_kind);
-  std::uint64_t floor_shift, ceil_mult;
-  if (!(r.u64(cfg.cas_policy.seed) && r.u64(floor_shift) &&
-        r.u64(ceil_mult))) {
-    return false;
-  }
-  cfg.cas_policy.backoff_floor_shift = static_cast<std::uint32_t>(floor_shift);
-  cfg.cas_policy.backoff_ceil_mult = static_cast<std::uint32_t>(ceil_mult);
-  return true;
-}
-
-void encode_directory(Writer& w, const Directory::State& d) {
-  w.u64(d.busy_until);
-  w.u64(d.stats.gets);
-  w.u64(d.stats.getm);
-  w.u64(d.stats.invalidations);
-  w.u64(d.stats.fwd_gets);
-  w.u64(d.stats.fwd_getm);
-  w.u64(d.stats.wb_accepted);
-  w.u64(d.stats.wb_dropped);
-}
-
-bool decode_directory(Reader& r, Directory::State& d) {
-  return r.u64(d.busy_until) && r.u64(d.stats.gets) &&
-         r.u64(d.stats.getm) && r.u64(d.stats.invalidations) &&
-         r.u64(d.stats.fwd_gets) && r.u64(d.stats.fwd_getm) &&
-         r.u64(d.stats.wb_accepted) && r.u64(d.stats.wb_dropped);
-}
-
-void encode_core_stats(Writer& w, const CoreStats& s) {
-  w.u64(s.loads);
-  w.u64(s.stores);
-  w.u64(s.rmws);
-  w.u64(s.txcas_calls);
-  w.u64(s.txcas_success);
-  w.u64(s.txcas_fail);
-  w.u64(s.txcas_attempts);
-  w.u64(s.nested_aborts);
-  w.u64(s.tripped_aborts);
-  w.u64(s.uarch_fix_stalls);
-  w.u64(s.self_aborts);
-  w.u64(s.fallbacks);
-  w.u64(s.injected_capacity);
-  w.u64(s.injected_interrupt);
-  w.u64(s.injected_spurious);
-  w.u64(s.fallback_cas);
-}
-
-bool decode_core_stats(Reader& r, CoreStats& s) {
-  return r.u64(s.loads) && r.u64(s.stores) && r.u64(s.rmws) &&
-         r.u64(s.txcas_calls) && r.u64(s.txcas_success) &&
-         r.u64(s.txcas_fail) && r.u64(s.txcas_attempts) &&
-         r.u64(s.nested_aborts) && r.u64(s.tripped_aborts) &&
-         r.u64(s.uarch_fix_stalls) && r.u64(s.self_aborts) &&
-         r.u64(s.fallbacks) && r.u64(s.injected_capacity) &&
-         r.u64(s.injected_interrupt) && r.u64(s.injected_spurious) &&
-         r.u64(s.fallback_cas);
-}
-
-void encode_core(Writer& w, const Core::State& c) {
-  encode_core_stats(w, c.stats);
-  w.u64(c.delay_jitter_state);
-  w.u64(c.fault_rng_state);
-  w.u64(c.policy_state.rng);
-  w.u64(c.policy_state.failure_level);
-}
-
-bool decode_core(Reader& r, Core::State& c) {
-  if (!(decode_core_stats(r, c.stats) && r.u64(c.delay_jitter_state) &&
-        r.u64(c.fault_rng_state) && r.u64(c.policy_state.rng))) {
-    return false;
-  }
-  std::uint64_t level;
-  if (!r.u64(level)) return false;
-  c.policy_state.failure_level = static_cast<std::uint32_t>(level);
-  return true;
-}
-
-void encode_net(Writer& w, const Interconnect::State& s) {
-  w.u64(s.sent);
-  w.u64(s.link_msgs);
-  w.u64(s.link_wait_cycles);
-  w.u64(s.link_busy_until.size());
-  for (Time t : s.link_busy_until) w.u64(t);
-  w.u64(s.jitter_rng_state);
-  w.u64(s.jittered_msgs);
-  w.u64(s.jitter_cycles);
-  w.u64(s.last_arrival.size());
-  for (Time t : s.last_arrival) w.u64(t);
-}
-
-bool decode_net(Reader& r, Interconnect::State& s) {
-  if (!(r.u64(s.sent) && r.u64(s.link_msgs) && r.u64(s.link_wait_cycles))) {
-    return false;
-  }
-  std::uint64_t n;
-  if (!r.u64(n) || !plausible(r, n, 8)) return false;
-  s.link_busy_until.resize(static_cast<std::size_t>(n));
-  for (Time& t : s.link_busy_until) {
-    if (!r.u64(t)) return false;
-  }
-  if (!(r.u64(s.jitter_rng_state) && r.u64(s.jittered_msgs) &&
-        r.u64(s.jitter_cycles))) {
-    return false;
-  }
-  if (!r.u64(n) || !plausible(r, n, 8)) return false;
-  s.last_arrival.resize(static_cast<std::size_t>(n));
-  for (Time& t : s.last_arrival) {
-    if (!r.u64(t)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::uint64_t machine_config_digest(const MachineConfig& cfg) {
   Writer w;
-  encode_config(w, cfg);
+  w("config", cfg);
   return fnv1a(w.buf.data(), w.buf.size());
 }
 
@@ -531,40 +341,33 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w.u64(key);
 
   w.u8(kTagConfig);
-  encode_config(w, snap.cfg);
+  w("config", snap.cfg);
 
   w.u8(kTagEngine);
-  w.u64(snap.engine.now);
-  w.u64(snap.engine.next_seq);
-  w.u64(snap.engine.processed);
-  w.u64(snap.engine.alloc.scheduled);
-  w.u64(snap.engine.alloc.slab_refills);
-  w.u64(snap.engine.alloc.overflow_events);
+  w("engine", snap.engine);
 
   w.u8(kTagNet);
-  encode_net(w, snap.net);
+  w("net", snap.net);
 
   w.u8(kTagLines);
   SnapshotSerde::encode_lines(w, snap.lines);
-  encode_directory(w, snap.directory);
+  w("directory", snap.directory);
 
   w.u8(kTagCores);
-  w.u64(snap.cores.size());
-  for (const Core::State& c : snap.cores) encode_core(w, c);
+  w("cores", snap.cores);
 
   w.u8(kTagStats);
-  w.b(snap.stats.has_value());
+  w("has_stats", snap.stats.has_value());
   if (snap.stats.has_value()) SnapshotSerde::encode_stats(w, *snap.stats);
 
   w.u8(kTagCursors);
-  w.u64(snap.next_addr);
-  w.u64(snap.spawned);
-  w.u64(snap.finished);
-  w.b(snap.started);
+  w("next_addr", snap.next_addr);
+  w("spawned", snap.spawned);
+  w("finished", snap.finished);
+  w("started", snap.started);
 
   w.u8(kTagHostWords);
-  w.u64(host_words.size());
-  for (std::uint64_t v : host_words) w.u64(v);
+  w("host_words", host_words);
 
   w.u8(kTagEnd);
   w.u64(fnv1a(w.buf.data(), w.buf.size()));
@@ -591,58 +394,45 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   if (version != kSnapshotSchemaVersion) return false;
   if (stored_key != key) return false;
 
-  if (!r.tag(kTagConfig) || !decode_config(r, snap.cfg)) return false;
-  if (snap.cfg.cores < 1) return false;
+  if (!r.tag(kTagConfig)) return false;
+  r("config", snap.cfg);
+  if (!r.ok || snap.cfg.cores < 1) return false;
+  const int cores = snap.cfg.cores;
 
   if (!r.tag(kTagEngine)) return false;
-  if (!(r.u64(snap.engine.now) && r.u64(snap.engine.next_seq) &&
-        r.u64(snap.engine.processed) && r.u64(snap.engine.alloc.scheduled) &&
-        r.u64(snap.engine.alloc.slab_refills) &&
-        r.u64(snap.engine.alloc.overflow_events))) {
+  r("engine", snap.engine);
+
+  if (!r.tag(kTagNet)) return false;
+  r("net", snap.net);
+
+  if (!r.tag(kTagLines) || !SnapshotSerde::decode_lines(r, snap.lines, cores)) {
+    return false;
+  }
+  r("directory", snap.directory);
+
+  if (!r.tag(kTagCores)) return false;
+  r("cores", snap.cores);
+  if (!r.ok || snap.cores.size() != static_cast<std::size_t>(cores)) {
     return false;
   }
 
-  if (!r.tag(kTagNet) || !decode_net(r, snap.net)) return false;
-
-  if (!r.tag(kTagLines) ||
-      !SnapshotSerde::decode_lines(r, snap.lines, snap.cfg.cores) ||
-      !decode_directory(r, snap.directory)) {
-    return false;
-  }
-
-  std::uint64_t n;
-  if (!r.tag(kTagCores) || !r.u64(n)) return false;
-  if (n != static_cast<std::uint64_t>(snap.cfg.cores)) return false;
-  snap.cores.clear();
-  snap.cores.resize(static_cast<std::size_t>(n));
-  for (Core::State& c : snap.cores) {
-    if (!decode_core(r, c)) return false;
-  }
-
-  bool have_stats;
-  if (!r.tag(kTagStats) || !r.b(have_stats)) return false;
+  bool have_stats = false;
+  if (!r.tag(kTagStats)) return false;
+  r("has_stats", have_stats);
   snap.stats.reset();
   if (have_stats) {
-    snap.stats.emplace(snap.cfg.cores);
-    if (!SnapshotSerde::decode_stats(r, *snap.stats, snap.cfg.cores)) {
-      return false;
-    }
+    snap.stats.emplace(cores);
+    if (!SnapshotSerde::decode_stats(r, *snap.stats, cores)) return false;
   }
 
   if (!r.tag(kTagCursors)) return false;
-  std::uint64_t spawned, finished;
-  if (!(r.u64(snap.next_addr) && r.u64(spawned) && r.u64(finished) &&
-        r.b(snap.started))) {
-    return false;
-  }
-  snap.spawned = static_cast<std::size_t>(spawned);
-  snap.finished = static_cast<std::size_t>(finished);
+  r("next_addr", snap.next_addr);
+  r("spawned", snap.spawned);
+  r("finished", snap.finished);
+  r("started", snap.started);
 
-  if (!r.tag(kTagHostWords) || !r.u64(n) || !plausible(r, n, 8)) return false;
-  host_words.resize(static_cast<std::size_t>(n));
-  for (std::uint64_t& v : host_words) {
-    if (!r.u64(v)) return false;
-  }
+  if (!r.tag(kTagHostWords)) return false;
+  r("host_words", host_words);
 
   if (!r.tag(kTagEnd)) return false;
   if (r.pos != body) return false;  // trailing garbage

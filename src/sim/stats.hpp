@@ -68,6 +68,17 @@ struct ProtocolCounters {
   std::uint64_t inv = 0;       // Inv received by a sharer
   std::uint64_t inv_ack = 0;   // Inv-Ack received by a requester
   std::uint64_t wb_data = 0;   // WB-Data sent on an M->O downgrade
+
+  template <class V>
+  void fields(V& v) {
+    v("gets", gets);
+    v("getm", getm);
+    v("fwd_gets", fwd_gets);
+    v("fwd_getm", fwd_getm);
+    v("inv", inv);
+    v("inv_ack", inv_ack);
+    v("wb_data", wb_data);
+  }
 };
 
 // HTM/TxCAS counters (machine-wide and per-core).
@@ -94,6 +105,20 @@ struct HtmCounters {
     for (std::uint64_t a : aborts) n += a;
     return n;
   }
+
+  // Blob order. The JSON "htm" block keeps its own order (aborts after
+  // commits), so metrics_to_json writes it by hand.
+  template <class V>
+  void fields(V& v) {
+    v("calls", calls);
+    v("attempts", attempts);
+    v("commits", commits);
+    v("fallbacks", fallbacks);
+    v("fallback_cas", fallback_cas);
+    v("uarch_fix_stalls", uarch_fix_stalls);
+    v("aborts", aborts);
+    v("retry_histogram", retry_histogram);
+  }
 };
 
 // Queue-level basket dynamics, fed by the simulated SBQ (§5). "Occupancy"
@@ -111,6 +136,21 @@ struct BasketCounters {
   std::uint64_t empty_swaps = 0;    // swaps that hit an unfilled cell
   std::uint64_t node_reuses = 0;    // failed appender's node recycled
   std::uint64_t fresh_allocs = 0;   // baskets initialized from scratch
+
+  template <class V>
+  void fields(V& v) {
+    v("appends_won", appends_won);
+    v("appends_lost", appends_lost);
+    v("stale_tails", stale_tails);
+    v("closes", closes);
+    v("occupancy_sum", occupancy_sum);
+    v("occupancy_min", occupancy_min);
+    v("occupancy_max", occupancy_max);
+    v("extracted", extracted);
+    v("empty_swaps", empty_swaps);
+    v("node_reuses", node_reuses);
+    v("fresh_allocs", fresh_allocs);
+  }
 };
 
 // Contention-policy decision counters (common/contention.hpp), machine-wide.
@@ -132,6 +172,15 @@ struct PolicyCounters {
   std::uint64_t decisions() const noexcept {
     return txn_steps + budget_fallbacks + degraded_fallbacks;
   }
+
+  template <class V>
+  void fields(V& v) {
+    v("txn_steps", txn_steps);
+    v("budget_fallbacks", budget_fallbacks);
+    v("degraded_fallbacks", degraded_fallbacks);
+    v("intra_delay_cycles", intra_delay_cycles);
+    v("post_delay_cycles", post_delay_cycles);
+  }
 };
 
 // Fault-injection counters (all zero — and not serialized — unless the
@@ -146,6 +195,18 @@ struct FaultCounters {
 
   std::uint64_t injected_total() const noexcept {
     return injected_capacity + injected_interrupt + injected_spurious;
+  }
+
+  // JSON only: the machine derives these at metrics() time, so no blob
+  // carries them.
+  template <class V>
+  void fields(V& v) {
+    v("injected_capacity", injected_capacity);
+    v("injected_interrupt", injected_interrupt);
+    v("injected_spurious", injected_spurious);
+    v("one_shots_fired", one_shots_fired);
+    v("jittered_messages", jittered_messages);
+    v("jitter_cycles", jitter_cycles);
   }
 };
 

@@ -22,6 +22,23 @@ using CoreId = int;
 
 inline constexpr Addr kNullAddr = 0;  // sim code treats address 0 as NULL
 
+// Field lists. Every schedule-visible state or counter struct (this
+// file's configs, the counters in stats.hpp, CoreStats and Core::State,
+// Directory::State, Interconnect::State, Engine::Checkpoint) names its
+// fields once, in snapshot blob order, in a member
+//
+//   template <class V> void fields(V& v) { v("name", member); ... }
+//
+// where an enum member passes its value count too: v("kind", kind, count).
+// The snapshot codec (serialize.cpp), machine_config_digest and the JSON
+// counters (benchsupport/metrics_json.hpp) are visitors over these lists,
+// so adding a field takes its declaration and one line in its struct's
+// list. visit_fields walks a const struct, for visitors that only read.
+template <class T, class V>
+void visit_fields(const T& t, V& v) {
+  const_cast<T&>(t).fields(v);
+}
+
 // Interconnect topology model (selected via MachineConfig).
 //
 //   kFlat — the original latency matrix: every hop costs intra_latency or
@@ -37,6 +54,7 @@ inline constexpr Addr kNullAddr = 0;  // sim code treats address 0 as NULL
 //           models). This is what lets ablation_numa capture *contention*
 //           on the socket link rather than just the added hop cost.
 enum class InterconnectModel : std::uint8_t { kFlat, kLink };
+inline constexpr int kInterconnectModelCount = 2;
 
 // Kinds of HTM abort the fault-injection layer can force into an in-flight
 // simulated transaction. The simulator's protocol only ever produces
@@ -54,6 +72,13 @@ struct FaultOneShot {
   Time time = 0;
   CoreId core = 0;
   FaultKind kind = FaultKind::kInterrupt;
+
+  template <class V>
+  void fields(V& v) {
+    v("time", time);
+    v("core", core);
+    v("kind", kind, kFaultKindCount);
+  }
 };
 
 // Deterministic, seedable fault-injection plan (off by default — a default
@@ -89,6 +114,18 @@ struct FaultPlan {
   }
   bool jitter_active() const noexcept {
     return enabled && message_jitter_rate > 0 && max_message_jitter > 0;
+  }
+
+  template <class V>
+  void fields(V& v) {
+    v("enabled", enabled);
+    v("seed", seed);
+    v("capacity_rate", capacity_rate);
+    v("interrupt_rate", interrupt_rate);
+    v("spurious_rate", spurious_rate);
+    v("message_jitter_rate", message_jitter_rate);
+    v("max_message_jitter", max_message_jitter);
+    v("one_shots", one_shots);
   }
 };
 
@@ -132,6 +169,26 @@ struct MachineConfig {
   // snapshot identity; the persistent per-core policy state lives in each
   // core's TxCasOp slot and is serialized alongside it.
   ContentionPolicyParams cas_policy;
+
+  template <class V>
+  void fields(V& v) {
+    v("cores", cores);
+    v("sockets", sockets);
+    v("intra_latency", intra_latency);
+    v("inter_latency", inter_latency);
+    v("interconnect_model", interconnect_model, kInterconnectModelCount);
+    v("link_occupancy", link_occupancy);
+    v("dir_occupancy", dir_occupancy);
+    v("hit_latency", hit_latency);
+    v("rmw_latency", rmw_latency);
+    v("uarch_fix", uarch_fix);
+    v("record_trace", record_trace);
+    v("trace_capacity", trace_capacity);
+    v("collect_stats", collect_stats);
+    v("fault_plan", fault_plan);
+    v("check_invariants", check_invariants);
+    v("cas_policy", cas_policy);
+  }
 };
 
 // TxCAS tuning (§4.1, §4.2). Cycle values assume 0.4 ns/cycle, so the
