@@ -12,7 +12,8 @@
 // Format: magic + schema version + caller key, then u8-tagged sections
 // (config, engine checkpoint, interconnect, line table + directory, cores,
 // stats, allocator cursor, queue host words), then an FNV-1a checksum over
-// every preceding byte. Explicit section tags plus the version stamp mean a
+// every preceding byte. A section's fields, and their order, are its
+// structs' field lists (sim/types.hpp "Field lists"). Explicit section tags plus the version stamp mean a
 // schema bump *rejects* old blobs instead of misreading them; decode never
 // throws — any structural problem (truncation, corruption, stale version,
 // foreign key) returns false.
