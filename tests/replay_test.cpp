@@ -6,6 +6,7 @@
 //     recorded sim run's metrics are byte-identical to the plain run, and
 //     replaying the trace under the recording config reproduces them again
 //     with zero value mismatches;
+//   * pinned digests of the recorded and replayed op traces;
 //   * recorded histories satisfy the HSV linearizability checks (sim and
 //     native sources), value conservation holds, and a deliberately
 //     mutated trace fails the checker.
@@ -250,6 +251,80 @@ TEST(SimRecordReplay, RecordingIsScheduleInvisibleAndReplayExact) {
     EXPECT_EQ(replay::encode_op_trace(back), replay::encode_op_trace(trace));
     std::remove(path.c_str());
   }
+}
+
+// Pinned bytes: the FNV-1a digest of the encoded op trace each queue
+// records, and of the history its replay observes (encoded under the same
+// header), for a consumer-only spec and a mixed spec whose prefill records
+// carry thread -(p+1). Recording and replay must not move a byte; a
+// change to either the workload schedule or the SBQO layout moves these.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ULL;
+  return h;
+}
+
+struct PinnedTrace {
+  QueueKind kind;
+  std::uint64_t trace_digest;
+  std::uint64_t observed_digest;
+};
+
+void expect_pinned_traces(const WorkloadSpec& spec,
+                          const std::vector<PinnedTrace>& pins) {
+  const sim::MachineConfig mcfg = small_config(4);
+  for (const PinnedTrace& pin : pins) {
+    SCOPED_TRACE(queue_kind_name(pin.kind));
+    replay::OpTrace trace;
+    record_run(pin.kind, mcfg, spec, trace);
+    replay::OpTrace observed = trace;
+    observed.records = replay_run(mcfg, trace).observed;
+    EXPECT_EQ(fnv1a(replay::encode_op_trace(trace)), pin.trace_digest);
+    EXPECT_EQ(fnv1a(replay::encode_op_trace(observed)), pin.observed_digest);
+  }
+}
+
+TEST(SimRecordReplay, PinnedConsumerOnlyTraceDigests) {
+  WorkloadSpec spec;
+  spec.kind = Workload::kConsumerOnly;
+  spec.producers = 3;
+  spec.consumers = 2;
+  spec.ops_per_thread = 12;
+  spec.seed = 23;
+  spec.prefill_seed = 5;
+  expect_pinned_traces(spec, {
+      {QueueKind::kSbqHtm, 0xd177f2404753de3cULL,
+       0xd177f2404753de3cULL},
+      {QueueKind::kSbqCas, 0x376dc71904fe0955ULL,
+       0x376dc71904fe0955ULL},
+      {QueueKind::kWfQueue, 0x7ca4aa056dc8190eULL,
+       0x7ca4aa056dc8190eULL},
+      {QueueKind::kBqOriginal, 0xe6a3e06956b7bcd5ULL,
+       0xe6a3e06956b7bcd5ULL},
+      {QueueKind::kCcQueue, 0x12095a6db27c129cULL,
+       0x12095a6db27c129cULL},
+      {QueueKind::kMsQueue, 0xf35cfb24d4ff885fULL,
+       0xf35cfb24d4ff885fULL},
+  });
+}
+
+TEST(SimRecordReplay, PinnedMixedWithPrefillTraceDigests) {
+  WorkloadSpec spec = mixed_spec(/*seed=*/31);
+  spec.prefill = 7;
+  expect_pinned_traces(spec, {
+      {QueueKind::kSbqHtm, 0x125e621734615227ULL,
+       0x125e621734615227ULL},
+      {QueueKind::kSbqCas, 0x6d90a1f7edaee74cULL,
+       0x6d90a1f7edaee74cULL},
+      {QueueKind::kWfQueue, 0x203e468fde374689ULL,
+       0x203e468fde374689ULL},
+      {QueueKind::kBqOriginal, 0x0581ff4d774171ecULL,
+       0x0581ff4d774171ecULL},
+      {QueueKind::kCcQueue, 0xd5a621bd7b86adf4ULL,
+       0xd5a621bd7b86adf4ULL},
+      {QueueKind::kMsQueue, 0xb269f17e7952fb3eULL,
+       0xb269f17e7952fb3eULL},
+  });
 }
 
 TEST(SimRecordReplay, RecordedHistoriesAreLinearizable) {
