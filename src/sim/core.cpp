@@ -28,7 +28,7 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
     // Per-core stream: decorrelate cores by mixing the id into the seed.
     SplitMix64 sm(plan.seed ^
                   (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id_) + 1)));
-    fault_rng_state_ = sm.next();
+    state_.fault_rng_state = sm.next();
     // Cumulative thresholds: one draw selects capacity / interrupt /
     // spurious / none.
     const std::uint64_t cap = rate_to_threshold(plan.capacity_rate);
@@ -44,7 +44,7 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
   // Per-core contention-policy stream, decorrelated by core id. Seeded
   // unconditionally (cheap, deterministic) so switching the policy kind
   // never perturbs any other stream.
-  txcas_op_.policy_state = ContentionPolicy::seeded_state(
+  state_.policy_state = ContentionPolicy::seeded_state(
       cfg_.cas_policy.seed, static_cast<std::uint64_t>(id_));
   // Sized for the stall bound (see stalled_fwds_), so a measured phase
   // never allocates here (sim_microbench zero-alloc gate).
@@ -55,16 +55,12 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
 
 Core::State Core::save_state() const {
   assert(quiescent() && "cannot snapshot a core with in-flight state");
-  return State{stats_, delay_jitter_state_, fault_rng_state_,
-               txcas_op_.policy_state};
+  return state_;
 }
 
 void Core::restore_state(const State& s) {
   assert(quiescent() && "cannot restore onto a core with in-flight state");
-  stats_ = s.stats;
-  delay_jitter_state_ = s.delay_jitter_state;
-  fault_rng_state_ = s.fault_rng_state;
-  txcas_op_.policy_state = s.policy_state;
+  state_ = s;
 }
 
 // ---------------------------------------------------------------------------
@@ -88,9 +84,9 @@ void Core::start_access(OpKind kind, Addr a, Value a0, Value a1,
                         std::coroutine_handle<> thread) {
   begin_op(kind, a, a0, a1, thread);
   switch (kind) {
-    case OpKind::kLoad: ++stats_.loads; break;
-    case OpKind::kStore: ++stats_.stores; break;
-    default: ++stats_.rmws; break;
+    case OpKind::kLoad: ++state_.stats.loads; break;
+    case OpKind::kStore: ++state_.stats.stores; break;
+    default: ++state_.stats.rmws; break;
   }
   acquire(a, /*want_m=*/kind != OpKind::kLoad, Cont::kAccess, 0);
 }
@@ -296,7 +292,7 @@ void Core::poll_step() {
     const LineRecord* line = lines_.find(a);
     if (line != nullptr && line->cores.get(id_) != LineState::kInvalid) {
       // A hit, exactly as a plain load's: count it, read the value now.
-      ++stats_.loads;
+      ++state_.stats.loads;
       op_.result = line->value;
       if (op_.result < poll_.at_least) {
         poll_.parked = true;
@@ -308,7 +304,7 @@ void Core::poll_step() {
     }
   }
   // A miss (or a gap too long to park with): the plain loop's load.
-  ++stats_.loads;
+  ++state_.stats.loads;
   acquire(a, /*want_m=*/false, Cont::kAccess, 0);
 }
 
@@ -328,7 +324,7 @@ void Core::poll_wake() {
   const Time period = cfg_.hit_latency + poll_.gap;
   Time at = poll_.next;
   if (at < now) at += (now - at + period - 1) / period * period;
-  stats_.loads += (at - poll_.next) / period;
+  state_.stats.loads += (at - poll_.next) / period;
   poll_.next = at;
   engine_.schedule(at - now, [this] { poll_step(); });
 }
@@ -351,7 +347,7 @@ void Core::poll_finish() {
 void Core::start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
                        std::coroutine_handle<> thread) {
   begin_op(OpKind::kTxCas, a, expected, desired, thread);
-  ++stats_.txcas_calls;
+  ++state_.stats.txcas_calls;
   if (metrics_) metrics_->on_txcas_call(id_);
   TxCasOp& op = txcas_op_;
   op.cfg = cfg;
@@ -374,7 +370,7 @@ void Core::txcas_attempt() {
     return;
   }
   op.policy.note_attempt();
-  ++stats_.txcas_attempts;
+  ++state_.stats.txcas_attempts;
   if (metrics_) metrics_->on_txn_attempt(id_);
   op_.kind = OpKind::kTxCas;
   txn_.active = true;
@@ -406,8 +402,8 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
 
   if (v != op_.a0) {
     // Self-abort (_xabort(1) in Algorithm 1): the CAS fails outright.
-    ++stats_.self_aborts;
-    ++stats_.txcas_fail;
+    ++state_.stats.self_aborts;
+    ++state_.stats.txcas_fail;
     if (metrics_) {
       metrics_->on_txn_abort(id_, AbortCause::kExplicit);
       metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
@@ -434,12 +430,12 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
   // fixed policy; failure-history-scaled under adaptive-backoff). The
   // schedule jitter keeps drawing from the core's own LCG stream either
   // way, so switching policies never desynchronizes other draws.
-  const Time delay_base = op.policy.intra_delay(op.policy_state);
-  delay_jitter_state_ = delay_jitter_state_ * 6364136223846793005ULL +
-                        1442695040888963407ULL +
-                        static_cast<std::uint64_t>(id_);
+  const Time delay_base = op.policy.intra_delay(state_.policy_state);
+  std::uint64_t& jitter_state = state_.delay_jitter_state;
+  jitter_state = jitter_state * 6364136223846793005ULL +
+                 1442695040888963407ULL + static_cast<std::uint64_t>(id_);
   const Time jitter_range = delay_base / 2 + 16;
-  const Time jitter = (delay_jitter_state_ >> 33) % jitter_range;
+  const Time jitter = (jitter_state >> 33) % jitter_range;
   if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/true, delay_base + jitter);
   engine_.schedule(delay_base + jitter, [this, token] {
     if (!txn_.active || txn_.token != token) return;
@@ -452,7 +448,7 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
   // callback is token-guarded, so an attempt that already ended (committed
   // or aborted on a real conflict) ignores the stale fault.
   if ((fault_cap_t_ | fault_int_t_ | fault_spur_t_) != 0) {
-    std::uint64_t z = (fault_rng_state_ += 0x9e3779b97f4a7c15ULL);
+    std::uint64_t z = (state_.fault_rng_state += 0x9e3779b97f4a7c15ULL);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
@@ -509,8 +505,8 @@ void Core::txcas_commit() {
   const Addr a = op_.addr;
   // _xend: all transactional writes propagate to the cache.
   lines_.at(a).value = op_.a1;
-  ++stats_.txcas_success;
-  op.policy.on_commit(op.policy_state);
+  ++state_.stats.txcas_success;
+  op.policy.on_commit(state_.policy_state);
   if (metrics_) {
     metrics_->on_txn_commit(id_);
     metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
@@ -550,20 +546,20 @@ void Core::txcas_abort(int kind, AbortCause cause) {
   const bool nonconflict = cause == AbortCause::kCapacity ||
                            cause == AbortCause::kInterrupt ||
                            cause == AbortCause::kSpurious;
-  op.policy.on_abort(op.policy_state,
+  op.policy.on_abort(state_.policy_state,
                      nonconflict ? CasAbort::kNonConflict
                      : kind == 0 ? CasAbort::kReadConflict
                                  : CasAbort::kWriteConflict);
   // The op has not completed (the thread is not resumed yet), so the
   // record stays valid until the scheduled retry/post-abort step runs.
   if (kind == 0) {
-    ++stats_.nested_aborts;
+    ++state_.stats.nested_aborts;
     // Conflict during the read step: a writer's GetM is in flight. Delay so
     // our re-read does not trip it, then check whether the value changed
     // (Algorithm 1 lines 19–20). The delay length is the policy's call
     // (== cfg.post_abort_delay under fixed; scaled + jittered from the
     // serialized per-core stream under adaptive-backoff).
-    const Time post = op.policy.post_abort_delay(op.policy_state);
+    const Time post = op.policy.post_abort_delay(state_.policy_state);
     if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/false, post);
     engine_.schedule(post, [this] { txcas_post_abort(); });
   } else {
@@ -575,14 +571,14 @@ void Core::txcas_abort(int kind, AbortCause cause) {
 }
 
 void Core::txcas_post_abort() {
-  ++stats_.loads;
+  ++state_.stats.loads;
   op_.kind = OpKind::kTxLoad;
   acquire(op_.addr, /*want_m=*/false, Cont::kAccess, 0);
 }
 
 void Core::txcas_post_abort_loaded() {
   if (op_.result != op_.a0) {
-    ++stats_.txcas_fail;
+    ++state_.stats.txcas_fail;
     if (metrics_) {
       metrics_->on_txcas_done(
           id_, static_cast<int>(txcas_op_.policy.attempts()), false);
@@ -601,15 +597,15 @@ void Core::deliver_injected_fault(FaultKind kind) {
   switch (kind) {
     case FaultKind::kCapacity:
       cause = AbortCause::kCapacity;
-      ++stats_.injected_capacity;
+      ++state_.stats.injected_capacity;
       break;
     case FaultKind::kInterrupt:
       cause = AbortCause::kInterrupt;
-      ++stats_.injected_interrupt;
+      ++state_.stats.injected_interrupt;
       break;
     case FaultKind::kSpurious:
       cause = AbortCause::kSpurious;
-      ++stats_.injected_spurious;
+      ++state_.stats.injected_spurious;
       break;
   }
   if (trace_ && trace_->enabled()) {
@@ -624,13 +620,13 @@ void Core::deliver_injected_fault(FaultKind kind) {
 
 void Core::txcas_fallback(bool degraded) {
   if (degraded) {
-    ++stats_.fallback_cas;
+    ++state_.stats.fallback_cas;
     if (metrics_) metrics_->on_fallback_cas(id_);
   } else {
-    ++stats_.fallbacks;
+    ++state_.stats.fallbacks;
     if (metrics_) metrics_->on_txn_fallback(id_);
   }
-  ++stats_.rmws;
+  ++state_.stats.rmws;
   op_.kind = OpKind::kTxFallback;
   acquire(op_.addr, /*want_m=*/true, Cont::kAccess, 0);
 }
@@ -638,9 +634,9 @@ void Core::txcas_fallback(bool degraded) {
 void Core::txcas_fallback_done() {
   const bool ok = op_.result != 0;
   if (ok) {
-    ++stats_.txcas_success;
+    ++state_.stats.txcas_success;
   } else {
-    ++stats_.txcas_fail;
+    ++state_.stats.txcas_fail;
   }
   if (metrics_) {
     metrics_->on_txcas_done(

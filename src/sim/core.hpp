@@ -108,7 +108,7 @@ class Core {
 
   CoreId id() const noexcept { return id_; }
   Time now() const noexcept { return engine_.now(); }
-  const CoreStats& stats() const noexcept { return stats_; }
+  const CoreStats& stats() const noexcept { return state_.stats; }
   // Metrics registry this core reports into (null when stats are off).
   Stats* metrics() const noexcept { return metrics_; }
 
@@ -237,7 +237,7 @@ class Core {
   // draws from it in program order.
   struct State {
     CoreStats stats;
-    std::uint64_t delay_jitter_state = 0;
+    std::uint64_t delay_jitter_state = 0x9e3779b97f4a7c15ULL;
     // Rate-based fault-injection PRNG (draws once per transactional
     // attempt); carried so forked repeats replay byte-identically.
     std::uint64_t fault_rng_state = 0;
@@ -345,11 +345,10 @@ class Core {
     TxCasConfig cfg;
     // The retry brain (common/contention.hpp): per-call counters (attempt
     // number, non-conflict aborts) live inside `policy`, re-armed by
-    // start_txcas; `policy_state` is the *persistent* per-core history
+    // start_txcas; state_.policy_state is the *persistent* per-core history
     // (failure level, jitter stream) that survives across calls and rides
     // through snapshot/fork via Core::State.
     ContentionPolicy policy;
-    ContentionPolicy::State policy_state;
   };
   void start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
                    std::coroutine_handle<> thread);
@@ -429,19 +428,19 @@ class Core {
   std::vector<Message> answering_;
   InlineVec<Waiter, 8> waiters_;
   Txn txn_;
-  std::uint64_t delay_jitter_state_ = 0x9e3779b97f4a7c15ULL;
-  // Rate-based fault injection: per-core SplitMix64 stream seeded from
-  // (fault_plan.seed, id) plus cumulative uint32 thresholds so one draw
-  // per transactional attempt selects capacity / interrupt / spurious /
-  // none (thresholds all zero when rates are inactive — one compare).
-  std::uint64_t fault_rng_state_ = 0;
+  // Rate-based fault injection: cumulative uint32 thresholds so one draw
+  // from state_.fault_rng_state (a per-core SplitMix64 stream seeded from
+  // (fault_plan.seed, id)) per transactional attempt selects capacity /
+  // interrupt / spurious / none (thresholds all zero when rates are
+  // inactive — one compare).
   std::uint32_t fault_cap_t_ = 0;
   std::uint32_t fault_int_t_ = 0;
   std::uint32_t fault_spur_t_ = 0;
   Op op_;                     // the thread's current operation
   TxCasOp txcas_op_;          // TxCAS state of op_ (kind kTxCas)
   PollOp poll_;               // poll_until state of op_ (kind kPoll)
-  CoreStats stats_;
+  // Everything snapshot/fork carries (see State).
+  State state_;
 };
 
 }  // namespace sbq::sim
