@@ -55,9 +55,13 @@ int main(int argc, char** argv) {
     qc.basket_capacity = std::max(44, t);
     qc.extraction_stripes = stripes;
     SimSbq q(m, qc);
-    SimRunResult res = run_consumer_only(m, q, /*prefill_producers=*/t,
-                                         /*consumers=*/t, ops,
-                                         opts.seed + r * 7919);
+    WorkloadSpec spec;
+    spec.kind = Workload::kConsumerOnly;
+    spec.producers = t;  // the prefill threads
+    spec.consumers = t;
+    spec.ops_per_thread = ops;
+    spec.seed = opts.seed + r * 7919;
+    SimRunResult res = run_spec(m, q, spec, 0);
     if (!trace_path.empty()) {
       std::ofstream out(trace_path);
       if (out) {

@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "benchsupport/bench_report.hpp"
+#include "benchsupport/sim_workload.hpp"
 #include "benchsupport/table.hpp"
-#include "common/rng.hpp"
 #include "sim/machine.hpp"
 #include "sim/serialize.hpp"
 #include "sim_queue_bench_util.hpp"
@@ -103,50 +103,15 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Workload: P producers and P consumers on a 2P-core machine run a full
-// enqueue/dequeue round per phase (every phase drains the queue). Same
-// shape as the figure drivers' mixed workload, but without the shared_ptr
-// accumulators of sim_workload.hpp — the bench must not allocate on its own
+// Workload: P producers and P consumers on a 2P-core machine run one
+// round of the figure drivers' mixed workload per phase (measure_spec on a
+// mixed spec; every phase drains the queue). The phase runner keeps its
+// accumulator on the stack, so the bench allocates nothing on its own
 // account inside a measured phase.
 // ---------------------------------------------------------------------------
 
 namespace sbq {
 namespace {
-
-struct Accum {
-  std::uint64_t enq = 0;
-  std::uint64_t deq = 0;
-};
-
-simq::Task<void> producer(sim::Machine& m, simq::SimSbq& q, int core, int id,
-                          simq::Value ops, std::uint64_t seed, Accum* acc) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  for (simq::Value i = 0; i < ops; ++i) {
-    co_await q.enqueue(
-        c, simq::kFirstElement + (static_cast<simq::Value>(id) << 32 | i), id);
-    ++acc->enq;
-    co_await c.think(1 + rng.next_below(8));
-  }
-}
-
-simq::Task<void> consumer(sim::Machine& m, simq::SimSbq& q, int core, int id,
-                          simq::Value ops, std::uint64_t seed, Accum* acc) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  simq::Value got = 0;
-  while (got < ops) {
-    const simq::Value e = co_await q.dequeue(c, id);
-    if (e != 0) {
-      ++acc->deq;
-      ++got;
-    } else {
-      co_await c.think(64);
-    }
-  }
-}
 
 struct PhaseResult {
   std::uint64_t events = 0;
@@ -158,24 +123,21 @@ struct PhaseResult {
 
 PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
                       simq::Value ops, std::uint64_t seed) {
-  Accum acc;
+  simq::WorkloadSpec spec;
+  spec.kind = simq::Workload::kMixed;
+  spec.producers = producers;
+  spec.consumers = producers;
+  spec.ops_per_thread = ops;
+  spec.seed = seed;
   const std::uint64_t events_before = m.events_processed();
   const std::uint64_t allocs_before = g_alloc_calls.load();
   const std::uint64_t bytes_before = g_alloc_bytes.load();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int p = 0; p < producers; ++p) {
-    m.spawn(producer(m, q, p, p, ops,
-                     seed * 1000003 + static_cast<std::uint64_t>(p), &acc));
-  }
-  for (int ci = 0; ci < producers; ++ci) {
-    m.spawn(consumer(m, q, producers + ci, ci, ops,
-                     seed * 2000003 + static_cast<std::uint64_t>(ci), &acc));
-  }
-  m.run();
+  const simq::SimRunResult run = simq::measure_spec(m, q, spec, 0);
   const auto t1 = std::chrono::steady_clock::now();
   PhaseResult r;
   r.events = m.events_processed() - events_before;
-  r.ops = acc.enq + acc.deq;
+  r.ops = run.enq_ops + run.deq_ops;
   r.allocs = g_alloc_calls.load() - allocs_before;
   r.bytes = g_alloc_bytes.load() - bytes_before;
   const double secs = std::chrono::duration<double>(t1 - t0).count();

@@ -39,7 +39,16 @@
 
 namespace sbq::bench {
 
+// The workload spec and its phase runner live in
+// src/benchsupport/sim_workload.hpp, the trace-header conversion in
+// src/replay/sim_replay.hpp; drivers name them through sbq::bench.
+using replay::spec_from_trace;
+using simq::measure_spec;
+using simq::prefill_spec;
+using simq::run_spec;
 using simq::SimRunResult;
+using simq::Workload;
+using simq::WorkloadSpec;
 
 // The queue lineup of the paper's evaluation. We additionally expose the
 // Michael–Scott queue (the CAS-retry ancestor) for context.
@@ -136,83 +145,6 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
     mcfg.cas_policy.seed = opts.policy_seed;
   }
   return mcfg;
-}
-
-enum class Workload { kProducerOnly, kConsumerOnly, kMixed };
-
-struct WorkloadSpec {
-  Workload kind = Workload::kProducerOnly;
-  int producers = 1;       // live enqueuers (also prefill threads)
-  int consumers = 1;       // live dequeuers
-  simq::Value ops_per_thread = 1000;
-  simq::Value prefill = 0;      // mixed only
-  std::uint64_t seed = 1;
-  // Seed of the un-measured prefill phase; 0 means "use `seed`". Sweeps
-  // that fork repeats from one warmed snapshot MUST set this to a value
-  // that does not vary across repeats — the snapshot is shared, so the
-  // prefill schedule must be too (the per-repeat variation lives entirely
-  // in `seed`, which only the measured phase consumes).
-  std::uint64_t prefill_seed = 0;
-  int basket_capacity = 44;     // the paper's fixed B
-};
-
-inline std::uint64_t effective_prefill_seed(const WorkloadSpec& spec) {
-  return spec.prefill_seed == 0 ? spec.seed : spec.prefill_seed;
-}
-
-// Run `spec`'s un-measured prefill phase (no-op for producer-only) on
-// machine `m`, leaving it quiescent.
-template <typename QueueT>
-void prefill_spec(sim::Machine& m, QueueT& q, const WorkloadSpec& spec) {
-  const std::uint64_t pseed = effective_prefill_seed(spec);
-  switch (spec.kind) {
-    case Workload::kProducerOnly:
-      return;  // starts from an empty queue
-    case Workload::kConsumerOnly:
-      simq::run_prefill(m, q, spec.producers,
-                        simq::consumer_only_per_producer(
-                            spec.producers, spec.consumers,
-                            spec.ops_per_thread),
-                        pseed);
-      return;
-    case Workload::kMixed:
-      simq::run_prefill(m, q, spec.producers,
-                        simq::mixed_per_producer(spec.producers, spec.prefill),
-                        pseed);
-      return;
-  }
-  throw std::logic_error("bad workload");
-}
-
-// Run `spec`'s measured phase; any prefill must already have happened (on
-// this machine or on the snapshot it was forked from). The machine must
-// have enough cores: producer-only/consumer-only use cores [0, threads);
-// mixed puts consumers at [cores/2, ...).
-template <typename QueueT>
-SimRunResult measure_spec(sim::Machine& m, QueueT& q, const WorkloadSpec& spec,
-                          int consumer_id_offset) {
-  switch (spec.kind) {
-    case Workload::kProducerOnly:
-      return simq::run_producer_only(m, q, spec.producers, spec.ops_per_thread,
-                                     spec.seed);
-    case Workload::kConsumerOnly:
-      return simq::measure_consumer_only(m, q, spec.consumers,
-                                         spec.ops_per_thread, spec.seed,
-                                         consumer_id_offset);
-    case Workload::kMixed:
-      return simq::measure_mixed(m, q, spec.producers, spec.consumers,
-                                 spec.ops_per_thread, spec.seed,
-                                 consumer_id_offset);
-  }
-  throw std::logic_error("bad workload");
-}
-
-// Both phases on one machine.
-template <typename QueueT>
-SimRunResult run_spec(sim::Machine& m, QueueT& q, const WorkloadSpec& spec,
-                      int consumer_id_offset) {
-  prefill_spec(m, q, spec);
-  return measure_spec(m, q, spec, consumer_id_offset);
 }
 
 // Construct the queue `kind` prescribes on machine `m` and invoke
@@ -483,21 +415,6 @@ inline void add_row_cells(BenchReport& report, std::size_t row, int threads,
   }
 }
 
-// Rebuild the WorkloadSpec a trace header describes (native traces map to
-// the mixed shape: every thread is both a producer and a consumer).
-inline WorkloadSpec spec_from_trace(const replay::OpTrace& trace) {
-  WorkloadSpec spec;
-  spec.kind = static_cast<Workload>(trace.workload);
-  spec.producers = static_cast<int>(trace.producers);
-  spec.consumers = static_cast<int>(trace.consumers);
-  spec.ops_per_thread = trace.ops_per_thread;
-  spec.prefill = trace.prefill;
-  spec.seed = trace.seed;
-  spec.prefill_seed = trace.prefill_seed;
-  spec.basket_capacity = static_cast<int>(trace.basket_capacity);
-  return spec;
-}
-
 // Core count a replayed spec needs: producer/consumer cores for sim traces
 // (mixed pins consumers at cores/2), one core per native thread.
 inline int replay_min_cores(const WorkloadSpec& spec) {
@@ -570,20 +487,10 @@ inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
     if (!out) return false;
   }
   if (!opts.record_ops.empty()) {
-    replay::OpTrace trace;
-    trace.source = replay::TraceSource::kSim;
-    trace.queue = queue_kind_name(kind);
-    trace.workload = static_cast<std::uint8_t>(spec.kind);
-    trace.producers = static_cast<std::uint32_t>(spec.producers);
-    trace.consumers = static_cast<std::uint32_t>(spec.consumers);
-    trace.ops_per_thread = spec.ops_per_thread;
-    trace.prefill = spec.prefill;
-    trace.seed = spec.seed;
-    trace.prefill_seed = spec.prefill_seed;
-    trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
+    replay::OpTrace trace = replay::trace_header(spec, queue_kind_name(kind));
     sim::Machine m(mcfg);
     with_queue(kind, m, spec, [&](auto& q, int offset) {
-      return replay::run_recorded_workload(m, q, trace, offset);
+      return replay::run_recorded_workload(m, q, spec, offset, trace);
     });
     if (!replay::write_op_trace_file(opts.record_ops, trace)) {
       std::cerr << "--record-ops: cannot write " << opts.record_ops << "\n";

@@ -1,13 +1,10 @@
 // Sim-side op recording and trace replay (docs/replay.md).
 //
-// Recording twins of the simq workload coroutines append one OpRecord per
-// queue op to a host-side log. The append happens outside the simulated
-// timeline (no simulated think/latency cost), so a recorded run's schedule
-// — and therefore its metrics — is byte-identical to an unrecorded one
-// (pinned by tests/replay_test.cpp). The bodies must stay in lockstep with
-// simq::detail::producer_thread / consumer_thread in
-// src/benchsupport/sim_workload.hpp: same rng streams, same think calls,
-// same value scheme.
+// Both run the figure workloads' own coroutine pair and phase runner
+// (src/benchsupport/sim_workload.hpp) with an OpTap attached. Recording
+// appends one OpRecord per queue op outside the simulated timeline, so a
+// recorded run's schedule — and therefore its metrics — is byte-identical
+// to an unrecorded one (pinned by tests/replay_test.cpp).
 //
 // Replay reverses the process: per-thread op sequences from a decoded
 // OpTrace are pinned (a producer enqueues exactly its recorded values in
@@ -25,8 +22,9 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
+#include <climits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "benchsupport/sim_workload.hpp"
@@ -35,238 +33,104 @@
 
 namespace sbq::replay {
 
-// Host-side single-threaded op log, appended in the engine's global event
-// order.
-struct SimOpLog {
-  std::vector<OpRecord> records;
-};
-
-namespace detail {
-
-using simq::Machine;
-using simq::Task;
-using simq::Time;
-using simq::Value;
-
-// Lockstep twin of simq::detail::producer_thread plus the log append.
-template <typename QueueT>
-Task<void> recording_producer(Machine& m, QueueT& q, int core, int id,
-                              int log_thread, Value ops, std::uint64_t seed,
-                              std::shared_ptr<simq::detail::Accum> acc,
-                              SimOpLog* log) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  for (Value i = 0; i < ops; ++i) {
-    const Value v = simq::kFirstElement + (static_cast<Value>(id) << 32 | i);
-    const Time start = c.now();
-    co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles += c.now() - start;
-    ++acc->enq;
-    log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
-    co_await c.think(1 + rng.next_below(8));
-  }
+// The header of a sim trace of `spec` run on the queue named `queue`.
+inline OpTrace trace_header(const simq::WorkloadSpec& spec,
+                            const std::string& queue) {
+  OpTrace trace;
+  trace.source = TraceSource::kSim;
+  trace.queue = queue;
+  trace.workload = static_cast<std::uint8_t>(spec.kind);
+  trace.producers = static_cast<std::uint32_t>(spec.producers);
+  trace.consumers = static_cast<std::uint32_t>(spec.consumers);
+  trace.ops_per_thread = spec.ops_per_thread;
+  trace.prefill = spec.prefill;
+  trace.seed = spec.seed;
+  trace.prefill_seed = spec.prefill_seed;
+  trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
+  return trace;
 }
 
-// Lockstep twin of simq::detail::consumer_thread plus the log append (null
-// dequeues included: they are part of the logical history).
-template <typename QueueT>
-Task<void> recording_consumer(Machine& m, QueueT& q, int core, int id,
-                              int log_thread, Value ops, std::uint64_t seed,
-                              std::shared_ptr<simq::detail::Accum> acc,
-                              SimOpLog* log) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  Value got = 0;
-  while (got < ops) {
-    const Time start = c.now();
-    const Value e = co_await q.dequeue(c, id);
-    log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
-    if (e != 0) {
-      acc->deq_lat_cycles += c.now() - start;
-      ++acc->deq;
-      ++got;
-    } else {
-      co_await c.think(64);  // transiently empty; back off briefly
+// The WorkloadSpec a trace header describes (native traces map to the
+// mixed shape: every thread is both a producer and a consumer). Throws
+// std::invalid_argument, before anything is sized from the header, when
+// the header and records disagree in a way replay would otherwise hide:
+//   * a record's thread is outside the threads the trace runs — a sim
+//     trace's prefill [-P, -1] (not producer-only), producers [0, P) (not
+//     consumer-only) and consumers [P, P+C) (not producer-only); a native
+//     trace's [0, P);
+//   * a sim producer or prefill thread dequeues, or a consumer enqueues;
+//   * zero producers, or zero consumers in a consumer-only or mixed trace;
+//     a native trace whose consumers differ from its producers;
+//   * more running threads than records (P, plus C unless producer-only),
+//     or more consumers than records;
+//   * basket_capacity above INT_MAX.
+inline simq::WorkloadSpec spec_from_trace(const OpTrace& trace) {
+  const auto refuse = [](const std::string& why) {
+    throw std::invalid_argument("op trace header: " + why);
+  };
+  const std::uint64_t producers = trace.producers;
+  const std::uint64_t consumers = trace.consumers;
+  const std::uint64_t records = trace.records.size();
+  const bool native = trace.source == TraceSource::kNative;
+  const auto kind = static_cast<simq::Workload>(trace.workload);
+  if (producers == 0) refuse("zero producers");
+  if (kind != simq::Workload::kProducerOnly && consumers == 0) {
+    refuse("zero consumers");
+  }
+  if (native && consumers != producers) {
+    refuse("native consumers differ from producers");
+  }
+  const std::uint64_t running =
+      producers + (kind == simq::Workload::kProducerOnly ? 0 : consumers);
+  if (running > records || consumers > records) {
+    refuse("more threads than records");
+  }
+  if (trace.basket_capacity > static_cast<std::uint32_t>(INT_MAX)) {
+    refuse("basket_capacity above INT_MAX");
+  }
+  const std::int64_t p = static_cast<std::int64_t>(producers);
+  const std::int64_t c = static_cast<std::int64_t>(consumers);
+  const bool prefills = kind != simq::Workload::kProducerOnly;
+  const bool enqueues = kind != simq::Workload::kConsumerOnly;
+  for (const OpRecord& rec : trace.records) {
+    const std::int64_t t = rec.thread;
+    if (native) {
+      if (t < 0 || t >= p) refuse("record thread out of range");
+      continue;
+    }
+    const bool producer = t < 0 ? prefills && t >= -p : enqueues && t < p;
+    const bool consumer = prefills && t >= p && t < p + c;
+    if (!producer && !consumer) refuse("record thread out of range");
+    if (producer != (rec.op == kOpEnqueue)) {
+      refuse(producer ? "producer thread dequeues"
+                      : "consumer thread enqueues");
     }
   }
+  simq::WorkloadSpec spec;
+  spec.kind = kind;
+  spec.producers = static_cast<int>(producers);
+  spec.consumers = static_cast<int>(consumers);
+  spec.ops_per_thread = trace.ops_per_thread;
+  spec.prefill = trace.prefill;
+  spec.seed = trace.seed;
+  spec.prefill_seed = trace.prefill_seed;
+  spec.basket_capacity = static_cast<int>(trace.basket_capacity);
+  return spec;
 }
 
-// Replay producer: the value sequence comes from the trace instead of being
-// regenerated, everything else matches recording_producer.
-template <typename QueueT>
-Task<void> replay_producer(Machine& m, QueueT& q, int core, int id,
-                           int log_thread, const std::vector<Value>* values,
-                           std::uint64_t seed,
-                           std::shared_ptr<simq::detail::Accum> acc,
-                           SimOpLog* log) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  for (std::size_t i = 0; i < values->size(); ++i) {
-    const Value v = (*values)[i];
-    const Time start = c.now();
-    co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles += c.now() - start;
-    ++acc->enq;
-    if (log != nullptr) {
-      log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
-    }
-    co_await c.think(1 + rng.next_below(8));
-  }
-}
-
-// Replay consumer: runs until it has matched the recorded success count,
-// diffing each successful dequeue against the recorded value sequence.
-template <typename QueueT>
-Task<void> replay_consumer(Machine& m, QueueT& q, int core, int id,
-                           int log_thread, const std::vector<Value>* expected,
-                           std::uint64_t seed,
-                           std::shared_ptr<simq::detail::Accum> acc,
-                           SimOpLog* log, std::uint64_t* mismatches) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  Value got = 0;
-  const Value ops = static_cast<Value>(expected->size());
-  while (got < ops) {
-    const Time start = c.now();
-    const Value e = co_await q.dequeue(c, id);
-    if (log != nullptr) {
-      log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
-    }
-    if (e != 0) {
-      acc->deq_lat_cycles += c.now() - start;
-      ++acc->deq;
-      if (e != (*expected)[static_cast<std::size_t>(got)]) ++*mismatches;
-      ++got;
-    } else {
-      co_await c.think(64);
-    }
-  }
-}
-
-// Native-trace replay actor: walks one native thread's recorded op list in
-// invocation order. Dequeues are single attempts (the native workload never
-// retries), and a deterministic think stream keeps the actors from
-// lockstepping — seeded off the trace seed so the replay itself is
-// reproducible.
-template <typename QueueT>
-Task<void> replay_native_thread(Machine& m, QueueT& q, int core, int enq_id,
-                                int deq_id, int log_thread,
-                                const std::vector<OpRecord>* ops,
-                                std::uint64_t seed,
-                                std::shared_ptr<simq::detail::Accum> acc,
-                                SimOpLog* log) {
-  Xoshiro256 rng(seed);
-  sim::Core& c = m.core(core);
-  co_await c.think(1 + rng.next_below(32));
-  for (const OpRecord& rec : *ops) {
-    const Time start = c.now();
-    if (rec.op == kOpEnqueue) {
-      co_await q.enqueue(c, rec.value, enq_id);
-      acc->enq_lat_cycles += c.now() - start;
-      ++acc->enq;
-      if (log != nullptr) {
-        log->records.push_back(
-            {log_thread, kOpEnqueue, rec.value, start, c.now(), 1});
-      }
-    } else {
-      const Value e = co_await q.dequeue(c, deq_id);
-      if (e != 0) {
-        acc->deq_lat_cycles += c.now() - start;
-        ++acc->deq;
-      }
-      if (log != nullptr) {
-        log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
-      }
-    }
-    co_await c.think(1 + rng.next_below(8));
-  }
-}
-
-inline std::uint64_t trace_prefill_seed(const OpTrace& t) {
-  return t.prefill_seed == 0 ? t.seed : t.prefill_seed;
-}
-
-inline simq::Value trace_prefill_per_producer(const OpTrace& t) {
-  const int producers = static_cast<int>(t.producers);
-  switch (t.workload) {
-    case 0:
-      return 0;
-    case 1:
-      return simq::consumer_only_per_producer(producers,
-                                              static_cast<int>(t.consumers),
-                                              t.ops_per_thread);
-    case 2:
-      return simq::mixed_per_producer(producers, t.prefill);
-  }
-  throw std::logic_error("bad trace workload");
-}
-
-}  // namespace detail
-
-// Runs the workload described by `trace`'s header on (m, q), recording
-// every op (prefill included) into trace.records. The caller fills the
-// header fields and owns machine/queue construction. Returns the
+// Runs `spec` on (m, q), recording every op (prefill included) into
+// trace.records. The caller owns machine/queue construction. Returns the
 // measured-phase result, which is byte-identical to the same spec run
 // unrecorded.
 template <typename QueueT>
 simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
-                                         OpTrace& trace,
-                                         int consumer_id_offset) {
-  using detail::Value;
-  SimOpLog log;
-  const int producers = static_cast<int>(trace.producers);
-  const int consumers = static_cast<int>(trace.consumers);
-  const Value per_producer = detail::trace_prefill_per_producer(trace);
-  // Run the prefill phase whenever bench::prefill_spec would — including a
-  // zero-element fill (each producer still costs its initial think), so the
-  // recorded schedule twins the plain run structurally, not just op-wise.
-  if (trace.workload != 0) {
-    const std::uint64_t pseed = detail::trace_prefill_seed(trace);
-    auto fill_acc = std::make_shared<simq::detail::Accum>();
-    for (int p = 0; p < producers; ++p) {
-      m.spawn(detail::recording_producer(
-                  m, q, p, p, -(p + 1), per_producer,
-                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log));
-    }
-    m.run();
-  }
-
-  auto acc = std::make_shared<simq::detail::Accum>();
-  const detail::Time start = m.now();
-  if (trace.workload == 0 || trace.workload == 2) {
-    for (int p = 0; p < producers; ++p) {
-      m.spawn(detail::recording_producer(
-                  m, q, p, p, p, trace.ops_per_thread,
-                  trace.seed * 1000003 + static_cast<std::uint64_t>(p), acc,
-                  &log));
-    }
-  }
-  if (trace.workload == 1 || trace.workload == 2) {
-    const int consumer_core0 = trace.workload == 2 ? m.core_count() / 2 : 0;
-    for (int ci = 0; ci < consumers; ++ci) {
-      m.spawn(detail::recording_consumer(
-                  m, q, consumer_core0 + ci, consumer_id_offset + ci,
-                  producers + ci, trace.ops_per_thread,
-                  trace.seed * 2000003 + static_cast<std::uint64_t>(ci), acc,
-                  &log));
-    }
-  }
-  m.run();
-
-  simq::SimRunResult r;
-  r.enq_ops = acc->enq;
-  r.deq_ops = acc->deq;
-  r.enq_latency_cycles =
-      r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
-  r.deq_latency_cycles =
-      r.deq_ops ? acc->deq_lat() / static_cast<double>(r.deq_ops) : 0;
-  r.duration_cycles = static_cast<double>(m.now() - start);
-  r.metrics = m.metrics();
-  trace.records = std::move(log.records);
+                                         const simq::WorkloadSpec& spec,
+                                         int consumer_id_offset,
+                                         OpTrace& trace) {
+  simq::OpTap tap;
+  const simq::SimRunResult r = simq::run_spec(m, q, spec, consumer_id_offset,
+                                              &tap);
+  trace.records = std::move(tap.records);
   return r;
 }
 
@@ -281,23 +145,60 @@ struct ReplayOutcome {
   std::vector<OpRecord> observed;
 };
 
+namespace detail {
+
+// Native-trace replay actor: walks one native thread's recorded op list in
+// invocation order. Dequeues are single attempts (the native workload never
+// retries), and a deterministic think stream keeps the actors from
+// lockstepping — seeded off the trace seed so the replay itself is
+// reproducible. Native thread t runs on core t, enqueues as id t, and its
+// replayed ops are logged as thread t.
+template <typename QueueT>
+simq::Task<void> replay_native_thread(simq::Machine& m, QueueT& q, int thread,
+                                      int deq_id,
+                                      const std::vector<OpRecord>* ops,
+                                      std::uint64_t seed,
+                                      simq::detail::Accum* acc,
+                                      std::vector<OpRecord>* log) {
+  Xoshiro256 rng(seed);
+  sim::Core& c = m.core(thread);
+  co_await c.think(1 + rng.next_below(32));
+  for (const OpRecord& rec : *ops) {
+    const simq::Time start = c.now();
+    if (rec.op == kOpEnqueue) {
+      co_await q.enqueue(c, rec.value, thread);
+      acc->enq_lat_cycles += c.now() - start;
+      ++acc->enq;
+      log->push_back({thread, kOpEnqueue, rec.value, start, c.now(), 1});
+    } else {
+      const simq::Value e = co_await q.dequeue(c, deq_id);
+      if (e != 0) {
+        acc->deq_lat_cycles += c.now() - start;
+        ++acc->deq;
+      }
+      log->push_back({thread, kOpDequeue, 0, start, c.now(), e});
+    }
+    co_await c.think(1 + rng.next_below(8));
+  }
+}
+
+}  // namespace detail
+
 // Feeds `trace` back into (m, q): per-thread op sequences are pinned from
 // the records while think/rng streams regenerate from the header. `m` must
-// be serial and have enough cores for the trace's thread placement.
+// have enough cores for the trace's thread placement. Throws
+// std::invalid_argument on a header spec_from_trace refuses.
 template <typename QueueT>
 ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
                            int consumer_id_offset) {
-  using detail::Value;
+  const simq::WorkloadSpec spec = spec_from_trace(trace);
+  const int producers = spec.producers;
   ReplayOutcome out;
-  SimOpLog log;
-  auto acc = std::make_shared<simq::detail::Accum>();
 
   if (trace.source == TraceSource::kNative) {
-    const int threads = static_cast<int>(trace.producers);
     std::vector<std::vector<OpRecord>> per_thread(
-        static_cast<std::size_t>(threads));
+        static_cast<std::size_t>(producers));
     for (const OpRecord& rec : trace.records) {
-      if (rec.thread < 0 || rec.thread >= threads) continue;
       per_thread[static_cast<std::size_t>(rec.thread)].push_back(rec);
     }
     for (auto& ops : per_thread) {
@@ -306,99 +207,36 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
                          return a.invoke_seq < b.invoke_seq;
                        });
     }
-    const detail::Time start = m.now();
-    for (int t = 0; t < threads; ++t) {
-      const int deq_id =
-          consumer_id_offset == 0 ? t : consumer_id_offset + t;
+    simq::detail::Accum acc;
+    const simq::Time start = m.now();
+    for (int t = 0; t < producers; ++t) {
       m.spawn(detail::replay_native_thread(
-                  m, q, t, t, deq_id, t,
-                  &per_thread[static_cast<std::size_t>(t)],
-                  trace.seed * 3000003 + static_cast<std::uint64_t>(t), acc,
-                  &log));
+          m, q, t, consumer_id_offset + t,
+          &per_thread[static_cast<std::size_t>(t)],
+          trace.seed * 3000003 + static_cast<std::uint64_t>(t), &acc,
+          &out.observed));
     }
     m.run();
-    out.run.enq_ops = acc->enq;
-    out.run.deq_ops = acc->deq;
-    out.run.duration_cycles = static_cast<double>(m.now() - start);
-    out.run.metrics = m.metrics();
-    out.observed = std::move(log.records);
+    out.run = simq::detail::run_result(m, acc, start);
     return out;
   }
 
-  // Sim-source: partition by phase and thread.
-  const int producers = static_cast<int>(trace.producers);
-  const int consumers = static_cast<int>(trace.consumers);
-  std::vector<std::vector<Value>> prefill_values(
-      static_cast<std::size_t>(producers));
-  std::vector<std::vector<Value>> enq_values(
-      static_cast<std::size_t>(producers));
-  std::vector<std::vector<Value>> deq_values(
-      static_cast<std::size_t>(consumers));
+  // Sim source: pin each record thread's enqueued values or successful
+  // dequeue results (spec_from_trace has checked every thread's range).
+  simq::OpTap tap;
+  tap.pin_base = producers;
+  tap.pinned.resize(static_cast<std::size_t>(2 * producers + spec.consumers));
   for (const OpRecord& rec : trace.records) {
-    if (rec.thread < 0) {
-      const int p = -(rec.thread + 1);
-      if (p < producers && rec.op == kOpEnqueue) {
-        prefill_values[static_cast<std::size_t>(p)].push_back(rec.value);
-      }
-    } else if (rec.op == kOpEnqueue) {
-      if (rec.thread < producers) {
-        enq_values[static_cast<std::size_t>(rec.thread)].push_back(rec.value);
-      }
-    } else {
-      const int ci = rec.thread - producers;
-      if (ci >= 0 && ci < consumers && rec.result != 0) {
-        deq_values[static_cast<std::size_t>(ci)].push_back(rec.result);
-      }
+    auto& ops = tap.pinned[static_cast<std::size_t>(rec.thread + producers)];
+    if (rec.op == kOpEnqueue) {
+      ops.push_back(rec.value);
+    } else if (rec.result != 0) {
+      ops.push_back(rec.result);
     }
   }
-
-  // Prefill phase structure comes from the header (like prefill_spec), not
-  // from whether any prefill records exist: a zero-element fill still spawns
-  // its producers so the replayed schedule twins the recorded one.
-  if (trace.workload != 0) {
-    const std::uint64_t pseed = detail::trace_prefill_seed(trace);
-    auto fill_acc = std::make_shared<simq::detail::Accum>();
-    for (int p = 0; p < producers; ++p) {
-      m.spawn(detail::replay_producer(
-                  m, q, p, p, -(p + 1),
-                  &prefill_values[static_cast<std::size_t>(p)],
-                  pseed * 7 + static_cast<std::uint64_t>(p), fill_acc, &log));
-    }
-    m.run();
-  }
-
-  const detail::Time start = m.now();
-  if (trace.workload == 0 || trace.workload == 2) {
-    for (int p = 0; p < producers; ++p) {
-      m.spawn(detail::replay_producer(
-                  m, q, p, p, p, &enq_values[static_cast<std::size_t>(p)],
-                  trace.seed * 1000003 + static_cast<std::uint64_t>(p), acc,
-                  &log));
-    }
-  }
-  if (trace.workload == 1 || trace.workload == 2) {
-    const int consumer_core0 = trace.workload == 2 ? m.core_count() / 2 : 0;
-    for (int ci = 0; ci < consumers; ++ci) {
-      m.spawn(detail::replay_consumer(
-                  m, q, consumer_core0 + ci, consumer_id_offset + ci,
-                  producers + ci, &deq_values[static_cast<std::size_t>(ci)],
-                  trace.seed * 2000003 + static_cast<std::uint64_t>(ci), acc,
-                  &log, &out.value_mismatches));
-    }
-  }
-  m.run();
-
-  out.run.enq_ops = acc->enq;
-  out.run.deq_ops = acc->deq;
-  out.run.enq_latency_cycles =
-      out.run.enq_ops ? acc->enq_lat() / static_cast<double>(out.run.enq_ops)
-                      : 0;
-  out.run.deq_latency_cycles =
-      out.run.deq_ops ? acc->deq_lat() / static_cast<double>(out.run.deq_ops)
-                      : 0;
-  out.run.duration_cycles = static_cast<double>(m.now() - start);
-  out.run.metrics = m.metrics();
-  out.observed = std::move(log.records);
+  out.run = simq::run_spec(m, q, spec, consumer_id_offset, &tap);
+  out.value_mismatches = tap.mismatches;
+  out.observed = std::move(tap.records);
   return out;
 }
 

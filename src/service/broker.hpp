@@ -164,7 +164,7 @@ simq::Task<void> drain_worker(sim::Machine& m, QueueT& q, int core, int id,
 // been constructed for at least that many enqueuers/dequeuers.
 // `consumer_id_offset` separates drain-worker ids from load-worker ids for
 // queues with a single thread-id space (same convention as
-// sim_workload.hpp's measure_mixed).
+// sim_workload.hpp's measure_spec).
 template <typename QueueT>
 ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
                           int consumer_id_offset) {

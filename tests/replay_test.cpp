@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,19 +62,10 @@ void expect_same_run(const SimRunResult& a, const SimRunResult& b,
 // measured-phase result (same machine construction as run_queue_workload).
 SimRunResult record_run(QueueKind kind, const sim::MachineConfig& mcfg,
                         const WorkloadSpec& spec, replay::OpTrace& trace) {
-  trace.source = replay::TraceSource::kSim;
-  trace.queue = queue_kind_name(kind);
-  trace.workload = static_cast<std::uint8_t>(spec.kind);
-  trace.producers = static_cast<std::uint32_t>(spec.producers);
-  trace.consumers = static_cast<std::uint32_t>(spec.consumers);
-  trace.ops_per_thread = spec.ops_per_thread;
-  trace.prefill = spec.prefill;
-  trace.seed = spec.seed;
-  trace.prefill_seed = spec.prefill_seed;
-  trace.basket_capacity = static_cast<std::uint32_t>(spec.basket_capacity);
+  trace = replay::trace_header(spec, queue_kind_name(kind));
   sim::Machine m(mcfg);
   return with_queue(kind, m, spec, [&](auto& q, int offset) {
-    return replay::run_recorded_workload(m, q, trace, offset);
+    return replay::run_recorded_workload(m, q, spec, offset, trace);
   });
 }
 
@@ -461,6 +453,141 @@ TEST(NativeReplay, ReplayIsDeterministic) {
     EXPECT_EQ(a.observed[i].invoke_seq, b.observed[i].invoke_seq) << i;
     EXPECT_EQ(a.observed[i].response_seq, b.observed[i].response_seq) << i;
     EXPECT_EQ(a.observed[i].result, b.observed[i].result) << i;
+  }
+}
+
+// --replay-ops refuses a header that disagrees with its records before it
+// sizes a machine from it (docs/replay.md §3). Each trace below is a
+// recorded run with one field or record edited.
+replay::OpTrace recorded_trace(Workload kind) {
+  WorkloadSpec spec = mixed_spec(/*seed=*/5);
+  spec.kind = kind;
+  spec.ops_per_thread = 5;
+  spec.prefill = 4;
+  replay::OpTrace trace;
+  record_run(QueueKind::kSbqHtm, small_config(4), spec, trace);
+  return trace;
+}
+
+replay::OpTrace native_trace() {
+  replay::NativeRecordSpec spec;
+  spec.threads = 2;
+  spec.pairs_per_thread = 8;
+  replay::OpTrace trace;
+  EXPECT_TRUE(replay::record_native_queue("MS-Queue", spec, trace));
+  return trace;
+}
+
+// Index of the first record of `thread` (the trace must have one).
+std::size_t first_record_of(const replay::OpTrace& trace, int thread) {
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    if (trace.records[i].thread == thread) return i;
+  }
+  ADD_FAILURE() << "no record of thread " << thread;
+  return 0;
+}
+
+// Replays `trace` through a file, as --replay-ops does.
+void replay_via_file(const replay::OpTrace& trace) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "replay_test_header.ops";
+  ASSERT_TRUE(replay::write_op_trace_file(path, trace));
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  run_replay_file(path, small_config(2));
+}
+
+TEST(ReplayHeaderChecks, UneditedTracesReplay) {
+  for (Workload kind : {Workload::kProducerOnly, Workload::kConsumerOnly,
+                        Workload::kMixed}) {
+    EXPECT_NO_THROW(replay_via_file(recorded_trace(kind)));
+  }
+  EXPECT_NO_THROW(replay_via_file(native_trace()));
+}
+
+TEST(ReplayHeaderChecks, RefusesRecordThreadOutsideTheRanges) {
+  // Producer-only, 2 producers: only threads 0 and 1 run.
+  for (int thread : {7, 2, -1}) {
+    replay::OpTrace t = recorded_trace(Workload::kProducerOnly);
+    t.records[3].thread = thread;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << thread;
+  }
+  // Consumer-only, 2 prefill producers and 2 consumers: threads -2, -1, 2, 3.
+  for (int thread : {-3, 0, 1, 4}) {
+    replay::OpTrace t = recorded_trace(Workload::kConsumerOnly);
+    t.records[first_record_of(t, 3)].thread = thread;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << thread;
+  }
+  // Mixed: threads -2 .. 3.
+  for (int thread : {-3, 4}) {
+    replay::OpTrace t = recorded_trace(Workload::kMixed);
+    t.records[first_record_of(t, 0)].thread = thread;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << thread;
+  }
+  // Native, 2 threads: [0, 2).
+  for (int thread : {-1, 2}) {
+    replay::OpTrace t = native_trace();
+    t.records[0].thread = thread;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << thread;
+  }
+}
+
+TEST(ReplayHeaderChecks, RefusesProducerDequeueAndConsumerEnqueue) {
+  // A prefill producer, a measured producer, and a consumer (thread 2).
+  for (int thread : {-1, 0, 2}) {
+    replay::OpTrace t = recorded_trace(Workload::kMixed);
+    replay::OpRecord& rec = t.records[first_record_of(t, thread)];
+    rec.op = rec.op == replay::kOpEnqueue ? replay::kOpDequeue
+                                          : replay::kOpEnqueue;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << thread;
+  }
+}
+
+TEST(ReplayHeaderChecks, RefusesZeroProducersOrConsumers) {
+  for (Workload kind : {Workload::kProducerOnly, Workload::kConsumerOnly,
+                        Workload::kMixed}) {
+    replay::OpTrace t = recorded_trace(kind);
+    t.producers = 0;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument);
+  }
+  for (Workload kind : {Workload::kConsumerOnly, Workload::kMixed}) {
+    replay::OpTrace t = recorded_trace(kind);
+    t.consumers = 0;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument);
+  }
+  replay::OpTrace native = native_trace();
+  native.producers = 0;
+  EXPECT_THROW(replay_via_file(native), std::invalid_argument);
+}
+
+TEST(ReplayHeaderChecks, RefusesMoreRunningThreadsThanRecords) {
+  for (std::uint32_t n : {0x7fffffffu, 0xffffffffu}) {
+    for (Workload kind : {Workload::kProducerOnly, Workload::kConsumerOnly,
+                          Workload::kMixed}) {
+      replay::OpTrace t = recorded_trace(kind);
+      t.producers = n;
+      EXPECT_THROW(replay_via_file(t), std::invalid_argument) << n;
+      t = recorded_trace(kind);
+      t.consumers = n;  // producer-only consumers still size the queue
+      EXPECT_THROW(replay_via_file(t), std::invalid_argument) << n;
+    }
+    replay::OpTrace native = native_trace();
+    native.producers = n;
+    native.consumers = n;
+    EXPECT_THROW(replay_via_file(native), std::invalid_argument) << n;
+    native = native_trace();
+    native.consumers = n;  // a native thread both enqueues and dequeues
+    EXPECT_THROW(replay_via_file(native), std::invalid_argument) << n;
+  }
+}
+
+TEST(ReplayHeaderChecks, RefusesBasketCapacityAboveIntMax) {
+  for (std::uint32_t cap : {0x80000000u, 0xffffffffu}) {
+    replay::OpTrace t = recorded_trace(Workload::kConsumerOnly);
+    t.basket_capacity = cap;
+    EXPECT_THROW(replay_via_file(t), std::invalid_argument) << cap;
   }
 }
 

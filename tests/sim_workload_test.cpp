@@ -10,6 +10,17 @@
 namespace sbq::simq {
 namespace {
 
+WorkloadSpec spec_of(Workload kind, int producers, int consumers, Value ops,
+                     std::uint64_t seed = 1) {
+  WorkloadSpec spec;
+  spec.kind = kind;
+  spec.producers = producers;
+  spec.consumers = consumers;
+  spec.ops_per_thread = ops;
+  spec.seed = seed;
+  return spec;
+}
+
 sim::MachineConfig machine_for(int cores, int sockets = 1) {
   sim::MachineConfig cfg;
   cfg.cores = cores;
@@ -20,7 +31,8 @@ sim::MachineConfig machine_for(int cores, int sockets = 1) {
 TEST(SimWorkload, ProducerOnlyAccounting) {
   sim::Machine m(machine_for(4));
   SimFaaQueue q(m, {});
-  const SimRunResult r = run_producer_only(m, q, 4, 50);
+  const SimRunResult r =
+      run_spec(m, q, spec_of(Workload::kProducerOnly, 4, 1, 50), 0);
   EXPECT_EQ(r.enq_ops, 200u);
   EXPECT_EQ(r.deq_ops, 0u);
   EXPECT_GT(r.enq_latency_cycles, 0.0);
@@ -31,8 +43,9 @@ TEST(SimWorkload, ProducerOnlyAccounting) {
 TEST(SimWorkload, ConsumerOnlyDrainsPrefill) {
   sim::Machine m(machine_for(4));
   SimFaaQueue q(m, {});
-  const SimRunResult r = run_consumer_only(m, q, 4, 4, 50, /*seed=*/3,
-                                           /*consumer_id_offset=*/4);
+  const SimRunResult r =
+      run_spec(m, q, spec_of(Workload::kConsumerOnly, 4, 4, 50, /*seed=*/3),
+               /*consumer_id_offset=*/4);
   EXPECT_EQ(r.deq_ops, 200u);
   EXPECT_GT(r.deq_latency_cycles, 0.0);
 }
@@ -40,7 +53,9 @@ TEST(SimWorkload, ConsumerOnlyDrainsPrefill) {
 TEST(SimWorkload, MixedRunsBothSides) {
   sim::Machine m(machine_for(8, 2));
   SimSbq q(m, {.enqueuers = 4, .dequeuers = 4});
-  const SimRunResult r = run_mixed(m, q, 4, 4, 40, /*prefill=*/80);
+  WorkloadSpec spec = spec_of(Workload::kMixed, 4, 4, 40);
+  spec.prefill = 80;
+  const SimRunResult r = run_spec(m, q, spec, 0);
   EXPECT_EQ(r.enq_ops, 160u);
   EXPECT_EQ(r.deq_ops, 160u);
   EXPECT_GT(r.enq_latency_cycles, 0.0);
@@ -51,7 +66,7 @@ TEST(SimWorkload, DeterministicUnderSeed) {
   auto run_once = [](std::uint64_t seed) {
     sim::Machine m(machine_for(4));
     SimFaaQueue q(m, {});
-    return run_producer_only(m, q, 4, 60, seed);
+    return run_spec(m, q, spec_of(Workload::kProducerOnly, 4, 1, 60, seed), 0);
   };
   const SimRunResult a = run_once(7);
   const SimRunResult b = run_once(7);
@@ -81,7 +96,8 @@ TEST(SimWorkload, MoreProducersMoreWallTimeAtFixedPerThreadOps) {
   auto latency_at = [](int producers) {
     sim::Machine m(machine_for(producers));
     SimFaaQueue q(m, {});
-    return run_producer_only(m, q, producers, 60).enq_latency_cycles;
+    return run_spec(m, q, spec_of(Workload::kProducerOnly, producers, 1, 60), 0)
+        .enq_latency_cycles;
   };
   EXPECT_GT(latency_at(8), 1.8 * latency_at(2));
 }

@@ -235,9 +235,13 @@ TEST(StatsRegistry, BasketCountersFromSimSbq) {
   qc.dequeuers = kThreads;
   qc.basket_capacity = 44;
   simq::SimSbq q(m, qc);
-  const simq::SimRunResult r =
-      simq::run_consumer_only(m, q, /*prefill_producers=*/kThreads,
-                              /*consumers=*/kThreads, kOps, /*seed=*/42);
+  simq::WorkloadSpec spec;
+  spec.kind = simq::Workload::kConsumerOnly;
+  spec.producers = kThreads;  // the prefill threads
+  spec.consumers = kThreads;
+  spec.ops_per_thread = kOps;
+  spec.seed = 42;
+  const simq::SimRunResult r = simq::run_spec(m, q, spec, 0);
   const std::uint64_t total_enq =
       static_cast<std::uint64_t>(kThreads) * kOps;  // exact pre-fill count
   ASSERT_EQ(r.deq_ops, total_enq);  // the drain consumed everything

@@ -14,6 +14,7 @@
 // stdout), 2 = usage/input error.
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "replay/divergence.hpp"
@@ -158,7 +159,12 @@ int main(int argc, char** argv) {
                 << "'\n";
       return 2;
     }
-    spec = bench::spec_from_trace(trace);
+    try {
+      spec = bench::spec_from_trace(trace);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "sbq_divergence: " << e.what() << "\n";
+      return 2;
+    }
   } else {
     try {
       kind = bench::queue_kind_from_name(o.queue);
