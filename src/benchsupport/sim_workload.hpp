@@ -176,7 +176,8 @@ Task<void> consumer_thread(Machine& m, QueueT& q, int core, int id, Value ops,
 
 enum class Phase { kPrefill, kMeasure };
 
-// Spawns one phase of `spec` on (m, q); the caller runs the machine. The
+// Spawns one phase of `spec` on (m, q); the caller runs the machine to
+// quiescence while `acc` and `tap`, which the threads point at, live. The
 // prefill phase is `producers` threads of prefill_per_producer elements
 // each, seeded from prefill_seed (or seed). The measured phase is the
 // producers (unless consumer-only) on cores [0, P), then the consumers
