@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Capture the simulator performance baseline into BENCH_sim.json.
+# Capture the simulator performance baseline into BENCH_sim.json and the
+# native one into BENCH_native.json.
 #
 # Records what benchmark/ does not cover: the wall-clock of one 512-core
 # fig5 cell, the contention-policy sweep and the open-loop service_latency
@@ -9,6 +10,11 @@
 # sizes. The fig5/fig6/fig7 sweeps are timed
 # by benchmark/ (sim-enqueue, sim-dequeue-prefilled), which has a
 # regression rule. Results land in BENCH_sim.json at the repo root.
+#
+# BENCH_native.json holds the Google Benchmark JSON of native_primitives
+# and native_queues at 1, 2 and 4 threads, with the host's CPU count and
+# model and the ns per cpu_relax the process calibrated (the unit in which
+# every native §4 delay is spent, see src/common/spin.cpp).
 #
 # Usage:
 #   scripts/bench_baseline.sh [before.json]
@@ -25,7 +31,7 @@ RUNS=${RUNS:-3}
 BEFORE=${1:-}
 
 for bin in fig5_enqueue ablation_delay_sweep service_latency \
-           engine_microbench sim_microbench; do
+           engine_microbench sim_microbench native_primitives native_queues; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "bench_baseline: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR)" >&2
     exit 1
@@ -196,5 +202,65 @@ with open("BENCH_sim.json", "w") as f:
 print(json.dumps({leg: report[leg]["best_s"]
                   for leg in ("fig5_512c", "policy_sweep", "service_latency")},
                  indent=2))
+
+# Native leg. The installed Google Benchmark takes --benchmark_min_time as
+# a plain number of seconds; it rejects the "0.2s" form.
+NATIVE_MIN_TIME_S = "0.2"
+# Multi-threaded benchmarks at 1, 2 and 4 threads, plus the single-thread
+# ones (the spin_for_ns delays, the RTM probe).
+NATIVE_FILTER = "/threads:[124]$|^BM_SpinForNs|^BM_TxCasHardwareAvailable"
+
+def run_gbench(drv):
+    exe = os.path.join(build, "bench", drv)
+    with tempfile.NamedTemporaryFile(suffix=".json") as f:
+        run_checked([exe, "--benchmark_min_time=" + NATIVE_MIN_TIME_S,
+                     "--benchmark_filter=" + NATIVE_FILTER,
+                     "--benchmark_out=" + f.name,
+                     "--benchmark_out_format=json"])
+        out = json.load(open(f.name))
+    out["context"].pop("host_name", None)
+    return out
+
+def cpu_model():
+    # The first CPU's name, family and model number (x86 /proc/cpuinfo):
+    # the name alone can be as vague as "Intel(R) Xeon(R) Processor".
+    keys = {"model name": "cpu_model", "cpu family": "cpu_family",
+            "model": "cpu_model_number"}
+    out = {}
+    try:
+        for line in open("/proc/cpuinfo"):
+            k, _, v = line.partition(":")
+            k = k.strip()
+            if k in keys and keys[k] not in out:
+                out[keys[k]] = v.strip()
+            if not line.strip() and out:
+                break
+    except OSError:
+        pass
+    out.setdefault("cpu_model", platform.processor() or "unknown")
+    return out
+
+native = {"schema": "sbq.bench-native/1",
+          "machine": {"platform": platform.platform(),
+                      "cpus": os.cpu_count(),
+                      "nproc": len(os.sched_getaffinity(0)),
+                      **cpu_model()},
+          "threads": [1, 2, 4],
+          "min_time_s": float(NATIVE_MIN_TIME_S)}
+notes = []
+for drv in ("native_primitives", "native_queues"):
+    native[drv] = run_gbench(drv)
+    if native[drv]["context"].get("library_build_type") == "debug":
+        notes.append("%s: the Google Benchmark library is a debug build "
+                     "and warns that its timings may be affected; the "
+                     "timed code is built as this tree's build type." % drv)
+native["ns_per_relax"] = float(
+    native["native_primitives"]["context"]["ns_per_relax"])
+native["notes"] = notes
+
+with open("BENCH_native.json", "w") as f:
+    json.dump(native, f, indent=2)
+    f.write("\n")
+print(json.dumps({"ns_per_relax": native["ns_per_relax"]}))
 EOF
-echo "bench_baseline: wrote BENCH_sim.json"
+echo "bench_baseline: wrote BENCH_sim.json and BENCH_native.json"

@@ -81,9 +81,10 @@ inline constexpr std::uint32_t kDefaultNonconflictAbortBudget = 8;
 
 // Native override: 0 (degradation disabled). On hosts without RTM the
 // htm:: facade reports every abort as non-conflict, so any nonzero budget
-// would instantly shunt every TxCAS to the plain-CAS path; the bounded
-// retry loop *is* the delayed-CAS behavior there. Real-RTM deployments can
-// opt back into kDefaultNonconflictAbortBudget explicitly.
+// would instantly shunt every TxCAS to the plain-CAS path. The full retry
+// loop runs there instead: max_attempts empty attempts, tens of ns in all,
+// none of which reaches the §4.1 delay. Real-RTM deployments can opt back
+// into kDefaultNonconflictAbortBudget explicitly.
 inline constexpr std::uint32_t kNativeNonconflictAbortOverride = 0;
 
 // Tuning parameters selecting and configuring a policy. Plumbed through
@@ -116,7 +117,7 @@ struct ContentionPolicyParams {
 };
 
 // The backend-supplied §4 knobs, in whatever time unit the backend uses
-// (spin iterations natively, cycles in the sim). The policy scales and
+// (nanoseconds natively, cycles in the sim). The policy scales and
 // bounds its answers relative to these.
 struct ContentionKnobs {
   std::uint64_t intra_txn_delay = 0;

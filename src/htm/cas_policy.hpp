@@ -35,12 +35,12 @@ struct NativeCas {
 // enqueuers observe the same tail, which grows the baskets and is why
 // SBQ-CAS tracks SBQ-HTM at low concurrency (Figure 5).
 struct DelayedCas {
-  std::uint32_t delay_iterations = 64;
+  std::uint32_t delay_ns = TxCasConfig{}.intra_txn_delay_ns;
 
   template <typename T>
   bool operator()(std::atomic<T>& target, T expected, T desired) const noexcept {
     if (target.load(std::memory_order_acquire) != expected) return false;
-    spin_iterations(delay_iterations);
+    spin_for_ns(delay_ns);
     return target.compare_exchange_strong(expected, desired,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire);
@@ -48,8 +48,8 @@ struct DelayedCas {
 };
 
 // TxCAS policy wrapper. Without RTM every attempt aborts at once, so a call
-// runs max_attempts (32) empty attempts, with no intra-transaction delay,
-// then one plain CAS. The embedded TxCasConfig carries the full
+// runs max_attempts (32) empty attempts, which take tens of ns and reach no
+// §4.1 delay, then one plain CAS. The embedded TxCasConfig carries the full
 // retry/fallback policy, including max_nonconflict_aborts — set it to make
 // the queue's appends degrade to plain CAS under persistent
 // capacity/interrupt aborts instead of burning the whole transactional

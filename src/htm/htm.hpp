@@ -49,7 +49,8 @@ bool in_transaction() noexcept;
 // Unsupported backend: every begin() is an immediate non-conflict,
 // non-retryable abort. Callers still run their own retry loop: native TxCAS
 // makes all max_attempts attempts (the native non-conflict budget is 0, see
-// common/contention.hpp) and then takes its plain-CAS fallback.
+// common/contention.hpp), tens of ns that reach no §4.1 delay, and then
+// takes its plain-CAS fallback.
 inline unsigned begin() noexcept { return 0u; }
 inline void end() noexcept {}
 inline void abort_with(std::uint8_t) noexcept {}

@@ -20,9 +20,12 @@
 //     target; if it changed, fail; else retry.
 //
 // On hosts without RTM, htm::begin() always reports a non-conflict abort,
-// so a call runs max_attempts empty attempts, none of which reaches the
-// intra-transaction delay, and then the plain-CAS fallback: semantically a
+// so a call runs max_attempts empty attempts, which take tens of ns and
+// reach neither §4 delay, and then the plain-CAS fallback: semantically a
 // plain CAS. (SBQ-CAS, DelayedCas in cas_policy.hpp, does delay.)
+//
+// Both delays are set in nanoseconds and spent by spin_for_ns, which
+// converts them with the host's measured ns per cpu_relax.
 #pragma once
 
 #include <atomic>
@@ -35,12 +38,14 @@
 namespace sbq {
 
 struct TxCasConfig {
-  // Intra-transaction delay between the read and the write, in spin
-  // iterations (§4.1; ~270 ns on the paper's Broadwell).
-  std::uint32_t intra_txn_delay = 64;
+  // Intra-transaction delay between the read and the write (§4.1: ~270 ns
+  // on the paper's Broadwell). The simulator's twin is 675 cycles at
+  // 0.4 ns per cycle (sim::TxCasConfig).
+  std::uint32_t intra_txn_delay_ns = 270;
   // Post-abort delay before re-reading the target (§4.2): long enough for
-  // an in-flight writer's GetM to complete so that our read does not trip it.
-  std::uint32_t post_abort_delay = 16;
+  // an in-flight writer's GetM to complete so that our read does not trip
+  // it. The simulator's twin is 130 cycles.
+  std::uint32_t post_abort_delay_ns = 52;
   // After this many transactional attempts, fall back to plain CAS. This is
   // what makes TxCAS wait-free despite HTM offering no progress guarantee.
   std::uint32_t max_attempts = 32;
@@ -52,8 +57,8 @@ struct TxCasConfig {
   // commit window), so burning the remaining attempt budget buys nothing.
   // The native default deliberately overrides the shared
   // kDefaultNonconflictAbortBudget: on hosts without RTM every abort
-  // reports as non-conflict, and the bounded retry loop IS the intended
-  // delayed-CAS behavior there (see common/contention.hpp).
+  // reports as non-conflict, so any budget would cut the bounded retry loop
+  // short there (see common/contention.hpp).
   std::uint32_t max_nonconflict_aborts = kNativeNonconflictAbortOverride;
   // Retry/delay policy (fixed by default; see common/contention.hpp for
   // the adaptive alternatives).
@@ -84,9 +89,9 @@ class TxCas {
   // can drive the native decision logic directly.
   static ContentionPolicy make_policy(const TxCasConfig& cfg) noexcept {
     return ContentionPolicy(
-        cfg.policy, ContentionKnobs{cfg.intra_txn_delay, cfg.post_abort_delay,
-                                    cfg.max_attempts,
-                                    cfg.max_nonconflict_aborts});
+        cfg.policy,
+        ContentionKnobs{cfg.intra_txn_delay_ns, cfg.post_abort_delay_ns,
+                        cfg.max_attempts, cfg.max_nonconflict_aborts});
   }
 
   // CAS(target, expected, desired) with TxCAS failure scalability.
@@ -104,7 +109,7 @@ class TxCas {
         if (htm::started(nested)) {
           const T value = target.load(std::memory_order_relaxed);
           if (value != expected) htm::abort_with(kTxCasMismatchCode);
-          spin_delay(policy.intra_delay(history));
+          spin_for_ns(policy.intra_delay(history));
           htm::end();
         }
         target.store(desired, std::memory_order_relaxed);
@@ -129,7 +134,7 @@ class TxCas {
       // Conflict during the read step: someone's write is in flight. Wait
       // for their GetM to finish before reading, to avoid tripping them.
       policy.on_abort(history, CasAbort::kReadConflict);
-      spin_delay(policy.post_abort_delay(history));
+      spin_for_ns(policy.post_abort_delay(history));
       if (target.load(std::memory_order_acquire) != expected) return false;
     }
     // Wait-free fallback: a plain CAS always terminates.
@@ -141,13 +146,6 @@ class TxCas {
   const TxCasConfig& config() const noexcept { return cfg_; }
 
  private:
-  // Policy delays are 64-bit (sim cycles elsewhere); native spin counts
-  // stay within u32 but clamp defensively.
-  static void spin_delay(std::uint64_t iters) noexcept {
-    spin_iterations(iters > 0xffffffffULL ? 0xffffffffU
-                                          : static_cast<std::uint32_t>(iters));
-  }
-
   TxCasConfig cfg_;
 };
 

@@ -8,6 +8,10 @@
 // frees the retired prefix up to min(protected indices), in mutual
 // exclusion obtained by SWAPping `retired` with null.
 //
+// A pass reads every protector slot, so free_nodes() amortizes it the way
+// Michael's hazard pointers do: it returns at once until the head is at
+// least max_threads nodes past the retired prefix, one node per slot.
+//
 // "Free" means handing the node to `Deleter`, which may delete it or recycle
 // it (sbq::Queue returns nodes to per-enqueuer pools).
 //
@@ -37,6 +41,7 @@ class RetiredList {
       : max_threads_(max_threads),
         protectors_(std::make_unique<Padded<std::atomic<Node*>>[]>(max_threads)),
         retired_(sentinel),
+        retired_index_(static_cast<std::uint64_t>(sentinel->index)),
         deleter_(deleter) {
     for (std::size_t i = 0; i < max_threads_; ++i) {
       protectors_[i].value.store(nullptr, std::memory_order_relaxed);
@@ -76,7 +81,14 @@ class RetiredList {
 
   // Free retired nodes not protected by any thread (Algorithm 7,
   // free_nodes). `head` is the queue's current head (never freed here).
+  // Does nothing while head's index is less than max_threads past the
+  // retired prefix's (see the header comment).
   void free_nodes(Node* head) {
+    const std::uint64_t head_index = head->index;
+    if (head_index < retired_index_.load(std::memory_order_relaxed) +
+                         max_threads_) {
+      return;
+    }
     Node* retired = retired_.exchange(nullptr, std::memory_order_acq_rel);
     if (retired == nullptr) return;  // another thread is reclaiming
     const std::uint64_t limit = min_protected_index();
@@ -85,6 +97,7 @@ class RetiredList {
       deleter_(retired);
       retired = next;
     }
+    retired_index_.store(retired->index, std::memory_order_relaxed);
     retired_.store(retired, std::memory_order_release);
   }
 
@@ -116,6 +129,10 @@ class RetiredList {
   const std::size_t max_threads_;
   std::unique_ptr<Padded<std::atomic<Node*>>[]> protectors_;
   alignas(kCacheLineSize) std::atomic<Node*> retired_;
+  // The retired prefix's index, readable without owning `retired_`: the
+  // gate in free_nodes dereferences no node it does not own. Stale while a
+  // pass runs, which only lets a caller through to the exchange.
+  std::atomic<std::uint64_t> retired_index_;
   [[no_unique_address]] Deleter deleter_;
 };
 

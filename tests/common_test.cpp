@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -47,6 +48,44 @@ TEST(Backoff, GrowsAndSaturates) {
   b.reset();
   for (int i = 0; i < 10; ++i) b.pause();
   SUCCEED();
+}
+
+TEST(SpinForNs, ConversionRoundsUpAndClamps) {
+  EXPECT_EQ(relax_iterations(0, ns_per_relax()), 0u);
+  EXPECT_EQ(relax_iterations(0, 17.0), 0u);
+  // A non-zero delay spins at least once, however cheap or dear a relax is.
+  EXPECT_GE(relax_iterations(1, ns_per_relax()), 1u);
+  EXPECT_EQ(relax_iterations(1, 0.25), 4u);
+  EXPECT_EQ(relax_iterations(1, 17.0), 1u);
+  EXPECT_EQ(relax_iterations(17, 17.0), 1u);
+  EXPECT_EQ(relax_iterations(18, 17.0), 2u);
+  EXPECT_EQ(relax_iterations(270, 17.0), 16u);
+  EXPECT_EQ(relax_iterations(270, 4.0), 68u);
+  // Huge delays clamp instead of wrapping around.
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(relax_iterations(std::numeric_limits<std::uint64_t>::max(),
+                             ns_per_relax()),
+            kMax);
+  EXPECT_EQ(relax_iterations(std::uint64_t{1} << 40, 0.05), kMax);
+  EXPECT_EQ(relax_iterations(std::uint64_t{kMax} * 17, 17.0), kMax);
+}
+
+TEST(SpinForNs, CalibratedBeforeMain) {
+  const double ns = ns_per_relax();
+  EXPECT_GT(ns, 0.0);
+  EXPECT_LT(ns, 10'000.0);  // one PAUSE is tens of ns at most
+}
+
+TEST(SpinForNs, SpinsAtLeastAQuarterOfTheDelay) {
+  // Loose: a spin runs short only if a relax got cheaper after the
+  // calibration (say the core clocked up), and a quarter of the asked-for
+  // time leaves room for that.
+  const auto start = std::chrono::steady_clock::now();
+  spin_for_ns(100'000);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+                .count(),
+            25);
 }
 
 TEST(SplitMix64, DeterministicAndDistinct) {

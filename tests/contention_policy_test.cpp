@@ -12,10 +12,13 @@
 //    adaptive-backoff walks the DHM ladder deterministically.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "benchsupport/sweep.hpp"
 #include "common/contention.hpp"
+#include "htm/cas_policy.hpp"
 #include "htm/txcas.hpp"
 #include "sim/types.hpp"
 
@@ -38,6 +41,25 @@ TEST(ContentionDefaults, NativeUsesDocumentedOverride) {
   // The override exists because the non-RTM htm:: facade reports every
   // abort as non-conflict; it must stay "degradation disabled".
   EXPECT_EQ(kNativeNonconflictAbortOverride, 0u);
+}
+
+// Twin check: the native §4 delays (nanoseconds) are the simulator's
+// defaults (cycles) at the simulator's clock, so neither can drift alone.
+TEST(ContentionDefaults, NativeDelaysAreTheSimCyclesInNanoseconds) {
+  const sim::TxCasConfig simc;
+  const TxCasConfig native;
+  EXPECT_EQ(simc.intra_txn_delay, 675u);
+  EXPECT_EQ(simc.post_abort_delay, 130u);
+  EXPECT_EQ(native.intra_txn_delay_ns,
+            std::llround(static_cast<double>(simc.intra_txn_delay) *
+                         ns_per_cycle()));
+  EXPECT_EQ(native.post_abort_delay_ns,
+            std::llround(static_cast<double>(simc.post_abort_delay) *
+                         ns_per_cycle()));
+  EXPECT_EQ(native.intra_txn_delay_ns, 270u);
+  EXPECT_EQ(native.post_abort_delay_ns, 52u);
+  // SBQ-CAS waits TxCAS's intra-transaction delay before its plain CAS.
+  EXPECT_EQ(DelayedCas{}.delay_ns, native.intra_txn_delay_ns);
 }
 
 TEST(ContentionDefaults, PolicyNamesRoundTrip) {
@@ -130,8 +152,8 @@ TEST_P(CrossBackend, NativeAndSimFactoriesDecideIdentically) {
 
   // Identical knob values through both config types.
   TxCasConfig native;
-  native.intra_txn_delay = 675;
-  native.post_abort_delay = 130;
+  native.intra_txn_delay_ns = 675;
+  native.post_abort_delay_ns = 130;
   native.max_attempts = 64;
   native.max_nonconflict_aborts = kDefaultNonconflictAbortBudget;
   native.policy.kind = kind;

@@ -163,7 +163,7 @@ TEST(QueueEdge, SbqCasPolicyDelayZero) {
   Q::Config cfg;
   cfg.max_enqueuers = 2;
   cfg.max_dequeuers = 2;
-  cfg.cas = DelayedCas{.delay_iterations = 0};
+  cfg.cas = DelayedCas{.delay_ns = 0};
   Q q(cfg);
   std::vector<Element> storage;
   auto result = testutil::run_mpmc(q, 2, 2, 2000, storage);

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "benchsupport/metrics_json.hpp"
 #include "replay/native_record.hpp"
 #include "replay/op_trace.hpp"
@@ -487,10 +489,14 @@ std::size_t first_record_of(const replay::OpTrace& trace, int thread) {
   return 0;
 }
 
-// Replays `trace` through a file, as --replay-ops does.
+// Replays `trace` through a file, as --replay-ops does. The file is named
+// after the running test and the process: `ctest -j` runs each case in its
+// own process at once, and a shared name let them clobber each other.
 void replay_via_file(const replay::OpTrace& trace) {
   const std::string path =
-      std::string(::testing::TempDir()) + "replay_test_header.ops";
+      std::string(::testing::TempDir()) + "replay_test_header_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".ops";
   ASSERT_TRUE(replay::write_op_trace_file(path, trace));
   struct Remove {
     const std::string& path;

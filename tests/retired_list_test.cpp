@@ -96,6 +96,31 @@ TEST(RetiredList, NeverFreesPastHead) {
   EXPECT_EQ(Node::freed.load(), 4);
 }
 
+TEST(RetiredList, FreesNothingUntilOneNodePerProtectorSlotIsRetired) {
+  // Michael's amortization: a pass reads every protector slot, so it runs
+  // only once the head is max_threads nodes past the retired prefix.
+  Node::freed.store(0);
+  auto nodes = make_chain(12);
+  List list(nodes[0], 4);
+  std::atomic<Node*> src{nodes[2]};
+  list.protect(src, 1);
+  for (int head = 0; head < 4; ++head) {
+    list.free_nodes(nodes[head]);
+    EXPECT_EQ(Node::freed.load(), 0) << "head " << head;
+  }
+  // Head 4 past the prefix at 0: free up to the protected index 2.
+  list.free_nodes(nodes[4]);
+  EXPECT_EQ(Node::freed.load(), 2);
+  list.unprotect(1);
+  // The prefix now starts at 2, so heads 4..5 are under the gate again.
+  list.free_nodes(nodes[5]);
+  EXPECT_EQ(Node::freed.load(), 2);
+  list.free_nodes(nodes[6]);
+  EXPECT_EQ(Node::freed.load(), 6);  // nodes 0..5, unprotected
+  list.drain_all();
+  EXPECT_EQ(Node::freed.load(), 12);
+}
+
 TEST(RetiredList, ProtectValidatesSnapshot) {
   // protect() must re-read until the announcement matches the source, so a
   // concurrent swing of the source pointer is never missed.

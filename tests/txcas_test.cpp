@@ -42,8 +42,8 @@ TEST(TxCas, PointerSpecialization) {
 
 TEST(TxCas, ZeroDelayConfig) {
   TxCasConfig cfg;
-  cfg.intra_txn_delay = 0;
-  cfg.post_abort_delay = 0;
+  cfg.intra_txn_delay_ns = 0;
+  cfg.post_abort_delay_ns = 0;
   std::atomic<std::uint64_t> word{1};
   TxCas<std::uint64_t> cas(cfg);
   EXPECT_TRUE(cas(word, 1, 2));
@@ -85,8 +85,8 @@ TEST(TxCas, SequenceLockFreeProgression) {
   constexpr int kIncrementsPerThread = 5000;
   std::atomic<std::uint64_t> counter{0};
   TxCasConfig cfg;
-  cfg.intra_txn_delay = 4;
-  cfg.post_abort_delay = 2;
+  cfg.intra_txn_delay_ns = 4;
+  cfg.post_abort_delay_ns = 2;
   TxCas<std::uint64_t> cas(cfg);
 
   std::vector<std::thread> threads;
@@ -113,7 +113,7 @@ TEST(CasPolicies, AllImplementCasSemantics) {
   EXPECT_FALSE(native(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
 
   word.store(nullptr);
-  DelayedCas delayed{.delay_iterations = 2};
+  DelayedCas delayed{.delay_ns = 2};
   EXPECT_TRUE(delayed(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
   EXPECT_FALSE(delayed(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
 
@@ -129,7 +129,7 @@ TEST(CasPolicies, DelayedCasPrechecksValue) {
   std::atomic<int*> word{nullptr};
   int a = 0;
   word.store(&a);
-  DelayedCas delayed{.delay_iterations = 1 << 20};  // huge delay if taken
+  DelayedCas delayed{.delay_ns = 1u << 30};  // huge delay (~1 s) if taken
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(delayed(word, static_cast<int*>(nullptr), &a));
   const auto elapsed = std::chrono::steady_clock::now() - start;
