@@ -13,8 +13,9 @@
 #
 # BENCH_native.json holds the Google Benchmark JSON of native_primitives
 # and native_queues at 1, 2 and 4 threads, with the host's CPU count and
-# model and the ns per cpu_relax the process calibrated (the unit in which
-# every native §4 delay is spent, see src/common/spin.cpp).
+# model, the ns per cpu_relax the process calibrated (the unit in which
+# every native §4 delay is spent, see src/common/spin.cpp) and whether
+# the build ran RTM transactions (`rtm`).
 #
 # Usage:
 #   scripts/bench_baseline.sh [before.json]
@@ -256,11 +257,17 @@ for drv in ("native_primitives", "native_queues"):
                      "timed code is built as this tree's build type." % drv)
 native["ns_per_relax"] = float(
     native["native_primitives"]["context"]["ns_per_relax"])
+native["rtm"] = native["native_primitives"]["context"]["rtm"] == "true"
+if not native["rtm"]:
+    notes.append("No RTM in this run: TxCAS is one plain CAS with no delay, "
+                 "so the SBQ-HTM rows measure SBQ with a plain CAS "
+                 "(SBQ-CAS adds the intra-transaction delay first).")
 native["notes"] = notes
 
 with open("BENCH_native.json", "w") as f:
     json.dump(native, f, indent=2)
     f.write("\n")
-print(json.dumps({"ns_per_relax": native["ns_per_relax"]}))
+print(json.dumps({"ns_per_relax": native["ns_per_relax"],
+                  "rtm": native["rtm"]}))
 EOF
 echo "bench_baseline: wrote BENCH_sim.json and BENCH_native.json"

@@ -12,8 +12,9 @@
 // degraded).
 //
 // Two policies ship behind the same interface:
-//  - kFixed            today's constants; byte-identical to the historical
-//                      behavior of both backends (the default).
+//  - kFixed            the paper's constants (the default, and the only
+//                      policy native TxCAS runs); the simulator's goldens
+//                      are byte-identical under it.
 //  - kAdaptiveBackoff  Dice–Hendler–Mirsky-style per-thread failure-history
 //                      delay scaling: the intra-txn delay starts below the
 //                      paper's fixed value and doubles toward a cap while
@@ -25,10 +26,13 @@
 // The object is allocation-free and trivially copyable. Per-call counters
 // (attempt number, non-conflict abort count) live in the policy object
 // itself; the *persistent* cross-call history (PRNG stream, failure level)
-// lives in a separate POD `ContentionPolicy::State` owned by the caller —
-// a thread_local in the native backend, a field of the per-core `TxCasOp`
-// slot in the sim (serialized by src/sim/serialize.cpp so snapshot/fork
-// identity holds).
+// lives in a separate POD `ContentionPolicy::State` owned by the caller: a
+// field of the per-core `TxCasOp` slot in the sim (serialized by
+// src/sim/serialize.cpp so snapshot/fork identity holds). The native
+// backend always runs the fixed policy, which reads no history, so it keeps
+// no persistent state: each call makes a fresh one. Both backends take
+// their attempt bound and non-conflict budget from the two constants
+// below.
 #pragma once
 
 #include <cstdint>
@@ -71,25 +75,20 @@ inline bool contention_policy_from_name(const char* name,
   return false;
 }
 
-// Graceful-degradation default shared by both backends: after this many
-// non-conflict aborts in one TxCAS call, give up on HTM and take the
-// plain-CAS path (counted separately as `fallback_cas`). The sim uses this
-// value as-is; the native backend overrides it to
-// kNativeNonconflictAbortOverride below. tests/contention_policy_test.cpp
-// asserts both defaults so they cannot silently drift again.
+// Retry bounds shared by both backends, which are the simulator's
+// sim::TxCasConfig defaults and native TxCas's only values:
+//  - after this many transactional attempts, take the plain-CAS fallback
+//    (counted as `fallbacks`). The bound is what makes TxCAS wait-free
+//    although HTM offers no progress guarantee;
+//  - after this many non-conflict aborts in one TxCAS call, give up on HTM
+//    and take the plain-CAS path at once (graceful degradation, counted
+//    separately as `fallback_cas`).
+inline constexpr std::uint32_t kDefaultMaxTxnAttempts = 64;
 inline constexpr std::uint32_t kDefaultNonconflictAbortBudget = 8;
 
-// Native override: 0 (degradation disabled). On hosts without RTM the
-// htm:: facade reports every abort as non-conflict, so any nonzero budget
-// would instantly shunt every TxCAS to the plain-CAS path. The full retry
-// loop runs there instead: max_attempts empty attempts, tens of ns in all,
-// none of which reaches the §4.1 delay. Real-RTM deployments can opt back
-// into kDefaultNonconflictAbortBudget explicitly.
-inline constexpr std::uint32_t kNativeNonconflictAbortOverride = 0;
-
 // Tuning parameters selecting and configuring a policy. Plumbed through
-// sim::MachineConfig (and thus into machine_config_digest) and native
-// htm::TxCasConfig.
+// sim::MachineConfig (and thus into machine_config_digest); the native
+// backend always uses the defaults (kFixed).
 struct ContentionPolicyParams {
   ContentionPolicyKind kind = ContentionPolicyKind::kFixed;
 

@@ -47,13 +47,9 @@ struct DelayedCas {
   }
 };
 
-// TxCAS policy wrapper. Without RTM every attempt aborts at once, so a call
-// runs max_attempts (32) empty attempts, which take tens of ns and reach no
-// §4.1 delay, then one plain CAS. The embedded TxCasConfig carries the full
-// retry/fallback policy, including max_nonconflict_aborts — set it to make
-// the queue's appends degrade to plain CAS under persistent
-// capacity/interrupt aborts instead of burning the whole transactional
-// attempt budget.
+// TxCAS policy wrapper. The embedded TxCasConfig sets the two §4 delays;
+// the retry bounds are the simulator's (txcas.hpp). Without RTM every call
+// is one plain CAS with no delay.
 struct HtmCas {
   TxCasConfig config{};
 
@@ -62,20 +58,6 @@ struct HtmCas {
     return TxCas<T>(config)(target, expected, desired);
   }
 };
-
-// Adaptive variant for native SBQ (see common/contention.hpp): the same
-// TxCAS with the adaptive-backoff ContentionPolicy baked into the config.
-// Usable anywhere HtmCas is, e.g. sbq::Queue<T, Basket, HtmCas> with
-// `q.cas = adaptive_backoff_cas(seed)`. Dice–Hendler–Mirsky failure-history
-// delay scaling: intra-txn/post-abort delays start below the fixed
-// constants and double toward a cap while the calling thread keeps
-// aborting on conflicts.
-inline HtmCas adaptive_backoff_cas(std::uint64_t seed = 1) noexcept {
-  HtmCas c{};
-  c.config.policy.kind = ContentionPolicyKind::kAdaptiveBackoff;
-  c.config.policy.seed = seed;
-  return c;
-}
 
 static_assert(CasPolicy<NativeCas, void*>);
 static_assert(CasPolicy<DelayedCas, void*>);

@@ -1,43 +1,29 @@
 #include "htm/htm.hpp"
 
+// The Unsupported backend is all inline (htm.hpp); this file compiles the
+// RTM backend, which needs an x86 toolchain with -mrtm.
 #if defined(SBQ_HAVE_RTM)
-#include <immintrin.h>
-#endif
 
-#if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
-#endif
+#include <immintrin.h>
 
 namespace sbq::htm {
 
 namespace {
 
 bool cpuid_reports_rtm() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
   constexpr unsigned kRtmBit = 1u << 11;  // CPUID.07H.EBX.RTM
   return (ebx & kRtmBit) != 0;
-#else
-  return false;
-#endif
 }
 
 }  // namespace
 
 bool hardware_available() noexcept {
-#if defined(SBQ_HAVE_RTM)
   static const bool available = cpuid_reports_rtm();
   return available;
-#else
-  // Keep the symbol meaningful even without the RTM backend compiled in:
-  // report what the CPU claims, though begin() will still take the fallback.
-  static const bool available = cpuid_reports_rtm();
-  return available && false;
-#endif
 }
-
-#if defined(SBQ_HAVE_RTM)
 
 unsigned begin() noexcept { return _xbegin(); }
 
@@ -54,6 +40,6 @@ void abort_with(std::uint8_t code) noexcept {
 
 bool in_transaction() noexcept { return _xtest() != 0; }
 
-#endif
-
 }  // namespace sbq::htm
+
+#endif

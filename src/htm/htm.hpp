@@ -1,11 +1,13 @@
 // Portable hardware-transactional-memory facade.
 //
-// When compiled with SBQ_ENABLE_RTM (and -mrtm) on a TSX-capable Intel part,
-// begin/end/abort map to the RTM intrinsics. Everywhere else the backend is
-// `Unsupported`: begin() always reports a non-conflict abort, which makes
-// every algorithm built on the facade (TxCAS in particular) fall through to
-// its plain-CAS fallback path. This keeps the *native* library correct on
-// any host; the paper's HTM *performance* behaviour is reproduced on the
+// When compiled with SBQ_ENABLE_RTM (and -mrtm), begin/end/abort map to the
+// RTM intrinsics and hardware_available() asks CPUID whether the part has
+// RTM. Everywhere else the backend is `Unsupported`: hardware_available() is
+// constexpr false and begin() always reports a non-conflict abort. Callers
+// check hardware_available() first, so native TxCAS goes straight to its
+// plain-CAS fallback on any host without RTM (and its transactional loop is
+// dead code in the default build). This keeps the *native* library correct
+// on any host; the paper's HTM *performance* behaviour is reproduced on the
 // coherence simulator (src/sim), not here.
 //
 // The status word mirrors Intel RTM's EAX abort-reason bits so that code
@@ -34,11 +36,10 @@ constexpr bool is_nested(unsigned status) noexcept { return (status & kAbortNest
 constexpr bool is_explicit(unsigned status) noexcept { return (status & kAbortExplicit) != 0; }
 constexpr unsigned explicit_code(unsigned status) noexcept { return (status >> 24) & 0xffu; }
 
-// True if the binary carries a real RTM backend *and* the CPU reports RTM.
-bool hardware_available() noexcept;
-
 #if defined(SBQ_HAVE_RTM)
 
+// True if the CPU reports RTM (checked once). Call begin() only when it is.
+bool hardware_available() noexcept;
 unsigned begin() noexcept;                 // returns kStarted or an abort status
 void end() noexcept;                       // commit
 [[noreturn]] void abort_with(std::uint8_t code) noexcept;
@@ -46,11 +47,9 @@ bool in_transaction() noexcept;
 
 #else
 
-// Unsupported backend: every begin() is an immediate non-conflict,
-// non-retryable abort. Callers still run their own retry loop: native TxCAS
-// makes all max_attempts attempts (the native non-conflict budget is 0, see
-// common/contention.hpp), tens of ns that reach no §4.1 delay, and then
-// takes its plain-CAS fallback.
+// Unsupported backend: no transaction can ever start, and every begin() is
+// an immediate non-conflict, non-retryable abort.
+inline constexpr bool hardware_available() noexcept { return false; }
 inline unsigned begin() noexcept { return 0u; }
 inline void end() noexcept {}
 inline void abort_with(std::uint8_t) noexcept {}

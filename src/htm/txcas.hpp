@@ -19,10 +19,14 @@
 //   * conflict inside the nested txn -> post-abort delay, then re-read the
 //     target; if it changed, fail; else retry.
 //
-// On hosts without RTM, htm::begin() always reports a non-conflict abort,
-// so a call runs max_attempts empty attempts, which take tens of ns and
-// reach neither §4 delay, and then the plain-CAS fallback: semantically a
-// plain CAS. (SBQ-CAS, DelayedCas in cas_policy.hpp, does delay.)
+// Retry bounds: at most kDefaultMaxTxnAttempts attempts, and degradation
+// to the plain CAS after kDefaultNonconflictAbortBudget non-conflict aborts
+// (common/contention.hpp), the same constants the simulator's TxCasConfig
+// defaults to. Without RTM (htm::hardware_available() false, and constexpr
+// false unless the RTM backend is compiled in) no transaction can start, so
+// a call goes straight to the plain-CAS fallback: semantically a plain CAS
+// with neither §4 delay. (SBQ-CAS, DelayedCas in cas_policy.hpp, does
+// delay.)
 //
 // Both delays are set in nanoseconds and spent by spin_for_ns, which
 // converts them with the host's measured ns per cpu_relax.
@@ -46,35 +50,7 @@ struct TxCasConfig {
   // an in-flight writer's GetM to complete so that our read does not trip
   // it. The simulator's twin is 130 cycles.
   std::uint32_t post_abort_delay_ns = 52;
-  // After this many transactional attempts, fall back to plain CAS. This is
-  // what makes TxCAS wait-free despite HTM offering no progress guarantee.
-  std::uint32_t max_attempts = 32;
-  // Graceful degradation: after this many NON-conflict aborts within one
-  // call (capacity, interrupt, spurious — anything but a data conflict or
-  // the explicit self-abort), stop retrying transactionally and take the
-  // plain-CAS fallback immediately. Persistent non-conflict aborts recur
-  // (a capacity overflow is deterministic; an interrupt storm starves the
-  // commit window), so burning the remaining attempt budget buys nothing.
-  // The native default deliberately overrides the shared
-  // kDefaultNonconflictAbortBudget: on hosts without RTM every abort
-  // reports as non-conflict, so any budget would cut the bounded retry loop
-  // short there (see common/contention.hpp).
-  std::uint32_t max_nonconflict_aborts = kNativeNonconflictAbortOverride;
-  // Retry/delay policy (fixed by default; see common/contention.hpp for
-  // the adaptive alternatives).
-  ContentionPolicyParams policy{};
 };
-
-// Per-thread persistent contention history for native TxCAS (the DHM
-// failure level and jitter stream). The first TxCAS call on a thread pins
-// that thread's stream id; `seed` only matters for that first call.
-inline ContentionPolicy::State& native_contention_state(
-    std::uint64_t seed) noexcept {
-  static std::atomic<std::uint64_t> next_stream{0};
-  thread_local ContentionPolicy::State state = ContentionPolicy::seeded_state(
-      seed, next_stream.fetch_add(1, std::memory_order_relaxed));
-  return state;
-}
 
 // Explicit-abort code used by the value-mismatch self-abort.
 inline constexpr std::uint8_t kTxCasMismatchCode = 1;
@@ -84,21 +60,24 @@ class TxCas {
  public:
   explicit TxCas(TxCasConfig cfg = {}) noexcept : cfg_(cfg) {}
 
-  // The policy object this config resolves to — the exact construction the
-  // retry loop below uses. Exposed so the cross-backend differential test
-  // can drive the native decision logic directly.
+  // The fixed policy this config resolves to, with the shared retry bounds:
+  // the exact construction the retry loop below uses. Exposed so the
+  // cross-backend differential test can drive the native decision logic
+  // directly.
   static ContentionPolicy make_policy(const TxCasConfig& cfg) noexcept {
     return ContentionPolicy(
-        cfg.policy,
+        ContentionPolicyParams{},
         ContentionKnobs{cfg.intra_txn_delay_ns, cfg.post_abort_delay_ns,
-                        cfg.max_attempts, cfg.max_nonconflict_aborts});
+                        kDefaultMaxTxnAttempts,
+                        kDefaultNonconflictAbortBudget});
   }
 
   // CAS(target, expected, desired) with TxCAS failure scalability.
   bool operator()(std::atomic<T>& target, T expected, T desired) const noexcept {
+    if (!htm::hardware_available()) return plain_cas(target, expected, desired);
     ContentionPolicy policy = make_policy(cfg_);
-    ContentionPolicy::State& history = native_contention_state(cfg_.policy.seed);
-    policy.begin_call();
+    // The fixed policy reads no cross-call history: a fresh one per call.
+    ContentionPolicy::State history{};
     while (policy.next_step() == CasStep::kTxn) {
       policy.note_attempt();
       const unsigned ret = htm::begin();
@@ -137,15 +116,17 @@ class TxCas {
       spin_for_ns(policy.post_abort_delay(history));
       if (target.load(std::memory_order_acquire) != expected) return false;
     }
-    // Wait-free fallback: a plain CAS always terminates.
+    return plain_cas(target, expected, desired);
+  }
+
+ private:
+  // Wait-free fallback: a plain CAS always terminates.
+  static bool plain_cas(std::atomic<T>& target, T expected, T desired) noexcept {
     return target.compare_exchange_strong(expected, desired,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire);
   }
 
-  const TxCasConfig& config() const noexcept { return cfg_; }
-
- private:
   TxCasConfig cfg_;
 };
 

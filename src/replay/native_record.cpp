@@ -26,8 +26,7 @@ std::uint64_t value_of(int thread, std::uint64_t i) {
 // `T* dequeue(int)`. Values travel in preallocated per-thread slots so the
 // dequeuer recovers the logical value through the returned pointer.
 template <typename Q>
-void run_pairwise(Q& q, const NativeRecordSpec& spec, bool single_id_space,
-                  OpTrace& out) {
+void run_pairwise(Q& q, const NativeRecordSpec& spec, OpTrace& out) {
   const int threads = spec.threads;
   const std::uint64_t pairs = spec.pairs_per_thread;
   std::atomic<std::uint64_t> ticket{0};
@@ -42,7 +41,6 @@ void run_pairwise(Q& q, const NativeRecordSpec& spec, bool single_id_space,
   auto worker = [&](int t) {
     auto& my_slots = slots[static_cast<std::size_t>(t)];
     auto& my_recs = recs[static_cast<std::size_t>(t)];
-    const int deq_id = single_id_space ? t : t;
     for (std::uint64_t i = 0; i < pairs; ++i) {
       const std::uint64_t v = value_of(t, i);
       my_slots[i] = v;
@@ -52,7 +50,7 @@ void run_pairwise(Q& q, const NativeRecordSpec& spec, bool single_id_space,
       my_recs.push_back({t, kOpEnqueue, v, inv, resp, 1});
 
       const std::uint64_t inv2 = ticket.fetch_add(1);
-      std::uint64_t* p = q.dequeue(deq_id);
+      std::uint64_t* p = q.dequeue(t);
       const std::uint64_t resp2 = ticket.fetch_add(1);
       my_recs.push_back({t, kOpDequeue, 0, inv2, resp2, p ? *p : 0});
     }
@@ -112,42 +110,41 @@ bool record_native_queue(const std::string& queue_name,
 
   using V = std::uint64_t;
   if (queue_name == "SBQ-HTM" || queue_name == "SBQ-CAS") {
-    auto run = [&](auto& q) { run_pairwise(q, spec, false, out); };
     if (queue_name == "SBQ-HTM") {
       using Q = sbq::Queue<V, sbq::SbqBasket<V>, sbq::HtmCas>;
       typename Q::Config cfg{};
       cfg.max_enqueuers = static_cast<std::size_t>(threads);
       cfg.max_dequeuers = static_cast<std::size_t>(threads);
       Q q(cfg);
-      run(q);
+      run_pairwise(q, spec, out);
     } else {
       using Q = sbq::Queue<V, sbq::SbqBasket<V>, sbq::DelayedCas>;
       typename Q::Config cfg{};
       cfg.max_enqueuers = static_cast<std::size_t>(threads);
       cfg.max_dequeuers = static_cast<std::size_t>(threads);
       Q q(cfg);
-      run(q);
+      run_pairwise(q, spec, out);
     }
     return true;
   }
   if (queue_name == "WF-Queue") {
     sbq::FaaQueue<V, 256> q(threads);
-    run_pairwise(q, spec, true, out);
+    run_pairwise(q, spec, out);
     return true;
   }
   if (queue_name == "BQ-Original") {
     sbq::BasketsQueue<V> q(threads);
-    run_pairwise(q, spec, true, out);
+    run_pairwise(q, spec, out);
     return true;
   }
   if (queue_name == "CC-Queue") {
     sbq::CcQueue<V> q(threads);
-    run_pairwise(q, spec, true, out);
+    run_pairwise(q, spec, out);
     return true;
   }
   if (queue_name == "MS-Queue") {
     sbq::MsQueue<V> q(threads);
-    run_pairwise(q, spec, true, out);
+    run_pairwise(q, spec, out);
     return true;
   }
   return false;

@@ -40,19 +40,10 @@ std::size_t Directory::sharer_count(Addr addr) const {
   return line == nullptr ? 0 : line->sharers.size();
 }
 
-Directory::State Directory::save_state() const {
-  return State{busy_until_, stats_};
-}
-
-void Directory::restore_state(const State& s) {
-  busy_until_ = s.busy_until;
-  stats_ = s.stats;
-}
-
 void Directory::handle(const Message& msg) {
   // Model a per-request occupancy: simultaneous arrivals serialize a bit.
-  const Time start = std::max(engine_.now(), busy_until_);
-  busy_until_ = start + cfg_.dir_occupancy;
+  const Time start = std::max(engine_.now(), state_.busy_until);
+  state_.busy_until = start + cfg_.dir_occupancy;
   const Time wait = start - engine_.now() + cfg_.dir_occupancy;
   if (wait == 0) {
     process(msg);
@@ -65,11 +56,11 @@ void Directory::process(const Message& msg) {
   LineRecord& line = lines_[msg.addr];
   switch (msg.type) {
     case MsgType::kGetS:
-      ++stats_.gets;
+      ++state_.stats.gets;
       process_gets(line, msg);
       return;
     case MsgType::kGetM:
-      ++stats_.getm;
+      ++state_.stats.getm;
       process_getm(line, msg);
       return;
     case MsgType::kWbData:
@@ -78,13 +69,13 @@ void Directory::process(const Message& msg) {
       // If a writer intervened (state no longer Owned with this owner), the
       // write-back is stale and dropped.
       if (line.state == LineState::kOwned && line.owner == msg.src) {
-        ++stats_.wb_accepted;
+        ++state_.stats.wb_accepted;
         line.llc = msg.value;
         line.sharers.insert(line.owner);
         line.owner = -1;
         line.state = LineState::kShared;
       } else {
-        ++stats_.wb_dropped;
+        ++state_.stats.wb_dropped;
       }
       return;
     default:
@@ -109,7 +100,7 @@ void Directory::process_gets(LineRecord& line, const Message& msg) {
       // Forward to the owner; it serves the data and keeps the line in
       // Owned state, so subsequent reads keep flowing without any
       // write-back or directory blocking (MOESI behaviour).
-      ++stats_.fwd_gets;
+      ++state_.stats.fwd_gets;
       Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                   .type = MsgType::kFwdGetS};
       net_.send(self_, line.owner, fwd);
@@ -126,7 +117,7 @@ int Directory::invalidate_sharers(LineRecord& line, Addr addr, CoreId req) {
   for (CoreId sharer : line.sharers) {
     if (sharer == req) continue;
     ++acks;
-    ++stats_.invalidations;
+    ++state_.stats.invalidations;
     Message inv{.addr = addr, .src = self_, .requester = req,
                 .type = MsgType::kInv};
     net_.send(self_, sharer, inv);
@@ -174,7 +165,7 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
         // sharers are invalidated back-to-back.
         line.sharers.erase(owner);  // owner is not in sharers, but be safe
         const int acks = invalidate_sharers(line, msg.addr, req);
-        ++stats_.fwd_getm;
+        ++state_.stats.fwd_getm;
         Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                     .ack_count = acks, .type = MsgType::kFwdGetM};
         net_.send(self_, owner, fwd);
@@ -187,7 +178,7 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
       // Non-blocking owner hand-off: re-point ownership immediately and
       // forward; the data travels previous-owner -> new owner. Chains of
       // these are the serialized hand-offs of Figure 2a.
-      ++stats_.fwd_getm;
+      ++state_.stats.fwd_getm;
       Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                   .type = MsgType::kFwdGetM};
       net_.send(self_, line.owner, fwd);

@@ -81,7 +81,7 @@ class Directory {
       v("wb_dropped", wb_dropped);
     }
   };
-  const Stats& stats() const noexcept { return stats_; }
+  const Stats& stats() const noexcept { return state_.stats; }
 
   // Test introspection.
   using LineState = sim::LineState;
@@ -101,8 +101,8 @@ class Directory {
       v("stats", stats);
     }
   };
-  State save_state() const;
-  void restore_state(const State& s);
+  State save_state() const { return state_; }
+  void restore_state(const State& s) { state_ = s; }
 
  private:
   void process_gets(LineRecord& line, const Message& msg);
@@ -115,9 +115,8 @@ class Directory {
   MachineConfig cfg_;
   Trace* trace_;
   CoreId self_;
-  Time busy_until_ = 0;
   LineTable& lines_;
-  Stats stats_;
+  State state_;
 };
 
 }  // namespace sbq::sim

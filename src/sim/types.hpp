@@ -196,7 +196,9 @@ struct MachineConfig {
 struct TxCasConfig {
   Time intra_txn_delay = 675;
   Time post_abort_delay = 130;  // covers an intra-socket Inv/Ack round trip
-  int max_attempts = 64;  // then fall back to a plain CAS (wait-freedom)
+  // Then fall back to a plain CAS (wait-freedom). The default is the
+  // cross-backend constant native TxCAS also uses (common/contention.hpp).
+  int max_attempts = static_cast<int>(kDefaultMaxTxnAttempts);
   // Graceful degradation: after this many NON-conflict aborts (capacity /
   // interrupt / spurious — in the simulator these only arise from fault
   // injection) within one TxCAS call, stop retrying transactionally and
@@ -205,8 +207,7 @@ struct TxCasConfig {
   // deterministically and interrupt storms starve the commit window. The
   // degraded path is counted separately (`fallback_cas`) from the
   // attempt-budget fallback (`fallbacks`). 0 disables degradation. The
-  // default is the shared cross-backend constant (common/contention.hpp);
-  // the native backend documents its deliberate 0 override there.
+  // default is the shared cross-backend constant (common/contention.hpp).
   int max_nonconflict_aborts =
       static_cast<int>(kDefaultNonconflictAbortBudget);
 };

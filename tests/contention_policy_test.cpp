@@ -4,10 +4,9 @@
 // machine (src/sim/core.cpp) both construct their retry policy from the
 // same ContentionPolicy class. These tests pin that down:
 //  * the two factory paths produce identical decision streams (step
-//    verdicts and delay lengths) for every policy kind when given the same
-//    knob values and the same abort-cause script;
-//  * the divergent max_nonconflict_aborts defaults (sim 8, native 0) are
-//    exactly the two documented named constants — they cannot drift again;
+//    verdicts and delay lengths) for the fixed policy, the only one native
+//    TxCAS runs, when given the same delays and the same abort-cause script;
+//  * native TxCAS's retry bounds are the simulator's defaults;
 //  * each policy kind's semantics: fixed reproduces the constants and
 //    adaptive-backoff walks the DHM ladder deterministically.
 #include <gtest/gtest.h>
@@ -26,7 +25,7 @@ namespace sbq {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Satellite: the shared degradation default and the native override.
+// The shared retry bounds and delays.
 // ---------------------------------------------------------------------------
 
 TEST(ContentionDefaults, SimUsesSharedNonconflictBudget) {
@@ -35,12 +34,15 @@ TEST(ContentionDefaults, SimUsesSharedNonconflictBudget) {
             static_cast<int>(kDefaultNonconflictAbortBudget));
 }
 
-TEST(ContentionDefaults, NativeUsesDocumentedOverride) {
-  const TxCasConfig cfg;
-  EXPECT_EQ(cfg.max_nonconflict_aborts, kNativeNonconflictAbortOverride);
-  // The override exists because the non-RTM htm:: facade reports every
-  // abort as non-conflict; it must stay "degradation disabled".
-  EXPECT_EQ(kNativeNonconflictAbortOverride, 0u);
+// Twin check: native TxCAS bounds its attempts and its non-conflict aborts
+// exactly as the simulator's default TxCAS does.
+TEST(ContentionDefaults, NativeRetryBoundsAreTheSimDefaults) {
+  const ContentionKnobs native =
+      TxCas<std::uint64_t>::make_policy(TxCasConfig{}).knobs();
+  const ContentionKnobs simk =
+      sim::make_contention_policy({}, sim::TxCasConfig{}).knobs();
+  EXPECT_EQ(native.max_attempts, simk.max_attempts);
+  EXPECT_EQ(native.max_nonconflict_aborts, simk.max_nonconflict_aborts);
 }
 
 // Twin check: the native §4 delays (nanoseconds) are the simulator's
@@ -77,7 +79,7 @@ TEST(ContentionDefaults, PolicyNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend differential: both factories, same knobs, same script,
+// Cross-backend differential: both factories, same delays, same script,
 // identical decisions.
 // ---------------------------------------------------------------------------
 
@@ -150,21 +152,13 @@ class CrossBackend : public ::testing::TestWithParam<int> {};
 TEST_P(CrossBackend, NativeAndSimFactoriesDecideIdentically) {
   const auto kind = static_cast<ContentionPolicyKind>(GetParam());
 
-  // Identical knob values through both config types.
+  // The simulator's default delays, as numbers, through the native config;
+  // both sides keep their default retry bounds.
   TxCasConfig native;
   native.intra_txn_delay_ns = 675;
   native.post_abort_delay_ns = 130;
-  native.max_attempts = 64;
-  native.max_nonconflict_aborts = kDefaultNonconflictAbortBudget;
-  native.policy.kind = kind;
-  native.policy.seed = 99;
 
-  sim::TxCasConfig simc;
-  simc.intra_txn_delay = 675;
-  simc.post_abort_delay = 130;
-  simc.max_attempts = 64;
-  simc.max_nonconflict_aborts =
-      static_cast<int>(kDefaultNonconflictAbortBudget);
+  const sim::TxCasConfig simc;
   ContentionPolicyParams params;
   params.kind = kind;
   params.seed = 99;
@@ -179,8 +173,10 @@ TEST_P(CrossBackend, NativeAndSimFactoriesDecideIdentically) {
   }
 }
 
+// Native TxCAS runs only the fixed policy; the AdaptiveBackoff cases below
+// cover the simulator's adaptive semantics.
 INSTANTIATE_TEST_SUITE_P(AllKinds, CrossBackend,
-                         ::testing::Values(0, 1),
+                         ::testing::Values(0),
                          [](const ::testing::TestParamInfo<int>& info) {
                            std::string name = contention_policy_name(
                                static_cast<ContentionPolicyKind>(info.param));

@@ -1,6 +1,7 @@
-// Tests for the HTM facade. On hosts without RTM (the expected case) the
-// facade must behave as the documented "always aborts, non-conflict"
-// backend so that TxCAS deterministically takes its fallback path.
+// Tests for the HTM facade. The Unsupported backend (the default build)
+// must report no hardware and behave as the documented "always aborts,
+// non-conflict" backend; the RTM backend is exercised only where the CPU
+// reports RTM.
 #include <gtest/gtest.h>
 
 #include "htm/htm.hpp"
@@ -27,7 +28,11 @@ TEST(HtmStatus, ExplicitCodeExtraction) {
 }
 
 TEST(HtmFacade, FallbackBackendNeverStarts) {
-  if (hardware_available()) GTEST_SKIP() << "real RTM present";
+#if defined(SBQ_HAVE_RTM)
+  // With the RTM backend end() is XEND, which faults outside a transaction.
+  GTEST_SKIP() << "RTM backend compiled in";
+#endif
+  EXPECT_FALSE(hardware_available());
   const unsigned ret = begin();
   EXPECT_FALSE(started(ret));
   // The fallback abort is a non-conflict abort: callers retry / fall back.
