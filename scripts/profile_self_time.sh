@@ -9,10 +9,17 @@
 # its own row.
 #
 # Usage:
-#   scripts/profile_self_time.sh [-n TOP] [-o SAMPLES] -- CMD [ARGS...]
+#   scripts/profile_self_time.sh [-n TOP] [-o SAMPLES] [-i] -- CMD [ARGS...]
 #
 #   -n TOP      rows to print (default 25)
 #   -o SAMPLES  keep the raw sample file here (default: a temporary file)
+#   -i          also print the source lines that own the most samples, each
+#               with its inline chain (addr2line -i), innermost first:
+#               "flat_map.hpp:182 FlatMap<..>::find_index < line_table.hpp:111
+#               LineTable::find < core.cpp:108 Core::acquire" reads "line 182
+#               of find_index, inlined into LineTable::find at line 111,
+#               inlined into Core::acquire at line 108". This splits an
+#               inlined helper's row by the callers it was inlined into.
 #
 # Env: PC_SAMPLER_PERIOD_US (default 50), CC (default cc).
 #
@@ -28,16 +35,18 @@ cd "$(dirname "$0")/.."
 
 TOP=25
 KEEP=""
+LINES=0
 while [ $# -gt 0 ]; do
   case "$1" in
     -n) TOP=$2; shift 2 ;;
     -o) KEEP=$2; shift 2 ;;
+    -i) LINES=1; shift ;;
     --) shift; break ;;
     *) break ;;
   esac
 done
 if [ $# -eq 0 ]; then
-  echo "usage: scripts/profile_self_time.sh [-n TOP] [-o SAMPLES] -- CMD [ARGS...]" >&2
+  echo "usage: scripts/profile_self_time.sh [-n TOP] [-o SAMPLES] [-i] -- CMD [ARGS...]" >&2
   exit 2
 fi
 
@@ -48,10 +57,10 @@ SAMPLES=${KEEP:-$WORK/samples.txt}
 
 LD_PRELOAD="$WORK/pc_sampler.so" PC_SAMPLER_OUT="$SAMPLES" "$@" >/dev/null
 
-python3 - "$SAMPLES" "$TOP" <<'PY'
-import bisect, collections, subprocess, sys
+python3 - "$SAMPLES" "$TOP" "$LINES" <<'PY'
+import bisect, collections, re, subprocess, sys
 
-path, top = sys.argv[1], int(sys.argv[2])
+path, top, want_lines = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 maps, pcs, header = [], collections.Counter(), ""
 for line in open(path):
     if line.startswith("#"):
@@ -110,4 +119,66 @@ print("# %s; %d samples" % (header, total))
 print("%7s  %7s  %s" % ("self%", "samples", "function"))
 for name, n in funcs.most_common(top):
     print("%6.2f%%  %7d  %s" % (100.0 * n / max(total, 1), n, name))
+
+def short_name(name):
+    # Drop the parameter list (and a trailing const): the chain needs the
+    # function, not its overload.
+    name = re.sub(r"\s+const$", "", name)
+    if name.endswith(")"):
+        depth = 0
+        for i in range(len(name) - 1, -1, -1):
+            depth += {")": 1, "(": -1}.get(name[i], 0)
+            if depth == 0:
+                return name[:i] if i > 0 else name
+    return name
+
+def frame(text):
+    # "func at /dir/file.cpp:123 (discriminator 4)" -> "file.cpp:123 func"
+    func, _, where = text.rpartition(" at ")
+    if not func:
+        func, where = text, "??:0"
+    where = where.split(" (discriminator")[0].rsplit("/", 1)[-1]
+    return "%s %s" % (where, short_name(func))
+
+if want_lines:
+    chains = collections.Counter()
+    for file, addrs in by_file.items():
+        keys = list(addrs)
+        try:
+            out = subprocess.run(
+                ["addr2line", "-a", "-p", "-f", "-C", "-i", "-e", file] +
+                ["%x" % a for a in keys],
+                capture_output=True, text=True, check=True).stdout
+        except (OSError, subprocess.CalledProcessError):
+            out = ""
+        base = file.rsplit("/", 1)[-1]
+        # One record per address: "0xADDR: innermost frame", then one
+        # " (inlined by) caller frame" line per enclosing inlined call.
+        records = {}
+        addr = None
+        for line in out.splitlines():
+            m = re.match(r"^0x([0-9a-f]+): (.*)$", line)
+            if m:
+                addr = int(m.group(1), 16)
+                records[addr] = [frame(m.group(2))]
+            elif addr is not None and line.strip().startswith("(inlined by)"):
+                records[addr].append(
+                    frame(line.strip()[len("(inlined by) "):]))
+        for a in keys:
+            chain = records.get(a) or ["?? (%s)" % base]
+            # A lexical block inside a function can show up as one more
+            # frame of the same function; keep its innermost line only.
+            chain = [f for i, f in enumerate(chain)
+                     if i == 0 or f.split(" ", 1)[1] !=
+                     chain[i - 1].split(" ", 1)[1]]
+            if chain[0].startswith("??:"):
+                chain = ["?? (%s)" % base]
+            chains[" < ".join(chain)] += addrs[a]
+    if unmapped:
+        chains["?? (unmapped)"] += unmapped
+    print()
+    print("%7s  %7s  %s" % ("self%", "samples",
+                            "source line < inlined into, innermost first"))
+    for chain, n in chains.most_common(top):
+        print("%6.2f%%  %7d  %s" % (100.0 * n / max(total, 1), n, chain))
 PY

@@ -27,8 +27,8 @@ struct DigestObserver {
   std::uint64_t window;
   std::uint64_t h = kFnvOffset;
   std::uint64_t count = 0;
-  std::vector<std::uint64_t> digests;
-  std::vector<sim::Time> times;
+  std::vector<std::uint64_t> digests{};
+  std::vector<sim::Time> times{};
 
   static void cb(void* ctx, sim::Time t, sim::CoreId src, sim::CoreId dst,
                  const sim::Message& msg) {
@@ -52,7 +52,7 @@ struct DigestObserver {
 struct CaptureObserver {
   std::uint64_t lo, hi;
   std::uint64_t count = 0;
-  std::vector<SendEvent> events;
+  std::vector<SendEvent> events{};
 
   static void cb(void* ctx, sim::Time t, sim::CoreId src, sim::CoreId dst,
                  const sim::Message& msg) {

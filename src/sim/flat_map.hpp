@@ -25,8 +25,23 @@
 //  * Iteration yields std::pair<Addr, V>& in slot order. Nothing on an
 //    output path iterates the table, so slot order is not
 //    schedule-visible (asserted by the byte-identical driver check).
+//  * A lookaside hint sits in front of the probe: an inline array of
+//    kHints slot indices, indexed by the key's low bits, each the slot
+//    where a lookup of a key with those bits last ended. find and
+//    operator[] try the hinted slot first; it counts only when it is in
+//    bounds and holds the key, so a hint a grow left stale is just a
+//    miss and the probe runs unchanged. Word-address keys cluster under
+//    the top-bit index, and the hot lines of a window differ in their
+//    low bits, so most lookups read one slot. The hint never places a
+//    key: operator[] grows at the same calls and probes from the same
+//    index as without it, so capacity and slot layout, which the
+//    snapshot blob pins, do not depend on it. It is host-only state,
+//    outside the blob, and needs no allocation. A const lookup writes
+//    it, so a table shared between threads may be copied concurrently
+//    (sweep workers fork one snapshot) but not looked up.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -48,6 +63,8 @@ class FlatMap {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
+  // The slot count: 0 before the first insertion, then a power of two.
+  std::size_t capacity() const noexcept { return slots_.size(); }
 
   template <bool Const>
   class Iter {
@@ -87,6 +104,17 @@ class FlatMap {
     return {this, find_index(key)};
   }
 
+  // The value of `key`, or null when it is absent: a find without the
+  // iterator.
+  V* find_ptr(Addr key) noexcept {
+    const std::size_t i = find_index(key);
+    return i == slots_.size() ? nullptr : &slots_[i].second;
+  }
+  const V* find_ptr(Addr key) const noexcept {
+    const std::size_t i = find_index(key);
+    return i == slots_.size() ? nullptr : &slots_[i].second;
+  }
+
   std::size_t count(Addr key) const noexcept {
     return find_index(key) == slots_.size() ? 0 : 1;
   }
@@ -104,14 +132,21 @@ class FlatMap {
 
   V& operator[](Addr key) {
     assert(key != kNullAddr && "FlatMap: key 0 marks an empty slot");
+    // Grow first, hit or miss, so growth happens at the same calls as
+    // without the hint.
     if ((size_ + 1) * 8 > slots_.size() * 7) grow(size_ + 1);
+    std::uint32_t& h = hint(key);
+    if (h < slots_.size() && slots_[h].first == key) return slots_[h].second;
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = slot_of(key);
-    for (; slots_[i].first != kNullAddr; i = (i + 1) & mask) {
-      if (slots_[i].first == key) return slots_[i].second;
+    for (; slots_[i].first != key; i = (i + 1) & mask) {
+      if (slots_[i].first == kNullAddr) {
+        slots_[i].first = key;
+        ++size_;
+        break;
+      }
     }
-    slots_[i].first = key;
-    ++size_;
+    h = static_cast<std::uint32_t>(i);
     return slots_[i].second;
   }
 
@@ -129,6 +164,11 @@ class FlatMap {
   friend struct SnapshotSerde;
 
   static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kHints = 1024;
+
+  std::uint32_t& hint(Addr key) const noexcept {
+    return hints_[static_cast<std::size_t>(key) & (kHints - 1)];
+  }
 
   std::size_t slot_of(Addr key) const noexcept {
     return static_cast<std::size_t>(
@@ -140,9 +180,14 @@ class FlatMap {
     // An empty table answers without hashing; key 0 would match an empty
     // slot, so it is never present.
     if (size_ == 0 || key == kNullAddr) return slots_.size();
+    std::uint32_t& h = hint(key);
+    if (h < slots_.size() && slots_[h].first == key) return h;
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = slot_of(key);; i = (i + 1) & mask) {
-      if (slots_[i].first == key) return i;
+      if (slots_[i].first == key) {
+        h = static_cast<std::uint32_t>(i);
+        return i;
+      }
       if (slots_[i].first == kNullAddr) return slots_.size();
     }
   }
@@ -167,6 +212,9 @@ class FlatMap {
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   int shift_ = 64;  // 64 - log2(capacity)
+  // Slot indices, host-only: a lookup records where it ended, also through
+  // a const find.
+  mutable std::array<std::uint32_t, kHints> hints_{};
 };
 
 }  // namespace sbq::sim

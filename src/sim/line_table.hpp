@@ -105,14 +105,8 @@ struct LineRecord {
 class LineTable {
  public:
   // The record of `a`, or null when nothing has touched the line.
-  LineRecord* find(Addr a) noexcept {
-    auto it = map_.find(a);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-  const LineRecord* find(Addr a) const noexcept {
-    auto it = map_.find(a);
-    return it == map_.end() ? nullptr : &it->second;
-  }
+  LineRecord* find(Addr a) noexcept { return map_.find_ptr(a); }
+  const LineRecord* find(Addr a) const noexcept { return map_.find_ptr(a); }
   // The record of a line that has one (a core's requested line).
   LineRecord& at(Addr a) noexcept { return map_.at(a); }
   // The record of `a`, created empty (every state Invalid) if absent.

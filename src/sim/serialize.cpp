@@ -221,6 +221,7 @@ struct SnapshotSerde {
     m.slots_ = std::vector<typename FlatMap<V>::Slot>(cap);
     m.shift_ = 64 - std::countr_zero(cap);
     m.size_ = 0;
+    m.hints_ = {};  // host-only: not in the blob
     for (auto& [key, value] : m.slots_) {
       bool full = false;
       r(nullptr, full);  // refuses state bytes above 1
