@@ -14,7 +14,6 @@
 #include "replay/op_trace.hpp"
 
 #include "basket/sbq_basket.hpp"
-#include "basket/treiber_basket.hpp"
 #include "htm/cas_policy.hpp"
 #include "queues/baskets_queue.hpp"
 #include "queues/cc_queue.hpp"
@@ -47,10 +46,11 @@ void pairwise(benchmark::State& state, MakeQueue make) {
 
 void BM_SbqHtm(benchmark::State& state) {
   using Q = sbq::Queue<int, sbq::SbqBasket<int>, sbq::HtmCas>;
-  pairwise(state, [] {
+  pairwise(state, [live = state.threads()] {
     typename Q::Config cfg{};
     cfg.max_enqueuers = kMaxThreads;
     cfg.max_dequeuers = kMaxThreads;
+    cfg.live_enqueuers = static_cast<std::size_t>(live);
     return std::make_unique<Q>(cfg);
   });
 }
@@ -58,25 +58,15 @@ BENCHMARK(BM_SbqHtm)->ThreadRange(1, 8)->UseRealTime();
 
 void BM_SbqCas(benchmark::State& state) {
   using Q = sbq::Queue<int, sbq::SbqBasket<int>, sbq::DelayedCas>;
-  pairwise(state, [] {
+  pairwise(state, [live = state.threads()] {
     typename Q::Config cfg{};
     cfg.max_enqueuers = kMaxThreads;
     cfg.max_dequeuers = kMaxThreads;
+    cfg.live_enqueuers = static_cast<std::size_t>(live);
     return std::make_unique<Q>(cfg);
   });
 }
 BENCHMARK(BM_SbqCas)->ThreadRange(1, 8)->UseRealTime();
-
-void BM_BqModular(benchmark::State& state) {
-  using Q = sbq::Queue<int, sbq::TreiberBasket<int>, sbq::NativeCas>;
-  pairwise(state, [] {
-    typename Q::Config cfg{};
-    cfg.max_enqueuers = kMaxThreads;
-    cfg.max_dequeuers = kMaxThreads;
-    return std::make_unique<Q>(cfg);
-  });
-}
-BENCHMARK(BM_BqModular)->ThreadRange(1, 8)->UseRealTime();
 
 void BM_BqOriginal(benchmark::State& state) {
   pairwise(state, [] {

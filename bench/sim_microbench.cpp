@@ -259,7 +259,8 @@ int main(int argc, char** argv) {
     }
     // --from-snapshot: serialize the machine the cold phase just warmed,
     // decode the blob, and run every steady phase on a fork of the DECODED
-    // snapshot — the allocation gate's deserialized-warm-start leg
+    // snapshot, with a copy of the warmed queue rebound to that fork — the
+    // allocation gate's deserialized-warm-start leg
     // (perf_sim_alloc_gate_snapshot). The fork's event-node slab is
     // prewarmed to the warm machine's capacity, so the fork — like the
     // machine it replaces — never refills mid-phase; line-table capacities
@@ -278,16 +279,16 @@ int main(int argc, char** argv) {
                      "rejected\n";
         return 1;
       }
+      if (dwords != words) {
+        std::cerr << "sim_microbench: FAIL — decoded host words differ from "
+                     "the saved ones\n";
+        return 1;
+      }
       forked = sim::Machine::fork(decoded);
       forked->engine().prewarm_nodes(m.engine().node_capacity());
       forked->reserve_tasks(static_cast<std::size_t>(2 * producers));
-      try {
-        forked_q.emplace(*forked, qcfg,
-                         simq::HostWords{dwords.data(), dwords.size()});
-      } catch (const std::out_of_range&) {
-        std::cerr << "sim_microbench: FAIL — decoded host words rejected\n";
-        return 1;
-      }
+      forked_q.emplace(q);
+      forked_q->rebind(*forked);
       mp = forked.get();
       qp = &*forked_q;
       std::cout << "(steady phases run on a machine forked from a "

@@ -149,14 +149,11 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
 
 // Construct the queue `kind` prescribes on machine `m` and invoke
 // fn(queue, consumer_id_offset) with it — the one place the QueueKind ->
-// class mapping lives. When `restore` is given, `m` must be a fork of a
-// deserialized snapshot and the queue is rebuilt from the saved host words
-// instead of allocating/poking fresh state (note BQ-Original: the restore
-// constructor carries the hop counters, so set_dequeuers must NOT run).
+// class mapping lives. A warmed queue reaches a forked machine by copy
+// and rebind (WarmedWorkload).
 template <typename Fn>
 decltype(auto) with_queue(QueueKind kind, sim::Machine& m,
-                          const WorkloadSpec& spec, Fn&& fn,
-                          const simq::HostWords* restore = nullptr) {
+                          const WorkloadSpec& spec, Fn&& fn) {
   const int single_space_offset = spec.producers;
   switch (kind) {
     case QueueKind::kSbqHtm:
@@ -167,46 +164,25 @@ decltype(auto) with_queue(QueueKind kind, sim::Machine& m,
       qc.basket_capacity = std::max(spec.basket_capacity, spec.producers);
       qc.variant = kind == QueueKind::kSbqHtm ? simq::SbqVariant::kHtm
                                               : simq::SbqVariant::kCas;
-      if (restore != nullptr) {
-        simq::SimSbq q(m, qc, *restore);
-        return fn(q, /*consumer_id_offset=*/0);
-      }
       simq::SimSbq q(m, qc);
       return fn(q, /*consumer_id_offset=*/0);
     }
     case QueueKind::kWfQueue: {
-      if (restore != nullptr) {
-        simq::SimFaaQueue q(m, {}, *restore);
-        return fn(q, single_space_offset);
-      }
-      simq::SimFaaQueue q(m, {});
+      simq::SimFaaQueue q(m);
       return fn(q, single_space_offset);
     }
     case QueueKind::kBqOriginal: {
-      if (restore != nullptr) {
-        simq::SimBasketsQueue q(m, {}, *restore);
-        return fn(q, single_space_offset);
-      }
-      simq::SimBasketsQueue q(m, {});
+      simq::SimBasketsQueue q(m);
       q.set_dequeuers(spec.producers + spec.consumers + 1);
       return fn(q, single_space_offset);
     }
     case QueueKind::kCcQueue: {
-      const simq::SimCcQueue::Config qc{.threads =
-                                            spec.producers + spec.consumers + 1};
-      if (restore != nullptr) {
-        simq::SimCcQueue q(m, qc, *restore);
-        return fn(q, single_space_offset);
-      }
-      simq::SimCcQueue q(m, qc);
+      simq::SimCcQueue q(
+          m, {.threads = spec.producers + spec.consumers + 1});
       return fn(q, single_space_offset);
     }
     case QueueKind::kMsQueue: {
-      if (restore != nullptr) {
-        simq::SimMsQueue q(m, {}, *restore);
-        return fn(q, single_space_offset);
-      }
-      simq::SimMsQueue q(m, {});
+      simq::SimMsQueue q(m);
       return fn(q, single_space_offset);
     }
   }

@@ -24,7 +24,7 @@ JOBS=${SBQ_SAN_JOBS:-$(nproc 2>/dev/null || echo 2)}
 
 if [ "$MODE" = thread ]; then
   BUILD_DIR=${1:-build-tsan}
-  TESTS=(basket_test treiber_basket_test
+  TESTS=(basket_test
          retired_list_test hazard_pointers_test
          ms_queue_test baskets_queue_test faa_queue_test cc_queue_test
          sbq_queue_test queue_concurrent_test queue_param_test

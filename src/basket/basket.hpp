@@ -7,16 +7,16 @@
 //   extract(id)    -> T*     removes and returns some element, or nullptr
 //   empty()        -> bool   false if non-empty; false negatives allowed
 //
-// plus `reset()`, which the modular queue uses when an enqueuer recycles a
-// node whose append lost the race (§5.2.2: node reuse undoes the single
+// plus `reset()`, which sbq::Queue uses when an enqueuer recycles a node
+// whose append lost the race (§5.2.2: node reuse undoes the single
 // insertion in O(1) amortized time).
 //
 // The interface alone does not make the queue linearizable; an
 // implementation must additionally guarantee (§5.3.2): once the basket is
 // *indicated empty* (an extract returned nullptr or empty() returned true),
-// any basket_extract invoked later must fail. Both implementations below
-// satisfy it — the SBQ basket via its counter/empty-bit protocol, the
-// Treiber basket by closing itself on first emptiness indication.
+// any basket_extract invoked later must fail. The one implementation,
+// SbqBasket (basket/sbq_basket.hpp), satisfies it via its counter/empty-bit
+// protocol.
 #pragma once
 
 #include <concepts>

@@ -3,12 +3,13 @@
 #include "benchsupport/parallel_sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace sbq {
 
@@ -90,6 +91,25 @@ void Table::print(std::ostream& os, bool csv) const {
   for (const auto& row : rows_) print_aligned_row(os, row, widths);
 }
 
+namespace {
+
+// A numeric flag value must be a number in full: empty, non-numeric,
+// out-of-range or partly numeric text ("12x", "2.5" for an integer, "-1"
+// for an unsigned one) throws instead of quietly becoming 0 or a prefix.
+template <typename T>
+T parse_number(const char* flag, std::string_view text) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument(std::string(flag) + " needs a number, got '" +
+                                std::string(text) + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -101,13 +121,13 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     if (std::strcmp(a, "--csv") == 0) {
       opts.csv = true;
     } else if (std::strcmp(a, "--seed") == 0) {
-      opts.seed = std::strtoull(next_value(), nullptr, 10);
+      opts.seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--ops") == 0) {
-      opts.ops = std::strtoull(next_value(), nullptr, 10);
+      opts.ops = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--repeats") == 0) {
-      opts.repeats = static_cast<int>(std::strtol(next_value(), nullptr, 10));
+      opts.repeats = parse_number<int>(a, next_value());
     } else if (std::strcmp(a, "--jobs") == 0) {
-      opts.jobs = static_cast<int>(std::strtol(next_value(), nullptr, 10));
+      opts.jobs = parse_number<int>(a, next_value());
       if (opts.jobs < 1) {
         throw std::invalid_argument("--jobs needs a positive thread count");
       }
@@ -144,27 +164,32 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     } else if (std::strncmp(a, "--replay-ops=", 13) == 0) {
       opts.replay_ops = a + 13;
     } else if (std::strcmp(a, "--policy-seed") == 0) {
-      opts.policy_seed = std::strtoull(next_value(), nullptr, 10);
+      opts.policy_seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--fault-rate") == 0) {
-      opts.fault_rate = std::strtod(next_value(), nullptr);
-      if (opts.fault_rate < 0.0 || opts.fault_rate > 1.0) {
+      opts.fault_rate = parse_number<double>(a, next_value());
+      if (!(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0)) {
         throw std::invalid_argument("--fault-rate needs a probability in [0,1]");
       }
     } else if (std::strcmp(a, "--fault-seed") == 0) {
-      opts.fault_seed = std::strtoull(next_value(), nullptr, 10);
+      opts.fault_seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--fault-jitter") == 0) {
-      opts.fault_jitter = std::strtoull(next_value(), nullptr, 10);
+      opts.fault_jitter = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--sockets") == 0) {
-      opts.sockets = static_cast<int>(std::strtol(next_value(), nullptr, 10));
+      opts.sockets = parse_number<int>(a, next_value());
       if (opts.sockets < 0) {
         throw std::invalid_argument("--sockets needs a non-negative count");
       }
     } else if (std::strcmp(a, "--threads") == 0) {
-      const char* list = next_value();
-      std::stringstream ss(list);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        opts.threads.push_back(std::atoi(tok.c_str()));
+      // Every comma-separated entry is a thread count >= 1; an empty
+      // entry ("2,,4", a trailing comma) is an error, not a 0-thread row.
+      std::string_view list = next_value();
+      for (;;) {
+        const std::size_t comma = list.find(',');
+        const int n = parse_number<int>(a, list.substr(0, comma));
+        if (n < 1) throw std::invalid_argument("--threads needs counts >= 1");
+        opts.threads.push_back(n);
+        if (comma == std::string_view::npos) break;
+        list.remove_prefix(comma + 1);
       }
     } else {
       throw std::invalid_argument(std::string("unknown option: ") + a);

@@ -1,4 +1,4 @@
-// CAS policies pluggable into the modular baskets queue's try_append.
+// CAS policies pluggable into sbq::Queue's try_append.
 //
 // The paper evaluates SBQ-HTM (TxCAS) against SBQ-CAS (plain CAS with the
 // same delay inserted before the attempt). Both are expressed here as
@@ -18,16 +18,6 @@ namespace sbq {
 template <typename P, typename T>
 concept CasPolicy = requires(const P& p, std::atomic<T>& a, T v) {
   { p(a, v, v) } noexcept -> std::same_as<bool>;
-};
-
-// Plain hardware CAS.
-struct NativeCas {
-  template <typename T>
-  bool operator()(std::atomic<T>& target, T expected, T desired) const noexcept {
-    return target.compare_exchange_strong(expected, desired,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire);
-  }
 };
 
 // SBQ-CAS from §6.1: plain CAS preceded by the same delay TxCAS performs
@@ -59,7 +49,6 @@ struct HtmCas {
   }
 };
 
-static_assert(CasPolicy<NativeCas, void*>);
 static_assert(CasPolicy<DelayedCas, void*>);
 static_assert(CasPolicy<HtmCas, void*>);
 

@@ -1,10 +1,11 @@
-// SBQ — the scalable baskets queue (§5 of the paper), as a modular design
-// templated over the basket implementation and the CAS policy used by
-// try_append:
+// SBQ — the scalable baskets queue (§5 of the paper), templated over the
+// basket implementation and the CAS policy used by try_append:
 //
 //   Queue<T, SbqBasket<T>, HtmCas>      = SBQ-HTM   (the paper's SBQ)
 //   Queue<T, SbqBasket<T>, DelayedCas>  = SBQ-CAS   (§6.1 ablation)
-//   Queue<T, TreiberBasket<T>, NativeCas> ≈ structure of BQ-Original
+//
+// BQ-Original is its own class (queues/baskets_queue.hpp), not an
+// instantiation of this template.
 //
 // The queue is a singly linked list of nodes, each holding a basket.
 // enqueue (Algorithm 3): insert into a fresh node's basket, try_append the

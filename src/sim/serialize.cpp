@@ -21,7 +21,7 @@ enum Tag : std::uint8_t {
   kTagCores = 5,
   kTagStats = 6,
   kTagCursors = 7,
-  kTagHostWords = 8,
+  kTagQueueWords = 8,
   kTagEnd = 0xFF,
 };
 
@@ -367,7 +367,7 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w("finished", snap.finished);
   w("started", snap.started);
 
-  w.u8(kTagHostWords);
+  w.u8(kTagQueueWords);
   w("host_words", host_words);
 
   w.u8(kTagEnd);
@@ -432,7 +432,7 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   r("finished", snap.finished);
   r("started", snap.started);
 
-  if (!r.tag(kTagHostWords)) return false;
+  if (!r.tag(kTagQueueWords)) return false;
   r("host_words", host_words);
 
   if (!r.tag(kTagEnd)) return false;

@@ -2,12 +2,15 @@
 //
 // A snapshot captured by Machine::snapshot() is a plain value; this module
 // turns it into a versioned little-endian blob and back. A forked machine
-// built from a decoded snapshot replays byte-identically to one forked from
-// the in-memory snapshot (gated by tests/snapshot_serde_test.cpp and the
-// perf_sim_alloc_gate_snapshot leg of sim_microbench). Nothing persists the
-// blobs: sweeps fork repeats from the in-memory snapshot, and the codec's
-// cost is timed by the benchmark harness (docs/performance.md "Why there is
-// no on-disk snapshot cache").
+// built from a decoded snapshot, running a copy of the warmed queue rebound
+// to it, replays byte-identically to one forked from the in-memory snapshot
+// (gated by tests/snapshot_serde_test.cpp and the
+// perf_sim_alloc_gate_snapshot leg of sim_microbench). The queue's host
+// words ride along in the blob and must decode to the saved list; nothing
+// rebuilds a queue from them. Nothing persists the blobs: sweeps fork
+// repeats from the in-memory snapshot, and the codec's cost is timed by the
+// benchmark harness (docs/performance.md "Why there is no on-disk snapshot
+// cache").
 //
 // Format: magic + schema version + caller key, then u8-tagged sections
 // (config, engine checkpoint, interconnect, line table + directory, cores,
@@ -37,8 +40,8 @@ inline constexpr std::uint32_t kSnapshotSchemaVersion = 10;
 // automatically affects the digest; there is no second field list to drift.
 std::uint64_t machine_config_digest(const MachineConfig& cfg);
 
-// Encode `snap` (plus the owning queue's host-side words — see
-// simq::HostWords) into a self-checking blob stamped with `key`. Returns an
+// Encode `snap` (plus the owning queue's host-side words, from its
+// save_host_state) into a self-checking blob stamped with `key`. Returns an
 // empty vector when the snapshot holds unserializable state (a trace ring).
 std::vector<std::uint8_t> encode_snapshot_blob(
     const MachineSnapshot& snap, const std::vector<std::uint64_t>& host_words,

@@ -21,28 +21,11 @@ namespace sbq::simq {
 
 class SimBasketsQueue {
  public:
-  struct Config {
-    int enqueuers = 1;
-    int dequeuers = 1;
-  };
-
-  SimBasketsQueue(Machine& m, Config cfg) : machine_(&m), cfg_(cfg) {
+  explicit SimBasketsQueue(Machine& m) : machine_(&m) {
     queue_ = m.alloc(2);
     const Addr sentinel = m.alloc(2);
     m.poke(head_addr(), sentinel);
     m.poke(tail_addr(), sentinel);
-  }
-
-  // Rebuild around a machine forked from a deserialized snapshot (see
-  // HostWords). Restores deq_ops_ verbatim — the hop counters decide when
-  // head swings happen, so they are schedule-visible — which is why callers
-  // must NOT follow this constructor with set_dequeuers().
-  SimBasketsQueue(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg), queue_(w.at(0)) {
-    deq_ops_.assign(static_cast<std::size_t>(w.at(1)), 0);
-    for (std::size_t i = 0; i < deq_ops_.size(); ++i) {
-      deq_ops_[i] = w.at(2 + i);
-    }
   }
 
   void save_host_state(std::vector<std::uint64_t>& out) const {
@@ -162,7 +145,6 @@ class SimBasketsQueue {
   static constexpr std::uint64_t kHopFrequency = 8;
 
   Machine* machine_;
-  Config cfg_;
   Addr queue_ = 0;
   std::vector<std::uint64_t> deq_ops_ = std::vector<std::uint64_t>(64, 0);
 };

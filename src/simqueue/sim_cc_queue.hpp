@@ -28,7 +28,7 @@ class SimCcQueue {
     int threads = 2;  // total operating threads (single id space)
   };
 
-  SimCcQueue(Machine& m, Config cfg) : machine_(&m), cfg_(cfg) {
+  SimCcQueue(Machine& m, Config cfg) : machine_(&m) {
     queue_ = m.alloc(3);
     const Addr dummy = alloc_record();
     m.poke(rec_status(dummy), 2);  // dummy holds the lock
@@ -37,17 +37,6 @@ class SimCcQueue {
     m.poke(seq_head(), sentinel);
     m.poke(seq_tail(), sentinel);
     spare_.assign(static_cast<std::size_t>(cfg.threads), 0);
-  }
-
-  // Rebuild around a machine forked from a deserialized snapshot (see
-  // HostWords). The spare-record cache is restored verbatim: whether a
-  // thread reuses or allocates its next record is schedule-visible.
-  SimCcQueue(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg), queue_(w.at(0)) {
-    spare_.assign(static_cast<std::size_t>(w.at(1)), 0);
-    for (std::size_t i = 0; i < spare_.size(); ++i) {
-      spare_[i] = w.at(2 + i);
-    }
   }
 
   void save_host_state(std::vector<std::uint64_t>& out) const {
@@ -162,7 +151,6 @@ class SimCcQueue {
   }
 
   Machine* machine_;
-  Config cfg_;
   Addr queue_ = 0;
   std::vector<Addr> spare_;
 };

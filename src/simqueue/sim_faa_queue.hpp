@@ -24,26 +24,8 @@ namespace sbq::simq {
 
 class SimFaaQueue {
  public:
-  struct Config {
-    int enqueuers = 1;   // unused; kept for a uniform constructor shape
-    int dequeuers = 1;
-  };
-
-  SimFaaQueue(Machine& m, Config cfg) : machine_(&m), cfg_(cfg) {
+  explicit SimFaaQueue(Machine& m) : machine_(&m) {
     counters_ = m.alloc(2);
-  }
-
-  // Rebuild around a machine forked from a deserialized snapshot (see
-  // HostWords). Chunk bases and the per-dequeuer empty hints are restored
-  // verbatim: cell addressing and the hint-gated counter polls are both
-  // schedule-visible.
-  SimFaaQueue(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg), counters_(w.at(0)) {
-    std::size_t i = 1;
-    chunks_.assign(static_cast<std::size_t>(w.at(i++)), 0);
-    for (Addr& c : chunks_) c = w.at(i++);
-    empty_hint_.assign(static_cast<std::size_t>(w.at(i++)), 0);
-    for (char& h : empty_hint_) h = static_cast<char>(w.at(i++));
   }
 
   void save_host_state(std::vector<std::uint64_t>& out) const {
@@ -119,7 +101,6 @@ class SimFaaQueue {
   }
 
   Machine* machine_;
-  Config cfg_;
   Addr counters_ = 0;
   std::vector<Addr> chunks_;
   // Host-side per-dequeuer empty hints (each slot used by one thread).

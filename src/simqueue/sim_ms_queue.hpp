@@ -14,23 +14,12 @@ namespace sbq::simq {
 
 class SimMsQueue {
  public:
-  struct Config {
-    int enqueuers = 1;
-    int dequeuers = 1;
-  };
-
-  SimMsQueue(Machine& m, Config cfg) : machine_(&m), cfg_(cfg) {
+  explicit SimMsQueue(Machine& m) : machine_(&m) {
     queue_ = m.alloc(2);
     const Addr sentinel = m.alloc(2);
     m.poke(head_addr(), sentinel);
     m.poke(tail_addr(), sentinel);
   }
-
-  // Rebuild around a machine forked from a deserialized snapshot: the list
-  // nodes and head/tail words already live in the machine state, so no
-  // allocation or poke happens here (see HostWords).
-  SimMsQueue(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg), queue_(w.at(0)) {}
 
   void save_host_state(std::vector<std::uint64_t>& out) const {
     out.push_back(queue_);
@@ -87,7 +76,6 @@ class SimMsQueue {
 
  private:
   Machine* machine_;
-  Config cfg_;
   Addr queue_ = 0;
 };
 

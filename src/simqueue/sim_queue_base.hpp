@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/coro.hpp"
@@ -31,27 +30,13 @@ using sim::Task;
 using sim::Time;
 using sim::Value;
 
-// Host-side queue state for snapshot persistence (sim/serialize.hpp): each
-// simulated queue keeps a few host words beside the simulated memory —
-// root addresses, per-thread node caches, bookkeeping maps. save_host_state
-// flattens them into a deterministic word list stored inside the snapshot
-// blob; the matching restore constructor (Machine&, Config, const
-// HostWords&) rebuilds the queue around an already-warm forked machine
-// without allocating or poking simulated memory (the simulated side of the
-// queue is inside the machine state).
-//
-// at() is bounds-checked and throws std::out_of_range — a blob whose word
-// list is shorter than the config implies fails loudly, never by silent
-// truncation.
-struct HostWords {
-  const std::uint64_t* words = nullptr;
-  std::size_t count = 0;
-
-  std::uint64_t at(std::size_t i) const {
-    if (i >= count) throw std::out_of_range("HostWords: truncated word list");
-    return words[i];
-  }
-};
+// Host-side queue state: each simulated queue keeps a few host words
+// beside the simulated memory — root addresses, per-thread node caches,
+// bookkeeping maps. A warmed queue reaches a forked machine one way: copy
+// it and rebind the copy (SimSbq::rebind). save_host_state still flattens
+// those words into a deterministic list, because the snapshot blob
+// (sim/serialize.hpp) stores it and the benchmark harness times encoding
+// and decoding that blob.
 
 // Reserved cell markers (must stay below kFirstElement).
 inline constexpr Value kInsertMark = 0;  // SBQ basket: cell open for insert

@@ -75,40 +75,12 @@ class SimSbq {
     m.poke(node_link(sentinel), pack_link(0, 0));
   }
 
-  // Rebuild around a machine forked from a deserialized snapshot (see
-  // HostWords): the sentinel and all basket nodes already live in the
-  // machine state — no allocation, no poke. The per-enqueuer reuse cache
-  // and the occupancy map are restored verbatim (both schedule-visible:
-  // reuse decides fresh-alloc think time, the map feeds close occupancies).
-  SimSbq(Machine& m, Config cfg, const HostWords& w)
-      : machine_(&m), cfg_(cfg),
-        basket_cap_(cfg.basket_capacity == 0 ? cfg.enqueuers
-                                             : cfg.basket_capacity),
-        stripes_(cfg.extraction_stripes < 1 ? 1
-                 : cfg.extraction_stripes > cfg.enqueuers
-                     ? cfg.enqueuers
-                     : cfg.extraction_stripes),
-        reusable_(static_cast<std::size_t>(cfg.enqueuers), 0) {
-    std::size_t i = 0;
-    queue_ = w.at(i++);
-    if (w.at(i++) != reusable_.size()) {
-      throw std::out_of_range("SimSbq: reusable count mismatch");
-    }
-    for (Addr& r : reusable_) r = w.at(i++);
-    const std::uint64_t entries = w.at(i++);
-    for (std::uint64_t k = 0; k < entries; ++k) {
-      const Addr node = w.at(i);
-      filled_[node] = w.at(i + 1);
-      i += 2;
-    }
-  }
-
   void save_host_state(std::vector<std::uint64_t>& out) const {
     out.push_back(queue_);
     out.push_back(reusable_.size());
     out.insert(out.end(), reusable_.begin(), reusable_.end());
     // The occupancy map is unordered; emit entries sorted by node address
-    // so the blob (and its checksum/cache key interplay) is deterministic.
+    // so the blob is deterministic.
     std::vector<std::pair<Addr, std::uint64_t>> entries(filled_.begin(),
                                                         filled_.end());
     std::sort(entries.begin(), entries.end());

@@ -140,6 +140,31 @@ TEST(BenchOptions, MissingValueThrows) {
   }
 }
 
+TEST(BenchOptions, BadNumbersThrow) {
+  // A zero thread count divides by zero in the drivers, an empty entry
+  // would be a 0-thread row, and a non-numeric value must not pass as 0
+  // (the driver default).
+  for (const auto& [flag, value] :
+       {std::pair<const char*, const char*>{"--threads", "0"},
+        {"--threads", "abc"}, {"--threads", "2,,4"}, {"--threads", "2,4,"},
+        {"--threads", ""}, {"--threads", "-1"}, {"--threads", "2.5"},
+        {"--threads", "99999999999"}, {"--ops", "x"}, {"--ops", "10k"},
+        {"--ops", "-5"}, {"--seed", "7.5"}, {"--repeats", "two"},
+        {"--jobs", "4cores"}, {"--sockets", "2x"}, {"--fault-rate", "0.1%"},
+        {"--fault-rate", "nan"}, {"--fault-seed", "abc"},
+        {"--fault-jitter", "1e3"}, {"--policy-seed", "0x"}}) {
+    SCOPED_TRACE(std::string(flag) + " " + value);
+    char prog[] = "bench";
+    std::string f = flag, v = value;
+    char* argv[] = {prog, f.data(), v.data()};
+    EXPECT_THROW(BenchOptions::parse(3, argv), std::invalid_argument);
+  }
+  char prog[] = "bench";
+  char rate[] = "--fault-rate", ratev[] = "0.25";
+  char* argv[] = {prog, rate, ratev};
+  EXPECT_DOUBLE_EQ(BenchOptions::parse(3, argv).fault_rate, 0.25);
+}
+
 TEST(Sweeps, SingleSocketCoversPaperRange) {
   const auto sweep = default_single_socket_sweep();
   EXPECT_EQ(sweep.front(), 1);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "basket/sbq_basket.hpp"
-#include "basket/treiber_basket.hpp"
 #include "common/rng.hpp"
 #include "htm/cas_policy.hpp"
 #include "queues/baskets_queue.hpp"
@@ -57,14 +56,13 @@ struct Adapter {
   std::unique_ptr<Q> queue_;
 };
 
-// The five queue families under one test interface.
-enum class Kind { kSbqHtm, kSbqCas, kBqModular, kBqOriginal, kMs, kFaa, kCc };
+// Every queue under one test interface.
+enum class Kind { kSbqHtm, kSbqCas, kBqOriginal, kMs, kFaa, kCc };
 
 const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kSbqHtm: return "SBQ-HTM";
     case Kind::kSbqCas: return "SBQ-CAS";
-    case Kind::kBqModular: return "BQ-modular";
     case Kind::kBqOriginal: return "BQ-original";
     case Kind::kMs: return "MS";
     case Kind::kFaa: return "FAA";
@@ -99,16 +97,12 @@ TEST_P(QueueMixTest, NoLossNoDupPerProducerFifo) {
   constexpr std::uint64_t kPerProducer = 2000;
   using SbqHtmQ = Queue<Element, SbqBasket<Element>, HtmCas>;
   using SbqCasQ = Queue<Element, SbqBasket<Element>, DelayedCas>;
-  using BqModQ = Queue<Element, TreiberBasket<Element>, NativeCas>;
   switch (p.kind) {
     case Kind::kSbqHtm:
       run_and_verify<Adapter<SbqHtmQ, false>>(p.producers, p.consumers, kPerProducer);
       break;
     case Kind::kSbqCas:
       run_and_verify<Adapter<SbqCasQ, false>>(p.producers, p.consumers, kPerProducer);
-      break;
-    case Kind::kBqModular:
-      run_and_verify<Adapter<BqModQ, false>>(p.producers, p.consumers, kPerProducer);
       break;
     case Kind::kBqOriginal:
       run_and_verify<Adapter<BasketsQueue<Element>, true>>(p.producers, p.consumers,
@@ -131,8 +125,8 @@ TEST_P(QueueMixTest, NoLossNoDupPerProducerFifo) {
 
 std::vector<MixParam> all_mixes() {
   std::vector<MixParam> out;
-  for (Kind k : {Kind::kSbqHtm, Kind::kSbqCas, Kind::kBqModular,
-                 Kind::kBqOriginal, Kind::kMs, Kind::kFaa, Kind::kCc}) {
+  for (Kind k : {Kind::kSbqHtm, Kind::kSbqCas, Kind::kBqOriginal, Kind::kMs,
+                 Kind::kFaa, Kind::kCc}) {
     out.push_back({k, 1, 1});
     out.push_back({k, 4, 1});
     out.push_back({k, 1, 4});

@@ -1,8 +1,7 @@
-// Tests for SBQ — the modular scalable baskets queue (Algorithms 2–6),
-// covering all three canonical instantiations:
+// Tests for SBQ — the scalable baskets queue (Algorithms 2–6), covering
+// both evaluated instantiations:
 //   SBQ-HTM  = Queue<T, SbqBasket<T>, HtmCas>
 //   SBQ-CAS  = Queue<T, SbqBasket<T>, DelayedCas>
-//   BQ-mod   = Queue<T, TreiberBasket<T>, NativeCas>  (modular view of BQ)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "basket/sbq_basket.hpp"
-#include "basket/treiber_basket.hpp"
 #include "common/barrier.hpp"
 #include "htm/cas_policy.hpp"
 #include "queues/queue_traits.hpp"
@@ -27,7 +25,6 @@ using Q = Queue<testutil::Element, BasketT, CasT>;
 
 using SbqHtm = Q<SbqBasket<testutil::Element>, HtmCas>;
 using SbqCas = Q<SbqBasket<testutil::Element>, DelayedCas>;
-using BqModular = Q<TreiberBasket<testutil::Element>, NativeCas>;
 
 static_assert(ConcurrentQueue<SbqHtm, testutil::Element>);
 
@@ -45,7 +42,7 @@ std::unique_ptr<QueueT> make_queue(std::size_t enq, std::size_t deq,
 template <typename QueueT>
 class SbqTypedTest : public ::testing::Test {};
 
-using QueueTypes = ::testing::Types<SbqHtm, SbqCas, BqModular>;
+using QueueTypes = ::testing::Types<SbqHtm, SbqCas>;
 TYPED_TEST_SUITE(SbqTypedTest, QueueTypes);
 
 TYPED_TEST(SbqTypedTest, EmptyDequeueReturnsNull) {

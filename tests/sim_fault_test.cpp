@@ -149,13 +149,13 @@ RunOutcome run_sbq(std::uint64_t fault_seed) {
 // but protocol-legal schedule) under the invariant checker.
 RunOutcome run_ms(std::uint64_t fault_seed) {
   Machine m(faulty_machine(fault_seed));
-  SimMsQueue q(m, {});
+  SimMsQueue q(m);
   return run_recorded(m, q, /*single_id_space=*/true);
 }
 
 RunOutcome run_faa(std::uint64_t fault_seed) {
   Machine m(faulty_machine(fault_seed));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   return run_recorded(m, q, /*single_id_space=*/true);
 }
 

@@ -105,19 +105,19 @@ TEST(SimLinearizability, SbqStriped) {
 
 TEST(SimLinearizability, FaaQueue) {
   Machine m(machine_for(6));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   expect_no_violations(run_recorded(m, q, 3, 3, 40, true));
 }
 
 TEST(SimLinearizability, MsQueue) {
   Machine m(machine_for(6));
-  SimMsQueue q(m, {});
+  SimMsQueue q(m);
   expect_no_violations(run_recorded(m, q, 3, 3, 40, true));
 }
 
 TEST(SimLinearizability, BasketsQueue) {
   Machine m(machine_for(6));
-  SimBasketsQueue q(m, {});
+  SimBasketsQueue q(m);
   q.set_dequeuers(6);
   expect_no_violations(run_recorded(m, q, 3, 3, 40, true));
 }

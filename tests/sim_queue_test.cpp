@@ -134,19 +134,19 @@ TEST(SimSbqQueue, FifoSingleThreadCasVariant) {
 
 TEST(SimFaaQueueT, FifoSingleThread) {
   Machine m(machine_for(1));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   fifo_single_thread(q, m, 40);
 }
 
 TEST(SimMsQueueT, FifoSingleThread) {
   Machine m(machine_for(1));
-  SimMsQueue q(m, {});
+  SimMsQueue q(m);
   fifo_single_thread(q, m, 40);
 }
 
 TEST(SimBasketsQueueT, FifoSingleThread) {
   Machine m(machine_for(1));
-  SimBasketsQueue q(m, {});
+  SimBasketsQueue q(m);
   q.set_dequeuers(1);
   fifo_single_thread(q, m, 40);
 }
@@ -190,7 +190,7 @@ TEST(SimSbqQueue, MpmcHtmFixedBasket44) {
 TEST(SimFaaQueueT, Mpmc) {
   constexpr int kP = 4, kC = 3;
   Machine m(machine_for(kP + kC));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   std::vector<std::vector<Value>> got;
   run_mpmc_sim(q, m, kP, kC, 80, true, &got);
   verify_mpmc_sim(got, kP, 80);
@@ -199,7 +199,7 @@ TEST(SimFaaQueueT, Mpmc) {
 TEST(SimMsQueueT, Mpmc) {
   constexpr int kP = 4, kC = 3;
   Machine m(machine_for(kP + kC));
-  SimMsQueue q(m, {});
+  SimMsQueue q(m);
   std::vector<std::vector<Value>> got;
   run_mpmc_sim(q, m, kP, kC, 60, true, &got);
   verify_mpmc_sim(got, kP, 60);
@@ -208,7 +208,7 @@ TEST(SimMsQueueT, Mpmc) {
 TEST(SimBasketsQueueT, Mpmc) {
   constexpr int kP = 4, kC = 3;
   Machine m(machine_for(kP + kC));
-  SimBasketsQueue q(m, {});
+  SimBasketsQueue q(m);
   q.set_dequeuers(kP + kC);
   std::vector<std::vector<Value>> got;
   run_mpmc_sim(q, m, kP, kC, 60, true, &got);

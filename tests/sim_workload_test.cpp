@@ -30,7 +30,7 @@ sim::MachineConfig machine_for(int cores, int sockets = 1) {
 
 TEST(SimWorkload, ProducerOnlyAccounting) {
   sim::Machine m(machine_for(4));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   const SimRunResult r =
       run_spec(m, q, spec_of(Workload::kProducerOnly, 4, 1, 50), 0);
   EXPECT_EQ(r.enq_ops, 200u);
@@ -42,7 +42,7 @@ TEST(SimWorkload, ProducerOnlyAccounting) {
 
 TEST(SimWorkload, ConsumerOnlyDrainsPrefill) {
   sim::Machine m(machine_for(4));
-  SimFaaQueue q(m, {});
+  SimFaaQueue q(m);
   const SimRunResult r =
       run_spec(m, q, spec_of(Workload::kConsumerOnly, 4, 4, 50, /*seed=*/3),
                /*consumer_id_offset=*/4);
@@ -65,7 +65,7 @@ TEST(SimWorkload, MixedRunsBothSides) {
 TEST(SimWorkload, DeterministicUnderSeed) {
   auto run_once = [](std::uint64_t seed) {
     sim::Machine m(machine_for(4));
-    SimFaaQueue q(m, {});
+    SimFaaQueue q(m);
     return run_spec(m, q, spec_of(Workload::kProducerOnly, 4, 1, 60, seed), 0);
   };
   const SimRunResult a = run_once(7);
@@ -95,7 +95,7 @@ TEST(SimWorkload, MoreProducersMoreWallTimeAtFixedPerThreadOps) {
   // latency (and thus wall time) must grow with the producer count.
   auto latency_at = [](int producers) {
     sim::Machine m(machine_for(producers));
-    SimFaaQueue q(m, {});
+    SimFaaQueue q(m);
     return run_spec(m, q, spec_of(Workload::kProducerOnly, producers, 1, 60), 0)
         .enq_latency_cycles;
   };

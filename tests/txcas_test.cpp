@@ -108,11 +108,6 @@ TEST(CasPolicies, AllImplementCasSemantics) {
   std::atomic<void*> word{nullptr};
   int x = 0;
 
-  NativeCas native;
-  EXPECT_TRUE(native(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
-  EXPECT_FALSE(native(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
-
-  word.store(nullptr);
   DelayedCas delayed{.delay_ns = 2};
   EXPECT_TRUE(delayed(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
   EXPECT_FALSE(delayed(word, static_cast<void*>(nullptr), static_cast<void*>(&x)));
