@@ -20,6 +20,7 @@
 //   --consumers N      drain workers                   (default 2)
 //   --batch N          max back-to-back ops per wakeup (default 4)
 //   --think N          consumer service time [cycles]  (default 16)
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
@@ -54,19 +55,6 @@ ServiceOptions strip_service_options(int& argc, char** argv) {
   ServiceOptions sopts;
   std::vector<char*> rest;
   rest.push_back(argv[0]);
-  auto parse_rates = [&](const std::string& v) {
-    sopts.rates.clear();
-    std::size_t pos = 0;
-    while (pos < v.size()) {
-      std::size_t comma = v.find(',', pos);
-      if (comma == std::string::npos) comma = v.size();
-      sopts.rates.push_back(std::stod(v.substr(pos, comma - pos)));
-      pos = comma + 1;
-    }
-    if (sopts.rates.empty()) {
-      throw std::invalid_argument("--rates needs at least one rate");
-    }
-  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string name = arg;
@@ -86,7 +74,7 @@ ServiceOptions strip_service_options(int& argc, char** argv) {
       return value;
     };
     if (name == "--rates") {
-      parse_rates(take_value());
+      sopts.rates = parse_number_list<double>("--rates", take_value());
     } else if (name == "--arrival") {
       sopts.arrival.kind = service::arrival_kind_from_name(take_value());
     } else if (name == "--admission") {
@@ -99,15 +87,16 @@ ServiceOptions strip_service_options(int& argc, char** argv) {
         throw std::invalid_argument("--admission wants drop|backpressure");
       }
     } else if (name == "--depth") {
-      sopts.admission.depth_limit = std::stoull(take_value());
+      sopts.admission.depth_limit =
+          parse_number<std::uint64_t>("--depth", take_value());
     } else if (name == "--producers") {
-      sopts.producers = std::stoi(take_value());
+      sopts.producers = parse_number<int>("--producers", take_value());
     } else if (name == "--consumers") {
-      sopts.consumers = std::stoi(take_value());
+      sopts.consumers = parse_number<int>("--consumers", take_value());
     } else if (name == "--batch") {
-      sopts.batch = std::stoi(take_value());
+      sopts.batch = parse_number<int>("--batch", take_value());
     } else if (name == "--think") {
-      sopts.consumer_think = std::stoull(take_value());
+      sopts.consumer_think = parse_number<sim::Time>("--think", take_value());
     } else {
       rest.push_back(argv[i]);
     }

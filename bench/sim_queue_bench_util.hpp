@@ -29,6 +29,7 @@
 #include "benchsupport/parallel_sweep.hpp"
 #include "benchsupport/sim_workload.hpp"
 #include "benchsupport/table.hpp"
+#include "queues/queue_kind.hpp"
 #include "replay/op_trace.hpp"
 #include "replay/sim_replay.hpp"
 #include "simqueue/sim_baskets_queue.hpp"
@@ -50,53 +51,13 @@ using simq::SimRunResult;
 using simq::Workload;
 using simq::WorkloadSpec;
 
-// The queue lineup of the paper's evaluation. We additionally expose the
-// Michael–Scott queue (the CAS-retry ancestor) for context.
-enum class QueueKind {
-  kSbqHtm,
-  kSbqCas,
-  kWfQueue,
-  kBqOriginal,
-  kCcQueue,
-  kMsQueue,
-};
-
-inline const std::vector<QueueKind>& evaluated_queue_kinds() {
-  static const std::vector<QueueKind> kinds = {
-      QueueKind::kSbqHtm,   QueueKind::kSbqCas,  QueueKind::kWfQueue,
-      QueueKind::kBqOriginal, QueueKind::kCcQueue, QueueKind::kMsQueue};
-  return kinds;
-}
-
-inline const char* queue_kind_name(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kSbqHtm: return "SBQ-HTM";
-    case QueueKind::kSbqCas: return "SBQ-CAS";
-    case QueueKind::kWfQueue: return "WF-Queue";
-    case QueueKind::kBqOriginal: return "BQ-Original";
-    case QueueKind::kCcQueue: return "CC-Queue";
-    case QueueKind::kMsQueue: return "MS-Queue";
-  }
-  throw std::logic_error("bad QueueKind");
-}
-
-inline QueueKind queue_kind_from_name(const std::string& name) {
-  for (QueueKind kind : evaluated_queue_kinds()) {
-    if (name == queue_kind_name(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown queue: " + name);
-}
-
-inline const std::vector<std::string>& queue_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (QueueKind kind : evaluated_queue_kinds()) {
-      out.emplace_back(queue_kind_name(kind));
-    }
-    return out;
-  }();
-  return names;
-}
+// The queue lineup lives in queues/queue_kind.hpp, shared with the native
+// queues (queues/native_lineup.hpp); drivers name it through sbq::bench.
+using sbq::evaluated_queue_kinds;
+using sbq::queue_kind_from_name;
+using sbq::queue_kind_name;
+using sbq::queue_names;
+using sbq::QueueKind;
 
 // The injected-fault mapping every sim run shares (docs/robustness.md):
 // `rate` splits 25/50/25 across capacity / interrupt / spurious aborts —

@@ -20,8 +20,10 @@
 # Usage:
 #   scripts/bench_baseline.sh [before.json]
 #
-#   before.json — optional earlier BENCH_sim.json; embedded verbatim under
-#                 "before", with a speedup for every leg both files time.
+#   before.json — optional earlier BENCH_sim.json; its legs are embedded
+#                 under "before" (without its own "before", so the history
+#                 stays one level deep), with a speedup for every leg both
+#                 files time.
 #
 # Env: BUILD_DIR (default: build), RUNS (default: 3).
 set -euo pipefail
@@ -189,6 +191,7 @@ report = {
 
 if before_path:
     before = json.load(open(before_path))
+    before.pop("before", None)
     report["before"] = before
     for leg in ("fig5_512c", "policy_sweep", "service_latency"):
         old = before.get(leg)

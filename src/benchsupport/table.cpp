@@ -3,13 +3,11 @@
 #include "benchsupport/parallel_sweep.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 namespace sbq {
 
@@ -91,25 +89,6 @@ void Table::print(std::ostream& os, bool csv) const {
   for (const auto& row : rows_) print_aligned_row(os, row, widths);
 }
 
-namespace {
-
-// A numeric flag value must be a number in full: empty, non-numeric,
-// out-of-range or partly numeric text ("12x", "2.5" for an integer, "-1"
-// for an unsigned one) throws instead of quietly becoming 0 or a prefix.
-template <typename T>
-T parse_number(const char* flag, std::string_view text) {
-  T v{};
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, v);
-  if (ec != std::errc{} || end != last) {
-    throw std::invalid_argument(std::string(flag) + " needs a number, got '" +
-                                std::string(text) + "'");
-  }
-  return v;
-}
-
-}  // namespace
-
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -182,14 +161,9 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     } else if (std::strcmp(a, "--threads") == 0) {
       // Every comma-separated entry is a thread count >= 1; an empty
       // entry ("2,,4", a trailing comma) is an error, not a 0-thread row.
-      std::string_view list = next_value();
-      for (;;) {
-        const std::size_t comma = list.find(',');
-        const int n = parse_number<int>(a, list.substr(0, comma));
+      for (const int n : parse_number_list<int>(a, next_value())) {
         if (n < 1) throw std::invalid_argument("--threads needs counts >= 1");
         opts.threads.push_back(n);
-        if (comma == std::string_view::npos) break;
-        list.remove_prefix(comma + 1);
       }
     } else {
       throw std::invalid_argument(std::string("unknown option: ") + a);

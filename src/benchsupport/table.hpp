@@ -3,9 +3,12 @@
 // with --csv, matching the series the paper plots.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sbq {
@@ -43,6 +46,36 @@ class Table {
   std::ostream* stream_ = nullptr;       // non-null => streaming enabled
   std::vector<std::size_t> stream_widths_;
 };
+
+// The one parser for numeric flag values: the value must be a number in
+// full. Empty, non-numeric, out-of-range or partly numeric text ("12x",
+// "2.5" for an integer, "-1" for an unsigned one) throws
+// std::invalid_argument naming `flag`, instead of quietly becoming 0 or a
+// prefix.
+template <typename T>
+T parse_number(const char* flag, std::string_view text) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument(std::string(flag) + " needs a number, got '" +
+                                std::string(text) + "'");
+  }
+  return v;
+}
+
+// A comma-separated list of such numbers: an empty entry ("2,,4", a
+// trailing comma, an empty list) throws like any other bad number.
+template <typename T>
+std::vector<T> parse_number_list(const char* flag, std::string_view list) {
+  std::vector<T> out;
+  for (;;) {
+    const std::size_t comma = list.find(',');
+    out.push_back(parse_number<T>(flag, list.substr(0, comma)));
+    if (comma == std::string_view::npos) return out;
+    list.remove_prefix(comma + 1);
+  }
+}
 
 // Shared CLI parsing for bench binaries: recognizes --csv, --seed N,
 // --threads LIST (comma separated), --ops N, --repeats N, --jobs N,

@@ -11,8 +11,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "common/rng.hpp"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -63,8 +61,8 @@ inline void spin_for_ns(std::uint64_t ns) noexcept {
 }
 
 // Bounded exponential delay ladder: base << level, saturating at cap.
-// Shared by SeededBackoff and the adaptive contention policies so both
-// agree on what "level k" means.
+// The adaptive contention policies (common/contention.hpp) read "level k"
+// through it.
 inline constexpr std::uint64_t bounded_exp_delay(std::uint64_t base,
                                                  std::uint32_t level,
                                                  std::uint64_t cap) noexcept {
@@ -74,54 +72,6 @@ inline constexpr std::uint64_t bounded_exp_delay(std::uint64_t base,
   // Detect shift overflow as well as a plain overshoot.
   return (d < base || d > cap) ? cap : d;
 }
-
-// Seedable bounded exponential backoff with a private deterministic PRNG
-// stream. Unlike `Backoff` below, the delay at each level is jittered
-// uniformly over [half, full] of the ladder value, so threads seeded
-// differently desynchronize instead of colliding again in lockstep; the
-// same (seed, stream) pair always reproduces the same delay sequence.
-class SeededBackoff {
- public:
-  explicit SeededBackoff(std::uint64_t seed, std::uint64_t stream = 0,
-                         std::uint32_t base_iters = 1,
-                         std::uint64_t cap_iters = 1024) noexcept
-      : rng_(seed ^ (stream * 0x9e3779b97f4a7c15ULL)),
-        base_(base_iters == 0 ? 1 : base_iters),
-        cap_(cap_iters) {}
-
-  // Delay for the current level, then escalate. Returns the iteration
-  // count actually spun so callers (and tests) can observe the sequence.
-  std::uint64_t pause() noexcept {
-    const std::uint64_t iters = next_delay();
-    // Chunked so a pathological cap can't overflow spin_iterations' u32.
-    std::uint64_t left = iters;
-    while (left > 0) {
-      const std::uint32_t chunk =
-          left > 0xffffffffULL ? 0xffffffffU : static_cast<std::uint32_t>(left);
-      spin_iterations(chunk);
-      left -= chunk;
-    }
-    return iters;
-  }
-
-  // The delay the next pause() would use (advances the PRNG and the level).
-  std::uint64_t next_delay() noexcept {
-    const std::uint64_t full = bounded_exp_delay(base_, level_, cap_);
-    if (level_ < 63) ++level_;
-    const std::uint64_t half = full / 2;
-    const std::uint64_t span = full - half + 1;
-    return half + rng_.next() % span;
-  }
-
-  void reset() noexcept { level_ = 0; }
-  std::uint32_t level() const noexcept { return level_; }
-
- private:
-  SplitMix64 rng_;
-  std::uint32_t base_;
-  std::uint32_t level_ = 0;
-  std::uint64_t cap_;
-};
 
 // Classic bounded exponential backoff for CAS retry loops.
 class Backoff {

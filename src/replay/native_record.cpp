@@ -1,16 +1,10 @@
 #include "replay/native_record.hpp"
 
 #include <atomic>
-#include <memory>
+#include <stdexcept>
 #include <thread>
 
-#include "basket/sbq_basket.hpp"
-#include "htm/cas_policy.hpp"
-#include "queues/baskets_queue.hpp"
-#include "queues/cc_queue.hpp"
-#include "queues/faa_queue.hpp"
-#include "queues/ms_queue.hpp"
-#include "queues/sbq.hpp"
+#include "queues/native_lineup.hpp"
 
 namespace sbq::replay {
 
@@ -81,12 +75,6 @@ void run_pairwise(Q& q, const NativeRecordSpec& spec, OpTrace& out) {
 
 }  // namespace
 
-const std::vector<std::string>& native_record_queue_names() {
-  static const std::vector<std::string> names = {
-      "SBQ-HTM", "SBQ-CAS", "WF-Queue", "BQ-Original", "CC-Queue", "MS-Queue"};
-  return names;
-}
-
 bool record_native_queue(const std::string& queue_name,
                          const NativeRecordSpec& spec, OpTrace& out) {
   if (spec.threads < 1 || spec.threads > 64) return false;
@@ -95,6 +83,12 @@ bool record_native_queue(const std::string& queue_name,
     return false;
   }
   const int threads = spec.threads;
+  QueueKind kind;
+  try {
+    kind = queue_kind_from_name(queue_name);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 
   out = OpTrace{};
   out.source = TraceSource::kNative;
@@ -108,46 +102,9 @@ bool record_native_queue(const std::string& queue_name,
   out.prefill_seed = 0;
   out.basket_capacity = static_cast<std::uint32_t>(threads);
 
-  using V = std::uint64_t;
-  if (queue_name == "SBQ-HTM" || queue_name == "SBQ-CAS") {
-    if (queue_name == "SBQ-HTM") {
-      using Q = sbq::Queue<V, sbq::SbqBasket<V>, sbq::HtmCas>;
-      typename Q::Config cfg{};
-      cfg.max_enqueuers = static_cast<std::size_t>(threads);
-      cfg.max_dequeuers = static_cast<std::size_t>(threads);
-      Q q(cfg);
-      run_pairwise(q, spec, out);
-    } else {
-      using Q = sbq::Queue<V, sbq::SbqBasket<V>, sbq::DelayedCas>;
-      typename Q::Config cfg{};
-      cfg.max_enqueuers = static_cast<std::size_t>(threads);
-      cfg.max_dequeuers = static_cast<std::size_t>(threads);
-      Q q(cfg);
-      run_pairwise(q, spec, out);
-    }
-    return true;
-  }
-  if (queue_name == "WF-Queue") {
-    sbq::FaaQueue<V, 256> q(threads);
-    run_pairwise(q, spec, out);
-    return true;
-  }
-  if (queue_name == "BQ-Original") {
-    sbq::BasketsQueue<V> q(threads);
-    run_pairwise(q, spec, out);
-    return true;
-  }
-  if (queue_name == "CC-Queue") {
-    sbq::CcQueue<V> q(threads);
-    run_pairwise(q, spec, out);
-    return true;
-  }
-  if (queue_name == "MS-Queue") {
-    sbq::MsQueue<V> q(threads);
-    run_pairwise(q, spec, out);
-    return true;
-  }
-  return false;
+  with_native_queue<std::uint64_t>(
+      kind, threads, [&](auto& q) { run_pairwise(q, spec, out); });
+  return true;
 }
 
 }  // namespace sbq::replay

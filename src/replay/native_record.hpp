@@ -9,14 +9,14 @@
 // histories. A single-threaded drain after the threads join completes the
 // history (every enqueued value dequeued), which VOrd/VWit need.
 //
-// Queue names match the simulator's QueueKind vocabulary so a native trace
-// replays directly as a sim workload (WF-Queue maps to the native FAA
-// queue, its host twin).
+// Queues are named by queue_kind_name (queues/queue_kind.hpp), the
+// simulator's vocabulary too, so a native trace replays directly as a sim
+// workload (WF-Queue maps to the native FAA queue, its host twin). Each is
+// built by with_native_queue (queues/native_lineup.hpp) for spec.threads.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "replay/op_trace.hpp"
 
@@ -28,12 +28,9 @@ struct NativeRecordSpec {
   std::uint64_t seed = 1;                // recorded in the header (replay rng)
 };
 
-// All queue names record_native_queue accepts, in QueueKind order.
-const std::vector<std::string>& native_record_queue_names();
-
-// Runs the recording workload on the named queue and fills `out` (header +
-// records, drained history). Returns false for an unknown queue name or an
-// out-of-range spec.
+// Runs the recording workload on the queue queue_name names (one of
+// queue_names()) and fills `out` (header + records, drained history).
+// Returns false for an unknown queue name or an out-of-range spec.
 bool record_native_queue(const std::string& queue_name,
                          const NativeRecordSpec& spec, OpTrace& out);
 

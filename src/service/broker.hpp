@@ -171,6 +171,10 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   if (spec.producers < 1 || spec.consumers < 1) {
     throw std::invalid_argument("service needs >= 1 producer and consumer");
   }
+  // A zero batch would never issue an op and never yield: the worker spins.
+  if (spec.batch < 1) {
+    throw std::invalid_argument("service needs a batch of >= 1 op");
+  }
   if (m.core_count() < spec.producers + spec.consumers) {
     throw std::invalid_argument("machine too small for the service spec");
   }

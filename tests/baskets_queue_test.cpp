@@ -10,19 +10,6 @@ namespace {
 
 static_assert(ConcurrentQueue<BasketsQueue<int>, int>);
 
-TEST(BasketsQueue, EmptyDequeueReturnsNull) {
-  BasketsQueue<int> q(2);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
-TEST(BasketsQueue, FifoSingleThread) {
-  BasketsQueue<int> q(1);
-  int vals[20];
-  for (int i = 0; i < 20; ++i) q.enqueue(&vals[i], 0);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(q.dequeue(0), &vals[i]);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
 TEST(BasketsQueue, DrainRefillCycles) {
   BasketsQueue<int> q(1);
   int vals[10];
@@ -43,17 +30,6 @@ TEST(BasketsQueue, ReclaimsDeletedPrefix) {
     EXPECT_EQ(q.dequeue(0), &v);
   }
   EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
-TEST(BasketsQueue, MpmcNoLossNoDupFifo) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 4000;
-  BasketsQueue<testutil::Element> q(kProducers + kConsumers);
-  std::vector<testutil::Element> storage;
-  auto result = testutil::run_mpmc(q, kProducers, kConsumers, kPerProducer,
-                                   storage, /*single_id_space=*/true);
-  testutil::verify_mpmc(result, kProducers, kPerProducer);
 }
 
 TEST(BasketsQueue, ProducerBurstThenDrain) {

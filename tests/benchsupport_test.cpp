@@ -2,10 +2,12 @@
 // parsing, sweeps, and cycle calibration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
@@ -163,6 +165,27 @@ TEST(BenchOptions, BadNumbersThrow) {
   char rate[] = "--fault-rate", ratev[] = "0.25";
   char* argv[] = {prog, rate, ratev};
   EXPECT_DOUBLE_EQ(BenchOptions::parse(3, argv).fault_rate, 0.25);
+}
+
+// parse_number(_list) is also what service_latency's own flags and
+// native_queues' --record-* flags go through: a number in full or a throw.
+TEST(BenchOptions, ParseNumberTakesWholeNumbersOnly) {
+  EXPECT_THROW(parse_number<std::uint64_t>("--depth", "8x"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_number<int>("--producers", "2x"), std::invalid_argument);
+  EXPECT_THROW(parse_number_list<double>("--rates", "2x"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_number_list<double>("--rates", "2,,4"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_number<int>("--record-threads", "abc"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_number<int>("--record-pairs", ""), std::invalid_argument);
+  EXPECT_THROW(parse_number<unsigned long long>("--record-seed", "-1"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_number<std::uint64_t>("--depth", "8"), 8u);
+  EXPECT_EQ(parse_number<int>("--producers", "2"), 2);
+  EXPECT_EQ(parse_number_list<double>("--rates", "2.5,4"),
+            (std::vector<double>{2.5, 4.0}));
 }
 
 TEST(Sweeps, SingleSocketCoversPaperRange) {

@@ -18,19 +18,6 @@ namespace {
 
 static_assert(ConcurrentQueue<CcQueue<int>, int>);
 
-TEST(CcQueue, EmptyDequeueReturnsNull) {
-  CcQueue<int> q(2);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
-TEST(CcQueue, FifoSingleThread) {
-  CcQueue<int> q(1);
-  int vals[30];
-  for (int i = 0; i < 30; ++i) q.enqueue(&vals[i], 0);
-  for (int i = 0; i < 30; ++i) EXPECT_EQ(q.dequeue(0), &vals[i]);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
 TEST(CcQueue, NodeRecyclingKeepsFifo) {
   CcQueue<int> q(1);
   int vals[8];
@@ -48,17 +35,6 @@ TEST(CcQueue, CombinerServesOthers) {
   std::vector<testutil::Element> storage;
   auto result = testutil::run_mpmc(q, 2, 2, 8000, storage, true);
   testutil::verify_mpmc(result, 2, 8000);
-}
-
-TEST(CcQueue, MpmcNoLossNoDupFifo) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 4000;
-  CcQueue<testutil::Element> q(kProducers + kConsumers);
-  std::vector<testutil::Element> storage;
-  auto result = testutil::run_mpmc(q, kProducers, kConsumers, kPerProducer,
-                                   storage, /*single_id_space=*/true);
-  testutil::verify_mpmc(result, kProducers, kPerProducer);
 }
 
 TEST(CcQueue, PairwiseFourThreadsConserveElements) {

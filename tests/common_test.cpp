@@ -1,12 +1,11 @@
 // Tests for the common infrastructure: padding, backoff, RNG, barrier,
-// topology discovery, percentile edge cases.
+// percentile edge cases.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "common/padded.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/topology.hpp"
 
 namespace sbq {
 namespace {
@@ -154,24 +152,6 @@ TEST(SpinBarrier, SynchronizesPhases) {
   EXPECT_EQ(phase_counter.load(), kThreads * kPhases);
 }
 
-TEST(Topology, DiscoversAtLeastOneCpu) {
-  const Topology topo = Topology::discover();
-  EXPECT_GE(topo.cpu_count(), 1u);
-  EXPECT_GE(topo.socket_count(), 1u);
-  // Every CPU appears in its socket's list exactly once.
-  std::set<int> seen;
-  for (std::size_t s = 0; s < topo.socket_count() + 2; ++s) {
-    for (int cpu : topo.socket_cpus(static_cast<int>(s))) {
-      EXPECT_TRUE(seen.insert(cpu).second) << "cpu listed twice: " << cpu;
-    }
-  }
-  EXPECT_EQ(seen.size(), topo.cpu_count());
-}
-
-TEST(Topology, PinCurrentThreadToCpu0) {
-  EXPECT_TRUE(pin_current_thread(0));
-}
-
 // Summary::percentile must be total: the service-latency driver calls it on
 // whatever samples a sweep cell produced, which can legitimately be nothing
 // (every offered op rejected by admission control) and with p values from
@@ -214,56 +194,6 @@ TEST(BoundedExpDelay, ShiftOverflowSaturatesAtCap) {
   const std::uint64_t cap = std::numeric_limits<std::uint64_t>::max() / 2;
   EXPECT_EQ(bounded_exp_delay(3, 63, cap), cap);
   EXPECT_EQ(bounded_exp_delay(1ULL << 62, 4, cap), cap);
-}
-
-TEST(SeededBackoff, SameSeedSameStreamIsDeterministic) {
-  SeededBackoff a(42, 7), b(42, 7);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(a.next_delay(), b.next_delay());
-}
-
-TEST(SeededBackoff, DistinctStreamsDesynchronize) {
-  SeededBackoff a(42, 0), b(42, 1);
-  bool differ = false;
-  for (int i = 0; i < 20; ++i) {
-    if (a.next_delay() != b.next_delay()) differ = true;
-  }
-  EXPECT_TRUE(differ);
-}
-
-TEST(SeededBackoff, DelaysStayWithinHalfToFullOfLadder) {
-  SeededBackoff bo(9, 3, /*base_iters=*/8, /*cap_iters=*/256);
-  for (std::uint32_t level = 0; level < 12; ++level) {
-    const std::uint64_t full = bounded_exp_delay(8, level, 256);
-    EXPECT_EQ(bo.level(), level < 63 ? level : 63u);
-    const std::uint64_t d = bo.next_delay();
-    EXPECT_GE(d, full / 2);
-    EXPECT_LE(d, full);
-  }
-}
-
-TEST(SeededBackoff, ResetRestartsLevelButNotStream) {
-  SeededBackoff a(5, 0), b(5, 0);
-  a.next_delay();
-  a.next_delay();
-  a.reset();
-  EXPECT_EQ(a.level(), 0u);
-  // The stream advanced, so after reset the draw differs from a fresh
-  // object's first draw with overwhelming probability (same level range).
-  b.next_delay();
-  b.next_delay();
-  // a (reset, level 0) and b (level 2) draw the same underlying PRNG value;
-  // levels differ so ranges differ — just check reset didn't rewind rng by
-  // verifying determinism against a replayed twin.
-  SeededBackoff c(5, 0);
-  c.next_delay();
-  c.next_delay();
-  c.reset();
-  EXPECT_EQ(a.next_delay(), c.next_delay());
-}
-
-TEST(SeededBackoff, PauseReturnsTheDelayItSpun) {
-  SeededBackoff a(13, 2, 1, 64), b(13, 2, 1, 64);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.pause(), b.next_delay());
 }
 
 TEST(SummaryPercentile, TailPercentilesAreMonotone) {

@@ -10,20 +10,6 @@ namespace {
 
 static_assert(ConcurrentQueue<FaaQueue<int>, int>);
 
-TEST(FaaQueue, EmptyDequeueReturnsNull) {
-  FaaQueue<int> q(2);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-  EXPECT_EQ(q.dequeue(1), nullptr);
-}
-
-TEST(FaaQueue, FifoSingleThread) {
-  FaaQueue<int> q(1);
-  int vals[10];
-  for (int i = 0; i < 10; ++i) q.enqueue(&vals[i], 0);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.dequeue(0), &vals[i]);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
 TEST(FaaQueue, CrossesSegmentBoundaries) {
   // Segment size 4 forces frequent segment transitions and retirement.
   FaaQueue<int, 4> q(1);
@@ -41,17 +27,6 @@ TEST(FaaQueue, AlternatingAcrossSegments) {
     EXPECT_EQ(q.dequeue(0), &vals[i]);
     EXPECT_EQ(q.dequeue(0), nullptr);
   }
-}
-
-TEST(FaaQueue, MpmcNoLossNoDupFifo) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 5000;
-  FaaQueue<testutil::Element, 64> q(kProducers + kConsumers);
-  std::vector<testutil::Element> storage;
-  auto result = testutil::run_mpmc(q, kProducers, kConsumers, kPerProducer,
-                                   storage, /*single_id_space=*/true);
-  testutil::verify_mpmc(result, kProducers, kPerProducer);
 }
 
 TEST(FaaQueue, ManyProducersOneConsumerGlobalOrderPerProducer) {

@@ -10,23 +10,6 @@ namespace {
 
 static_assert(ConcurrentQueue<MsQueue<int>, int>);
 
-TEST(MsQueue, EmptyDequeueReturnsNull) {
-  MsQueue<int> q(2);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
-TEST(MsQueue, FifoSingleThread) {
-  MsQueue<int> q(1);
-  int a = 1, b = 2, c = 3;
-  q.enqueue(&a, 0);
-  q.enqueue(&b, 0);
-  q.enqueue(&c, 0);
-  EXPECT_EQ(q.dequeue(0), &a);
-  EXPECT_EQ(q.dequeue(0), &b);
-  EXPECT_EQ(q.dequeue(0), &c);
-  EXPECT_EQ(q.dequeue(0), nullptr);
-}
-
 TEST(MsQueue, InterleavedEnqueueDequeue) {
   MsQueue<int> q(1);
   int vals[100];
@@ -51,17 +34,6 @@ TEST(MsQueue, EmptyAfterDrainThenReusable) {
   EXPECT_EQ(q.dequeue(0), nullptr);
   q.enqueue(&a, 0);
   EXPECT_EQ(q.dequeue(0), &a);
-}
-
-TEST(MsQueue, MpmcNoLossNoDupFifo) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 5000;
-  MsQueue<testutil::Element> q(kProducers + kConsumers);
-  std::vector<testutil::Element> storage;
-  auto result = testutil::run_mpmc(q, kProducers, kConsumers, kPerProducer,
-                                   storage, /*single_id_space=*/true);
-  testutil::verify_mpmc(result, kProducers, kPerProducer);
 }
 
 TEST(MsQueue, SpscLongRun) {

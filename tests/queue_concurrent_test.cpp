@@ -1,136 +1,99 @@
-// Cross-queue integration/stress tests: the same randomized mixed workload
-// and invariant checks run over every queue implementation in the library,
+// Cross-queue tests: every queue of the lineup (queues/queue_kind.hpp),
+// built by with_native_queue at the one native sizing, runs the same
+// single-thread checks and the same randomized mixed workload, the latter
 // parameterized by thread mix. These are the "one harness, five queues"
-// tests mirroring the paper's benchmark setup (§6.1).
+// tests mirroring the paper's benchmark setup (§6.1); the per-queue test
+// files keep only what is specific to one queue.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <thread>
-#include <tuple>
+#include <ostream>
+#include <string>
 #include <vector>
 
-#include "basket/sbq_basket.hpp"
-#include "common/rng.hpp"
-#include "htm/cas_policy.hpp"
-#include "queues/baskets_queue.hpp"
-#include "queues/cc_queue.hpp"
-#include "queues/faa_queue.hpp"
-#include "queues/ms_queue.hpp"
-#include "queues/sbq.hpp"
+#include "queues/native_lineup.hpp"
 #include "queue_test_util.hpp"
 
 namespace sbq {
+
+// Test names print the lineup name instead of the enum's bytes.
+void PrintTo(QueueKind kind, std::ostream* os) { *os << queue_kind_name(kind); }
+
 namespace {
 
 using testutil::Element;
 
-// A uniform adapter giving every queue the SBQ id convention (separate
-// enqueuer/dequeuer id ranges).
-template <typename Q, bool kSingleIdSpace>
-struct Adapter {
-  template <typename... Args>
-  explicit Adapter(int producers, int consumers, Args&&... args)
-      : producers_(producers),
-        queue_(make(producers, consumers, std::forward<Args>(args)...)) {}
-
-  static std::unique_ptr<Q> make(int producers, int consumers) {
-    if constexpr (requires { typename Q::Config; }) {
-      typename Q::Config cfg{};
-      cfg.max_enqueuers = static_cast<std::size_t>(producers);
-      cfg.max_dequeuers = static_cast<std::size_t>(consumers);
-      return std::make_unique<Q>(cfg);
-    } else {
-      return std::make_unique<Q>(static_cast<std::size_t>(producers + consumers));
-    }
+// "SBQ-HTM" -> "SBQ_HTM": gtest names take no '-'.
+std::string test_name(QueueKind kind) {
+  std::string name = queue_kind_name(kind);
+  for (auto& c : name) {
+    if (c == '-') c = '_';
   }
-
-  void enqueue(Element* e, int producer_id) { queue_->enqueue(e, producer_id); }
-  Element* dequeue(int consumer_id) {
-    return queue_->dequeue(kSingleIdSpace ? producers_ + consumer_id
-                                          : consumer_id);
-  }
-
-  int producers_;
-  std::unique_ptr<Q> queue_;
-};
-
-// Every queue under one test interface.
-enum class Kind { kSbqHtm, kSbqCas, kBqOriginal, kMs, kFaa, kCc };
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kSbqHtm: return "SBQ-HTM";
-    case Kind::kSbqCas: return "SBQ-CAS";
-    case Kind::kBqOriginal: return "BQ-original";
-    case Kind::kMs: return "MS";
-    case Kind::kFaa: return "FAA";
-    case Kind::kCc: return "CC";
-  }
-  return "?";
+  return name;
 }
 
+class NativeLineupTest : public ::testing::TestWithParam<QueueKind> {};
+
+TEST_P(NativeLineupTest, EmptyDequeueReturnsNull) {
+  with_native_queue<Element>(GetParam(), 2, [](auto& q) {
+    EXPECT_EQ(q.dequeue(0), nullptr);
+    EXPECT_EQ(q.dequeue(1), nullptr);
+  });
+}
+
+TEST_P(NativeLineupTest, FifoSingleThread) {
+  with_native_queue<Element>(GetParam(), 1, [](auto& q) {
+    Element vals[50];
+    for (auto& v : vals) q.enqueue(&v, 0);
+    for (auto& v : vals) EXPECT_EQ(q.dequeue(0), &v);
+    EXPECT_EQ(q.dequeue(0), nullptr);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(AllQueues, NativeLineupTest,
+                         ::testing::ValuesIn(evaluated_queue_kinds()),
+                         [](const ::testing::TestParamInfo<QueueKind>& info) {
+                           return test_name(info.param);
+                         });
+
 struct MixParam {
-  Kind kind;
+  QueueKind kind;
   int producers;
   int consumers;
 };
 
+std::string mix_name(const MixParam& p) {
+  return "_p" + std::to_string(p.producers) + "_c" +
+         std::to_string(p.consumers);
+}
+
 void PrintTo(const MixParam& p, std::ostream* os) {
-  *os << kind_name(p.kind) << "_p" << p.producers << "_c" << p.consumers;
+  *os << queue_kind_name(p.kind) << mix_name(p);
 }
 
 class QueueMixTest : public ::testing::TestWithParam<MixParam> {};
 
-template <typename AdapterT>
-void run_and_verify(int producers, int consumers, std::uint64_t per_producer) {
-  AdapterT adapter(producers, consumers);
-  std::vector<Element> storage;
-  auto result = testutil::run_mpmc(adapter, producers, consumers, per_producer,
-                                   storage, /*single_id_space=*/false);
-  testutil::verify_mpmc(result, producers, per_producer);
-}
-
+// Producers take thread ids [0, P) and consumers [P, P + C), so one id
+// space serves every queue.
 TEST_P(QueueMixTest, NoLossNoDupPerProducerFifo) {
   const auto& p = GetParam();
   constexpr std::uint64_t kPerProducer = 2000;
-  using SbqHtmQ = Queue<Element, SbqBasket<Element>, HtmCas>;
-  using SbqCasQ = Queue<Element, SbqBasket<Element>, DelayedCas>;
-  switch (p.kind) {
-    case Kind::kSbqHtm:
-      run_and_verify<Adapter<SbqHtmQ, false>>(p.producers, p.consumers, kPerProducer);
-      break;
-    case Kind::kSbqCas:
-      run_and_verify<Adapter<SbqCasQ, false>>(p.producers, p.consumers, kPerProducer);
-      break;
-    case Kind::kBqOriginal:
-      run_and_verify<Adapter<BasketsQueue<Element>, true>>(p.producers, p.consumers,
-                                                           kPerProducer);
-      break;
-    case Kind::kMs:
-      run_and_verify<Adapter<MsQueue<Element>, true>>(p.producers, p.consumers,
-                                                      kPerProducer);
-      break;
-    case Kind::kFaa:
-      run_and_verify<Adapter<FaaQueue<Element, 64>, true>>(p.producers, p.consumers,
-                                                           kPerProducer);
-      break;
-    case Kind::kCc:
-      run_and_verify<Adapter<CcQueue<Element>, true>>(p.producers, p.consumers,
-                                                      kPerProducer);
-      break;
-  }
+  with_native_queue<Element>(p.kind, p.producers + p.consumers, [&](auto& q) {
+    std::vector<Element> storage;
+    auto result = testutil::run_mpmc(q, p.producers, p.consumers, kPerProducer,
+                                     storage, /*single_id_space=*/true);
+    testutil::verify_mpmc(result, p.producers, kPerProducer);
+  });
 }
 
 std::vector<MixParam> all_mixes() {
   std::vector<MixParam> out;
-  for (Kind k : {Kind::kSbqHtm, Kind::kSbqCas, Kind::kBqOriginal, Kind::kMs,
-                 Kind::kFaa, Kind::kCc}) {
+  for (QueueKind k : evaluated_queue_kinds()) {
     out.push_back({k, 1, 1});
     out.push_back({k, 4, 1});
     out.push_back({k, 1, 4});
     out.push_back({k, 3, 3});
+    out.push_back({k, 4, 4});
   }
   return out;
 }
@@ -138,13 +101,8 @@ std::vector<MixParam> all_mixes() {
 INSTANTIATE_TEST_SUITE_P(AllQueues, QueueMixTest,
                          ::testing::ValuesIn(all_mixes()),
                          [](const ::testing::TestParamInfo<MixParam>& info) {
-                           std::string name = kind_name(info.param.kind);
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name + "_p" +
-                                  std::to_string(info.param.producers) + "_c" +
-                                  std::to_string(info.param.consumers);
+                           return test_name(info.param.kind) +
+                                  mix_name(info.param);
                          });
 
 }  // namespace

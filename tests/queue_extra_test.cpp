@@ -12,9 +12,8 @@
 #include "basket/sbq_basket.hpp"
 #include "common/barrier.hpp"
 #include "htm/cas_policy.hpp"
-#include "queues/baskets_queue.hpp"
 #include "queues/faa_queue.hpp"
-#include "queues/ms_queue.hpp"
+#include "queues/native_lineup.hpp"
 #include "queues/sbq.hpp"
 #include "queue_test_util.hpp"
 
@@ -118,42 +117,17 @@ TEST(QueueEdge, DequeueOnlyThreadsSeeConsistentEmpty) {
 TEST(QueueEdge, SingleElementPingPongAcrossAllQueues) {
   // One element bouncing between enqueue and dequeue is the hardest case
   // for empty-detection logic (the queue constantly transitions between
-  // empty and size-1).
-  Element e;
-  {
-    SbqHtm::Config cfg;
-    cfg.max_enqueuers = 1;
-    cfg.max_dequeuers = 1;
-    SbqHtm q(cfg);
-    for (int i = 0; i < 5000; ++i) {
-      q.enqueue(&e, 0);
-      ASSERT_EQ(q.dequeue(0), &e);
-      ASSERT_EQ(q.dequeue(0), nullptr);
-    }
-  }
-  {
-    MsQueue<Element> q(2);
-    for (int i = 0; i < 5000; ++i) {
-      q.enqueue(&e, 0);
-      ASSERT_EQ(q.dequeue(1), &e);
-      ASSERT_EQ(q.dequeue(1), nullptr);
-    }
-  }
-  {
-    BasketsQueue<Element> q(2);
-    for (int i = 0; i < 5000; ++i) {
-      q.enqueue(&e, 0);
-      ASSERT_EQ(q.dequeue(1), &e);
-      ASSERT_EQ(q.dequeue(1), nullptr);
-    }
-  }
-  {
-    FaaQueue<Element, 16> q(2);
-    for (int i = 0; i < 5000; ++i) {
-      q.enqueue(&e, 0);
-      ASSERT_EQ(q.dequeue(1), &e);
-      ASSERT_EQ(q.dequeue(1), nullptr);
-    }
+  // empty and size-1). Thread 0 enqueues, thread 1 dequeues.
+  for (QueueKind kind : evaluated_queue_kinds()) {
+    SCOPED_TRACE(queue_kind_name(kind));
+    with_native_queue<Element>(kind, 2, [](auto& q) {
+      Element e;
+      for (int i = 0; i < 5000; ++i) {
+        q.enqueue(&e, 0);
+        ASSERT_EQ(q.dequeue(1), &e);
+        ASSERT_EQ(q.dequeue(1), nullptr);
+      }
+    });
   }
 }
 

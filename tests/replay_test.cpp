@@ -342,7 +342,7 @@ TEST(NativeRecord, AllQueuesLinearizableAndValueConserving) {
   spec.threads = 4;
   spec.pairs_per_thread = 128;
   spec.seed = 3;
-  for (const std::string& name : replay::native_record_queue_names()) {
+  for (const std::string& name : queue_names()) {
     replay::OpTrace trace;
     ASSERT_TRUE(replay::record_native_queue(name, spec, trace)) << name;
     EXPECT_EQ(trace.source, replay::TraceSource::kNative) << name;

@@ -45,24 +45,6 @@ class SbqTypedTest : public ::testing::Test {};
 using QueueTypes = ::testing::Types<SbqHtm, SbqCas>;
 TYPED_TEST_SUITE(SbqTypedTest, QueueTypes);
 
-TYPED_TEST(SbqTypedTest, EmptyDequeueReturnsNull) {
-  auto q = make_queue<TypeParam>(2, 2);
-  EXPECT_EQ(q->dequeue(0), nullptr);
-  EXPECT_EQ(q->dequeue(1), nullptr);
-}
-
-TYPED_TEST(SbqTypedTest, FifoSingleThread) {
-  auto q = make_queue<TypeParam>(1, 1);
-  testutil::Element vals[50];
-  for (int i = 0; i < 50; ++i) {
-    vals[i].producer = 0;
-    vals[i].seq = static_cast<std::uint64_t>(i);
-    q->enqueue(&vals[i], 0);
-  }
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(q->dequeue(0), &vals[i]);
-  EXPECT_EQ(q->dequeue(0), nullptr);
-}
-
 TYPED_TEST(SbqTypedTest, DrainRefillCycles) {
   auto q = make_queue<TypeParam>(1, 1);
   testutil::Element vals[10];
@@ -89,17 +71,6 @@ TYPED_TEST(SbqTypedTest, InterleavedSingleThread) {
     ++deq_at;
   }
   EXPECT_EQ(q->dequeue(0), nullptr);
-}
-
-TYPED_TEST(SbqTypedTest, MpmcNoLossNoDupFifo) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 3000;
-  auto q = make_queue<TypeParam>(kProducers, kConsumers);
-  std::vector<testutil::Element> storage;
-  auto result = testutil::run_mpmc(*q, kProducers, kConsumers, kPerProducer,
-                                   storage, /*single_id_space=*/false);
-  testutil::verify_mpmc(result, kProducers, kPerProducer);
 }
 
 TYPED_TEST(SbqTypedTest, ProducersOnlyThenDrain) {

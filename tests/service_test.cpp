@@ -209,6 +209,13 @@ TEST(ServiceBroker, RunsAreDeterministic) {
   EXPECT_EQ(sa.percentile(99), sb.percentile(99));
 }
 
+// A zero batch issues nothing and never yields, so the run would hang.
+TEST(ServiceBroker, RejectsBatchBelowOne) {
+  ServiceSpec spec = overload_spec(ArrivalKind::kPoisson, AdmissionPolicy::kDrop);
+  spec.batch = 0;
+  EXPECT_THROW(run_sbq_service(spec), std::invalid_argument);
+}
+
 TEST(ServiceBroker, UnderloadDeliversEverythingWithoutRejects) {
   ServiceSpec spec;
   spec.arrival.rate_per_kcycle = 1.0;  // well under one consumer's capacity
