@@ -9,7 +9,8 @@
 //
 // --service-cells additionally checks every cell against the service_latency
 // cell shape (docs/service.md): an "admission" object whose counters satisfy
-// the conservation identity offered == accepted + rejected, a reject
+// the conservation identity offered == accepted + rejected, a "consumed"
+// count equal to accepted (everything admitted was drained), a reject
 // fraction in [0, 1], and monotone sojourn percentiles p50 <= p99 <= p999.
 //
 // --policy-cells checks every cell carrying a "counters" object against the
@@ -204,6 +205,12 @@ int main(int argc, char** argv) {
                   std::to_string(offered) + " != accepted " +
                   std::to_string(accepted) + " + rejected " +
                   std::to_string(rejected));
+    }
+    const double consumed = cell["consumed"].as_double();
+    if (consumed != accepted) {
+      return fail(where + " did not drain what it admitted: consumed " +
+                  std::to_string(consumed) + " != accepted " +
+                  std::to_string(accepted));
     }
     const double rej_frac = cell["reject_fraction"].as_double();
     if (!(rej_frac >= 0.0 && rej_frac <= 1.0)) {

@@ -8,13 +8,14 @@
 // capacity the broker saturates, the admission gate trips, and the tables
 // show the latency/loss cost of that overload per queue implementation.
 //
+// Arrivals are Poisson and the admission gate drops ops past its depth
+// limit.
+//
 // Extra options on top of the shared BenchOptions set (which this driver
 // strips before BenchOptions::parse, since parse rejects unknown flags):
 //   --rates LIST       arrival rates [ops/kcycle], comma separated
 //                      (replaces --threads as the row axis; --threads is
 //                      rejected here)
-//   --arrival NAME     poisson|bursty|ramp|skew        (default poisson)
-//   --admission NAME   drop|backpressure               (default drop)
 //   --depth N          admission depth limit, 0 = unbounded (default 64)
 //   --producers N      load-generator workers          (default 4)
 //   --consumers N      drain workers                   (default 2)
@@ -41,13 +42,28 @@ using namespace sbq::bench;
 
 struct ServiceOptions {
   std::vector<double> rates = {1.0, 4.0, 16.0};
-  service::ArrivalConfig arrival;    // kind + shape parameters
-  service::AdmissionConfig admission;
+  std::uint64_t depth_limit = 64;
   int producers = 4;
   int consumers = 2;
   int batch = 4;
   sim::Time consumer_think = 16;
 };
+
+// What the artifact and the header record for the one arrival process and
+// the one admission policy the broker has.
+constexpr const char* kArrivalName = "poisson";
+constexpr const char* kAdmissionName = "drop";
+
+// A worker count below 1 would size the queue for a negative id space
+// before run_service could reject the spec.
+int parse_workers(const char* flag, const std::string& text) {
+  const int n = parse_number<int>(flag, text);
+  if (n < 1) {
+    throw std::invalid_argument(std::string(flag) + " needs at least 1, got " +
+                                text);
+  }
+  return n;
+}
 
 // Split "--opt val" / "--opt=val" service flags out of argv, leaving the
 // shared flags for BenchOptions::parse (which throws on anything unknown).
@@ -75,24 +91,12 @@ ServiceOptions strip_service_options(int& argc, char** argv) {
     };
     if (name == "--rates") {
       sopts.rates = parse_number_list<double>("--rates", take_value());
-    } else if (name == "--arrival") {
-      sopts.arrival.kind = service::arrival_kind_from_name(take_value());
-    } else if (name == "--admission") {
-      const std::string& v = take_value();
-      if (v == "drop") {
-        sopts.admission.policy = service::AdmissionPolicy::kDrop;
-      } else if (v == "backpressure") {
-        sopts.admission.policy = service::AdmissionPolicy::kBackpressure;
-      } else {
-        throw std::invalid_argument("--admission wants drop|backpressure");
-      }
     } else if (name == "--depth") {
-      sopts.admission.depth_limit =
-          parse_number<std::uint64_t>("--depth", take_value());
+      sopts.depth_limit = parse_number<std::uint64_t>("--depth", take_value());
     } else if (name == "--producers") {
-      sopts.producers = parse_number<int>("--producers", take_value());
+      sopts.producers = parse_workers("--producers", take_value());
     } else if (name == "--consumers") {
-      sopts.consumers = parse_number<int>("--consumers", take_value());
+      sopts.consumers = parse_workers("--consumers", take_value());
     } else if (name == "--batch") {
       sopts.batch = parse_number<int>("--batch", take_value());
     } else if (name == "--think") {
@@ -148,18 +152,13 @@ Json service_cell_json(double rate, QueueKind kind, int repeat,
   c.set("rate_per_kcycle", Json(rate));
   c.set("queue", Json(queue_kind_name(kind)));
   c.set("repeat", Json(repeat));
-  c.set("arrival", Json(service::arrival_kind_name(sopts.arrival.kind)));
+  c.set("arrival", Json(kArrivalName));
   Json adm = Json::object();
-  adm.set("policy",
-          Json(service::admission_policy_name(sopts.admission.policy)));
-  adm.set("depth_limit", Json(static_cast<double>(sopts.admission.depth_limit)));
+  adm.set("policy", Json(kAdmissionName));
+  adm.set("depth_limit", Json(static_cast<double>(sopts.depth_limit)));
   adm.set("offered", Json(static_cast<double>(r.offered)));
   adm.set("accepted", Json(static_cast<double>(r.accepted)));
   adm.set("rejected", Json(static_cast<double>(r.rejected)));
-  adm.set("backpressure_waits",
-          Json(static_cast<double>(r.backpressure_waits)));
-  adm.set("backpressure_cycles",
-          Json(static_cast<double>(r.backpressure_cycles)));
   c.set("admission", adm);
   c.set("consumed", Json(static_cast<double>(r.consumed)));
   c.set("sojourn_p50_ns", Json(cell.sojourn_p50_ns));
@@ -196,13 +195,10 @@ int main(int argc, char** argv) try {
     Json rates = Json::array();
     for (double r : sopts.rates) rates.push_back(Json(r));
     report.set_config("rates_per_kcycle", rates);
-    report.set_config(
-        "arrival", Json(service::arrival_kind_name(sopts.arrival.kind)));
-    report.set_config(
-        "admission",
-        Json(service::admission_policy_name(sopts.admission.policy)));
+    report.set_config("arrival", Json(kArrivalName));
+    report.set_config("admission", Json(kAdmissionName));
     report.set_config("depth_limit",
-                      Json(static_cast<double>(sopts.admission.depth_limit)));
+                      Json(static_cast<double>(sopts.depth_limit)));
     report.set_config("producers", Json(sopts.producers));
     report.set_config("consumers", Json(sopts.consumers));
     report.set_config("batch", Json(sopts.batch));
@@ -210,12 +206,10 @@ int main(int argc, char** argv) try {
                       Json(static_cast<double>(sopts.consumer_think)));
   }
 
-  std::cout << "# Service latency under open-loop load ("
-            << service::arrival_kind_name(sopts.arrival.kind) << " arrivals, "
-            << sopts.producers << "p/" << sopts.consumers << "c, depth "
-            << sopts.admission.depth_limit << " "
-            << service::admission_policy_name(sopts.admission.policy) << ", "
-            << total_ops << " ops, " << repeats << " repeats)\n";
+  std::cout << "# Service latency under open-loop load (" << kArrivalName
+            << " arrivals, " << sopts.producers << "p/" << sopts.consumers
+            << "c, depth " << sopts.depth_limit << " " << kAdmissionName
+            << ", " << total_ops << " ops, " << repeats << " repeats)\n";
 
   const std::vector<std::string>& qnames = queue_names();
   std::vector<std::string> columns{"rate"};
@@ -235,10 +229,9 @@ int main(int argc, char** argv) try {
     spec.producers = sopts.producers;
     spec.consumers = sopts.consumers;
     service::ServiceSpec& svc = spec.service;
-    svc.arrival = sopts.arrival;
     svc.arrival.rate_per_kcycle = rate;
     svc.arrival.seed = opts.seed + static_cast<std::uint64_t>(repeat) * 7919;
-    svc.admission = sopts.admission;
+    svc.admission.depth_limit = sopts.depth_limit;
     svc.producers = sopts.producers;
     svc.consumers = sopts.consumers;
     svc.total_ops = total_ops;

@@ -107,12 +107,12 @@ def run_timed(drv, args):
 
 # Open-loop service leg (docs/service.md): poisson arrivals across an
 # underloaded / near-capacity / overloaded rate triple, default 4p/2c
-# broker with a depth-64 drop gate.
+# broker with a depth-64 drop gate. Poisson is service_latency's only
+# arrival process, so SERVICE_ARRIVAL is recorded, not passed.
 SERVICE_ARRIVAL = "poisson"
 SERVICE_RATES = [2, 8, 32]
 SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
-                "--arrival", SERVICE_ARRIVAL, "--ops", "200",
-                "--repeats", "2", "--jobs", "1"]
+                "--ops", "200", "--repeats", "2", "--jobs", "1"]
 
 # The largest machine any driver builds: one fig5-style row at 512
 # simulated cores (2 sockets x 256).

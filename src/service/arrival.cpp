@@ -2,76 +2,26 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
 namespace sbq::service {
 
-const char* arrival_kind_name(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kBursty: return "bursty";
-    case ArrivalKind::kRamp: return "ramp";
-    case ArrivalKind::kSkewed: return "skew";
-  }
-  throw std::logic_error("bad ArrivalKind");
-}
-
-ArrivalKind arrival_kind_from_name(const std::string& name) {
-  for (ArrivalKind kind :
-       {ArrivalKind::kPoisson, ArrivalKind::kBursty, ArrivalKind::kRamp,
-        ArrivalKind::kSkewed}) {
-    if (name == arrival_kind_name(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown arrival process: " + name +
-                              " (want poisson|bursty|ramp|skew)");
-}
-
-namespace {
-
-// Instantaneous rate modulation factor at simulated time t. Pure in
-// (cfg, t, horizon); the horizon only matters for kRamp, where it sets the
-// triangle's base (the "day length").
-double rate_factor(const ArrivalConfig& cfg, double t, double horizon) {
-  switch (cfg.kind) {
-    case ArrivalKind::kPoisson:
-    case ArrivalKind::kSkewed:  // skew lives in the partition, not the rate
-      return 1.0;
-    case ArrivalKind::kBursty: {
-      const double period = static_cast<double>(cfg.burst_period);
-      const double phase = t - std::floor(t / period) * period;
-      return phase < cfg.burst_fraction * period ? cfg.burst_multiplier : 1.0;
-    }
-    case ArrivalKind::kRamp: {
-      if (horizon <= 0.0) return cfg.ramp_peak;
-      // Triangle: ramp_min at t=0 and t=horizon, ramp_peak at horizon/2;
-      // flat at ramp_min past the horizon (the schedule ran long).
-      const double x = t / horizon;
-      if (x >= 1.0) return cfg.ramp_min;
-      const double up = x < 0.5 ? 2.0 * x : 2.0 * (1.0 - x);
-      return cfg.ramp_min + (cfg.ramp_peak - cfg.ramp_min) * up;
-    }
-  }
-  throw std::logic_error("bad ArrivalKind");
-}
-
-}  // namespace
-
 std::vector<sim::Time> generate_arrivals(const ArrivalConfig& cfg,
                                          std::size_t count) {
-  if (cfg.rate_per_kcycle <= 0.0) {
-    throw std::invalid_argument("arrival rate must be positive");
+  // A NaN rate would make every timestamp a cast of NaN.
+  if (!std::isfinite(cfg.rate_per_kcycle) || cfg.rate_per_kcycle <= 0.0) {
+    throw std::invalid_argument(
+        "arrival rate must be finite and positive, got " +
+        std::to_string(cfg.rate_per_kcycle));
   }
   std::vector<sim::Time> out;
   out.reserve(count);
   Xoshiro256 rng(cfg.seed);
-  const double base_per_cycle = cfg.rate_per_kcycle / 1000.0;
-  // Nominal horizon of the base process: what kRamp calls one "day".
-  const double horizon = static_cast<double>(count) / base_per_cycle;
+  const double lambda = cfg.rate_per_kcycle / 1000.0;
   double t = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
-    const double lambda =
-        base_per_cycle * rate_factor(cfg, t, horizon);
     // Exponential inter-arrival gap with mean 1/lambda; -log1p(-u) keeps
     // the argument strictly positive for u in [0, 1).
     const double gap = -std::log1p(-rng.next_double()) / lambda;
@@ -82,28 +32,13 @@ std::vector<sim::Time> generate_arrivals(const ArrivalConfig& cfg,
 }
 
 std::vector<std::vector<WorkerArrival>> partition_arrivals(
-    const ArrivalConfig& cfg, const std::vector<sim::Time>& times,
-    int workers) {
+    const std::vector<sim::Time>& times, int workers) {
   if (workers < 1) throw std::invalid_argument("need at least one worker");
-  std::vector<std::vector<WorkerArrival>> out(
-      static_cast<std::size_t>(workers));
-  for (auto& w : out) w.reserve(times.size() / static_cast<std::size_t>(workers) + 1);
-  // A dedicated stream (decorrelated from the gap stream by the constant)
-  // so adding a worker-assignment draw never shifts the timestamps.
-  Xoshiro256 assign_rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
+  const auto n = static_cast<std::size_t>(workers);
+  std::vector<std::vector<WorkerArrival>> out(n);
+  for (auto& w : out) w.reserve(times.size() / n + 1);
   for (std::size_t op = 0; op < times.size(); ++op) {
-    std::size_t w;
-    if (cfg.kind == ArrivalKind::kSkewed && workers > 1) {
-      if (assign_rng.next_double() < cfg.hot_fraction) {
-        w = 0;  // the hot producer
-      } else {
-        w = 1 + static_cast<std::size_t>(
-                    assign_rng.next_below(static_cast<std::uint64_t>(workers) - 1));
-      }
-    } else {
-      w = op % static_cast<std::size_t>(workers);
-    }
-    out[w].push_back(WorkerArrival{op, times[op]});
+    out[op % n].push_back(WorkerArrival{op, times[op]});
   }
   return out;
 }

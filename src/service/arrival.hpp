@@ -1,4 +1,4 @@
-// Open-loop arrival processes for the queue service harness
+// Open-loop arrival process for the queue service harness
 // (docs/service.md "The load model").
 //
 // Closed-loop sweeps (every fig*/ablation_* driver) re-issue the next op
@@ -16,54 +16,32 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.hpp"
 
 namespace sbq::service {
 
-// The four traffic shapes (docs/service.md documents each with its
-// parameters):
-//   kPoisson — memoryless arrivals at a constant mean rate; the M/G/c
-//              baseline every queueing result is stated against.
-//   kBursty  — flash crowd: Poisson at the base rate, except during a
-//              periodic burst window where the instantaneous rate is
-//              multiplied (burst_multiplier) for burst_fraction of each
-//              burst_period. Mean offered rate exceeds the base rate by
-//              1 + (burst_multiplier - 1) * burst_fraction.
-//   kRamp    — diurnal ramp: the instantaneous rate climbs linearly from
-//              ramp_min x base at t = 0 to ramp_peak x base at the middle
-//              of the nominal horizon and back down (a triangle, one "day").
-//   kSkewed  — producer skew: the aggregate arrival process is Poisson,
-//              but partition_arrivals() routes hot_fraction of all ops to
-//              worker 0 (the hot producer) instead of spreading round-robin.
-enum class ArrivalKind { kPoisson, kBursty, kRamp, kSkewed };
-
-const char* arrival_kind_name(ArrivalKind kind);
-ArrivalKind arrival_kind_from_name(const std::string& name);
+// Memoryless arrivals at a constant mean rate: the M/G/c baseline every
+// queueing result is stated against, and the only process the harness
+// generates. The enum keeps its one enumerator because
+// benchmark/sbq_bench.cpp assigns ArrivalKind::kPoisson to
+// ArrivalConfig::kind.
+enum class ArrivalKind { kPoisson };
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
-  // Mean offered load of the *base* process, arrivals per 1000 simulated
-  // cycles (0.4 ns/cycle: 1.0 /kcycle = 2.5 M arrivals/s machine-wide).
+  // Mean offered load, arrivals per 1000 simulated cycles (0.4 ns/cycle:
+  // 1.0 /kcycle = 2.5 M arrivals/s machine-wide).
   double rate_per_kcycle = 4.0;
   std::uint64_t seed = 1;
-  // kBursty:
-  double burst_multiplier = 8.0;   // rate factor inside a burst window
-  double burst_fraction = 0.125;   // fraction of each period spent bursting
-  sim::Time burst_period = 8192;   // cycles per burst cycle
-  // kRamp:
-  double ramp_min = 0.25;   // relative rate at the edges of the horizon
-  double ramp_peak = 1.75;  // relative rate at the middle
-  // kSkewed (consumed by partition_arrivals, not by generation):
-  double hot_fraction = 0.5;  // share of all arrivals routed to worker 0
 };
 
 // `count` arrival timestamps in cycles, non-decreasing, each >= 1 cycle
 // after the previous (simulated time is integral, so gaps are rounded up
 // to at least one cycle — at extreme rates the schedule saturates at one
-// arrival per cycle, which is itself a meaningful overload).
+// arrival per cycle, which is itself a meaningful overload). Throws
+// std::invalid_argument unless the rate is finite and positive.
 std::vector<sim::Time> generate_arrivals(const ArrivalConfig& cfg,
                                          std::size_t count);
 
@@ -75,13 +53,10 @@ struct WorkerArrival {
   sim::Time at = 0;
 };
 
-// Split `times` (as produced by generate_arrivals) into per-worker
-// schedules, each ascending in time. Round-robin for every kind except
-// kSkewed, which routes hot_fraction of ops to worker 0 and spreads the
-// rest uniformly (deterministically, from cfg.seed) over workers 1..N-1.
-// Every op appears exactly once across the returned schedules.
+// Split `times` (as produced by generate_arrivals) round-robin into
+// per-worker schedules, each ascending in time. Every op appears exactly
+// once across the returned schedules.
 std::vector<std::vector<WorkerArrival>> partition_arrivals(
-    const ArrivalConfig& cfg, const std::vector<sim::Time>& times,
-    int workers);
+    const std::vector<sim::Time>& times, int workers);
 
 }  // namespace sbq::service

@@ -17,10 +17,11 @@
 //   arrival     — the op's scheduled arrival time (schedule, not c.now())
 //   enq done    — the enqueue coroutine completed
 //   deq done    — a drain worker's dequeue returned the element
-// enqueue_lat = enq done - arrival (admission wait + enqueue service time);
+// enqueue_lat = enq done - arrival (lateness behind schedule + enqueue
+// service time);
 // sojourn     = deq done - arrival (the end-to-end number p50/p99/p999 are
-// reported on). Samples land in preallocated LatencyRings (no allocation
-// inside the measured phase).
+// reported on). Samples land in LatencyRings reserved up front (no
+// allocation inside the measured phase).
 //
 // The broker's host-side gate/accounting state is read mid-run; that is
 // deterministic because the engine runs every event in one global order.
@@ -59,13 +60,11 @@ struct ServiceResult {
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t backpressure_waits = 0;
-  std::uint64_t backpressure_cycles = 0;
   std::uint64_t consumed = 0;
   double duration_cycles = 0;  // first arrival dispatch to quiescence
-  // Per-op samples, in cycles (ring-buffered, preallocated to total_ops).
-  LatencyRing enqueue_lat{1};
-  LatencyRing sojourn{1};
+  // Per-op samples, in cycles (reserved up front for total_ops).
+  LatencyRing enqueue_lat{0};
+  LatencyRing sojourn{0};
   sim::MetricsSnapshot metrics;
 
   // ops/s through the broker (consumed ops over the measured window).
@@ -84,8 +83,8 @@ struct BrokerState {
                        std::vector<sim::Time> arrival_times)
       : gate(spec.admission),
         times(std::move(arrival_times)),
-        enqueue_lat(times.empty() ? 1 : times.size()),
-        sojourn(times.empty() ? 1 : times.size()) {}
+        enqueue_lat(times.size()),
+        sojourn(times.size()) {}
 
   AdmissionGate gate;
   std::vector<sim::Time> times;  // op id -> scheduled arrival [cycles]
@@ -114,15 +113,8 @@ simq::Task<void> load_worker(sim::Machine& m, QueueT& q, int core, int id,
       ++i;
       ++in_batch;
       if (!st->gate.has_room()) {
-        if (st->gate.config().policy == AdmissionPolicy::kDrop) {
-          st->gate.reject();
-          continue;
-        }
-        const sim::Time wait_start = c.now();
-        while (!st->gate.has_room()) {
-          co_await c.think(st->gate.config().backpressure_poll);
-        }
-        st->gate.note_backpressure(c.now() - wait_start);
+        st->gate.reject();
+        continue;
       }
       st->gate.accept();
       co_await q.enqueue(c, simq::kFirstElement + a.op, id);
@@ -180,8 +172,7 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   }
   auto st = std::make_unique<detail::BrokerState>(
       spec, generate_arrivals(spec.arrival, spec.total_ops));
-  const auto schedules =
-      partition_arrivals(spec.arrival, st->times, spec.producers);
+  const auto schedules = partition_arrivals(st->times, spec.producers);
   const sim::Time start = m.now();
   for (int p = 0; p < spec.producers; ++p) {
     m.spawn(detail::load_worker(m, q, p, p, &schedules[static_cast<std::size_t>(p)],
@@ -197,8 +188,6 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   r.offered = st->gate.offered();
   r.accepted = st->gate.accepted();
   r.rejected = st->gate.rejected();
-  r.backpressure_waits = st->gate.backpressure_waits();
-  r.backpressure_cycles = st->gate.backpressure_cycles();
   r.consumed = st->consumed;
   r.duration_cycles = static_cast<double>(m.now() - start);
   r.enqueue_lat = std::move(st->enqueue_lat);

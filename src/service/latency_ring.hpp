@@ -2,12 +2,11 @@
 // latency").
 //
 // The broker records one sample per completed op from inside coroutine
-// hot loops, so capture must not allocate: the ring's storage is sized
-// once, up front, and push() is a store plus an index increment. When the
-// ring is smaller than the op count the *oldest* samples are overwritten —
-// the tail of the run survives, matching the trace ring's convention —
-// and dropped() reports how many were lost (the service driver sizes rings
-// to the exact op count, so nothing drops there).
+// hot loops, so capture must not allocate: the buffer is reserved once, up
+// front, for the run's op count, and each op pushes at most once, so
+// push() never reallocates. (Past the reservation it would grow the vector
+// rather than write out of bounds.) No sample is ever overwritten; the
+// name stays because benchmark/sbq_bench.cpp names the type.
 #pragma once
 
 #include <cstddef>
@@ -21,38 +20,22 @@ namespace sbq::service {
 
 class LatencyRing {
  public:
-  explicit LatencyRing(std::size_t capacity)
-      : samples_(capacity == 0 ? 1 : capacity) {}
+  explicit LatencyRing(std::size_t capacity) { samples_.reserve(capacity); }
 
-  void push(sim::Time cycles) noexcept {
-    samples_[next_] = cycles;
-    next_ = next_ + 1 == samples_.size() ? 0 : next_ + 1;
-    ++pushed_;
-  }
+  void push(sim::Time cycles) { samples_.push_back(cycles); }
 
-  std::size_t capacity() const noexcept { return samples_.size(); }
-  std::uint64_t pushed() const noexcept { return pushed_; }
-  std::size_t size() const noexcept {
-    return pushed_ < samples_.size() ? static_cast<std::size_t>(pushed_)
-                                     : samples_.size();
-  }
-  std::uint64_t dropped() const noexcept {
-    return pushed_ < samples_.size() ? 0 : pushed_ - samples_.size();
-  }
+  std::uint64_t pushed() const noexcept { return samples_.size(); }
 
-  // Feed the retained samples into a Summary, each multiplied by `scale`
-  // (pass ns_per_cycle to summarize in nanoseconds).
+  // Feed the samples into a Summary, each multiplied by `scale` (pass
+  // ns_per_cycle to summarize in nanoseconds).
   void drain_into(Summary& summary, double scale) const {
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      summary.add(static_cast<double>(samples_[i]) * scale);
+    for (const sim::Time s : samples_) {
+      summary.add(static_cast<double>(s) * scale);
     }
   }
 
  private:
   std::vector<sim::Time> samples_;
-  std::size_t next_ = 0;
-  std::uint64_t pushed_ = 0;
 };
 
 }  // namespace sbq::service

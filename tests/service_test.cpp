@@ -3,7 +3,8 @@
 // over the broker.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -19,15 +20,13 @@ using sbq::bench::QueueKind;
 using sbq::bench::WorkloadSpec;
 using sbq::bench::with_queue;
 
-ServiceSpec overload_spec(ArrivalKind kind, AdmissionPolicy policy) {
+ServiceSpec overload_spec() {
   ServiceSpec spec;
-  spec.arrival.kind = kind;
   // Far past the drain capacity of one consumer with 16-cycle service
   // time, so the depth-8 gate must trip.
   spec.arrival.rate_per_kcycle = 32.0;
   spec.arrival.seed = 7;
   spec.admission.depth_limit = 8;
-  spec.admission.policy = policy;
   spec.producers = 2;
   spec.consumers = 1;
   spec.total_ops = 150;
@@ -53,16 +52,12 @@ ServiceResult run_sbq_service(const ServiceSpec& spec) {
 }
 
 TEST(ArrivalSchedule, SameConfigSameSchedule) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
-                           ArrivalKind::kRamp, ArrivalKind::kSkewed}) {
-    ArrivalConfig cfg;
-    cfg.kind = kind;
-    cfg.rate_per_kcycle = 4.0;
-    cfg.seed = 99;
-    const auto a = generate_arrivals(cfg, 500);
-    const auto b = generate_arrivals(cfg, 500);
-    EXPECT_EQ(a, b) << arrival_kind_name(kind);
-  }
+  ArrivalConfig cfg;
+  cfg.rate_per_kcycle = 4.0;
+  cfg.seed = 99;
+  const auto a = generate_arrivals(cfg, 500);
+  const auto b = generate_arrivals(cfg, 500);
+  EXPECT_EQ(a, b);
 }
 
 TEST(ArrivalSchedule, SeedChangesSchedule) {
@@ -74,72 +69,55 @@ TEST(ArrivalSchedule, SeedChangesSchedule) {
 }
 
 TEST(ArrivalSchedule, TimestampsStrictlyIncrease) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
-                           ArrivalKind::kRamp}) {
-    ArrivalConfig cfg;
-    cfg.kind = kind;
-    cfg.rate_per_kcycle = 50.0;  // high rate stresses the >= 1-cycle floor
-    const auto times = generate_arrivals(cfg, 300);
-    ASSERT_EQ(times.size(), 300u);
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      EXPECT_GE(times[i], times[i - 1] + 1) << arrival_kind_name(kind);
-    }
+  ArrivalConfig cfg;
+  cfg.rate_per_kcycle = 50.0;  // high rate stresses the >= 1-cycle floor
+  const auto times = generate_arrivals(cfg, 300);
+  ASSERT_EQ(times.size(), 300u);
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_GE(times[i], times[i - 1] + 1);
   }
 }
 
-TEST(ArrivalSchedule, BurstyMeanRateExceedsPoisson) {
-  ArrivalConfig cfg;
-  cfg.rate_per_kcycle = 4.0;
-  const auto poisson = generate_arrivals(cfg, 2000);
-  cfg.kind = ArrivalKind::kBursty;
-  const auto bursty = generate_arrivals(cfg, 2000);
-  // Same op count at a higher mean instantaneous rate finishes sooner.
-  EXPECT_LT(bursty.back(), poisson.back());
+// The exact schedule of the default config: any change to the gap draw,
+// the one-cycle floor or the rounding moves these numbers.
+TEST(ArrivalSchedule, PoissonScheduleIsPinned) {
+  const auto times = generate_arrivals(ArrivalConfig{}, 1000);
+  ASSERT_EQ(times.size(), 1000u);
+  EXPECT_EQ(times[0], 303u);
+  EXPECT_EQ(times[1], 487u);
+  EXPECT_EQ(times[2], 700u);
+  EXPECT_EQ(times.back(), 249117u);
+  EXPECT_EQ(std::accumulate(times.begin(), times.end(), sim::Time{0}),
+            125004509u);
 }
 
 TEST(ArrivalSchedule, RejectsNonPositiveRate) {
-  ArrivalConfig cfg;
-  cfg.rate_per_kcycle = 0.0;
-  EXPECT_THROW(generate_arrivals(cfg, 10), std::invalid_argument);
-}
-
-TEST(ArrivalSchedule, PartitionCoversEveryOpExactlyOnce) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kSkewed}) {
+  for (double rate : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
     ArrivalConfig cfg;
-    cfg.kind = kind;
-    const auto times = generate_arrivals(cfg, 400);
-    const auto parts = partition_arrivals(cfg, times, 4);
-    ASSERT_EQ(parts.size(), 4u);
-    std::vector<int> seen(times.size(), 0);
-    for (const auto& worker : parts) {
-      for (std::size_t i = 1; i < worker.size(); ++i) {
-        EXPECT_LE(worker[i - 1].at, worker[i].at);  // ascending per worker
-      }
-      for (const WorkerArrival& a : worker) {
-        ASSERT_LT(a.op, seen.size());
-        EXPECT_EQ(times[a.op], a.at);
-        ++seen[a.op];
-      }
-    }
-    for (std::size_t op = 0; op < seen.size(); ++op) {
-      EXPECT_EQ(seen[op], 1) << "op " << op << " under "
-                             << arrival_kind_name(kind);
-    }
+    cfg.rate_per_kcycle = rate;
+    EXPECT_THROW(generate_arrivals(cfg, 10), std::invalid_argument) << rate;
   }
 }
 
-TEST(ArrivalSchedule, SkewRoutesHotFractionToWorkerZero) {
-  ArrivalConfig cfg;
-  cfg.kind = ArrivalKind::kSkewed;
-  cfg.hot_fraction = 0.5;
-  const auto times = generate_arrivals(cfg, 2000);
-  const auto parts = partition_arrivals(cfg, times, 4);
-  const double hot_share =
-      static_cast<double>(parts[0].size()) / static_cast<double>(times.size());
-  EXPECT_GT(hot_share, 0.4);
-  EXPECT_LT(hot_share, 0.6);
-  // Round-robin would have given worker 0 exactly 1/4.
-  EXPECT_GT(parts[0].size(), parts[1].size());
+TEST(ArrivalSchedule, PartitionCoversEveryOpExactlyOnce) {
+  const auto times = generate_arrivals(ArrivalConfig{}, 400);
+  const auto parts = partition_arrivals(times, 4);
+  ASSERT_EQ(parts.size(), 4u);
+  std::vector<int> seen(times.size(), 0);
+  for (const auto& worker : parts) {
+    for (std::size_t i = 1; i < worker.size(); ++i) {
+      EXPECT_LE(worker[i - 1].at, worker[i].at);  // ascending per worker
+    }
+    for (const WorkerArrival& a : worker) {
+      ASSERT_LT(a.op, seen.size());
+      EXPECT_EQ(times[a.op], a.at);
+      ++seen[a.op];
+    }
+  }
+  for (std::size_t op = 0; op < seen.size(); ++op) {
+    EXPECT_EQ(seen[op], 1) << "op " << op;
+  }
 }
 
 TEST(AdmissionGate, ConservationIdentity) {
@@ -159,9 +137,7 @@ TEST(AdmissionGate, ConservationIdentity) {
 }
 
 TEST(ServiceBroker, OverloadDropConservesAndRejects) {
-  const ServiceResult r =
-      run_sbq_service(overload_spec(ArrivalKind::kPoisson,
-                                    AdmissionPolicy::kDrop));
+  const ServiceResult r = run_sbq_service(overload_spec());
   EXPECT_EQ(r.offered, 150u);
   EXPECT_EQ(r.accepted + r.rejected, r.offered);
   EXPECT_GT(r.rejected, 0u) << "overload past a depth-8 gate must shed load";
@@ -169,21 +145,8 @@ TEST(ServiceBroker, OverloadDropConservesAndRejects) {
   EXPECT_EQ(r.sojourn.pushed(), r.consumed);
 }
 
-TEST(ServiceBroker, BackpressureWaitsInsteadOfRejecting) {
-  const ServiceResult r =
-      run_sbq_service(overload_spec(ArrivalKind::kBursty,
-                                    AdmissionPolicy::kBackpressure));
-  EXPECT_EQ(r.rejected, 0u);
-  EXPECT_EQ(r.accepted, r.offered);
-  EXPECT_EQ(r.consumed, r.accepted);
-  EXPECT_GT(r.backpressure_waits, 0u);
-  EXPECT_GT(r.backpressure_cycles, 0u);
-}
-
 TEST(ServiceBroker, SojournPercentilesAreSaneUnderOverload) {
-  const ServiceResult r =
-      run_sbq_service(overload_spec(ArrivalKind::kPoisson,
-                                    AdmissionPolicy::kDrop));
+  const ServiceResult r = run_sbq_service(overload_spec());
   Summary sojourn;
   r.sojourn.drain_into(sojourn, 1.0);
   const double p50 = sojourn.percentile(50);
@@ -194,8 +157,7 @@ TEST(ServiceBroker, SojournPercentilesAreSaneUnderOverload) {
 }
 
 TEST(ServiceBroker, RunsAreDeterministic) {
-  const ServiceSpec spec =
-      overload_spec(ArrivalKind::kRamp, AdmissionPolicy::kDrop);
+  const ServiceSpec spec = overload_spec();
   const ServiceResult a = run_sbq_service(spec);
   const ServiceResult b = run_sbq_service(spec);
   EXPECT_EQ(a.offered, b.offered);
@@ -211,7 +173,7 @@ TEST(ServiceBroker, RunsAreDeterministic) {
 
 // A zero batch issues nothing and never yields, so the run would hang.
 TEST(ServiceBroker, RejectsBatchBelowOne) {
-  ServiceSpec spec = overload_spec(ArrivalKind::kPoisson, AdmissionPolicy::kDrop);
+  ServiceSpec spec = overload_spec();
   spec.batch = 0;
   EXPECT_THROW(run_sbq_service(spec), std::invalid_argument);
 }
