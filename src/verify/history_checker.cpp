@@ -1,104 +1,100 @@
 #include "verify/history_checker.hpp"
 
-#include <map>
+#include <algorithm>
+#include <limits>
+#include <unordered_map>
+#include <utility>
 
 namespace sbq::histcheck {
 
+namespace {
+
+constexpr TimeT kNever = std::numeric_limits<TimeT>::max();
+
+std::string str(std::uint64_t x) { return std::to_string(x); }
+
+std::string dequeue(const Op& op) {
+  return "dequeue [" + str(op.invoked) + "," + str(op.responded) +
+         ") returned " + (op.value == 0 ? "NULL" : str(op.value));
+}
+
+}  // namespace
+
 std::vector<Violation> History::check() const {
-  std::vector<Violation> out;
-
-  std::map<ValueT, const Op*> enq_of;   // value -> enqueue op
-  std::vector<const Op*> deqs_null;
-  std::map<ValueT, std::vector<const Op*>> deqs_of;  // value -> dequeues
-
-  for (const Op& op : ops_) {
-    if (op.kind == Op::kEnq) {
-      enq_of[op.value] = &op;
-    } else if (op.value == 0) {
-      deqs_null.push_back(&op);
-    } else {
-      deqs_of[op.value].push_back(&op);
-    }
-  }
-
-  // VFresh + VRepeat.
-  for (const auto& [v, deqs] : deqs_of) {
-    if (enq_of.count(v) == 0) {
-      out.push_back({"VFresh", "dequeued value " + std::to_string(v) +
-                                   " was never enqueued"});
-    }
-    if (deqs.size() > 1) {
-      out.push_back({"VRepeat", "value " + std::to_string(v) + " dequeued " +
-                                    std::to_string(deqs.size()) + " times"});
-    }
-  }
-
-  // Precedence: op1 precedes op2 iff op1.responded < op2.invoked.
-  auto precedes = [](const Op* a, const Op* b) {
-    return a->responded < b->invoked;
+  // Per value: its enqueue, its dequeue count and the earliest invocation
+  // among its dequeues (kNever if it was never dequeued).
+  struct Value {
+    const Op* enq = nullptr;
+    std::size_t deqs = 0;
+    TimeT first_deq = kNever;
   };
-
-  // VOrd: enq(a) ≺ enq(b), b dequeued, and (a never dequeued, or
-  // deq(b) ≺ deq(a)).
-  for (const auto& [vb, deqs_b] : deqs_of) {
-    auto itb = enq_of.find(vb);
-    if (itb == enq_of.end()) continue;
-    const Op* enq_b = itb->second;
-    for (const auto& [va, enq_a] : enq_of) {
-      if (va == vb || !precedes(enq_a, enq_b)) continue;
-      auto ita = deqs_of.find(va);
-      if (ita == deqs_of.end()) {
-        // a never dequeued although b (enqueued later) was: only a
-        // violation if the history is complete and drained — callers
-        // ensure every enqueued element is dequeued, so report it.
-        out.push_back({"VOrd", "value " + std::to_string(vb) +
-                                   " dequeued but earlier-enqueued " +
-                                   std::to_string(va) + " never dequeued"});
-        continue;
-      }
-      const Op* deq_a = ita->second.front();
-      const Op* deq_b = deqs_b.front();
-      if (precedes(deq_b, deq_a)) {
-        out.push_back({"VOrd",
-                       "deq(" + std::to_string(vb) + ") completed before deq(" +
-                           std::to_string(va) + ") was invoked, but enq(" +
-                           std::to_string(va) + ") preceded enq(" +
-                           std::to_string(vb) + ")"});
-      }
+  std::unordered_map<ValueT, Value> values;
+  values.reserve(ops_.size());
+  for (const Op& op : ops_) {
+    Value& val = values[op.value];
+    if (op.kind == Op::kEnq) {
+      val.enq = &op;
+    } else if (op.value != 0) {
+      ++val.deqs;
+      val.first_deq = std::min(val.first_deq, op.invoked);
     }
   }
 
-  // VWit: a null dequeue D although some value v has enq(v) ≺ D and every
-  // dequeue of v begins only after D responds (v was in the queue for all
-  // of D's interval).
-  for (const Op* d : deqs_null) {
-    for (const auto& [v, enq] : enq_of) {
-      if (!precedes(enq, d)) continue;
-      const auto it = deqs_of.find(v);
-      bool witness_in_queue_throughout;
-      if (it == deqs_of.end()) {
-        witness_in_queue_throughout = true;  // never dequeued at all
-      } else {
-        // If any dequeue of v was invoked before D responded, v may have
-        // left the queue during D's interval — not a witness.
-        witness_in_queue_throughout = true;
-        for (const Op* dv : it->second) {
-          if (dv->invoked < d->responded) {
-            witness_in_queue_throughout = false;
-            break;
-          }
-        }
-      }
-      if (witness_in_queue_throughout) {
-        out.push_back({"VWit",
-                       "dequeue returned NULL at [" +
-                           std::to_string(d->invoked) + "," +
-                           std::to_string(d->responded) + ") although " +
-                           std::to_string(v) + " was enqueued before and not "
-                           "removed during the interval"});
-        break;  // one witness per null dequeue is enough
+  // VFresh and VRepeat, in record order. Every other dequeue becomes a
+  // query keyed by an invocation: a NULL dequeue's own (VWit), or that of
+  // the enqueue of the value it returned (VOrd).
+  std::vector<Violation> out;
+  std::vector<const Op*> enqs;
+  std::vector<std::pair<TimeT, const Op*>> queries;
+  for (const Op& op : ops_) {
+    Value& val = values[op.value];
+    if (op.kind == Op::kEnq) {
+      enqs.push_back(&op);
+    } else if (op.value == 0) {
+      queries.emplace_back(op.invoked, &op);
+    } else if (val.enq == nullptr || op.responded < val.enq->invoked) {
+      out.push_back({"VFresh", dequeue(op) + (val.enq == nullptr
+                                                  ? ", never enqueued"
+                                                  : ", not yet enqueued")});
+    } else {
+      queries.emplace_back(val.enq->invoked, &op);
+    }
+    if (op.kind == Op::kDeq && val.deqs > 1) {
+      out.push_back({"VRepeat", "value " + str(op.value) + " dequeued " +
+                                    str(val.deqs) + " times"});
+      val.deqs = 1;  // one report per value
+    }
+  }
+
+  // Sweep the queries by key over the enqueues by response, keeping the
+  // latest first-dequeue invocation among the enqueues that precede the key.
+  // If that value was still in the queue when the query's dequeue responded,
+  // the dequeue is a VOrd (FIFO inverted, or the earlier value never left)
+  // or, if it returned NULL, a VWit.
+  std::sort(enqs.begin(), enqs.end(), [](const Op* a, const Op* b) {
+    return a->responded < b->responded;
+  });
+  std::sort(queries.begin(), queries.end());
+  TimeT latest = 0;
+  ValueT witness = 0;  // the value whose first dequeue is `latest`
+  std::size_t next = 0;
+  for (const auto& [key, d] : queries) {
+    for (; next < enqs.size() && enqs[next]->responded < key; ++next) {
+      const TimeT first = values[enqs[next]->value].first_deq;
+      if (first > latest) {
+        latest = first;
+        witness = enqs[next]->value;
       }
     }
+    if (latest <= d->responded) continue;
+    const std::string why = " although " + str(witness) + ", enqueued before";
+    out.push_back(d->value == 0
+                      ? Violation{"VWit", dequeue(*d) + why +
+                                              ", stayed queued throughout"}
+                      : Violation{"VOrd", dequeue(*d) + why + ", was " +
+                                              (latest == kNever
+                                                   ? "never dequeued"
+                                                   : "dequeued only after")});
   }
   return out;
 }

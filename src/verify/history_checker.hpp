@@ -1,23 +1,31 @@
 // Aspect-oriented linearizability checking for queue histories.
 //
 // §5.3.2 of the paper proves SBQ linearizable via the Henzinger–Sezgin–
-// Vafeiadis framework [13]: a complete queue history is linearizable iff it
-// contains none of four violations (assuming unique enqueued values):
+// Vafeiadis framework [13]: a complete queue history with unique enqueued
+// values is linearizable iff it contains none of four violations:
 //
-//   VFresh  — a dequeue returns a value that was never enqueued;
+//   VFresh  — a dequeue returns a value that was never enqueued, or that is
+//             enqueued only after the dequeue completes;
 //   VRepeat — two dequeues return the value of the same enqueue;
 //   VOrd    — enqueue(b) is invoked after enqueue(a) COMPLETES, some
 //             dequeue returns b, but a is never dequeued or a's dequeue is
 //             invoked only after b's dequeue completes;
 //   VWit    — a dequeue returns NULL although some element was enqueued
-//             (completed) before its invocation and not yet dequeued
-//             throughout its whole execution interval.
+//             (completed) before its invocation and none of its dequeues
+//             is invoked before the NULL dequeue completes.
 //
-// This library implements the checks directly over recorded operation
-// intervals. On the simulator, timestamps are exact virtual times, so the
-// precedence relation (resp < inv) is precise — the checker is a sound and
-// complete test for these four violation classes. Shared by the tests and
-// the `sbq_check_history` CLI (tools/sbq_check_history.cpp).
+// check() tests them over recorded operation intervals (op1 precedes op2
+// iff op1.responded < op2.invoked) in O(n log n): one hash pass for VFresh
+// and VRepeat, then one sort-and-sweep answers VOrd and VWit as dominance
+// queries. It reports one violation per offending dequeue (per value for
+// VRepeat). Its contract, on complete histories with unique enqueued
+// values: every history it flags is not linearizable, and on histories
+// without NULL dequeues its verdict is exact. It can pass a non-
+// linearizable history with a NULL dequeue whose witness is in the queue
+// only transitively — e.g. enq [2,8] v1, enq [5,9] v2, deq [10,13] → v1,
+// deq [9,12] → NULL: the NULL must follow deq → v1, which follows enq v2,
+// yet enq v2 does not precede the NULL dequeue by itself. Shared by the
+// tests and the `sbq_check_history` CLI (tools/sbq_check_history.cpp).
 #pragma once
 
 #include <cstdint>

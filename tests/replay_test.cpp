@@ -371,6 +371,30 @@ TEST(NativeRecord, AllQueuesLinearizableAndValueConserving) {
   }
 }
 
+// The checker sorts and sweeps, so a million-record native history checks
+// in well under a second. Sanitizer builds (the ASan and TSan jobs) record
+// a tenth of it so that their slower threads still finish in time.
+TEST(NativeRecord, MillionRecordHistoryChecksClean) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr std::uint64_t kPairs = 12'500;
+#else
+  constexpr std::uint64_t kPairs = 125'000;
+#endif
+  replay::NativeRecordSpec spec;
+  spec.threads = 4;
+  spec.pairs_per_thread = kPairs;
+  replay::OpTrace trace;
+  ASSERT_TRUE(replay::record_native_queue("SBQ-HTM", spec, trace));
+  // 4 threads x kPairs enqueue/dequeue pairs, plus the drain's final NULL.
+  ASSERT_EQ(trace.records.size(), 8 * kPairs + 1);
+
+  const auto violations = history_of(trace.records).check();
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations, first: "
+      << (violations.empty() ? "" : violations.front().kind + " " +
+                                        violations.front().detail);
+}
+
 TEST(NativeRecord, MutatedTraceFailsTheChecker) {
   replay::NativeRecordSpec spec;
   spec.threads = 2;
