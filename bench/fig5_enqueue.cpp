@@ -6,6 +6,7 @@
 // threads; SBQ-CAS tracks it at low concurrency and stops scaling around 20
 // threads; WF-Queue (FAA), BQ-Original and CC-Queue grow linearly, so at 44
 // producers SBQ-HTM reaches ~1.6x the throughput of the FAA queue.
+#include <exception>
 #include <iostream>
 
 #include "benchsupport/sweep.hpp"
@@ -13,7 +14,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -83,4 +84,7 @@ int main(int argc, char** argv) {
   }
   const auto [mcfg, spec] = make(threads.front(), 0);
   return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "fig5_enqueue: " << e.what() << "\n";
+  return 1;
 }

@@ -161,10 +161,6 @@ int main(int argc, char** argv) {
 
   // The shared fault, machine and policy options.
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, 2 * producers);
-  // Counter increments are cheap but SimSbq's host-side occupancy
-  // bookkeeping (filled_) grows with every basket — the gate measures the
-  // simulator proper, so stats stay off.
-  mcfg.collect_stats = false;
   // --cas-policy points the same zero-alloc gate at the adaptive retry
   // paths: policy state lives inline in each core's TxCasOp slot, so a
   // steady phase under adaptive-backoff must be exactly as allocation-free
@@ -205,7 +201,8 @@ int main(int argc, char** argv) {
 
   // Pre-size every per-line table for the run's whole address range: the
   // queue header plus one fresh node per enqueue (upper bound; losers reuse
-  // their nodes). Setup-time allocation, like reserving a vector.
+  // their nodes), and the queue's open-basket counts for one basket per
+  // enqueue. Setup-time allocation, like reserving a vector.
   const std::uint64_t total_enqueues = static_cast<std::uint64_t>(repeats + 1) *
                                        static_cast<std::uint64_t>(producers) *
                                        ops;
@@ -215,6 +212,7 @@ int main(int argc, char** argv) {
   m.reserve_lines(16 + 2 * static_cast<std::uint64_t>(producers) +
                   (total_enqueues + 2) * node_words);
   m.reserve_tasks(static_cast<std::size_t>(2 * producers));
+  q.reserve_baskets(total_enqueues);
 
   std::cout << "# Sim microbench: whole-machine enqueue/dequeue rounds with "
                "heap-allocation accounting\n# ("

@@ -102,9 +102,14 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     } else if (std::strcmp(a, "--seed") == 0) {
       opts.seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--ops") == 0) {
+      // 0 means "unset" (the driver's default), so it cannot be given.
       opts.ops = parse_number<unsigned long long>(a, next_value());
+      if (opts.ops == 0) throw std::invalid_argument("--ops needs a count >= 1");
     } else if (std::strcmp(a, "--repeats") == 0) {
       opts.repeats = parse_number<int>(a, next_value());
+      if (opts.repeats < 1) {
+        throw std::invalid_argument("--repeats needs a count >= 1");
+      }
     } else if (std::strcmp(a, "--jobs") == 0) {
       opts.jobs = parse_number<int>(a, next_value());
       if (opts.jobs < 1) {

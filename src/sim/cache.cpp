@@ -40,7 +40,7 @@ void Core::on_data(const Message& msg) {
 }
 
 void Core::on_inv_ack(const Message& msg) {
-  if (metrics_) metrics_->on_inv_ack(id_);
+  metrics_.on_inv_ack(id_);
   Pending* p = pending(msg.addr);
   assert(p != nullptr && "Inv-Ack with no pending request");
   ++p->acks_got;
@@ -51,7 +51,7 @@ void Core::on_inv_ack(const Message& msg) {
 
 void Core::on_inv(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_inv(id_);
+  metrics_.on_inv(id_);
   Pending* p = pending(a);
   if (p != nullptr && !p->want_m && !p->got_data) {
     // Inv raced ahead of the data for our GetS (the data is coming from an
@@ -87,7 +87,7 @@ bool Core::fwd_predates_pending_request(Addr a, const Pending& p) const {
 
 void Core::on_fwd_gets(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_fwd(id_, /*getm=*/false);
+  metrics_.on_fwd(id_, /*getm=*/false);
   if (Pending* p = pending(a)) {
     if (fwd_predates_pending_request(a, *p)) {
       // The read was ordered before our own upgrade: serve it from the
@@ -106,7 +106,7 @@ void Core::on_fwd_gets(const Message& msg) {
       // the conflicting request is a read — stall it until commit. (Safe:
       // the reader is not one of the sharers whose acks we are waiting on.)
       ++state_.stats.uarch_fix_stalls;
-      if (metrics_) metrics_->on_uarch_fix_stall(id_);
+      metrics_.on_uarch_fix_stall(id_);
       if (trace_ && trace_->enabled()) {
         trace_->record(engine_.now(), id_, "uarch-fix stall Fwd-GetS", a,
                        msg.requester);
@@ -132,7 +132,7 @@ void Core::on_fwd_gets(const Message& msg) {
 
 void Core::on_fwd_getm(const Message& msg) {
   const Addr a = msg.addr;
-  if (metrics_) metrics_->on_fwd(id_, /*getm=*/true);
+  metrics_.on_fwd(id_, /*getm=*/true);
   if (const Pending* p = pending(a)) {
     if (fwd_predates_pending_request(a, *p)) {
       // Ordered before our upgrade: the writer takes our Owned copy now
@@ -181,7 +181,7 @@ void Core::answer_fwd_gets(const Message& msg) {
                .requester = msg.requester, .type = MsgType::kData};
   net_.send(id_, msg.requester, data);
   if (first_downgrade) {
-    if (metrics_) metrics_->on_wb(id_);
+    metrics_.on_wb(id_);
     Message wb{.addr = a, .value = line.value, .src = id_, .requester = id_,
                .type = MsgType::kWbData};
     net_.send(id_, dir_, wb);

@@ -20,7 +20,7 @@ std::uint32_t rate_to_threshold(double rate) noexcept {
 }  // namespace
 
 Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
-           const MachineConfig& cfg, Trace* trace, Stats* metrics)
+           const MachineConfig& cfg, Trace* trace, Stats& metrics)
     : id_(id), engine_(engine), net_(net), cfg_(cfg), trace_(trace),
       metrics_(metrics), dir_(net.directory_id()), lines_(lines) {
   const FaultPlan& plan = cfg_.fault_plan;
@@ -126,7 +126,7 @@ void Core::resume(Cont cont, std::uint64_t token, Addr a, LineRecord& line,
 
 void Core::issue_request(Addr a, bool want_m, Cont cont, std::uint64_t token) {
   assert(!req_live_ && "one request in flight per core");
-  if (metrics_) metrics_->on_request(id_, want_m);
+  metrics_.on_request(id_, want_m);
   req_ = Pending{.want_m = want_m, .cont = cont, .token = token};
   req_addr_ = a;
   req_live_ = true;
@@ -348,7 +348,7 @@ void Core::start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
                        std::coroutine_handle<> thread) {
   begin_op(OpKind::kTxCas, a, expected, desired, thread);
   ++state_.stats.txcas_calls;
-  if (metrics_) metrics_->on_txcas_call(id_);
+  metrics_.on_txcas_call(id_);
   TxCasOp& op = txcas_op_;
   op.cfg = cfg;
   // Re-arm the retry brain for this call: machine-wide policy params, this
@@ -364,14 +364,14 @@ void Core::txcas_attempt() {
   // exhaustion, or degrade after persistent non-conflict aborts (capacity,
   // interrupt, spurious — retrying those buys nothing).
   const CasStep step = op.policy.next_step();
-  if (metrics_) metrics_->on_policy_step(id_, static_cast<int>(step));
+  metrics_.on_policy_step(id_, static_cast<int>(step));
   if (step != CasStep::kTxn) {
     txcas_fallback(/*degraded=*/step == CasStep::kFallbackDegraded);
     return;
   }
   op.policy.note_attempt();
   ++state_.stats.txcas_attempts;
-  if (metrics_) metrics_->on_txn_attempt(id_);
+  metrics_.on_txn_attempt(id_);
   op_.kind = OpKind::kTxCas;
   txn_.active = true;
   txn_.in_write_phase = false;
@@ -404,11 +404,8 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
     // Self-abort (_xabort(1) in Algorithm 1): the CAS fails outright.
     ++state_.stats.self_aborts;
     ++state_.stats.txcas_fail;
-    if (metrics_) {
-      metrics_->on_txn_abort(id_, AbortCause::kExplicit);
-      metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
-                              false);
-    }
+    metrics_.on_txn_abort(id_, AbortCause::kExplicit);
+    metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), false);
     txn_ = Txn{.token = txn_.token};
     engine_.schedule(cfg_.hit_latency, [this] { finish_op(0); });
     return;
@@ -436,7 +433,7 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
                  1442695040888963407ULL + static_cast<std::uint64_t>(id_);
   const Time jitter_range = delay_base / 2 + 16;
   const Time jitter = (jitter_state >> 33) % jitter_range;
-  if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/true, delay_base + jitter);
+  metrics_.on_policy_delay(id_, /*intra=*/true, delay_base + jitter);
   engine_.schedule(delay_base + jitter, [this, token] {
     if (!txn_.active || txn_.token != token) return;
     txcas_enter_write();
@@ -507,11 +504,8 @@ void Core::txcas_commit() {
   lines_.at(a).value = op_.a1;
   ++state_.stats.txcas_success;
   op.policy.on_commit(state_.policy_state);
-  if (metrics_) {
-    metrics_->on_txn_commit(id_);
-    metrics_->on_txcas_done(id_, static_cast<int>(op.policy.attempts()),
-                            true);
-  }
+  metrics_.on_txn_commit(id_);
+  metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), true);
   txn_ = Txn{.token = txn_.token};
   if (trace_ && trace_->enabled()) {
     trace_->record(engine_.now(), id_, "txcas commit", a,
@@ -530,7 +524,7 @@ void Core::txcas_commit() {
 void Core::txcas_abort(int kind, AbortCause cause) {
   assert(txn_.active);
   TxCasOp& op = txcas_op_;
-  if (metrics_) metrics_->on_txn_abort(id_, cause);
+  metrics_.on_txn_abort(id_, cause);
   txn_.active = false;
   txn_.read_marked = false;
   ++txn_.token;  // cancels any scheduled delay timer
@@ -560,7 +554,7 @@ void Core::txcas_abort(int kind, AbortCause cause) {
     // (== cfg.post_abort_delay under fixed; scaled + jittered from the
     // serialized per-core stream under adaptive-backoff).
     const Time post = op.policy.post_abort_delay(state_.policy_state);
-    if (metrics_) metrics_->on_policy_delay(id_, /*intra=*/false, post);
+    metrics_.on_policy_delay(id_, /*intra=*/false, post);
     engine_.schedule(post, [this] { txcas_post_abort(); });
   } else {
     // Conflict after the nested transaction (we may be the tripped writer):
@@ -579,10 +573,8 @@ void Core::txcas_post_abort() {
 void Core::txcas_post_abort_loaded() {
   if (op_.result != op_.a0) {
     ++state_.stats.txcas_fail;
-    if (metrics_) {
-      metrics_->on_txcas_done(
-          id_, static_cast<int>(txcas_op_.policy.attempts()), false);
-    }
+    metrics_.on_txcas_done(id_, static_cast<int>(txcas_op_.policy.attempts()),
+                           false);
     finish_op(0);
   } else {
     txcas_attempt();
@@ -621,10 +613,10 @@ void Core::deliver_injected_fault(FaultKind kind) {
 void Core::txcas_fallback(bool degraded) {
   if (degraded) {
     ++state_.stats.fallback_cas;
-    if (metrics_) metrics_->on_fallback_cas(id_);
+    metrics_.on_fallback_cas(id_);
   } else {
     ++state_.stats.fallbacks;
-    if (metrics_) metrics_->on_txn_fallback(id_);
+    metrics_.on_txn_fallback(id_);
   }
   ++state_.stats.rmws;
   op_.kind = OpKind::kTxFallback;
@@ -638,10 +630,8 @@ void Core::txcas_fallback_done() {
   } else {
     ++state_.stats.txcas_fail;
   }
-  if (metrics_) {
-    metrics_->on_txcas_done(
-        id_, static_cast<int>(txcas_op_.policy.attempts()), ok);
-  }
+  metrics_.on_txcas_done(id_, static_cast<int>(txcas_op_.policy.attempts()),
+                         ok);
   finish_op(ok ? 1 : 0);
 }
 

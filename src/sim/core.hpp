@@ -101,7 +101,7 @@ class Core {
  public:
   // The core's cached copies live in `lines`, the machine's line table.
   Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
-       const MachineConfig& cfg, Trace* trace, Stats* metrics = nullptr);
+       const MachineConfig& cfg, Trace* trace, Stats& metrics);
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -109,8 +109,8 @@ class Core {
   CoreId id() const noexcept { return id_; }
   Time now() const noexcept { return engine_.now(); }
   const CoreStats& stats() const noexcept { return state_.stats; }
-  // Metrics registry this core reports into (null when stats are off).
-  Stats* metrics() const noexcept { return metrics_; }
+  // The machine's metrics registry, which this core reports into.
+  Stats& metrics() const noexcept { return metrics_; }
 
   // Message arrival (a kDeliver event).
   void handle(const Message& msg);
@@ -413,7 +413,7 @@ class Core {
   Interconnect& net_;
   MachineConfig cfg_;
   Trace* trace_;
-  Stats* metrics_;  // machine-wide registry; may be null
+  Stats& metrics_;  // machine-wide registry
   CoreId dir_;
 
   LineTable& lines_;     // shared with the directory and every core

@@ -1,4 +1,4 @@
-// FlatMap — insert-only open-addressing hash table keyed on Addr.
+// FlatMap — open-addressing hash table keyed on Addr.
 //
 // The simulator's line table (line_table.hpp: one record per line, holding
 // the directory's fields and every core's copy) keys on Addr with one
@@ -16,14 +16,16 @@
 //  * Power-of-two capacity; slot index from the top bits of the key times
 //    the golden ratio (Fibonacci hashing), which spreads the low entropy of
 //    word addresses and of 64- or 4096-byte strides.
-//  * Insert-only: no erase, so no tombstones. The table doubles when an
-//    insertion would fill more than 7/8 of it. Growth moves values: like
+//  * No tombstones: erase shifts the rest of its probe run back (the line
+//    table never erases; the simulated SBQ's open-basket counts do). The
+//    table doubles when an insertion would fill more than 7/8 of it and
+//    never shrinks. Growth and erase move values: like
 //    unordered_map::rehash it invalidates references, so callers must not
-//    hold a mapped reference across an insertion (only the directory
+//    hold a mapped reference across an insertion or erase (the directory
 //    inserts, and no record reference outlives a delivery; the flat_map
 //    unit test covers reference stability within a reserved capacity).
 //  * Iteration yields std::pair<Addr, V>& in slot order. Nothing on an
-//    output path iterates the table, so slot order is not
+//    output path depends on that order (SimSbq sorts), so slot order is not
 //    schedule-visible (asserted by the byte-identical driver check).
 //  * A lookaside hint sits in front of the probe: an inline array of
 //    kHints slot indices, indexed by the key's low bits, each the slot
@@ -148,6 +150,24 @@ class FlatMap {
     }
     h = static_cast<std::uint32_t>(i);
     return slots_[i].second;
+  }
+
+  // Remove `key` if present: each later entry of its probe run whose home
+  // slot is not after the hole moves back into it (a moved entry's hint
+  // goes stale, which lookups tolerate).
+  void erase(Addr key) noexcept {
+    std::size_t hole = find_index(key);
+    if (hole == slots_.size()) return;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (hole + 1) & mask; slots_[i].first != kNullAddr;
+         i = (i + 1) & mask) {
+      if (((i - slot_of(slots_[i].first)) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = std::move(slots_[i]);
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
   }
 
   // Pre-size so `n` entries fit without rehashing (like unordered_map::

@@ -21,17 +21,15 @@ MachineConfig normalized(MachineConfig cfg) {
 Machine::Machine(MachineConfig cfg)
     : cfg_(normalized(cfg)),
       trace_(cfg_.record_trace, cfg_.trace_capacity),
+      stats_(cfg_.cores),
       net_(std::make_unique<Interconnect>(engine_, cfg_, &trace_,
                                           &debug_ring_)),
       dir_(engine_, *net_, lines_, cfg_, &trace_) {
-  if (cfg_.collect_stats) {
-    stats_ = std::make_unique<Stats>(cfg_.cores);
-  }
   engine_.set_handler(&Machine::on_event, this);
   cores_.reserve(static_cast<std::size_t>(cfg_.cores));
   for (int i = 0; i < cfg_.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, engine_, *net_, lines_, cfg_,
-                                            &trace_, stats_.get()));
+                                            &trace_, stats_));
   }
   if (cfg_.fault_plan.enabled) {
     one_shots_pending_ = cfg_.fault_plan.one_shots.size();
@@ -48,7 +46,7 @@ Machine::Machine(const MachineSnapshot& snap) : Machine(snap.cfg) {
     cores_[i]->restore_state(snap.cores[i]);
   }
   trace_ = snap.trace;
-  if (stats_ && snap.stats) *stats_ = *snap.stats;
+  stats_ = snap.stats;
   next_addr_ = snap.next_addr;
   spawned_ = snap.spawned;
   finished_ = snap.finished;
@@ -90,7 +88,7 @@ MachineSnapshot Machine::snapshot() const {
   snap.cores.reserve(cores_.size());
   for (const auto& c : cores_) snap.cores.push_back(c->save_state());
   snap.trace = trace_;
-  if (stats_) snap.stats.emplace(*stats_);
+  snap.stats = stats_;
   snap.next_addr = next_addr_;
   snap.spawned = spawned_;
   snap.finished = finished();
@@ -102,12 +100,10 @@ MetricsSnapshot Machine::metrics() const {
   MetricsSnapshot snap;
   snap.fault_injection = cfg_.fault_plan.enabled;
   snap.cas_policy_kind = static_cast<int>(cfg_.cas_policy.kind);
-  if (stats_) {
-    snap.protocol = stats_->protocol();
-    snap.htm = stats_->htm();
-    snap.basket = stats_->basket();
-    snap.policy = stats_->policy();
-  }
+  snap.protocol = stats_.protocol();
+  snap.htm = stats_.htm();
+  snap.basket = stats_.basket();
+  snap.policy = stats_.policy();
   snap.messages = net_->messages_sent();
   snap.link_messages = net_->link_messages();
   snap.link_wait_cycles = net_->link_wait_cycles();

@@ -8,7 +8,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/coro.hpp"
@@ -38,7 +37,7 @@ struct MachineSnapshot {
   Directory::State directory;
   std::vector<Core::State> cores;
   Trace trace;
-  std::optional<Stats> stats;
+  Stats stats{0};
   Addr next_addr = 1;
   std::size_t spawned = 0;
   std::size_t finished = 0;
@@ -79,12 +78,12 @@ class Machine {
   }
   Time now() const noexcept { return engine_.now(); }
   Trace& trace() noexcept { return trace_; }
-  // Metrics registry; null when MachineConfig::collect_stats is false.
-  Stats* stats() noexcept { return stats_.get(); }
-  const Stats* stats() const noexcept { return stats_.get(); }
-  // Flattened counter snapshot (all-zero blocks when stats are disabled)
-  // plus engine/interconnect totals — what sweep cells put into
-  // BENCH_*.json. Callable at any point; counters are cumulative.
+  // The metrics registry.
+  Stats& stats() noexcept { return stats_; }
+  const Stats& stats() const noexcept { return stats_; }
+  // Flattened counter snapshot plus engine/interconnect totals — what
+  // sweep cells put into BENCH_*.json. Callable at any point; counters are
+  // cumulative.
   MetricsSnapshot metrics() const;
   Directory& directory() noexcept { return dir_; }
   void poke(Addr a, Value v) { dir_.poke(a, v); }
@@ -155,7 +154,7 @@ class Machine {
   Engine engine_;
   Trace trace_;
   DebugRing debug_ring_;
-  std::unique_ptr<Stats> stats_;
+  Stats stats_;
   std::unique_ptr<Interconnect> net_;
   LineTable lines_;
   Directory dir_;

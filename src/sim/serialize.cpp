@@ -305,7 +305,7 @@ struct SnapshotSerde {
     for (const auto& c : s.per_core_htm_) w("htm", c);
   }
 
-  // `stats` was emplaced from the config's core count, so the per-core
+  // `stats` was built from the config's core count, so the per-core
   // tables are already sized; the blob's count must agree with the config.
   static bool decode_stats(Reader& r, Stats& s, int cores) {
     r("protocol", s.protocol_);
@@ -358,8 +358,8 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w("cores", snap.cores);
 
   w.u8(kTagStats);
-  w("has_stats", snap.stats.has_value());
-  if (snap.stats.has_value()) SnapshotSerde::encode_stats(w, *snap.stats);
+  w("has_stats", true);  // schema 10: the flag of the deleted stats-off mode
+  SnapshotSerde::encode_stats(w, snap.stats);
 
   w.u8(kTagCursors);
   w("next_addr", snap.next_addr);
@@ -420,10 +420,9 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   bool have_stats = false;
   if (!r.tag(kTagStats)) return false;
   r("has_stats", have_stats);
-  snap.stats.reset();
-  if (have_stats) {
-    snap.stats.emplace(cores);
-    if (!SnapshotSerde::decode_stats(r, *snap.stats, cores)) return false;
+  snap.stats = Stats(cores);
+  if (!have_stats || !SnapshotSerde::decode_stats(r, snap.stats, cores)) {
+    return false;
   }
 
   if (!r.tag(kTagCursors)) return false;

@@ -50,7 +50,8 @@ std::vector<std::uint8_t> encode_snapshot_blob(
 // Decode a blob produced by encode_snapshot_blob under the same schema
 // version and `key`. On success fills `snap` + `host_words` and returns
 // true; on any mismatch (magic, version, key, checksum, truncation, section
-// shape) returns false, and the outputs' contents must not be trusted.
+// shape, a has_stats flag of 0 from the deleted stats-off mode) returns
+// false, and the outputs' contents must not be trusted.
 bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
                           std::uint64_t key, MachineSnapshot& snap,
                           std::vector<std::uint64_t>& host_words);

@@ -15,9 +15,8 @@
 // traced to exact event counts — see docs/observability.md for the full
 // taxonomy and how each counter maps to the paper's terminology.
 //
-// Overhead: collection is plain counter increments behind a null-check on
-// the owning component's `Stats*` (disabled ⇒ no Stats object ⇒ one
-// predictable branch). The discrete-event engine itself has no hooks at all — its fast path is
+// Overhead: collection is plain counter increments, always on. The
+// discrete-event engine itself has no hooks at all — its fast path is
 // byte-for-byte the one engine_microbench gates.
 #pragma once
 
@@ -289,7 +288,7 @@ class Stats {
 
  private:
   // Snapshot serialization (sim/serialize.cpp) restores the registry
-  // member-by-member into an instance emplaced from its core count.
+  // member-by-member into an instance built from its core count.
   friend struct SnapshotSerde;
 
   ProtocolCounters protocol_;

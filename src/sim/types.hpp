@@ -151,9 +151,6 @@ struct MachineConfig {
   // Bounded event-trace ring: once `trace_capacity` events are buffered the
   // oldest are overwritten (Trace::dropped() reports how many).
   std::size_t trace_capacity = std::size_t{1} << 20;
-  // Metrics registry (sim::Stats): machine-wide + per-core counters. Plain
-  // increments — keep on unless a microbenchmark needs the last percent.
-  bool collect_stats = true;
   // Fault injection (docs/robustness.md). Disabled by default: with the
   // default plan every driver's output is byte-identical to tests/golden/.
   FaultPlan fault_plan;
@@ -184,6 +181,9 @@ struct MachineConfig {
     v("uarch_fix", uarch_fix);
     v("record_trace", record_trace);
     v("trace_capacity", trace_capacity);
+    // Schema-10 slot of the deleted stats-off mode: the metrics registry is
+    // always on, so the blob and the config digest always carry true here.
+    bool collect_stats = true;
     v("collect_stats", collect_stats);
     v("fault_plan", fault_plan);
     v("check_invariants", check_invariants);

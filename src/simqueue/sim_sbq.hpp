@@ -31,11 +31,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "simqueue/sim_queue_base.hpp"
 
 namespace sbq::simq {
@@ -81,8 +80,8 @@ class SimSbq {
     out.insert(out.end(), reusable_.begin(), reusable_.end());
     // The occupancy map is unordered; emit entries sorted by node address
     // so the blob is deterministic.
-    std::vector<std::pair<Addr, std::uint64_t>> entries(filled_.begin(),
-                                                        filled_.end());
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    for (const auto& entry : open_) entries.push_back(entry);
     std::sort(entries.begin(), entries.end());
     out.push_back(entries.size());
     for (const auto& [node, count] : entries) {
@@ -96,6 +95,10 @@ class SimSbq {
   // machine-independent; sweep cells copy the warmed prototype queue and
   // rebind the copy to their fork.
   void rebind(Machine& m) { machine_ = &m; }
+
+  // Pre-size the open-basket counts for `n` baskets, as
+  // Machine::reserve_lines does the line table (sim_microbench).
+  void reserve_baskets(std::size_t n) { open_.reserve(n); }
 
   static constexpr int kInitCyclesPerCell = 2;
 
@@ -148,20 +151,24 @@ class SimSbq {
       co_await c.store(node_link(new_node), pack_link(my_index, 0));
       const int status = co_await try_append(c, t, t_link, new_node, my_index);
       if (status == kSuccess) {
-        if (auto* st = c.metrics()) {
-          st->on_basket_append(/*won=*/true);
-          ++filled_[new_node];  // the winner's own cell, stored above
-        }
+        c.metrics().on_basket_append(/*won=*/true);
+        // The winner's own cell, stored above. Other cores see the link a
+        // message delay after the winner's write, and the winner resumes
+        // sooner, so the entry is made before any core looks for it.
+        open_[new_node] = 1;
         co_await c.cas(tail_addr(), t, new_node);
         break;
       }
       if (status == kFailure) {
-        if (auto* st = c.metrics()) st->on_basket_append(/*won=*/false);
+        c.metrics().on_basket_append(/*won=*/false);
         // Another node was appended; join the winner's basket.
         t = link_next(co_await c.load(node_link(t)));
         if (co_await c.cas(node_cell(t, static_cast<Value>(id)), kInsertMark,
                            element) != 0) {
-          if (c.metrics() != nullptr) ++filled_[t];  // joined the basket
+          // Joined the basket. A join that lands after the basket's close
+          // was counted (its CAS can precede the closer's SWAP) finds no
+          // entry and is not counted.
+          if (std::uint64_t* n = open_.find_ptr(t)) ++*n;
           // Keep our node for reuse; undo its single insertion (O(1)).
           co_await c.store(node_cell(new_node, static_cast<Value>(id)),
                            kInsertMark);
@@ -226,12 +233,12 @@ class SimSbq {
   Task<Addr> take_or_allocate(Core& c, int id) {
     Addr& slot = reusable_[static_cast<std::size_t>(id)];
     if (slot != 0) {
-      if (auto* st = c.metrics()) st->on_basket_node(/*reused=*/true);
+      c.metrics().on_basket_node(/*reused=*/true);
       const Addr node = slot;
       slot = 0;
       co_return node;
     }
-    if (auto* st = c.metrics()) st->on_basket_node(/*reused=*/false);
+    c.metrics().on_basket_node(/*reused=*/false);
     // Fresh allocation: model the basket initialization as local work.
     co_await c.think(static_cast<Time>(kInitCyclesPerCell * basket_cap_));
     co_return machine_->alloc(node_words());
@@ -242,7 +249,7 @@ class SimSbq {
   Task<int> try_append(Core& c, Addr tail, Value tail_link, Addr new_node,
                        Value my_index) {
     if (link_next(tail_link) != 0) {
-      if (auto* st = c.metrics()) st->on_basket_stale_tail();
+      c.metrics().on_basket_stale_tail();
       co_return kBadTail;
     }
     const Value expected = pack_link(my_index - 1, 0);
@@ -271,11 +278,11 @@ class SimSbq {
         const Value index = co_await c.faa(node_counter(node), 1);
         if (index >= live) co_return 0;
         if (index == live - 1) {
-          if (auto* stats = c.metrics()) stats->on_basket_close(filled_[node]);
+          count_close(c, node);
           co_await c.store(node_empty(node), 1);
         }
         const Value v = co_await c.swap(node_cell(node, index), kEmptyMark);
-        if (auto* st = c.metrics()) st->on_basket_extract(v != kInsertMark);
+        c.metrics().on_basket_extract(v != kInsertMark);
         if (v != kInsertMark) co_return v;
       }
     }
@@ -291,19 +298,25 @@ class SimSbq {
         if (index == size - 1) {
           const Value drained = co_await c.faa(node_drained(node), 1);
           if (drained + 1 == static_cast<Value>(n)) {
-            if (auto* stats = c.metrics()) {
-              stats->on_basket_close(filled_[node]);
-            }
+            count_close(c, node);
             co_await c.store(node_empty(node), 1);
           }
         }
         const Value v =
             co_await c.swap(node_cell(node, base + index), kEmptyMark);
-        if (auto* st = c.metrics()) st->on_basket_extract(v != kInsertMark);
+        c.metrics().on_basket_extract(v != kInsertMark);
         if (v != kInsertMark) co_return v;
       }
     }
     co_return 0;
+  }
+
+  // Count the basket's close with the elements that landed in it, and stop
+  // tracking it. The sentinel was never appended, so it closes empty.
+  void count_close(Core& c, Addr node) {
+    const std::uint64_t* n = open_.find_ptr(node);
+    c.metrics().on_basket_close(n == nullptr ? 0 : *n);
+    open_.erase(node);
   }
 
   Value stripe_size(int s) const {
@@ -338,10 +351,9 @@ class SimSbq {
   int stripes_;
   Addr queue_ = 0;
   std::vector<Addr> reusable_;  // host-side per-enqueuer node cache
-  // Host-side occupancy bookkeeping for the metrics registry (elements that
-  // actually landed in each appended basket); only maintained when the
-  // machine collects stats.
-  std::unordered_map<Addr, std::uint64_t> filled_;
+  // Host-side occupancy bookkeeping for the metrics registry: the elements
+  // that landed in each appended basket whose close is not yet counted.
+  sim::FlatMap<std::uint64_t> open_;
 };
 
 }  // namespace sbq::simq

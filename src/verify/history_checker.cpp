@@ -13,10 +13,15 @@ constexpr TimeT kNever = std::numeric_limits<TimeT>::max();
 
 std::string str(std::uint64_t x) { return std::to_string(x); }
 
-std::string dequeue(const Op& op) {
-  return "dequeue [" + str(op.invoked) + "," + str(op.responded) +
-         ") returned " + (op.value == 0 ? "NULL" : str(op.value));
+std::string describe(const Op& op) {
+  const std::string span = "[" + str(op.invoked) + "," + str(op.responded);
+  return op.kind == Op::kEnq
+             ? "enqueue " + span + ") of " + str(op.value)
+             : "dequeue " + span + ") returned " +
+                   (op.value == 0 ? "NULL" : str(op.value));
 }
+
+bool malformed(const Op& op) { return op.responded < op.invoked; }
 
 }  // namespace
 
@@ -31,6 +36,7 @@ std::vector<Violation> History::check() const {
   std::unordered_map<ValueT, Value> values;
   values.reserve(ops_.size());
   for (const Op& op : ops_) {
+    if (malformed(op)) continue;
     Value& val = values[op.value];
     if (op.kind == Op::kEnq) {
       val.enq = &op;
@@ -40,22 +46,26 @@ std::vector<Violation> History::check() const {
     }
   }
 
-  // VFresh and VRepeat, in record order. Every other dequeue becomes a
-  // query keyed by an invocation: a NULL dequeue's own (VWit), or that of
-  // the enqueue of the value it returned (VOrd).
+  // VMalformed, VFresh and VRepeat, in record order. Every other dequeue
+  // becomes a query keyed by an invocation: a NULL dequeue's own (VWit), or
+  // that of the enqueue of the value it returned (VOrd).
   std::vector<Violation> out;
   std::vector<const Op*> enqs;
   std::vector<std::pair<TimeT, const Op*>> queries;
   for (const Op& op : ops_) {
+    if (malformed(op)) {
+      out.push_back({"VMalformed", describe(op) + ": responds before invoked"});
+      continue;
+    }
     Value& val = values[op.value];
     if (op.kind == Op::kEnq) {
       enqs.push_back(&op);
     } else if (op.value == 0) {
       queries.emplace_back(op.invoked, &op);
     } else if (val.enq == nullptr || op.responded < val.enq->invoked) {
-      out.push_back({"VFresh", dequeue(op) + (val.enq == nullptr
-                                                  ? ", never enqueued"
-                                                  : ", not yet enqueued")});
+      out.push_back({"VFresh", describe(op) + (val.enq == nullptr
+                                                   ? ", never enqueued"
+                                                   : ", not yet enqueued")});
     } else {
       queries.emplace_back(val.enq->invoked, &op);
     }
@@ -89,12 +99,12 @@ std::vector<Violation> History::check() const {
     if (latest <= d->responded) continue;
     const std::string why = " although " + str(witness) + ", enqueued before";
     out.push_back(d->value == 0
-                      ? Violation{"VWit", dequeue(*d) + why +
-                                              ", stayed queued throughout"}
-                      : Violation{"VOrd", dequeue(*d) + why + ", was " +
-                                              (latest == kNever
-                                                   ? "never dequeued"
-                                                   : "dequeued only after")});
+                      ? Violation{"VWit", describe(*d) + why +
+                                               ", stayed queued throughout"}
+                      : Violation{"VOrd", describe(*d) + why + ", was " +
+                                               (latest == kNever
+                                                    ? "never dequeued"
+                                                    : "dequeued only after")});
   }
   return out;
 }

@@ -14,6 +14,10 @@
 //             (completed) before its invocation and none of its dequeues
 //             is invoked before the NULL dequeue completes.
 //
+// An op that responds before it is invoked is no interval: check() reports
+// it as VMalformed and leaves it out of the four checks, as if it had not
+// been recorded (responded == invoked is an interval).
+//
 // check() tests them over recorded operation intervals (op1 precedes op2
 // iff op1.responded < op2.invoked) in O(n log n): one hash pass for VFresh
 // and VRepeat, then one sort-and-sweep answers VOrd and VWit as dominance
@@ -62,7 +66,8 @@ class History {
   }
   std::size_t size() const { return ops_.size(); }
 
-  // Runs all four checks; returns every violation found (empty = pass).
+  // Runs all four checks on the well-formed ops; returns every violation
+  // found, VMalformed ones included (empty = pass).
   std::vector<Violation> check() const;
 
  private:

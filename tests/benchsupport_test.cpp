@@ -144,14 +144,16 @@ TEST(BenchOptions, MissingValueThrows) {
 
 TEST(BenchOptions, BadNumbersThrow) {
   // A zero thread count divides by zero in the drivers, an empty entry
-  // would be a 0-thread row, and a non-numeric value must not pass as 0
-  // (the driver default).
+  // would be a 0-thread row, and neither a non-numeric value nor an
+  // explicit 0 may pass as 0 (the driver default); a negative repeat count
+  // would size a vector from it.
   for (const auto& [flag, value] :
        {std::pair<const char*, const char*>{"--threads", "0"},
         {"--threads", "abc"}, {"--threads", "2,,4"}, {"--threads", "2,4,"},
         {"--threads", ""}, {"--threads", "-1"}, {"--threads", "2.5"},
         {"--threads", "99999999999"}, {"--ops", "x"}, {"--ops", "10k"},
-        {"--ops", "-5"}, {"--seed", "7.5"}, {"--repeats", "two"},
+        {"--ops", "-5"}, {"--ops", "0"}, {"--repeats", "0"},
+        {"--repeats", "-1"}, {"--seed", "7.5"}, {"--repeats", "two"},
         {"--jobs", "4cores"}, {"--sockets", "2x"}, {"--fault-rate", "0.1%"},
         {"--fault-rate", "nan"}, {"--fault-seed", "abc"},
         {"--fault-jitter", "1e3"}, {"--policy-seed", "0x"}}) {

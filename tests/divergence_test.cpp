@@ -17,7 +17,6 @@ namespace {
 sim::MachineConfig side_config(ContentionPolicyKind policy) {
   sim::MachineConfig mcfg;
   mcfg.cores = 8;
-  mcfg.collect_stats = false;
   mcfg.cas_policy.kind = policy;
   return mcfg;
 }

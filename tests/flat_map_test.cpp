@@ -1,10 +1,11 @@
-// FlatMap unit tests: insert-only open-addressing semantics, key 0 as the
+// FlatMap unit tests: open-addressing semantics, key 0 as the
 // empty-slot marker, growth under strided keys, reference stability and
 // allocation freedom within a reserved capacity, move-only values, and a
-// differential fuzz against std::unordered_map. Then the lookaside hint:
-// keys that share an entry, stale entries after growth, decoded and copied
-// tables, and a slot layout pinned to a hint-free reference. Then the line
-// table built on it: per-core 2-bit states across the word boundaries.
+// differential fuzz (inserts, lookups, erases) against std::unordered_map.
+// Then the lookaside hint: keys that share an entry, stale entries after
+// growth, decoded and copied tables, and a slot layout pinned to a
+// hint-free reference. Then the line table built on it: per-core 2-bit
+// states across the word boundaries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -182,7 +183,7 @@ TEST(FlatMap, DifferentialFuzzAgainstUnorderedMap) {
   };
   for (int step = 0; step < 200000; ++step) {
     const Addr key = 1 + next() % 4096;  // dense key space => collisions
-    switch (next() % 2) {
+    switch (next() % 3) {
       case 0: {  // insert/update
         const std::uint64_t v = next();
         m[key] = v;
@@ -200,6 +201,10 @@ TEST(FlatMap, DifferentialFuzzAgainstUnorderedMap) {
         }
         break;
       }
+      case 2:  // erase, present or not
+        m.erase(key);
+        ref.erase(key);
+        break;
     }
     EXPECT_EQ(m.size(), ref.size());
   }

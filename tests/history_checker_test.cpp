@@ -7,6 +7,9 @@
 #include <cstdint>
 #include <deque>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "verify/history_checker.hpp"
 
@@ -136,6 +139,34 @@ TEST(HistoryChecker, KnownGapTransitiveNullWitnessPasses) {
   h.record_deq(10, 13, 1);
   h.record_deq(9, 12, 0);
   EXPECT_TRUE(h.check().empty());
+}
+
+// An op that responds before it is invoked is one VMalformed and is left
+// out of the other checks, as if it had not been recorded; resp == inv is
+// an interval.
+TEST(HistoryChecker, MalformedIntervalsAreRefused) {
+  const std::pair<std::vector<Op>, std::vector<std::string>> cases[] = {
+      // The enqueue is left out, so its value was never enqueued.
+      {{{Op::kEnq, 5, 1, 7}, {Op::kDeq, 6, 8, 7}}, {"VMalformed", "VFresh"}},
+      {{{Op::kEnq, 1, 2, 7}, {Op::kDeq, 4, 3, 7}}, {"VMalformed"}},
+      // Not a VWit: the NULL dequeue is left out.
+      {{{Op::kEnq, 1, 2, 7}, {Op::kDeq, 9, 3, 0}, {Op::kDeq, 10, 11, 7}},
+       {"VMalformed"}},
+      {{{Op::kEnq, 1, 1, 7}, {Op::kDeq, 2, 2, 7}}, {}},
+  };
+  for (const auto& [ops, want] : cases) {
+    History h;
+    for (const Op& op : ops) {
+      if (op.kind == Op::kEnq) {
+        h.record_enq(op.invoked, op.responded, op.value);
+      } else {
+        h.record_deq(op.invoked, op.responded, op.value);
+      }
+    }
+    std::vector<std::string> kinds;
+    for (const Violation& v : h.check()) kinds.push_back(v.kind);
+    EXPECT_EQ(kinds, want);
+  }
 }
 
 // Both earlier values are witnesses against the one dequeue: one report.

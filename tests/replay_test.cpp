@@ -33,7 +33,6 @@ namespace {
 sim::MachineConfig small_config(int cores) {
   sim::MachineConfig mcfg;
   mcfg.cores = cores;
-  mcfg.collect_stats = true;
   return mcfg;
 }
 

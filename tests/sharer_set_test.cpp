@@ -145,8 +145,7 @@ TEST(SharerSet, Section33InvalidationRoundHasExactCounts) {
     co_await m.core(0).store(x, 8);
   }(m, x));
   m.run();
-  ASSERT_NE(m.stats(), nullptr);
-  const ProtocolCounters& p = m.stats()->protocol();
+  const ProtocolCounters& p = m.stats().protocol();
   EXPECT_EQ(p.gets, 3u);
   EXPECT_EQ(p.getm, 1u);
   EXPECT_EQ(p.inv, 3u);
@@ -155,9 +154,9 @@ TEST(SharerSet, Section33InvalidationRoundHasExactCounts) {
   EXPECT_EQ(p.fwd_getm, 0u);
   // Each sharer received exactly one Inv; the writer collected every ack.
   for (CoreId c = 1; c < 4; ++c) {
-    EXPECT_EQ(m.stats()->core_protocol(c).inv, 1u);
+    EXPECT_EQ(m.stats().core_protocol(c).inv, 1u);
   }
-  EXPECT_EQ(m.stats()->core_protocol(0).inv_ack, 3u);
+  EXPECT_EQ(m.stats().core_protocol(0).inv_ack, 3u);
   EXPECT_EQ(m.directory().line_state(x), Directory::LineState::kModified);
   EXPECT_EQ(m.directory().line_owner(x), 0);
   EXPECT_EQ(m.directory().sharer_count(x), 0u);

@@ -4,8 +4,8 @@
 //      start, for every evaluated queue;
 //   2. truncated / corrupted / stale-version / foreign-key blobs, line
 //      tables with slots no FlatMap can hold, line state of cores the
-//      config lacks, and u32 fields above UINT32_MAX are rejected by
-//      decode;
+//      config lacks, u32 fields above UINT32_MAX and a stats-off flag are
+//      rejected by decode;
 //   3. the blob and config-digest bytes of fixed configs are pinned, so a
 //      codec change that keeps the schema version cannot move them.
 #include <gtest/gtest.h>
@@ -363,9 +363,6 @@ std::vector<PinnedBytes> pinned_bytes() {
   sim::MachineConfig stats_on;
   stats_on.cores = 3;
 
-  sim::MachineConfig stats_off = stats_on;
-  stats_off.collect_stats = false;
-
   // Two linked sockets, rate faults, message jitter and two one-shots: the
   // warm-up runs past the one-shots, so snapshot() accepts the machine.
   sim::MachineConfig faults;
@@ -385,13 +382,38 @@ std::vector<PinnedBytes> pinned_bytes() {
   return {
       {"stats_on", stats_on, 0x5518470e7f1a138bULL,
        0x605806e43fafb217ULL},
-      {"stats_off", stats_off, 0x55fd4b9fb67a11d2ULL,
-       0x7ef5ee13b2890356ULL},
       {"faults", faults, 0xef2f59a4b112e4c9ULL,
        0xfb7cceb566fd231cULL},
       {"adaptive_backoff", adaptive, 0xf32ca23e7a76448dULL,
        0x21640b00b095f214ULL},
   };
+}
+
+// The stats section opens with its tag (6) and the has_stats byte, then the
+// machine-wide protocol counters. Schema 10 keeps the byte of the deleted
+// stats-off mode; a blob whose byte is 0 is refused, not misread.
+TEST(SnapshotSerdeReject, StatsOffFlag) {
+  sim::ProtocolCounters counters;
+  const std::vector<std::uint8_t> blob =
+      edited_blob([&](sim::MachineSnapshot& snap) {
+        counters = snap.stats.protocol();
+      });
+  std::vector<std::uint8_t> needle{6, 1};
+  for (const std::uint64_t v : {counters.gets, counters.getm}) {
+    for (int i = 0; i < 8; ++i) {
+      needle.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  const auto at = std::search(blob.begin(), blob.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, blob.end());
+  ASSERT_EQ(std::search(at + 1, blob.end(), needle.begin(), needle.end()),
+            blob.end());
+  EXPECT_TRUE(decodes(blob));
+  std::vector<std::uint8_t> off = blob;
+  off[static_cast<std::size_t>(at - blob.begin()) + 1] = 0;
+  reseal(off);
+  EXPECT_FALSE(decodes(off));
 }
 
 TEST(SnapshotSerdeBytes, PinnedBlobAndConfigDigests) {

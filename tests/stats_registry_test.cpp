@@ -34,12 +34,11 @@ TEST(StatsRegistry, StandardCasRoundExactCounts) {
   MachineConfig mcfg;
   mcfg.cores = kCores;
   Machine m(mcfg);
-  ASSERT_NE(m.stats(), nullptr);
   const Addr x = m.alloc();
 
   warm_up_shared(m, x, kCores);
-  EXPECT_EQ(m.stats()->protocol().gets, kCores);
-  EXPECT_EQ(m.stats()->protocol().getm, 0u);
+  EXPECT_EQ(m.stats().protocol().gets, kCores);
+  EXPECT_EQ(m.stats().protocol().getm, 0u);
 
   for (int c = 0; c < kCores; ++c) {
     m.spawn([](Machine& m, int c, Addr x) -> Task<void> {
@@ -49,7 +48,7 @@ TEST(StatsRegistry, StandardCasRoundExactCounts) {
   }
   m.run();
 
-  const ProtocolCounters& p = m.stats()->protocol();
+  const ProtocolCounters& p = m.stats().protocol();
   EXPECT_EQ(p.gets, kCores);          // warm-up only; CAS never re-reads
   EXPECT_EQ(p.getm, kCores);          // every core upgrades to M once
   EXPECT_EQ(p.inv, kCores - 1);       // first writer invalidates the rest
@@ -87,7 +86,7 @@ TEST(StatsRegistry, HtmCasRoundExactAbortCounts) {
   }
   m.run();
 
-  const HtmCounters& h = m.stats()->htm();
+  const HtmCounters& h = m.stats().htm();
   EXPECT_EQ(h.calls, kCores);
   EXPECT_EQ(h.commits, 1u);  // exactly one winner per round
   EXPECT_EQ(h.fallbacks, 0u);
@@ -113,7 +112,7 @@ TEST(StatsRegistry, HtmCasRoundExactAbortCounts) {
 
   // The losers were all in Shared state, so the winner's GetM invalidated
   // exactly C-1 sharers, each of which acked.
-  const ProtocolCounters& p = m.stats()->protocol();
+  const ProtocolCounters& p = m.stats().protocol();
   EXPECT_GE(p.getm, 1u);
   EXPECT_EQ(p.inv, kCores - 1);
   EXPECT_EQ(p.inv_ack, kCores - 1);
@@ -124,7 +123,7 @@ TEST(StatsRegistry, HtmCasRoundExactAbortCounts) {
   int winners = 0;
   std::uint64_t abort_sum = 0;
   for (int c = 0; c < kCores; ++c) {
-    const HtmCounters& hc = m.stats()->core_htm(c);
+    const HtmCounters& hc = m.stats().core_htm(c);
     abort_sum += hc.aborts_total();
     if (hc.commits == 1) {
       ++winners;
@@ -151,7 +150,7 @@ TEST(StatsRegistry, ExplicitAbortAttribution) {
   }(m, x));
   m.run();
 
-  const HtmCounters& h = m.stats()->htm();
+  const HtmCounters& h = m.stats().htm();
   EXPECT_EQ(h.calls, 1u);
   EXPECT_EQ(h.attempts, 1u);
   EXPECT_EQ(h.commits, 0u);
@@ -193,7 +192,7 @@ TEST(StatsRegistry, TrippedWriterVsUarchFix) {
     }(m, x));
     m.run();
 
-    const HtmCounters& h = m.stats()->htm();
+    const HtmCounters& h = m.stats().htm();
     if (fix) {
       EXPECT_EQ(h.aborts[static_cast<int>(AbortCause::kTrippedWriter)], 0u);
       EXPECT_GE(h.uarch_fix_stalls, 1u);
@@ -202,22 +201,6 @@ TEST(StatsRegistry, TrippedWriterVsUarchFix) {
       EXPECT_EQ(h.uarch_fix_stalls, 0u);
     }
   }
-}
-
-// collect_stats=false: no registry object, snapshot counters all zero, the
-// simulation itself unaffected.
-TEST(StatsRegistry, DisabledCollection) {
-  MachineConfig mcfg;
-  mcfg.cores = 2;
-  mcfg.collect_stats = false;
-  Machine m(mcfg);
-  const Addr x = m.alloc();
-  warm_up_shared(m, x, 2);
-  EXPECT_EQ(m.stats(), nullptr);
-  const MetricsSnapshot snap = m.metrics();
-  EXPECT_EQ(snap.protocol.gets, 0u);
-  EXPECT_EQ(snap.htm.calls, 0u);
-  EXPECT_GT(snap.events, 0u);  // engine/interconnect tallies still work
 }
 
 // Basket counters fed by the simulated SBQ on a drain workload: every
@@ -246,7 +229,7 @@ TEST(StatsRegistry, BasketCountersFromSimSbq) {
       static_cast<std::uint64_t>(kThreads) * kOps;  // exact pre-fill count
   ASSERT_EQ(r.deq_ops, total_enq);  // the drain consumed everything
 
-  const BasketCounters& b = m.stats()->basket();
+  const BasketCounters& b = m.stats().basket();
   EXPECT_GE(b.appends_won, 1u);
   // Every element entered via a won append or a join; a failed join retries
   // the append, so the attempt total can exceed the element count.

@@ -124,7 +124,6 @@ sim::MachineConfig side_machine_config(const Options& o, const SideConfig& s,
   sim::MachineConfig mcfg;
   mcfg.cores = cores;
   mcfg.sockets = 2;
-  mcfg.collect_stats = false;
   mcfg.interconnect_model = s.link_model ? sim::InterconnectModel::kLink
                                          : sim::InterconnectModel::kFlat;
   mcfg.fault_plan =
