@@ -4,6 +4,7 @@
 // initialization O(B/T) — for fixed B it decreases monotonically with T;
 // sizing B = T gives O(1). We sweep B for several T (B >= T) and also show
 // the B = T diagonal.
+#include <exception>
 #include <iostream>
 
 #include "benchsupport/sweep.hpp"
@@ -11,7 +12,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -104,4 +105,7 @@ int main(int argc, char** argv) {
   const auto [mcfg, spec] =
       make(thread_counts.front(), basket_sizes.front(), 0);
   return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_basket_size: " << e.what() << "\n";
+  return 1;
 }

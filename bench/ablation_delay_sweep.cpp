@@ -6,6 +6,7 @@
 // just add latency. We sweep the delay at several thread counts and report
 // mean TxCAS latency plus the pre-write-abort fraction (aborts that
 // happened before the write issued, which is what the delay buys).
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -32,53 +33,13 @@ using sim::Value;
 
 struct Result {
   double mean_latency_ns = 0;
-  double throughput_mops = 0;           // completed TxCASs per wall time
   double pre_write_abort_fraction = 0;  // nested / all transactional aborts
   sim::MetricsSnapshot metrics;
 };
 
-// Strip the driver-local "--policies LIST" (or --policies=LIST) flag out of
-// argv before BenchOptions::parse sees it. Empty result (flag absent) keeps
-// the classic delay-only sweep and its byte-identical golden output.
-std::vector<std::string> strip_policies(int& argc, char** argv) {
-  std::vector<std::string> policies;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  std::string list;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--policies") {
-      if (i + 1 >= argc) throw std::invalid_argument("--policies needs a value");
-      list = argv[++i];
-    } else if (arg.rfind("--policies=", 0) == 0) {
-      list = arg.substr(11);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(rest.size());
-  for (int i = 0; i < argc; ++i) argv[i] = rest[static_cast<std::size_t>(i)];
-  std::size_t start = 0;
-  while (start <= list.size() && !list.empty()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string name = list.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    ContentionPolicyKind kind;
-    if (!contention_policy_from_name(name.c_str(), kind)) {
-      throw std::invalid_argument("--policies: unknown policy " + name);
-    }
-    policies.push_back(name);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return policies;
-}
-
 Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
-           std::uint64_t seed, const std::string& trace_path = {},
-           const ContentionPolicyParams* policy = nullptr) {
+           std::uint64_t seed, const std::string& trace_path = {}) {
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
-  if (policy != nullptr) mcfg.cas_policy = *policy;
   mcfg.record_trace = !trace_path.empty();
   Machine m(mcfg);
   const Addr x = m.alloc();
@@ -119,9 +80,6 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
   Result r;
   r.mean_latency_ns =
       static_cast<double>(*lat) / static_cast<double>(*n) * ns_per_cycle();
-  const double makespan_ns = static_cast<double>(m.now()) * ns_per_cycle();
-  r.throughput_mops =
-      makespan_ns > 0 ? static_cast<double>(*n) / makespan_ns * 1e3 : 0.0;
   const double aborts =
       static_cast<double>(nested) + static_cast<double>(write_conflicts);
   r.pre_write_abort_fraction =
@@ -142,9 +100,8 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
-  const std::vector<std::string> policies = strip_policies(argc, argv);
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const sim::Value ops = opts.ops_or(250);
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
@@ -207,67 +164,6 @@ int main(int argc, char** argv) {
         table.add_row(frac_row);
       });
   table.print(std::cout, opts.csv);
-  // Opt-in policy dimension (--policies LIST): rerun the paper-optimal delay
-  // (675 cycles) under each contention policy, across the same thread
-  // counts. The highest-contention cell is the last thread column; the
-  // bench_baseline adaptive-vs-fixed leg and json_validate --policy-cells
-  // consume the JSON cells this emits.
-  if (!policies.empty()) {
-    constexpr sim::Time kPolicyDelay = 675;
-    std::vector<std::string> pcolumns{"policy", "metric"};
-    for (int t : threads) pcolumns.push_back("T=" + std::to_string(t));
-    Table ptable(std::move(pcolumns));
-    std::cout << "\n## Contention-policy sweep (delay " << kPolicyDelay
-              << " cycles; throughput higher is better)\n";
-    if (!opts.csv) ptable.stream_to(std::cout);
-    std::vector<Result> presults(policies.size() * threads.size());
-    run_sweep_cells(
-        policies.size(), threads.size(), opts.effective_jobs(),
-        [&](std::size_t i) {
-          ContentionPolicyParams params;
-          contention_policy_from_name(
-              policies[i / threads.size()].c_str(), params.kind);
-          params.seed = opts.policy_seed;
-          presults[i] = run(opts, threads[i % threads.size()], kPolicyDelay,
-                            ops, opts.seed, {}, &params);
-        },
-        [&](std::size_t row) {
-          const std::string& policy = policies[row];
-          if (!opts.json_path.empty()) {
-            for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-              const Result& r = presults[row * threads.size() + ti];
-              Json cj = Json::object();
-              cj.set("policy", Json(policy));
-              cj.set("delay_cycles",
-                     Json(static_cast<std::uint64_t>(kPolicyDelay)));
-              cj.set("threads", Json(threads[ti]));
-              cj.set("latency_ns", Json(r.mean_latency_ns));
-              cj.set("throughput_mops", Json(r.throughput_mops));
-              cj.set("counters", metrics_to_json(r.metrics));
-              report.add_cell(std::move(cj));
-            }
-          }
-          std::vector<std::string> lat_row{policy, "latency_ns"};
-          std::vector<std::string> thr_row{policy, "throughput_mops"};
-          for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-            const Result& r = presults[row * threads.size() + ti];
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.1f", r.mean_latency_ns);
-            lat_row.push_back(buf);
-            std::snprintf(buf, sizeof buf, "%.3f", r.throughput_mops);
-            thr_row.push_back(buf);
-          }
-          ptable.add_row(lat_row);
-          ptable.add_row(thr_row);
-        });
-    ptable.print(std::cout, opts.csv);
-    if (!opts.json_path.empty()) {
-      Json jp = Json::array();
-      for (const std::string& p : policies) jp.push_back(Json(p));
-      report.set_config("policies", std::move(jp));
-      report.add_table("policy_sweep", ptable);
-    }
-  }
   if (!opts.json_path.empty()) {
     report.add_table("delay_sweep", table);
     if (!report.write(opts.json_path)) return 1;
@@ -277,4 +173,7 @@ int main(int argc, char** argv) {
     run(opts, threads.front(), /*delay=*/675, ops, opts.seed, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_delay_sweep: " << e.what() << "\n";
+  return 1;
 }

@@ -13,6 +13,7 @@
 // byte-identical one; with a fixed --fault-seed any two runs are
 // byte-identical to each other (ctest fault_sweep_determinism).
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -22,7 +23,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -132,4 +133,7 @@ int main(int argc, char** argv) {
   // (docs/replay.md).
   const auto [mcfg, spec] = make(threads.front(), 0.1);
   return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_fault_sweep: " << e.what() << "\n";
+  return 1;
 }

@@ -12,6 +12,7 @@
 // Expected: remote readers widen the hit probability of the commit window
 // (cross-socket invalidation acks hold it open longer), inflating
 // attempts/call; the fix restores first-attempt commits.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -122,7 +123,7 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const sim::Value ops = opts.ops_or(400);
@@ -230,4 +231,7 @@ int main(int argc, char** argv) {
         sim::InterconnectModel::kLink, ops, opts.seed, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_numa: " << e.what() << "\n";
+  return 1;
 }

@@ -5,6 +5,7 @@
 // basket against the paper's single-counter basket on the consumer-only
 // workload (Figure 6's regime, where the single FAA is the bottleneck),
 // sweeping the stripe count.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "sim_queue_bench_util.hpp"
 #include "simqueue/sim_sbq.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::simq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -126,4 +127,7 @@ int main(int argc, char** argv) {
     run_cell(threads.front(), /*stripes=*/1, 0, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_striped_basket: " << e.what() << "\n";
+  return 1;
 }

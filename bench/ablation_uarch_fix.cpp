@@ -2,6 +2,7 @@
 // queue level. SBQ-HTM on the mixed two-socket workload (where consumer
 // reads of the tail cross sockets and can trip enqueuers' TxCAS commits),
 // with the fix off and on.
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -11,7 +12,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -101,4 +102,7 @@ int main(int argc, char** argv) {
   // Traced/recorded cell: smallest mixed workload with the fix off.
   const auto [mcfg, spec] = make(rows.front(), 0, /*fix=*/false);
   return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "ablation_uarch_fix: " << e.what() << "\n";
+  return 1;
 }

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -105,7 +106,7 @@ PhaseResult drive(sim::Engine& e, bool typed, std::uint64_t ops, int width) {
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const std::uint64_t ops = opts.ops_or(2'000'000);
@@ -169,4 +170,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "engine_microbench: " << e.what() << "\n";
+  return 1;
 }

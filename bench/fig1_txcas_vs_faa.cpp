@@ -10,6 +10,7 @@
 // Output columns: threads, FAA ns/op, TxCAS ns/op (and TxCAS success rate
 // for context; the paper plots only the latencies).
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -115,7 +116,7 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const std::vector<int> threads = opts.threads_or(default_single_socket_sweep());
@@ -189,4 +190,7 @@ int main(int argc, char** argv) {
              nullptr, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "fig1_txcas_vs_faa: " << e.what() << "\n";
+  return 1;
 }

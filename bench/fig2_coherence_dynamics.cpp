@@ -17,6 +17,7 @@
 // TxCAS bookkeeping, not coherence serialization.
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -130,7 +131,7 @@ double spread(const Round& r) {
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const int cores = opts.first_thread_or(8);
@@ -193,4 +194,7 @@ int main(int argc, char** argv) {
     run_round(cores, /*htm=*/true, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "fig2_coherence_dynamics: " << e.what() << "\n";
+  return 1;
 }

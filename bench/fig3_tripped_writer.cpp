@@ -8,6 +8,7 @@
 //   * whether the writer was tripped (aborted by the Fwd-GetS),
 //   * the writer's total TxCAS latency,
 //   * how many transactional attempts the writer needed.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -96,7 +97,7 @@ Outcome run_scenario(Time reader_offset, bool fix,
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
 
@@ -159,4 +160,7 @@ int main(int argc, char** argv) {
     run_scenario(/*reader_offset=*/180, /*fix=*/false, opts.trace_path);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "fig3_tripped_writer: " << e.what() << "\n";
+  return 1;
 }

@@ -6,6 +6,7 @@
 // factor (the paper measures ~1.4x at high thread counts, caused by SBQ
 // dequeues occasionally performing multiple FAAs on drained baskets);
 // CC-Queue and BQ-Original are worse.
+#include <exception>
 #include <iostream>
 
 #include "benchsupport/sweep.hpp"
@@ -13,7 +14,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -76,4 +77,7 @@ int main(int argc, char** argv) {
   }
   const auto [mcfg, spec] = make(threads.front(), 0);
   return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "fig6_dequeue: " << e.what() << "\n";
+  return 1;
 }

@@ -7,6 +7,7 @@
 // pre-filled so consumers rarely find it empty. Expected shape: the SBQ
 // variants and WF-Queue lead; SBQ-HTM overtakes WF-Queue at high total
 // thread counts by a modest factor (the paper reports 1.16x at 88).
+#include <exception>
 #include <iostream>
 
 #include "benchsupport/sweep.hpp"
@@ -14,7 +15,7 @@
 #include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
@@ -86,4 +87,7 @@ int main(int argc, char** argv) {
   if (threads.empty()) return 0;
   const auto [mcfg, spec] = make(threads.front(), 0);
   return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "fig7_mixed: " << e.what() << "\n";
+  return 1;
 }

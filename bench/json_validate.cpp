@@ -15,11 +15,8 @@
 //
 // --policy-cells checks every cell carrying a "counters" object against the
 // TxCAS conservation identities (docs/architecture.md "Contention policy
-// layer"): htm.attempts == htm.commits + sum(htm.aborts), fallbacks +
-// fallback_cas <= calls, and — when the gated "cas_policy" block is present —
-// the policy's decision counters must agree with the htm counters
-// (txn_steps == attempts, budget_fallbacks == fallbacks,
-// degraded_fallbacks == fallback_cas).
+// layer"): htm.attempts == htm.commits + sum(htm.aborts), and fallbacks +
+// fallback_cas <= calls.
 //
 // Exit status: 0 if CMD succeeded and FILE parses and conforms; 1 otherwise.
 #include <cstdlib>
@@ -162,31 +159,14 @@ int main(int argc, char** argv) {
                       std::to_string(aborts));
         }
         const double fallbacks = htm["fallbacks"].as_double();
-        const Json& policy = cell["counters"]["cas_policy"];
-        const double fallback_cas = policy.is_object()
-                                        ? policy["fallback_cas"].as_double()
-                                        : (htm["fallback_cas"].is_number()
-                                               ? htm["fallback_cas"].as_double()
-                                               : 0.0);
+        const double fallback_cas = htm["fallback_cas"].is_number()
+                                        ? htm["fallback_cas"].as_double()
+                                        : 0.0;
         if (fallbacks + fallback_cas > calls) {
           return fail(where + " has more fallbacks (" +
                       std::to_string(fallbacks) + " + " +
                       std::to_string(fallback_cas) + " degraded) than calls (" +
                       std::to_string(calls) + ")");
-        }
-        if (policy.is_object()) {
-          if (policy["txn_steps"].as_double() != attempts) {
-            return fail(where + " policy txn_steps " +
-                        std::to_string(policy["txn_steps"].as_double()) +
-                        " != htm attempts " + std::to_string(attempts));
-          }
-          if (policy["budget_fallbacks"].as_double() != fallbacks) {
-            return fail(where + " policy budget_fallbacks != htm fallbacks");
-          }
-          if (policy["degraded_fallbacks"].as_double() != fallback_cas) {
-            return fail(where +
-                        " policy degraded_fallbacks != htm fallback_cas");
-          }
         }
       }
     }

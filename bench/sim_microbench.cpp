@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -148,7 +149,7 @@ PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
 }  // namespace
 }  // namespace sbq
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace sbq;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
   const int producers = opts.first_thread_or(4);
@@ -159,23 +160,8 @@ int main(int argc, char** argv) {
   report.set_config("ops_per_producer_per_phase", Json(ops));
   report.set_config("steady_phases", Json(static_cast<std::uint64_t>(repeats)));
 
-  // The shared fault, machine and policy options.
+  // The shared fault and machine options.
   sim::MachineConfig mcfg = bench::sim_machine_config(opts, 2 * producers);
-  // --cas-policy points the same zero-alloc gate at the adaptive retry
-  // paths: policy state lives inline in each core's TxCasOp slot, so a
-  // steady phase under adaptive-backoff must be exactly as allocation-free
-  // as under fixed (perf_sim_alloc_gate_policy in bench/CMakeLists.txt).
-  // Adaptive delays reshape every phase's schedule (the persistent failure
-  // history keeps evolving across phases), so a steady phase can exceed the
-  // cold phase's live-frame and in-flight-event high-water: both pools are
-  // prewarmed past any plausible depth for this workload size (frames
-  // here, event nodes once the machine exists).
-  const bool prewarm = !opts.cas_policy.empty();
-  if (prewarm) {
-    report.set_config("cas_policy", Json(opts.cas_policy));
-    sim::detail::FramePool::prewarm(static_cast<std::size_t>(4 * mcfg.cores) +
-                                    32);
-  }
   // --trace keeps the event ring ON through the measured phases. TraceEvent
   // stores interned literals (no per-event strings) and the ring is reserved
   // to capacity at construction, so recording must not cost a single
@@ -193,7 +179,6 @@ int main(int argc, char** argv) {
   }
 
   sim::Machine m(mcfg);
-  if (prewarm) m.engine().prewarm_nodes(std::size_t{1} << 12);
   simq::SimSbq::Config qcfg;
   qcfg.enqueuers = producers;
   qcfg.dequeuers = producers;
@@ -317,4 +302,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "sim_microbench: " << e.what() << "\n";
+  return 1;
 }

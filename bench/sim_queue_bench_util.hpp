@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "benchsupport/bench_report.hpp"
-#include "common/contention.hpp"
 #include "benchsupport/metrics_json.hpp"
 #include "benchsupport/parallel_sweep.hpp"
 #include "benchsupport/sim_workload.hpp"
@@ -84,10 +83,7 @@ inline sim::FaultPlan fault_plan(double rate, std::uint64_t seed,
 // The machine every simulated-queue driver runs: `cores` split across
 // `sockets`, with the shared options applied in one place:
 //   --fault-rate/--fault-seed/--fault-jitter  the fault plan (fault_plan);
-//   --sockets  the machine's socket count;
-//   --cas-policy/--policy-seed  the TxCAS contention policy
-//       (common/contention.hpp). An unknown name throws: sweeps must not
-//       silently fall back to fixed.
+//   --sockets  the machine's socket count.
 // Default options leave everything else at MachineConfig{}, so default
 // invocations keep the byte-identical golden schedule.
 inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
@@ -97,14 +93,6 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
   mcfg.sockets = opts.sockets > 0 ? opts.sockets : sockets;
   mcfg.fault_plan =
       fault_plan(opts.fault_rate, opts.fault_seed, opts.fault_jitter);
-  if (!opts.cas_policy.empty()) {
-    if (!contention_policy_from_name(opts.cas_policy.c_str(),
-                                     mcfg.cas_policy.kind)) {
-      throw std::invalid_argument(
-          "--cas-policy needs fixed or adaptive-backoff");
-    }
-    mcfg.cas_policy.seed = opts.policy_seed;
-  }
   return mcfg;
 }
 

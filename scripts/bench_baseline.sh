@@ -3,8 +3,8 @@
 # native one into BENCH_native.json.
 #
 # Records what benchmark/ does not cover: the wall-clock of one 512-core
-# fig5 cell, the contention-policy sweep and the open-loop service_latency
-# driver (docs/service.md), best of $RUNS runs each, plus the steady-phase
+# fig5 cell and the open-loop service_latency driver (docs/service.md),
+# best of $RUNS runs each, plus the steady-phase
 # rates of the two allocation-gated microbenches (engine_microbench, both
 # its closure and its typed-event leg, and sim_microbench) at their gate
 # sizes. The fig5/fig6/fig7 sweeps are timed
@@ -33,7 +33,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 RUNS=${RUNS:-3}
 BEFORE=${1:-}
 
-for bin in fig5_enqueue ablation_delay_sweep service_latency \
+for bin in fig5_enqueue service_latency \
            engine_microbench sim_microbench native_primitives native_queues; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "bench_baseline: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR)" >&2
@@ -65,17 +65,7 @@ def sim_config():
     snapshot_schema = int(re.search(
         r"kSnapshotSchemaVersion = (\d+)",
         open("src/sim/serialize.hpp").read()).group(1))
-    # Contention-policy default (docs/architecture.md "Contention policy
-    # layer"): every timed leg except the dedicated policy sweep runs the
-    # default policy, so the baseline records which one that is. Read from
-    # ContentionPolicyParams' initializer — kFixed keeps the goldens
-    # byte-identical, and this record catches an accidental default flip.
-    cas_policy = re.search(
-        r"ContentionPolicyKind kind = ContentionPolicyKind::k(\w+)",
-        open("src/common/contention.hpp").read()).group(1)
-    cas_policy = re.sub(r"(?<!^)([A-Z])", r"-\1", cas_policy).lower()
     return {"interconnect_model": model,
-            "cas_policy_default": cas_policy,
             "link_occupancy": occupancy,
             "check_invariants": invariants,
             "fault_injection_default": faults,
@@ -119,37 +109,6 @@ SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
 FIG5_512C_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
                   "--repeats", "1", "--jobs", "1"]
 
-# Contention-policy leg: the delay-sweep ablation's opt-in policy
-# dimension, adaptive-backoff vs the fixed default at the paper's optimal
-# intra-txn delay (675 cycles). The JSON artifact additionally supplies the
-# throughput comparison at the highest-contention cell — the adaptive
-# policy earning its keep (or not) is part of the baseline record.
-POLICY_ARGS = ["--threads", "2,8,16,32", "--ops", "100", "--jobs", "1",
-               "--policies", "fixed,adaptive-backoff"]
-
-def run_policy_sweep():
-    exe = os.path.join(build, "bench", "ablation_delay_sweep")
-    samples = []
-    cells = []
-    for _ in range(runs):
-        with tempfile.NamedTemporaryFile(suffix=".json") as f:
-            t0 = time.monotonic()
-            run_checked([exe, *POLICY_ARGS, "--json", f.name])
-            samples.append(round(time.monotonic() - t0, 3))
-            cells = json.load(open(f.name))["cells"]
-    pol = [c for c in cells if "policy" in c]
-    top = max(c["threads"] for c in pol)
-    tput = {c["policy"]: c["throughput_mops"]
-            for c in pol if c["threads"] == top}
-    leg = {"args": " ".join(POLICY_ARGS), "runs_s": samples,
-           "best_s": min(samples), "top_cell_threads": top,
-           "top_cell_throughput_mops":
-               {k: round(v, 3) for k, v in tput.items()}}
-    if tput.get("fixed"):
-        leg["adaptive_backoff_vs_fixed"] = round(
-            tput.get("adaptive-backoff", 0.0) / tput["fixed"], 2)
-    return leg
-
 def run_micro(drv, args):
     exe = os.path.join(build, "bench", drv)
     with tempfile.NamedTemporaryFile(suffix=".json") as f:
@@ -178,7 +137,6 @@ report = {
                 "nproc": len(os.sched_getaffinity(0))},
     "sim_config": sim_config(),
     "fig5_512c": run_timed("fig5_enqueue", FIG5_512C_ARGS),
-    "policy_sweep": run_policy_sweep(),
     "service_latency": run_timed("service_latency", SERVICE_ARGS),
     "microbench": {
         "engine_microbench": run_micro(
@@ -193,7 +151,7 @@ if before_path:
     before = json.load(open(before_path))
     before.pop("before", None)
     report["before"] = before
-    for leg in ("fig5_512c", "policy_sweep", "service_latency"):
+    for leg in ("fig5_512c", "service_latency"):
         old = before.get(leg)
         # A leg whose arguments changed times a different run.
         if old and "best_s" in old and old.get("args") == report[leg]["args"]:
@@ -204,7 +162,7 @@ with open("BENCH_sim.json", "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
 print(json.dumps({leg: report[leg]["best_s"]
-                  for leg in ("fig5_512c", "policy_sweep", "service_latency")},
+                  for leg in ("fig5_512c", "service_latency")},
                  indent=2))
 
 # Native leg. The installed Google Benchmark takes --benchmark_min_time as

@@ -42,12 +42,6 @@ void BenchReport::set_sweep_config(const BenchOptions& opts,
   Json jt = Json::array();
   for (int t : threads) jt.push_back(Json(t));
   config_.set("threads", std::move(jt));
-  // Only non-default --cas-policy runs record the policy, so default
-  // fixed-policy artifacts match the goldens byte-for-byte.
-  if (!opts.cas_policy.empty()) {
-    config_.set("cas_policy", Json(opts.cas_policy));
-    config_.set("policy_seed", Json(static_cast<std::uint64_t>(opts.policy_seed)));
-  }
 }
 
 void BenchReport::add_table(const std::string& name, const Table& t) {

@@ -1,13 +1,12 @@
 // JSON encoding of a sim::MetricsSnapshot — the "counters" block every
 // per-cell record in a BENCH_*.json artifact carries (docs/observability.md
-// documents each field). The protocol, basket, faults and cas_policy keys
-// are the counter structs' field names (sim/stats.hpp). Header-only so
+// documents each field). The protocol, basket and faults keys are the
+// counter structs' field names (sim/stats.hpp). Header-only so
 // that non-sim binaries linking sbq_benchsupport do not pull in the
 // simulator.
 #pragma once
 
 #include "benchsupport/json.hpp"
-#include "common/contention.hpp"
 #include "sim/stats.hpp"
 
 namespace sbq {
@@ -73,19 +72,6 @@ inline Json metrics_to_json(const sim::MetricsSnapshot& m) {
     Json faults = Json::object();
     set_fields(faults, m.faults);
     out.set("faults", std::move(faults));
-  }
-  // Contention-policy block: gated on a non-fixed policy kind (like the
-  // fault block), so default fixed-policy artifacts stay byte-identical.
-  // Under a non-fixed policy, fallback_cas is carried here even without
-  // fault injection, so json_validate can check degraded_fallbacks ==
-  // fallback_cas from the block alone.
-  if (m.cas_policy_kind != 0) {
-    Json policy = Json::object();
-    policy.set("kind", Json(contention_policy_name(static_cast<
-                                ContentionPolicyKind>(m.cas_policy_kind))));
-    set_fields(policy, m.policy);
-    policy.set("fallback_cas", Json(m.htm.fallback_cas));
-    out.set("cas_policy", std::move(policy));
   }
   return out;
 }

@@ -135,10 +135,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.trace_path = next_value();
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       opts.trace_path = a + 8;
-    } else if (std::strcmp(a, "--cas-policy") == 0) {
-      opts.cas_policy = next_value();
-    } else if (std::strncmp(a, "--cas-policy=", 13) == 0) {
-      opts.cas_policy = a + 13;
     } else if (std::strcmp(a, "--record-ops") == 0) {
       opts.record_ops = next_value();
     } else if (std::strncmp(a, "--record-ops=", 13) == 0) {
@@ -147,8 +143,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       opts.replay_ops = next_value();
     } else if (std::strncmp(a, "--replay-ops=", 13) == 0) {
       opts.replay_ops = a + 13;
-    } else if (std::strcmp(a, "--policy-seed") == 0) {
-      opts.policy_seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--fault-rate") == 0) {
       opts.fault_rate = parse_number<double>(a, next_value());
       if (!(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0)) {

@@ -116,14 +116,6 @@ struct BenchOptions {
   //                    the removed on-disk snapshot cache keep working
   //                    (docs/performance.md); any other value throws.
   bool from_snapshot = false;
-  // TxCAS contention policy (sim drivers; see common/contention.hpp and
-  // docs/architecture.md "Contention policy layer"):
-  //   --cas-policy NAME   fixed (default) | adaptive-backoff; empty means
-  //                       fixed AND keeps every artifact byte-identical to
-  //                       the goldens.
-  //   --policy-seed N     seed of the per-core policy jitter streams.
-  std::string cas_policy;
-  unsigned long long policy_seed = 1;
   // Op-level trace record/replay (docs/replay.md):
   //   --record-ops FILE  re-run one representative cell with op recording
   //                      and write the versioned trace to FILE.

@@ -60,19 +60,6 @@ inline void spin_for_ns(std::uint64_t ns) noexcept {
   spin_iterations(relax_iterations(ns, ns_per_relax()));
 }
 
-// Bounded exponential delay ladder: base << level, saturating at cap.
-// The adaptive contention policies (common/contention.hpp) read "level k"
-// through it.
-inline constexpr std::uint64_t bounded_exp_delay(std::uint64_t base,
-                                                 std::uint32_t level,
-                                                 std::uint64_t cap) noexcept {
-  if (base == 0) return 0;
-  if (level >= 63) return cap;
-  const std::uint64_t d = base << level;
-  // Detect shift overflow as well as a plain overshoot.
-  return (d < base || d > cap) ? cap : d;
-}
-
 // Classic bounded exponential backoff for CAS retry loops.
 class Backoff {
  public:

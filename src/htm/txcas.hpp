@@ -60,13 +60,12 @@ class TxCas {
  public:
   explicit TxCas(TxCasConfig cfg = {}) noexcept : cfg_(cfg) {}
 
-  // The fixed policy this config resolves to, with the shared retry bounds:
-  // the exact construction the retry loop below uses. Exposed so the
+  // The policy this config resolves to, with the shared retry bounds: the
+  // exact construction the retry loop below uses. Exposed so the
   // cross-backend differential test can drive the native decision logic
   // directly.
   static ContentionPolicy make_policy(const TxCasConfig& cfg) noexcept {
     return ContentionPolicy(
-        ContentionPolicyParams{},
         ContentionKnobs{cfg.intra_txn_delay_ns, cfg.post_abort_delay_ns,
                         kDefaultMaxTxnAttempts,
                         kDefaultNonconflictAbortBudget});
@@ -76,8 +75,6 @@ class TxCas {
   bool operator()(std::atomic<T>& target, T expected, T desired) const noexcept {
     if (!htm::hardware_available()) return plain_cas(target, expected, desired);
     ContentionPolicy policy = make_policy(cfg_);
-    // The fixed policy reads no cross-call history: a fresh one per call.
-    ContentionPolicy::State history{};
     while (policy.next_step() == CasStep::kTxn) {
       policy.note_attempt();
       const unsigned ret = htm::begin();
@@ -88,12 +85,11 @@ class TxCas {
         if (htm::started(nested)) {
           const T value = target.load(std::memory_order_relaxed);
           if (value != expected) htm::abort_with(kTxCasMismatchCode);
-          spin_for_ns(policy.intra_delay(history));
+          spin_for_ns(policy.intra_delay());
           htm::end();
         }
         target.store(desired, std::memory_order_relaxed);
         htm::end();
-        policy.on_commit(history);
         return true;
       }
       // Aborted. Execution resumes here with the abort status in `ret`.
@@ -106,14 +102,14 @@ class TxCas {
         // The policy decides when non-conflict aborts have exhausted the
         // degradation budget, making further transactional retries futile.
         const bool nonconflict = !htm::is_conflict(ret) && !htm::is_explicit(ret);
-        policy.on_abort(history, nonconflict ? CasAbort::kNonConflict
-                                             : CasAbort::kWriteConflict);
+        policy.on_abort(nonconflict ? CasAbort::kNonConflict
+                                    : CasAbort::kWriteConflict);
         continue;
       }
       // Conflict during the read step: someone's write is in flight. Wait
       // for their GetM to finish before reading, to avoid tripping them.
-      policy.on_abort(history, CasAbort::kReadConflict);
-      spin_for_ns(policy.post_abort_delay(history));
+      policy.on_abort(CasAbort::kReadConflict);
+      spin_for_ns(policy.post_abort_delay());
       if (target.load(std::memory_order_acquire) != expected) return false;
     }
     return plain_cas(target, expected, desired);

@@ -41,11 +41,6 @@ Core::Core(CoreId id, Engine& engine, Interconnect& net, LineTable& lines,
     fault_int_t_ = sat(cap + intr);
     fault_spur_t_ = sat(cap + intr + spur);
   }
-  // Per-core contention-policy stream, decorrelated by core id. Seeded
-  // unconditionally (cheap, deterministic) so switching the policy kind
-  // never perturbs any other stream.
-  state_.policy_state = ContentionPolicy::seeded_state(
-      cfg_.cas_policy.seed, static_cast<std::uint64_t>(id_));
   // Sized for the stall bound (see stalled_fwds_), so a measured phase
   // never allocates here (sim_microbench zero-alloc gate).
   const auto cores = static_cast<std::size_t>(cfg_.cores);
@@ -351,9 +346,8 @@ void Core::start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
   metrics_.on_txcas_call(id_);
   TxCasOp& op = txcas_op_;
   op.cfg = cfg;
-  // Re-arm the retry brain for this call: machine-wide policy params, this
-  // op's §4 knobs. The persistent policy_state is deliberately untouched.
-  op.policy = make_contention_policy(cfg_.cas_policy, cfg);
+  // Re-arm the retry brain for this call with this op's §4 knobs.
+  op.policy = make_contention_policy(cfg);
   op.policy.begin_call();
   txcas_attempt();
 }
@@ -364,7 +358,6 @@ void Core::txcas_attempt() {
   // exhaustion, or degrade after persistent non-conflict aborts (capacity,
   // interrupt, spurious — retrying those buys nothing).
   const CasStep step = op.policy.next_step();
-  metrics_.on_policy_step(id_, static_cast<int>(step));
   if (step != CasStep::kTxn) {
     txcas_fallback(/*degraded=*/step == CasStep::kFallbackDegraded);
     return;
@@ -423,11 +416,9 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
   // synchronized rounds in which every delay expires before the first
   // invalidation arrives, so every transaction reaches its write — a
   // lockstep artifact no real machine sustains.
-  // The policy supplies the delay base (== cfg.intra_txn_delay under the
-  // fixed policy; failure-history-scaled under adaptive-backoff). The
-  // schedule jitter keeps drawing from the core's own LCG stream either
-  // way, so switching policies never desynchronizes other draws.
-  const Time delay_base = op.policy.intra_delay(state_.policy_state);
+  // The policy supplies the delay base (cfg.intra_txn_delay); the jitter
+  // draws from the core's own LCG stream.
+  const Time delay_base = op.policy.intra_delay();
   std::uint64_t& jitter_state = state_.delay_jitter_state;
   jitter_state = jitter_state * 6364136223846793005ULL +
                  1442695040888963407ULL + static_cast<std::uint64_t>(id_);
@@ -503,7 +494,6 @@ void Core::txcas_commit() {
   // _xend: all transactional writes propagate to the cache.
   lines_.at(a).value = op_.a1;
   ++state_.stats.txcas_success;
-  op.policy.on_commit(state_.policy_state);
   metrics_.on_txn_commit(id_);
   metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), true);
   txn_ = Txn{.token = txn_.token};
@@ -535,25 +525,21 @@ void Core::txcas_abort(int kind, AbortCause cause) {
   }
   // Feed the abort-cause taxonomy into the policy: injected causes are
   // non-conflict (they spend the degradation budget), real conflicts split
-  // into read-phase vs write-phase (adaptive-backoff escalates its failure
-  // history on either).
+  // into read-phase vs write-phase.
   const bool nonconflict = cause == AbortCause::kCapacity ||
                            cause == AbortCause::kInterrupt ||
                            cause == AbortCause::kSpurious;
-  op.policy.on_abort(state_.policy_state,
-                     nonconflict ? CasAbort::kNonConflict
+  op.policy.on_abort(nonconflict ? CasAbort::kNonConflict
                      : kind == 0 ? CasAbort::kReadConflict
                                  : CasAbort::kWriteConflict);
   // The op has not completed (the thread is not resumed yet), so the
   // record stays valid until the scheduled retry/post-abort step runs.
   if (kind == 0) {
     ++state_.stats.nested_aborts;
-    // Conflict during the read step: a writer's GetM is in flight. Delay so
-    // our re-read does not trip it, then check whether the value changed
-    // (Algorithm 1 lines 19–20). The delay length is the policy's call
-    // (== cfg.post_abort_delay under fixed; scaled + jittered from the
-    // serialized per-core stream under adaptive-backoff).
-    const Time post = op.policy.post_abort_delay(state_.policy_state);
+    // Conflict during the read step: a writer's GetM is in flight. Wait
+    // cfg.post_abort_delay so our re-read does not trip it, then check
+    // whether the value changed (Algorithm 1 lines 19–20).
+    const Time post = op.policy.post_abort_delay();
     metrics_.on_policy_delay(id_, /*intra=*/false, post);
     engine_.schedule(post, [this] { txcas_post_abort(); });
   } else {

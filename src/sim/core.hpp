@@ -241,16 +241,12 @@ class Core {
     // Rate-based fault-injection PRNG (draws once per transactional
     // attempt); carried so forked repeats replay byte-identically.
     std::uint64_t fault_rng_state = 0;
-    // Persistent contention-policy history (adaptive policies draw delays
-    // from it in program order); carried for the same reason.
-    ContentionPolicy::State policy_state;
 
     template <class V>
     void fields(V& v) {
       v("stats", stats);
       v("delay_jitter_state", delay_jitter_state);
       v("fault_rng_state", fault_rng_state);
-      v("policy_state", policy_state);
     }
   };
   State save_state() const;
@@ -343,11 +339,8 @@ class Core {
   // the operation sits in this per-core slot.
   struct TxCasOp {
     TxCasConfig cfg;
-    // The retry brain (common/contention.hpp): per-call counters (attempt
-    // number, non-conflict aborts) live inside `policy`, re-armed by
-    // start_txcas; state_.policy_state is the *persistent* per-core history
-    // (failure level, jitter stream) that survives across calls and rides
-    // through snapshot/fork via Core::State.
+    // The retry brain (common/contention.hpp): its per-call counters
+    // (attempt number, non-conflict aborts) are re-armed by start_txcas.
     ContentionPolicy policy;
   };
   void start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,

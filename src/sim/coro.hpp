@@ -56,24 +56,6 @@ class FramePool {
     ::operator delete(p);
   }
 
-  // Fill every size class of the calling thread's pool to at least
-  // `frames_per_class` free frames (and reserve the freelist vectors), so
-  // later phases never allocate as long as the number of live frames per
-  // class stays under the floor. The cold phase only warms the pool to its
-  // own high-water mark, which a differently-seeded steady phase can
-  // exceed — the allocation gates (sim_microbench) prewarm instead of
-  // relying on that: they call this before building the machine.
-  static void prewarm(std::size_t frames_per_class) {
-    auto& ps = pool();
-    for (std::size_t cls = 1; cls < kClasses; ++cls) {
-      auto& bucket = ps.by_class[cls];
-      bucket.reserve(frames_per_class);
-      while (bucket.size() < frames_per_class) {
-        bucket.push_back(::operator new(cls * kGranularity));
-      }
-    }
-  }
-
  private:
   struct Pool {
     Pool() = default;

@@ -99,7 +99,6 @@ MachineSnapshot Machine::snapshot() const {
 MetricsSnapshot Machine::metrics() const {
   MetricsSnapshot snap;
   snap.fault_injection = cfg_.fault_plan.enabled;
-  snap.cas_policy_kind = static_cast<int>(cfg_.cas_policy.kind);
   snap.protocol = stats_.protocol();
   snap.htm = stats_.htm();
   snap.basket = stats_.basket();

@@ -43,7 +43,7 @@ concept HasFields = requires(T& t, V& v) { t.fields(v); };
 
 // Little-endian encoder: the raw primitives the blob frame uses, plus one
 // field-list visitor overload per field type. An int goes out as its u64
-// two's complement, a u32 widens to u64, an enum is one byte.
+// two's complement, an enum is one byte.
 struct Writer {
   std::vector<std::uint8_t> buf;
 
@@ -56,7 +56,6 @@ struct Writer {
   }
 
   void operator()(const char*, std::uint64_t v) { u64(v); }
-  void operator()(const char*, std::uint32_t v) { u64(v); }
   void operator()(const char*, int v) { u64(static_cast<std::uint64_t>(v)); }
   void operator()(const char*, bool v) { u8(v ? 1 : 0); }
   void operator()(const char*, double v) {
@@ -99,7 +98,7 @@ std::size_t min_encoded_size() {
 // instead of reading past the end, so truncated blobs fail cleanly. The
 // field-list overloads mirror Writer's and clear `ok` on the first field
 // that is truncated or that no encoder could have written: a bool byte
-// above 1, an int or u32 out of range, an enum value at or above its
+// above 1, an int out of range, an enum value at or above its
 // count, or a vector longer than the remaining bytes can hold. tag()
 // fails once `ok` is clear, so each section's tag checks the one before.
 struct Reader {
@@ -136,11 +135,6 @@ struct Reader {
   }
 
   void operator()(const char*, std::uint64_t& v) { ok = ok && u64(v); }
-  void operator()(const char*, std::uint32_t& v) {
-    std::uint64_t raw = 0;
-    ok = ok && u64(raw) && raw <= std::numeric_limits<std::uint32_t>::max();
-    v = static_cast<std::uint32_t>(raw);
-  }
   void operator()(const char*, int& v) {
     std::uint64_t raw = 0;
     ok = ok && u64(raw) &&
@@ -358,7 +352,7 @@ std::vector<std::uint8_t> encode_snapshot_blob(
   w("cores", snap.cores);
 
   w.u8(kTagStats);
-  w("has_stats", true);  // schema 10: the flag of the deleted stats-off mode
+  w("has_stats", true);  // since schema 10: the deleted stats-off mode's flag
   SnapshotSerde::encode_stats(w, snap.stats);
 
   w.u8(kTagCursors);

@@ -101,14 +101,6 @@ void Stats::on_txcas_done(CoreId c, int attempts, bool /*success*/) {
   ++per_core_htm_.at(static_cast<std::size_t>(c)).retry_histogram[b];
 }
 
-void Stats::on_policy_step(CoreId /*c*/, int step) {
-  switch (step) {
-    case 0: ++policy_.txn_steps; break;
-    case 1: ++policy_.budget_fallbacks; break;
-    default: ++policy_.degraded_fallbacks; break;
-  }
-}
-
 void Stats::on_policy_delay(CoreId /*c*/, bool intra, Time cycles) {
   if (intra) {
     policy_.intra_delay_cycles += cycles;

@@ -152,31 +152,16 @@ struct BasketCounters {
   }
 };
 
-// Contention-policy decision counters (common/contention.hpp), machine-wide.
-// Every TxCAS scheduling decision the policy makes is recorded here:
-//   txn_steps + budget_fallbacks + degraded_fallbacks == decisions taken,
-//   txn_steps == HtmCounters::attempts,
-//   budget_fallbacks == HtmCounters::fallbacks,
-//   degraded_fallbacks == HtmCounters::fallback_cas
-// (the conservation identities json_validate --policy-cells checks). Only
-// serialized when the machine runs a non-fixed policy, keeping default
-// artifacts byte-stable.
+// Contention-policy delay counters (common/contention.hpp), machine-wide:
+// the cycles every TxCAS spent in its intra-transaction and post-abort
+// delays. Carried in the snapshot blob and in MetricsSnapshot (the
+// benchmark harness reads them); no JSON artifact prints them.
 struct PolicyCounters {
-  std::uint64_t txn_steps = 0;           // "retry transactionally" verdicts
-  std::uint64_t budget_fallbacks = 0;    // attempt/abort budget exhausted
-  std::uint64_t degraded_fallbacks = 0;  // non-conflict degradation taken
   std::uint64_t intra_delay_cycles = 0;  // policy-issued intra-txn delay
   std::uint64_t post_delay_cycles = 0;   // policy-issued post-abort delay
 
-  std::uint64_t decisions() const noexcept {
-    return txn_steps + budget_fallbacks + degraded_fallbacks;
-  }
-
   template <class V>
   void fields(V& v) {
-    v("txn_steps", txn_steps);
-    v("budget_fallbacks", budget_fallbacks);
-    v("degraded_fallbacks", degraded_fallbacks);
     v("intra_delay_cycles", intra_delay_cycles);
     v("post_delay_cycles", post_delay_cycles);
   }
@@ -227,9 +212,6 @@ struct MetricsSnapshot {
   // runs serialize exactly as before (golden byte-identity).
   bool fault_injection = false;
   FaultCounters faults;
-  // Contention policy the machine ran (ContentionPolicyKind as int).
-  // Non-fixed kinds gate the extra "cas_policy" JSON block.
-  int cas_policy_kind = 0;
   PolicyCounters policy;
 };
 
@@ -257,9 +239,7 @@ class Stats {
   // the retry histogram; fallback-resolved calls land in the last bucket).
   void on_txcas_done(CoreId c, int attempts, bool success);
 
-  // ---- contention-policy hooks (called from the TxCAS state machine) ----
-  // One scheduling verdict (CasStep as int: 0 txn, 1 budget, 2 degraded).
-  void on_policy_step(CoreId c, int step);
+  // ---- contention-policy hook (called from the TxCAS state machine) ----
   // One policy-issued delay (`intra` selects the counter), in cycles.
   void on_policy_delay(CoreId c, bool intra, Time cycles);
 

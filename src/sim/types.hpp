@@ -160,12 +160,6 @@ struct MachineConfig {
   // ring to stderr and throws std::logic_error instead of silently
   // simulating on corrupt state.
   bool check_invariants = false;
-  // TxCAS contention policy (common/contention.hpp): fixed (default,
-  // byte-identical goldens) or adaptive-backoff.
-  // Machine-wide so it participates in machine_config_digest and thus in
-  // snapshot identity; the persistent per-core policy state lives in each
-  // core's TxCasOp slot and is serialized alongside it.
-  ContentionPolicyParams cas_policy;
 
   template <class V>
   void fields(V& v) {
@@ -181,13 +175,13 @@ struct MachineConfig {
     v("uarch_fix", uarch_fix);
     v("record_trace", record_trace);
     v("trace_capacity", trace_capacity);
-    // Schema-10 slot of the deleted stats-off mode: the metrics registry is
-    // always on, so the blob and the config digest always carry true here.
+    // Slot of the deleted stats-off mode (since schema 10): the metrics
+    // registry is always on, so the blob and the config digest always
+    // carry true here.
     bool collect_stats = true;
     v("collect_stats", collect_stats);
     v("fault_plan", fault_plan);
     v("check_invariants", check_invariants);
-    v("cas_policy", cas_policy);
   }
 };
 
@@ -212,14 +206,13 @@ struct TxCasConfig {
       static_cast<int>(kDefaultNonconflictAbortBudget);
 };
 
-// The policy object a (machine policy params, per-op TxCasConfig) pair
-// resolves to — the exact construction Core::start_txcas uses. Exposed so
-// the cross-backend differential test can drive the sim's decision logic
-// directly against the native one.
+// The policy object a per-op TxCasConfig resolves to — the exact
+// construction Core::start_txcas uses. Exposed so the cross-backend
+// differential test can drive the sim's decision logic directly against
+// the native one.
 inline ContentionPolicy make_contention_policy(
-    const ContentionPolicyParams& params, const TxCasConfig& cfg) noexcept {
+    const TxCasConfig& cfg) noexcept {
   return ContentionPolicy(
-      params,
       ContentionKnobs{cfg.intra_txn_delay, cfg.post_abort_delay,
                       static_cast<std::uint32_t>(cfg.max_attempts < 0
                                                      ? 0

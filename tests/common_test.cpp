@@ -181,21 +181,6 @@ TEST(SummaryPercentile, NanPClampsToMin) {
                    7.0);
 }
 
-TEST(BoundedExpDelay, LadderDoublesAndSaturates) {
-  EXPECT_EQ(bounded_exp_delay(4, 0, 1024), 4u);
-  EXPECT_EQ(bounded_exp_delay(4, 1, 1024), 8u);
-  EXPECT_EQ(bounded_exp_delay(4, 7, 1024), 512u);
-  EXPECT_EQ(bounded_exp_delay(4, 8, 1024), 1024u);  // exactly at cap
-  EXPECT_EQ(bounded_exp_delay(4, 20, 1024), 1024u);  // past cap: saturates
-  EXPECT_EQ(bounded_exp_delay(0, 5, 1024), 0u);      // zero base: no delay
-}
-
-TEST(BoundedExpDelay, ShiftOverflowSaturatesAtCap) {
-  const std::uint64_t cap = std::numeric_limits<std::uint64_t>::max() / 2;
-  EXPECT_EQ(bounded_exp_delay(3, 63, cap), cap);
-  EXPECT_EQ(bounded_exp_delay(1ULL << 62, 4, cap), cap);
-}
-
 TEST(SummaryPercentile, TailPercentilesAreMonotone) {
   Summary s;
   Xoshiro256 rng(11);

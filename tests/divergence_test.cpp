@@ -1,9 +1,9 @@
 // Differential divergence bisection self-test (docs/replay.md): the
-// bisector run against the fixed vs adaptive-backoff contention-policy pair
-// (a known schedule split: the policies pick different TxCAS delays) must
-// report a divergence, localize the same first divergent (time, seq)
-// coordinate on every invocation, and report no divergence for an
-// identical-config pair.
+// bisector run against a fault-free vs fault-injected pair (a known
+// schedule split: injected aborts retry or degrade TxCAS calls the other
+// side commits) must report a divergence, localize the same first
+// divergent (time, seq) coordinate on every invocation, and report no
+// divergence for an identical-config pair.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,16 +14,15 @@
 namespace sbq::bench {
 namespace {
 
-sim::MachineConfig side_config(ContentionPolicyKind policy) {
+sim::MachineConfig side_config(double fault_rate) {
   sim::MachineConfig mcfg;
   mcfg.cores = 8;
-  mcfg.cas_policy.kind = policy;
+  mcfg.fault_plan = fault_plan(fault_rate, /*seed=*/1, /*jitter=*/0);
   return mcfg;
 }
 
-constexpr ContentionPolicyKind kFixed = ContentionPolicyKind::kFixed;
-constexpr ContentionPolicyKind kBackoff =
-    ContentionPolicyKind::kAdaptiveBackoff;
+constexpr double kFaultFree = 0.0;
+constexpr double kFaulty = 0.05;
 
 WorkloadSpec contended_spec() {
   WorkloadSpec spec;
@@ -49,19 +48,19 @@ replay::ObservedRunFn make_runner(const sim::MachineConfig& mcfg,
 TEST(Divergence, IdenticalConfigsProduceIdenticalStreams) {
   const WorkloadSpec spec = contended_spec();
   const replay::DivergenceReport report = replay::find_divergence(
-      make_runner(side_config(kFixed), spec),
-      make_runner(side_config(kFixed), spec),
+      make_runner(side_config(kFaultFree), spec),
+      make_runner(side_config(kFaultFree), spec),
       /*window=*/256);
   EXPECT_FALSE(report.diverged);
   EXPECT_GT(report.total_a, 0u);
   EXPECT_EQ(report.total_a, report.total_b);
 }
 
-TEST(Divergence, FixedVsAdaptiveBackoffLocalizedDeterministically) {
+TEST(Divergence, FaultFreeVsFaultyLocalizedDeterministically) {
   const WorkloadSpec spec = contended_spec();
   auto bisect = [&] {
-    return replay::find_divergence(make_runner(side_config(kFixed), spec),
-                                   make_runner(side_config(kBackoff), spec),
+    return replay::find_divergence(make_runner(side_config(kFaultFree), spec),
+                                   make_runner(side_config(kFaulty), spec),
                                    /*window=*/256);
   };
   const replay::DivergenceReport first = bisect();
@@ -89,8 +88,8 @@ TEST(Divergence, FixedVsAdaptiveBackoffLocalizedDeterministically) {
 TEST(Divergence, WindowSizeDoesNotMoveTheCoordinate) {
   const WorkloadSpec spec = contended_spec();
   auto bisect = [&](std::uint64_t window) {
-    return replay::find_divergence(make_runner(side_config(kFixed), spec),
-                                   make_runner(side_config(kBackoff), spec),
+    return replay::find_divergence(make_runner(side_config(kFaultFree), spec),
+                                   make_runner(side_config(kFaulty), spec),
                                    window);
   };
   const replay::DivergenceReport small = bisect(64);

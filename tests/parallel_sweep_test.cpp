@@ -172,15 +172,5 @@ TEST(SimMachineConfig, MachineFlagsLandInTheConfig) {
   EXPECT_EQ(sockets.sockets, 2);
 }
 
-TEST(SimMachineConfig, CasPolicyLandsInTheConfig) {
-  const sim::MachineConfig mcfg = sim_machine_config(
-      parse_flags({"--cas-policy", "adaptive-backoff", "--policy-seed", "7"}),
-      4);
-  EXPECT_EQ(mcfg.cas_policy.kind, ContentionPolicyKind::kAdaptiveBackoff);
-  EXPECT_EQ(mcfg.cas_policy.seed, 7u);
-  EXPECT_THROW(sim_machine_config(parse_flags({"--cas-policy", "bogus"}), 4),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sbq::bench

@@ -303,51 +303,7 @@ TEST(SnapshotSerdeReject, LineStateOfCoresTheConfigLacks) {
   }
 }
 
-// A u32 field travels as a u64; a value above UINT32_MAX is refused rather
-// than truncated (a truncated decode would not re-encode to the same
-// blob). Each field is marked with a value unique in the blob, then its
-// high half is set by hand.
-TEST(SnapshotSerdeReject, U32FieldsAboveUint32Max) {
-  constexpr std::uint32_t kMarker = 0x9e3779b9u;
-  using Edit = void (*)(sim::MachineSnapshot&);
-  const std::pair<const char*, Edit> fields[] = {
-      {"backoff_floor_shift",
-       [](sim::MachineSnapshot& s) {
-         s.cfg.cas_policy.backoff_floor_shift = kMarker;
-       }},
-      {"backoff_ceil_mult",
-       [](sim::MachineSnapshot& s) {
-         s.cfg.cas_policy.backoff_ceil_mult = kMarker;
-       }},
-      {"failure_level",
-       [](sim::MachineSnapshot& s) {
-         s.cores[1].policy_state.failure_level = kMarker;
-       }},
-  };
-  std::vector<std::uint8_t> needle(8, 0);
-  for (int i = 0; i < 4; ++i) {
-    needle[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(kMarker >> (8 * i));
-  }
-  for (const auto& [name, edit] : fields) {
-    SCOPED_TRACE(name);
-    const std::vector<std::uint8_t> blob = edited_blob(edit);
-    const auto at = std::search(blob.begin(), blob.end(), needle.begin(),
-                                needle.end());
-    ASSERT_NE(at, blob.end());
-    ASSERT_EQ(std::search(at + 1, blob.end(), needle.begin(), needle.end()),
-              blob.end());
-    EXPECT_TRUE(decodes(blob));
-    for (const std::size_t high : {std::size_t{4}, std::size_t{7}}) {
-      std::vector<std::uint8_t> wide = blob;
-      wide[static_cast<std::size_t>(at - blob.begin()) + high] = 1;
-      reseal(wide);
-      EXPECT_FALSE(decodes(wide));
-    }
-  }
-}
-
-// Pinned bytes (schema 10): the FNV-1a digest of a whole blob and the
+// Pinned bytes (schema 11): the FNV-1a digest of a whole blob and the
 // machine_config_digest of its config, for a warmed 3- or 4-core SBQ-HTM
 // machine under each config below. Any change to the encoding, or to
 // what a run leaves in the snapshot, moves a digest; such a change must
@@ -375,23 +331,17 @@ std::vector<PinnedBytes> pinned_bytes() {
   faults.fault_plan.one_shots.push_back(
       {2000, 2, sim::FaultKind::kSpurious});
 
-  sim::MachineConfig adaptive = stats_on;
-  adaptive.cas_policy.kind = ContentionPolicyKind::kAdaptiveBackoff;
-  adaptive.cas_policy.seed = 17;
-
   return {
-      {"stats_on", stats_on, 0x5518470e7f1a138bULL,
-       0x605806e43fafb217ULL},
-      {"faults", faults, 0xef2f59a4b112e4c9ULL,
-       0xfb7cceb566fd231cULL},
-      {"adaptive_backoff", adaptive, 0xf32ca23e7a76448dULL,
-       0x21640b00b095f214ULL},
+      {"stats_on", stats_on, 0x4a7acfc6581d32f8ULL,
+       0x66f39d19abb27d4dULL},
+      {"faults", faults, 0x708128850a01e1bcULL,
+       0xadcf4b5016e26ad4ULL},
   };
 }
 
 // The stats section opens with its tag (6) and the has_stats byte, then the
-// machine-wide protocol counters. Schema 10 keeps the byte of the deleted
-// stats-off mode; a blob whose byte is 0 is refused, not misread.
+// machine-wide protocol counters. Since schema 10 the blob keeps the byte of
+// the deleted stats-off mode; a blob whose byte is 0 is refused, not misread.
 TEST(SnapshotSerdeReject, StatsOffFlag) {
   sim::ProtocolCounters counters;
   const std::vector<std::uint8_t> blob =
@@ -417,7 +367,7 @@ TEST(SnapshotSerdeReject, StatsOffFlag) {
 }
 
 TEST(SnapshotSerdeBytes, PinnedBlobAndConfigDigests) {
-  EXPECT_EQ(sim::kSnapshotSchemaVersion, 10u);
+  EXPECT_EQ(sim::kSnapshotSchemaVersion, 11u);
   for (const PinnedBytes& pin : pinned_bytes()) {
     SCOPED_TRACE(pin.name);
     const WorkloadSpec spec = consumer_only_spec(5);
@@ -446,59 +396,6 @@ TEST(SnapshotSerdeReject, ForeignKey) {
   std::vector<std::uint64_t> words;
   EXPECT_FALSE(sim::decode_snapshot_blob(blob, kBlobKey + 1, snap, words));
   EXPECT_TRUE(sim::decode_snapshot_blob(blob, kBlobKey, snap, words));
-}
-
-// Contention-policy snapshot coverage (docs/architecture.md "Contention
-// policy layer"): the per-core policy State (jitter stream position +
-// failure level) rides in every snapshot, so adaptive-policy forks must
-// replay byte-identically; the config digest keys the policy params (two
-// configs that differ only in policy never share a digest); and a blob
-// claiming an unknown policy kind is refused instead of misinterpreted.
-TEST(SnapshotSerdePolicy, AdaptiveBackoffRoundTripMatchesColdStart) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = 3;
-  mcfg.cas_policy.kind = ContentionPolicyKind::kAdaptiveBackoff;
-  mcfg.cas_policy.seed = 17;
-  const WorkloadSpec spec = consumer_only_spec(5);
-  expect_identical(run_via_serde(QueueKind::kSbqHtm, mcfg, spec),
-                   run_queue_workload(QueueKind::kSbqHtm, mcfg, spec));
-}
-
-TEST(SnapshotSerdePolicy, DigestKeysPolicyParams) {
-  sim::MachineConfig base;
-  base.cores = 3;
-  const std::uint64_t d0 = sim::machine_config_digest(base);
-
-  sim::MachineConfig kind = base;
-  kind.cas_policy.kind = ContentionPolicyKind::kAdaptiveBackoff;
-  EXPECT_NE(sim::machine_config_digest(kind), d0);
-
-  sim::MachineConfig seed = kind;
-  seed.cas_policy.seed = 2;
-  EXPECT_NE(sim::machine_config_digest(seed), sim::machine_config_digest(kind));
-
-  sim::MachineConfig ladder = kind;
-  ladder.cas_policy.backoff_ceil_mult = 4;
-  EXPECT_NE(sim::machine_config_digest(ladder),
-            sim::machine_config_digest(kind));
-}
-
-TEST(SnapshotSerdePolicy, UnknownPolicyKindRejected) {
-  // 2 is a retired policy kind (the fallback-budget policy, schema <= 3): a
-  // blob naming it must not decode into some other policy.
-  for (const int raw : {kContentionPolicyKindCount, 2, 255}) {
-    SCOPED_TRACE("kind " + std::to_string(raw));
-    sim::MachineConfig mcfg;
-    mcfg.cores = 2;
-    mcfg.cas_policy.kind = static_cast<ContentionPolicyKind>(raw);
-    sim::Machine m(mcfg);
-    const std::vector<std::uint8_t> blob =
-        sim::encode_snapshot_blob(m.snapshot(), {}, kBlobKey);
-    ASSERT_FALSE(blob.empty());
-    sim::MachineSnapshot snap;
-    std::vector<std::uint64_t> words;
-    EXPECT_FALSE(sim::decode_snapshot_blob(blob, kBlobKey, snap, words));
-  }
 }
 
 }  // namespace

@@ -5,18 +5,18 @@
 // context on both sides. The workload is either a synthetic sweep cell
 // (--queue/--workload/--threads/--ops) or a recorded op trace
 // (--replay-ops=FILE). Per-side config deltas use --a-*/--b-* prefixed
-// flags, e.g. the fixed vs adaptive-backoff contention policies:
+// flags, e.g. a fault-free run against one with injected aborts:
 //
-//   sbq_divergence --queue SBQ-HTM --workload mixed --threads 4 --ops 40 \
-//       --b-cas-policy adaptive-backoff
+//   sbq_divergence --queue SBQ-HTM --workload mixed --b-fault-rate 0.05
 //
 // Exit code: 0 = identical schedules, 1 = divergence found (report on
-// stdout), 2 = usage/input error.
+// stdout), 2 = usage/input error (a bad or out-of-range number included).
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
+#include "benchsupport/table.hpp"
 #include "replay/divergence.hpp"
 #include "replay/op_trace.hpp"
 #include "replay/sim_replay.hpp"
@@ -30,7 +30,6 @@ struct SideConfig {
   bool link_model = false;
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
-  std::string cas_policy;
 };
 
 struct Options {
@@ -51,13 +50,14 @@ struct Options {
                "           [--threads N] [--ops N] [--prefill N] [--seed S]\n"
                "           [--window N] [--replay-ops FILE]\n"
                "           [--{a,b}-interconnect flat|link]\n"
-               "           [--{a,b}-fault-rate F] [--{a,b}-fault-seed S]\n"
-               "           [--{a,b}-cas-policy NAME]\n";
+               "           [--{a,b}-fault-rate F] [--{a,b}-fault-seed S]\n";
   std::exit(2);
 }
 
-bool parse_side(SideConfig& side, const std::string& key,
+// One --a-KEY/--b-KEY flag; errors name the flag as given.
+bool parse_side(SideConfig& side, const std::string& flag,
                 const std::string& value) {
+  const std::string key = flag.substr(4);
   if (key == "interconnect") {
     if (value == "flat") {
       side.link_model = false;
@@ -69,21 +69,21 @@ bool parse_side(SideConfig& side, const std::string& key,
     return true;
   }
   if (key == "fault-rate") {
-    side.fault_rate = std::stod(value);
+    side.fault_rate = parse_number<double>(flag.c_str(), value);
+    if (!(side.fault_rate >= 0.0 && side.fault_rate <= 1.0)) {
+      usage((flag + " needs a probability in [0,1]").c_str());
+    }
     return true;
   }
   if (key == "fault-seed") {
-    side.fault_seed = std::stoull(value);
-    return true;
-  }
-  if (key == "cas-policy") {
-    side.cas_policy = value;
+    side.fault_seed = parse_number<std::uint64_t>(flag.c_str(), value);
     return true;
   }
   return false;
 }
 
-Options parse(int argc, char** argv) {
+// A bad number (parse_number's std::invalid_argument) is a usage error.
+Options parse(int argc, char** argv) try {
   Options o;
   auto next = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage("missing value");
@@ -96,31 +96,32 @@ Options parse(int argc, char** argv) {
     } else if (a == "--workload") {
       o.workload = next(i);
     } else if (a == "--threads") {
-      o.threads = std::stoi(next(i));
+      o.threads = parse_number<int>("--threads", next(i));
     } else if (a == "--ops") {
-      o.ops = std::stoull(next(i));
+      o.ops = parse_number<std::uint64_t>("--ops", next(i));
     } else if (a == "--prefill") {
-      o.prefill = std::stoull(next(i));
+      o.prefill = parse_number<std::uint64_t>("--prefill", next(i));
     } else if (a == "--seed") {
-      o.seed = std::stoull(next(i));
+      o.seed = parse_number<std::uint64_t>("--seed", next(i));
     } else if (a == "--window") {
-      o.window = std::stoull(next(i));
+      o.window = parse_number<std::uint64_t>("--window", next(i));
     } else if (a == "--replay-ops") {
       o.replay_path = next(i);
     } else if (a.rfind("--a-", 0) == 0) {
-      if (!parse_side(o.a, a.substr(4), next(i))) usage("unknown option");
+      if (!parse_side(o.a, a, next(i))) usage(("unknown option " + a).c_str());
     } else if (a.rfind("--b-", 0) == 0) {
-      if (!parse_side(o.b, a.substr(4), next(i))) usage("unknown option");
+      if (!parse_side(o.b, a, next(i))) usage(("unknown option " + a).c_str());
     } else {
       usage(("unknown option " + a).c_str());
     }
   }
   if (o.threads < 1 || o.threads > 64) usage("--threads out of range");
   return o;
+} catch (const std::invalid_argument& e) {
+  usage(e.what());
 }
 
-sim::MachineConfig side_machine_config(const Options& o, const SideConfig& s,
-                                       int cores) {
+sim::MachineConfig side_machine_config(const SideConfig& s, int cores) {
   sim::MachineConfig mcfg;
   mcfg.cores = cores;
   mcfg.sockets = 2;
@@ -128,12 +129,6 @@ sim::MachineConfig side_machine_config(const Options& o, const SideConfig& s,
                                          : sim::InterconnectModel::kFlat;
   mcfg.fault_plan =
       bench::fault_plan(s.fault_rate, s.fault_seed, /*jitter=*/0);
-  if (!s.cas_policy.empty()) {
-    if (!sbq::contention_policy_from_name(s.cas_policy.c_str(),
-                                          mcfg.cas_policy.kind)) {
-      usage("unknown --cas-policy");
-    }
-  }
   return mcfg;
 }
 
@@ -188,7 +183,7 @@ int main(int argc, char** argv) {
   const int cores = bench::replay_min_cores(spec);
 
   auto make_runner = [&](const SideConfig& side) {
-    const sim::MachineConfig mcfg = side_machine_config(o, side, cores);
+    const sim::MachineConfig mcfg = side_machine_config(side, cores);
     return [&, mcfg](sim::Interconnect::SendObserverFn fn, void* ctx) {
       sim::Machine m(mcfg);
       m.interconnect().set_send_observer(fn, ctx);
