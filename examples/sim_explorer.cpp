@@ -60,11 +60,12 @@ void run_scenario(int cores, bool use_txcas) {
 
   std::printf("--- per-core stats ---\n");
   for (int c = 0; c < cores; ++c) {
-    const CoreStats& s = m.core(c).stats();
+    const HtmCounters& s = m.stats().core_htm(c);
     std::printf("core %d: txcas attempts %lu, nested aborts %lu, tripped %lu\n",
-                c, static_cast<unsigned long>(s.txcas_attempts),
-                static_cast<unsigned long>(s.nested_aborts),
-                static_cast<unsigned long>(s.tripped_aborts));
+                c, static_cast<unsigned long>(s.attempts),
+                static_cast<unsigned long>(s.read_conflicts),
+                static_cast<unsigned long>(s.aborts[static_cast<std::size_t>(
+                    AbortCause::kTrippedWriter)]));
   }
 }
 

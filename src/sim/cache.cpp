@@ -105,7 +105,6 @@ void Core::on_fwd_gets(const Message& msg) {
       // §3.4.1: the core is blocked in _xend with a single pending GetM and
       // the conflicting request is a read — stall it until commit. (Safe:
       // the reader is not one of the sharers whose acks we are waiting on.)
-      ++state_.stats.uarch_fix_stalls;
       metrics_.on_uarch_fix_stall(id_);
       if (trace_ && trace_->enabled()) {
         trace_->record(engine_.now(), id_, "uarch-fix stall Fwd-GetS", a,
@@ -116,7 +115,6 @@ void Core::on_fwd_gets(const Message& msg) {
     }
     if (txn_window) {
       // Tripped writer (§3.4): the read hit our commit window.
-      ++state_.stats.tripped_aborts;
       txcas_abort(/*kind=*/1, AbortCause::kTrippedWriter);
     }
     if (fwd_predates_pending_request(a, *p)) {
@@ -167,7 +165,6 @@ void Core::answer_fwd_gets(const Message& msg) {
       pending(a) == nullptr) {
     // Rare hit-window case: transaction writing an already-owned line when
     // the read arrives. Requester-wins: abort (the commit had not applied).
-    ++state_.stats.tripped_aborts;
     txcas_abort(/*kind=*/1, AbortCause::kTrippedWriter);
   }
   // Serve the reader and stay in Owned state (able to serve more readers)

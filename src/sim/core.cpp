@@ -342,7 +342,6 @@ void Core::poll_finish() {
 void Core::start_txcas(Addr a, Value expected, Value desired, TxCasConfig cfg,
                        std::coroutine_handle<> thread) {
   begin_op(OpKind::kTxCas, a, expected, desired, thread);
-  ++state_.stats.txcas_calls;
   metrics_.on_txcas_call(id_);
   TxCasOp& op = txcas_op_;
   op.cfg = cfg;
@@ -363,7 +362,6 @@ void Core::txcas_attempt() {
     return;
   }
   op.policy.note_attempt();
-  ++state_.stats.txcas_attempts;
   metrics_.on_txn_attempt(id_);
   op_.kind = OpKind::kTxCas;
   txn_.active = true;
@@ -395,9 +393,7 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
 
   if (v != op_.a0) {
     // Self-abort (_xabort(1) in Algorithm 1): the CAS fails outright.
-    ++state_.stats.self_aborts;
-    ++state_.stats.txcas_fail;
-    metrics_.on_txn_abort(id_, AbortCause::kExplicit);
+    metrics_.on_txn_abort(id_, AbortCause::kExplicit, /*read_phase=*/false);
     metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), false);
     txn_ = Txn{.token = txn_.token};
     engine_.schedule(cfg_.hit_latency, [this] { finish_op(0); });
@@ -424,7 +420,7 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
                  1442695040888963407ULL + static_cast<std::uint64_t>(id_);
   const Time jitter_range = delay_base / 2 + 16;
   const Time jitter = (jitter_state >> 33) % jitter_range;
-  metrics_.on_policy_delay(id_, /*intra=*/true, delay_base + jitter);
+  metrics_.on_policy_delay(/*intra=*/true, delay_base + jitter);
   engine_.schedule(delay_base + jitter, [this, token] {
     if (!txn_.active || txn_.token != token) return;
     txcas_enter_write();
@@ -493,7 +489,6 @@ void Core::txcas_commit() {
   const Addr a = op_.addr;
   // _xend: all transactional writes propagate to the cache.
   lines_.at(a).value = op_.a1;
-  ++state_.stats.txcas_success;
   metrics_.on_txn_commit(id_);
   metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), true);
   txn_ = Txn{.token = txn_.token};
@@ -514,7 +509,7 @@ void Core::txcas_commit() {
 void Core::txcas_abort(int kind, AbortCause cause) {
   assert(txn_.active);
   TxCasOp& op = txcas_op_;
-  metrics_.on_txn_abort(id_, cause);
+  metrics_.on_txn_abort(id_, cause, /*read_phase=*/kind == 0);
   txn_.active = false;
   txn_.read_marked = false;
   ++txn_.token;  // cancels any scheduled delay timer
@@ -535,17 +530,15 @@ void Core::txcas_abort(int kind, AbortCause cause) {
   // The op has not completed (the thread is not resumed yet), so the
   // record stays valid until the scheduled retry/post-abort step runs.
   if (kind == 0) {
-    ++state_.stats.nested_aborts;
     // Conflict during the read step: a writer's GetM is in flight. Wait
     // cfg.post_abort_delay so our re-read does not trip it, then check
     // whether the value changed (Algorithm 1 lines 19–20).
     const Time post = op.policy.post_abort_delay();
-    metrics_.on_policy_delay(id_, /*intra=*/false, post);
+    metrics_.on_policy_delay(/*intra=*/false, post);
     engine_.schedule(post, [this] { txcas_post_abort(); });
   } else {
     // Conflict after the nested transaction (we may be the tripped writer):
-    // retry immediately (Algorithm 1 lines 16–18). The caller attributes
-    // the abort (tripped_aborts for Fwd-GetS, plain retry otherwise).
+    // retry immediately (Algorithm 1 lines 16–18).
     engine_.schedule(1, [this] { txcas_attempt(); });
   }
 }
@@ -558,7 +551,6 @@ void Core::txcas_post_abort() {
 
 void Core::txcas_post_abort_loaded() {
   if (op_.result != op_.a0) {
-    ++state_.stats.txcas_fail;
     metrics_.on_txcas_done(id_, static_cast<int>(txcas_op_.policy.attempts()),
                            false);
     finish_op(0);
@@ -573,18 +565,9 @@ void Core::deliver_injected_fault(FaultKind kind) {
   if (!txn_.active) return;  // landed between transactions: harmless
   AbortCause cause = AbortCause::kSpurious;
   switch (kind) {
-    case FaultKind::kCapacity:
-      cause = AbortCause::kCapacity;
-      ++state_.stats.injected_capacity;
-      break;
-    case FaultKind::kInterrupt:
-      cause = AbortCause::kInterrupt;
-      ++state_.stats.injected_interrupt;
-      break;
-    case FaultKind::kSpurious:
-      cause = AbortCause::kSpurious;
-      ++state_.stats.injected_spurious;
-      break;
+    case FaultKind::kCapacity: cause = AbortCause::kCapacity; break;
+    case FaultKind::kInterrupt: cause = AbortCause::kInterrupt; break;
+    case FaultKind::kSpurious: cause = AbortCause::kSpurious; break;
   }
   if (trace_ && trace_->enabled()) {
     trace_->record(engine_.now(), id_, "txcas fault injected", op_.addr,
@@ -598,10 +581,8 @@ void Core::deliver_injected_fault(FaultKind kind) {
 
 void Core::txcas_fallback(bool degraded) {
   if (degraded) {
-    ++state_.stats.fallback_cas;
     metrics_.on_fallback_cas(id_);
   } else {
-    ++state_.stats.fallbacks;
     metrics_.on_txn_fallback(id_);
   }
   ++state_.stats.rmws;
@@ -611,11 +592,6 @@ void Core::txcas_fallback(bool degraded) {
 
 void Core::txcas_fallback_done() {
   const bool ok = op_.result != 0;
-  if (ok) {
-    ++state_.stats.txcas_success;
-  } else {
-    ++state_.stats.txcas_fail;
-  }
   metrics_.on_txcas_done(id_, static_cast<int>(txcas_op_.policy.attempts()),
                          ok);
   finish_op(ok ? 1 : 0);

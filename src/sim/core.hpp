@@ -53,26 +53,12 @@ namespace sbq::sim {
 
 class Trace;
 
+// The core's own access counts. Its protocol and TxCAS events are counted
+// in the metrics registry (sim/stats.hpp), not here.
 struct CoreStats {
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
   std::uint64_t rmws = 0;
-  std::uint64_t txcas_calls = 0;
-  std::uint64_t txcas_success = 0;
-  std::uint64_t txcas_fail = 0;
-  std::uint64_t txcas_attempts = 0;     // transactional attempts started
-  std::uint64_t nested_aborts = 0;      // conflict during read/delay phase
-  std::uint64_t tripped_aborts = 0;     // Fwd-GetS hit the commit window
-  std::uint64_t uarch_fix_stalls = 0;   // §3.4.1 fix engaged
-  std::uint64_t self_aborts = 0;        // value mismatch inside the txn
-  std::uint64_t fallbacks = 0;          // plain-CAS fallback taken
-  // Fault injection (zero unless MachineConfig::fault_plan fires here):
-  std::uint64_t injected_capacity = 0;
-  std::uint64_t injected_interrupt = 0;
-  std::uint64_t injected_spurious = 0;
-  // Graceful degradation: plain-CAS taken after K non-conflict aborts
-  // (TxCasConfig::max_nonconflict_aborts) — disjoint from `fallbacks`.
-  std::uint64_t fallback_cas = 0;
 
   bool operator==(const CoreStats&) const = default;
 
@@ -81,19 +67,6 @@ struct CoreStats {
     v("loads", loads);
     v("stores", stores);
     v("rmws", rmws);
-    v("txcas_calls", txcas_calls);
-    v("txcas_success", txcas_success);
-    v("txcas_fail", txcas_fail);
-    v("txcas_attempts", txcas_attempts);
-    v("nested_aborts", nested_aborts);
-    v("tripped_aborts", tripped_aborts);
-    v("uarch_fix_stalls", uarch_fix_stalls);
-    v("self_aborts", self_aborts);
-    v("fallbacks", fallbacks);
-    v("injected_capacity", injected_capacity);
-    v("injected_interrupt", injected_interrupt);
-    v("injected_spurious", injected_spurious);
-    v("fallback_cas", fallback_cas);
   }
 };
 
@@ -360,7 +333,7 @@ class Core {
   void txcas_fallback(bool degraded);
   void txcas_fallback_done();
   // Deliver an injected abort to the in-flight transaction (no-op without
-  // one). Maps FaultKind to AbortCause and counts per kind.
+  // one), attributed to the AbortCause its FaultKind maps to.
   void deliver_injected_fault(FaultKind kind);
 
   // -- poll_until (core.cpp) --

@@ -56,11 +56,9 @@ void Directory::process(const Message& msg) {
   LineRecord& line = lines_[msg.addr];
   switch (msg.type) {
     case MsgType::kGetS:
-      ++state_.stats.gets;
       process_gets(line, msg);
       return;
     case MsgType::kGetM:
-      ++state_.stats.getm;
       process_getm(line, msg);
       return;
     case MsgType::kWbData:
@@ -100,7 +98,6 @@ void Directory::process_gets(LineRecord& line, const Message& msg) {
       // Forward to the owner; it serves the data and keeps the line in
       // Owned state, so subsequent reads keep flowing without any
       // write-back or directory blocking (MOESI behaviour).
-      ++state_.stats.fwd_gets;
       Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                   .type = MsgType::kFwdGetS};
       net_.send(self_, line.owner, fwd);
@@ -117,7 +114,6 @@ int Directory::invalidate_sharers(LineRecord& line, Addr addr, CoreId req) {
   for (CoreId sharer : line.sharers) {
     if (sharer == req) continue;
     ++acks;
-    ++state_.stats.invalidations;
     Message inv{.addr = addr, .src = self_, .requester = req,
                 .type = MsgType::kInv};
     net_.send(self_, sharer, inv);
@@ -165,7 +161,6 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
         // sharers are invalidated back-to-back.
         line.sharers.erase(owner);  // owner is not in sharers, but be safe
         const int acks = invalidate_sharers(line, msg.addr, req);
-        ++state_.stats.fwd_getm;
         Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                     .ack_count = acks, .type = MsgType::kFwdGetM};
         net_.send(self_, owner, fwd);
@@ -178,7 +173,6 @@ void Directory::process_getm(LineRecord& line, const Message& msg) {
       // Non-blocking owner hand-off: re-point ownership immediately and
       // forward; the data travels previous-owner -> new owner. Chains of
       // these are the serialized hand-offs of Figure 2a.
-      ++state_.stats.fwd_getm;
       Message fwd{.addr = msg.addr, .src = self_, .requester = req,
                   .type = MsgType::kFwdGetM};
       net_.send(self_, line.owner, fwd);

@@ -61,22 +61,15 @@ class Directory {
   Value peek(Addr addr) const;
   void poke(Addr addr, Value value);
 
+  // What only the directory sees: how each owner write-back (the
+  // registry's wb_data, counted at the sending core) ended. The requests,
+  // forwards and invalidations it handles are counted in the registry.
   struct Stats {
-    std::uint64_t gets = 0;
-    std::uint64_t getm = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t fwd_gets = 0;
-    std::uint64_t fwd_getm = 0;
     std::uint64_t wb_accepted = 0;  // owner write-back flipped the line O->S
     std::uint64_t wb_dropped = 0;   // stale write-back (a writer intervened)
 
     template <class V>
     void fields(V& v) {
-      v("gets", gets);
-      v("getm", getm);
-      v("invalidations", invalidations);
-      v("fwd_gets", fwd_gets);
-      v("fwd_getm", fwd_getm);
       v("wb_accepted", wb_accepted);
       v("wb_dropped", wb_dropped);
     }
@@ -90,7 +83,7 @@ class Directory {
   std::size_t sharer_count(Addr addr) const;
 
   // Schedule-visible state for Machine::snapshot()/fork() besides the line
-  // table: the occupancy horizon and the protocol counters.
+  // table: the occupancy horizon and the write-back counters.
   struct State {
     Time busy_until = 0;
     Stats stats;

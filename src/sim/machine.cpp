@@ -109,15 +109,16 @@ MetricsSnapshot Machine::metrics() const {
   snap.events = engine_.events_processed();
   snap.final_time = engine_.now();
   if (snap.fault_injection) {
+    // Only injection produces these abort causes (sim/stats.hpp).
+    const auto aborts = [&](AbortCause c) {
+      return snap.htm.aborts[static_cast<std::size_t>(c)];
+    };
+    snap.faults.injected_capacity = aborts(AbortCause::kCapacity);
+    snap.faults.injected_interrupt = aborts(AbortCause::kInterrupt);
+    snap.faults.injected_spurious = aborts(AbortCause::kSpurious);
+    snap.faults.one_shots_fired = one_shots_fired_;
     snap.faults.jittered_messages = net_->jittered_messages();
     snap.faults.jitter_cycles = net_->jitter_cycles();
-    for (const auto& c : cores_) {
-      const CoreStats& cs = c->stats();
-      snap.faults.injected_capacity += cs.injected_capacity;
-      snap.faults.injected_interrupt += cs.injected_interrupt;
-      snap.faults.injected_spurious += cs.injected_spurious;
-    }
-    snap.faults.one_shots_fired = one_shots_fired_;
   }
   return snap;
 }

@@ -179,7 +179,7 @@ struct Reader {
 }  // namespace
 
 // Serialization backdoor: the one friend FlatMap / LineTable / SharerSet /
-// CoreStates / Stats grant, so the encoder can persist their exact slot
+// CoreStates grant, so the encoder can persist their exact slot
 // layout (FlatMap iteration order is not schedule-visible, but slot
 // indices feed probe chains — an "equivalent" reinsertion could place keys
 // differently and change nothing observable *today* while silently
@@ -286,34 +286,6 @@ struct SnapshotSerde {
       return decode_words(rr, line.sharers.words_, n) && rr.u64(line.llc);
     });
   }
-
-  // The machine-wide counters, then one count for both per-core tables,
-  // then each table's entries.
-  static void encode_stats(Writer& w, const Stats& s) {
-    w("protocol", s.protocol_);
-    w("htm", s.htm_);
-    w("basket", s.basket_);
-    w("policy", s.policy_);
-    w.u64(s.per_core_protocol_.size());
-    for (const auto& c : s.per_core_protocol_) w("protocol", c);
-    for (const auto& c : s.per_core_htm_) w("htm", c);
-  }
-
-  // `stats` was built from the config's core count, so the per-core
-  // tables are already sized; the blob's count must agree with the config.
-  static bool decode_stats(Reader& r, Stats& s, int cores) {
-    r("protocol", s.protocol_);
-    r("htm", s.htm_);
-    r("basket", s.basket_);
-    r("policy", s.policy_);
-    std::uint64_t n = 0;
-    if (!r.ok || !r.u64(n) || n != static_cast<std::uint64_t>(cores)) {
-      return false;
-    }
-    for (auto& c : s.per_core_protocol_) r("protocol", c);
-    for (auto& c : s.per_core_htm_) r("htm", c);
-    return r.ok;
-  }
 };
 
 std::uint64_t machine_config_digest(const MachineConfig& cfg) {
@@ -353,7 +325,7 @@ std::vector<std::uint8_t> encode_snapshot_blob(
 
   w.u8(kTagStats);
   w("has_stats", true);  // since schema 10: the deleted stats-off mode's flag
-  SnapshotSerde::encode_stats(w, snap.stats);
+  w("stats", snap.stats);
 
   w.u8(kTagCursors);
   w("next_addr", snap.next_addr);
@@ -414,10 +386,8 @@ bool decode_snapshot_blob(const std::vector<std::uint8_t>& blob,
   bool have_stats = false;
   if (!r.tag(kTagStats)) return false;
   r("has_stats", have_stats);
-  snap.stats = Stats(cores);
-  if (!have_stats || !SnapshotSerde::decode_stats(r, snap.stats, cores)) {
-    return false;
-  }
+  r("stats", snap.stats);
+  if (!r.ok || !have_stats || snap.stats.core_count() != cores) return false;
 
   if (!r.tag(kTagCursors)) return false;
   r("next_addr", snap.next_addr);

@@ -154,12 +154,12 @@ TEST(DirectoryStats, CountsProtocolActions) {
     co_await m.core(1).store(x, 2);    // GetM on S -> invalidation shower
   }(m, x));
   m.run();
-  const auto& s = m.directory().stats();
+  const ProtocolCounters s = m.stats().protocol();
   EXPECT_EQ(s.gets, 3u);
   EXPECT_EQ(s.getm, 2u);
   EXPECT_EQ(s.fwd_gets, 1u);
-  EXPECT_EQ(s.fwd_getm, 0u);       // the WB landed before the second store
-  EXPECT_EQ(s.invalidations, 4u);  // 2 for the first store, 2 for the second
+  EXPECT_EQ(s.fwd_getm, 0u);  // the WB landed before the second store
+  EXPECT_EQ(s.inv, 4u);       // 2 for the first store, 2 for the second
 }
 
 TEST(MachineAlloc, SequentialNonNullAddresses) {

@@ -53,7 +53,7 @@ TEST(SimMoesi, FirstReadForwardedLaterReadsServedByLlc) {
   // before the next read arrives, so the LLC serves the rest directly.
   EXPECT_EQ(m.directory().line_state(x), DirState::kShared);
   EXPECT_EQ(m.directory().sharer_count(x), 6u);  // 5 readers + ex-owner
-  EXPECT_EQ(m.directory().stats().fwd_gets, 1u);
+  EXPECT_EQ(m.stats().protocol().fwd_gets, 1u);
 }
 
 TEST(SimMoesi, OwnerUpgradeInvalidatesSharers) {

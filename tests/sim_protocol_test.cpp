@@ -270,7 +270,7 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
     m.spawn(txcas_program(m, x, &done, &ok));
     m.run();
     ASSERT_TRUE(ok);
-    EXPECT_EQ(m.core(0).stats().txcas_attempts, 1u);
+    EXPECT_EQ(m.stats().core_htm(0).attempts, 1u);
   }
   const Time getm_done = done - cfg.hit_latency;
   const Time fault_at = getm_done - cfg.intra_latency;
@@ -290,7 +290,7 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
   m.engine().schedule(fault_at + 2, [&m, x, &at_probe] {
     at_probe.pending = m.core(0).has_pending(x);
     at_probe.quiescent = m.core(0).quiescent();
-    at_probe.attempts = m.core(0).stats().txcas_attempts;
+    at_probe.attempts = m.stats().core_htm(0).attempts;
   });
   m.run();
 
@@ -299,10 +299,10 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
   EXPECT_FALSE(at_probe.quiescent);
   EXPECT_TRUE(ok);
   EXPECT_GT(done, getm_done);
-  const CoreStats& s = m.core(0).stats();
-  EXPECT_EQ(s.injected_interrupt, 1u);
-  EXPECT_EQ(s.txcas_attempts, 2u);
-  EXPECT_EQ(s.txcas_success, 1u);
+  const HtmCounters& s = m.stats().core_htm(0);
+  EXPECT_EQ(s.aborts[static_cast<std::size_t>(AbortCause::kInterrupt)], 1u);
+  EXPECT_EQ(s.attempts, 2u);
+  EXPECT_EQ(s.successes, 1u);
   EXPECT_EQ(s.fallbacks + s.fallback_cas, 0u);
   EXPECT_TRUE(m.core(0).quiescent());
   EXPECT_FALSE(m.core(0).has_pending(x));

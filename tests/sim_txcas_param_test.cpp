@@ -56,11 +56,11 @@ TEST_P(SimTxCasSweep, CounterEndsExact) {
   // wait-free fallback, which still counts as a call resolution).
   std::uint64_t calls = 0, success = 0, fail = 0, attempts = 0, fallbacks = 0;
   for (int c = 0; c < cores; ++c) {
-    const CoreStats& s = m.core(c).stats();
-    calls += s.txcas_calls;
-    success += s.txcas_success;
-    fail += s.txcas_fail;
-    attempts += s.txcas_attempts;
+    const HtmCounters& s = m.stats().core_htm(c);
+    calls += s.calls;
+    success += s.successes;
+    fail += s.calls - s.successes;
+    attempts += s.attempts;
     fallbacks += s.fallbacks;
   }
   EXPECT_EQ(success + fail, calls);

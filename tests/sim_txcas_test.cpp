@@ -24,6 +24,14 @@ TxCasConfig fast_txcas() {
   return cfg;
 }
 
+std::uint64_t explicit_aborts(const HtmCounters& h) {
+  return h.aborts[static_cast<std::size_t>(AbortCause::kExplicit)];
+}
+
+std::uint64_t tripped_aborts(const HtmCounters& h) {
+  return h.aborts[static_cast<std::size_t>(AbortCause::kTrippedWriter)];
+}
+
 TEST(SimTxCas, SucceedsUncontended) {
   Machine m(small_machine(1));
   const Addr x = m.alloc();
@@ -35,9 +43,10 @@ TEST(SimTxCas, SucceedsUncontended) {
     EXPECT_EQ(co_await m.core(0).load(x), 9u);
   }(m, x));
   m.run();
-  EXPECT_EQ(m.core(0).stats().txcas_success, 1u);
-  EXPECT_EQ(m.core(0).stats().txcas_fail, 1u);
-  EXPECT_EQ(m.core(0).stats().self_aborts, 1u);
+  const HtmCounters& s = m.stats().core_htm(0);
+  EXPECT_EQ(s.successes, 1u);
+  EXPECT_EQ(s.calls - s.successes, 1u);
+  EXPECT_EQ(explicit_aborts(s), 1u);
 }
 
 TEST(SimTxCas, ExactlyOneWinnerUnderContention) {
@@ -100,9 +109,10 @@ TEST(SimTxCas, FailuresAbortConcurrently) {
   m.run();
   std::uint64_t success = 0, nested = 0, fail = 0;
   for (int c = 0; c < kCores; ++c) {
-    success += m.core(c).stats().txcas_success;
-    nested += m.core(c).stats().nested_aborts;
-    fail += m.core(c).stats().txcas_fail;
+    const HtmCounters& s = m.stats().core_htm(c);
+    success += s.successes;
+    nested += s.read_conflicts;
+    fail += s.calls - s.successes;
   }
   EXPECT_EQ(success, 1u);
   EXPECT_EQ(fail, static_cast<std::uint64_t>(kCores - 1));
@@ -165,7 +175,7 @@ TEST(SimTxCas, FallbackGuaranteesTermination) {
   m.run();
   EXPECT_EQ(final, 80u);
   std::uint64_t fallbacks = 0;
-  for (int c = 0; c < 4; ++c) fallbacks += m.core(c).stats().fallbacks;
+  for (int c = 0; c < 4; ++c) fallbacks += m.stats().core_htm(c).fallbacks;
   EXPECT_GT(fallbacks, 0u);
 }
 
@@ -201,7 +211,7 @@ TEST(SimTxCas, TrippedWriterOccursWithReaderInterference) {
     co_await m.core(1).load(x);
   }(m, x));
   m.run();
-  EXPECT_GT(m.core(0).stats().tripped_aborts, 0u)
+  EXPECT_GT(tripped_aborts(m.stats().core_htm(0)), 0u)
       << "reader Fwd-GetS should have tripped the writer";
 }
 
@@ -231,8 +241,8 @@ TEST(SimTxCas, UarchFixPreventsTrippedWriter) {
     *saw = co_await m.core(1).load(x);
   }(m, x, &reader_saw));
   m.run();
-  EXPECT_EQ(m.core(0).stats().tripped_aborts, 0u);
-  EXPECT_GT(m.core(0).stats().uarch_fix_stalls, 0u);
+  EXPECT_EQ(tripped_aborts(m.stats().core_htm(0)), 0u);
+  EXPECT_GT(m.stats().core_htm(0).uarch_fix_stalls, 0u);
   // The stalled read observes the committed value.
   EXPECT_EQ(reader_saw, 1u);
 }
@@ -261,8 +271,8 @@ TEST(SimTxCas, PostAbortCheckFailsFastWhenValueChanged) {
   }(m, x, barrier, &loser_result));
   m.run();
   EXPECT_FALSE(loser_result);
-  EXPECT_GT(m.core(1).stats().nested_aborts, 0u);
-  EXPECT_EQ(m.core(1).stats().txcas_attempts, 1u);
+  EXPECT_GT(m.stats().core_htm(1).read_conflicts, 0u);
+  EXPECT_EQ(m.stats().core_htm(1).attempts, 1u);
 }
 
 TEST(SimTxCas, StatsAccounting) {
@@ -274,12 +284,12 @@ TEST(SimTxCas, StatsAccounting) {
     co_await m.core(0).txcas(x, 0, 3, fast_txcas());  // mismatch
   }(m, x));
   m.run();
-  const CoreStats& s = m.core(0).stats();
-  EXPECT_EQ(s.txcas_calls, 3u);
-  EXPECT_EQ(s.txcas_success, 2u);
-  EXPECT_EQ(s.txcas_fail, 1u);
-  EXPECT_EQ(s.self_aborts, 1u);
-  EXPECT_EQ(s.txcas_attempts, 3u);
+  const HtmCounters& s = m.stats().core_htm(0);
+  EXPECT_EQ(s.calls, 3u);
+  EXPECT_EQ(s.successes, 2u);
+  EXPECT_EQ(s.calls - s.successes, 1u);
+  EXPECT_EQ(explicit_aborts(s), 1u);
+  EXPECT_EQ(s.attempts, 3u);
 }
 
 }  // namespace

@@ -303,7 +303,7 @@ TEST(SnapshotSerdeReject, LineStateOfCoresTheConfigLacks) {
   }
 }
 
-// Pinned bytes (schema 11): the FNV-1a digest of a whole blob and the
+// Pinned bytes (schema 12): the FNV-1a digest of a whole blob and the
 // machine_config_digest of its config, for a warmed 3- or 4-core SBQ-HTM
 // machine under each config below. Any change to the encoding, or to
 // what a run leaves in the snapshot, moves a digest; such a change must
@@ -332,24 +332,24 @@ std::vector<PinnedBytes> pinned_bytes() {
       {2000, 2, sim::FaultKind::kSpurious});
 
   return {
-      {"stats_on", stats_on, 0x4a7acfc6581d32f8ULL,
+      {"stats_on", stats_on, 0xc2bc7739535f175bULL,
        0x66f39d19abb27d4dULL},
-      {"faults", faults, 0x708128850a01e1bcULL,
+      {"faults", faults, 0x219facb56fff9feeULL,
        0xadcf4b5016e26ad4ULL},
   };
 }
 
 // The stats section opens with its tag (6) and the has_stats byte, then the
-// machine-wide protocol counters. Since schema 10 the blob keeps the byte of
-// the deleted stats-off mode; a blob whose byte is 0 is refused, not misread.
+// basket counters. Since schema 10 the blob keeps the byte of the deleted
+// stats-off mode; a blob whose byte is 0 is refused, not misread.
 TEST(SnapshotSerdeReject, StatsOffFlag) {
-  sim::ProtocolCounters counters;
+  sim::BasketCounters counters;
   const std::vector<std::uint8_t> blob =
       edited_blob([&](sim::MachineSnapshot& snap) {
-        counters = snap.stats.protocol();
+        counters = snap.stats.basket();
       });
   std::vector<std::uint8_t> needle{6, 1};
-  for (const std::uint64_t v : {counters.gets, counters.getm}) {
+  for (const std::uint64_t v : {counters.appends_won, counters.appends_lost}) {
     for (int i = 0; i < 8; ++i) {
       needle.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
@@ -367,7 +367,7 @@ TEST(SnapshotSerdeReject, StatsOffFlag) {
 }
 
 TEST(SnapshotSerdeBytes, PinnedBlobAndConfigDigests) {
-  EXPECT_EQ(sim::kSnapshotSchemaVersion, 11u);
+  EXPECT_EQ(sim::kSnapshotSchemaVersion, 12u);
   for (const PinnedBytes& pin : pinned_bytes()) {
     SCOPED_TRACE(pin.name);
     const WorkloadSpec spec = consumer_only_spec(5);
