@@ -15,7 +15,10 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kOpTraceFlags |
+                      BenchOptions::kEventTraceFlag |
+                      BenchOptions::kFaultFlags);
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(3);
 

@@ -23,7 +23,8 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::simq;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kEventTraceFlag | BenchOptions::kFaultFlags);
   const Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);
   const std::vector<int> threads = opts.threads_or({4, 8, 16, 24, 32, 44});

@@ -108,7 +108,8 @@ PhaseResult drive(sim::Engine& e, bool typed, std::uint64_t ops, int width) {
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kEventTraceFlag);
   const std::uint64_t ops = opts.ops_or(2'000'000);
   const int width = opts.first_thread_or(64);
   const int repeats = opts.repeats_or(2);

@@ -118,7 +118,8 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kEventTraceFlag | BenchOptions::kFaultFlags);
   const std::vector<int> threads = opts.threads_or(default_single_socket_sweep());
   const sim::Value ops = opts.ops_or(400);
   const int repeats = opts.repeats_or(3);

@@ -9,6 +9,8 @@
 // thread counts by a modest factor (the paper reports 1.16x at 88).
 #include <exception>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
@@ -18,10 +20,19 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
-  std::vector<int> threads = opts.threads_or(default_dual_socket_sweep());
-  // The mixed workload needs at least one producer and one consumer.
-  std::erase_if(threads, [](int total) { return total / 2 < 1; });
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kOpTraceFlags |
+                      BenchOptions::kEventTraceFlag |
+                      BenchOptions::kFaultFlags);
+  const std::vector<int> threads =
+      opts.threads_or(default_dual_socket_sweep());
+  // A total splits into as many producers as consumers, at least one each.
+  for (const int total : threads) {
+    if (total < 2 || total % 2 != 0) {
+      throw std::invalid_argument("--threads needs even totals >= 2, got " +
+                                  std::to_string(total));
+    }
+  }
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();
@@ -84,7 +95,6 @@ int main(int argc, char** argv) try {
     report.add_table("normalized_duration_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (threads.empty()) return 0;
   const auto [mcfg, spec] = make(threads.front(), 0);
   return write_cell_artifacts(opts, queues.front(), mcfg, spec) ? 0 : 1;
 } catch (const std::exception& e) {

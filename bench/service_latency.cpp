@@ -176,7 +176,8 @@ Json service_cell_json(double rate, QueueKind kind, int repeat,
 
 int main(int argc, char** argv) try {
   ServiceOptions sopts = strip_service_options(argc, argv);
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kFaultFlags);
   if (!opts.threads.empty()) {
     std::cerr << "service_latency sweeps --rates, not --threads\n";
     return 1;

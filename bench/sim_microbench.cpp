@@ -151,7 +151,10 @@ PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      argc, argv, BenchOptions::kEventTraceFlag |
+                      BenchOptions::kFaultFlags |
+                      BenchOptions::kFromSnapshotFlag);
   const int producers = opts.first_thread_or(4);
   const simq::Value ops = opts.ops_or(250);  // per producer, per phase
   const int repeats = opts.repeats_or(2);    // steady phases

@@ -2,7 +2,8 @@
 # Regenerate or verify the golden stdout+JSON baselines of every figure and
 # ablation driver (tests/golden/<driver>.{stdout,json}), captured at the
 # smoke sweep arguments (--threads 1,2 --ops 20 --repeats 1 --jobs 2, the
-# drivers' default seed 42). Driver output is fully deterministic, so the
+# drivers' default seed 42; fig7_mixed, which splits each thread total
+# evenly into producers and consumers, runs --threads 2). Driver output is fully deterministic, so the
 # baselines are compared byte-for-byte.
 #
 # The goldens pin the exact simulated schedule: any schedule-visible change
@@ -21,7 +22,8 @@
 #   scripts/rebaseline_golden.sh --check-fault-off fig5_enqueue
 #       # re-run with fault injection explicitly disabled (--fault-rate 0
 #       # --fault-jitter 0 --fault-seed 1) and verify against the same
-#       # golden — the golden-safety gate for the fault-injection plumbing
+#       # golden — the golden-safety gate for the fault-injection plumbing;
+#       # with no driver named, every driver that reads the fault flags
 #
 # Env: BUILD_DIR (default: build).
 set -euo pipefail
@@ -43,9 +45,22 @@ DRIVERS=(
   ablation_uarch_fix
   ablation_striped_basket
 )
+# The drivers above that read the fault flags. fig2, fig3 and ablation_numa
+# build fixed machines and refuse them.
+FAULT_DRIVERS=(
+  fig1_txcas_vs_faa
+  fig5_enqueue
+  fig6_dequeue
+  fig7_mixed
+  ablation_delay_sweep
+  ablation_basket_size
+  ablation_uarch_fix
+  ablation_striped_basket
+)
 
 mode=write
 extra_args=()
+default_drivers=("${DRIVERS[@]}")
 case "${1:-}" in
   --check)
     mode=check
@@ -59,13 +74,14 @@ case "${1:-}" in
   --check-fault-off)
     mode=check
     extra_args=(--fault-rate 0 --fault-jitter 0 --fault-seed 1)
+    default_drivers=("${FAULT_DRIVERS[@]}")
     shift
     ;;
 esac
 
 drivers=("$@")
 if [ ${#drivers[@]} -eq 0 ]; then
-  drivers=("${DRIVERS[@]}")
+  drivers=("${default_drivers[@]}")
 fi
 
 require_built() {
@@ -98,7 +114,11 @@ for drv in "${drivers[@]}"; do
   require_built "$exe"
   tmp_out=$(mktemp)
   tmp_json=$(mktemp)
-  if ! "$exe" "${SMOKE_ARGS[@]}" ${extra_args[@]+"${extra_args[@]}"} \
+  args=("${SMOKE_ARGS[@]}")
+  if [ "$drv" = fig7_mixed ]; then
+    args[1]=2  # --threads 2: fig7 refuses the odd total 1
+  fi
+  if ! "$exe" "${args[@]}" ${extra_args[@]+"${extra_args[@]}"} \
       --json "$tmp_json" > "$tmp_out"; then
     echo "rebaseline_golden: $drv${extra_args[0]:+ ${extra_args[*]}}: driver exited nonzero at the smoke arguments" >&2
     exit 1

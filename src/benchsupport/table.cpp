@@ -89,13 +89,19 @@ void Table::print(std::ostream& os, bool csv) const {
   for (const auto& row : rows_) print_aligned_row(os, row, widths);
 }
 
-BenchOptions BenchOptions::parse(int argc, char** argv) {
+BenchOptions BenchOptions::parse(int argc, char** argv, unsigned honoured) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     auto next_value = [&]() -> const char* {
       if (i + 1 >= argc) throw std::invalid_argument(std::string(a) + " needs a value");
       return argv[++i];
+    };
+    // `flag`, of `family`, must be one the driver honours.
+    auto require = [honoured](FlagFamily family, const char* flag) {
+      if ((honoured & family) == 0) {
+        throw std::invalid_argument(std::string(flag) + " is not supported");
+      }
     };
     if (std::strcmp(a, "--csv") == 0) {
       opts.csv = true;
@@ -130,27 +136,37 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
             ": the on-disk snapshot cache was removed; only off is accepted");
       }
     } else if (std::strcmp(a, "--from-snapshot") == 0) {
+      require(kFromSnapshotFlag, a);
       opts.from_snapshot = true;
     } else if (std::strcmp(a, "--trace") == 0) {
+      require(kEventTraceFlag, a);
       opts.trace_path = next_value();
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
+      require(kEventTraceFlag, "--trace");
       opts.trace_path = a + 8;
     } else if (std::strcmp(a, "--record-ops") == 0) {
+      require(kOpTraceFlags, a);
       opts.record_ops = next_value();
     } else if (std::strncmp(a, "--record-ops=", 13) == 0) {
+      require(kOpTraceFlags, "--record-ops");
       opts.record_ops = a + 13;
     } else if (std::strcmp(a, "--replay-ops") == 0) {
+      require(kOpTraceFlags, a);
       opts.replay_ops = next_value();
     } else if (std::strncmp(a, "--replay-ops=", 13) == 0) {
+      require(kOpTraceFlags, "--replay-ops");
       opts.replay_ops = a + 13;
     } else if (std::strcmp(a, "--fault-rate") == 0) {
+      require(kFaultFlags, a);
       opts.fault_rate = parse_number<double>(a, next_value());
       if (!(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0)) {
         throw std::invalid_argument("--fault-rate needs a probability in [0,1]");
       }
     } else if (std::strcmp(a, "--fault-seed") == 0) {
+      require(kFaultFlags, a);
       opts.fault_seed = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--fault-jitter") == 0) {
+      require(kFaultFlags, a);
       opts.fault_jitter = parse_number<unsigned long long>(a, next_value());
     } else if (std::strcmp(a, "--sockets") == 0) {
       opts.sockets = parse_number<int>(a, next_value());

@@ -83,6 +83,17 @@ std::vector<T> parse_number_list(const char* flag, std::string_view list) {
 // FILE (JSONL coherence-event trace); --json/--trace also accept the
 // --opt=FILE form.
 struct BenchOptions {
+  // Shared flags only some drivers act on, by family. A driver passes the
+  // families it honours to parse(); a flag of any other family is an
+  // error ("<flag> is not supported"), not a silent no-op.
+  enum FlagFamily : unsigned {
+    kOpTraceFlags = 1u << 0,      // --record-ops, --replay-ops
+    kEventTraceFlag = 1u << 1,    // --trace
+    kFaultFlags = 1u << 2,        // --fault-rate, --fault-seed, --fault-jitter
+    kFromSnapshotFlag = 1u << 3,  // --from-snapshot
+    kAllFlagFamilies = (1u << 4) - 1,
+  };
+
   bool csv = false;
   unsigned long long seed = 42;
   std::vector<int> threads;       // empty => binary default sweep
@@ -125,7 +136,8 @@ struct BenchOptions {
   // artifact stays byte-identical to the goldens.
   std::string record_ops;
   std::string replay_ops;
-  static BenchOptions parse(int argc, char** argv);
+  static BenchOptions parse(int argc, char** argv,
+                            unsigned honoured = kAllFlagFamilies);
 
   // Worker threads for the sweep pool: --jobs N when given, otherwise
   // hardware_concurrency.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -133,6 +134,33 @@ TEST(BenchOptions, UnknownFlagThrows) {
     EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
         << e.what();
   }
+}
+
+// A flag of a family the driver does not honour is refused by name, in
+// either spelling; the families it honours parse as usual.
+TEST(BenchOptions, FlagOfAFamilyNotHonouredThrows) {
+  const unsigned honoured = BenchOptions::kEventTraceFlag;
+  for (const auto& [flag, value, name] :
+       {std::tuple<const char*, const char*, const char*>{
+            "--record-ops", "x.sbqo", "--record-ops"},
+        {"--replay-ops=x.sbqo", nullptr, "--replay-ops"},
+        {"--fault-seed", "3", "--fault-seed"},
+        {"--from-snapshot", nullptr, "--from-snapshot"}}) {
+    SCOPED_TRACE(flag);
+    char prog[] = "bench";
+    std::string f = flag, v = value ? value : "";
+    char* argv[] = {prog, f.data(), v.data()};
+    try {
+      BenchOptions::parse(value ? 3 : 2, argv, honoured);
+      ADD_FAILURE() << flag << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string(name) + " is not supported");
+    }
+  }
+  char prog[] = "bench";
+  char trace[] = "--trace=t.jsonl";
+  char* argv[] = {prog, trace};
+  EXPECT_EQ(BenchOptions::parse(2, argv, honoured).trace_path, "t.jsonl");
 }
 
 TEST(BenchOptions, MissingValueThrows) {
