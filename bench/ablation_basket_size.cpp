@@ -15,18 +15,18 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kOpTraceFlags |
-                      BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "ablation_basket_size");
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(3);
 
   std::cout << "# 5.3.4 ablation: SBQ-HTM enqueue latency vs basket size B "
                "and enqueuers T (" << ops << " ops/thread)\n";
-  Table table({"B", "T=2", "T=8", "T=22", "T=44"});
+  const std::vector<int> thread_counts = opts.threads_or({2, 8, 22, 44});
+  std::vector<std::string> columns{"B"};
+  for (int t : thread_counts) columns.push_back("T=" + std::to_string(t));
+  Table table(std::move(columns));
   if (!opts.csv) table.stream_to(std::cout);
-  const std::vector<int> thread_counts{2, 8, 22, 44};
   const std::vector<int> basket_sizes{2, 8, 22, 44, 88};
   BenchReport report("ablation_basket_size");
   report.set_sweep_config(opts, thread_counts, ops, repeats);
@@ -104,7 +104,8 @@ int main(int argc, char** argv) try {
     report.add_table("enq_latency_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  // Traced/recorded cell: the B = T diagonal at the smallest thread count.
+  // Traced/recorded cell: the smallest basket at the first thread count (the
+  // B = T diagonal by default; with_queue widens B to cover T).
   const auto [mcfg, spec] =
       make(thread_counts.front(), basket_sizes.front(), 0);
   return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;

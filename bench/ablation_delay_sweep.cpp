@@ -7,7 +7,6 @@
 // mean TxCAS latency plus the pre-write-abort fraction (aborts that
 // happened before the write issued, which is what the delay buys).
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -81,14 +80,7 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
   r.pre_write_abort_fraction =
       aborts > 0 ? static_cast<double>(nested) / aborts : 1.0;
   r.metrics = m.metrics();
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      m.trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
-    }
-  }
+  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return r;
 }
 
@@ -97,8 +89,8 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag | BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "ablation_delay_sweep");
   const sim::Value ops = opts.ops_or(250);
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
 

@@ -26,10 +26,8 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kOpTraceFlags |
-                      BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "ablation_fault_sweep");
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
   const simq::Value ops = opts.ops_or(200);
   // Top rate 0.8 models "HTM effectively broken": with the default

@@ -13,7 +13,6 @@
 // (cross-socket invalidation acks hold it open longer), inflating
 // attempts/call; the fix restores first-attempt commits.
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "benchsupport/table.hpp"
 #include "common/rng.hpp"
 #include "sim/machine.hpp"
+#include "sim_queue_bench_util.hpp"
 
 namespace sbq {
 namespace {
@@ -107,14 +107,7 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
   res.stalls_per_call =
       static_cast<double>(stalls) / static_cast<double>(calls);
   res.metrics = m.metrics();
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      m.trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
-    }
-  }
+  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return res;
 }
 
@@ -123,8 +116,7 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag);
+  const BenchOptions opts = BenchOptions::parse(argc, argv, "ablation_numa");
   const sim::Value ops = opts.ops_or(400);
 
   // Every interconnect parameter the swept machines use goes in the header

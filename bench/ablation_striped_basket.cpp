@@ -6,7 +6,6 @@
 // workload (Figure 6's regime, where the single FAA is the bottleneck),
 // sweeping the stripe count.
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -23,8 +22,8 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::simq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag | BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "ablation_striped_basket");
   const Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);
   const std::vector<int> threads = opts.threads_or({4, 8, 16, 24, 32, 44});
@@ -64,15 +63,7 @@ int main(int argc, char** argv) try {
     spec.ops_per_thread = ops;
     spec.seed = opts.seed + r * 7919;
     SimRunResult res = run_spec(m, q, spec, 0);
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (out) {
-        m.trace().write_jsonl(out);
-      } else {
-        std::cerr << "--trace: cannot open " << trace_path
-                  << " for writing\n";
-      }
-    }
+    if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
     return res;
   };
   std::vector<SimRunResult> results(threads.size() * cells_per_row);

@@ -15,25 +15,20 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kOpTraceFlags |
-                      BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "ablation_uarch_fix");
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);
-  const std::vector<int> totals = opts.threads_or({8, 16, 32, 64, 88});
+  const std::vector<int> totals =
+      mixed_totals(opts.threads_or({8, 16, 32, 64, 88}));
 
   std::cout << "# 3.4.1 ablation: SBQ-HTM mixed workload, uarch fix off/on ("
             << ops << " ops/thread)\n";
   Table table({"threads", "enq_ns(nofix)", "enq_ns(fix)", "dur_ns(nofix)",
                "dur_ns(fix)"});
   if (!opts.csv) table.stream_to(std::cout);
-  std::vector<int> rows;
-  for (int total : totals) {
-    if (total / 2 >= 1) rows.push_back(total);
-  }
   BenchReport report("ablation_uarch_fix");
-  report.set_sweep_config(opts, rows, ops, repeats);
+  report.set_sweep_config(opts, totals, ops, repeats);
   report.set("ns_per_cycle", Json(ns_per_cycle()));
   const std::size_t nrep = static_cast<std::size_t>(repeats);
   const std::size_t cells_per_row = nrep * 2;  // (repeat, fix off/on)
@@ -50,18 +45,18 @@ int main(int argc, char** argv) try {
     spec.seed = opts.seed + static_cast<std::uint64_t>(repeat) * 7919;
     return std::pair(mcfg, spec);
   };
-  std::vector<SimRunResult> results(rows.size() * cells_per_row);
+  std::vector<SimRunResult> results(totals.size() * cells_per_row);
   run_sweep_cells(
-      rows.size(), cells_per_row, opts.effective_jobs(),
+      totals.size(), cells_per_row, opts.effective_jobs(),
       [&](std::size_t i) {
-        const int total = rows[i / cells_per_row];
+        const int total = totals[i / cells_per_row];
         const int r = static_cast<int>((i % cells_per_row) / 2);
         const bool fix = (i % 2) != 0;
         const auto [mcfg, spec] = make(total, r, fix);
         results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
       [&](std::size_t row) {
-        const int total = rows[row];
+        const int total = totals[row];
         if (!opts.json_path.empty()) {
           for (std::size_t c = 0; c < cells_per_row; ++c) {
             const SimRunResult& res = results[row * cells_per_row + c];
@@ -101,9 +96,8 @@ int main(int argc, char** argv) try {
     report.add_table("uarch_fix_ablation", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (rows.empty()) return 0;
   // Traced/recorded cell: smallest mixed workload with the fix off.
-  const auto [mcfg, spec] = make(rows.front(), 0, /*fix=*/false);
+  const auto [mcfg, spec] = make(totals.front(), 0, /*fix=*/false);
   return write_cell_artifacts(opts, QueueKind::kSbqHtm, mcfg, spec) ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "ablation_uarch_fix: " << e.what() << "\n";

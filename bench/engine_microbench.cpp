@@ -108,10 +108,10 @@ PhaseResult drive(sim::Engine& e, bool typed, std::uint64_t ops, int width) {
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "engine_microbench");
   const std::uint64_t ops = opts.ops_or(2'000'000);
-  const int width = opts.first_thread_or(64);
+  const int width = opts.thread_count_or(64);
   const int repeats = opts.repeats_or(2);
   BenchReport report("engine_microbench");
   report.set_config("events_per_phase", Json(ops));
@@ -159,10 +159,6 @@ int main(int argc, char** argv) try {
   if (!opts.json_path.empty()) {
     report.add_table("phases", table);
     if (!report.write(opts.json_path)) return 1;
-  }
-  if (!opts.trace_path.empty()) {
-    std::cerr << "engine_microbench: --trace ignored (no coherence machine "
-                 "in this bench)\n";
   }
   if (!steady_clean) {
     std::cerr << "engine_microbench: FAIL — a steady phase allocated "

@@ -11,7 +11,6 @@
 // for context; the paper plots only the latencies).
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 
@@ -94,14 +93,7 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
   }
   m.run();
   if (metrics != nullptr) *metrics = m.metrics();
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      m.trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
-    }
-  }
+  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   const std::uint64_t nops = st->ops;
   if (success_rate != nullptr) {
     *success_rate =
@@ -118,8 +110,8 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag | BenchOptions::kFaultFlags);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "fig1_txcas_vs_faa");
   const std::vector<int> threads = opts.threads_or(default_single_socket_sweep());
   const sim::Value ops = opts.ops_or(400);
   const int repeats = opts.repeats_or(3);

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -30,6 +29,7 @@
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
 #include "sim/machine.hpp"
+#include "sim_queue_bench_util.hpp"
 
 namespace sbq {
 namespace {
@@ -109,16 +109,9 @@ Round run_round(int cores, bool htm, const std::string& trace_path = {}) {
   r.invalidations = after.inv - before.inv;
   r.getm = after.getm - before.getm;
   r.metrics = m.metrics();
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      // The warm-up was cleared above, so this is exactly the CAS round's
-      // coherence event stream (the worked example in docs/observability.md).
-      m.trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
-    }
-  }
+  // The warm-up was cleared above, so a trace is exactly the CAS round's
+  // coherence event stream (the worked example in docs/observability.md).
+  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return r;
 }
 
@@ -133,9 +126,9 @@ double spread(const Round& r) {
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag);
-  const int cores = opts.first_thread_or(8);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "fig2_coherence_dynamics");
+  const int cores = opts.thread_count_or(8);
 
   std::cout << "# Figure 2: coherence dynamics of one contended CAS round ("
             << cores << " cores, all\n# starting from Shared state). "

@@ -9,7 +9,6 @@
 //   * the writer's total TxCAS latency,
 //   * how many transactional attempts the writer needed.
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
 #include "sim/machine.hpp"
+#include "sim_queue_bench_util.hpp"
 
 namespace sbq {
 namespace {
@@ -85,14 +85,7 @@ Outcome run_scenario(Time reader_offset, bool fix,
   o.writer_latency_ns =
       static_cast<double>(*done_at - *started_at) * ns_per_cycle();
   o.metrics = m.metrics();
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (out) {
-      m.trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
-    }
-  }
+  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return o;
 }
 
@@ -101,8 +94,8 @@ Outcome run_scenario(Time reader_offset, bool fix,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag);
+  const BenchOptions opts =
+      BenchOptions::parse(argc, argv, "fig3_tripped_writer");
 
   std::cout << "# Figure 3: tripped writer — remote reader's GetS arriving "
                "inside the writer's\n# cross-socket commit window, without "

@@ -17,10 +17,7 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kOpTraceFlags |
-                      BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags);
+  const BenchOptions opts = BenchOptions::parse(argc, argv, "fig6_dequeue");
   const std::vector<int> threads = opts.threads_or(default_single_socket_sweep());
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);

@@ -9,8 +9,6 @@
 // thread counts by a modest factor (the paper reports 1.16x at 88).
 #include <exception>
 #include <iostream>
-#include <stdexcept>
-#include <string>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
@@ -20,19 +18,9 @@
 int main(int argc, char** argv) try {
   using namespace sbq;
   using namespace sbq::bench;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kOpTraceFlags |
-                      BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags);
+  const BenchOptions opts = BenchOptions::parse(argc, argv, "fig7_mixed");
   const std::vector<int> threads =
-      opts.threads_or(default_dual_socket_sweep());
-  // A total splits into as many producers as consumers, at least one each.
-  for (const int total : threads) {
-    if (total < 2 || total % 2 != 0) {
-      throw std::invalid_argument("--threads needs even totals >= 2, got " +
-                                  std::to_string(total));
-    }
-  }
+      mixed_totals(opts.threads_or(default_dual_socket_sweep()));
   const simq::Value ops = opts.ops_or(200);
   const int repeats = opts.repeats_or(2);
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();

@@ -28,6 +28,7 @@
 
 #include "benchsupport/bench_report.hpp"
 #include "benchsupport/json.hpp"
+#include "benchsupport/table.hpp"
 
 namespace {
 
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
   using sbq::Json;
   std::string file;
   std::string schema = sbq::BenchReport::kSchema;
-  long min_cells = 0;
+  std::size_t min_cells = 0;
   bool service_cells = false;
   bool policy_cells = false;
   std::vector<std::string> cmd;
@@ -56,7 +57,12 @@ int main(int argc, char** argv) {
     } else if (a == "--schema" && i + 1 < argc) {
       schema = argv[++i];
     } else if (a == "--min-cells" && i + 1 < argc) {
-      min_cells = std::strtol(argv[++i], nullptr, 10);
+      // A count in full: "abc" or "-5" would make the check vacuous.
+      try {
+        min_cells = sbq::parse_number<std::size_t>("--min-cells", argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        return fail(e.what());
+      }
     } else if (a == "--service-cells") {
       service_cells = true;
     } else if (a == "--policy-cells") {
@@ -130,7 +136,7 @@ int main(int argc, char** argv) {
   if (root["cells"].type() != Json::Type::kArray) {
     return fail("missing \"cells\" array");
   }
-  if (static_cast<long>(root["cells"].size()) < min_cells) {
+  if (root["cells"].size() < min_cells) {
     return fail("expected at least " + std::to_string(min_cells) +
                 " cells, got " + std::to_string(root["cells"].size()));
   }

@@ -11,20 +11,17 @@
 // Arrivals are Poisson and the admission gate drops ops past its depth
 // limit.
 //
-// Extra options on top of the shared BenchOptions set (which this driver
-// strips before BenchOptions::parse, since parse rejects unknown flags):
+// Its own options, on top of the shared ones it declares in
+// driver_flag_table():
 //   --rates LIST       arrival rates [ops/kcycle], comma separated
-//                      (replaces --threads as the row axis; --threads is
-//                      rejected here)
+//                      (the row axis, in place of --threads)
 //   --depth N          admission depth limit, 0 = unbounded (default 64)
 //   --producers N      load-generator workers          (default 4)
 //   --consumers N      drain workers                   (default 2)
 //   --batch N          max back-to-back ops per wakeup (default 4)
 //   --think N          consumer service time [cycles]  (default 16)
 #include <cstdint>
-#include <cstring>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,62 +50,6 @@ struct ServiceOptions {
 // the one admission policy the broker has.
 constexpr const char* kArrivalName = "poisson";
 constexpr const char* kAdmissionName = "drop";
-
-// A worker count below 1 would size the queue for a negative id space
-// before run_service could reject the spec.
-int parse_workers(const char* flag, const std::string& text) {
-  const int n = parse_number<int>(flag, text);
-  if (n < 1) {
-    throw std::invalid_argument(std::string(flag) + " needs at least 1, got " +
-                                text);
-  }
-  return n;
-}
-
-// Split "--opt val" / "--opt=val" service flags out of argv, leaving the
-// shared flags for BenchOptions::parse (which throws on anything unknown).
-ServiceOptions strip_service_options(int& argc, char** argv) {
-  ServiceOptions sopts;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string name = arg;
-    std::string value;
-    bool inline_value = false;
-    if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      inline_value = true;
-    }
-    auto take_value = [&]() -> const std::string& {
-      if (inline_value) return value;
-      if (i + 1 >= argc) {
-        throw std::invalid_argument(name + " needs a value");
-      }
-      value = argv[++i];
-      return value;
-    };
-    if (name == "--rates") {
-      sopts.rates = parse_number_list<double>("--rates", take_value());
-    } else if (name == "--depth") {
-      sopts.depth_limit = parse_number<std::uint64_t>("--depth", take_value());
-    } else if (name == "--producers") {
-      sopts.producers = parse_workers("--producers", take_value());
-    } else if (name == "--consumers") {
-      sopts.consumers = parse_workers("--consumers", take_value());
-    } else if (name == "--batch") {
-      sopts.batch = parse_number<int>("--batch", take_value());
-    } else if (name == "--think") {
-      sopts.consumer_think = parse_number<sim::Time>("--think", take_value());
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(rest.size());
-  for (int i = 0; i < argc; ++i) argv[i] = rest[static_cast<std::size_t>(i)];
-  return sopts;
-}
 
 // One summarized service cell: the raw counters plus percentile points of
 // the retained sojourn/enqueue-latency samples, in nanoseconds.
@@ -175,13 +116,32 @@ Json service_cell_json(double rate, QueueKind kind, int repeat,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  ServiceOptions sopts = strip_service_options(argc, argv);
+  ServiceOptions sopts;
   const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kFaultFlags);
-  if (!opts.threads.empty()) {
-    std::cerr << "service_latency sweeps --rates, not --threads\n";
-    return 1;
-  }
+      argc, argv, "service_latency",
+      {{"--rates",
+        [&](const char* v) {
+          sopts.rates = parse_number_list<double>("--rates", v);
+        }},
+       {"--depth",
+        [&](const char* v) {
+          sopts.depth_limit = parse_number<std::uint64_t>("--depth", v);
+        }},
+       // A worker count below 1 would size the queue for a negative id
+       // space before run_service could reject the spec.
+       {"--producers",
+        [&](const char* v) {
+          sopts.producers = parse_count("--producers", v, 1);
+        }},
+       {"--consumers",
+        [&](const char* v) {
+          sopts.consumers = parse_count("--consumers", v, 1);
+        }},
+       {"--batch",
+        [&](const char* v) { sopts.batch = parse_number<int>("--batch", v); }},
+       {"--think", [&](const char* v) {
+          sopts.consumer_think = parse_number<sim::Time>("--think", v);
+        }}});
   const std::size_t total_ops = static_cast<std::size_t>(opts.ops_or(400));
   const int repeats = opts.repeats_or(2);
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();

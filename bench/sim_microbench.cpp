@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <new>
@@ -151,11 +150,8 @@ PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
 
 int main(int argc, char** argv) try {
   using namespace sbq;
-  const BenchOptions opts = BenchOptions::parse(
-      argc, argv, BenchOptions::kEventTraceFlag |
-                      BenchOptions::kFaultFlags |
-                      BenchOptions::kFromSnapshotFlag);
-  const int producers = opts.first_thread_or(4);
+  const BenchOptions opts = BenchOptions::parse(argc, argv, "sim_microbench");
+  const int producers = opts.thread_count_or(4);
   const simq::Value ops = opts.ops_or(250);  // per producer, per phase
   const int repeats = opts.repeats_or(2);    // steady phases
   BenchReport report("sim_microbench");
@@ -289,15 +285,9 @@ int main(int argc, char** argv) try {
     report.add_table("phases", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    std::ofstream out(opts.trace_path);
-    if (out) {
-      mp->trace().write_jsonl(out);
-    } else {
-      std::cerr << "--trace: cannot open " << opts.trace_path
-                << " for writing\n";
-      return 1;
-    }
+  if (!opts.trace_path.empty() &&
+      !bench::write_trace_file(*mp, opts.trace_path)) {
+    return 1;
   }
   if (!steady_clean) {
     std::cerr << "sim_microbench: FAIL — steady phase allocated on the heap "

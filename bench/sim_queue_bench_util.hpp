@@ -96,6 +96,29 @@ inline sim::MachineConfig sim_machine_config(const BenchOptions& opts,
   return mcfg;
 }
 
+// --trace: writes machine `m`'s event trace to `path` as JSONL. Returns
+// false, after saying so on stderr, if the file cannot be written.
+inline bool write_trace_file(sim::Machine& m, const std::string& path) {
+  std::ofstream out(path);
+  m.trace().write_jsonl(out);
+  out.flush();
+  if (!out) std::cerr << "--trace: cannot write " << path << "\n";
+  return static_cast<bool>(out);
+}
+
+// The thread totals of a mixed-workload driver (fig7, ablation_uarch_fix):
+// each splits into as many producers as consumers, at least one each, so
+// an odd total or one below 2 is refused rather than rounded down.
+inline std::vector<int> mixed_totals(std::vector<int> totals) {
+  for (const int total : totals) {
+    if (total < 2 || total % 2 != 0) {
+      throw std::invalid_argument("--threads needs even totals >= 2, got " +
+                                  std::to_string(total));
+    }
+  }
+  return totals;
+}
+
 // Construct the queue `kind` prescribes on machine `m` and invoke
 // fn(queue, consumer_id_offset) with it — the one place the QueueKind ->
 // class mapping lives. A warmed queue reaches a forked machine by copy
@@ -401,15 +424,7 @@ inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
     sim::Machine m(traced);
     with_queue(kind, m, spec,
                [&](auto& q, int offset) { run_spec(m, q, spec, offset); });
-    std::ofstream out(opts.trace_path);
-    if (!out) {
-      std::cerr << "--trace: cannot open " << opts.trace_path
-                << " for writing\n";
-      return false;
-    }
-    m.trace().write_jsonl(out);
-    out.flush();
-    if (!out) return false;
+    if (!write_trace_file(m, opts.trace_path)) return false;
   }
   if (!opts.record_ops.empty()) {
     replay::OpTrace trace = replay::trace_header(spec, queue_kind_name(kind));

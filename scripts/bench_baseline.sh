@@ -3,13 +3,15 @@
 # native one into BENCH_native.json.
 #
 # Records what benchmark/ does not cover: the wall-clock of one 512-core
-# fig5 cell and the open-loop service_latency driver (docs/service.md),
-# best of $RUNS runs each, plus the steady-phase
-# rates of the two allocation-gated microbenches (engine_microbench, both
-# its closure and its typed-event leg, and sim_microbench) at their gate
-# sizes. The fig5/fig6/fig7 sweeps are timed
-# by benchmark/ (sim-enqueue, sim-dequeue-prefilled), which has a
-# regression rule. Results land in BENCH_sim.json at the repo root.
+# fig5 cell, of the open-loop service_latency driver (docs/service.md) and
+# of the default fig5, fig6 and fig7 runs (no flags: the paper's thread
+# sweeps at the default --jobs, one job per CPU), best of $RUNS runs each,
+# plus the steady-phase rates of the two allocation-gated microbenches
+# (engine_microbench, both its closure and its typed-event leg, and
+# sim_microbench) at their gate sizes. benchmark/ times smaller fig5/fig6
+# shapes under a regression rule (sim-enqueue, sim-dequeue-prefilled); the
+# default runs here are what a reader of the figures waits for. Results
+# land in BENCH_sim.json at the repo root.
 #
 # BENCH_native.json holds the Google Benchmark JSON of native_primitives
 # and native_queues at 1, 2 and 4 threads, with the host's CPU count and
@@ -33,7 +35,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 RUNS=${RUNS:-3}
 BEFORE=${1:-}
 
-for bin in fig5_enqueue service_latency \
+for bin in fig5_enqueue fig6_dequeue fig7_mixed service_latency \
            engine_microbench sim_microbench native_primitives native_queues; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "bench_baseline: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR)" >&2
@@ -109,6 +111,9 @@ SERVICE_ARGS = ["--rates", ",".join(str(r) for r in SERVICE_RATES),
 FIG5_512C_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
                   "--repeats", "1", "--jobs", "1"]
 
+# The default figure runs: no flags at all.
+FIGURES = ("fig5_enqueue", "fig6_dequeue", "fig7_mixed")
+
 def run_micro(drv, args):
     exe = os.path.join(build, "bench", drv)
     with tempfile.NamedTemporaryFile(suffix=".json") as f:
@@ -138,6 +143,7 @@ report = {
     "sim_config": sim_config(),
     "fig5_512c": run_timed("fig5_enqueue", FIG5_512C_ARGS),
     "service_latency": run_timed("service_latency", SERVICE_ARGS),
+    "figures_default": {drv: run_timed(drv, []) for drv in FIGURES},
     "microbench": {
         "engine_microbench": run_micro(
             "engine_microbench", ["--ops", "200000", "--repeats", "2"]),
@@ -151,18 +157,22 @@ if before_path:
     before = json.load(open(before_path))
     before.pop("before", None)
     report["before"] = before
-    for leg in ("fig5_512c", "service_latency"):
-        old = before.get(leg)
+    legs = [(report[leg], before.get(leg))
+            for leg in ("fig5_512c", "service_latency")]
+    legs += [(report["figures_default"][drv],
+              before.get("figures_default", {}).get(drv)) for drv in FIGURES]
+    for new, old in legs:
         # A leg whose arguments changed times a different run.
-        if old and "best_s" in old and old.get("args") == report[leg]["args"]:
-            report[leg]["speedup_vs_before"] = round(
-                old["best_s"] / report[leg]["best_s"], 2)
+        if old and "best_s" in old and old.get("args") == new["args"]:
+            new["speedup_vs_before"] = round(old["best_s"] / new["best_s"], 2)
 
 with open("BENCH_sim.json", "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
-print(json.dumps({leg: report[leg]["best_s"]
-                  for leg in ("fig5_512c", "service_latency")},
+print(json.dumps({**{leg: report[leg]["best_s"]
+                     for leg in ("fig5_512c", "service_latency")},
+                  **{drv: leg["best_s"]
+                     for drv, leg in report["figures_default"].items()}},
                  indent=2))
 
 # Native leg. The installed Google Benchmark takes --benchmark_min_time as

@@ -21,7 +21,7 @@ if [ ! -x "$bin" ]; then
 fi
 args=("$@")
 if [ ${#args[@]} -eq 0 ]; then
-  args=(--threads 1,2 --ops 20 --repeats 1 --jobs 2 --fault-seed 7)
+  args=(--threads 1,2 --ops 20 --jobs 2 --fault-seed 7)
 fi
 
 tmpdir=$(mktemp -d)

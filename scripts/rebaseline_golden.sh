@@ -2,9 +2,10 @@
 # Regenerate or verify the golden stdout+JSON baselines of every figure and
 # ablation driver (tests/golden/<driver>.{stdout,json}), captured at the
 # smoke sweep arguments (--threads 1,2 --ops 20 --repeats 1 --jobs 2, the
-# drivers' default seed 42; fig7_mixed, which splits each thread total
-# evenly into producers and consumers, runs --threads 2). Driver output is fully deterministic, so the
-# baselines are compared byte-for-byte.
+# drivers' default seed 42) without the flags a driver does not read, which
+# it refuses (smoke_args below; bench/CMakeLists.txt runs the same). Driver
+# output is fully deterministic, so the baselines are compared
+# byte-for-byte.
 #
 # The goldens pin the exact simulated schedule: any schedule-visible change
 # (invalidation delivery order, interconnect timing, workload seeding)
@@ -31,7 +32,21 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 GOLDEN_DIR=tests/golden
-SMOKE_ARGS=(--threads 1,2 --ops 20 --repeats 1 --jobs 2)
+# The smoke arguments of driver $1.
+smoke_args() {
+  case $1 in
+    fig2_coherence_dynamics) echo --threads 1 --jobs 2 ;;
+    fig3_tripped_writer) echo --jobs 2 ;;
+    # These split each thread total evenly into producers and consumers,
+    # so they refuse the odd total 1.
+    fig7_mixed | ablation_uarch_fix)
+      echo --threads 2 --ops 20 --repeats 1 --jobs 2 ;;
+    ablation_delay_sweep) echo --threads 1,2 --ops 20 --jobs 2 ;;
+    ablation_numa) echo --ops 20 --jobs 2 ;;
+    ablation_basket_size) echo --ops 20 --repeats 1 --jobs 2 ;;
+    *) echo --threads 1,2 --ops 20 --repeats 1 --jobs 2 ;;
+  esac
+}
 DRIVERS=(
   fig1_txcas_vs_faa
   fig2_coherence_dynamics
@@ -114,10 +129,7 @@ for drv in "${drivers[@]}"; do
   require_built "$exe"
   tmp_out=$(mktemp)
   tmp_json=$(mktemp)
-  args=("${SMOKE_ARGS[@]}")
-  if [ "$drv" = fig7_mixed ]; then
-    args[1]=2  # --threads 2: fig7 refuses the odd total 1
-  fi
+  read -r -a args <<< "$(smoke_args "$drv")"
   if ! "$exe" "${args[@]}" ${extra_args[@]+"${extra_args[@]}"} \
       --json "$tmp_json" > "$tmp_out"; then
     echo "rebaseline_golden: $drv${extra_args[0]:+ ${extra_args[*]}}: driver exited nonzero at the smoke arguments" >&2

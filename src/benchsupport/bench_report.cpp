@@ -87,9 +87,4 @@ bool BenchReport::write(const std::string& path) const {
   return true;
 }
 
-bool BenchReport::write_if(const std::string& path, const BenchReport& report) {
-  if (path.empty()) return true;
-  return report.write(path);
-}
-
 }  // namespace sbq

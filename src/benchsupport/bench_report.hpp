@@ -62,9 +62,6 @@ class BenchReport {
   // BenchReport bug, not an environment problem).
   bool write(const std::string& path) const;
 
-  // Drivers' one-liner: no-op on an empty path, otherwise write().
-  static bool write_if(const std::string& path, const BenchReport& report);
-
  private:
   std::string bench_;
   Json config_;

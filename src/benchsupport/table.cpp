@@ -89,99 +89,174 @@ void Table::print(std::ostream& os, bool csv) const {
   for (const auto& row : rows_) print_aligned_row(os, row, widths);
 }
 
-BenchOptions BenchOptions::parse(int argc, char** argv, unsigned honoured) {
+namespace {
+
+bool has(const std::vector<std::string_view>& names, std::string_view name) {
+  return std::ranges::find(names, name) != names.end();
+}
+
+}  // namespace
+
+// Each row names only the flags its driver reads, directly or through
+// sim_machine_config, set_sweep_config, run_queue_sweep and
+// write_cell_artifacts. README.md's flag table mirrors it.
+const std::vector<DriverFlags>& driver_flag_table() {
+  static const std::vector<DriverFlags> table{
+      {"fig1_txcas_vs_faa",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--trace", "--sockets", "--fault-rate", "--fault-seed",
+        "--fault-jitter"}},
+      {"fig2_coherence_dynamics",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--trace"}},
+      {"fig3_tripped_writer",
+       {"--csv", "--json", "--seed", "--jobs", "--trace"}},
+      {"fig5_enqueue",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--cold-start", "--trace", "--record-ops", "--replay-ops",
+        "--sockets", "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"fig6_dequeue",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--cold-start", "--trace", "--record-ops", "--replay-ops",
+        "--sockets", "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"fig7_mixed",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--cold-start", "--trace", "--record-ops", "--replay-ops",
+        "--sockets", "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"ablation_delay_sweep",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops", "--trace",
+        "--sockets", "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"ablation_numa",
+       {"--csv", "--json", "--seed", "--jobs", "--ops", "--trace"}},
+      {"ablation_basket_size",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--trace", "--record-ops", "--replay-ops", "--sockets",
+        "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"ablation_uarch_fix",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--trace", "--record-ops", "--replay-ops", "--sockets",
+        "--fault-rate", "--fault-seed", "--fault-jitter"}},
+      {"ablation_striped_basket",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops",
+        "--repeats", "--trace", "--sockets", "--fault-rate", "--fault-seed",
+        "--fault-jitter"}},
+      {"ablation_fault_sweep",
+       {"--csv", "--json", "--seed", "--jobs", "--threads", "--ops", "--trace",
+        "--record-ops", "--replay-ops", "--sockets", "--fault-seed",
+        "--fault-jitter"}},
+      {"engine_microbench",
+       {"--csv", "--json", "--threads", "--ops", "--repeats"}},
+      {"sim_microbench",
+       {"--csv", "--json", "--threads", "--ops", "--repeats", "--trace",
+        "--sockets", "--fault-rate", "--fault-seed", "--fault-jitter",
+        "--from-snapshot"}},
+      {"service_latency",
+       {"--csv", "--json", "--seed", "--jobs", "--ops", "--repeats",
+        "--cold-start", "--sockets", "--fault-rate", "--fault-seed",
+        "--fault-jitter"},
+       {"--rates", "--depth", "--producers", "--consumers", "--batch",
+        "--think"}},
+      {"native_queues",
+       {},
+       {"--record-ops", "--record-threads", "--record-pairs", "--record-seed",
+        "--benchmark_*"}},
+  };
+  return table;
+}
+
+BenchOptions BenchOptions::parse(int argc, char** argv,
+                                 std::string_view driver,
+                                 const std::vector<OwnFlag>& own) {
+  const auto& table = driver_flag_table();
+  const auto decl = std::ranges::find(table, driver, &DriverFlags::driver);
+  if (decl == table.end()) {
+    throw std::logic_error(std::string(driver) + " has no flag declaration");
+  }
+  // Whether `arg` starts with a declared prefix ("--benchmark_*").
+  auto prefixed = [&](std::string_view arg) {
+    return std::ranges::any_of(decl->own, [&](std::string_view p) {
+      return p.ends_with('*') && arg.starts_with(p.substr(0, p.size() - 1));
+    });
+  };
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) throw std::invalid_argument(std::string(a) + " needs a value");
+    const std::string_view arg = argv[i];
+    if (prefixed(arg)) continue;  // left in argv for the library to read
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    auto value = [&]() -> const char* {
+      if (eq != std::string_view::npos) return argv[i] + eq + 1;
+      if (i + 1 >= argc) throw std::invalid_argument(name + " needs a value");
       return argv[++i];
     };
-    // `flag`, of `family`, must be one the driver honours.
-    auto require = [honoured](FlagFamily family, const char* flag) {
-      if ((honoured & family) == 0) {
-        throw std::invalid_argument(std::string(flag) + " is not supported");
+    if (has(decl->own, name)) {
+      const auto parser = std::ranges::find(own, name, &OwnFlag::name);
+      if (parser == own.end()) {
+        throw std::logic_error(std::string(driver) + ": no parser for " + name);
       }
+      parser->parse(value());
+      continue;
+    }
+    // A shared flag is one that some driver declares.
+    auto shared = [&](const DriverFlags& d) { return has(d.shared, name); };
+    if (name != "--snapshot-cache" && !shared(*decl)) {
+      throw std::invalid_argument(std::ranges::any_of(table, shared)
+                                      ? name + " is not supported"
+                                      : "unknown option: " + std::string(arg));
+    }
+    auto on = [&] {  // a switch takes no value
+      if (eq != std::string_view::npos) {
+        throw std::invalid_argument(name + " takes no value");
+      }
+      return true;
     };
-    if (std::strcmp(a, "--csv") == 0) {
-      opts.csv = true;
-    } else if (std::strcmp(a, "--seed") == 0) {
-      opts.seed = parse_number<unsigned long long>(a, next_value());
-    } else if (std::strcmp(a, "--ops") == 0) {
-      // 0 means "unset" (the driver's default), so it cannot be given.
-      opts.ops = parse_number<unsigned long long>(a, next_value());
-      if (opts.ops == 0) throw std::invalid_argument("--ops needs a count >= 1");
-    } else if (std::strcmp(a, "--repeats") == 0) {
-      opts.repeats = parse_number<int>(a, next_value());
-      if (opts.repeats < 1) {
-        throw std::invalid_argument("--repeats needs a count >= 1");
-      }
-    } else if (std::strcmp(a, "--jobs") == 0) {
-      opts.jobs = parse_number<int>(a, next_value());
-      if (opts.jobs < 1) {
-        throw std::invalid_argument("--jobs needs a positive thread count");
-      }
-    } else if (std::strcmp(a, "--cold-start") == 0) {
-      opts.cold_start = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      opts.json_path = next_value();
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      opts.json_path = a + 7;
-    } else if (std::strcmp(a, "--snapshot-cache") == 0 ||
-               std::strncmp(a, "--snapshot-cache=", 17) == 0) {
-      const char* mode = a[16] == '=' ? a + 17 : next_value();
-      if (std::strcmp(mode, "off") != 0) {
-        throw std::invalid_argument(
-            std::string("--snapshot-cache=") + mode +
-            ": the on-disk snapshot cache was removed; only off is accepted");
-      }
-    } else if (std::strcmp(a, "--from-snapshot") == 0) {
-      require(kFromSnapshotFlag, a);
-      opts.from_snapshot = true;
-    } else if (std::strcmp(a, "--trace") == 0) {
-      require(kEventTraceFlag, a);
-      opts.trace_path = next_value();
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      require(kEventTraceFlag, "--trace");
-      opts.trace_path = a + 8;
-    } else if (std::strcmp(a, "--record-ops") == 0) {
-      require(kOpTraceFlags, a);
-      opts.record_ops = next_value();
-    } else if (std::strncmp(a, "--record-ops=", 13) == 0) {
-      require(kOpTraceFlags, "--record-ops");
-      opts.record_ops = a + 13;
-    } else if (std::strcmp(a, "--replay-ops") == 0) {
-      require(kOpTraceFlags, a);
-      opts.replay_ops = next_value();
-    } else if (std::strncmp(a, "--replay-ops=", 13) == 0) {
-      require(kOpTraceFlags, "--replay-ops");
-      opts.replay_ops = a + 13;
-    } else if (std::strcmp(a, "--fault-rate") == 0) {
-      require(kFaultFlags, a);
-      opts.fault_rate = parse_number<double>(a, next_value());
-      if (!(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0)) {
-        throw std::invalid_argument("--fault-rate needs a probability in [0,1]");
-      }
-    } else if (std::strcmp(a, "--fault-seed") == 0) {
-      require(kFaultFlags, a);
-      opts.fault_seed = parse_number<unsigned long long>(a, next_value());
-    } else if (std::strcmp(a, "--fault-jitter") == 0) {
-      require(kFaultFlags, a);
-      opts.fault_jitter = parse_number<unsigned long long>(a, next_value());
-    } else if (std::strcmp(a, "--sockets") == 0) {
-      opts.sockets = parse_number<int>(a, next_value());
-      if (opts.sockets < 0) {
-        throw std::invalid_argument("--sockets needs a non-negative count");
-      }
-    } else if (std::strcmp(a, "--threads") == 0) {
-      // Every comma-separated entry is a thread count >= 1; an empty
-      // entry ("2,,4", a trailing comma) is an error, not a 0-thread row.
-      for (const int n : parse_number_list<int>(a, next_value())) {
+    if (name == "--csv") {
+      opts.csv = on();
+    } else if (name == "--cold-start") {
+      opts.cold_start = on();
+    } else if (name == "--from-snapshot") {
+      opts.from_snapshot = on();
+    } else if (name == "--json") {
+      opts.json_path = value();
+    } else if (name == "--trace") {
+      opts.trace_path = value();
+    } else if (name == "--record-ops") {
+      opts.record_ops = value();
+    } else if (name == "--replay-ops") {
+      opts.replay_ops = value();
+    } else if (name == "--seed") {
+      opts.seed = parse_number<unsigned long long>("--seed", value());
+    } else if (name == "--fault-seed") {
+      opts.fault_seed =
+          parse_number<unsigned long long>("--fault-seed", value());
+    } else if (name == "--fault-jitter") {
+      opts.fault_jitter =
+          parse_number<unsigned long long>("--fault-jitter", value());
+    } else if (name == "--jobs") {
+      opts.jobs = parse_count("--jobs", value(), 1);
+    } else if (name == "--ops") {
+      // 0 would read as "the driver's default", so it cannot be given.
+      opts.ops = parse_count<unsigned long long>("--ops", value(), 1);
+    } else if (name == "--repeats") {
+      opts.repeats = parse_count("--repeats", value(), 1);
+    } else if (name == "--sockets") {
+      opts.sockets = parse_count("--sockets", value(), 0);
+    } else if (name == "--threads") {
+      // An empty entry ("2,,4", a trailing comma) is an error, not a
+      // 0-thread row.
+      for (const int n : parse_number_list<int>("--threads", value())) {
         if (n < 1) throw std::invalid_argument("--threads needs counts >= 1");
         opts.threads.push_back(n);
       }
-    } else {
-      throw std::invalid_argument(std::string("unknown option: ") + a);
+    } else if (name == "--fault-rate") {
+      opts.fault_rate = parse_number<double>("--fault-rate", value());
+      if (!(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0)) {
+        throw std::invalid_argument(
+            "--fault-rate needs a probability in [0,1]");
+      }
+    } else if (const std::string mode = value(); mode != "off") {  // cache
+      throw std::invalid_argument(
+          "--snapshot-cache=" + mode +
+          ": the on-disk snapshot cache was removed; only off is accepted");
     }
   }
   return opts;

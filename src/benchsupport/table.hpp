@@ -5,6 +5,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -64,6 +65,17 @@ T parse_number(const char* flag, std::string_view text) {
   return v;
 }
 
+// Such a number that is also a count of at least `min`.
+template <typename T>
+T parse_count(const char* flag, std::string_view text, T min) {
+  const T v = parse_number<T>(flag, text);
+  if (v < min) {
+    throw std::invalid_argument(std::string(flag) + " needs a count >= " +
+                                std::to_string(min));
+  }
+  return v;
+}
+
 // A comma-separated list of such numbers: an empty entry ("2,,4", a
 // trailing comma, an empty list) throws like any other bad number.
 template <typename T>
@@ -77,23 +89,29 @@ std::vector<T> parse_number_list(const char* flag, std::string_view list) {
   }
 }
 
-// Shared CLI parsing for bench binaries: recognizes --csv, --seed N,
-// --threads LIST (comma separated), --ops N, --repeats N, --jobs N,
-// --cold-start, --json FILE (BenchReport artifact) and --trace
-// FILE (JSONL coherence-event trace); --json/--trace also accept the
-// --opt=FILE form.
-struct BenchOptions {
-  // Shared flags only some drivers act on, by family. A driver passes the
-  // families it honours to parse(); a flag of any other family is an
-  // error ("<flag> is not supported"), not a silent no-op.
-  enum FlagFamily : unsigned {
-    kOpTraceFlags = 1u << 0,      // --record-ops, --replay-ops
-    kEventTraceFlag = 1u << 1,    // --trace
-    kFaultFlags = 1u << 2,        // --fault-rate, --fault-seed, --fault-jitter
-    kFromSnapshotFlag = 1u << 3,  // --from-snapshot
-    kAllFlagFamilies = (1u << 4) - 1,
-  };
+// A driver's own flag: its name and the parser of its value.
+struct OwnFlag {
+  std::string_view name;
+  std::function<void(const char* value)> parse;
+};
 
+// One driver's flag declaration: the shared flags it reads (the fields of
+// BenchOptions below) and its own flags. An own flag ending in '*' is a
+// prefix whose arguments are left in argv for a library (native_queues'
+// --benchmark_* flags, read by Google Benchmark).
+struct DriverFlags {
+  std::string_view driver;
+  std::vector<std::string_view> shared;
+  std::vector<std::string_view> own = {};
+};
+
+// Every driver's declaration, in one table. BenchOptions::parse reads a
+// driver's row; a unit test checks README.md's flag table against it.
+const std::vector<DriverFlags>& driver_flag_table();
+
+// Shared CLI parsing for bench binaries. Each value flag takes its value
+// as the next argument or after '=' (--json FILE, --json=FILE).
+struct BenchOptions {
   bool csv = false;
   unsigned long long seed = 42;
   std::vector<int> threads;       // empty => binary default sweep
@@ -105,8 +123,8 @@ struct BenchOptions {
   // golden tests run fig6 both ways against one baseline); this flag exists
   // to keep that equivalence checkable and to time the warm-up savings.
   bool cold_start = false;
-  std::string json_path;          // empty => no JSON artifact
-  std::string trace_path;         // empty => no event trace
+  std::string json_path;          // --json: BenchReport artifact
+  std::string trace_path;         // --trace: JSONL coherence-event trace
   // Fault injection (sim drivers only; see docs/robustness.md):
   //   --fault-rate P    total injected-abort probability per transactional
   //                     attempt (split across capacity/interrupt/spurious);
@@ -116,28 +134,28 @@ struct BenchOptions {
   double fault_rate = 0.0;
   unsigned long long fault_seed = 1;
   unsigned long long fault_jitter = 0;
-  // Machine shape (sim drivers only):
-  //   --sockets N          override the driver's socket count.
-  int sockets = 0;
-  //   --from-snapshot  sim_microbench only: run the measured phases on a
-  //                    machine forked from a serialize/deserialize
-  //                    round-trip of the warmed snapshot (the perf gate's
-  //                    third identity path).
-  //   --snapshot-cache=off  accepted and ignored, so scripts written for
-  //                    the removed on-disk snapshot cache keep working
-  //                    (docs/performance.md); any other value throws.
+  int sockets = 0;                // --sockets: 0 => the driver's count
+  // --from-snapshot (sim_microbench): run the measured phases on a machine
+  // forked from a serialize/deserialize round-trip of the warmed snapshot
+  // (the perf gate's third identity path).
   bool from_snapshot = false;
   // Op-level trace record/replay (docs/replay.md):
   //   --record-ops FILE  re-run one representative cell with op recording
   //                      and write the versioned trace to FILE.
   //   --replay-ops FILE  feed a recorded trace back as a sim workload under
   //                      this driver's machine flags.
-  // Both accept the --opt=FILE form; both empty by default so every
-  // artifact stays byte-identical to the goldens.
   std::string record_ops;
   std::string replay_ops;
-  static BenchOptions parse(int argc, char** argv,
-                            unsigned honoured = kAllFlagFamilies);
+
+  // Parses argv against `driver`'s row of driver_flag_table(): a declared
+  // shared flag fills its field, a declared own flag calls its parser in
+  // `own`, and any other flag throws std::invalid_argument ("<flag> is not
+  // supported", or "unknown option" if no driver declares it), so no driver
+  // accepts a flag it would drop. Every driver also accepts
+  // --snapshot-cache=off as a no-op, so scripts written for the removed
+  // on-disk snapshot cache keep working (docs/performance.md).
+  static BenchOptions parse(int argc, char** argv, std::string_view driver,
+                            const std::vector<OwnFlag>& own = {});
 
   // Worker threads for the sweep pool: --jobs N when given, otherwise
   // hardware_concurrency.
@@ -152,7 +170,12 @@ struct BenchOptions {
   std::vector<int> threads_or(std::vector<int> dflt) const {
     return threads.empty() ? std::move(dflt) : threads;
   }
-  int first_thread_or(int dflt) const {
+  // For drivers that run one machine size: a --threads list is refused
+  // rather than cut to its first entry.
+  int thread_count_or(int dflt) const {
+    if (threads.size() > 1) {
+      throw std::invalid_argument("--threads takes one count, not a list");
+    }
     return threads.empty() ? dflt : threads.front();
   }
 };

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -62,7 +66,7 @@ TEST(Table, RowCount) {
 TEST(BenchOptions, Defaults) {
   char prog[] = "bench";
   char* argv[] = {prog};
-  const BenchOptions o = BenchOptions::parse(1, argv);
+  const BenchOptions o = BenchOptions::parse(1, argv, "fig5_enqueue");
   EXPECT_FALSE(o.csv);
   EXPECT_EQ(o.seed, 42ull);
   EXPECT_TRUE(o.threads.empty());
@@ -83,7 +87,7 @@ TEST(BenchOptions, ParsesAllFlags) {
   char cache[] = "--snapshot-cache", cachev[] = "off";
   char* argv[] = {prog, csv,  seed, seedv,    ops,   opsv,  rep,
                   repv, thr,  thrv, cache_eq, cache, cachev};
-  const BenchOptions o = BenchOptions::parse(13, argv);
+  const BenchOptions o = BenchOptions::parse(13, argv, "fig5_enqueue");
   EXPECT_TRUE(o.csv);
   EXPECT_EQ(o.seed, 7ull);
   EXPECT_EQ(o.ops, 1000ull);
@@ -99,7 +103,8 @@ TEST(BenchOptions, UnknownFlagThrows) {
     char prog[] = "bench";
     std::string bad = flag;
     char* argv[] = {prog, bad.data()};
-    EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+    EXPECT_THROW(BenchOptions::parse(2, argv, "fig5_enqueue"),
+                 std::invalid_argument);
   }
   // Removed flags (the commit-decay knob, the sharded machine's worker
   // count, directory slicing, the retry-policy selector and its seed) are
@@ -116,7 +121,7 @@ TEST(BenchOptions, UnknownFlagThrows) {
     std::string f = flag, v = value;
     char* argv[] = {prog, f.data(), v.data()};
     try {
-      BenchOptions::parse(3, argv);
+      BenchOptions::parse(3, argv, "fig5_enqueue");
       ADD_FAILURE() << flag << " parsed";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("unknown option"),
@@ -128,7 +133,7 @@ TEST(BenchOptions, UnknownFlagThrows) {
   char cache[] = "--snapshot-cache", cachev[] = "rw";
   char* argv[] = {prog, cache, cachev};
   try {
-    BenchOptions::parse(3, argv);
+    BenchOptions::parse(3, argv, "fig5_enqueue");
     ADD_FAILURE() << "--snapshot-cache rw parsed";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
@@ -136,22 +141,24 @@ TEST(BenchOptions, UnknownFlagThrows) {
   }
 }
 
-// A flag of a family the driver does not honour is refused by name, in
-// either spelling; the families it honours parse as usual.
-TEST(BenchOptions, FlagOfAFamilyNotHonouredThrows) {
-  const unsigned honoured = BenchOptions::kEventTraceFlag;
+// A shared flag the driver does not declare is refused by name, in either
+// spelling; the flags it declares parse as usual.
+TEST(BenchOptions, UndeclaredFlagThrows) {
   for (const auto& [flag, value, name] :
        {std::tuple<const char*, const char*, const char*>{
             "--record-ops", "x.sbqo", "--record-ops"},
         {"--replay-ops=x.sbqo", nullptr, "--replay-ops"},
         {"--fault-seed", "3", "--fault-seed"},
-        {"--from-snapshot", nullptr, "--from-snapshot"}}) {
+        {"--from-snapshot", nullptr, "--from-snapshot"},
+        {"--threads", "2", "--threads"},
+        {"--cold-start", nullptr, "--cold-start"},
+        {"--sockets=2", nullptr, "--sockets"}}) {
     SCOPED_TRACE(flag);
     char prog[] = "bench";
     std::string f = flag, v = value ? value : "";
     char* argv[] = {prog, f.data(), v.data()};
     try {
-      BenchOptions::parse(value ? 3 : 2, argv, honoured);
+      BenchOptions::parse(value ? 3 : 2, argv, "fig3_tripped_writer");
       ADD_FAILURE() << flag << " parsed";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()), std::string(name) + " is not supported");
@@ -159,8 +166,72 @@ TEST(BenchOptions, FlagOfAFamilyNotHonouredThrows) {
   }
   char prog[] = "bench";
   char trace[] = "--trace=t.jsonl";
-  char* argv[] = {prog, trace};
-  EXPECT_EQ(BenchOptions::parse(2, argv, honoured).trace_path, "t.jsonl");
+  char cache[] = "--snapshot-cache=off";
+  char* argv[] = {prog, trace, cache};
+  EXPECT_EQ(BenchOptions::parse(3, argv, "fig3_tripped_writer").trace_path,
+            "t.jsonl");
+}
+
+// A driver's own flags reach its parsers in either spelling; a declared
+// prefix is left for the library that reads it; a switch takes no value.
+TEST(BenchOptions, OwnFlagsAndPrefixes) {
+  char prog[] = "bench";
+  char ops[] = "--record-ops", opsv[] = "p";
+  char threads[] = "--record-threads=3";
+  char filter[] = "--benchmark_filter=x";
+  char* argv[] = {prog, ops, opsv, threads, filter};
+  std::string prefix, record_threads;
+  BenchOptions::parse(5, argv, "native_queues",
+                      {{"--record-ops", [&](const char* v) { prefix = v; }},
+                       {"--record-threads",
+                        [&](const char* v) { record_threads = v; }}});
+  EXPECT_EQ(prefix, "p");
+  EXPECT_EQ(record_threads, "3");
+  char csv[] = "--csv=yes";
+  char* bad[] = {prog, csv};
+  EXPECT_THROW(BenchOptions::parse(2, bad, "fig5_enqueue"),
+               std::invalid_argument);
+  char* none[] = {prog};
+  EXPECT_THROW(BenchOptions::parse(1, none, "no_such_driver"),
+               std::logic_error);
+}
+
+// A driver that runs one machine size refuses a --threads list instead of
+// reading its first entry.
+TEST(BenchOptions, ThreadCountRefusesALongerList) {
+  BenchOptions o;
+  EXPECT_EQ(o.thread_count_or(8), 8);
+  o.threads = {4};
+  EXPECT_EQ(o.thread_count_or(8), 4);
+  o.threads = {4, 8};
+  EXPECT_THROW(o.thread_count_or(8), std::invalid_argument);
+}
+
+// README.md's flag table lists, per driver, exactly the flags
+// driver_flag_table() declares: a row is the driver's name, then every
+// flag it takes in backquotes.
+TEST(DriverFlags, ReadmeTableMatchesTheDeclarations) {
+  std::ifstream readme(SBQ_README_PATH);
+  ASSERT_TRUE(readme) << SBQ_README_PATH;
+  std::map<std::string, std::set<std::string>> documented;
+  const std::regex quoted("`([^`]*)`");
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    for (std::sregex_iterator m(line.begin(), line.end(), quoted), end;
+         m != end; ++m) {
+      cells.push_back((*m)[1]);
+    }
+    if (cells.size() < 2 || cells[1].rfind("--", 0) != 0) continue;
+    documented[cells[0]].insert(cells.begin() + 1, cells.end());
+  }
+  std::map<std::string, std::set<std::string>> declared;
+  for (const DriverFlags& d : driver_flag_table()) {
+    auto& flags = declared[std::string(d.driver)];
+    flags.insert(d.shared.begin(), d.shared.end());
+    flags.insert(d.own.begin(), d.own.end());
+  }
+  EXPECT_EQ(documented, declared);
 }
 
 TEST(BenchOptions, MissingValueThrows) {
@@ -169,7 +240,8 @@ TEST(BenchOptions, MissingValueThrows) {
     char prog[] = "bench";
     std::string bad = flag;
     char* argv[] = {prog, bad.data()};
-    EXPECT_THROW(BenchOptions::parse(2, argv), std::invalid_argument);
+    EXPECT_THROW(BenchOptions::parse(2, argv, "fig5_enqueue"),
+                 std::invalid_argument);
   }
 }
 
@@ -192,12 +264,14 @@ TEST(BenchOptions, BadNumbersThrow) {
     char prog[] = "bench";
     std::string f = flag, v = value;
     char* argv[] = {prog, f.data(), v.data()};
-    EXPECT_THROW(BenchOptions::parse(3, argv), std::invalid_argument);
+    EXPECT_THROW(BenchOptions::parse(3, argv, "fig5_enqueue"),
+                 std::invalid_argument);
   }
   char prog[] = "bench";
   char rate[] = "--fault-rate", ratev[] = "0.25";
   char* argv[] = {prog, rate, ratev};
-  EXPECT_DOUBLE_EQ(BenchOptions::parse(3, argv).fault_rate, 0.25);
+  EXPECT_DOUBLE_EQ(BenchOptions::parse(3, argv, "fig5_enqueue").fault_rate,
+                   0.25);
 }
 
 // parse_number(_list) is also what service_latency's own flags and

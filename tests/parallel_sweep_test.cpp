@@ -120,13 +120,14 @@ TEST(QueueFactory, NamesRoundTrip) {
 }
 
 // sim_machine_config is the one place the shared flags reach a machine, so
-// each flag family must land in the config and the defaults must not.
+// each machine flag must land in the config and the defaults must not.
 BenchOptions parse_flags(std::vector<std::string> flags) {
   std::vector<char*> argv;
   std::string prog = "bench";
   argv.push_back(prog.data());
   for (std::string& f : flags) argv.push_back(f.data());
-  return BenchOptions::parse(static_cast<int>(argv.size()), argv.data());
+  return BenchOptions::parse(static_cast<int>(argv.size()), argv.data(),
+                             "fig5_enqueue");
 }
 
 TEST(SimMachineConfig, DefaultOptionsOnlySetCoresAndSockets) {
