@@ -2,18 +2,13 @@
 // engine alone, plus its allocation behaviour (the engine's slab/freelist
 // event records must make steady-state scheduling allocation-free).
 //
-// Two legs, each with two phases:
-//   * closure — every event is a closure (the kind coroutine resumes,
-//     poll steps and timers use);
-//   * typed — every event is a typed kDeliver carrying a Message, run
-//     through the engine's handler (the kind message deliveries, directory
-//     steps and access completions use).
+// Every event is a typed kDeliver carrying a Message, run through the
+// engine's handler, as every engine event is. Two phases:
 //   * cold  — a fresh engine: slab refills and the heap vector's growth
 //     are visible in allocs/event.
 //   * steady — the same engine re-driven after the first drain: the
 //     freelist is warm and the heap vector is at capacity, so allocs/event
-//     must print as 0 in both legs (this is the regression gate future PRs
-//     compare against).
+//     must print as 0 (this is the regression gate).
 //
 // The workload is a self-refilling event cascade: `width` initial events,
 // each of which reschedules itself until `ops` events have run — the same
@@ -45,7 +40,6 @@ struct PhaseResult {
 // the lane until its budget runs out.
 struct Cascade {
   sim::Engine& e;
-  bool typed;
   std::uint64_t remaining;
   std::uint64_t payload = 0;  // touched per event so work isn't elided
   void fire() {
@@ -55,17 +49,13 @@ struct Cascade {
     schedule(1 + (payload & 7));
   }
   void schedule(sim::Time delay) {
-    if (typed) {
-      // The lane rides in the message's payload word, as a delivery's
-      // line value would.
-      sim::Message msg;
-      msg.value = reinterpret_cast<std::uintptr_t>(this);
-      e.schedule_typed(delay, sim::EventKind::kDeliver, 0, msg);
-    } else {
-      e.schedule(delay, [this] { fire(); });
-    }
+    // The lane rides in the message's payload word, as a delivery's line
+    // value would.
+    sim::Message msg;
+    msg.value = reinterpret_cast<std::uintptr_t>(this);
+    e.schedule_typed(delay, sim::EventKind::kDeliver, 0, msg);
   }
-  // The engine handler of the typed leg.
+  // The engine's handler.
   static void on_event(void*, const sim::Event& ev) {
     reinterpret_cast<Cascade*>(static_cast<std::uintptr_t>(ev.msg.value))
         ->fire();
@@ -74,7 +64,7 @@ struct Cascade {
 
 // Drives `ops` events through `e` and reports throughput plus the alloc
 // counters accumulated *during this phase* (deltas against phase start).
-PhaseResult drive(sim::Engine& e, bool typed, std::uint64_t ops, int width) {
+PhaseResult drive(sim::Engine& e, std::uint64_t ops, int width) {
   const sim::Engine::AllocStats before = e.alloc_stats();
   const std::uint64_t processed_before = e.events_processed();
 
@@ -82,8 +72,7 @@ PhaseResult drive(sim::Engine& e, bool typed, std::uint64_t ops, int width) {
   lanes.reserve(static_cast<std::size_t>(width));
   const std::uint64_t per_lane = ops / static_cast<std::uint64_t>(width);
   for (int w = 0; w < width; ++w) {
-    lanes.push_back(
-        Cascade{e, typed, per_lane, static_cast<std::uint64_t>(w)});
+    lanes.push_back(Cascade{e, per_lane, static_cast<std::uint64_t>(w)});
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (Cascade& lane : lanes) lane.schedule(1);
@@ -123,38 +112,33 @@ int main(int argc, char** argv) try {
             << ops << " events/phase, " << width
             << " concurrent event lanes; steady-state allocs/event must be "
                "0)\n";
-  Table table({"leg", "phase", "events", "Mevents/s", "slab_refills",
+  Table table({"phase", "events", "Mevents/s", "slab_refills",
                "allocs_per_event"});
   bool steady_clean = true;
-  for (const bool typed : {false, true}) {
-    const std::string leg = typed ? "typed" : "closure";
-    sim::Engine engine;
-    engine.set_handler(&Cascade::on_event, nullptr);
-    for (int r = 0; r < repeats + 1; ++r) {
-      const PhaseResult res = drive(engine, typed, ops, width);
-      const std::string phase =
-          r == 0 ? "cold" : "steady-" + std::to_string(r);
-      if (r > 0 && res.slab_refills != 0) steady_clean = false;
-      char rate[32], apev[32];
-      std::snprintf(rate, sizeof rate, "%.2f", res.events_per_sec / 1e6);
-      std::snprintf(apev, sizeof apev, "%.6f", res.allocs_per_event);
-      table.add_row({leg, phase, std::to_string(res.events), rate,
-                     std::to_string(res.slab_refills), apev});
-      if (!opts.json_path.empty()) {
-        Json cj = Json::object();
-        cj.set("leg", Json(leg));
-        cj.set("phase", Json(phase));
-        cj.set("events", Json(res.events));
-        cj.set("events_per_sec", Json(res.events_per_sec));
-        cj.set("slab_refills", Json(res.slab_refills));
-        cj.set("allocs_per_event", Json(res.allocs_per_event));
-        report.add_cell(std::move(cj));
-      }
+  sim::Engine engine;
+  engine.set_handler(&Cascade::on_event, nullptr);
+  for (int r = 0; r < repeats + 1; ++r) {
+    const PhaseResult res = drive(engine, ops, width);
+    const std::string phase = r == 0 ? "cold" : "steady-" + std::to_string(r);
+    if (r > 0 && res.slab_refills != 0) steady_clean = false;
+    char rate[32], apev[32];
+    std::snprintf(rate, sizeof rate, "%.2f", res.events_per_sec / 1e6);
+    std::snprintf(apev, sizeof apev, "%.6f", res.allocs_per_event);
+    table.add_row({phase, std::to_string(res.events), rate,
+                   std::to_string(res.slab_refills), apev});
+    if (!opts.json_path.empty()) {
+      Json cj = Json::object();
+      cj.set("phase", Json(phase));
+      cj.set("events", Json(res.events));
+      cj.set("events_per_sec", Json(res.events_per_sec));
+      cj.set("slab_refills", Json(res.slab_refills));
+      cj.set("allocs_per_event", Json(res.allocs_per_event));
+      report.add_cell(std::move(cj));
     }
   }
   table.print(std::cout, opts.csv);
-  std::cout << "\n(cold pays the slab/heap warm-up; every steady phase of "
-               "both legs must\n report 0 slab refills — scheduling is "
+  std::cout << "\n(cold pays the slab/heap warm-up; every steady phase "
+               "must report 0 slab\n refills — scheduling is "
                "allocation-free once warm.)\n";
   if (!opts.json_path.empty()) {
     report.add_table("phases", table);

@@ -7,8 +7,8 @@
 # of the default fig5, fig6 and fig7 runs (no flags: the paper's thread
 # sweeps at the default --jobs, one job per CPU), best of $RUNS runs each,
 # plus the steady-phase rates of the two allocation-gated microbenches
-# (engine_microbench, both its closure and its typed-event leg, and
-# sim_microbench) at their gate sizes. benchmark/ times smaller fig5/fig6
+# (engine_microbench and sim_microbench) at their gate sizes, also best of
+# $RUNS runs. benchmark/ times smaller fig5/fig6
 # shapes under a regression rule (sim-enqueue, sim-dequeue-prefilled); the
 # default runs here are what a reader of the figures waits for. Results
 # land in BENCH_sim.json at the repo root.
@@ -115,23 +115,24 @@ FIG5_512C_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
 FIGURES = ("fig5_enqueue", "fig6_dequeue", "fig7_mixed")
 
 def run_micro(drv, args):
+    # The fastest steady phase over $RUNS runs: one run of a sub-second
+    # microbench on a shared host reads tens of percent low.
     exe = os.path.join(build, "bench", drv)
-    with tempfile.NamedTemporaryFile(suffix=".json") as f:
-        # A nonzero exit IS the gate: a steady phase allocated.
-        run_checked([exe, *args, "--json", f.name])
-        cells = json.load(open(f.name))["cells"]
-    steady = [c for c in cells if str(c.get("phase", "")).startswith("steady")]
-    out = {"args": " ".join(args)}
-    # engine_microbench runs a closure leg and a typed-event leg; the
-    # closure leg keeps the unprefixed key so it stays comparable with
-    # baselines taken before the typed leg existed.
-    for leg in dict.fromkeys(c.get("leg", "closure") for c in steady):
-        key = ("" if leg == "closure" else leg + "_") + "steady_mevents_per_s"
-        out[key] = round(max(c["events_per_sec"] for c in steady
-                             if c.get("leg", "closure") == leg) / 1e6, 2)
+    steady = []
+    for _ in range(runs):
+        with tempfile.NamedTemporaryFile(suffix=".json") as f:
+            # A nonzero exit IS the gate: a steady phase allocated.
+            run_checked([exe, *args, "--json", f.name])
+            cells = json.load(open(f.name))["cells"]
+        steady += [c for c in cells
+                   if str(c.get("phase", "")).startswith("steady")]
     alloc_keys = [k for k in ("allocs", "slab_refills") if k in steady[0]]
-    out["steady_allocs"] = sum(int(c[k]) for c in steady for k in alloc_keys)
-    return out
+    return {"args": " ".join(args),
+            "runs": runs,
+            "steady_mevents_per_s": round(
+                max(c["events_per_sec"] for c in steady) / 1e6, 2),
+            "steady_allocs": sum(int(c[k]) for c in steady
+                                 for k in alloc_keys)}
 
 report = {
     "schema": "sbq.bench-baseline/1",

@@ -117,11 +117,6 @@ void Core::on_fwd_gets(const Message& msg) {
       // Tripped writer (§3.4): the read hit our commit window.
       txcas_abort(/*kind=*/1, AbortCause::kTrippedWriter);
     }
-    if (fwd_predates_pending_request(a, *p)) {
-      // Ordered before our upgrade: serve from the valid Owned copy now.
-      answer_fwd_gets(msg);
-      return;
-    }
     stall_fwd(msg);
     return;
   }

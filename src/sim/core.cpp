@@ -251,6 +251,32 @@ void Core::complete_access() {
   }
 }
 
+// A TxCAS timer carries its attempt's token and does nothing once that
+// attempt has ended (committed, or aborted on a real conflict).
+void Core::run_step(const StepEvent& s) {
+  const bool attempt_live = txn_.active && txn_.token == s.token;
+  switch (s.step) {
+    case CoreStep::kPollFinish: poll_finish(); return;
+    case CoreStep::kPollStep: poll_step(); return;
+    case CoreStep::kTxSelfAbort: finish_op(0); return;
+    case CoreStep::kTxDelayDone:
+      if (attempt_live) txcas_enter_write();
+      return;
+    case CoreStep::kTxFault:
+      if (attempt_live) inject_fault(s.fault);
+      return;
+    case CoreStep::kTxHitCommit:
+      if (attempt_live) txcas_commit();
+      return;
+    case CoreStep::kTxCommitDone:
+      if (s.was_miss) release_request(s.addr);
+      finish_op(1);
+      return;
+    case CoreStep::kTxPostAbort: txcas_post_abort(); return;
+    case CoreStep::kTxRetry: txcas_attempt(); return;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // poll_until: the plain spin loop `v = load(a); if (v >= at_least) break;
 // think(gap);` with the same schedule, minus the events of its hits. A hit
@@ -294,7 +320,7 @@ void Core::poll_step() {
         poll_.next = engine_.now() + cfg_.hit_latency + poll_.gap;
         return;
       }
-      engine_.schedule(cfg_.hit_latency, [this] { poll_finish(); });
+      schedule_step(cfg_.hit_latency, {.step = CoreStep::kPollFinish});
       return;
     }
   }
@@ -307,7 +333,7 @@ void Core::poll_loaded() {
   if (op_.result >= poll_.at_least) {
     poll_finish();
   } else {
-    engine_.schedule(poll_.gap, [this] { poll_step(); });
+    schedule_step(poll_.gap, {.step = CoreStep::kPollStep});
   }
 }
 
@@ -321,7 +347,7 @@ void Core::poll_wake() {
   if (at < now) at += (now - at + period - 1) / period * period;
   state_.stats.loads += (at - poll_.next) / period;
   poll_.next = at;
-  engine_.schedule(at - now, [this] { poll_step(); });
+  schedule_step(at - now, {.step = CoreStep::kPollStep});
 }
 
 void Core::poll_finish() {
@@ -396,7 +422,7 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
     metrics_.on_txn_abort(id_, AbortCause::kExplicit, /*read_phase=*/false);
     metrics_.on_txcas_done(id_, static_cast<int>(op.policy.attempts()), false);
     txn_ = Txn{.token = txn_.token};
-    engine_.schedule(cfg_.hit_latency, [this] { finish_op(0); });
+    schedule_step(cfg_.hit_latency, {.step = CoreStep::kTxSelfAbort});
     return;
   }
 
@@ -421,16 +447,14 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
   const Time jitter_range = delay_base / 2 + 16;
   const Time jitter = (jitter_state >> 33) % jitter_range;
   metrics_.on_policy_delay(/*intra=*/true, delay_base + jitter);
-  engine_.schedule(delay_base + jitter, [this, token] {
-    if (!txn_.active || txn_.token != token) return;
-    txcas_enter_write();
-  });
+  schedule_step(delay_base + jitter,
+                {.step = CoreStep::kTxDelayDone, .token = token});
 
   // Rate-based fault injection (MachineConfig::fault_plan): one draw per
   // transactional attempt; a hit schedules an injected abort at a
   // deterministic offset inside the attempt's vulnerability window. The
-  // callback is token-guarded, so an attempt that already ended (committed
-  // or aborted on a real conflict) ignores the stale fault.
+  // step is token-guarded, so an attempt that already ended (committed or
+  // aborted on a real conflict) ignores the stale fault.
   if ((fault_cap_t_ | fault_int_t_ | fault_spur_t_) != 0) {
     std::uint64_t z = (state_.fault_rng_state += 0x9e3779b97f4a7c15ULL);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -444,10 +468,8 @@ void Core::txcas_on_read_ready(Addr a, std::uint64_t token, bool was_miss) {
       const Time window = delay_base + jitter;
       const Time offset =
           1 + static_cast<Time>(z & 0xffffffffu) % (window == 0 ? 1 : window);
-      engine_.schedule(offset, [this, kind, token] {
-        if (!txn_.active || txn_.token != token) return;
-        deliver_injected_fault(kind);
-      });
+      schedule_step(offset, {.step = CoreStep::kTxFault, .fault = kind,
+                             .token = token});
     }
   }
 }
@@ -459,10 +481,8 @@ void Core::txcas_enter_write() {
   if (pending(a) == nullptr && line_state(a) == LineState::kModified) {
     // Already own the line: the write hits and the transaction commits with
     // (almost) no vulnerability window.
-    engine_.schedule(cfg_.hit_latency, [this, token] {
-      if (!txn_.active || txn_.token != token) return;
-      txcas_commit();
-    });
+    schedule_step(cfg_.hit_latency,
+                  {.step = CoreStep::kTxHitCommit, .token = token});
     return;
   }
   // Issue the transactional GetM. The write value stays in the store buffer
@@ -496,11 +516,9 @@ void Core::txcas_commit() {
     trace_->record(engine_.now(), id_, "txcas commit", a,
                    static_cast<std::int64_t>(op_.a1));
   }
-  const bool was_miss = pending(a) != nullptr;
-  engine_.schedule(cfg_.hit_latency, [this, a, was_miss] {
-    if (was_miss) release_request(a);
-    finish_op(1);
-  });
+  schedule_step(cfg_.hit_latency, {.step = CoreStep::kTxCommitDone,
+                                   .was_miss = pending(a) != nullptr,
+                                   .addr = a});
 }
 
 // Called from the protocol side when a conflicting message hits the
@@ -535,11 +553,11 @@ void Core::txcas_abort(int kind, AbortCause cause) {
     // whether the value changed (Algorithm 1 lines 19–20).
     const Time post = op.policy.post_abort_delay();
     metrics_.on_policy_delay(/*intra=*/false, post);
-    engine_.schedule(post, [this] { txcas_post_abort(); });
+    schedule_step(post, {.step = CoreStep::kTxPostAbort});
   } else {
     // Conflict after the nested transaction (we may be the tripped writer):
     // retry immediately (Algorithm 1 lines 16–18).
-    engine_.schedule(1, [this] { txcas_attempt(); });
+    schedule_step(1, {.step = CoreStep::kTxRetry});
   }
 }
 
@@ -559,9 +577,7 @@ void Core::txcas_post_abort_loaded() {
   }
 }
 
-void Core::inject_fault(FaultKind kind) { deliver_injected_fault(kind); }
-
-void Core::deliver_injected_fault(FaultKind kind) {
+void Core::inject_fault(FaultKind kind) {
   if (!txn_.active) return;  // landed between transactions: harmless
   AbortCause cause = AbortCause::kSpurious;
   switch (kind) {

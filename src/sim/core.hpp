@@ -29,11 +29,13 @@
 // The thread issues its operations one at a time, so the core keeps one
 // operation record (op_): the awaiters fill it, a hit resolves with one
 // request-slot check and one line lookup, and a completion event is a
-// typed kAccessDone that carries only the core id. Every request of an operation is on its address, so the
-// core also keeps one request slot (req_): a second acquire of that line
-// parks as a waiter until the request is released. A request, or an
-// acquire parked behind one, names what it resumes with a continuation tag
-// (plus a TxCAS attempt's token) instead of a closure.
+// typed kAccessDone that carries only the core id. Every request of an
+// operation is on its address, so the core also keeps one request slot
+// (req_): a second acquire of that line parks as a waiter until the
+// request is released. A request, or an acquire parked behind one, names
+// what it resumes with a continuation tag (plus a TxCAS attempt's token);
+// a timed step of poll_until or TxCAS is a kCoreStep event naming its
+// CoreStep, run by run_step.
 #pragma once
 
 #include <cassert>
@@ -90,11 +92,14 @@ class Core {
   // The record's access completes (a kAccessDone event, scheduled by
   // access()): release the line's request, then resume what waits on it.
   void complete_access();
+  // A timed step of poll_until or TxCAS (a kCoreStep event).
+  void run_step(const StepEvent& s);
 
-  // Fault injection entry point (Machine one-shots; rate-based injection is
-  // internal). Aborts the in-flight transaction with the given cause — a
-  // no-op when the core is not mid-transaction, like a real timer interrupt
-  // landing between transactions.
+  // Fault injection: aborts the in-flight transaction, attributed to the
+  // AbortCause its FaultKind maps to — a no-op when the core is not
+  // mid-transaction, like a real timer interrupt landing between
+  // transactions. Rate-based injection (MachineConfig::fault_plan) lands
+  // here through a kTxFault step; tests call it directly.
   void inject_fault(FaultKind kind);
 
   // ---- awaitables for coroutine programs ----
@@ -137,7 +142,7 @@ class Core {
     Time cycles;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      core->engine_.schedule(cycles == 0 ? 1 : cycles, [h] { h.resume(); });
+      core->engine_.schedule_resume(cycles == 0 ? 1 : cycles, h);
     }
     void await_resume() const noexcept {}
   };
@@ -287,6 +292,9 @@ class Core {
                     std::coroutine_handle<> thread);
   // Store `result` in the record and resume the thread.
   void finish_op(Value result);
+  void schedule_step(Time delay, const StepEvent& s) {
+    engine_.schedule_step(delay, id_, s);
+  }
   // Ensure the line is present with the needed permission, then run `cont`
   // (synchronously within the completing event).
   void acquire(Addr a, bool want_m, Cont cont, std::uint64_t token);
@@ -332,10 +340,6 @@ class Core {
   // degradation path (fallback_cas) from the attempt-budget one (fallbacks).
   void txcas_fallback(bool degraded);
   void txcas_fallback_done();
-  // Deliver an injected abort to the in-flight transaction (no-op without
-  // one), attributed to the AbortCause its FaultKind maps to.
-  void deliver_injected_fault(FaultKind kind);
-
   // -- poll_until (core.cpp) --
   // The polled address is op_.addr; the loop's own state sits here.
   struct PollOp {

@@ -6,28 +6,6 @@ namespace sbq::sim {
 
 Engine::Engine() : wheel_(std::make_unique<Slot[]>(kWheelSlots)) {}
 
-Engine::~Engine() {
-  // Destroy (without running) the captures of closure events still
-  // pending; typed payloads are trivially destructible, and slab storage
-  // is reclaimed by the slabs_ vector.
-  auto discard = [](Event* e) {
-    if (e->kind == EventKind::kClosure) e->closure.fn(e, /*run=*/false);
-  };
-  for (std::size_t w = 0; w < kOccWords; ++w) {
-    std::uint64_t bits = occ_[w];
-    while (bits != 0) {
-      const std::size_t idx = (w << 6) + std::countr_zero(bits);
-      bits &= bits - 1;
-      for (Event* e = wheel_[idx].head; e != nullptr;) {
-        Event* next = e->next;
-        discard(e);
-        e = next;
-      }
-    }
-  }
-  for (Event* e : overflow_) discard(e);
-}
-
 void Engine::refill_slab() {
   ++alloc_.slab_refills;
   slabs_.push_back(std::make_unique<Event[]>(kSlabNodes));
@@ -130,14 +108,10 @@ inline Event* Engine::pop_next(Time limit) {
 }
 
 inline void Engine::fire(Event* e) {
-  // The event may re-enter schedule(); its record is already off its slot
-  // list and is recycled only after it has run.
-  if (e->kind == EventKind::kClosure) {
-    e->closure.fn(e, /*run=*/true);
-  } else {
-    assert(handler_ != nullptr && "typed event with no handler installed");
-    handler_(handler_ctx_, *e);
-  }
+  // The handler may schedule more events; this record is already off its
+  // slot list and is recycled only after it has run.
+  assert(handler_ != nullptr && "event with no handler installed");
+  handler_(handler_ctx_, *e);
   release_event(e);
 }
 

@@ -3,7 +3,7 @@
 // Hot-path design: the pending set is a timing wheel — a power-of-two ring
 // of slots covering the time window [now, now + kWheelSlots). Every modeled
 // latency in the simulator is a small bounded constant (hit = 1 … inter-
-// socket = 160 ≪ 8192), so schedule() is an O(1) append to the slot list
+// socket = 160 ≪ 8192), so scheduling is an O(1) append to the slot list
 // and dispatch is an O(1) pop plus a short occupancy-bitmap scan to find
 // the next nonempty slot. Events scheduled ≥ kWheelSlots cycles ahead go
 // to a small overflow min-heap and are merged (by seq) into the wheel as
@@ -14,29 +14,25 @@
 //  1. Single-time slots: all pending times lie in [now, now + kWheelSlots)
 //     (times never precede `now`, and direct inserts use delay < wheel
 //     span), so two events in the same slot always share the same time.
-//  2. Slots are FIFO by seq: direct schedule() appends in seq order, and
+//  2. Slots are FIFO by seq: direct schedules append in seq order, and
 //     overflow drains insert at the (time, seq) position, so equal-time
 //     events run in scheduling order — runs stay fully deterministic.
 //
 // Each pending event is one 64-byte Event record drawn from a per-engine
 // slab + freelist, so steady-state scheduling performs zero heap
 // allocations (records are recycled as events run). A record is typed by
-// its `kind`: the protocol's hot events (message deliveries, directory
-// processing steps, access completions) carry a Message or just a target
-// id and run through the one handler the owner installs (set_handler);
-// every other event is a closure whose function pointer and ≤ 24-byte
-// capture sit in the record. A larger capture does not compile.
+// its `kind` and carries a target id plus a Message, a coroutine frame or
+// a core step; every event runs through the one handler the owner
+// installs (set_handler).
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -44,72 +40,72 @@
 
 namespace sbq::sim {
 
-// What a pending event runs. kClosure calls the callable stored in the
-// record; every other kind goes to the engine's handler (Machine::on_event
-// in a machine), which switches on it.
+// What a pending event runs. Every kind goes to the engine's handler
+// (Machine::on_event in a machine), which dispatches on it.
 enum class EventKind : std::uint8_t {
-  kClosure,     // closure.fn runs the capture
   kDeliver,     // a message arrives at node `target`
   kDirProcess,  // the directory processes `msg` after its occupancy wait
   kAccessDone,  // core `target`'s memory access completes
+  kResume,      // the coroutine whose frame is `frame` resumes
+  kCoreStep,    // core `target` runs `step`
+};
+inline constexpr int kEventKindCount = 5;
+
+// The timed steps of a core's poll_until and TxCAS state machines, run by
+// Core::run_step; each names the StepEvent fields it reads.
+enum class CoreStep : std::uint8_t {
+  kPollFinish,    // the final hit of a poll_until completes
+  kPollStep,      // the plain loop's next poll starts
+  kTxSelfAbort,   // the read saw another value: the TxCAS fails
+  kTxDelayDone,   // the intra-transaction delay expires (token)
+  kTxFault,       // a rate-injected abort lands (token, fault)
+  kTxHitCommit,   // the write hits an owned line and commits (token)
+  kTxCommitDone,  // the commit completes (addr, was_miss)
+  kTxPostAbort,   // the post-abort delay expires: re-read the line
+  kTxRetry,       // the retry after a write-phase abort starts
+};
+inline constexpr int kCoreStepCount = 9;
+
+struct StepEvent {
+  CoreStep step = CoreStep::kPollStep;
+  FaultKind fault = FaultKind::kInterrupt;
+  bool was_miss = false;
+  Addr addr = 0;
+  std::uint64_t token = 0;  // the TxCAS attempt a timer belongs to
 };
 
 // One pending event: 64 bytes, one cache line.
 struct Event {
-  static constexpr std::size_t kCaptureBytes = 24;
-  struct Closure {
-    // Runs (when `run`) and destroys the capture.
-    void (*fn)(Event*, bool run);
-    alignas(8) unsigned char capture[kCaptureBytes];
-  };
-
-  Event() noexcept : closure{} {}
+  Event() noexcept : msg{} {}
 
   Event* next = nullptr;  // slot-list link / freelist link
   Time time = 0;
   std::uint64_t seq = 0;
-  EventKind kind = EventKind::kClosure;
+  EventKind kind = EventKind::kDeliver;
   CoreId target = -1;
   union {
-    Message msg;  // kDeliver, kDirProcess
-    Closure closure;
+    Message msg;     // kDeliver, kDirProcess
+    void* frame;     // kResume: std::coroutine_handle<>::address()
+    StepEvent step;  // kCoreStep
   };
 };
 static_assert(sizeof(Message) == 32, "Message must fill the event payload");
+static_assert(sizeof(StepEvent) <= sizeof(Message));
 static_assert(sizeof(Event) == 64, "an event record is one cache line");
 
 class Engine {
  public:
   Engine();
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   Time now() const noexcept { return now_; }
 
-  // Schedule `fn` to run `delay` cycles from now. Events with equal
-  // timestamps run in scheduling order (FIFO), which makes runs fully
-  // deterministic.
-  template <typename F>
-  void schedule(Time delay, F fn) {
-    static_assert(std::is_invocable_v<F&>, "event callable must be nullary");
-    static_assert(sizeof(F) <= Event::kCaptureBytes,
-                  "event capture exceeds the record (Event::kCaptureBytes)");
-    static_assert(alignof(F) <= 8);
-    Event* e = acquire_event(EventKind::kClosure, -1);
-    ::new (static_cast<void*>(e->closure.capture)) F(std::move(fn));
-    e->closure.fn = [](Event* ev, bool run) {
-      F* f = std::launder(reinterpret_cast<F*>(ev->closure.capture));
-      if (run) (*f)();
-      f->~F();
-    };
-    enqueue(e, delay);
-  }
-
-  // Schedule a typed event for the installed handler: `kind` on `target`,
-  // carrying `msg` (kDeliver, kDirProcess) or nothing (kAccessDone). Same
-  // (time, seq) order as schedule().
+  // Schedule an event for the installed handler `delay` cycles from now:
+  // `kind` on `target`, carrying `msg` (kDeliver, kDirProcess) or nothing
+  // (kAccessDone). Events with equal timestamps run in scheduling order
+  // (FIFO), which makes runs fully deterministic.
   void schedule_typed(Time delay, EventKind kind, CoreId target,
                       const Message& msg) {
     Event* e = acquire_event(kind, target);
@@ -119,9 +115,21 @@ class Engine {
   void schedule_typed(Time delay, EventKind kind, CoreId target) {
     enqueue(acquire_event(kind, target), delay);
   }
+  // A kResume of coroutine `h`.
+  void schedule_resume(Time delay, std::coroutine_handle<> h) {
+    Event* e = acquire_event(EventKind::kResume, -1);
+    e->frame = h.address();
+    enqueue(e, delay);
+  }
+  // A kCoreStep: core `target` runs `step`.
+  void schedule_step(Time delay, CoreId target, const StepEvent& step) {
+    Event* e = acquire_event(EventKind::kCoreStep, target);
+    e->step = step;
+    enqueue(e, delay);
+  }
 
-  // The handler every typed event runs through. Install it before the
-  // first typed event is scheduled; tests install probes here.
+  // The handler every event runs through. Install it before the first
+  // event is scheduled; tests install probes here.
   using HandlerFn = void (*)(void* ctx, const Event& ev);
   void set_handler(HandlerFn fn, void* ctx) noexcept {
     handler_ = fn;
@@ -148,10 +156,10 @@ class Engine {
   }
 
   // Allocation accounting for the engine microbench: in steady state
-  // (freelist warm, overflow untouched) schedule() allocates nothing, so
+  // (freelist warm, overflow untouched) scheduling allocates nothing, so
   // `slab_refills` stays flat while `scheduled` grows.
   struct AllocStats {
-    std::uint64_t scheduled = 0;        // total schedule() calls
+    std::uint64_t scheduled = 0;        // total events scheduled
     std::uint64_t slab_refills = 0;     // slab growths (kSlabNodes records each)
     std::uint64_t overflow_events = 0;  // events beyond the wheel window
 
@@ -296,8 +304,7 @@ class Engine {
   // case is an empty overflow heap and a hit in the first bitmap word.
   inline Event* pop_next(Time limit);
 
-  // Run `e` (its closure, or the handler for a typed kind), then recycle
-  // its record.
+  // Run `e` through the handler, then recycle its record.
   inline void fire(Event* e);
 
   Time now_ = 0;

@@ -63,8 +63,7 @@ class Machine {
   // mid-simulation. Simulated memory contents (directory lines + caches)
   // carry over, so a queue prefilled before snapshot() is prefilled in
   // every fork. Throws std::runtime_error (always compiled, not an assert)
-  // when called on a non-quiescent machine, or while scheduled fault
-  // one-shots are pending or in flight.
+  // when called on a non-quiescent machine.
   MachineSnapshot snapshot() const;
   static std::unique_ptr<Machine> fork(const MachineSnapshot& snap) {
     return std::make_unique<Machine>(snap);
@@ -132,16 +131,17 @@ class Machine {
   // snapshots: it is debug state, not schedule state.
   const DebugRing& debug_ring() const noexcept { return debug_ring_; }
 
-  // The engine's handler for typed events, installed at construction
+  // The engine's handler for every event, installed at construction
   // (`ctx` is the machine). A kDeliver goes to core `target`, or to the
   // directory when `target` is the last node id, and is followed by the
-  // invariant checker when cfg_.check_invariants. Public so a test probe
-  // installed on the engine can pass through the events it does not hold.
+  // invariant checker when cfg_.check_invariants; a kResume resumes its
+  // coroutine and a kCoreStep runs on core `target`. Public so a test
+  // probe installed on the engine can pass through the events it does not
+  // hold.
   static void on_event(void* ctx, const Event& ev);
 
  private:
-  // First-run setup: resume the spawned roots and schedule the fault
-  // plan's one-shots.
+  // First-run setup: resume the spawned roots.
   void start();
   // Verify SWMR + directory/cache consistency; on violation dump the debug
   // ring to stderr and throw std::logic_error. Run after every delivered
@@ -164,11 +164,6 @@ class Machine {
   std::size_t finished_ = 0;
   Addr next_addr_ = 1;  // 0 is NULL
   bool started_ = false;
-  // Fault one-shots (cfg_.fault_plan.one_shots) are scheduled lazily at the
-  // first run() so forked machines (which inherit started_ = true) do not
-  // re-fire them; pending counts configured-but-unfired one-shots.
-  std::size_t one_shots_pending_ = 0;
-  std::uint64_t one_shots_fired_ = 0;
 };
 
 // Barrier for simulated threads: all parties must arrive before any proceeds.
@@ -187,9 +182,7 @@ class SimBarrier {
           b.arrived_ = 0;
           auto waiting = std::move(b.waiting_);
           b.waiting_.clear();
-          for (auto w : waiting) {
-            b.engine_.schedule(0, [w] { w.resume(); });
-          }
+          for (auto w : waiting) b.engine_.schedule_resume(0, w);
           return false;  // last arrival continues immediately
         }
         b.waiting_.push_back(h);

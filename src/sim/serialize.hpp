@@ -32,7 +32,7 @@ namespace sbq::sim {
 // Bump on ANY change to the encoding or to the schedule-visible state it
 // captures (new MachineConfig fields, State-struct layout changes, …).
 // Stale-version blobs are rejected at decode.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 12;
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 13;
 
 // FNV-1a64 digest of `cfg`'s canonical encoding: a config identity for
 // artifacts and blob keys. Because it hashes the exact bytes the blob's

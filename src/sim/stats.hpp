@@ -181,10 +181,9 @@ struct PolicyCounters {
 // Fault-injection counters (all zero — and not serialized — unless the
 // machine ran with MachineConfig::fault_plan enabled).
 struct FaultCounters {
-  std::uint64_t injected_capacity = 0;   // rate/one-shot capacity aborts
-  std::uint64_t injected_interrupt = 0;  // rate/one-shot interrupt aborts
-  std::uint64_t injected_spurious = 0;   // rate/one-shot spurious aborts
-  std::uint64_t one_shots_fired = 0;     // scheduled one-shots delivered
+  std::uint64_t injected_capacity = 0;   // injected capacity aborts
+  std::uint64_t injected_interrupt = 0;  // injected interrupt aborts
+  std::uint64_t injected_spurious = 0;   // injected spurious aborts
   std::uint64_t jittered_messages = 0;   // messages that drew extra latency
   std::uint64_t jitter_cycles = 0;       // total extra cycles added
 
@@ -199,7 +198,6 @@ struct FaultCounters {
     v("injected_capacity", injected_capacity);
     v("injected_interrupt", injected_interrupt);
     v("injected_spurious", injected_spurious);
-    v("one_shots_fired", one_shots_fired);
     v("jittered_messages", jittered_messages);
     v("jitter_cycles", jitter_cycles);
   }

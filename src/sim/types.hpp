@@ -9,7 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "common/contention.hpp"
 
@@ -65,22 +65,6 @@ inline constexpr int kInterconnectModelCount = 2;
 enum class FaultKind : std::uint8_t { kCapacity, kInterrupt, kSpurious };
 inline constexpr int kFaultKindCount = 3;
 
-// One scheduled fault: at simulated cycle `time`, abort whatever
-// transaction core `core` has in flight (a no-op if that core is not in a
-// transaction at that instant — like a real timer interrupt).
-struct FaultOneShot {
-  Time time = 0;
-  CoreId core = 0;
-  FaultKind kind = FaultKind::kInterrupt;
-
-  template <class V>
-  void fields(V& v) {
-    v("time", time);
-    v("core", core);
-    v("kind", kind, kFaultKindCount);
-  }
-};
-
 // Deterministic, seedable fault-injection plan (off by default — a default
 // plan leaves every simulated schedule and every golden byte-identical).
 //
@@ -105,8 +89,6 @@ struct FaultPlan {
   // pair), so every jittered schedule is protocol-legal.
   double message_jitter_rate = 0.0;
   Time max_message_jitter = 0;
-  // Scheduled one-shot faults (fired when run() first starts the machine).
-  std::vector<FaultOneShot> one_shots;
 
   bool rates_active() const noexcept {
     return enabled &&
@@ -125,7 +107,6 @@ struct FaultPlan {
     v("spurious_rate", spurious_rate);
     v("message_jitter_rate", message_jitter_rate);
     v("max_message_jitter", max_message_jitter);
-    v("one_shots", one_shots);
   }
 };
 
@@ -184,6 +165,9 @@ struct MachineConfig {
     v("check_invariants", check_invariants);
   }
 };
+// Plain data: each core, the interconnect and every snapshot keep their
+// own copy, and copying one must not allocate.
+static_assert(std::is_trivially_copyable_v<MachineConfig>);
 
 // TxCAS tuning (§4.1, §4.2). Cycle values assume 0.4 ns/cycle, so the
 // paper's 270 ns intra-transaction delay is ~675 cycles.

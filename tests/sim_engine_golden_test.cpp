@@ -9,10 +9,10 @@
 // checks the executed order against an independent reference model: a
 // stable sort of the scheduled (time, seq) pairs.
 //
-// Typed events (the protocol's deliveries, directory steps and access
-// completions, which run through the engine's handler instead of a
-// closure) share the same order: one test interleaves them with closures
-// at equal timestamps and through the overflow heap.
+// Every event is typed and runs through the engine's handler; the
+// harness logs each event's id, a core step's from its action and the
+// other kinds' from their payload. One test interleaves core steps with
+// the other kinds at equal timestamps and through the overflow heap.
 //
 // Also pins down the run_until boundary semantics documented in
 // engine.hpp: the limit is inclusive, and a false return leaves now() at
@@ -21,8 +21,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "engine_probe.hpp"
 #include "sim/engine.hpp"
 
 namespace sbq::sim {
@@ -32,33 +34,40 @@ namespace {
 // expected order = stable sort of (absolute time, schedule order).
 class GoldenHarness {
  public:
-  explicit GoldenHarness(Engine& e) : e_(e) {
-    e_.set_handler(&GoldenHarness::on_event, this);
-  }
+  explicit GoldenHarness(Engine& e)
+      : e_(e), probe_(e, &GoldenHarness::on_event, this) {}
 
+  // A core step that logs `id`.
   void sched(Time delay, int id) {
     expected_.push_back(Ref{e_.now() + delay, seq_++, id});
-    e_.schedule(delay, [this, id] { log_.push_back(id); });
+    probe_.at(delay, [this, id] { log_.push_back(id); });
   }
 
-  // A typed event that logs `id` from the handler: a delivery carrying it
-  // in its message, or a payload-less access completion carrying it as
-  // the target.
+  // An event of one of the other kinds that logs `id`: a delivery carrying
+  // it in its message, a directory step carrying it as its requester, or a
+  // payload-less access completion carrying it as the target.
   void sched_typed(Time delay, int id) {
     expected_.push_back(Ref{e_.now() + delay, seq_++, id});
-    if (id % 2 == 0) {
-      e_.schedule_typed(delay, EventKind::kDeliver, 0,
-                        Message{.addr = static_cast<Addr>(id)});
-    } else {
-      e_.schedule_typed(delay, EventKind::kAccessDone, id);
+    switch (id % 3) {
+      case 0:
+        e_.schedule_typed(delay, EventKind::kDeliver, 0,
+                          Message{.addr = static_cast<Addr>(id)});
+        break;
+      case 1:
+        e_.schedule_typed(delay, EventKind::kDirProcess, 0,
+                          Message{.requester = id});
+        break;
+      default:
+        e_.schedule_typed(delay, EventKind::kAccessDone, id);
+        break;
     }
   }
 
-  // Schedule an event that runs `fn` (which may schedule more) and logs.
-  template <typename F>
-  void sched_action(Time delay, int id, F fn) {
+  // Schedule a core step that logs `id`, then runs `fn` (which may
+  // schedule more).
+  void sched_action(Time delay, int id, std::function<void()> fn) {
     expected_.push_back(Ref{e_.now() + delay, seq_++, id});
-    e_.schedule(delay, [this, id, fn = std::move(fn)] {
+    probe_.at(delay, [this, id, fn = std::move(fn)] {
       log_.push_back(id);
       fn();
     });
@@ -77,11 +86,20 @@ class GoldenHarness {
   const std::vector<int>& log() const { return log_; }
 
  private:
+  // The events that are not core steps.
   static void on_event(void* ctx, const Event& ev) {
     auto* h = static_cast<GoldenHarness*>(ctx);
-    h->log_.push_back(ev.kind == EventKind::kDeliver
-                          ? static_cast<int>(ev.msg.addr)
-                          : ev.target);
+    switch (ev.kind) {
+      case EventKind::kDeliver:
+        h->log_.push_back(static_cast<int>(ev.msg.addr));
+        return;
+      case EventKind::kDirProcess:
+        h->log_.push_back(ev.msg.requester);
+        return;
+      default:
+        h->log_.push_back(ev.target);
+        return;
+    }
   }
 
   struct Ref {
@@ -90,6 +108,7 @@ class GoldenHarness {
     int id;
   };
   Engine& e_;
+  ActionProbe probe_;
   std::vector<Ref> expected_;
   std::vector<int> log_;
   std::uint64_t seq_ = 0;
@@ -191,13 +210,13 @@ TEST(EngineGolden, MixedStressAllPaths) {
   EXPECT_EQ(h.log(), h.expected_order());
 }
 
-TEST(EngineGolden, TypedAndClosureEventsShareOneOrder) {
+TEST(EngineGolden, EveryEventKindSharesOneOrder) {
   Engine e;
   GoldenHarness h(e);
   // A driver lane whose every firing emits same-time bursts that alternate
-  // typed and closure events, near events of both sorts, and far-future
-  // typed and closure events that go through the overflow heap and merge
-  // by seq into slots that already hold the other sort.
+  // core steps and the other kinds, near events of both sorts, and
+  // far-future events of both sorts that go through the overflow heap and
+  // merge by seq into slots that already hold the other sort.
   struct Driver {
     GoldenHarness& h;
     int remaining;
@@ -235,10 +254,11 @@ TEST(EngineGolden, TypedAndClosureEventsShareOneOrder) {
 
 TEST(EngineGolden, RunUntilLimitIsInclusive) {
   Engine e;
+  ActionProbe p(e);
   int ran = 0;
-  e.schedule(10, [&] { ++ran; });
-  e.schedule(50, [&] { ++ran; });
-  e.schedule(60, [&] { ++ran; });
+  p.at(10, [&] { ++ran; });
+  p.at(50, [&] { ++ran; });
+  p.at(60, [&] { ++ran; });
   EXPECT_FALSE(e.run_until(50));
   EXPECT_EQ(ran, 2);  // the event AT the limit ran
   EXPECT_TRUE(e.run_until(60));
@@ -247,15 +267,16 @@ TEST(EngineGolden, RunUntilLimitIsInclusive) {
 
 TEST(EngineGolden, RunUntilRunsZeroDelayChainsAtTheLimit) {
   Engine e;
+  ActionProbe p(e);
   std::vector<int> log;
-  e.schedule(50, [&] {
+  p.at(50, [&] {
     log.push_back(0);
-    e.schedule(0, [&] {
+    p.at(0, [&] {
       log.push_back(1);
-      e.schedule(0, [&] { log.push_back(2); });
+      p.at(0, [&] { log.push_back(2); });
     });
   });
-  e.schedule(51, [&] { log.push_back(3); });
+  p.at(51, [&] { log.push_back(3); });
   EXPECT_FALSE(e.run_until(50));
   // The whole time-50 chain ran, including events scheduled at the limit
   // by events that themselves ran at the limit.
@@ -266,8 +287,9 @@ TEST(EngineGolden, RunUntilRunsZeroDelayChainsAtTheLimit) {
 
 TEST(EngineGolden, RunUntilDoesNotFastForwardTheClock) {
   Engine e;
-  e.schedule(10, [] {});
-  e.schedule(100, [] {});
+  ActionProbe p(e);
+  p.at(10, [] {});
+  p.at(100, [] {});
   EXPECT_FALSE(e.run_until(50));
   // now() stays at the last-run event's time, not the limit.
   EXPECT_EQ(e.now(), 10u);
@@ -277,8 +299,9 @@ TEST(EngineGolden, RunUntilDoesNotFastForwardTheClock) {
 
 TEST(EngineGolden, RunUntilOnFarFutureOverflowEvent) {
   Engine e;
+  ActionProbe p(e);
   int ran = 0;
-  e.schedule(100000, [&] { ++ran; });  // sits in the overflow heap
+  p.at(100000, [&] { ++ran; });  // sits in the overflow heap
   EXPECT_FALSE(e.run_until(99999));
   EXPECT_EQ(ran, 0);
   EXPECT_EQ(e.now(), 0u);  // nothing ran; the clock did not move
@@ -289,15 +312,24 @@ TEST(EngineGolden, RunUntilOnFarFutureOverflowEvent) {
 
 TEST(EngineGolden, SteadyCascadeIsAllocationFree) {
   Engine e;
-  // Warm-up: run one cascade to fill the slab freelist.
+  // Each lane rides in its events' message, as in engine_microbench.
   struct Lane {
     Engine& e;
     int remaining;
     void fire() {
       if (remaining-- == 0) return;
-      e.schedule(3, [this] { fire(); });
+      e.schedule_typed(
+          3, EventKind::kDeliver, 0,
+          Message{.value = reinterpret_cast<std::uintptr_t>(this)});
     }
   };
+  e.set_handler(
+      [](void*, const Event& ev) {
+        reinterpret_cast<Lane*>(static_cast<std::uintptr_t>(ev.msg.value))
+            ->fire();
+      },
+      nullptr);
+  // Warm-up: run one cascade to fill the slab freelist.
   Lane warm{e, 2000};
   warm.fire();
   e.run();

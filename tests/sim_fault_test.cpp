@@ -10,9 +10,8 @@
 //   * counts conserve (every enqueued element is dequeued exactly once),
 //   * no coherence invariant trips (check_invariants would throw).
 // Plus: the degraded plain-CAS path actually fires across the SBQ sweep,
-// identical seeds replay byte-identically, Machine::snapshot refuses while
-// fault one-shots are pending, and the quiescence watchdog throws on a
-// deadlocked simulated program instead of hanging.
+// identical seeds replay byte-identically, and the quiescence watchdog
+// throws on a deadlocked simulated program instead of hanging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,28 +224,6 @@ TEST(SimFault, SameSeedIsDeterministic) {
   // And distinct seeds must actually perturb the schedule.
   RunOutcome c = run_sbq(6);
   EXPECT_NE(a.metrics.final_time, c.metrics.final_time);
-}
-
-// snapshot() must refuse (not silently drop) while scheduled fault
-// one-shots have not fired yet: a fork taken then would silently lose them.
-TEST(SimFault, SnapshotRefusedWhileOneShotsPending) {
-  sim::MachineConfig cfg;
-  cfg.cores = 2;
-  cfg.fault_plan.enabled = true;
-  cfg.fault_plan.one_shots.push_back(
-      {.time = 400, .core = 0, .kind = sim::FaultKind::kCapacity});
-  Machine m(cfg);
-  EXPECT_THROW((void)m.snapshot(), std::runtime_error);
-
-  // Once run() has drained the plan the machine is snapshottable again,
-  // and the one-shot is recorded as fired (a no-op abort if the target
-  // core held no transaction at that instant — like a real interrupt).
-  m.spawn([](Machine& m) -> Task<void> {
-    co_await m.core(0).think(10);
-  }(m));
-  m.run();
-  EXPECT_EQ(m.metrics().faults.one_shots_fired, 1u);
-  EXPECT_NO_THROW((void)m.snapshot());
 }
 
 // The quiescence watchdog: a simulated program that deadlocks (here: one

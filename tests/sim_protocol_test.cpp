@@ -275,23 +275,29 @@ TEST(SimProtocol, TxCasRetryParksBehindAbortedAttemptsGetM) {
   const Time getm_done = done - cfg.hit_latency;
   const Time fault_at = getm_done - cfg.intra_latency;
 
-  cfg.fault_plan.enabled = true;
-  cfg.fault_plan.one_shots.push_back(
-      {.time = fault_at, .core = 0, .kind = FaultKind::kInterrupt});
   Machine m(cfg);
   const Addr x = m.alloc();
   m.spawn(txcas_program(m, x, &done, &ok));
+  // Probes are coroutines the engine resumes at a set cycle, ahead of
+  // every event the run schedules for that cycle.
+  Task<void> fault = [](Machine& m) -> Task<void> {
+    m.core(0).inject_fault(FaultKind::kInterrupt);
+    co_return;
+  }(m);
+  m.engine().schedule_resume(fault_at, fault.handle());
   // The abort schedules the retry one cycle later; look a cycle after that.
   struct ProbeResult {
     bool pending = false;
     bool quiescent = true;
     std::uint64_t attempts = 0;
   } at_probe;
-  m.engine().schedule(fault_at + 2, [&m, x, &at_probe] {
-    at_probe.pending = m.core(0).has_pending(x);
-    at_probe.quiescent = m.core(0).quiescent();
-    at_probe.attempts = m.stats().core_htm(0).attempts;
-  });
+  Task<void> look = [](Machine& m, Addr x, ProbeResult& r) -> Task<void> {
+    r.pending = m.core(0).has_pending(x);
+    r.quiescent = m.core(0).quiescent();
+    r.attempts = m.stats().core_htm(0).attempts;
+    co_return;
+  }(m, x, at_probe);
+  m.engine().schedule_resume(fault_at + 2, look.handle());
   m.run();
 
   EXPECT_EQ(at_probe.attempts, 2u) << "the retry had not started";

@@ -303,7 +303,7 @@ TEST(SnapshotSerdeReject, LineStateOfCoresTheConfigLacks) {
   }
 }
 
-// Pinned bytes (schema 12): the FNV-1a digest of a whole blob and the
+// Pinned bytes (schema 13): the FNV-1a digest of a whole blob and the
 // machine_config_digest of its config, for a warmed 3- or 4-core SBQ-HTM
 // machine under each config below. Any change to the encoding, or to
 // what a run leaves in the snapshot, moves a digest; such a change must
@@ -319,23 +319,18 @@ std::vector<PinnedBytes> pinned_bytes() {
   sim::MachineConfig stats_on;
   stats_on.cores = 3;
 
-  // Two linked sockets, rate faults, message jitter and two one-shots: the
-  // warm-up runs past the one-shots, so snapshot() accepts the machine.
+  // Two linked sockets, rate faults and message jitter.
   sim::MachineConfig faults;
   faults.cores = 4;
   faults.sockets = 2;
   faults.interconnect_model = sim::InterconnectModel::kLink;
   faults.fault_plan = fault_plan(0.05, 7, 30);
-  faults.fault_plan.one_shots.push_back(
-      {500, 1, sim::FaultKind::kCapacity});
-  faults.fault_plan.one_shots.push_back(
-      {2000, 2, sim::FaultKind::kSpurious});
 
   return {
-      {"stats_on", stats_on, 0xc2bc7739535f175bULL,
-       0x66f39d19abb27d4dULL},
-      {"faults", faults, 0x219facb56fff9feeULL,
-       0xadcf4b5016e26ad4ULL},
+      {"stats_on", stats_on, 0xeedb00828f50fe54ULL,
+       0x83ef3d2879b2c5adULL},
+      {"faults", faults, 0x71af16b82941d291ULL,
+       0x2bb3cadca2e8dba1ULL},
   };
 }
 
@@ -367,7 +362,7 @@ TEST(SnapshotSerdeReject, StatsOffFlag) {
 }
 
 TEST(SnapshotSerdeBytes, PinnedBlobAndConfigDigests) {
-  EXPECT_EQ(sim::kSnapshotSchemaVersion, 12u);
+  EXPECT_EQ(sim::kSnapshotSchemaVersion, 13u);
   for (const PinnedBytes& pin : pinned_bytes()) {
     SCOPED_TRACE(pin.name);
     const WorkloadSpec spec = consumer_only_spec(5);
@@ -381,7 +376,6 @@ TEST(SnapshotSerdeBytes, PinnedBlobAndConfigDigests) {
         });
     ASSERT_FALSE(blob.empty());
     if (pin.cfg.fault_plan.enabled) {
-      EXPECT_EQ(m.metrics().faults.one_shots_fired, 2u);
       EXPECT_GT(m.metrics().faults.jittered_messages, 0u);
     }
     EXPECT_TRUE(decodes(blob));
