@@ -41,7 +41,8 @@ smoke_args() {
     # so they refuse the odd total 1.
     fig7_mixed | ablation_uarch_fix)
       echo --threads 2 --ops 20 --repeats 1 --jobs 2 ;;
-    ablation_delay_sweep) echo --threads 1,2 --ops 20 --jobs 2 ;;
+    ablation_delay_sweep | ablation_fault_sweep)
+      echo --threads 1,2 --ops 20 --jobs 2 ;;
     ablation_numa) echo --ops 20 --jobs 2 ;;
     ablation_basket_size) echo --ops 20 --repeats 1 --jobs 2 ;;
     *) echo --threads 1,2 --ops 20 --repeats 1 --jobs 2 ;;
@@ -59,9 +60,11 @@ DRIVERS=(
   ablation_basket_size
   ablation_uarch_fix
   ablation_striped_basket
+  ablation_fault_sweep
 )
 # The drivers above that read the fault flags. fig2, fig3 and ablation_numa
-# build fixed machines and refuse them.
+# build fixed machines and refuse them; ablation_fault_sweep sweeps its own
+# rates and refuses --fault-rate.
 FAULT_DRIVERS=(
   fig1_txcas_vs_faa
   fig5_enqueue
