@@ -37,7 +37,6 @@ int main(int argc, char** argv) try {
     report.set_config("basket_sizes", std::move(jb));
   }
   const std::size_t nrep = static_cast<std::size_t>(repeats);
-  const std::size_t cells_per_row = thread_counts.size() * nrep;
   auto make = [&](int t, int b, int r) {
     const sim::MachineConfig mcfg = sim_machine_config(opts, t);
     WorkloadSpec spec;
@@ -48,25 +47,23 @@ int main(int argc, char** argv) try {
     spec.seed = opts.seed + static_cast<std::uint64_t>(r) * 7919;
     return std::pair(mcfg, spec);
   };
-  std::vector<SimRunResult> results(basket_sizes.size() * cells_per_row);
-  run_sweep_cells(
-      basket_sizes.size(), cells_per_row, opts.effective_jobs(),
-      [&](std::size_t i) {
-        const int b = basket_sizes[i / cells_per_row];
-        const int t = thread_counts[(i % cells_per_row) / nrep];
-        const int r = static_cast<int>(i % nrep);
-        if (b < t) return;  // infeasible cell: B must cover the enqueuers
-        const auto [mcfg, spec] = make(t, b, r);
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
+  run_grid(
+      basket_sizes.size(), thread_counts.size(), nrep, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t ti, std::size_t r) {
+        const int b = basket_sizes[row];
+        const int t = thread_counts[ti];
+        // Infeasible cell: B must cover the enqueuers.
+        if (b < t) return SimRunResult{};
+        const auto [mcfg, spec] = make(t, b, static_cast<int>(r));
+        return run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& results) {
         const int b = basket_sizes[row];
         if (!opts.json_path.empty()) {
           for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
             if (b < thread_counts[ti]) continue;
             for (std::size_t r = 0; r < nrep; ++r) {
-              const SimRunResult& res =
-                  results[row * cells_per_row + ti * nrep + r];
+              const SimRunResult& res = results.at(row, ti, r);
               Json cj = Json::object();
               cj.set("basket_capacity", Json(b));
               cj.set("threads", Json(thread_counts[ti]));
@@ -88,8 +85,7 @@ int main(int argc, char** argv) try {
           }
           Summary lat;
           for (std::size_t r = 0; r < nrep; ++r) {
-            lat.add(results[row * cells_per_row + ti * nrep + r]
-                        .enq_latency_ns(ns_per_cycle()));
+            lat.add(results.at(row, ti, r).enq_latency_ns(ns_per_cycle()));
           }
           char buf[32];
           std::snprintf(buf, sizeof buf, "%.1f", lat.mean());

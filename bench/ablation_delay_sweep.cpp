@@ -16,8 +16,6 @@
 #include "benchsupport/parallel_sweep.hpp"
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
-#include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "sim/machine.hpp"
 #include "sim_queue_bench_util.hpp"
 
@@ -26,7 +24,6 @@ namespace {
 
 using sim::Addr;
 using sim::Machine;
-using sim::Task;
 using sim::Time;
 using sim::Value;
 
@@ -36,35 +33,17 @@ struct Result {
   sim::MetricsSnapshot metrics;
 };
 
-Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
-           std::uint64_t seed, const std::string& trace_path = {}) {
-  sim::MachineConfig mcfg = bench::sim_machine_config(opts, threads);
-  mcfg.record_trace = !trace_path.empty();
-  Machine m(mcfg);
+// One cell: `threads` cores of `m` TxCAS one word with a `delay`-cycle
+// intra-transaction delay.
+Result run(Machine& m, int threads, Time delay, Value ops,
+           std::uint64_t seed) {
   const Addr x = m.alloc();
-  // Integer cycle sums convert to the exact doubles the old sequential
-  // accumulation produced (totals < 2^53).
-  auto lat = std::make_shared<std::uint64_t>(0);
-  auto n = std::make_shared<std::uint64_t>(0);
+  auto st = std::make_shared<bench::LoopStats>();
   sim::TxCasConfig tx;
   tx.intra_txn_delay = delay;
   for (int c = 0; c < threads; ++c) {
-    m.spawn(
-        [](Machine& m, int c, Addr x, sim::TxCasConfig tx, Value ops,
-           std::uint64_t seed, std::shared_ptr<std::uint64_t> lat,
-           std::shared_ptr<std::uint64_t> n) -> Task<void> {
-          Xoshiro256 rng(seed);
-          auto& core = m.core(c);
-          co_await core.think(1 + rng.next_below(32));
-          for (Value i = 0; i < ops; ++i) {
-            const Value v = co_await core.load(x);
-            const Time t0 = core.now();
-            co_await core.txcas(x, v, v + 1, tx);
-            *lat += core.now() - t0;
-            ++*n;
-            co_await core.think(1 + rng.next_below(8));
-          }
-        }(m, c, x, tx, ops, seed + static_cast<std::uint64_t>(c), lat, n));
+    m.spawn(bench::txcas_loop(m, c, x, ops,
+                              seed + static_cast<std::uint64_t>(c), tx, st));
   }
   m.run();
   const sim::HtmCounters htm = m.stats().htm();
@@ -73,14 +52,13 @@ Result run(const BenchOptions& opts, int threads, Time delay, Value ops,
   // conflict retries; we approximate write conflicts with attempts.
   const std::uint64_t write_conflicts = htm.attempts - htm.calls;
   Result r;
-  r.mean_latency_ns =
-      static_cast<double>(*lat) / static_cast<double>(*n) * ns_per_cycle();
+  r.mean_latency_ns = static_cast<double>(st->latency_cycles) /
+                      static_cast<double>(st->ops) * ns_per_cycle();
   const double aborts =
       static_cast<double>(nested) + static_cast<double>(write_conflicts);
   r.pre_write_abort_fraction =
       aborts > 0 ? static_cast<double>(nested) / aborts : 1.0;
   r.metrics = m.metrics();
-  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return r;
 }
 
@@ -112,18 +90,17 @@ int main(int argc, char** argv) try {
     for (sim::Time d : delays) jd.push_back(Json(static_cast<std::uint64_t>(d)));
     report.set_config("delays_cycles", std::move(jd));
   }
-  std::vector<Result> results(delays.size() * threads.size());
-  run_sweep_cells(
-      delays.size(), threads.size(), opts.effective_jobs(),
-      [&](std::size_t i) {
-        results[i] = run(opts, threads[i % threads.size()],
-                         delays[i / threads.size()], ops, opts.seed);
+  run_grid(
+      delays.size(), threads.size(), /*repeats=*/1, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t ti, std::size_t) {
+        Machine m(bench::sim_machine_config(opts, threads[ti]));
+        return run(m, threads[ti], delays[row], ops, opts.seed);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<Result>& results) {
         const sim::Time delay = delays[row];
         if (!opts.json_path.empty()) {
           for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-            const Result& r = results[row * threads.size() + ti];
+            const Result& r = results.at(row, ti, 0);
             Json cj = Json::object();
             cj.set("delay_cycles", Json(static_cast<std::uint64_t>(delay)));
             cj.set("threads", Json(threads[ti]));
@@ -141,7 +118,7 @@ int main(int argc, char** argv) try {
         std::vector<std::string> frac_row{std::to_string(delay), delay_ns,
                                           "pre_write_abort_frac"};
         for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-          const Result& r = results[row * threads.size() + ti];
+          const Result& r = results.at(row, ti, 0);
           char buf[32];
           std::snprintf(buf, sizeof buf, "%.1f", r.mean_latency_ns);
           lat_row.push_back(buf);
@@ -156,11 +133,13 @@ int main(int argc, char** argv) try {
     report.add_table("delay_sweep", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: the paper-optimal delay at the first thread count.
-    run(opts, threads.front(), /*delay=*/675, ops, opts.seed, opts.trace_path);
-  }
-  return 0;
+  // Traced cell: the paper-optimal delay at the first thread count.
+  const bool traced = bench::trace_cell(
+      opts.trace_path, bench::sim_machine_config(opts, threads.front()),
+      [&](Machine& m) {
+        run(m, threads.front(), /*delay=*/675, ops, opts.seed);
+      });
+  return traced ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "ablation_delay_sweep: " << e.what() << "\n";
   return 1;

@@ -15,12 +15,10 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "benchsupport/sweep.hpp"
 #include "benchsupport/table.hpp"
-#include "common/stats.hpp"
 #include "sim_queue_bench_util.hpp"
 
 int main(int argc, char** argv) try {
@@ -75,21 +73,19 @@ int main(int argc, char** argv) try {
     return std::pair(mcfg, spec);
   };
 
-  std::vector<SimRunResult> results(rates.size() * threads.size());
-  run_sweep_cells(
-      rates.size(), threads.size(), opts.effective_jobs(),
-      [&](std::size_t i) {
-        const auto [mcfg, spec] =
-            make(threads[i % threads.size()], rates[i / threads.size()]);
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
+  run_grid(
+      rates.size(), threads.size(), /*repeats=*/1, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t ti, std::size_t) {
+        const auto [mcfg, spec] = make(threads[ti], rates[row]);
+        return run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& results) {
         const double rate = rates[row];
         char rate_buf[32];
         std::snprintf(rate_buf, sizeof rate_buf, "%.2f", rate);
         if (!opts.json_path.empty()) {
           for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-            const SimRunResult& r = results[row * threads.size() + ti];
+            const SimRunResult& r = results.at(row, ti, 0);
             Json cj = Json::object();
             cj.set("fault_rate", Json(rate));
             cj.set("threads", Json(threads[ti]));
@@ -108,7 +104,7 @@ int main(int argc, char** argv) try {
         std::vector<std::string> thr_row{rate_buf, "throughput_mops"};
         std::vector<std::string> fb_row{rate_buf, "fallback_cas_frac"};
         for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-          const SimRunResult& r = results[row * threads.size() + ti];
+          const SimRunResult& r = results.at(row, ti, 0);
           char buf[32];
           std::snprintf(buf, sizeof buf, "%.2f",
                         r.throughput_mops(ns_per_cycle()));

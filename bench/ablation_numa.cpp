@@ -43,17 +43,29 @@ struct Result {
   sim::MetricsSnapshot metrics;
 };
 
-Result run(int writers, int readers, bool remote_readers, bool fix,
-           sim::InterconnectModel net, Value ops, std::uint64_t seed,
-           const std::string& trace_path = {}) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = 2 * (writers + readers);
-  mcfg.sockets = 2;
-  mcfg.uarch_fix = fix;
-  mcfg.interconnect_model = net;
-  mcfg.record_trace = !trace_path.empty();
-  Machine m(mcfg);
-  const int per_socket = mcfg.cores / 2;
+// One swept cell: the writer and reader counts, the readers' socket, the
+// interconnect model and the §3.4.1 fix.
+struct Combo {
+  int writers;
+  int readers;
+  bool remote;
+  sim::InterconnectModel net;
+  bool fix;
+
+  sim::MachineConfig machine() const {
+    sim::MachineConfig mcfg;
+    mcfg.cores = 2 * (writers + readers);
+    mcfg.sockets = 2;
+    mcfg.uarch_fix = fix;
+    mcfg.interconnect_model = net;
+    return mcfg;
+  }
+};
+
+// Runs `combo` on `m`, a machine built from combo.machine().
+Result run(Machine& m, const Combo& combo, Value ops, std::uint64_t seed) {
+  const int writers = combo.writers;
+  const int per_socket = m.config().cores / 2;
   const Addr x = m.alloc();
 
   auto lat = std::make_shared<double>(0);
@@ -80,8 +92,8 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
     }(m, w, x, tx, ops, seed + static_cast<std::uint64_t>(w), lat, n,
       writers_left));
   }
-  for (int r = 0; r < readers; ++r) {
-    const int core = remote_readers ? per_socket + r : writers + r;
+  for (int r = 0; r < combo.readers; ++r) {
+    const int core = combo.remote ? per_socket + r : writers + r;
     m.spawn([](Machine& m, int c, Addr x, std::uint64_t seed,
                std::shared_ptr<int> writers_left) -> Task<void> {
       Xoshiro256 rng(seed);
@@ -99,7 +111,7 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
   const std::uint64_t tripped =
       htm.aborts[static_cast<std::size_t>(sim::AbortCause::kTrippedWriter)];
   Result res;
-  res.latency_ns = *lat / static_cast<double>(*n) * 0.4;
+  res.latency_ns = *lat / static_cast<double>(*n) * ns_per_cycle();
   res.attempts_per_call =
       static_cast<double>(attempts) / static_cast<double>(calls);
   res.tripped_per_call =
@@ -107,7 +119,6 @@ Result run(int writers, int readers, bool remote_readers, bool fix,
   res.stalls_per_call =
       static_cast<double>(stalls) / static_cast<double>(calls);
   res.metrics = m.metrics();
-  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return res;
 }
 
@@ -135,13 +146,6 @@ int main(int argc, char** argv) try {
                "latency_ns", "attempts/call", "tripped/call",
                "fix_stalls/call"});
   if (!opts.csv) table.stream_to(std::cout);
-  struct Combo {
-    int writers;
-    int readers;
-    bool remote;
-    sim::InterconnectModel net;
-    bool fix;
-  };
   std::vector<Combo> combos;
   for (int writers : {1, 2, 4}) {
     for (int readers : {2, 6}) {
@@ -172,17 +176,15 @@ int main(int argc, char** argv) try {
     report.set_config("interconnect_models", std::move(models));
   }
   report.set("ns_per_cycle", Json(ns_per_cycle()));
-  std::vector<Result> results(combos.size());
-  run_sweep_cells(
-      combos.size(), 1, opts.effective_jobs(),
-      [&](std::size_t i) {
-        const Combo& c = combos[i];
-        results[i] = run(c.writers, c.readers, c.remote, c.fix, c.net, ops,
-                         opts.seed);
+  run_grid(
+      combos.size(), 1, 1, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t, std::size_t) {
+        Machine m(combos[row].machine());
+        return run(m, combos[row], ops, opts.seed);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<Result>& results) {
         const Combo& c = combos[row];
-        const Result& r = results[row];
+        const Result& r = results.at(row, 0, 0);
         const bool link = c.net == sim::InterconnectModel::kLink;
         if (!opts.json_path.empty()) {
           Json cj = Json::object();
@@ -215,13 +217,14 @@ int main(int argc, char** argv) try {
     report.add_table("numa_ablation", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: remote readers, link model, fix off — the contended
-    // cross-socket trip pattern.
-    run(/*writers=*/1, /*readers=*/2, /*remote_readers=*/true, /*fix=*/false,
-        sim::InterconnectModel::kLink, ops, opts.seed, opts.trace_path);
-  }
-  return 0;
+  // Traced cell: remote readers, link model, fix off — the contended
+  // cross-socket trip pattern.
+  const Combo traced_combo{/*writers=*/1, /*readers=*/2, /*remote=*/true,
+                           sim::InterconnectModel::kLink, /*fix=*/false};
+  const bool traced = bench::trace_cell(
+      opts.trace_path, traced_combo.machine(),
+      [&](Machine& m) { run(m, traced_combo, ops, opts.seed); });
+  return traced ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "ablation_numa: " << e.what() << "\n";
   return 1;

@@ -44,12 +44,8 @@ int main(int argc, char** argv) try {
     report.set_config("stripe_counts", std::move(js));
   }
   const std::size_t nrep = static_cast<std::size_t>(repeats);
-  const std::size_t cells_per_row = stripe_counts.size() * nrep;
-  auto run_cell = [&](int t, int stripes, std::uint64_t r,
-                      const std::string& trace_path = {}) {
-    sim::MachineConfig mcfg = bench::sim_machine_config(opts, t);
-    mcfg.record_trace = !trace_path.empty();
-    sim::Machine m(mcfg);
+  // One cell on `m`, a machine built from sim_machine_config(opts, t).
+  auto run_cell = [&](sim::Machine& m, int t, int stripes, std::uint64_t r) {
     SimSbq::Config qc;
     qc.enqueuers = t;
     qc.dequeuers = t;
@@ -62,25 +58,19 @@ int main(int argc, char** argv) try {
     spec.consumers = t;
     spec.ops_per_thread = ops;
     spec.seed = opts.seed + r * 7919;
-    SimRunResult res = run_spec(m, q, spec, 0);
-    if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
-    return res;
+    return run_spec(m, q, spec, 0);
   };
-  std::vector<SimRunResult> results(threads.size() * cells_per_row);
-  run_sweep_cells(
-      threads.size(), cells_per_row, opts.effective_jobs(),
-      [&](std::size_t i) {
-        const int t = threads[i / cells_per_row];
-        const int stripes = stripe_counts[(i % cells_per_row) / nrep];
-        const std::uint64_t r = i % nrep;
-        results[i] = run_cell(t, stripes, r);
+  run_grid(
+      threads.size(), stripe_counts.size(), nrep, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t si, std::size_t r) {
+        sim::Machine m(bench::sim_machine_config(opts, threads[row]));
+        return run_cell(m, threads[row], stripe_counts[si], r);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& results) {
         if (!opts.json_path.empty()) {
           for (std::size_t si = 0; si < stripe_counts.size(); ++si) {
             for (std::size_t r = 0; r < nrep; ++r) {
-              const SimRunResult& res =
-                  results[row * cells_per_row + si * nrep + r];
+              const SimRunResult& res = results.at(row, si, r);
               Json cj = Json::object();
               cj.set("threads", Json(threads[row]));
               cj.set("stripes", Json(stripe_counts[si]));
@@ -99,8 +89,7 @@ int main(int argc, char** argv) try {
         for (std::size_t si = 0; si < stripe_counts.size(); ++si) {
           Summary lat;
           for (std::size_t r = 0; r < nrep; ++r) {
-            lat.add(results[row * cells_per_row + si * nrep + r]
-                        .deq_latency_ns(ns_per_cycle()));
+            lat.add(results.at(row, si, r).deq_latency_ns(ns_per_cycle()));
           }
           out.push_back(lat.mean());
         }
@@ -114,11 +103,13 @@ int main(int argc, char** argv) try {
     report.add_table("deq_latency_ns", table);
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: the paper's single-counter basket, smallest thread count.
-    run_cell(threads.front(), /*stripes=*/1, 0, opts.trace_path);
-  }
-  return 0;
+  // Traced cell: the paper's single-counter basket, smallest thread count.
+  const bool traced = bench::trace_cell(
+      opts.trace_path, bench::sim_machine_config(opts, threads.front()),
+      [&](sim::Machine& m) {
+        run_cell(m, threads.front(), /*stripes=*/1, /*r=*/0);
+      });
+  return traced ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "ablation_striped_basket: " << e.what() << "\n";
   return 1;

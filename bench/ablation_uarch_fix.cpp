@@ -30,8 +30,6 @@ int main(int argc, char** argv) try {
   BenchReport report("ablation_uarch_fix");
   report.set_sweep_config(opts, totals, ops, repeats);
   report.set("ns_per_cycle", Json(ns_per_cycle()));
-  const std::size_t nrep = static_cast<std::size_t>(repeats);
-  const std::size_t cells_per_row = nrep * 2;  // (repeat, fix off/on)
   auto make = [&](int total, int repeat, bool fix) {
     const int half = total / 2;
     sim::MachineConfig mcfg = sim_machine_config(opts, total, 2);
@@ -45,51 +43,49 @@ int main(int argc, char** argv) try {
     spec.seed = opts.seed + static_cast<std::uint64_t>(repeat) * 7919;
     return std::pair(mcfg, spec);
   };
-  std::vector<SimRunResult> results(totals.size() * cells_per_row);
-  run_sweep_cells(
-      totals.size(), cells_per_row, opts.effective_jobs(),
-      [&](std::size_t i) {
-        const int total = totals[i / cells_per_row];
-        const int r = static_cast<int>((i % cells_per_row) / 2);
-        const bool fix = (i % 2) != 0;
-        const auto [mcfg, spec] = make(total, r, fix);
-        results[i] = run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
+  // Column 0 runs with the fix off, column 1 with it on.
+  run_grid(
+      totals.size(), 2, static_cast<std::size_t>(repeats),
+      opts.effective_jobs(),
+      [&](std::size_t row, std::size_t fix, std::size_t r) {
+        const auto [mcfg, spec] =
+            make(totals[row], static_cast<int>(r), /*fix=*/fix == 1);
+        return run_queue_workload(QueueKind::kSbqHtm, mcfg, spec);
       },
-      [&](std::size_t row) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& results) {
         const int total = totals[row];
         if (!opts.json_path.empty()) {
-          for (std::size_t c = 0; c < cells_per_row; ++c) {
-            const SimRunResult& res = results[row * cells_per_row + c];
-            Json cj = Json::object();
-            cj.set("threads", Json(total));
-            cj.set("uarch_fix", Json((c % 2) != 0));
-            cj.set("repeat", Json(static_cast<int>(c / 2)));
-            cj.set("enq_ops", Json(res.enq_ops));
-            cj.set("deq_ops", Json(res.deq_ops));
-            cj.set("enq_latency_ns", Json(res.enq_latency_ns(ns_per_cycle())));
-            cj.set("duration_cycles",
-                   Json(static_cast<std::uint64_t>(res.duration_cycles)));
-            cj.set("counters", metrics_to_json(res.metrics));
-            report.add_cell(std::move(cj));
+          for (std::size_t r = 0; r < results.repeats; ++r) {
+            for (std::size_t fix = 0; fix < 2; ++fix) {
+              const SimRunResult& res = results.at(row, fix, r);
+              Json cj = Json::object();
+              cj.set("threads", Json(total));
+              cj.set("uarch_fix", Json(fix == 1));
+              cj.set("repeat", Json(static_cast<int>(r)));
+              cj.set("enq_ops", Json(res.enq_ops));
+              cj.set("deq_ops", Json(res.deq_ops));
+              cj.set("enq_latency_ns",
+                     Json(res.enq_latency_ns(ns_per_cycle())));
+              cj.set("duration_cycles",
+                     Json(static_cast<std::uint64_t>(res.duration_cycles)));
+              cj.set("counters", metrics_to_json(res.metrics));
+              report.add_cell(std::move(cj));
+            }
           }
         }
-        Summary enq_off, enq_on, dur_off, dur_on;
-        for (std::size_t c = 0; c < cells_per_row; ++c) {
-          const SimRunResult& res = results[row * cells_per_row + c];
-          const double total_ops =
-              static_cast<double>(res.enq_ops + res.deq_ops);
-          const double dur = res.duration_cycles * ns_per_cycle() / total_ops *
-                             static_cast<double>(total);
-          if ((c % 2) != 0) {
-            enq_on.add(res.enq_latency_ns(ns_per_cycle()));
-            dur_on.add(dur);
-          } else {
-            enq_off.add(res.enq_latency_ns(ns_per_cycle()));
-            dur_off.add(dur);
+        Summary enq[2], dur[2];
+        for (std::size_t r = 0; r < results.repeats; ++r) {
+          for (std::size_t fix = 0; fix < 2; ++fix) {
+            const SimRunResult& res = results.at(row, fix, r);
+            const double total_ops =
+                static_cast<double>(res.enq_ops + res.deq_ops);
+            enq[fix].add(res.enq_latency_ns(ns_per_cycle()));
+            dur[fix].add(res.duration_cycles * ns_per_cycle() / total_ops *
+                         static_cast<double>(total));
           }
         }
-        table.add_row({static_cast<double>(total), enq_off.mean(),
-                       enq_on.mean(), dur_off.mean(), dur_on.mean()});
+        table.add_row({static_cast<double>(total), enq[0].mean(),
+                       enq[1].mean(), dur[0].mean(), dur[1].mean()});
       });
   table.print(std::cout, opts.csv);
   if (!opts.json_path.empty()) {

@@ -48,11 +48,10 @@ struct Round {
   sim::MetricsSnapshot metrics;
 };
 
-Round run_round(int cores, bool htm, const std::string& trace_path = {}) {
-  sim::MachineConfig mcfg;
-  mcfg.cores = cores;
-  mcfg.record_trace = true;
-  Machine m(mcfg);
+// One round on `m`, whose event ring must be on: the HTM round's
+// resolution times are read from it.
+Round run_round(Machine& m, bool htm) {
+  const int cores = m.config().cores;
   const Addr x = m.alloc();
 
   // Warm-up: every core loads the line into Shared state.
@@ -109,9 +108,6 @@ Round run_round(int cores, bool htm, const std::string& trace_path = {}) {
   r.invalidations = after.inv - before.inv;
   r.getm = after.getm - before.getm;
   r.metrics = m.metrics();
-  // The warm-up was cleared above, so a trace is exactly the CAS round's
-  // coherence event stream (the worked example in docs/observability.md).
-  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return r;
 }
 
@@ -137,12 +133,17 @@ int main(int argc, char** argv) try {
             << "committed or aborted.\n";
 
   // The two rounds are independent simulations: run them as parallel cells.
-  std::vector<Round> rounds(2);
-  run_sweep_cells(1, 2, opts.effective_jobs(), [&](std::size_t i) {
-    rounds[i] = run_round(cores, /*htm=*/i == 1);
-  });
-  const Round& cas = rounds[0];
-  const Round& htm = rounds[1];
+  sim::MachineConfig mcfg;
+  mcfg.cores = cores;
+  const SweepGrid<Round> rounds = run_grid(
+      1, 2, 1, opts.effective_jobs(),
+      [&](std::size_t, std::size_t mode, std::size_t) {
+        Machine m(bench::with_event_ring(mcfg));
+        return run_round(m, /*htm=*/mode == 1);
+      },
+      [](std::size_t, const SweepGrid<Round>&) {});
+  const Round& cas = rounds.at(0, 0, 0);
+  const Round& htm = rounds.at(0, 1, 0);
 
   Table table({"core", "standard_cas_resolved_ns", "htm_cas_resolved_ns"});
   for (int c = 0; c < cores; ++c) {
@@ -177,17 +178,19 @@ int main(int argc, char** argv) try {
     for (std::size_t i = 0; i < 2; ++i) {
       Json cj = Json::object();
       cj.set("mode", Json(names[i]));
-      cj.set("resolution_spread_ns", Json(spread(rounds[i])));
-      cj.set("counters", metrics_to_json(rounds[i].metrics));
+      cj.set("resolution_spread_ns", Json(spread(rounds.at(0, i, 0))));
+      cj.set("counters", metrics_to_json(rounds.at(0, i, 0).metrics));
       report.add_cell(std::move(cj));
     }
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Worked trace example (docs/observability.md): the HTM round's events.
-    run_round(cores, /*htm=*/true, opts.trace_path);
-  }
-  return 0;
+  // Worked trace example (docs/observability.md): the HTM round's events.
+  // The warm-up is cleared from the ring, so the trace is exactly the
+  // round's coherence event stream.
+  const bool traced =
+      bench::trace_cell(opts.trace_path, mcfg,
+                        [&](Machine& m) { run_round(m, /*htm=*/true); });
+  return traced ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "fig2_coherence_dynamics: " << e.what() << "\n";
   return 1;

@@ -38,14 +38,16 @@ struct Outcome {
   sim::MetricsSnapshot metrics;
 };
 
-Outcome run_scenario(Time reader_offset, bool fix,
-                     const std::string& trace_path = {}) {
+sim::MachineConfig scenario_config(bool fix) {
   sim::MachineConfig mcfg;
   mcfg.cores = 10;
   mcfg.sockets = 2;  // cores 0-4 socket 0, cores 5-9 socket 1
   mcfg.uarch_fix = fix;
-  mcfg.record_trace = !trace_path.empty();
-  Machine m(mcfg);
+  return mcfg;
+}
+
+// One scenario on `m`, a machine built from scenario_config.
+Outcome run_scenario(Machine& m, Time reader_offset) {
   const Addr x = m.alloc();
 
   // Sharers on the remote socket: their Inv-Acks must cross the socket
@@ -85,7 +87,6 @@ Outcome run_scenario(Time reader_offset, bool fix,
   o.writer_latency_ns =
       static_cast<double>(*done_at - *started_at) * ns_per_cycle();
   o.metrics = m.metrics();
-  if (!trace_path.empty()) bench::write_trace_file(m, trace_path);
   return o;
 }
 
@@ -106,16 +107,17 @@ int main(int argc, char** argv) try {
   if (!opts.csv) table.stream_to(std::cout);
   const std::vector<Time> offsets{0, 20, 40, 60, 80, 100, 140, 180, 260, 400,
                                   700};
-  // One cell per (offset, fix) scenario — each a fresh machine.
-  std::vector<Outcome> outcomes(offsets.size() * 2);
-  run_sweep_cells(
-      offsets.size(), 2, opts.effective_jobs(),
-      [&](std::size_t i) {
-        outcomes[i] = run_scenario(offsets[i / 2], /*fix=*/(i % 2) != 0);
+  // One cell per (offset, fix) scenario — each a fresh machine. Column 0
+  // runs with the fix off, column 1 with it on.
+  const SweepGrid<Outcome> outcomes = run_grid(
+      offsets.size(), 2, 1, opts.effective_jobs(),
+      [&](std::size_t row, std::size_t fix, std::size_t) {
+        Machine m(scenario_config(/*fix=*/fix == 1));
+        return run_scenario(m, offsets[row]);
       },
-      [&](std::size_t row) {
-        const Outcome& off = outcomes[row * 2];
-        const Outcome& on = outcomes[row * 2 + 1];
+      [&](std::size_t row, const SweepGrid<Outcome>& done) {
+        const Outcome& off = done.at(row, 0, 0);
+        const Outcome& on = done.at(row, 1, 0);
         table.add_row({std::to_string(offsets[row]),
                        off.tripped ? "yes" : "no",
                        std::to_string(static_cast<int>(off.writer_latency_ns)),
@@ -136,26 +138,29 @@ int main(int argc, char** argv) try {
     report.set_config("reader_offsets_cycles", std::move(joff));
     report.set("ns_per_cycle", Json(ns_per_cycle()));
     report.add_table("tripped_writer", table);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      Json cj = Json::object();
-      cj.set("reader_offset_cycles",
-             Json(static_cast<std::uint64_t>(offsets[i / 2])));
-      cj.set("uarch_fix", Json((i % 2) != 0));
-      cj.set("tripped", Json(outcomes[i].tripped));
-      cj.set("uarch_fix_stalls", Json(outcomes[i].stalled));
-      cj.set("writer_attempts", Json(outcomes[i].attempts));
-      cj.set("writer_latency_ns", Json(outcomes[i].writer_latency_ns));
-      cj.set("counters", metrics_to_json(outcomes[i].metrics));
-      report.add_cell(std::move(cj));
+    for (std::size_t row = 0; row < offsets.size(); ++row) {
+      for (std::size_t fix = 0; fix < 2; ++fix) {
+        const Outcome& o = outcomes.at(row, fix, 0);
+        Json cj = Json::object();
+        cj.set("reader_offset_cycles",
+               Json(static_cast<std::uint64_t>(offsets[row])));
+        cj.set("uarch_fix", Json(fix == 1));
+        cj.set("tripped", Json(o.tripped));
+        cj.set("uarch_fix_stalls", Json(o.stalled));
+        cj.set("writer_attempts", Json(o.attempts));
+        cj.set("writer_latency_ns", Json(o.writer_latency_ns));
+        cj.set("counters", metrics_to_json(o.metrics));
+        report.add_cell(std::move(cj));
+      }
     }
     if (!report.write(opts.json_path)) return 1;
   }
-  if (!opts.trace_path.empty()) {
-    // Traced cell: an offset known to land inside the commit window, fix
-    // off — the §3.4 tripped-writer timeline (docs/protocol.md §3.4.1).
-    run_scenario(/*reader_offset=*/180, /*fix=*/false, opts.trace_path);
-  }
-  return 0;
+  // Traced cell: an offset known to land inside the commit window, fix off
+  // — the §3.4 tripped-writer timeline (docs/protocol.md §3.4.1).
+  const bool traced = bench::trace_cell(
+      opts.trace_path, scenario_config(/*fix=*/false),
+      [&](Machine& m) { run_scenario(m, /*reader_offset=*/180); });
+  return traced ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "fig3_tripped_writer: " << e.what() << "\n";
   return 1;

@@ -50,7 +50,7 @@ int main(int argc, char** argv) try {
   };
   run_queue_sweep(
       threads, queues, repeats, opts.effective_jobs(), make,
-      [&](std::size_t row, const QueueSweepResults& res) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& res) {
         if (!opts.json_path.empty()) {
           add_row_cells(report, row, threads[row], queues, res, ns_per_cycle());
         }
@@ -58,9 +58,8 @@ int main(int argc, char** argv) try {
         std::vector<double> thr_row{static_cast<double>(threads[row])};
         for (std::size_t q = 0; q < queues.size(); ++q) {
           Summary lat, thr;
-          for (int r = 0; r < repeats; ++r) {
-            const SimRunResult& cell =
-                res.at(row, q, static_cast<std::size_t>(r));
+          for (std::size_t r = 0; r < res.repeats; ++r) {
+            const SimRunResult& cell = res.at(row, q, r);
             lat.add(cell.enq_latency_ns(ns_per_cycle()));
             thr.add(cell.throughput_mops(ns_per_cycle()));
           }

@@ -51,16 +51,15 @@ int main(int argc, char** argv) try {
   };
   run_queue_sweep(
       threads, queues, repeats, opts.effective_jobs(), make,
-      [&](std::size_t row, const QueueSweepResults& res) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& res) {
         if (!opts.json_path.empty()) {
           add_row_cells(report, row, threads[row], queues, res, ns_per_cycle());
         }
         std::vector<double> out{static_cast<double>(threads[row])};
         for (std::size_t q = 0; q < queues.size(); ++q) {
           Summary lat;
-          for (int r = 0; r < repeats; ++r) {
-            lat.add(res.at(row, q, static_cast<std::size_t>(r))
-                        .deq_latency_ns(ns_per_cycle()));
+          for (std::size_t r = 0; r < res.repeats; ++r) {
+            lat.add(res.at(row, q, r).deq_latency_ns(ns_per_cycle()));
           }
           out.push_back(lat.mean());
         }

@@ -54,7 +54,7 @@ int main(int argc, char** argv) try {
   };
   run_queue_sweep(
       threads, queues, repeats, opts.effective_jobs(), make,
-      [&](std::size_t row, const QueueSweepResults& res) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& res) {
         if (!opts.json_path.empty()) {
           add_row_cells(report, row, threads[row], queues, res, ns_per_cycle());
         }
@@ -62,9 +62,8 @@ int main(int argc, char** argv) try {
         std::vector<double> out{static_cast<double>(total)};
         for (std::size_t q = 0; q < queues.size(); ++q) {
           Summary dur;
-          for (int r = 0; r < repeats; ++r) {
-            const SimRunResult& cell =
-                res.at(row, q, static_cast<std::size_t>(r));
+          for (std::size_t r = 0; r < res.repeats; ++r) {
+            const SimRunResult& cell = res.at(row, q, r);
             const double total_ops =
                 static_cast<double>(cell.enq_ops + cell.deq_ops);
             dur.add(cell.duration_cycles * ns_per_cycle() / total_ops *

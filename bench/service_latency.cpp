@@ -201,12 +201,10 @@ int main(int argc, char** argv) try {
     return std::pair(mcfg, spec);
   };
 
-  const std::size_t n_queues = queues.size();
-  const std::size_t n_repeats = static_cast<std::size_t>(repeats);
-  auto row_done = [&](std::size_t row, const QueueSweepGrid<ServiceCell>& res) {
+  auto row_done = [&](std::size_t row, const SweepGrid<ServiceCell>& res) {
     if (!opts.json_path.empty()) {
-      for (std::size_t q = 0; q < n_queues; ++q) {
-        for (std::size_t r = 0; r < n_repeats; ++r) {
+      for (std::size_t q = 0; q < queues.size(); ++q) {
+        for (std::size_t r = 0; r < res.repeats; ++r) {
           report.add_cell(service_cell_json(sopts.rates[row], queues[q],
                                             static_cast<int>(r), sopts,
                                             res.at(row, q, r)));
@@ -217,9 +215,9 @@ int main(int argc, char** argv) try {
     std::vector<double> p99_row{sopts.rates[row]};
     std::vector<double> p999_row{sopts.rates[row]};
     std::vector<double> rej_row{sopts.rates[row]};
-    for (std::size_t q = 0; q < n_queues; ++q) {
+    for (std::size_t q = 0; q < queues.size(); ++q) {
       Summary p50, p99, p999, rej;
-      for (std::size_t r = 0; r < n_repeats; ++r) {
+      for (std::size_t r = 0; r < res.repeats; ++r) {
         const ServiceCell& c = res.at(row, q, r);
         p50.add(c.sojourn_p50_ns);
         p99.add(c.sojourn_p99_ns);

@@ -2,7 +2,8 @@
 // evaluated queues (§6.1) on a fresh simulated machine and run a workload.
 // Every simulated-queue driver takes one path through this header: its
 // machine from sim_machine_config, its sweep from run_queue_sweep, and its
-// --trace/--record-ops/--replay-ops tail from write_cell_artifacts.
+// --trace/--record-ops/--replay-ops tail from write_cell_artifacts. Every
+// other simulator driver sweeps with run_grid and traces with trace_cell.
 //
 // Queue selection is resolved once per sweep into a QueueKind enum (no
 // per-cell string validation), and sweep cells — each an independent,
@@ -28,6 +29,7 @@
 #include "benchsupport/parallel_sweep.hpp"
 #include "benchsupport/sim_workload.hpp"
 #include "benchsupport/table.hpp"
+#include "common/rng.hpp"
 #include "queues/queue_kind.hpp"
 #include "replay/op_trace.hpp"
 #include "replay/sim_replay.hpp"
@@ -106,6 +108,55 @@ inline bool write_trace_file(sim::Machine& m, const std::string& path) {
   return static_cast<bool>(out);
 }
 
+// `mcfg` with the machine's event ring on.
+inline sim::MachineConfig with_event_ring(sim::MachineConfig mcfg) {
+  mcfg.record_trace = true;
+  return mcfg;
+}
+
+// --trace FILE: re-runs one representative cell of a driver outside its
+// sweep — run(machine) on a machine built from `mcfg` with the event ring
+// on — and writes the ring to `path` as JSONL. An empty path runs nothing.
+// Returns false, after saying so on stderr, if the file cannot be written
+// (drivers exit 1).
+template <typename Run>
+bool trace_cell(const std::string& path, const sim::MachineConfig& mcfg,
+                Run run) {
+  if (path.empty()) return true;
+  sim::Machine m(with_event_ring(mcfg));
+  run(m);
+  return write_trace_file(m, path);
+}
+
+// Integer cycle counts of a contended-word loop: the totals stay far below
+// 2^53, so converting the final sums is exact.
+struct LoopStats {
+  std::uint64_t latency_cycles = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t success = 0;
+};
+
+// One core's TxCAS loop on the contended word `x` (Figure 1, the §4.1 delay
+// sweep): an initial think of 1..32 cycles, then per op a load, a TxCAS
+// v -> v+1 under `tx`, and a think of 1..8 cycles.
+inline sim::Task<void> txcas_loop(sim::Machine& m, int core, sim::Addr x,
+                                  sim::Value ops, std::uint64_t seed,
+                                  sim::TxCasConfig tx,
+                                  std::shared_ptr<LoopStats> st) {
+  Xoshiro256 rng(seed);
+  auto& c = m.core(core);
+  co_await c.think(1 + rng.next_below(32));
+  for (sim::Value i = 0; i < ops; ++i) {
+    const sim::Value v = co_await c.load(x);
+    const sim::Time start = c.now();
+    const bool ok = co_await c.txcas(x, v, v + 1, tx);
+    st->latency_cycles += c.now() - start;
+    ++st->ops;
+    if (ok) ++st->success;
+    co_await c.think(1 + rng.next_below(8));
+  }
+}
+
 // The thread totals of a mixed-workload driver (fig7, ablation_uarch_fix):
 // each splits into as many producers as consumers, at least one each, so
 // an odd total or one below 2 is refused rather than rounded down.
@@ -181,8 +232,9 @@ struct MeasurePhase {
   }
 };
 
-// Cold start: one fresh machine runs both phases of one cell. `spec` sizes
-// the queue, so it is a WorkloadSpec or derives from one.
+// Cold start: one fresh machine runs both phases of one cell, the reference
+// the fork path (WarmedWorkload) must match byte for byte. `spec` sizes the
+// queue, so it is a WorkloadSpec or derives from one.
 template <typename Spec, typename Warm = PrefillPhase,
           typename Measure = MeasurePhase>
 auto run_queue_workload(QueueKind kind, const sim::MachineConfig& mcfg,
@@ -240,30 +292,15 @@ class WarmedWorkload {
   std::function<Result(const Spec&)> run_;
 };
 
-// (row × queue × repeat) sweep grid executed on the parallel pool.
-// Results are keyed by cell index — at(row, queue, repeat) — so downstream
-// aggregation is independent of completion order.
-template <typename Result>
-struct QueueSweepGrid {
-  std::vector<Result> cells;
-  std::size_t queues = 0;
-  std::size_t repeats = 0;
-
-  const Result& at(std::size_t row, std::size_t queue,
-                   std::size_t repeat) const {
-    return cells[(row * queues + queue) * repeats + repeat];
-  }
-};
-using QueueSweepResults = QueueSweepGrid<SimRunResult>;
-
 // Runs the standard figure grid: for each row value in `rows` (a thread
 // count, an arrival rate, ...), each queue in `queues`, and each repeat,
 // one cell. `make` maps (row value, repeat) -> {MachineConfig, spec} (the
 // queue kind is applied by the runner); `warm` and `measure` are the
 // cell's phases (PrefillPhase / MeasurePhase unless given), and `Result`
-// is what `measure` returns. `row_done(row, results)` is called on the
-// calling thread, in row order, as soon as a row's cells all finish —
-// drivers use it to stream finished table rows.
+// is what `measure` returns. `row_done(row, grid)` gets the
+// SweepGrid<Result> of (row, queue, repeat) cells on the calling thread, in
+// row order, as soon as a row's cells all finish — drivers use it to
+// stream finished table rows.
 //
 // By default repeats of one (row, queue) group share a warmed snapshot:
 // the group's warm phase runs once, and each repeat forks a machine from
@@ -282,47 +319,39 @@ void run_queue_sweep(const std::vector<Row>& rows,
                      Measure measure = {}) {
   using Spec = typename std::invoke_result_t<MakeSpec&, const Row&,
                                              int>::second_type;
-  QueueSweepGrid<Result> res;
-  res.queues = queues.size();
-  res.repeats = static_cast<std::size_t>(repeats);
-  const std::size_t cells_per_row = res.queues * res.repeats;
-  res.cells.resize(rows.size() * cells_per_row);
+  const auto nrep = static_cast<std::size_t>(repeats);
   if (cold_start) {
-    run_sweep_cells(
-        rows.size(), cells_per_row, jobs,
-        [&](std::size_t i) {
-          const std::size_t row = i / cells_per_row;
-          const std::size_t queue = (i % cells_per_row) / res.repeats;
-          const int repeat = static_cast<int>(i % res.repeats);
-          const auto [mcfg, spec] = make(rows[row], repeat);
-          res.cells[i] =
-              run_queue_workload(queues[queue], mcfg, spec, warm, measure);
+    run_grid(
+        rows.size(), queues.size(), nrep, jobs,
+        [&](std::size_t row, std::size_t queue, std::size_t rep) -> Result {
+          const auto [mcfg, spec] = make(rows[row], static_cast<int>(rep));
+          return run_queue_workload(queues[queue], mcfg, spec, warm, measure);
         },
-        [&](std::size_t row) { row_done(row, res); });
+        row_done);
     return;
   }
   // Fork path: one work item per (row, queue) group. Each group's slot in
   // `warmed` is touched by exactly one worker (run_sweep_groups contract),
   // and is released after the group's last repeat to bound live snapshots
   // to in-flight groups.
-  std::vector<WarmedWorkload<Result, Spec>> warmed(rows.size() * res.queues);
+  SweepGrid<Result> res{
+      std::vector<Result>(rows.size() * queues.size() * nrep), queues.size(),
+      nrep};
+  std::vector<WarmedWorkload<Result, Spec>> warmed(rows.size() * res.columns);
   run_sweep_groups(
-      rows.size(), res.queues, res.repeats, jobs,
+      rows.size(), res.columns, res.repeats, jobs,
       [&](std::size_t g) {
-        const std::size_t row = g / res.queues;
-        const auto [mcfg, spec] = make(rows[row], /*repeat=*/0);
-        warmed[g] = WarmedWorkload<Result, Spec>(queues[g % res.queues], mcfg,
+        const auto [mcfg, spec] = make(rows[g / res.columns], /*repeat=*/0);
+        warmed[g] = WarmedWorkload<Result, Spec>(queues[g % res.columns], mcfg,
                                                  spec, warm, measure);
       },
-      [&](std::size_t g, std::size_t c) {
-        const std::size_t row = g / res.queues;
-        const std::size_t queue = g % res.queues;
-        const auto [mcfg, spec] = make(rows[row], static_cast<int>(c));
-        res.cells[(row * res.queues + queue) * res.repeats + c] =
-            warmed[g].run_repeat(spec);
-        if (c + 1 == res.repeats) warmed[g] = WarmedWorkload<Result, Spec>();
+      [&](std::size_t g, std::size_t rep) {
+        const std::size_t row = g / res.columns;
+        const auto [mcfg, spec] = make(rows[row], static_cast<int>(rep));
+        res.at(row, g % res.columns, rep) = warmed[g].run_repeat(spec);
+        if (rep + 1 == res.repeats) warmed[g] = WarmedWorkload<Result, Spec>();
       },
-      [&](std::size_t row) { row_done(row, res); });
+      [&](std::size_t row) { row_done(row, std::as_const(res)); });
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +383,8 @@ inline Json queue_cell_json(int threads, QueueKind kind, int repeat,
 // is deterministic regardless of --jobs.
 inline void add_row_cells(BenchReport& report, std::size_t row, int threads,
                           const std::vector<QueueKind>& queues,
-                          const QueueSweepResults& res, double ns_per_cycle) {
+                          const SweepGrid<SimRunResult>& res,
+                          double ns_per_cycle) {
   for (std::size_t q = 0; q < queues.size(); ++q) {
     for (std::size_t r = 0; r < res.repeats; ++r) {
       report.add_cell(queue_cell_json(threads, queues[q], static_cast<int>(r),
@@ -418,13 +448,11 @@ inline ReplaySummary run_replay_file(const std::string& path,
 inline bool write_cell_artifacts(const BenchOptions& opts, QueueKind kind,
                                  const sim::MachineConfig& mcfg,
                                  const WorkloadSpec& spec) {
-  if (!opts.trace_path.empty()) {
-    sim::MachineConfig traced = mcfg;
-    traced.record_trace = true;
-    sim::Machine m(traced);
-    with_queue(kind, m, spec,
-               [&](auto& q, int offset) { run_spec(m, q, spec, offset); });
-    if (!write_trace_file(m, opts.trace_path)) return false;
+  if (!trace_cell(opts.trace_path, mcfg, [&](sim::Machine& m) {
+        with_queue(kind, m, spec,
+                   [&](auto& q, int offset) { run_spec(m, q, spec, offset); });
+      })) {
+    return false;
   }
   if (!opts.record_ops.empty()) {
     replay::OpTrace trace = replay::trace_header(spec, queue_kind_name(kind));

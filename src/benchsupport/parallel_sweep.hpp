@@ -10,6 +10,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace sbq {
 
@@ -59,5 +62,44 @@ void run_sweep_groups(
     int jobs, const std::function<void(std::size_t)>& warm_group,
     const std::function<void(std::size_t, std::size_t)>& cell,
     const std::function<void(std::size_t)>& on_row_done);
+
+// The results of a (row × column × repeat) sweep, one R per cell, stored
+// row-major. at() is the one place coordinates map to a cell, so drivers
+// read cells in whatever order they emit them.
+template <typename R>
+struct SweepGrid {
+  std::vector<R> cells;
+  std::size_t columns = 0;
+  std::size_t repeats = 0;
+
+  const R& at(std::size_t row, std::size_t col, std::size_t rep) const {
+    return cells[(row * columns + col) * repeats + rep];
+  }
+  R& at(std::size_t row, std::size_t col, std::size_t rep) {
+    return cells[(row * columns + col) * repeats + rep];
+  }
+};
+
+// Runs every cell of a rows × columns × repeats grid on `jobs` workers and
+// returns the grid. cell(row, col, rep) returns the cell's R and runs
+// concurrently with other cells, so it must write no shared state.
+// row_done(row, grid) runs on the calling thread, in row order, as soon as
+// every cell of `row` has finished (run_sweep_cells's on_row_done).
+template <typename Cell, typename RowDone>
+auto run_grid(std::size_t rows, std::size_t columns, std::size_t repeats,
+              int jobs, Cell cell, RowDone row_done) {
+  using R = std::invoke_result_t<Cell&, std::size_t, std::size_t, std::size_t>;
+  SweepGrid<R> grid{std::vector<R>(rows * columns * repeats), columns, repeats};
+  run_sweep_cells(
+      rows, columns * repeats, jobs,
+      [&](std::size_t i) {
+        const std::size_t row = i / (columns * repeats);
+        const std::size_t col = i / repeats % columns;
+        const std::size_t rep = i % repeats;
+        grid.at(row, col, rep) = cell(row, col, rep);
+      },
+      [&](std::size_t row) { row_done(row, std::as_const(grid)); });
+  return grid;
+}
 
 }  // namespace sbq

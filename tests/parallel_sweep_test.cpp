@@ -3,6 +3,7 @@
 // cell by cell, and the pool must deliver rows in order.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -18,11 +19,11 @@ namespace {
 
 // A fig5-style producer-only grid: every evaluated queue at a few thread
 // counts, two repeats, collected via run_queue_sweep.
-QueueSweepResults run_small_fig5_sweep(int jobs, std::uint64_t seed) {
+SweepGrid<SimRunResult> run_small_fig5_sweep(int jobs, std::uint64_t seed) {
   const std::vector<int> threads{1, 2, 4};
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();
   const int repeats = 2;
-  QueueSweepResults out;
+  SweepGrid<SimRunResult> out;
   run_queue_sweep(
       threads, queues, repeats, jobs,
       [&](int t, int repeat) {
@@ -35,13 +36,14 @@ QueueSweepResults run_small_fig5_sweep(int jobs, std::uint64_t seed) {
         spec.seed = seed + static_cast<std::uint64_t>(repeat) * 7919;
         return std::pair(mcfg, spec);
       },
-      [&](std::size_t row, const QueueSweepResults& res) {
+      [&](std::size_t row, const SweepGrid<SimRunResult>& res) {
         if (row + 1 == threads.size()) out = res;  // snapshot once complete
       });
   return out;
 }
 
-void expect_identical(const QueueSweepResults& a, const QueueSweepResults& b) {
+void expect_identical(const SweepGrid<SimRunResult>& a,
+                      const SweepGrid<SimRunResult>& b) {
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
@@ -56,21 +58,21 @@ void expect_identical(const QueueSweepResults& a, const QueueSweepResults& b) {
 }
 
 TEST(ParallelSweep, ParallelMatchesSerialCellByCell) {
-  const QueueSweepResults serial = run_small_fig5_sweep(/*jobs=*/1, 42);
-  const QueueSweepResults parallel = run_small_fig5_sweep(/*jobs=*/4, 42);
+  const SweepGrid<SimRunResult> serial = run_small_fig5_sweep(/*jobs=*/1, 42);
+  const SweepGrid<SimRunResult> parallel = run_small_fig5_sweep(/*jobs=*/4, 42);
   ASSERT_FALSE(serial.cells.empty());
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelSweep, SameSeedTwiceIsIdentical) {
-  const QueueSweepResults first = run_small_fig5_sweep(/*jobs=*/4, 7);
-  const QueueSweepResults second = run_small_fig5_sweep(/*jobs=*/4, 7);
+  const SweepGrid<SimRunResult> first = run_small_fig5_sweep(/*jobs=*/4, 7);
+  const SweepGrid<SimRunResult> second = run_small_fig5_sweep(/*jobs=*/4, 7);
   expect_identical(first, second);
 }
 
 TEST(ParallelSweep, DifferentSeedDiffers) {
-  const QueueSweepResults a = run_small_fig5_sweep(/*jobs=*/2, 1);
-  const QueueSweepResults b = run_small_fig5_sweep(/*jobs=*/2, 99);
+  const SweepGrid<SimRunResult> a = run_small_fig5_sweep(/*jobs=*/2, 1);
+  const SweepGrid<SimRunResult> b = run_small_fig5_sweep(/*jobs=*/2, 99);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   bool any_diff = false;
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
@@ -109,6 +111,40 @@ TEST(ParallelSweep, SerialModeRunsInline) {
   run_sweep_cells(2, 2, /*jobs=*/1,
                   [&](std::size_t i) { seen.push_back(i); });
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+// A non-square grid whose cells return their own coordinates: a transposed
+// index shows as a cell holding another cell's coordinates.
+TEST(ParallelSweep, GridCellsKeepTheirCoordinates) {
+  using Coords = std::array<std::size_t, 3>;
+  constexpr std::size_t kRows = 3, kCols = 2, kReps = 4;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::vector<std::size_t> order;
+    const SweepGrid<Coords> grid = run_grid(
+        kRows, kCols, kReps, jobs,
+        [](std::size_t row, std::size_t col, std::size_t rep) {
+          return Coords{row, col, rep};
+        },
+        [&](std::size_t row, const SweepGrid<Coords>& done) {
+          // A delivered row is complete.
+          for (std::size_t c = 0; c < kCols; ++c) {
+            for (std::size_t r = 0; r < kReps; ++r) {
+              EXPECT_EQ(done.at(row, c, r), (Coords{row, c, r}));
+            }
+          }
+          order.push_back(row);
+        });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+    ASSERT_EQ(grid.cells.size(), kRows * kCols * kReps);
+    for (std::size_t row = 0; row < kRows; ++row) {
+      for (std::size_t c = 0; c < kCols; ++c) {
+        for (std::size_t r = 0; r < kReps; ++r) {
+          EXPECT_EQ(grid.at(row, c, r), (Coords{row, c, r}));
+        }
+      }
+    }
+  }
 }
 
 TEST(QueueFactory, NamesRoundTrip) {
